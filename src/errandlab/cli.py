@@ -355,12 +355,13 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
                 "df": cmp_result.df, "p": cmp_result.p,
                 "bf10": cmp_result.bf10, "band": cmp_result.band.value,
                 "stars": cmp_result.stars, "degenerate": False,
+                "bf10_rel_err": cmp_result.bf10_rel_err,
             })
         except DegenerateSample:
             rows.append({
                 "score": name, "n": len(col_a), "t": None, "df": len(col_a) - 1,
                 "p": None, "bf10": None, "band": None, "stars": "",
-                "degenerate": True,
+                "degenerate": True, "bf10_rel_err": None,
             })
 
     hypothesis = {
@@ -385,14 +386,15 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
 
     outputs: dict[str, str] = {}
     if args.out:
-        csv_lines = ["score,n,t,df,p,bf10,band,stars"]
+        csv_lines = ["score,n,t,df,p,bf10,band,stars,bf10_rel_err"]
         for row in rows:
             if row["degenerate"]:
-                csv_lines.append(f"{row['score']},{row['n']},,,,,,")
+                csv_lines.append(f"{row['score']},{row['n']},,,,,,,")
             else:
                 csv_lines.append(
                     f"{row['score']},{row['n']},{row['t']!r},{row['df']},"
-                    f"{row['p']!r},{row['bf10']!r},{row['band']},{row['stars']}")
+                    f"{row['p']!r},{row['bf10']!r},{row['band']},{row['stars']},"
+                    f"{row['bf10_rel_err']!r}")
         csv_path = os.path.join(args.out, "comparison.csv")
         _write_bytes(csv_path, ("\n".join(csv_lines) + "\n").encode("utf-8"))
         outputs["comparison"] = csv_path

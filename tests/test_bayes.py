@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from errandlab.bayes import (
@@ -14,6 +14,7 @@ from errandlab.bayes import (
     DegenerateSample,
     Direction,
     EvidenceBand,
+    IntegrationFailure,
     PairedSample,
     bf10_directional,
     bf10_directional_with_error,
@@ -42,14 +43,25 @@ class TestPairedT:
         assert result.df == 5
 
     def test_p_value_against_mpmath_tail_integral(self):
-        result = paired_t(PairedSample(self.A, self.B), Direction.A_LESS)
+        # swapping the columns flips the sign of t, so every direction is
+        # checked on both the near and the far tail
         with mpmath.workdps(40):
             df = mpmath.mpf(5)
             const = (mpmath.gamma((df + 1) / 2)
                      / (mpmath.sqrt(df * mpmath.pi) * mpmath.gamma(df / 2)))
             pdf = lambda x: const * (1 + x * x / df) ** (-(df + 1) / 2)
-            expected = float(mpmath.quad(pdf, [result.t, mpmath.inf]))
-        assert result.p == pytest.approx(expected, rel=1e-9)
+            for a, b in ((self.A, self.B), (self.B, self.A)):
+                for direction in Direction:
+                    result = paired_t(PairedSample(a, b), direction)
+                    upper = mpmath.quad(pdf, [result.t, mpmath.inf])
+                    lower = mpmath.quad(pdf, [-mpmath.inf, result.t])
+                    expected = float({
+                        Direction.A_LESS: upper,
+                        Direction.A_GREATER: lower,
+                        Direction.TWO_SIDED: 2 * min(upper, lower),
+                    }[direction])
+                    assert result.p == pytest.approx(expected, rel=1e-9), (
+                        result.t, direction)
 
     def test_direction_changes_p_not_t(self):
         less = paired_t(PairedSample(self.A, self.B), Direction.A_LESS)
@@ -107,6 +119,12 @@ class TestNoncentralTDensity:
         value = nct_logpdf(-30.0, 5.0, 40.0)
         assert value == -math.inf or value < -700
 
+    def test_product_underflow_reduces_to_student_t(self):
+        # x * nc underflows to zero although neither factor is zero
+        for x, nc in [(1e-200, 1e-200), (-1e-200, -1e-200), (5e-324, 1e-10)]:
+            assert nct_logpdf(x, 5.0, nc) == pytest.approx(
+                stats.t.logpdf(x, 5.0), rel=1e-12)
+
 
 class TestBayesFactor:
     def test_agrees_with_independent_oracle(self):
@@ -151,10 +169,83 @@ class TestBayesFactor:
     @settings(max_examples=25, deadline=None)
     @given(t=st.floats(min_value=-6, max_value=6, allow_nan=False),
            n=st.integers(min_value=3, max_value=40))
+    @example(t=5e-324, n=3)
     def test_all_directions_positive_and_finite(self, t, n):
         for direction in Direction:
             bf = bf10_directional(t, n, direction=direction)
             assert math.isfinite(bf) and bf > 0
+
+    def test_beyond_double_range_raises_integration_failure(self):
+        # bf10 near exp(1300), a t whose square overflows, and a one-sided
+        # tail probability below the smallest normal double
+        for t, n in [(1e4, 200), (-1e4, 200), (1e200, 5), (45.0, 5000)]:
+            for direction in Direction:
+                with pytest.raises(IntegrationFailure):
+                    bf10_directional(t, n, direction=direction)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+           n=st.integers(min_value=2, max_value=10_000),
+           direction=st.sampled_from(Direction))
+    @example(t=40.0, n=5000, direction=Direction.A_LESS)
+    @example(t=40.0, n=5000, direction=Direction.A_GREATER)
+    @example(t=1e6, n=2, direction=Direction.A_GREATER)
+    def test_any_t_is_finite_or_integration_failure(self, t, n, direction):
+        try:
+            bf, rel_err = bf10_directional_with_error(t, n, direction=direction)
+        except IntegrationFailure:
+            return
+        assert math.isfinite(bf) and bf > 0
+        assert rel_err <= 1e-6
+
+
+class TestGoldenBayesFactors:
+    # recorded from the earlier implementation, which integrated the
+    # authored noncentral t density over the truncated Cauchy prior in
+    # delta, with a nested quadrature for the wrong tail and two-sided;
+    # no code is shared with the integral over g
+    GOLDEN = {
+        (-2.0, 17, "less"): 0.09704514535437742,
+        (-2.0, 17, "greater"): 2.3728952407495947,
+        (-2.0, 17, "two-sided"): 1.2349701930519863,
+        (0.5, 12, "less"): 0.43212920139519834,
+        (0.5, 12, "greater"): 0.20822179605797755,
+        (0.5, 12, "two-sided"): 0.32017549872658807,
+        (3.0, 25, "less"): 14.250500175508304,
+        (3.0, 25, "greater"): 0.06196360513148579,
+        (3.0, 25, "two-sided"): 7.156231890319894,
+        (8.7, 100, "less"): 195010652052.32166,
+        (8.7, 100, "greater"): 0.013465311647738641,
+        (8.7, 100, "two-sided"): 97505326026.16754,
+        (12.0, 2, "less"): 4.376482640443445,
+        (12.0, 2, "greater"): 0.3108013996135936,
+        (12.0, 2, "two-sided"): 2.3436420200285197,
+        (30.0, 200, "less"): 2.6308168929379264e+72,
+        (30.0, 200, "greater"): 0.004962941179747462,
+        (30.0, 200, "two-sided"): 1.3154084464689632e+72,
+    }
+
+    @pytest.mark.parametrize("t,n,direction", list(GOLDEN))
+    def test_matches_golden(self, t, n, direction):
+        bf = bf10_directional(t, n, direction=Direction(direction))
+        assert bf == pytest.approx(self.GOLDEN[(t, n, direction)], rel=1e-9)
+
+    # 40-digit mpmath quadrature of the integral over g, with the Student t
+    # distribution function from mpmath.betainc; the earlier implementation
+    # was off by 0.85% and 6e-5 at the last two
+    HIGH_PRECISION = {
+        (40.0, 5000, "less"): 5.9800046110537168264681551012890172e+299,
+        (40.0, 5000, "greater"): 3.6549120278956163825649273918175351e-4,
+        (1e6, 2, "less"): 22.446134550751361443934441165578162,
+        (1e6, 2, "greater"): 0.31037169660652693369456977080779890,
+        (100.0, 2, "two-sided"): 4.0306404593298350281448989390923229,
+        (-7.5, 5000, "greater"): 43953707288.893913129657738265262709,
+    }
+
+    @pytest.mark.parametrize("t,n,direction", list(HIGH_PRECISION))
+    def test_matches_high_precision_at_extremes(self, t, n, direction):
+        bf = bf10_directional(t, n, direction=Direction(direction))
+        assert bf == pytest.approx(self.HIGH_PRECISION[(t, n, direction)], rel=1e-9)
 
 
 class TestEvidenceBands:

@@ -223,8 +223,10 @@ class TestVrnqCompareCommand:
                      "--revised", str(revised), "--out", str(dest)])
         assert code == 0
         lines = (dest / "comparison.csv").read_text().splitlines()
-        assert lines[0] == "score,n,t,df,p,bf10,band,stars"
+        assert lines[0] == "score,n,t,df,p,bf10,band,stars,bf10_rel_err"
         assert len(lines) == 6  # header + total + four domains
+        rel_err = float(lines[1].split(",")[-1])
+        assert 0.0 <= rel_err <= 1e-6
 
     def test_json_rows(self, tmp_path, capsys):
         baseline, revised = self._paired_csvs(tmp_path, shift=20)
@@ -239,6 +241,11 @@ class TestVrnqCompareCommand:
         assert payload["manifest"]["parameters"]["direction"] == "two-sided"
         assert rows["Total"]["n"] == 10
         assert not rows["Total"]["degenerate"]
+        for row in rows.values():
+            if row["degenerate"]:
+                assert row["bf10_rel_err"] is None
+            else:
+                assert 0.0 <= row["bf10_rel_err"] <= 1e-6
 
     def test_identical_cohorts_report_degenerate(self, tmp_path, capsys):
         baseline, _ = self._paired_csvs(tmp_path, shift=20)
@@ -276,6 +283,14 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, errandlab.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
