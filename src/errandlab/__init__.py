@@ -84,6 +84,7 @@ from .sessionlog import (
     derive_telemetry,
     deserialize_log,
     export_report,
+    log_from_events,
     new_log,
     serialize_log,
 )

@@ -118,14 +118,27 @@ def _nct_logpdf_series(x: float, df: float, nc: float) -> float:
     if x * nc == 0.0:
         term0 = gammaln(0.5 * (df + 1.0)) + 0.5 * (df + 1.0) * log_kernel
         return float(constant + term0)
-    j_max = int(q + 14.0 * math.sqrt(q + 1.0) + 80.0)
-    j = np.arange(0, j_max + 1, dtype=np.float64)
+    # Term j+1 over term j is about sqrt(q (df + j)) / j, so the largest
+    # term sits where j^2 = q (df + j): near q when q >> df, near
+    # sqrt(q df) when df >> q.  The terms fall off like a normal of
+    # variance at least j around it; 14 sqrt(j) + 80 terms on each side
+    # leave out less than exp(-50) of the sum.
+    peak_j = 0.5 * (q + math.sqrt(q * q + 4.0 * q * df))
+    half_width = 14.0 * math.sqrt(peak_j + 1.0) + 80.0
+    # Once that spread covers many integers, the summand (continued to real
+    # j) is smooth on the scale of the step, and a trapezoid sum with step
+    # sqrt(peak_j) / 8 equals the integer sum to within
+    # exp(-2 pi^2 * 8^2) (Poisson summation).  Memory and time stay bounded
+    # (a few hundred terms) however large q grows.
+    step = max(1.0, math.floor(math.sqrt(peak_j) / 8.0))
+    first = max(0.0, math.floor((peak_j - half_width) / step) * step)
+    j = np.arange(first, peak_j + half_width + step, step)
     log_terms = (j * math.log(abs(x * nc) / math.sqrt(df))
                  - gammaln(j + 1.0)
                  + gammaln(0.5 * (df + j + 1.0))
                  + 0.5 * (df + j + 1.0) * log_kernel)
     peak = float(np.max(log_terms))
-    total = float(np.sum(np.exp(log_terms - peak)))
+    total = step * float(np.sum(np.exp(log_terms - peak)))
     return float(constant + peak + math.log(total))
 
 

@@ -38,7 +38,6 @@ from .sessionlog import (
     IncompleteSession,
     LogError,
     MalformedLog,
-    derive_telemetry,
     deserialize_log,
     export_report,
     serialize_log,
@@ -160,8 +159,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for index, seed in enumerate(seeds):
         log = simulate_session(profile, seed, cfg)
         card = aggregate_scorecard(log, cfg)
-        telemetry = derive_telemetry(log)
-        report = export_report(card, telemetry, seed, cfg_hash)
+        report = export_report(card, card.telemetry, seed, cfg_hash)
         suffix = "" if count == 1 else f"_{index:03d}"
         log_path = os.path.join(args.out, f"session{suffix}.ndjson")
         report_path = os.path.join(args.out, f"report{suffix}.txt")
@@ -207,8 +205,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     cfg_hash = config_hash(cfg)
     log = deserialize_log(_read_bytes(args.log))
     card = aggregate_scorecard(log, cfg)
-    telemetry = derive_telemetry(log)
-    report = export_report(card, telemetry, log.seed, cfg_hash)
+    report = export_report(card, card.telemetry, log.seed, cfg_hash)
 
     outputs: dict[str, str] = {}
     if args.out:

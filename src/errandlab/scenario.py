@@ -36,7 +36,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Union
 
 logger = logging.getLogger(__name__)
 
@@ -312,6 +312,12 @@ class SessionEvent:
     payload: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("seq", "sim_time_ms", "scene"):
+            value = getattr(self, name)
+            # bool is an int subclass; keep the two apart.
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(
+                    f"{name} must be an integer, not {type(value).__name__}")
         if self.seq < 0:
             raise ValueError("seq must be non-negative")
         if self.sim_time_ms < 0:
@@ -354,7 +360,8 @@ class SessionComplete:
     pass
 
 
-Effect = object  # union of the five dataclasses above
+Effect = Union[PromptShown, SceneTransition, PracticeRetry, PracticePassed,
+               SessionComplete]
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +549,16 @@ def advance(state: SessionState, event: SessionEvent) -> tuple[SessionState, lis
     (or :class:`NotAGatedScene`) when the event cannot happen in the current
     state.  The input state is never mutated.
     """
+    new = state.copy()
+    effects: list[Effect] = []
+    _apply(new, event, effects)
+    return new, effects
+
+
+def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> None:
+    # The body of advance, mutating ``state`` in place and appending to
+    # ``effects``.  A rejected event may leave ``state`` half-updated, so
+    # callers own the state they pass and drop it on error.
     if event.sim_time_ms < state.sim_clock_ms:
         raise OutOfOrderEvent(
             f"event {event.seq} at {event.sim_time_ms} ms behind clock "
@@ -551,61 +568,59 @@ def advance(state: SessionState, event: SessionEvent) -> tuple[SessionState, lis
             f"event {event.seq} stamped scene {event.scene}, "
             f"current scene is {state.current_scene}")
 
-    new = state.copy()
-    effects: list[Effect] = []
     kind = event.kind
-    scene = SCENES_BY_ID[new.current_scene]
+    scene = SCENES_BY_ID[state.current_scene]
     sid = scene.scene_id
 
-    if new.completed and kind is not EventKind.SCENE_EXITED:
+    if state.completed and kind is not EventKind.SCENE_EXITED:
         raise InvalidEvent("session already complete")
 
     if kind is EventKind.SCENE_ENTERED:
-        if new.entered:
+        if state.entered:
             raise InvalidEvent(f"scene {sid} already entered")
-        new.entered = True
-        new.armed_to = None
-        new.scene_entry_ms = event.sim_time_ms
-        _reset_scene_fields(new)
+        state.entered = True
+        state.armed_to = None
+        state.scene_entry_ms = event.sim_time_ms
+        _reset_scene_fields(state)
         if sid in NPC_SCENES:
             task = PM_TASKS[sid]
-            new.prompt_depth[task.task_id] = 1
+            state.prompt_depth[task.task_id] = 1
             effects.append(PromptShown(task.task_id, 1,
                                        task.cascade.prompt_texts[0]))
-        new.sim_clock_ms = event.sim_time_ms
-        return new, effects
+        state.sim_clock_ms = event.sim_time_ms
+        return
 
-    if not new.entered:
+    if not state.entered:
         raise InvalidEvent(f"scene {sid} not entered yet")
 
-    if sid == 22 and not new.completed:
-        _fire_due_finale_prompts(new, event.sim_time_ms, effects)
+    if sid == 22 and not state.completed:
+        _fire_due_finale_prompts(state, event.sim_time_ms, effects)
 
     if kind is EventKind.SCENE_EXITED:
-        if new.completed:
-            new.entered = False
-        elif new.armed_to is not None:
-            new.current_scene = new.armed_to
-            new.armed_to = None
-            new.entered = False
+        if state.completed:
+            state.entered = False
+        elif state.armed_to is not None:
+            state.current_scene = state.armed_to
+            state.armed_to = None
+            state.entered = False
         elif sid in (12, 19):
-            _resolve(new, effects)
-            new.current_scene = new.armed_to
-            new.armed_to = None
-            new.entered = False
+            _resolve(state, effects)
+            state.current_scene = state.armed_to
+            state.armed_to = None
+            state.entered = False
         elif sid == 3:
-            if new.notes_prompts_answered < 3 or not new.route_submitted:
+            if state.notes_prompts_answered < 3 or not state.route_submitted:
                 raise InvalidEvent("scene 3 tasks unfinished")
-            _resolve(new, effects)
-            new.current_scene = new.armed_to
-            new.armed_to = None
-            new.entered = False
+            _resolve(state, effects)
+            state.current_scene = state.armed_to
+            state.armed_to = None
+            state.entered = False
         else:
             raise InvalidEvent(f"scene {sid} is not finished")
-        new.sim_clock_ms = event.sim_time_ms
-        return new, effects
+        state.sim_clock_ms = event.sim_time_ms
+        return
 
-    if new.armed_to is not None and not (
+    if state.armed_to is not None and not (
             kind is EventKind.KEYS_GIVEN and sid == 21):
         raise InvalidEvent(
             f"scene {sid} already resolved; only SceneExited is valid")
@@ -613,10 +628,10 @@ def advance(state: SessionState, event: SessionEvent) -> tuple[SessionState, lis
     if kind is EventKind.TUTORIAL_COMPLETED:
         if scene.kind is not SceneKind.TUTORIAL or scene.gated:
             raise InvalidEvent(f"scene {sid} has no plain tutorial completion")
-        if new.tutorial_done:
+        if state.tutorial_done:
             raise InvalidEvent(f"tutorial {sid} already completed")
-        new.tutorial_done = True
-        _resolve(new, effects)
+        state.tutorial_done = True
+        _resolve(state, effects)
 
     elif kind is EventKind.PRACTICE_ATTEMPT:
         if not 0 <= event.payload["targets_hit"] <= 3:
@@ -625,33 +640,33 @@ def advance(state: SessionState, event: SessionEvent) -> tuple[SessionState, lis
             raise InvalidEvent("distractors_hit must be non-negative")
         result = practice_gate(sid, event.payload["targets_hit"],
                                event.payload["distractors_hit"])
-        attempts = new.practice_attempts.get(sid, 0) + 1
-        new.practice_attempts[sid] = attempts
+        attempts = state.practice_attempts.get(sid, 0) + 1
+        state.practice_attempts[sid] = attempts
         if result is GateResult.PASS:
             effects.append(PracticePassed(sid, attempts))
-            _resolve(new, effects)
+            _resolve(state, effects)
         else:
             effects.append(PracticeRetry(sid, attempts))
 
     elif kind is EventKind.NOTES_INTENT_ANSWERED:
         if sid != 3:
             raise InvalidEvent("notes-intent prompts only occur in scene 3")
-        expected = new.notes_prompts_answered + 1
+        expected = state.notes_prompts_answered + 1
         if event.payload["prompt_index"] != expected or expected > 3:
             raise InvalidEvent(
                 f"notes-intent prompt {event.payload['prompt_index']} "
                 f"out of order (expected {expected})")
-        new.notes_prompts_answered = expected
+        state.notes_prompts_answered = expected
 
     elif kind is EventKind.ITEM_SELECTED:
         item = event.payload["item"]
         if sid == 3:
-            if item in new.selections:
+            if item in state.selections:
                 raise InvalidEvent(f"item {item!r} already selected")
-            if len(new.selections) >= SHOPPING_LIST_LENGTH:
+            if len(state.selections) >= SHOPPING_LIST_LENGTH:
                 raise InvalidEvent(
                     f"the list board holds {SHOPPING_LIST_LENGTH} items")
-            new.selections.add(item)
+            state.selections.add(item)
         elif sid == 8:
             pass  # grabs are free-form; re-grab attempts are legitimate errors
         else:
@@ -660,26 +675,26 @@ def advance(state: SessionState, event: SessionEvent) -> tuple[SessionState, lis
     elif kind is EventKind.ROUTE_UNIT_TOGGLED:
         if sid != 3:
             raise InvalidEvent("route board only exists in scene 3")
-        if new.route_submitted:
+        if state.route_submitted:
             raise InvalidEvent("route already submitted")
         unit = event.payload["unit"]
         if not 1 <= unit <= ROUTE_UNIT_COUNT:
             raise InvalidEvent(f"street unit {unit} out of range")
         if event.payload["selected"]:
-            if unit in new.route_selected:
+            if unit in state.route_selected:
                 raise InvalidEvent(f"street unit {unit} already selected")
-            new.route_selected.add(unit)
+            state.route_selected.add(unit)
         else:
-            if unit not in new.route_selected:
+            if unit not in state.route_selected:
                 raise InvalidEvent(f"street unit {unit} not selected")
-            new.route_selected.discard(unit)
+            state.route_selected.discard(unit)
 
     elif kind is EventKind.ROUTE_SUBMITTED:
         if sid != 3:
             raise InvalidEvent("route board only exists in scene 3")
-        if new.route_submitted:
+        if state.route_submitted:
             raise InvalidEvent("route already submitted")
-        new.route_submitted = True
+        state.route_submitted = True
 
     elif kind is EventKind.COOKING_ITEM_PLACED:
         if sid != 6:
@@ -687,22 +702,22 @@ def advance(state: SessionState, event: SessionEvent) -> tuple[SessionState, lis
         item = event.payload["item"]
         if item not in COOKING_ITEMS:
             raise InvalidEvent(f"unknown cooking item {item!r}")
-        if item in new.cooked_items:
+        if item in state.cooked_items:
             raise InvalidEvent(f"{item} already placed on the worktop")
         if event.payload["cook_time_s"] < 0:
             raise InvalidEvent("cook_time_s must be non-negative")
-        new.cooked_items.add(item)
+        state.cooked_items.add(item)
 
     elif kind is EventKind.FINAL_BUTTON_PRESSED:
         if sid == 6:
-            _cascade_press(new, PM_TASKS[6], effects)
+            _cascade_press(state, PM_TASKS[6], effects)
         elif sid == 14:
-            _resolve(new, effects)
+            _resolve(state, effects)
         elif sid == 22:
             task = PM_TASKS[22]
-            if task.task_id not in new.pm_action_done:
-                new.pm_done_depth[task.task_id] = 4
-            new.completed = True
+            if task.task_id not in state.pm_action_done:
+                state.pm_done_depth[task.task_id] = 4
+            state.completed = True
             effects.append(SessionComplete())
         else:
             raise InvalidEvent(f"scene {sid} has no final button")
@@ -710,68 +725,68 @@ def advance(state: SessionState, event: SessionEvent) -> tuple[SessionState, lis
     elif kind is EventKind.EXIT_ATTEMPTED:
         if sid != 8:
             raise InvalidEvent("exit attempts only apply to scene 8")
-        _cascade_press(new, PM_TASKS[8], effects)
+        _cascade_press(state, PM_TASKS[8], effects)
 
     elif kind is EventKind.MEDICATION_TAKEN:
         if sid == 6:
-            _pm_action(new, PM_TASKS[6])
+            _pm_action(state, PM_TASKS[6])
         elif sid == 22:
-            _pm_action(new, PM_TASKS[22])
+            _pm_action(state, PM_TASKS[22])
         else:
             raise InvalidEvent(f"no medication to take in scene {sid}")
 
     elif kind is EventKind.PIE_REMOVED:
         if sid != 8:
             raise InvalidEvent("the oven pie belongs to scene 8")
-        _pm_action(new, PM_TASKS[8])
+        _pm_action(state, PM_TASKS[8])
 
     elif kind is EventKind.NOTE_OPENED:
-        if new.note_open:
+        if state.note_open:
             raise InvalidEvent("notes already open")
-        new.note_open = True
+        state.note_open = True
 
     elif kind is EventKind.NOTE_CLOSED:
-        if not new.note_open:
+        if not state.note_open:
             raise InvalidEvent("notes are not open")
-        new.note_open = False
+        state.note_open = False
 
     elif kind is EventKind.NPC_PROMPT_ANSWERED:
         if sid not in NPC_SCENES:
             raise InvalidEvent(f"no conversation prompts in scene {sid}")
-        if new.awaiting_choice:
+        if state.awaiting_choice:
             raise InvalidEvent("answer already given; choose an item")
         task = PM_TASKS[sid]
-        expected = new.npc_answered + 1
+        expected = state.npc_answered + 1
         if event.payload["prompt_index"] != expected or expected > 3:
             raise InvalidEvent(
                 f"conversation prompt {event.payload['prompt_index']} "
                 f"out of order (expected {expected})")
-        new.npc_answered = expected
+        state.npc_answered = expected
         if event.payload["yes"]:
-            new.npc_affirmed_at[task.task_id] = expected
+            state.npc_affirmed_at[task.task_id] = expected
             if task.polarity is PmPolarity.POSITIVE:
-                new.awaiting_choice = True
+                state.awaiting_choice = True
             else:
-                _resolve(new, effects)
+                _resolve(state, effects)
         elif expected < 3:
             depth = expected + 1
-            new.prompt_depth[task.task_id] = depth
+            state.prompt_depth[task.task_id] = depth
             effects.append(PromptShown(task.task_id, depth,
                                        task.cascade.prompt_texts[depth - 1]))
         else:
-            new.npc_affirmed_at[task.task_id] = 0
-            _resolve(new, effects)
+            state.npc_affirmed_at[task.task_id] = 0
+            _resolve(state, effects)
 
     elif kind is EventKind.NPC_ITEM_CHOSEN:
-        if sid not in NPC_SCENES or not new.awaiting_choice:
+        if sid not in NPC_SCENES or not state.awaiting_choice:
             raise InvalidEvent("no item board is showing")
         choice = event.payload["choice"]
         if choice not in {c.value for c in NpcChoice}:
             raise InvalidEvent(f"unknown board choice {choice!r}")
         task = PM_TASKS[sid]
-        new.npc_choice[task.task_id] = choice
-        new.awaiting_choice = False
-        _resolve(new, effects)
+        state.npc_choice[task.task_id] = choice
+        state.awaiting_choice = False
+        _resolve(state, effects)
 
     elif kind is EventKind.POSTER_SPOTTED:
         if sid != 12:
@@ -782,9 +797,9 @@ def advance(state: SessionState, event: SessionEvent) -> tuple[SessionState, lis
         if event.payload["side"] not in SIDES:
             raise InvalidEvent(f"unknown side {event.payload['side']!r}")
         stim = event.payload["stimulus_id"]
-        if stim in new.spotted_ids:
+        if stim in state.spotted_ids:
             raise InvalidEvent(f"stimulus {stim!r} already spotted")
-        new.spotted_ids.add(stim)
+        state.spotted_ids.add(stim)
 
     elif kind is EventKind.SOUND_TRIGGERED:
         if sid != 19:
@@ -798,54 +813,56 @@ def advance(state: SessionState, event: SessionEvent) -> tuple[SessionState, lis
             raise InvalidEvent(
                 f"unknown response side {event.payload['response_side']!r}")
         stim = event.payload["stimulus_id"]
-        if stim in new.spotted_ids:
+        if stim in state.spotted_ids:
             raise InvalidEvent(f"stimulus {stim!r} already recorded")
-        new.spotted_ids.add(stim)
+        state.spotted_ids.add(stim)
 
     elif kind is EventKind.SHOPPING_COLLECTED:
         if sid != 14:
             raise InvalidEvent("shelf picking only happens in scene 14")
         item = event.payload["item"]
-        if item in new.selections:
+        if item in state.selections:
             raise InvalidEvent(f"item {item!r} already in the basket")
-        if len(new.selections) >= SHOPPING_LIST_LENGTH:
+        if len(state.selections) >= SHOPPING_LIST_LENGTH:
             raise InvalidEvent(
                 f"the basket holds {SHOPPING_LIST_LENGTH} items")
-        new.selections.add(item)
+        state.selections.add(item)
 
     elif kind is EventKind.KEYS_GIVEN:
         if sid != 21:
             raise InvalidEvent("the key handover belongs to scene 21")
-        if new.keys_given:
+        if state.keys_given:
             raise InvalidEvent("keys already handed over")
-        new.keys_given = True
+        state.keys_given = True
 
     elif kind is EventKind.ITEM_STOWED:
         if sid != 22:
             raise InvalidEvent("shopping is put away in scene 22")
         item = event.payload["item"]
-        if item in new.selections:
+        if item in state.selections:
             raise InvalidEvent(f"item {item!r} already put away")
-        new.selections.add(item)
+        state.selections.add(item)
 
     else:  # pragma: no cover - every kind is handled above
         raise InvalidEvent(f"unhandled event kind {kind}")
 
-    new.sim_clock_ms = event.sim_time_ms
-    return new, effects
+    state.sim_clock_ms = event.sim_time_ms
 
 
 def replay(events: Iterable[SessionEvent],
            state: Optional[SessionState] = None,
            ) -> tuple[SessionState, list[tuple[SessionEvent, list[Effect]]]]:
-    """Run a whole event stream through :func:`advance`.
+    """Run a whole event stream through the engine.
 
-    Returns the final state and the per-event effects.  Raises the first
-    engine error encountered; a valid log replays with none.
+    Returns the final state and the per-event effects, exactly as folding
+    :func:`advance` over the events would.  ``state`` is copied once and
+    never mutated; events then apply in place.  Raises the first engine
+    error encountered; a valid log replays with none.
     """
-    current = state if state is not None else initial_state()
+    current = state.copy() if state is not None else initial_state()
     trace: list[tuple[SessionEvent, list[Effect]]] = []
     for event in events:
-        current, effects = advance(current, event)
+        effects: list[Effect] = []
+        _apply(current, event, effects)
         trace.append((event, effects))
     return current, trace

@@ -48,6 +48,7 @@ from .scenario import (
     ROUTE_UNIT_COUNT,
     SHOPPING_LIST_LENGTH,
     SIDES,
+    TriggerKind,
     VISUAL_STIMULUS_KINDS,
     replay,
 )
@@ -552,7 +553,7 @@ def aggregate_scorecard(log: SessionLog, config: ScoringConfig) -> TaskScorecard
     positive_total = 0
     deductions_total = 0
     for scene_id, task in sorted(PM_TASKS.items()):
-        if task.cascade.trigger.value == "npc_dialogue":
+        if task.cascade.trigger is TriggerKind.NPC_DIALOGUE:
             affirmed_at = final_state.npc_affirmed_at.get(task.task_id, 0)
             choice = final_state.npc_choice.get(task.task_id)
             if task.polarity is PmPolarity.POSITIVE:

@@ -64,22 +64,41 @@ def new_log(seed: Optional[int] = None, config_hash: Optional[str] = None) -> Se
     return SessionLog(seed=seed, config_hash=config_hash)
 
 
+def _check_order(last: SessionEvent, event: SessionEvent) -> None:
+    if event.seq <= last.seq:
+        raise MonotonicityViolation(
+            f"seq {event.seq} not greater than {last.seq}")
+    if event.sim_time_ms < last.sim_time_ms:
+        raise MonotonicityViolation(
+            f"sim_time_ms {event.sim_time_ms} behind {last.sim_time_ms}")
+
+
 def append_event(log: SessionLog, event: SessionEvent) -> SessionLog:
     """Return a new log with ``event`` appended.
 
     seq must strictly increase and sim_time_ms must never decrease;
-    violations raise :class:`MonotonicityViolation`.
+    violations raise :class:`MonotonicityViolation`.  Each call copies the
+    event tuple; build a whole log with :func:`log_from_events`.
     """
     if log.events:
-        last = log.events[-1]
-        if event.seq <= last.seq:
-            raise MonotonicityViolation(
-                f"seq {event.seq} not greater than {last.seq}")
-        if event.sim_time_ms < last.sim_time_ms:
-            raise MonotonicityViolation(
-                f"sim_time_ms {event.sim_time_ms} behind {last.sim_time_ms}")
+        _check_order(log.events[-1], event)
     return SessionLog(seed=log.seed, config_hash=log.config_hash,
                       events=log.events + (event,))
+
+
+def log_from_events(events: Iterable[SessionEvent], seed: Optional[int] = None,
+                    config_hash: Optional[str] = None) -> SessionLog:
+    """Build a log from an event stream in one pass.
+
+    Applies the ordering checks of :func:`append_event` to each event as it
+    arrives, so an error surfaces at the first offending event.
+    """
+    collected: list[SessionEvent] = []
+    for event in events:
+        if collected:
+            _check_order(collected[-1], event)
+        collected.append(event)
+    return SessionLog(seed=seed, config_hash=config_hash, events=tuple(collected))
 
 
 def _dumps(record: dict[str, Any]) -> str:
@@ -107,6 +126,7 @@ def serialize_log(log: SessionLog) -> bytes:
 
 
 _EVENT_KINDS = {kind.value: kind for kind in EventKind}
+_EVENT_FIELDS = frozenset({"seq", "sim_time_ms", "scene", "kind", "payload"})
 
 
 def deserialize_log(data: bytes) -> SessionLog:
@@ -150,13 +170,11 @@ def deserialize_log(data: bytes) -> SessionLog:
     if config_hash is not None and not isinstance(config_hash, str):
         raise ParseError("header config_hash must be a string or null")
 
-    log = new_log(seed=seed, config_hash=config_hash)
-    for index, line in enumerate(lines[1:], start=1):
+    def parse_event(index: int, line: str) -> SessionEvent:
         record = parse_line(index, line)
-        expected_keys = {"seq", "sim_time_ms", "scene", "kind", "payload"}
-        if set(record) != expected_keys:
+        if set(record) != _EVENT_FIELDS:
             raise ParseError(
-                f"line {index + 1}: event fields must be {sorted(expected_keys)}")
+                f"line {index + 1}: event fields must be {sorted(_EVENT_FIELDS)}")
         kind_name = record["kind"]
         if kind_name not in _EVENT_KINDS:
             raise ParseError(f"line {index + 1}: unknown event kind {kind_name!r}")
@@ -164,7 +182,7 @@ def deserialize_log(data: bytes) -> SessionLog:
         if not isinstance(payload, dict):
             raise ParseError(f"line {index + 1}: payload must be an object")
         try:
-            event = SessionEvent(
+            return SessionEvent(
                 seq=record["seq"],
                 sim_time_ms=record["sim_time_ms"],
                 scene=record["scene"],
@@ -173,8 +191,10 @@ def deserialize_log(data: bytes) -> SessionLog:
             )
         except (TypeError, ValueError) as exc:
             raise ParseError(f"line {index + 1}: {exc}") from exc
-        log = append_event(log, event)
-    return log
+
+    return log_from_events(
+        (parse_event(index, line) for index, line in enumerate(lines[1:], start=1)),
+        seed=seed, config_hash=config_hash)
 
 
 # ---------------------------------------------------------------------------

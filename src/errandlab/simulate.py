@@ -3,9 +3,9 @@
 The simulator exists to exercise the engine and the scorers, not to model
 cognition.  A :class:`ParticipantProfile` holds the behavioral dials (hit
 probabilities, prompt compliance, timing noise, response latency); a session
-is generated by walking the 22 scenes in order and emitting events through
-:func:`errandlab.scenario.advance`, so every generated log is engine-accepted
-by construction.
+is generated by walking the 22 scenes in order and feeding each event to the
+scenario engine (the in-place core of :func:`errandlab.scenario.advance`),
+so every generated log is engine-accepted by construction.
 
 Determinism contract: each scene draws from its own
 ``numpy.random.default_rng([seed, scene_id])`` stream, so identical
@@ -31,6 +31,7 @@ from .config import ScoringConfig, config_hash, default_config
 from .scenario import (
     AUDITORY_STIMULUS_KINDS,
     EventKind,
+    FINALE_PROMPT_OFFSETS_MS,
     NPC_SCENES,
     NpcChoice,
     PM_TASKS,
@@ -38,15 +39,16 @@ from .scenario import (
     PmPolarity,
     SHOPPING_LIST_LENGTH,
     SIDES,
+    SceneKind,
     SessionEvent,
     SessionState,
     VISUAL_STIMULUS_KINDS,
-    advance,
+    _apply,
     initial_state,
     scene_sequence,
 )
 from .scoring import TaskScorecard, aggregate_scorecard
-from .sessionlog import SessionLog, append_event, new_log
+from .sessionlog import SessionLog, log_from_events
 
 
 class LengthMismatch(Exception):
@@ -214,7 +216,7 @@ class _SessionBuilder:
         event = SessionEvent(
             seq=len(self.events), sim_time_ms=self.cursor_ms,
             scene=self.state.current_scene, kind=kind, payload=payload or {})
-        self.state, _ = advance(self.state, event)
+        _apply(self.state, event, [])  # the builder owns its state
         self.events.append(event)
 
     def enter(self, rng: np.random.Generator) -> None:
@@ -467,7 +469,7 @@ def _scene_finale(b: _SessionBuilder, duration_ms: int) -> None:
               at_offset_ms=min(60_000, max(duration_ms // 2, stow_at + 10_000)))
         took = True
     else:
-        for depth, offset_ms in enumerate((70_000, 80_000, 90_000), start=1):
+        for depth, offset_ms in enumerate(FINALE_PROMPT_OFFSETS_MS, start=1):
             if _bernoulli(b.rng, p.prompt_yield_probs[depth - 1]):
                 b.act(EventKind.MEDICATION_TAKEN,
                       at_offset_ms=offset_ms + min(b.latency_ms(), 9_000))
@@ -501,7 +503,7 @@ def simulate_session(profile: ParticipantProfile, seed: int,
         duration_ms = max(1_000, int(_NOMINAL_DURATION_S[sid] * scale * 1000))
         if sid in (11, 18):
             _gated_tutorial(builder, duration_ms)
-        elif descriptor.kind.value == "tutorial":
+        elif descriptor.kind is SceneKind.TUTORIAL:
             _plain_tutorial(builder, duration_ms)
         elif sid == 3:
             _scene_planning(builder, duration_ms)
@@ -522,10 +524,7 @@ def simulate_session(profile: ParticipantProfile, seed: int,
         else:  # pragma: no cover - the table above is exhaustive
             raise AssertionError(f"scene {sid} has no behavior model")
 
-    log = new_log(seed=seed, config_hash=config_hash(cfg))
-    for event in builder.events:
-        log = append_event(log, event)
-    return log
+    return log_from_events(builder.events, seed=seed, config_hash=config_hash(cfg))
 
 
 def simulate_cohort(profiles: Sequence[ParticipantProfile], seeds: Sequence[int],

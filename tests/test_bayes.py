@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -118,6 +119,48 @@ class TestNoncentralTDensity:
     def test_extreme_underflow_is_finite_or_neg_inf(self):
         value = nct_logpdf(-30.0, 5.0, 40.0)
         assert value == -math.inf or value < -700
+
+    @staticmethod
+    def _mp_logpdf(x, df, nc):
+        # Closed form through Kummer's function 1F1, at 40 digits; it shares
+        # nothing with the series over j.
+        with mpmath.workdps(40):
+            x, df, nc = mpmath.mpf(x), mpmath.mpf(df), mpmath.mpf(nc)
+            s = df + x * x
+            z = nc * nc * x * x / (2 * s)
+            log_front = (df / 2 * mpmath.log(df) + mpmath.loggamma(df + 1)
+                         - nc * nc / 2 - df * mpmath.log(2)
+                         - df / 2 * mpmath.log(s) - mpmath.loggamma(df / 2))
+            odd = (mpmath.sqrt(2) * nc * x / s
+                   * mpmath.hyp1f1(df / 2 + 1, mpmath.mpf(3) / 2, z)
+                   / mpmath.gamma((df + 1) / 2))
+            even = (mpmath.hyp1f1((df + 1) / 2, mpmath.mpf(1) / 2, z)
+                    / (mpmath.sqrt(s) * mpmath.gamma(df / 2 + 1)))
+            return float(log_front + mpmath.log(odd + even))
+
+    @pytest.mark.parametrize("x, df, nc", [
+        (100.0, 10.0, 1e3),   # |x nc| = 1e5, about 1e6 series terms
+        (1e3, 10.0, 1e4),     # |x nc| = 1e7, about 1e8 series terms
+        (1e4, 10.0, 1e3),     # |x nc| = 1e7, about 1e6 series terms
+        (-1e3, 10.0, -1e4),   # reflection of the second point
+        (10.0, 1e4, 10.0),    # df >> q: the largest term sits near sqrt(q df)
+        (30.0, 1e6, 30.0),
+    ])
+    def test_large_arguments_match_high_precision(self, x, df, nc):
+        assert nct_logpdf(x, df, nc) == pytest.approx(
+            self._mp_logpdf(x, df, nc), rel=1e-8)
+
+    @pytest.mark.parametrize("x, df, nc", [
+        (1e3, 10.0, 1e4), (1e4, 10.0, 1e5), (1e6, 3.0, 1e6)])
+    def test_memory_stays_bounded(self, x, df, nc):
+        tracemalloc.start()
+        try:
+            value = nct_logpdf(x, df, nc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        assert peak < 10 * 2**20
 
     def test_product_underflow_reduces_to_student_t(self):
         # x * nc underflows to zero although neither factor is zero

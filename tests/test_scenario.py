@@ -5,7 +5,9 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+from errandlab import simulate
 from errandlab.scenario import (
+    EngineError,
     EventKind,
     GateResult,
     GATED_SCENES,
@@ -31,6 +33,7 @@ from errandlab.scenario import (
     replay,
     scene_sequence,
 )
+from errandlab.simulate import PROFILE_PRESETS, simulate_session
 from walks import minimal_walk
 
 
@@ -426,3 +429,92 @@ class TestEventValidation:
                                          "distractors_hit": distractors}))
         passed = any(isinstance(e, PracticePassed) for e in effects)
         assert passed == (practice_gate(11, targets, distractors) is GateResult.PASS)
+
+
+# ---------------------------------------------------------------------------
+# replay and the simulator apply events in place; advance copies per event.
+# Both routes must agree everywhere.
+
+
+@pytest.fixture(scope="module")
+def simulated_logs():
+    return [simulate_session(PROFILE_PRESETS[preset](), seed)
+            for preset in ("default", "perfect", "null") for seed in (1, 2, 3)]
+
+
+def _fold_advance(events):
+    state = initial_state()
+    trace = []
+    for event in events:
+        state, effects = advance(state, event)
+        trace.append((event, effects))
+    return state, trace
+
+
+def _first_rejection(events):
+    state = initial_state()
+    for index, event in enumerate(events):
+        try:
+            state, _ = advance(state, event)
+        except EngineError as exc:
+            return index, exc
+    raise AssertionError("the corrupted log was accepted")
+
+
+def _corruptions(events):
+    # Each one is rejected by the engine: a scene entry dropped or doubled,
+    # an exit swapped with the next entry, a timestamp moved backwards.
+    entries = [i for i, e in enumerate(events)
+               if e.kind is EventKind.SCENE_ENTERED and i > 0]
+    for at in (entries[1], entries[len(entries) // 2], entries[-1]):
+        yield events[:at] + events[at + 1:]
+        yield events[:at] + [events[at]] + events[at:]
+        yield events[:at - 1] + [events[at], events[at - 1]] + events[at + 1:]
+        late = events[at + 1]
+        yield (events[:at + 1]
+               + [dataclasses.replace(late, sim_time_ms=events[at].sim_time_ms - 1)]
+               + events[at + 2:])
+
+
+class TestInPlaceMatchesAdvance:
+    def test_replay_equals_advance_fold(self, simulated_logs):
+        for log in simulated_logs:
+            final, trace = replay(log.events)
+            folded_final, folded_trace = _fold_advance(log.events)
+            assert final == folded_final
+            assert trace == folded_trace
+
+    def test_replay_leaves_start_state_unchanged(self, simulated_logs):
+        events = simulated_logs[0].events
+        half = len(events) // 2
+        start, _ = replay(events[:half])
+        snapshot = start.copy()
+        final, _ = replay(events[half:], state=start)
+        assert start == snapshot
+        assert final == replay(events)[0]
+
+    def test_rejections_agree(self, simulated_logs):
+        seen = set()
+        for corrupted in _corruptions(list(simulated_logs[0].events)):
+            index, expected = _first_rejection(corrupted)
+            replay(corrupted[:index])  # everything before it is accepted
+            with pytest.raises(EngineError) as caught:
+                replay(corrupted)
+            assert type(caught.value) is type(expected)
+            assert str(caught.value) == str(expected)
+            seen.add(type(expected))
+        assert seen == {InvalidEvent, WrongSceneEvent, OutOfOrderEvent}
+
+    def test_simulator_state_equals_replay(self, monkeypatch):
+        builders = []
+
+        class RecordingBuilder(simulate._SessionBuilder):
+            def __init__(self, *args):
+                super().__init__(*args)
+                builders.append(self)
+
+        monkeypatch.setattr(simulate, "_SessionBuilder", RecordingBuilder)
+        for preset in ("default", "perfect", "null"):
+            for seed in (1, 2, 3):
+                log = simulate_session(PROFILE_PRESETS[preset](), seed)
+                assert builders[-1].state == replay(log.events)[0]

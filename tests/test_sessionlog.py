@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import time
 
 import pytest
 
@@ -20,6 +22,7 @@ from errandlab.sessionlog import (
     derive_telemetry,
     deserialize_log,
     export_report,
+    log_from_events,
     new_log,
     serialize_log,
 )
@@ -143,6 +146,77 @@ class TestSerialization:
         data = head + b"\n" + line + b"\n" + line + b"\n" + rest
         with pytest.raises((ParseError, MonotonicityViolation)):
             deserialize_log(data)
+
+
+class TestFieldTypes:
+    """seq, sim_time_ms and scene must be integers, bools excluded."""
+
+    @staticmethod
+    def _retyped(walk_log, **fields):
+        head, line, rest = serialize_log(walk_log).split(b"\n", 2)
+        record = json.loads(line)
+        record.update(fields)
+        return head + b"\n" + _canonical(record).encode() + b"\n" + rest
+
+    def test_mixed_wrong_types_rejected(self, walk_log):
+        data = self._retyped(walk_log, seq=True, scene=1.0, sim_time_ms=1.5)
+        with pytest.raises(ParseError, match="line 2"):
+            deserialize_log(data)
+
+    @pytest.mark.parametrize("name", ["seq", "sim_time_ms", "scene"])
+    @pytest.mark.parametrize("retype", [float, bool, str])
+    def test_each_field_rejected(self, walk_log, name, retype):
+        value = getattr(walk_log.events[0], name)
+        data = self._retyped(walk_log, **{name: retype(value)})
+        with pytest.raises(ParseError, match=f"line 2: {name} must be an integer"):
+            deserialize_log(data)
+
+    @pytest.mark.parametrize("name", ["seq", "sim_time_ms", "scene"])
+    def test_event_constructor_rejects_bool(self, name):
+        fields = {"seq": 0, "sim_time_ms": 0, "scene": 1, name: True}
+        with pytest.raises(TypeError, match=name):
+            SessionEvent(kind=EventKind.SCENE_ENTERED, **fields)
+
+
+class TestLogBuilding:
+    def test_log_from_events_matches_appends(self, walk_log):
+        built = log_from_events(walk_log.events, seed=7, config_hash="deadbeef")
+        assert built == walk_log
+
+    def test_log_from_events_checks_order(self, walk_log):
+        events = list(walk_log.events)
+        events[3], events[4] = events[4], events[3]
+        with pytest.raises(MonotonicityViolation, match="not greater than"):
+            log_from_events(events)
+
+    @staticmethod
+    def _lengthened(walk_log, target_events):
+        # NoteOpened/NoteClosed pairs right after scene 3 is entered, at its
+        # entry timestamp: the log stays valid and replays.
+        events = list(walk_log.events)
+        at = next(i for i, e in enumerate(events)
+                  if e.scene == 3 and e.kind is EventKind.SCENE_ENTERED)
+        stamp = events[at].sim_time_ms
+        pairs = (target_events - len(events)) // 2
+        notes = [SessionEvent(seq=0, sim_time_ms=stamp, scene=3, kind=kind)
+                 for _ in range(pairs)
+                 for kind in (EventKind.NOTE_OPENED, EventKind.NOTE_CLOSED)]
+        merged = events[:at + 1] + notes + events[at + 1:]
+        return serialize_log(log_from_events(
+            dataclasses.replace(event, seq=seq) for seq, event in enumerate(merged)))
+
+    def test_parse_cost_is_linear(self, walk_log):
+        per_event = {}
+        for target in (2_000, 32_000):
+            data = self._lengthened(walk_log, target)
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                log = deserialize_log(data)
+                best = min(best, time.perf_counter() - start)
+            per_event[target] = best / len(log.events)
+        # quadratic building made this ratio about 8
+        assert per_event[32_000] < 3.0 * per_event[2_000], per_event
 
 
 class TestTelemetry:
