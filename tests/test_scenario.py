@@ -518,3 +518,101 @@ class TestInPlaceMatchesAdvance:
             for seed in (1, 2, 3):
                 log = simulate_session(PROFILE_PRESETS[preset](), seed)
                 assert builders[-1].state == replay(log.events)[0]
+
+
+# One payload per kind that passes the schema and every range check.
+_VALID_PAYLOADS = {
+    EventKind.SCENE_EXITED: {},
+    EventKind.TUTORIAL_COMPLETED: {},
+    EventKind.PRACTICE_ATTEMPT: {"targets_hit": 3, "distractors_hit": 0},
+    EventKind.NOTES_INTENT_ANSWERED: {"prompt_index": 1, "yes": True},
+    EventKind.ITEM_SELECTED: {"item": "bananas"},
+    EventKind.ROUTE_UNIT_TOGGLED: {"unit": 1, "selected": True},
+    EventKind.ROUTE_SUBMITTED: {},
+    EventKind.COOKING_ITEM_PLACED: {"item": "omelette", "cook_time_s": 20.0},
+    EventKind.FINAL_BUTTON_PRESSED: {},
+    EventKind.EXIT_ATTEMPTED: {},
+    EventKind.MEDICATION_TAKEN: {},
+    EventKind.PIE_REMOVED: {},
+    EventKind.NOTE_OPENED: {},
+    EventKind.NOTE_CLOSED: {},
+    EventKind.NPC_PROMPT_ANSWERED: {"prompt_index": 1, "yes": True},
+    EventKind.NPC_ITEM_CHOSEN: {"choice": "correct"},
+    EventKind.POSTER_SPOTTED: {
+        "stimulus_id": "poster_1", "stimulus_kind": "target", "side": "left"},
+    EventKind.SOUND_TRIGGERED: {
+        "stimulus_id": "sound_1", "stimulus_kind": "target",
+        "stimulus_side": "left", "response_side": "left"},
+    EventKind.SHOPPING_COLLECTED: {"item": "bananas"},
+    EventKind.KEYS_GIVEN: {},
+    EventKind.ITEM_STOWED: {"item": "bananas"},
+}
+
+# Recorded from the engine before its scene rules became a table: the scenes
+# in which each kind is accepted right after entering the scene along the
+# minimal walk.  Every other (scene, kind) pair raises InvalidEvent, except a
+# practice attempt outside a gated scene, which raises NotAGatedScene.
+_ACCEPTED_AFTER_ENTRY = {
+    EventKind.SCENE_EXITED: {12, 19},
+    EventKind.TUTORIAL_COMPLETED: {1, 2, 4, 5, 7, 9, 13},
+    EventKind.PRACTICE_ATTEMPT: {11, 18},
+    EventKind.NOTES_INTENT_ANSWERED: {3},
+    EventKind.ITEM_SELECTED: {3, 8},
+    EventKind.ROUTE_UNIT_TOGGLED: {3},
+    EventKind.ROUTE_SUBMITTED: {3},
+    EventKind.COOKING_ITEM_PLACED: {6},
+    EventKind.FINAL_BUTTON_PRESSED: {6, 14, 22},
+    EventKind.EXIT_ATTEMPTED: {8},
+    EventKind.MEDICATION_TAKEN: {6, 22},
+    EventKind.PIE_REMOVED: {8},
+    EventKind.NOTE_OPENED: set(range(1, 23)),
+    EventKind.NOTE_CLOSED: set(),
+    EventKind.NPC_PROMPT_ANSWERED: {10, 15, 16, 17, 20, 21},
+    EventKind.NPC_ITEM_CHOSEN: set(),
+    EventKind.POSTER_SPOTTED: {12},
+    EventKind.SOUND_TRIGGERED: {19},
+    EventKind.SHOPPING_COLLECTED: {14},
+    EventKind.KEYS_GIVEN: {21},
+    EventKind.ITEM_STOWED: {22},
+}
+
+
+def _entered_along_walk(scene_id):
+    walk = minimal_walk()
+    at = next(i for i, e in enumerate(walk)
+              if e.scene == scene_id and e.kind is EventKind.SCENE_ENTERED)
+    state, _ = replay(walk[:at + 1])
+    return state, walk[at]
+
+
+def _outcome(scene_id, kind):
+    state, entry = _entered_along_walk(scene_id)
+    event = _ev(entry.seq + 1, entry.sim_time_ms + 1_000, scene_id, kind,
+                dict(_VALID_PAYLOADS[kind]))
+    try:
+        advance(state, event)
+    except EngineError as exc:
+        return exc
+    return None
+
+
+class TestSceneEventOutcomes:
+    def test_every_kind_is_covered(self):
+        kinds = set(EventKind) - {EventKind.SCENE_ENTERED}
+        assert set(_VALID_PAYLOADS) == kinds
+        assert set(_ACCEPTED_AFTER_ENTRY) == kinds
+
+    def test_outcome_table(self):
+        counts = {"accepted": 0, NotAGatedScene: 0, InvalidEvent: 0}
+        for scene_id in range(1, 23):
+            for kind, hosts in _ACCEPTED_AFTER_ENTRY.items():
+                error = _outcome(scene_id, kind)
+                if scene_id in hosts:
+                    assert error is None, (scene_id, kind, error)
+                    counts["accepted"] += 1
+                    continue
+                expected = (NotAGatedScene if kind is EventKind.PRACTICE_ATTEMPT
+                            else InvalidEvent)
+                assert type(error) is expected, (scene_id, kind, error)
+                counts[expected] += 1
+        assert counts == {"accepted": 57, NotAGatedScene: 20, InvalidEvent: 385}
