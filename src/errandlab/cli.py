@@ -35,9 +35,7 @@ from .config import (
 from .scenario import EngineError
 from .scoring import aggregate_scorecard, scorecard_to_dict
 from .sessionlog import (
-    IncompleteSession,
     LogError,
-    MalformedLog,
     deserialize_log,
     export_report,
     serialize_log,
@@ -46,7 +44,6 @@ from .simulate import (
     PROFILE_PRESETS,
     ParticipantProfile,
     load_profile,
-    profile_to_dict,
     simulate_session,
 )
 from .vrnq import (
@@ -159,7 +156,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for index, seed in enumerate(seeds):
         log = simulate_session(profile, seed, cfg)
         card = aggregate_scorecard(log, cfg)
-        report = export_report(card, card.telemetry, seed, cfg_hash)
+        report = export_report(card, card.telemetry, cfg, seed, cfg_hash)
         suffix = "" if count == 1 else f"_{index:03d}"
         log_path = os.path.join(args.out, f"session{suffix}.ndjson")
         report_path = os.path.join(args.out, f"report{suffix}.txt")
@@ -205,7 +202,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     cfg_hash = config_hash(cfg)
     log = deserialize_log(_read_bytes(args.log))
     card = aggregate_scorecard(log, cfg)
-    report = export_report(card, card.telemetry, log.seed, cfg_hash)
+    report = export_report(card, card.telemetry, cfg, log.seed, cfg_hash)
 
     outputs: dict[str, str] = {}
     if args.out:
@@ -482,11 +479,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _CliIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_IO
-    except (MalformedLog, IncompleteSession, EngineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_LOG
-    except (LogError) as exc:
-        # parse and schema problems in a log file
+    except (LogError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_LOG
     except VrnqError as exc:

@@ -21,6 +21,9 @@ Core invariants, enforced here and property-tested in the suite:
   entered without a :class:`PracticePassed` effect first.
 * A timestamp regression raises :class:`OutOfOrderEvent`; an event stamped
   with the wrong scene raises :class:`WrongSceneEvent`.
+* :data:`EVENT_SCENES` is the one statement of which scenes host each
+  scene-specific event kind; such an event anywhere else raises
+  :class:`InvalidEvent`.
 
 Scene transitions are engine-emitted effects, never implicit: a scene's
 resolving event (final button, exit attempt, conversation outcome, tutorial
@@ -31,14 +34,11 @@ the old scene.
 
 from __future__ import annotations
 
-import dataclasses
-import logging
+import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Optional, Union
-
-logger = logging.getLogger(__name__)
 
 SCENE_COUNT = 22
 
@@ -275,6 +275,30 @@ _PAYLOAD_FIELDS: dict[EventKind, dict[str, tuple[type, ...]]] = {
     EventKind.ITEM_STOWED: {"item": (str,)},
 }
 
+# The scenes that host each scene-specific event kind; the engine rejects such
+# an event in any other scene before it reads the payload.  Kinds left out
+# occur in every scene (entry, exit, notes), except practice attempts, which
+# practice_gate judges: outside GATED_SCENES it raises NotAGatedScene.
+EVENT_SCENES: dict[EventKind, frozenset[int]] = {
+    EventKind.TUTORIAL_COMPLETED: TUTORIAL_SCENES - GATED_SCENES,
+    EventKind.NOTES_INTENT_ANSWERED: frozenset({3}),
+    EventKind.ITEM_SELECTED: frozenset({3, 8}),
+    EventKind.ROUTE_UNIT_TOGGLED: frozenset({3}),
+    EventKind.ROUTE_SUBMITTED: frozenset({3}),
+    EventKind.COOKING_ITEM_PLACED: frozenset({6}),
+    EventKind.FINAL_BUTTON_PRESSED: frozenset({6, 14, 22}),
+    EventKind.EXIT_ATTEMPTED: frozenset({8}),
+    EventKind.MEDICATION_TAKEN: frozenset({6, 22}),
+    EventKind.PIE_REMOVED: frozenset({8}),
+    EventKind.NPC_PROMPT_ANSWERED: NPC_SCENES,
+    EventKind.NPC_ITEM_CHOSEN: NPC_SCENES,
+    EventKind.POSTER_SPOTTED: frozenset({12}),
+    EventKind.SOUND_TRIGGERED: frozenset({19}),
+    EventKind.SHOPPING_COLLECTED: frozenset({14}),
+    EventKind.KEYS_GIVEN: frozenset({21}),
+    EventKind.ITEM_STOWED: frozenset({22}),
+}
+
 VISUAL_STIMULUS_KINDS = ("target", "shape_distractor", "color_distractor")
 AUDITORY_STIMULUS_KINDS = ("target", "high_pitch_distractor", "low_pitch_distractor")
 SIDES = ("left", "right")
@@ -454,19 +478,7 @@ class SessionState:
     npc_choice: dict[str, str] = field(default_factory=dict)
 
     def copy(self) -> "SessionState":
-        return dataclasses.replace(
-            self,
-            practice_attempts=dict(self.practice_attempts),
-            route_selected=set(self.route_selected),
-            selections=set(self.selections),
-            cooked_items=set(self.cooked_items),
-            spotted_ids=set(self.spotted_ids),
-            prompt_depth=dict(self.prompt_depth),
-            pm_action_done=set(self.pm_action_done),
-            pm_done_depth=dict(self.pm_done_depth),
-            npc_affirmed_at=dict(self.npc_affirmed_at),
-            npc_choice=dict(self.npc_choice),
-        )
+        return copy.deepcopy(self)
 
 
 def initial_state() -> SessionState:
@@ -569,8 +581,7 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
             f"current scene is {state.current_scene}")
 
     kind = event.kind
-    scene = SCENES_BY_ID[state.current_scene]
-    sid = scene.scene_id
+    sid = state.current_scene
 
     if state.completed and kind is not EventKind.SCENE_EXITED:
         raise InvalidEvent("session already complete")
@@ -620,26 +631,24 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
         state.sim_clock_ms = event.sim_time_ms
         return
 
-    if state.armed_to is not None and not (
-            kind is EventKind.KEYS_GIVEN and sid == 21):
+    if state.armed_to is not None and kind is not EventKind.KEYS_GIVEN:
         raise InvalidEvent(
             f"scene {sid} already resolved; only SceneExited is valid")
+    if kind in EVENT_SCENES and sid not in EVENT_SCENES[kind]:
+        raise InvalidEvent(f"{kind.value} does not occur in scene {sid}")
 
     if kind is EventKind.TUTORIAL_COMPLETED:
-        if scene.kind is not SceneKind.TUTORIAL or scene.gated:
-            raise InvalidEvent(f"scene {sid} has no plain tutorial completion")
         if state.tutorial_done:
             raise InvalidEvent(f"tutorial {sid} already completed")
         state.tutorial_done = True
         _resolve(state, effects)
 
     elif kind is EventKind.PRACTICE_ATTEMPT:
-        if not 0 <= event.payload["targets_hit"] <= 3:
-            raise InvalidEvent("targets_hit must be in 0..3")
-        if event.payload["distractors_hit"] < 0:
-            raise InvalidEvent("distractors_hit must be non-negative")
-        result = practice_gate(sid, event.payload["targets_hit"],
-                               event.payload["distractors_hit"])
+        try:
+            result = practice_gate(sid, event.payload["targets_hit"],
+                                   event.payload["distractors_hit"])
+        except ValueError as exc:
+            raise InvalidEvent(str(exc)) from exc
         attempts = state.practice_attempts.get(sid, 0) + 1
         state.practice_attempts[sid] = attempts
         if result is GateResult.PASS:
@@ -649,8 +658,6 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
             effects.append(PracticeRetry(sid, attempts))
 
     elif kind is EventKind.NOTES_INTENT_ANSWERED:
-        if sid != 3:
-            raise InvalidEvent("notes-intent prompts only occur in scene 3")
         expected = state.notes_prompts_answered + 1
         if event.payload["prompt_index"] != expected or expected > 3:
             raise InvalidEvent(
@@ -659,6 +666,8 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
         state.notes_prompts_answered = expected
 
     elif kind is EventKind.ITEM_SELECTED:
+        # Scene 3 fills the list board; scene 8 grabs are free-form, and
+        # re-grab attempts are legitimate errors.
         item = event.payload["item"]
         if sid == 3:
             if item in state.selections:
@@ -667,14 +676,8 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
                 raise InvalidEvent(
                     f"the list board holds {SHOPPING_LIST_LENGTH} items")
             state.selections.add(item)
-        elif sid == 8:
-            pass  # grabs are free-form; re-grab attempts are legitimate errors
-        else:
-            raise InvalidEvent(f"no item selection in scene {sid}")
 
     elif kind is EventKind.ROUTE_UNIT_TOGGLED:
-        if sid != 3:
-            raise InvalidEvent("route board only exists in scene 3")
         if state.route_submitted:
             raise InvalidEvent("route already submitted")
         unit = event.payload["unit"]
@@ -690,15 +693,11 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
             state.route_selected.discard(unit)
 
     elif kind is EventKind.ROUTE_SUBMITTED:
-        if sid != 3:
-            raise InvalidEvent("route board only exists in scene 3")
         if state.route_submitted:
             raise InvalidEvent("route already submitted")
         state.route_submitted = True
 
     elif kind is EventKind.COOKING_ITEM_PLACED:
-        if sid != 6:
-            raise InvalidEvent("cooking only happens in scene 6")
         item = event.payload["item"]
         if item not in COOKING_ITEMS:
             raise InvalidEvent(f"unknown cooking item {item!r}")
@@ -710,35 +709,21 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
 
     elif kind is EventKind.FINAL_BUTTON_PRESSED:
         if sid == 6:
-            _cascade_press(state, PM_TASKS[6], effects)
+            _cascade_press(state, PM_TASKS[sid], effects)
         elif sid == 14:
             _resolve(state, effects)
-        elif sid == 22:
-            task = PM_TASKS[22]
+        else:  # the finale
+            task = PM_TASKS[sid]
             if task.task_id not in state.pm_action_done:
                 state.pm_done_depth[task.task_id] = 4
             state.completed = True
             effects.append(SessionComplete())
-        else:
-            raise InvalidEvent(f"scene {sid} has no final button")
 
     elif kind is EventKind.EXIT_ATTEMPTED:
-        if sid != 8:
-            raise InvalidEvent("exit attempts only apply to scene 8")
-        _cascade_press(state, PM_TASKS[8], effects)
+        _cascade_press(state, PM_TASKS[sid], effects)
 
-    elif kind is EventKind.MEDICATION_TAKEN:
-        if sid == 6:
-            _pm_action(state, PM_TASKS[6])
-        elif sid == 22:
-            _pm_action(state, PM_TASKS[22])
-        else:
-            raise InvalidEvent(f"no medication to take in scene {sid}")
-
-    elif kind is EventKind.PIE_REMOVED:
-        if sid != 8:
-            raise InvalidEvent("the oven pie belongs to scene 8")
-        _pm_action(state, PM_TASKS[8])
+    elif kind in (EventKind.MEDICATION_TAKEN, EventKind.PIE_REMOVED):
+        _pm_action(state, PM_TASKS[sid])
 
     elif kind is EventKind.NOTE_OPENED:
         if state.note_open:
@@ -751,8 +736,6 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
         state.note_open = False
 
     elif kind is EventKind.NPC_PROMPT_ANSWERED:
-        if sid not in NPC_SCENES:
-            raise InvalidEvent(f"no conversation prompts in scene {sid}")
         if state.awaiting_choice:
             raise InvalidEvent("answer already given; choose an item")
         task = PM_TASKS[sid]
@@ -778,7 +761,7 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
             _resolve(state, effects)
 
     elif kind is EventKind.NPC_ITEM_CHOSEN:
-        if sid not in NPC_SCENES or not state.awaiting_choice:
+        if not state.awaiting_choice:
             raise InvalidEvent("no item board is showing")
         choice = event.payload["choice"]
         if choice not in {c.value for c in NpcChoice}:
@@ -789,8 +772,6 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
         _resolve(state, effects)
 
     elif kind is EventKind.POSTER_SPOTTED:
-        if sid != 12:
-            raise InvalidEvent("posters only appear in scene 12")
         if event.payload["stimulus_kind"] not in VISUAL_STIMULUS_KINDS:
             raise InvalidEvent(
                 f"unknown poster kind {event.payload['stimulus_kind']!r}")
@@ -802,8 +783,6 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
         state.spotted_ids.add(stim)
 
     elif kind is EventKind.SOUND_TRIGGERED:
-        if sid != 19:
-            raise InvalidEvent("sound stimuli only occur in scene 19")
         if event.payload["stimulus_kind"] not in AUDITORY_STIMULUS_KINDS:
             raise InvalidEvent(
                 f"unknown sound kind {event.payload['stimulus_kind']!r}")
@@ -818,8 +797,6 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
         state.spotted_ids.add(stim)
 
     elif kind is EventKind.SHOPPING_COLLECTED:
-        if sid != 14:
-            raise InvalidEvent("shelf picking only happens in scene 14")
         item = event.payload["item"]
         if item in state.selections:
             raise InvalidEvent(f"item {item!r} already in the basket")
@@ -829,15 +806,11 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
         state.selections.add(item)
 
     elif kind is EventKind.KEYS_GIVEN:
-        if sid != 21:
-            raise InvalidEvent("the key handover belongs to scene 21")
         if state.keys_given:
             raise InvalidEvent("keys already handed over")
         state.keys_given = True
 
     elif kind is EventKind.ITEM_STOWED:
-        if sid != 22:
-            raise InvalidEvent("shopping is put away in scene 22")
         item = event.payload["item"]
         if item in state.selections:
             raise InvalidEvent(f"item {item!r} already put away")

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
-from .config import BAND_NAMES, ScoringConfig
+from .config import ScoringConfig
 from .scenario import (
     AUDITORY_STIMULUS_KINDS,
     COOKING_ITEMS,
@@ -487,17 +487,15 @@ def aggregate_scorecard(log: SessionLog, config: ScoringConfig) -> TaskScorecard
         raise MalformedLog(f"log rejected by the scenario engine: {exc}") from exc
     if not final_state.completed:
         raise IncompleteSession("log ends before the scenario's final button")
+    telemetry = derive_telemetry(log)
 
     selections_3: list[str] = []
     grabs_8: list[str] = []
     picks_14: list[str] = []
     route_units: set[int] = set()
-    first_toggle_ms: Optional[int] = None
-    submit_ms: Optional[int] = None
     cook_times: dict[str, float] = {}
     visual: list[VisualResponse] = []
     auditory: list[AuditoryResponse] = []
-    intent = [False, False, False]
 
     for event in log.events:
         kind = event.kind
@@ -509,18 +507,12 @@ def aggregate_scorecard(log: SessionLog, config: ScoringConfig) -> TaskScorecard
         elif kind is EventKind.SHOPPING_COLLECTED:
             picks_14.append(event.payload["item"])
         elif kind is EventKind.ROUTE_UNIT_TOGGLED:
-            if first_toggle_ms is None:
-                first_toggle_ms = event.sim_time_ms
             if event.payload["selected"]:
                 route_units.add(event.payload["unit"])
             else:
                 route_units.discard(event.payload["unit"])
-        elif kind is EventKind.ROUTE_SUBMITTED:
-            submit_ms = event.sim_time_ms
         elif kind is EventKind.COOKING_ITEM_PLACED:
             cook_times[event.payload["item"]] = float(event.payload["cook_time_s"])
-        elif kind is EventKind.NOTES_INTENT_ANSWERED:
-            intent[event.payload["prompt_index"] - 1] = bool(event.payload["yes"])
         elif kind is EventKind.POSTER_SPOTTED:
             visual.append(VisualResponse(
                 stimulus_id=event.payload["stimulus_id"],
@@ -533,15 +525,11 @@ def aggregate_scorecard(log: SessionLog, config: ScoringConfig) -> TaskScorecard
                 stimulus_side=event.payload["stimulus_side"],
                 response_side=event.payload["response_side"]))
 
-    if submit_ms is None:  # unreachable in a complete log; guard anyway
-        raise MalformedLog("no route submission in a complete log")
-    completion_s = ((submit_ms - first_toggle_ms) / 1000.0
-                    if first_toggle_ms is not None else 0.0)
-
     try:
         immediate = score_recognition(selections_3, config)
         delayed = score_recognition(picks_14, config)
-        planning = score_planning(route_units, completion_s, config)
+        planning = score_planning(
+            route_units, telemetry.task_time_s.get("planning", 0.0), config)
         cooking, cooking_total = score_cooking(cook_times, config)
         collection = score_collection(grabs_8, config)
         visual_score = score_visual_attention(visual, config)
@@ -578,7 +566,7 @@ def aggregate_scorecard(log: SessionLog, config: ScoringConfig) -> TaskScorecard
     assert -6 <= deductions_total <= 0
 
     return TaskScorecard(
-        notes_intent=(intent[0], intent[1], intent[2]),
+        notes_intent=telemetry.notes_intent,
         immediate_recognition=immediate,
         planning=planning,
         cooking=cooking,
@@ -590,7 +578,7 @@ def aggregate_scorecard(log: SessionLog, config: ScoringConfig) -> TaskScorecard
         visual=visual_score,
         delayed_recognition=delayed,
         auditory=auditory_score,
-        telemetry=derive_telemetry(log),
+        telemetry=telemetry,
     )
 
 

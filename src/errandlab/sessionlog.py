@@ -16,9 +16,18 @@ import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from .scenario import EventKind, SessionEvent, TUTORIAL_SCENES
+from .scenario import (
+    COOKING_ITEMS,
+    EventKind,
+    ROUTE_IDEAL_UNITS,
+    SHOPPING_LIST_LENGTH,
+    SIDES,
+    SessionEvent,
+    TUTORIAL_SCENES,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .config import ScoringConfig
     from .scoring import TaskScorecard
 
 logger = logging.getLogger(__name__)
@@ -346,13 +355,17 @@ def _fmt_s(value: float) -> str:
 
 
 def export_report(scorecard: "TaskScorecard", telemetry: Telemetry,
-                  seed: Optional[int] = None,
+                  config: "ScoringConfig", seed: Optional[int] = None,
                   config_hash: Optional[str] = None) -> str:
     """Deterministic plain-text report: one labeled line per measure.
 
-    Fixed ordering, seconds to two decimals, LF line endings.  Identical
-    inputs produce identical bytes.
+    ``config`` is the config the scorecard was scored with; the maxima the
+    report prints beside each score are computed from it.  Fixed ordering,
+    seconds to two decimals, LF line endings.  Identical inputs produce
+    identical bytes.
     """
+    recognition_max = 2 * SHOPPING_LIST_LENGTH
+    cooking_max = len(COOKING_ITEMS) * max(config.band_points.values())
     lines: list[str] = []
     lines.append("errand session report")
     lines.append("=====================")
@@ -364,33 +377,35 @@ def export_report(scorecard: "TaskScorecard", telemetry: Telemetry,
     lines.append("notes_intent: " + ", ".join(
         "yes" if flag else "no" for flag in scorecard.notes_intent))
     rec = scorecard.immediate_recognition
-    lines.append(f"immediate_recognition: {rec.points}/20 "
+    lines.append(f"immediate_recognition: {rec.points}/{recognition_max} "
                  f"(targets {rec.targets}, qualitative {rec.qualitative}, "
                  f"quantitative {rec.quantitative}, absent {rec.false_items})")
     plan = scorecard.planning
     lines.append(f"planning_units: {plan.units_selected}")
-    lines.append(f"planning_route: {plan.route_score}/15")
+    lines.append(f"planning_route: {plan.route_score}/{ROUTE_IDEAL_UNITS}")
     lines.append(f"planning_time_modifier: {plan.time_modifier:+d}")
     lines.append(f"planning_total: {plan.total}")
-    for item in ("omelette", "sausages", "kettle"):
+    for item in COOKING_ITEMS:
         entry = scorecard.cooking[item]
         lines.append(f"cooking_{item}: {entry.band} ({entry.points})")
-    lines.append(f"cooking_total: {scorecard.cooking_total}/9")
+    lines.append(f"cooking_total: {scorecard.cooking_total}/{cooking_max}")
     for task_id in sorted(scorecard.pm):
         lines.append(f"pm_{task_id}: {scorecard.pm[task_id].points}")
     lines.append(f"pm_positive_total: {scorecard.pm_positive_total}")
     lines.append(f"pm_deductions_total: {scorecard.pm_deductions_total}")
-    lines.append(f"collection_items: {scorecard.collection.points}/6")
+    lines.append(f"collection_items: {scorecard.collection.points}/"
+                 f"{len(config.collection_targets)}")
     lines.append(f"collection_errors: {scorecard.collection.errors}")
-    lines.append(f"visual_attention: {scorecard.visual.points}/16")
-    for side in ("left", "right"):
+    lines.append(f"visual_attention: {scorecard.visual.points}/"
+                 f"{2 * config.visual_targets_per_side}")
+    for side in SIDES:
         counts = scorecard.visual.responded[side]
         lines.append(
             f"visual_responses_{side}: target {counts['target']}, "
             f"shape {counts['shape_distractor']}, "
             f"color {counts['color_distractor']}")
     rec = scorecard.delayed_recognition
-    lines.append(f"delayed_recognition: {rec.points}/20 "
+    lines.append(f"delayed_recognition: {rec.points}/{recognition_max} "
                  f"(targets {rec.targets}, qualitative {rec.qualitative}, "
                  f"quantitative {rec.quantitative}, absent {rec.false_items})")
     aud = scorecard.auditory
@@ -398,7 +413,7 @@ def export_report(scorecard: "TaskScorecard", telemetry: Telemetry,
     lines.append(f"auditory_side_matched: {aud.side_matched}")
     lines.append(f"auditory_wrong_controller: {aud.side_mismatched}")
     lines.append(f"auditory_false_alarms: {aud.false_alarms}")
-    for side in ("left", "right"):
+    for side in SIDES:
         counts = aud.responded[side]
         lines.append(
             f"auditory_responses_{side}: target {counts['target']}, "

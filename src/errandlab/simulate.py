@@ -20,6 +20,7 @@ to it before exit, so the total session duration is stable across profiles.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -153,24 +154,11 @@ PROFILE_PRESETS = {
 
 
 def profile_to_dict(profile: ParticipantProfile) -> dict[str, Any]:
-    return {
-        "pm_hit_prob": dict(profile.pm_hit_prob),
-        "prompt_yield_probs": list(profile.prompt_yield_probs),
-        "recognition_target_prob": profile.recognition_target_prob,
-        "recognition_distractor_prob": profile.recognition_distractor_prob,
-        "planning_extra_units": profile.planning_extra_units,
-        "cooking_timing_sd_s": profile.cooking_timing_sd_s,
-        "attention_hit_prob": profile.attention_hit_prob,
-        "attention_false_alarm_prob": profile.attention_false_alarm_prob,
-        "wrong_controller_prob": profile.wrong_controller_prob,
-        "notes_use_prob": profile.notes_use_prob,
-        "latency_mean_ms": profile.latency_mean_ms,
-        "latency_sd_ms": profile.latency_sd_ms,
-    }
+    return dataclasses.asdict(profile)
 
 
 def profile_from_dict(data: Mapping[str, Any]) -> ParticipantProfile:
-    known = set(profile_to_dict(ParticipantProfile()))
+    known = {f.name for f in dataclasses.fields(ParticipantProfile)}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown profile fields: {sorted(unknown)}")

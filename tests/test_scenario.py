@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from errandlab import simulate
 from errandlab.scenario import (
+    EVENT_SCENES,
     EngineError,
     EventKind,
     GateResult,
@@ -616,3 +617,21 @@ class TestSceneEventOutcomes:
                 assert type(error) is expected, (scene_id, kind, error)
                 counts[expected] += 1
         assert counts == {"accepted": 57, NotAGatedScene: 20, InvalidEvent: 385}
+
+    def test_rejection_names_kind_and_scene(self):
+        for kind, hosts in EVENT_SCENES.items():
+            for scene_id in set(range(1, 23)) - hosts:
+                error = _outcome(scene_id, kind)
+                assert str(error) == (
+                    f"{kind.value} does not occur in scene {scene_id}")
+
+
+def test_state_copy_shares_no_container():
+    walk = minimal_walk()
+    state, _ = replay(walk[:len(walk) // 2])
+    clone = state.copy()
+    assert clone == state
+    for f in dataclasses.fields(SessionState):
+        value = getattr(state, f.name)
+        if isinstance(value, (set, dict)):
+            assert getattr(clone, f.name) is not value, f.name

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from errandlab.config import DEFAULT_BAND_POINTS
 from errandlab.scenario import EventKind, SessionEvent
 from errandlab.scoring import aggregate_scorecard
 from errandlab.sessionlog import (
@@ -26,6 +27,7 @@ from errandlab.sessionlog import (
     new_log,
     serialize_log,
 )
+from errandlab.simulate import simulate_session
 from walks import minimal_walk
 
 
@@ -289,14 +291,17 @@ class TestReport:
     def test_deterministic(self, walk_log, config):
         scorecard = aggregate_scorecard(walk_log, config)
         telemetry = derive_telemetry(walk_log)
-        first = export_report(scorecard, telemetry, seed=7, config_hash="deadbeef")
-        second = export_report(scorecard, telemetry, seed=7, config_hash="deadbeef")
+        first = export_report(scorecard, telemetry, config, seed=7,
+                              config_hash="deadbeef")
+        second = export_report(scorecard, telemetry, config, seed=7,
+                               config_hash="deadbeef")
         assert first == second
 
     def test_expected_lines(self, walk_log, config):
         scorecard = aggregate_scorecard(walk_log, config)
         telemetry = derive_telemetry(walk_log)
-        report = export_report(scorecard, telemetry, seed=7, config_hash="deadbeef")
+        report = export_report(scorecard, telemetry, config, seed=7,
+                               config_hash="deadbeef")
         lines = report.splitlines()
         assert "seed: 7" in lines
         assert "config: deadbeef" in lines
@@ -310,7 +315,7 @@ class TestReport:
     def test_times_use_two_decimals(self, walk_log, config):
         scorecard = aggregate_scorecard(walk_log, config)
         telemetry = derive_telemetry(walk_log)
-        report = export_report(scorecard, telemetry)
+        report = export_report(scorecard, telemetry, config)
         for line in report.splitlines():
             if line.startswith("total_time_s:"):
                 value = line.split(":", 1)[1].strip()
@@ -319,10 +324,23 @@ class TestReport:
         else:
             pytest.fail("total_time_s line missing")
 
+    def test_maxima_follow_the_config(self, perfect, config):
+        # Passes validate(), yet differs from the defaults in both maxima.
+        custom = dataclasses.replace(
+            config, band_points={**DEFAULT_BAND_POINTS, "OnTime": 5},
+            visual_targets_per_side=4)
+        custom.validate()
+        card = aggregate_scorecard(simulate_session(perfect, 1, custom), custom)
+        lines = export_report(card, card.telemetry, custom).splitlines()
+        assert f"cooking_total: {card.cooking_total}/15" in lines
+        assert f"visual_attention: {card.visual.points}/8" in lines
+        assert f"collection_items: {card.collection.points}/6" in lines
+        assert f"planning_route: {card.planning.route_score}/15" in lines
+
     def test_unseeded_placeholders(self, walk_log, config):
         scorecard = aggregate_scorecard(walk_log, config)
         telemetry = derive_telemetry(walk_log)
-        report = export_report(scorecard, telemetry)
+        report = export_report(scorecard, telemetry, config)
         lines = report.splitlines()
         assert "seed: -" in lines
         assert "config: -" in lines
