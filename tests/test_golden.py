@@ -4,11 +4,13 @@ Each digest was recorded once and must never change: a refactor of the
 engine, the scorers or the report that keeps behaviour keeps every digest,
 and an upgrade of numpy that shifts the ``Generator`` streams the simulator
 draws from fails here instead of silently changing the logs.  Covers the
-three profile presets at seeds 1-3 under the default config.
+three profile presets at seeds 1-3 under the default config, plus the
+telemetry of every 20th prefix of those logs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -16,7 +18,12 @@ import pytest
 
 from errandlab.config import config_hash, default_config
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
-from errandlab.sessionlog import export_report, serialize_log
+from errandlab.sessionlog import (
+    SessionLog,
+    derive_telemetry,
+    export_report,
+    serialize_log,
+)
 from errandlab.simulate import PROFILE_PRESETS, simulate_session
 
 # (preset, seed) -> sha256 of (serialize_log, export_report, the sorted-key
@@ -76,3 +83,41 @@ def test_outputs_match_golden_digests(preset, seed):
     assert (_sha256(serialize_log(log)),
             _sha256(report.encode("utf-8")),
             _sha256(scorecard_json.encode("utf-8"))) == _GOLDEN[(preset, seed)]
+
+
+# (preset, seed) -> sha256 over the prefixes events[:0], events[:20], ... of
+# the simulated log: one line per prefix holding the sorted-key JSON of
+# derive_telemetry, with the int scene keys stringified first so that the
+# keys sort as strings.
+_GOLDEN_PREFIX_TELEMETRY = {
+    ("default", 1): "bc8dcff111a20b11bb1c07a678fde32a36f636bc0cc709c7c154c9adb1c15daf",
+    ("default", 2): "1fe5013bd4c7c79b2e267cfdf8a8b20a5987da77f5b3531a0f3c90885ff33d77",
+    ("default", 3): "764f7e5dc45378d8dc44d7ba8a5e64c8aaa66e4b4eccd964ff91b8fd32c05203",
+    ("perfect", 1): "c4d4f217581e1d25750427d862300158163ac69788cf2916ecfcbf11e739ffb2",
+    ("perfect", 2): "c4d4f217581e1d25750427d862300158163ac69788cf2916ecfcbf11e739ffb2",
+    ("perfect", 3): "c4d4f217581e1d25750427d862300158163ac69788cf2916ecfcbf11e739ffb2",
+    ("null", 1): "fa3c4132db5805304fd29c6ae454932315dd78997678e0d1663fdf404b58f868",
+    ("null", 2): "fa3c4132db5805304fd29c6ae454932315dd78997678e0d1663fdf404b58f868",
+    ("null", 3): "fa3c4132db5805304fd29c6ae454932315dd78997678e0d1663fdf404b58f868",
+}
+
+
+def _stringify_keys(value):
+    if isinstance(value, dict):
+        return {str(key): _stringify_keys(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_stringify_keys(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("preset, seed", sorted(_GOLDEN_PREFIX_TELEMETRY))
+def test_prefix_telemetry_matches_golden_digests(preset, seed):
+    log = simulate_session(PROFILE_PRESETS[preset](), seed, default_config())
+    digest = hashlib.sha256()
+    for end in range(0, len(log.events) + 1, 20):
+        telemetry = derive_telemetry(SessionLog(
+            seed=log.seed, config_hash=log.config_hash, events=log.events[:end]))
+        line = json.dumps(_stringify_keys(dataclasses.asdict(telemetry)),
+                          sort_keys=True)
+        digest.update(line.encode("utf-8") + b"\n")
+    assert digest.hexdigest() == _GOLDEN_PREFIX_TELEMETRY[(preset, seed)]
