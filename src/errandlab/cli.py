@@ -109,6 +109,16 @@ def _load_profile_arg(spec: Optional[str]) -> ParticipantProfile:
         raise _CliIOError(f"cannot read {spec}: {exc.strerror or exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _manifest(command: str, *, parameters: dict[str, Any],
               inputs: dict[str, str], outputs: dict[str, str],
               cfg_hash: Optional[str] = None,
@@ -156,7 +166,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for index, seed in enumerate(seeds):
         log = simulate_session(profile, seed, cfg)
         card = aggregate_scorecard(log, cfg)
-        report = export_report(card, card.telemetry, cfg, seed, cfg_hash)
+        report = export_report(card, cfg, seed, cfg_hash)
         suffix = "" if count == 1 else f"_{index:03d}"
         log_path = os.path.join(args.out, f"session{suffix}.ndjson")
         report_path = os.path.join(args.out, f"report{suffix}.txt")
@@ -202,7 +212,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     cfg_hash = config_hash(cfg)
     log = deserialize_log(_read_bytes(args.log))
     card = aggregate_scorecard(log, cfg)
-    report = export_report(card, card.telemetry, cfg, log.seed, cfg_hash)
+    report = export_report(card, cfg, log.seed, cfg_hash)
 
     outputs: dict[str, str] = {}
     if args.out:
@@ -428,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="preset name (default/perfect/null) or JSON path")
     p_sim.add_argument("--config", default=None, help="scoring config JSON path")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--cohort", type=int, default=1,
+    p_sim.add_argument("--cohort", type=_positive_int, default=1,
                        help="number of sessions (seeds seed..seed+n-1)")
     p_sim.add_argument("--format", choices=("text", "json"), default="text")
     p_sim.set_defaults(func=_cmd_simulate)

@@ -608,26 +608,18 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
         _fire_due_finale_prompts(state, event.sim_time_ms, effects)
 
     if kind is EventKind.SCENE_EXITED:
-        if state.completed:
-            state.entered = False
-        elif state.armed_to is not None:
+        if not state.completed:
+            if state.armed_to is None:
+                # the free-running rides and scene 3 resolve on their exit
+                if sid not in (3, 12, 19):
+                    raise InvalidEvent(f"scene {sid} is not finished")
+                if sid == 3 and (state.notes_prompts_answered < 3
+                                 or not state.route_submitted):
+                    raise InvalidEvent("scene 3 tasks unfinished")
+                _resolve(state, effects)
             state.current_scene = state.armed_to
             state.armed_to = None
-            state.entered = False
-        elif sid in (12, 19):
-            _resolve(state, effects)
-            state.current_scene = state.armed_to
-            state.armed_to = None
-            state.entered = False
-        elif sid == 3:
-            if state.notes_prompts_answered < 3 or not state.route_submitted:
-                raise InvalidEvent("scene 3 tasks unfinished")
-            _resolve(state, effects)
-            state.current_scene = state.armed_to
-            state.armed_to = None
-            state.entered = False
-        else:
-            raise InvalidEvent(f"scene {sid} is not finished")
+        state.entered = False
         state.sim_clock_ms = event.sim_time_ms
         return
 

@@ -31,9 +31,10 @@ Scoring summary:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Any, Collection, Iterable, Mapping, Optional, Sequence
 
 from .config import ScoringConfig
 from .scenario import (
@@ -489,51 +490,40 @@ def aggregate_scorecard(log: SessionLog, config: ScoringConfig) -> TaskScorecard
         raise IncompleteSession("log ends before the scenario's final button")
     telemetry = derive_telemetry(log)
 
-    selections_3: list[str] = []
-    grabs_8: list[str] = []
-    picks_14: list[str] = []
-    route_units: set[int] = set()
-    cook_times: dict[str, float] = {}
-    visual: list[VisualResponse] = []
-    auditory: list[AuditoryResponse] = []
-
+    # Group the payloads by the (scene, kind) that produced them: each task's
+    # input is then one lookup.
+    inputs: dict[tuple[int, EventKind], list[dict[str, Any]]] = {}
     for event in log.events:
-        kind = event.kind
-        if kind is EventKind.ITEM_SELECTED:
-            if event.scene == 3:
-                selections_3.append(event.payload["item"])
-            elif event.scene == 8:
-                grabs_8.append(event.payload["item"])
-        elif kind is EventKind.SHOPPING_COLLECTED:
-            picks_14.append(event.payload["item"])
-        elif kind is EventKind.ROUTE_UNIT_TOGGLED:
-            if event.payload["selected"]:
-                route_units.add(event.payload["unit"])
-            else:
-                route_units.discard(event.payload["unit"])
-        elif kind is EventKind.COOKING_ITEM_PLACED:
-            cook_times[event.payload["item"]] = float(event.payload["cook_time_s"])
-        elif kind is EventKind.POSTER_SPOTTED:
-            visual.append(VisualResponse(
-                stimulus_id=event.payload["stimulus_id"],
-                stimulus_kind=event.payload["stimulus_kind"],
-                side=event.payload["side"]))
-        elif kind is EventKind.SOUND_TRIGGERED:
-            auditory.append(AuditoryResponse(
-                stimulus_id=event.payload["stimulus_id"],
-                stimulus_kind=event.payload["stimulus_kind"],
-                stimulus_side=event.payload["stimulus_side"],
-                response_side=event.payload["response_side"]))
+        inputs.setdefault((event.scene, event.kind), []).append(event.payload)
+
+    def payloads(scene_id: int, kind: EventKind) -> list[dict[str, Any]]:
+        return inputs.get((scene_id, kind), [])
+
+    route_units: set[int] = set()
+    for toggle in payloads(3, EventKind.ROUTE_UNIT_TOGGLED):
+        if toggle["selected"]:
+            route_units.add(toggle["unit"])
+        else:
+            route_units.discard(toggle["unit"])
 
     try:
-        immediate = score_recognition(selections_3, config)
-        delayed = score_recognition(picks_14, config)
+        immediate = score_recognition(
+            [p["item"] for p in payloads(3, EventKind.ITEM_SELECTED)], config)
+        delayed = score_recognition(
+            [p["item"] for p in payloads(14, EventKind.SHOPPING_COLLECTED)], config)
         planning = score_planning(
             route_units, telemetry.task_time_s.get("planning", 0.0), config)
-        cooking, cooking_total = score_cooking(cook_times, config)
-        collection = score_collection(grabs_8, config)
-        visual_score = score_visual_attention(visual, config)
-        auditory_score = score_auditory_attention(auditory, config)
+        cooking, cooking_total = score_cooking(
+            {p["item"]: float(p["cook_time_s"])
+             for p in payloads(6, EventKind.COOKING_ITEM_PLACED)}, config)
+        collection = score_collection(
+            [p["item"] for p in payloads(8, EventKind.ITEM_SELECTED)], config)
+        visual_score = score_visual_attention(
+            [VisualResponse(**p) for p in payloads(12, EventKind.POSTER_SPOTTED)],
+            config)
+        auditory_score = score_auditory_attention(
+            [AuditoryResponse(**p) for p in payloads(19, EventKind.SOUND_TRIGGERED)],
+            config)
     except ScoringError as exc:
         raise MalformedLog(f"log content failed scoring validation: {exc}") from exc
 
@@ -583,27 +573,17 @@ def aggregate_scorecard(log: SessionLog, config: ScoringConfig) -> TaskScorecard
 
 
 def scorecard_to_dict(card: TaskScorecard) -> dict:
-    """JSON-native rendering of a scorecard, telemetry included."""
-    return {
-        "notes_intent": list(card.notes_intent),
-        "immediate_recognition": vars(card.immediate_recognition).copy(),
-        "planning": vars(card.planning).copy(),
-        "cooking": {item: vars(entry).copy() for item, entry in card.cooking.items()},
-        "cooking_total": card.cooking_total,
-        "pm": {task_id: vars(outcome).copy() for task_id, outcome in card.pm.items()},
-        "pm_positive_total": card.pm_positive_total,
-        "pm_deductions_total": card.pm_deductions_total,
-        "collection": vars(card.collection).copy(),
-        "visual": vars(card.visual).copy(),
-        "delayed_recognition": vars(card.delayed_recognition).copy(),
-        "auditory": vars(card.auditory).copy(),
-        "telemetry": {
-            "scene_time_s": {str(k): v for k, v in card.telemetry.scene_time_s.items()},
-            "tutorial_time_s": {str(k): v for k, v in card.telemetry.tutorial_time_s.items()},
-            "practice_attempts": {str(k): v for k, v in card.telemetry.practice_attempts.items()},
-            "notes_views": {str(k): vars(v).copy() for k, v in card.telemetry.notes_views.items()},
-            "task_time_s": dict(card.telemetry.task_time_s),
-            "notes_intent": list(card.telemetry.notes_intent),
-            "total_time_s": card.telemetry.total_time_s,
-        },
-    }
+    """JSON-native rendering of a scorecard, telemetry included.
+
+    Tuples become lists and the telemetry's int scene keys become strings,
+    so the result sorts and compares as its JSON text reads back.
+    """
+    data = dataclasses.asdict(card)
+    data["notes_intent"] = list(card.notes_intent)
+    telemetry = data["telemetry"]
+    for name, value in telemetry.items():
+        if isinstance(value, tuple):
+            telemetry[name] = list(value)
+        elif isinstance(value, dict):
+            telemetry[name] = {str(k): v for k, v in value.items()}
+    return data

@@ -20,6 +20,7 @@ from .scenario import (
     COOKING_ITEMS,
     EventKind,
     ROUTE_IDEAL_UNITS,
+    SCENES_BY_ID,
     SHOPPING_LIST_LENGTH,
     SIDES,
     SessionEvent,
@@ -229,30 +230,38 @@ class Telemetry:
     total_time_s: float = 0.0
 
 
+# Each task window runs from the first event of its start (scene, kind) to the
+# last event of its end (scene, kind), and exists once both have occurred.
+_EventKey = tuple[int, EventKind]
+TASK_WINDOWS: dict[str, tuple[_EventKey, _EventKey]] = {
+    "immediate_recognition": ((3, EventKind.ITEM_SELECTED), (3, EventKind.ITEM_SELECTED)),
+    "planning": ((3, EventKind.ROUTE_UNIT_TOGGLED), (3, EventKind.ROUTE_SUBMITTED)),
+    "cooking": ((6, EventKind.SCENE_ENTERED), (6, EventKind.COOKING_ITEM_PLACED)),
+    "collection": ((8, EventKind.SCENE_ENTERED), (8, EventKind.ITEM_SELECTED)),
+    "visual_attention": ((12, EventKind.SCENE_ENTERED), (12, EventKind.SCENE_EXITED)),
+    "delayed_recognition": (
+        (14, EventKind.SCENE_ENTERED), (14, EventKind.FINAL_BUTTON_PRESSED)),
+    "auditory_attention": ((19, EventKind.SCENE_ENTERED), (19, EventKind.SCENE_EXITED)),
+}
+
+
 def derive_telemetry(log: SessionLog) -> Telemetry:
     """Fold the event stream into timing and usage measures.
 
     Tolerates partial logs.  A note left open at scene exit is closed at the
     exit timestamp and logged as a warning; completeness enforcement lives
-    with the scorecard aggregation, not here.
+    with the scorecard aggregation, not here.  Scene times and the
+    :data:`TASK_WINDOWS` are defined on engine-accepted logs and their
+    prefixes, where each scene is entered once and exited after its entry.
     """
-    entry_ms: dict[int, int] = {}
-    exit_ms: dict[int, int] = {}
-    scene_time: dict[int, float] = {}
+    first_ms: dict[_EventKey, int] = {}
+    last_ms: dict[_EventKey, int] = {}
     attempts: dict[int, int] = {}
     notes_opens: dict[int, int] = {}
     notes_total_ms: dict[int, int] = {}
     note_opened_at: Optional[int] = None
     note_scene: Optional[int] = None
     intent = [False, False, False]
-
-    first_selection_ms: Optional[int] = None
-    last_selection_ms: Optional[int] = None
-    first_toggle_ms: Optional[int] = None
-    route_submit_ms: Optional[int] = None
-    last_cook_ms: Optional[int] = None
-    last_grab_ms: Optional[int] = None
-    till_ms: Optional[int] = None
 
     def close_note(at_ms: int, *, dangling: bool) -> None:
         nonlocal note_opened_at, note_scene
@@ -268,15 +277,13 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
 
     for event in log.events:
         kind = event.kind
-        if kind is EventKind.SCENE_ENTERED:
-            entry_ms[event.scene] = event.sim_time_ms
-        elif kind is EventKind.SCENE_EXITED:
-            exit_ms[event.scene] = event.sim_time_ms
+        key = (event.scene, kind)
+        if key not in first_ms:
+            first_ms[key] = event.sim_time_ms
+        last_ms[key] = event.sim_time_ms
+        if kind is EventKind.SCENE_EXITED:
             if note_opened_at is not None:
                 close_note(event.sim_time_ms, dangling=True)
-            if event.scene in entry_ms:
-                scene_time[event.scene] = (
-                    event.sim_time_ms - entry_ms[event.scene]) / 1000.0
         elif kind is EventKind.PRACTICE_ATTEMPT:
             attempts[event.scene] = attempts.get(event.scene, 0) + 1
         elif kind is EventKind.NOTE_OPENED:
@@ -289,42 +296,22 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
             index = event.payload["prompt_index"]
             if 1 <= index <= 3:
                 intent[index - 1] = bool(event.payload["yes"])
-        elif kind is EventKind.ITEM_SELECTED:
-            if event.scene == 3:
-                if first_selection_ms is None:
-                    first_selection_ms = event.sim_time_ms
-                last_selection_ms = event.sim_time_ms
-            elif event.scene == 8:
-                last_grab_ms = event.sim_time_ms
-        elif kind is EventKind.ROUTE_UNIT_TOGGLED:
-            if first_toggle_ms is None:
-                first_toggle_ms = event.sim_time_ms
-        elif kind is EventKind.ROUTE_SUBMITTED:
-            route_submit_ms = event.sim_time_ms
-        elif kind is EventKind.COOKING_ITEM_PLACED:
-            last_cook_ms = event.sim_time_ms
-        elif kind is EventKind.FINAL_BUTTON_PRESSED:
-            if event.scene == 14:
-                till_ms = event.sim_time_ms
 
     if note_opened_at is not None and log.events:
         close_note(log.events[-1].sim_time_ms, dangling=True)
 
-    task_time: dict[str, float] = {}
-    if first_selection_ms is not None and last_selection_ms is not None:
-        task_time["immediate_recognition"] = (
-            last_selection_ms - first_selection_ms) / 1000.0
-    if first_toggle_ms is not None and route_submit_ms is not None:
-        task_time["planning"] = (route_submit_ms - first_toggle_ms) / 1000.0
-    if last_cook_ms is not None and 6 in entry_ms:
-        task_time["cooking"] = (last_cook_ms - entry_ms[6]) / 1000.0
-    if last_grab_ms is not None and 8 in entry_ms:
-        task_time["collection"] = (last_grab_ms - entry_ms[8]) / 1000.0
-    if till_ms is not None and 14 in entry_ms:
-        task_time["delayed_recognition"] = (till_ms - entry_ms[14]) / 1000.0
-    for name, scene_id in (("visual_attention", 12), ("auditory_attention", 19)):
-        if scene_id in scene_time:
-            task_time[name] = scene_time[scene_id]
+    def window_s(start: _EventKey, end: _EventKey) -> Optional[float]:
+        if start not in first_ms or end not in last_ms:
+            return None
+        return (last_ms[end] - first_ms[start]) / 1000.0
+
+    scene_time = {
+        scene_id: seconds for scene_id in sorted(SCENES_BY_ID)
+        if (seconds := window_s((scene_id, EventKind.SCENE_ENTERED),
+                                (scene_id, EventKind.SCENE_EXITED))) is not None}
+    task_time = {
+        name: seconds for name, (start, end) in sorted(TASK_WINDOWS.items())
+        if (seconds := window_s(start, end)) is not None}
 
     notes_views = {
         scene_id: NotesUsage(
@@ -335,12 +322,11 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
 
     total_s = log.events[-1].sim_time_ms / 1000.0 if log.events else 0.0
     return Telemetry(
-        scene_time_s=dict(sorted(scene_time.items())),
-        tutorial_time_s={k: v for k, v in sorted(scene_time.items())
-                         if k in TUTORIAL_SCENES},
+        scene_time_s=scene_time,
+        tutorial_time_s={k: v for k, v in scene_time.items() if k in TUTORIAL_SCENES},
         practice_attempts=dict(sorted(attempts.items())),
         notes_views=notes_views,
-        task_time_s=dict(sorted(task_time.items())),
+        task_time_s=task_time,
         notes_intent=(intent[0], intent[1], intent[2]),
         total_time_s=total_s,
     )
@@ -354,15 +340,16 @@ def _fmt_s(value: float) -> str:
     return f"{value:.2f}"
 
 
-def export_report(scorecard: "TaskScorecard", telemetry: Telemetry,
-                  config: "ScoringConfig", seed: Optional[int] = None,
+def export_report(scorecard: "TaskScorecard", config: "ScoringConfig",
+                  seed: Optional[int] = None,
                   config_hash: Optional[str] = None) -> str:
     """Deterministic plain-text report: one labeled line per measure.
 
     ``config`` is the config the scorecard was scored with; the maxima the
-    report prints beside each score are computed from it.  Fixed ordering,
-    seconds to two decimals, LF line endings.  Identical inputs produce
-    identical bytes.
+    report prints beside each score are computed from it.  The telemetry
+    lines come from ``scorecard.telemetry``, so the report describes one
+    session.  Fixed ordering, seconds to two decimals, LF line endings.
+    Identical inputs produce identical bytes.
     """
     recognition_max = 2 * SHOPPING_LIST_LENGTH
     cooking_max = len(COOKING_ITEMS) * max(config.band_points.values())
@@ -422,6 +409,7 @@ def export_report(scorecard: "TaskScorecard", telemetry: Telemetry,
     lines.append("")
     lines.append("telemetry")
     lines.append("---------")
+    telemetry = scorecard.telemetry
     lines.append(f"total_time_s: {_fmt_s(telemetry.total_time_s)}")
     for scene_id, seconds in telemetry.scene_time_s.items():
         lines.append(f"scene_time_s[{scene_id}]: {_fmt_s(seconds)}")

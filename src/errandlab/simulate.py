@@ -24,25 +24,28 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .config import ScoringConfig, config_hash, default_config
 from .scenario import (
     AUDITORY_STIMULUS_KINDS,
+    EVENT_SCENES,
     EventKind,
     FINALE_PROMPT_OFFSETS_MS,
+    GATED_SCENES,
     NPC_SCENES,
     NpcChoice,
     PM_TASKS,
     PmDelay,
     PmPolarity,
+    SCENES_BY_ID,
     SHOPPING_LIST_LENGTH,
     SIDES,
-    SceneKind,
     SessionEvent,
     SessionState,
+    TUTORIAL_SCENES,
     VISUAL_STIMULUS_KINDS,
     _apply,
     initial_state,
@@ -243,12 +246,15 @@ def _maybe_use_notes(b: _SessionBuilder) -> None:
 
 
 def _plain_tutorial(b: _SessionBuilder, duration_ms: int) -> None:
-    if b.state.current_scene == 4:
-        # the notes tutorial invites opening the notes at least once
-        _maybe_use_notes(b)
     b.act(EventKind.TUTORIAL_COMPLETED,
           at_offset_ms=max(duration_ms // 2, b.cursor_ms - b.scene_entry_ms))
     b.exit_scene(duration_ms)
+
+
+def _notes_tutorial(b: _SessionBuilder, duration_ms: int) -> None:
+    # the notes tutorial invites opening the notes at least once
+    _maybe_use_notes(b)
+    _plain_tutorial(b, duration_ms)
 
 
 def _gated_tutorial(b: _SessionBuilder, duration_ms: int) -> None:
@@ -358,11 +364,12 @@ def _npc_choice(b: _SessionBuilder) -> str:
     return wrong[int(b.rng.integers(len(wrong)))]
 
 
-def _scene_npc(b: _SessionBuilder, scene_id: int, duration_ms: int) -> None:
+def _scene_npc(b: _SessionBuilder, duration_ms: int) -> None:
     # The companion's first question is already showing (engine emits it on
     # entry).  Affirming a positive task opens the item board; affirming a
     # false one just costs points; three refusals end the conversation.
     p = b.profile
+    scene_id = b.state.current_scene
     task = PM_TASKS[scene_id]
     if task.polarity is PmPolarity.POSITIVE:
         yes_probs = (p.pm_hit_prob[task.delay.value],
@@ -379,7 +386,7 @@ def _scene_npc(b: _SessionBuilder, scene_id: int, duration_ms: int) -> None:
         b.act(EventKind.NPC_PROMPT_ANSWERED, {"prompt_index": index, "yes": False})
     if affirmed and task.polarity is PmPolarity.POSITIVE:
         b.act(EventKind.NPC_ITEM_CHOSEN, {"choice": _npc_choice(b)})
-    if scene_id == 21 and affirmed:
+    if affirmed and scene_id in EVENT_SCENES[EventKind.KEYS_GIVEN]:
         b.act(EventKind.KEYS_GIVEN)
     b.exit_scene(duration_ms)
 
@@ -468,6 +475,24 @@ def _scene_finale(b: _SessionBuilder, duration_ms: int) -> None:
     b.exit_scene(duration_ms)
 
 
+# Scene id -> the behaviour model that plays the scene, given the builder and
+# the scene's duration in milliseconds.
+_SCENE_MODELS: dict[int, Callable[[_SessionBuilder, int], None]] = {
+    **dict.fromkeys(TUTORIAL_SCENES - GATED_SCENES - {4}, _plain_tutorial),
+    **dict.fromkeys(GATED_SCENES, _gated_tutorial),
+    **dict.fromkeys(NPC_SCENES, _scene_npc),
+    3: _scene_planning,
+    4: _notes_tutorial,
+    6: _scene_breakfast,
+    8: _scene_collect_and_pie,
+    12: _scene_visual_ride,
+    14: _scene_supermarket,
+    19: _scene_auditory_ride,
+    22: _scene_finale,
+}
+assert sorted(_SCENE_MODELS) == sorted(SCENES_BY_ID)
+
+
 # ---------------------------------------------------------------------------
 # Entry points
 
@@ -489,28 +514,7 @@ def simulate_session(profile: ParticipantProfile, seed: int,
         rng = np.random.default_rng([stream_seed, sid])
         builder.enter(rng)
         duration_ms = max(1_000, int(_NOMINAL_DURATION_S[sid] * scale * 1000))
-        if sid in (11, 18):
-            _gated_tutorial(builder, duration_ms)
-        elif descriptor.kind is SceneKind.TUTORIAL:
-            _plain_tutorial(builder, duration_ms)
-        elif sid == 3:
-            _scene_planning(builder, duration_ms)
-        elif sid == 6:
-            _scene_breakfast(builder, duration_ms)
-        elif sid == 8:
-            _scene_collect_and_pie(builder, duration_ms)
-        elif sid in NPC_SCENES:
-            _scene_npc(builder, sid, duration_ms)
-        elif sid == 12:
-            _scene_visual_ride(builder, duration_ms)
-        elif sid == 14:
-            _scene_supermarket(builder, duration_ms)
-        elif sid == 19:
-            _scene_auditory_ride(builder, duration_ms)
-        elif sid == 22:
-            _scene_finale(builder, duration_ms)
-        else:  # pragma: no cover - the table above is exhaustive
-            raise AssertionError(f"scene {sid} has no behavior model")
+        _SCENE_MODELS[sid](builder, duration_ms)
 
     return log_from_events(builder.events, seed=seed, config_hash=config_hash(cfg))
 

@@ -296,9 +296,9 @@ def test_criterion_8_reproducibility(config):
         assert serialize_log(log_a) == serialize_log(log_b)
 
         telemetry = derive_telemetry(log_a)
-        report_a = export_report(card_a, telemetry, config, seed=2026,
+        report_a = export_report(card_a, config, seed=2026,
                                  config_hash=config_hash(config))
-        report_b = export_report(card_b, derive_telemetry(log_b), config, seed=2026,
+        report_b = export_report(card_b, config, seed=2026,
                                  config_hash=config_hash(config))
         assert report_a == report_b
 

@@ -68,6 +68,15 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seeds"] == [5, 6, 7]
 
+    @pytest.mark.parametrize("cohort", ["0", "-2"])
+    def test_cohort_below_one_is_a_usage_error(self, tmp_path, capsys, cohort):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--seed", "1", "--cohort", cohort, "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "--cohort" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_profile_preset_and_json_format(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["simulate", "--seed", "2", "--profile", "perfect",

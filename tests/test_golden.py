@@ -77,8 +77,7 @@ def test_outputs_match_golden_digests(preset, seed):
     config = default_config()
     log = simulate_session(PROFILE_PRESETS[preset](), seed, config)
     card = aggregate_scorecard(log, config)
-    report = export_report(card, card.telemetry, config, seed,
-                           config_hash(config))
+    report = export_report(card, config, seed, config_hash(config))
     scorecard_json = json.dumps(scorecard_to_dict(card), sort_keys=True)
     assert (_sha256(serialize_log(log)),
             _sha256(report.encode("utf-8")),

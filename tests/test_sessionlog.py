@@ -290,18 +290,13 @@ class TestTelemetry:
 class TestReport:
     def test_deterministic(self, walk_log, config):
         scorecard = aggregate_scorecard(walk_log, config)
-        telemetry = derive_telemetry(walk_log)
-        first = export_report(scorecard, telemetry, config, seed=7,
-                              config_hash="deadbeef")
-        second = export_report(scorecard, telemetry, config, seed=7,
-                               config_hash="deadbeef")
+        first = export_report(scorecard, config, seed=7, config_hash="deadbeef")
+        second = export_report(scorecard, config, seed=7, config_hash="deadbeef")
         assert first == second
 
     def test_expected_lines(self, walk_log, config):
         scorecard = aggregate_scorecard(walk_log, config)
-        telemetry = derive_telemetry(walk_log)
-        report = export_report(scorecard, telemetry, config, seed=7,
-                               config_hash="deadbeef")
+        report = export_report(scorecard, config, seed=7, config_hash="deadbeef")
         lines = report.splitlines()
         assert "seed: 7" in lines
         assert "config: deadbeef" in lines
@@ -314,12 +309,11 @@ class TestReport:
 
     def test_times_use_two_decimals(self, walk_log, config):
         scorecard = aggregate_scorecard(walk_log, config)
-        telemetry = derive_telemetry(walk_log)
-        report = export_report(scorecard, telemetry, config)
+        report = export_report(scorecard, config)
         for line in report.splitlines():
             if line.startswith("total_time_s:"):
                 value = line.split(":", 1)[1].strip()
-                assert value == f"{telemetry.total_time_s:.2f}"
+                assert value == f"{scorecard.telemetry.total_time_s:.2f}"
                 break
         else:
             pytest.fail("total_time_s line missing")
@@ -331,7 +325,7 @@ class TestReport:
             visual_targets_per_side=4)
         custom.validate()
         card = aggregate_scorecard(simulate_session(perfect, 1, custom), custom)
-        lines = export_report(card, card.telemetry, custom).splitlines()
+        lines = export_report(card, custom).splitlines()
         assert f"cooking_total: {card.cooking_total}/15" in lines
         assert f"visual_attention: {card.visual.points}/8" in lines
         assert f"collection_items: {card.collection.points}/6" in lines
@@ -339,8 +333,7 @@ class TestReport:
 
     def test_unseeded_placeholders(self, walk_log, config):
         scorecard = aggregate_scorecard(walk_log, config)
-        telemetry = derive_telemetry(walk_log)
-        report = export_report(scorecard, telemetry, config)
+        report = export_report(scorecard, config)
         lines = report.splitlines()
         assert "seed: -" in lines
         assert "config: -" in lines
