@@ -4,8 +4,9 @@ Each digest was recorded once and must never change: a refactor of the
 engine, the scorers or the report that keeps behaviour keeps every digest,
 and an upgrade of numpy that shifts the ``Generator`` streams the simulator
 draws from fails here instead of silently changing the logs.  Covers the
-three profile presets at seeds 1-3 under the default config, plus the
-telemetry of every 20th prefix of those logs.
+three profile presets at seeds 1-3 under the default config, the
+telemetry of every 20th prefix of those logs, and the bytes that the
+``simulate --cohort`` command prints and writes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 
 import pytest
 
+from errandlab.cli import main
 from errandlab.config import config_hash, default_config
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
 from errandlab.sessionlog import (
@@ -120,3 +122,25 @@ def test_prefix_telemetry_matches_golden_digests(preset, seed):
                           sort_keys=True)
         digest.update(line.encode("utf-8") + b"\n")
     assert digest.hexdigest() == _GOLDEN_PREFIX_TELEMETRY[(preset, seed)]
+
+
+# preset -> sha256 over the stdout of `simulate --seed 5 --cohort 3 --format
+# json --out out` run from an empty directory, then over every file the run
+# wrote: its path relative to that directory, a NUL, its bytes, in path order.
+_GOLDEN_CLI = {
+    "default": "2e089711ad7b5ed3459a44bee358f8b9aead85ac34c46811daba456b9388bf5a",
+    "perfect": "aa0d8e79890ab8e7be968fabf9a76281a2f8658bedb540d7e49ed886fd526987",
+    "null": "d31104b8917bad9f74065e448ccb52ec1f21be21944db50510c04936226839bc",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_GOLDEN_CLI))
+def test_simulate_cli_matches_golden_digests(preset, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--seed", "5", "--cohort", "3", "--profile", preset,
+                 "--format", "json", "--out", "out"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8"))
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(tmp_path).as_posix().encode("utf-8") + b"\0")
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == _GOLDEN_CLI[preset]
