@@ -70,6 +70,7 @@ from .scoring import (
     score_planning,
     score_prompt_cascade,
     score_recognition,
+    score_session,
     score_visual_attention,
     scorecard_to_dict,
 )

@@ -33,7 +33,7 @@ from .config import (
     validate_domain_mapping,
 )
 from .scenario import EngineError
-from .scoring import aggregate_scorecard, scorecard_to_dict
+from .scoring import aggregate_scorecard, score_session, scorecard_to_dict
 from .sessionlog import (
     LogError,
     deserialize_log,
@@ -43,8 +43,8 @@ from .sessionlog import (
 from .simulate import (
     PROFILE_PRESETS,
     ParticipantProfile,
+    _simulate,
     load_profile,
-    simulate_session,
 )
 from .vrnq import (
     CUTOFFS,
@@ -164,8 +164,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     outputs: dict[str, str] = {}
     summaries: list[dict[str, Any]] = []
     for index, seed in enumerate(seeds):
-        log = simulate_session(profile, seed, cfg)
-        card = aggregate_scorecard(log, cfg)
+        # score from the simulator's own final state: no second engine pass
+        log, final_state = _simulate(profile, seed, cfg, cfg_hash)
+        card = score_session(log, final_state, cfg)
         report = export_report(card, cfg, seed, cfg_hash)
         suffix = "" if count == 1 else f"_{index:03d}"
         log_path = os.path.join(args.out, f"session{suffix}.ndjson")
@@ -174,13 +175,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _write_bytes(report_path, report.encode("utf-8"))
         outputs[f"log_{index:03d}"] = log_path
         outputs[f"report_{index:03d}"] = report_path
-        summaries.append({
-            "seed": seed,
-            "events": len(log.events),
-            "log": log_path,
-            "report": report_path,
-            "scorecard": scorecard_to_dict(card),
-        })
+        summary = {"seed": seed, "events": len(log.events),
+                   "log": log_path, "report": report_path}
+        if args.format == "json":  # text mode never prints the scorecard
+            summary["scorecard"] = scorecard_to_dict(card)
+        summaries.append(summary)
 
     manifest = _manifest(
         "simulate",

@@ -3,8 +3,10 @@
 Each scorer is a pure function over task-level inputs; none of them touch a
 log.  :func:`aggregate_scorecard` bridges the two worlds: it replays a full
 session log through the scenario engine (rejecting anything the engine
-rejects), folds the events into task inputs, and applies every scorer with
-the :class:`~errandlab.config.ScoringConfig` in force.
+rejects), then :func:`score_session` folds the events into task inputs and
+applies every scorer with the :class:`~errandlab.config.ScoringConfig` in
+force.  The simulator, which already holds the engine's final state, calls
+:func:`score_session` directly.
 
 Scoring summary:
 
@@ -31,7 +33,6 @@ Scoring summary:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable, Mapping, Optional, Sequence
@@ -49,6 +50,7 @@ from .scenario import (
     ROUTE_UNIT_COUNT,
     SHOPPING_LIST_LENGTH,
     SIDES,
+    SessionState,
     TriggerKind,
     VISUAL_STIMULUS_KINDS,
     replay,
@@ -486,6 +488,19 @@ def aggregate_scorecard(log: SessionLog, config: ScoringConfig) -> TaskScorecard
         final_state, _ = replay(log.events)
     except EngineError as exc:
         raise MalformedLog(f"log rejected by the scenario engine: {exc}") from exc
+    return score_session(log, final_state, config)
+
+
+def score_session(log: SessionLog, final_state: SessionState,
+                  config: ScoringConfig) -> TaskScorecard:
+    """Score every task of an engine-accepted log from its final state.
+
+    ``final_state`` must be the state the engine ends in after ``log.events``
+    (what :func:`~errandlab.scenario.replay` returns); the simulator holds it
+    already, so a simulated session is scored without a second engine pass.
+    Raises :class:`IncompleteSession` if that state never reached the
+    scenario's final button.
+    """
     if not final_state.completed:
         raise IncompleteSession("log ends before the scenario's final button")
     telemetry = derive_telemetry(log)
@@ -575,15 +590,23 @@ def aggregate_scorecard(log: SessionLog, config: ScoringConfig) -> TaskScorecard
 def scorecard_to_dict(card: TaskScorecard) -> dict:
     """JSON-native rendering of a scorecard, telemetry included.
 
-    Tuples become lists and the telemetry's int scene keys become strings,
-    so the result sorts and compares as its JSON text reads back.
+    Every dataclass becomes a dict of its fields, every tuple a list and
+    every key a string (the telemetry's scene ids are ints), so the result
+    sorts and compares as its JSON text reads back.
     """
-    data = dataclasses.asdict(card)
-    data["notes_intent"] = list(card.notes_intent)
-    telemetry = data["telemetry"]
-    for name, value in telemetry.items():
-        if isinstance(value, tuple):
-            telemetry[name] = list(value)
-        elif isinstance(value, dict):
-            telemetry[name] = {str(k): v for k, v in value.items()}
-    return data
+    return _json_native(card)
+
+
+_JSON_LEAVES = (str, int, float, type(None))  # bool is an int
+
+
+def _json_native(value: Any) -> Any:
+    # A walk over the dataclass fields that shares the leaves instead of
+    # deep-copying them the way dataclasses.asdict does.
+    if isinstance(value, _JSON_LEAVES):
+        return value
+    if isinstance(value, dict):
+        return {str(key): _json_native(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json_native(item) for item in value]
+    return {name: _json_native(item) for name, item in vars(value).items()}

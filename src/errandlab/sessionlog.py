@@ -111,8 +111,9 @@ def log_from_events(events: Iterable[SessionEvent], seed: Optional[int] = None,
     return SessionLog(seed=seed, config_hash=config_hash, events=tuple(collected))
 
 
-def _dumps(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# One encoder for every line: json.dumps with these options builds a new
+# JSONEncoder per call, and a log has one line per event.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def serialize_log(log: SessionLog) -> bytes:

@@ -51,7 +51,7 @@ from .scenario import (
     initial_state,
     scene_sequence,
 )
-from .scoring import TaskScorecard, aggregate_scorecard
+from .scoring import TaskScorecard, score_session
 from .sessionlog import SessionLog, log_from_events
 
 
@@ -505,8 +505,16 @@ def simulate_session(profile: ParticipantProfile, seed: int,
     the engine with zero errors and scores without raising.
     """
     cfg = config if config is not None else default_config()
-    builder = _SessionBuilder(profile, cfg)
-    scale = cfg.session_target_s / 3732.0
+    log, _ = _simulate(profile, seed, cfg, config_hash(cfg))
+    return log
+
+
+def _simulate(profile: ParticipantProfile, seed: int, config: ScoringConfig,
+              cfg_hash: str) -> tuple[SessionLog, SessionState]:
+    # The log stamped with the caller's hash of ``config``, and the state the
+    # engine ends in after its events: what replaying the log would return.
+    builder = _SessionBuilder(profile, config)
+    scale = config.session_target_s / 3732.0
     stream_seed = seed & 0xFFFFFFFFFFFFFFFF
 
     for descriptor in scene_sequence():
@@ -516,7 +524,8 @@ def simulate_session(profile: ParticipantProfile, seed: int,
         duration_ms = max(1_000, int(_NOMINAL_DURATION_S[sid] * scale * 1000))
         _SCENE_MODELS[sid](builder, duration_ms)
 
-    return log_from_events(builder.events, seed=seed, config_hash=config_hash(cfg))
+    log = log_from_events(builder.events, seed=seed, config_hash=cfg_hash)
+    return log, builder.state
 
 
 def simulate_cohort(profiles: Sequence[ParticipantProfile], seeds: Sequence[int],
@@ -524,14 +533,17 @@ def simulate_cohort(profiles: Sequence[ParticipantProfile], seeds: Sequence[int]
                     ) -> list[tuple[SessionLog, TaskScorecard]]:
     """Simulate and score independent sessions, order-stable.
 
-    Raises :class:`LengthMismatch` when the input lists differ in length.
+    Each session is scored from the engine state the simulator ends in, with
+    no replay, and the config is hashed once for the whole cohort.  Raises
+    :class:`LengthMismatch` when the input lists differ in length.
     """
     if len(profiles) != len(seeds):
         raise LengthMismatch(
             f"{len(profiles)} profiles vs {len(seeds)} seeds")
     cfg = config if config is not None else default_config()
+    cfg_hash = config_hash(cfg)
     out: list[tuple[SessionLog, TaskScorecard]] = []
     for profile, seed in zip(profiles, seeds):
-        log = simulate_session(profile, seed, cfg)
-        out.append((log, aggregate_scorecard(log, cfg)))
+        log, final_state = _simulate(profile, seed, cfg, cfg_hash)
+        out.append((log, score_session(log, final_state, cfg)))
     return out

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import errandlab.config
+import errandlab.scenario
+import errandlab.scoring
+import errandlab.sessionlog
 from errandlab.cli import main
 from errandlab.config import config_hash, default_config
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
@@ -281,6 +286,50 @@ class TestVrnqCompareCommand:
         assert excinfo.value.code == 2
 
 
+def _count_calls(monkeypatch, module, name):
+    """Record a call of ``module.name`` through every errandlab module holding it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, holder in list(sys.modules.items()):
+        if (module_name.partition(".")[0] == "errandlab"
+                and getattr(holder, name, None) is original):
+            monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
+class TestCallCounts:
+    @pytest.mark.parametrize("fmt, scorecards", [("text", 0), ("json", 4)])
+    def test_cohort_hashes_once_and_never_replays(self, tmp_path, monkeypatch,
+                                                  fmt, scorecards):
+        hashes = _count_calls(monkeypatch, errandlab.config, "config_hash")
+        replays = _count_calls(monkeypatch, errandlab.scenario, "replay")
+        dicts = _count_calls(monkeypatch, errandlab.scoring, "scorecard_to_dict")
+        assert main(["simulate", "--seed", "2", "--cohort", "4", "--format", fmt,
+                     "--out", str(tmp_path / "run")]) == 0
+        assert (len(hashes), len(replays), len(dicts)) == (1, 0, scorecards)
+
+    def test_score_replays_and_derives_telemetry_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["simulate", "--seed", "2", "--out", str(out)]) == 0
+        replays = _count_calls(monkeypatch, errandlab.scenario, "replay")
+        telemetry = _count_calls(monkeypatch, errandlab.sessionlog, "derive_telemetry")
+        assert main(["score", "--log", str(out / "session.ndjson")]) == 0
+        assert (len(replays), len(telemetry)) == (1, 1)
+
+
+def _subprocess_env():
+    """The environment with the tested errandlab first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(errandlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoints:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -297,7 +346,7 @@ class TestEntryPoints:
         result = subprocess.run(
             [sys.executable, "-c",
              "import sys, errandlab.cli; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_subprocess_env())
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
@@ -305,6 +354,6 @@ class TestEntryPoints:
         result = subprocess.run(
             [sys.executable, "-m", "errandlab", "simulate", "--seed", "4",
              "--out", str(tmp_path / "run")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_subprocess_env())
         assert result.returncode == 0
         assert (tmp_path / "run" / "session.ndjson").exists()

@@ -6,7 +6,9 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from errandlab import sessionlog
 from errandlab.config import DEFAULT_BAND_POINTS
 from errandlab.scenario import EventKind, SessionEvent
 from errandlab.scoring import aggregate_scorecard
@@ -148,6 +150,63 @@ class TestSerialization:
         data = head + b"\n" + line + b"\n" + line + b"\n" + rest
         with pytest.raises((ParseError, MonotonicityViolation)):
             deserialize_log(data)
+
+
+# Text that leans on what JSON must escape or may pass through: quotes,
+# backslashes, control characters, line separators and non-ASCII.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\u2028é漢😀'),
+                          st.characters()), max_size=8)
+_NUMBER = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+_PAYLOADS = st.one_of(
+    st.just((EventKind.SCENE_ENTERED, {})),
+    st.fixed_dictionaries({"item": _TEXT, "cook_time_s": _NUMBER}).map(
+        lambda p: (EventKind.COOKING_ITEM_PLACED, p)),
+    st.fixed_dictionaries({"stimulus_id": _TEXT, "stimulus_kind": _TEXT,
+                           "stimulus_side": _TEXT,
+                           "response_side": st.none() | _TEXT}).map(
+        lambda p: (EventKind.SOUND_TRIGGERED, p)),
+    st.fixed_dictionaries({"prompt_index": st.integers(), "yes": st.booleans()}).map(
+        lambda p: (EventKind.NOTES_INTENT_ANSWERED, p)),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def _logs(draw):
+    events, time_ms = [], 0
+    for seq, (kind, payload) in enumerate(draw(st.lists(_PAYLOADS, max_size=12))):
+        time_ms += draw(st.integers(0, 10**6))
+        events.append(SessionEvent(seq=seq, sim_time_ms=time_ms,
+                                   scene=draw(st.integers(1, 22)),
+                                   kind=kind, payload=payload))
+    return log_from_events(events, seed=draw(st.none() | st.integers()),
+                           config_hash=draw(st.none() | _TEXT))
+
+
+class TestEncoderProperties:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(log=_logs())
+    def test_lines_equal_json_dumps_and_round_trip(self, log):
+        data = serialize_log(log)
+        records = [{"kind": "header", "schema": SCHEMA_NAME, "version": SCHEMA_VERSION,
+                    "seed": log.seed, "config_hash": log.config_hash}]
+        records += [{"seq": e.seq, "sim_time_ms": e.sim_time_ms, "scene": e.scene,
+                     "kind": e.kind.value, "payload": e.payload} for e in log.events]
+        assert data.decode("utf-8").split("\n") == [*map(_canonical, records), ""]
+        parsed = deserialize_log(data)
+        assert serialize_log(parsed) == data
+        assert parsed == log
+
+    # Event payloads hold scalars only, so nested lists and objects reach the
+    # shared encoder through this check alone.
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(value=_JSON)
+    def test_shared_encoder_equals_json_dumps(self, value):
+        assert sessionlog._dumps(value) == _canonical(value)
 
 
 class TestFieldTypes:
