@@ -6,27 +6,17 @@ append-only session logs and reports (:mod:`errandlab.sessionlog`),
 questionnaire psychometrics (:mod:`errandlab.vrnq`), Bayesian paired
 comparisons (:mod:`errandlab.bayes`), a seeded participant simulator
 (:mod:`errandlab.simulate`), and a CLI (:mod:`errandlab.cli`).
+
+The :mod:`errandlab.bayes` names are re-exported lazily (PEP 562), so that
+importing the package or its CLI loads neither scipy nor numpy.
 """
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .bayes import (
-    BayesComparison,
-    DegenerateSample,
-    Direction,
-    EvidenceBand,
-    IntegrationFailure,
-    PairedSample,
-    TTestResult,
-    bf10_directional,
-    classify_evidence,
-    compare_paired,
-    evidence_stars,
-    nct_logpdf,
-    paired_t,
-)
 from .config import (
     ConfigError,
     ScoringConfig,
@@ -113,3 +103,23 @@ from .vrnq import (
     score_vrnq,
     write_cohort_csv,
 )
+
+_BAYES_NAMES = frozenset({
+    "BayesComparison", "DegenerateSample", "Direction", "EvidenceBand",
+    "IntegrationFailure", "PairedSample", "TTestResult", "bf10_directional",
+    "classify_evidence", "compare_paired", "evidence_stars", "nct_logpdf",
+    "paired_t",
+})
+
+
+def __getattr__(name: str):
+    # import_module, not ``from . import bayes``: the latter asks this hook
+    # for "bayes" before importing it, and would recurse
+    if name == "bayes" or name in _BAYES_NAMES:
+        bayes = importlib.import_module(f"{__name__}.bayes")
+        return bayes if name == "bayes" else getattr(bayes, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _BAYES_NAMES)

@@ -5,7 +5,8 @@ output paths, seeds, config hash, tool version) so the run can be reproduced
 from the manifest alone.  Manifests carry no timestamps: identical
 invocations produce identical manifests.
 
-Exit codes: 0 success, 2 configuration problem, 3 I/O problem (message names
+Exit codes: 0 success, 1 a Bayes factor that cannot be computed to the
+required accuracy, 2 configuration problem, 3 I/O problem (message names
 the path), 4 rejected or incomplete session log, 5 malformed response CSV.
 """
 
@@ -18,12 +19,6 @@ import sys
 from typing import Any, Optional, Sequence
 
 from . import __version__
-from .bayes import (
-    DegenerateSample,
-    Direction,
-    IntegrationFailure,
-    compare_paired,
-)
 from .config import (
     ConfigError,
     ScoringConfig,
@@ -60,12 +55,6 @@ _EXIT_CONFIG = 2
 _EXIT_IO = 3
 _EXIT_LOG = 4
 _EXIT_CSV = 5
-
-_DIRECTIONS = {
-    "less": Direction.A_LESS,
-    "greater": Direction.A_GREATER,
-    "two-sided": Direction.TWO_SIDED,
-}
 
 
 class _CliIOError(Exception):
@@ -341,16 +330,19 @@ def _paired_columns(baseline, revised, mapping) -> dict[str, tuple[list, list]]:
 
 
 def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
+    # scipy costs most of a cold start; only this command needs it
+    from . import bayes
+
     mapping = _load_domains_arg(args)
     baseline = _read_cohort_arg(args.baseline)
     revised = _read_cohort_arg(args.revised)
-    direction = _DIRECTIONS[args.direction]
+    direction = bayes.Direction(args.direction)
     columns = _paired_columns(baseline, revised, mapping)
 
     rows: list[dict[str, Any]] = []
     for name, (col_a, col_b) in columns.items():
         try:
-            cmp_result = compare_paired(
+            cmp_result = bayes.compare_paired(
                 col_a, col_b, direction=direction,
                 prior_scale=args.prior_scale, label=name)
             rows.append({
@@ -360,12 +352,15 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
                 "stars": cmp_result.stars, "degenerate": False,
                 "bf10_rel_err": cmp_result.bf10_rel_err,
             })
-        except DegenerateSample:
+        except bayes.DegenerateSample:
             rows.append({
                 "score": name, "n": len(col_a), "t": None, "df": len(col_a) - 1,
                 "p": None, "bf10": None, "band": None, "stars": "",
                 "degenerate": True, "bf10_rel_err": None,
             })
+        except bayes.IntegrationFailure as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
     hypothesis = {
         "less": "baseline < revised",
@@ -375,7 +370,8 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
     lines = [
         f"paired comparison, alternative: {hypothesis} "
         f"(direction {args.direction}, prior scale {args.prior_scale:g})",
-        f"{'score':<18} {'n':>3}  {'t':>8}  {'p':>9}  {'BF10':>12}  evidence",
+        f"{'score':<18} {'n':>3}  {'t':>8}  {'p':>9}  {'BF10':>12}  "
+        f"{'bf10_rel_err':>12}  evidence",
     ]
     for row in rows:
         if row["degenerate"]:
@@ -385,7 +381,8 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
             evidence = row["band"] + (f" {row['stars']}" if row["stars"] else "")
             lines.append(
                 f"{row['score']:<18} {row['n']:>3}  {row['t']:>8.3f}  "
-                f"{row['p']:>9.4g}  {row['bf10']:>12.3f}  {evidence}")
+                f"{row['p']:>9.4g}  {row['bf10']:>12.3f}  "
+                f"{row['bf10_rel_err']:>12.1e}  {evidence}")
 
     outputs: dict[str, str] = {}
     if args.out:
@@ -465,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_vcmp = vrnq_sub.add_parser("compare", help="paired Bayesian comparison")
     p_vcmp.add_argument("--baseline", required=True, help="baseline cohort CSV")
     p_vcmp.add_argument("--revised", required=True, help="revised cohort CSV")
-    p_vcmp.add_argument("--direction", choices=tuple(_DIRECTIONS),
+    p_vcmp.add_argument("--direction",
+                        choices=("less", "greater", "two-sided"),
                         default="less")
     p_vcmp.add_argument("--prior-scale", type=float, default=0.707,
                         dest="prior_scale")
@@ -494,9 +492,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VrnqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CSV
-    except IntegrationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

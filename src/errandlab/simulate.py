@@ -24,9 +24,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from .config import ScoringConfig, config_hash, default_config
 from .scenario import (
@@ -53,6 +51,9 @@ from .scenario import (
 )
 from .scoring import TaskScorecard, score_session
 from .sessionlog import SessionLog, log_from_events
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class LengthMismatch(Exception):
@@ -189,6 +190,8 @@ def save_profile(profile: ParticipantProfile, path: str) -> None:
 class _SessionBuilder:
     """Feeds events through the engine while tracking a millisecond cursor."""
 
+    rng: np.random.Generator  # the current scene's stream, set by enter()
+
     def __init__(self, profile: ParticipantProfile, config: ScoringConfig) -> None:
         self.profile = profile
         self.config = config
@@ -196,7 +199,6 @@ class _SessionBuilder:
         self.events: list[SessionEvent] = []
         self.cursor_ms = 0
         self.scene_entry_ms = 0
-        self.rng: np.random.Generator = np.random.default_rng(0)
 
     def latency_ms(self) -> int:
         raw = (self.profile.latency_mean_ms
@@ -513,6 +515,8 @@ def _simulate(profile: ParticipantProfile, seed: int, config: ScoringConfig,
               cfg_hash: str) -> tuple[SessionLog, SessionState]:
     # The log stamped with the caller's hash of ``config``, and the state the
     # engine ends in after its events: what replaying the log would return.
+    import numpy as np  # here, so that importing the package skips numpy
+
     builder = _SessionBuilder(profile, config)
     scale = config.session_target_s / 3732.0
     stream_seed = seed & 0xFFFFFFFFFFFFFFFF

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -7,14 +8,17 @@ import sys
 
 import pytest
 
+import errandlab
+import errandlab.bayes
 import errandlab.config
 import errandlab.scenario
 import errandlab.scoring
 import errandlab.sessionlog
-from errandlab.cli import main
+from errandlab.bayes import Direction, IntegrationFailure
+from errandlab.cli import build_parser, main
 from errandlab.config import config_hash, default_config
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
-from errandlab.sessionlog import deserialize_log
+from errandlab.sessionlog import deserialize_log, serialize_log
 from errandlab.simulate import default_profile, simulate_session
 from errandlab.vrnq import CSV_COLUMNS, VrnqResponseSet, write_cohort_csv
 
@@ -285,6 +289,45 @@ class TestVrnqCompareCommand:
                   "--revised", str(revised), "--direction", "sideways"])
         assert excinfo.value.code == 2
 
+    def test_direction_choices_are_the_direction_values(self):
+        # the parser spells the choices out so that it need not import bayes
+        def subcommand(parser, name):
+            action = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+            return action.choices[name]
+
+        compare = subcommand(subcommand(build_parser(), "vrnq"), "compare")
+        direction = next(a for a in compare._actions if a.dest == "direction")
+        assert tuple(direction.choices) == tuple(d.value for d in Direction)
+
+    def test_text_table_shows_bf10_rel_err(self, tmp_path, capsys):
+        baseline, revised = self._paired_csvs(tmp_path, shift=20)
+        argv = ["vrnq", "compare", "--baseline", str(baseline),
+                "--revised", str(revised)]
+        assert main(argv + ["--format", "json"]) == 0
+        total = json.loads(capsys.readouterr().out)["rows"][0]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["score", "n", "t", "p", "BF10",
+                                    "bf10_rel_err", "evidence"]
+        row = lines[2].split()
+        assert row[0] == "Total"
+        assert row[5] == f"{total['bf10_rel_err']:.1e}"
+
+    def test_integration_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise IntegrationFailure("quadrature did not converge")
+
+        monkeypatch.setattr(errandlab.bayes, "compare_paired", failing)
+        baseline, revised = self._paired_csvs(tmp_path, shift=20)
+        code = main(["vrnq", "compare", "--baseline", str(baseline),
+                     "--revised", str(revised), "--out", str(tmp_path / "cmp")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: quadrature did not converge\n"
+        assert captured.out == ""
+        assert not (tmp_path / "cmp").exists()
+
 
 def _count_calls(monkeypatch, module, name):
     """Record a call of ``module.name`` through every errandlab module holding it."""
@@ -330,6 +373,17 @@ def _subprocess_env():
     return env
 
 
+def _heavy_modules_after(code):
+    """The scipy, numpy and errandlab.bayes modules loaded after ``code``."""
+    result = subprocess.run(
+        [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps(sorted("
+         "m for m in sys.modules if m.partition('.')[0] in ('scipy', 'numpy')"
+         " or m == 'errandlab.bayes')))"],
+        capture_output=True, text=True, env=_subprocess_env())
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
 class TestEntryPoints:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -343,12 +397,20 @@ class TestEntryPoints:
         assert excinfo.value.code == 2
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, errandlab.cli; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True, env=_subprocess_env())
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert _heavy_modules_after("import errandlab.cli") == []
+
+    def test_package_import_leaves_scipy_and_numpy_unloaded(self):
+        assert _heavy_modules_after("import errandlab") == []
+
+    def test_score_leaves_scipy_and_numpy_unloaded(self, tmp_path):
+        log_path = tmp_path / "session.ndjson"
+        log_path.write_bytes(serialize_log(simulate_session(default_profile(), 2)))
+        assert _heavy_modules_after(
+            "import contextlib, io\n"
+            "from errandlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['score', '--log', {str(log_path)!r}]) == 0\n"
+        ) == []
 
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
@@ -357,3 +419,28 @@ class TestEntryPoints:
             capture_output=True, text=True, env=_subprocess_env())
         assert result.returncode == 0
         assert (tmp_path / "run" / "session.ndjson").exists()
+
+
+_BAYES_NAMES = (
+    "BayesComparison", "DegenerateSample", "Direction", "EvidenceBand",
+    "IntegrationFailure", "PairedSample", "TTestResult", "bf10_directional",
+    "classify_evidence", "compare_paired", "evidence_stars", "nct_logpdf",
+    "paired_t",
+)
+
+
+class TestLazyBayesExports:
+    @pytest.mark.parametrize("name", _BAYES_NAMES)
+    def test_name_resolves_to_the_bayes_object(self, name):
+        assert getattr(errandlab, name) is getattr(errandlab.bayes, name)
+        assert name in dir(errandlab)
+
+    def test_first_use_imports_bayes(self):
+        loaded = _heavy_modules_after(
+            "import errandlab\n"
+            "assert errandlab.bayes.Direction is errandlab.Direction\n")
+        assert "errandlab.bayes" in loaded
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            errandlab.no_such_name
