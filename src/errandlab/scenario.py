@@ -304,16 +304,20 @@ AUDITORY_STIMULUS_KINDS = ("target", "high_pitch_distractor", "low_pitch_distrac
 SIDES = ("left", "right")
 
 
+# The field names of each kind's payload, for one comparison per event.
+_PAYLOAD_KEYS: dict[EventKind, frozenset[str]] = {
+    kind: frozenset(schema) for kind, schema in _PAYLOAD_FIELDS.items()}
+
+
 def validate_payload(kind: EventKind, payload: dict[str, Any]) -> None:
     """Check a payload against the fixed schema for its event kind."""
-    schema = _PAYLOAD_FIELDS[kind]
-    extra = set(payload) - set(schema)
-    missing = set(schema) - set(payload)
-    if extra or missing:
+    if payload.keys() != _PAYLOAD_KEYS[kind]:
+        extra = set(payload) - _PAYLOAD_KEYS[kind]
+        missing = _PAYLOAD_KEYS[kind] - set(payload)
         raise ValueError(
             f"{kind.value} payload has wrong fields "
             f"(missing={sorted(missing)}, unexpected={sorted(extra)})")
-    for name, types in schema.items():
+    for name, types in _PAYLOAD_FIELDS[kind].items():
         value = payload[name]
         # bool is an int subclass; keep the two apart.
         if isinstance(value, bool) and bool not in types:
@@ -325,7 +329,7 @@ def validate_payload(kind: EventKind, payload: dict[str, Any]) -> None:
             raise ValueError(f"{kind.value}.{name} must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionEvent:
     """One timestamped, scene-stamped record of something the user did."""
 
@@ -336,12 +340,13 @@ class SessionEvent:
     payload: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("seq", "sim_time_ms", "scene"):
-            value = getattr(self, name)
-            # bool is an int subclass; keep the two apart.
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(
-                    f"{name} must be an integer, not {type(value).__name__}")
+        if not (type(self.seq) is type(self.sim_time_ms) is type(self.scene) is int):
+            for name in ("seq", "sim_time_ms", "scene"):
+                value = getattr(self, name)
+                # bool is an int subclass; keep the two apart.
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise TypeError(
+                        f"{name} must be an integer, not {type(value).__name__}")
         if self.seq < 0:
             raise ValueError("seq must be non-negative")
         if self.sim_time_ms < 0:
@@ -626,192 +631,263 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
     if state.armed_to is not None and kind is not EventKind.KEYS_GIVEN:
         raise InvalidEvent(
             f"scene {sid} already resolved; only SceneExited is valid")
-    if kind in EVENT_SCENES and sid not in EVENT_SCENES[kind]:
+    scenes = EVENT_SCENES.get(kind)
+    if scenes is not None and sid not in scenes:
         raise InvalidEvent(f"{kind.value} does not occur in scene {sid}")
 
-    if kind is EventKind.TUTORIAL_COMPLETED:
-        if state.tutorial_done:
-            raise InvalidEvent(f"tutorial {sid} already completed")
-        state.tutorial_done = True
+    _HANDLERS[kind](state, event, effects, sid)
+    state.sim_clock_ms = event.sim_time_ms
+
+
+# One handler per scene-specific event kind: (state, event, effects, scene
+# id) -> None.  Each runs after _apply's common checks, mutates the state in
+# place and appends its effects.
+
+
+def _on_tutorial_completed(state: SessionState, event: SessionEvent,
+                           effects: list[Effect], sid: int) -> None:
+    if state.tutorial_done:
+        raise InvalidEvent(f"tutorial {sid} already completed")
+    state.tutorial_done = True
+    _resolve(state, effects)
+
+
+def _on_practice_attempt(state: SessionState, event: SessionEvent,
+                         effects: list[Effect], sid: int) -> None:
+    try:
+        result = practice_gate(sid, event.payload["targets_hit"],
+                               event.payload["distractors_hit"])
+    except ValueError as exc:
+        raise InvalidEvent(str(exc)) from exc
+    attempts = state.practice_attempts.get(sid, 0) + 1
+    state.practice_attempts[sid] = attempts
+    if result is GateResult.PASS:
+        effects.append(PracticePassed(sid, attempts))
         _resolve(state, effects)
+    else:
+        effects.append(PracticeRetry(sid, attempts))
 
-    elif kind is EventKind.PRACTICE_ATTEMPT:
-        try:
-            result = practice_gate(sid, event.payload["targets_hit"],
-                                   event.payload["distractors_hit"])
-        except ValueError as exc:
-            raise InvalidEvent(str(exc)) from exc
-        attempts = state.practice_attempts.get(sid, 0) + 1
-        state.practice_attempts[sid] = attempts
-        if result is GateResult.PASS:
-            effects.append(PracticePassed(sid, attempts))
-            _resolve(state, effects)
-        else:
-            effects.append(PracticeRetry(sid, attempts))
 
-    elif kind is EventKind.NOTES_INTENT_ANSWERED:
-        expected = state.notes_prompts_answered + 1
-        if event.payload["prompt_index"] != expected or expected > 3:
-            raise InvalidEvent(
-                f"notes-intent prompt {event.payload['prompt_index']} "
-                f"out of order (expected {expected})")
-        state.notes_prompts_answered = expected
+def _on_notes_intent_answered(state: SessionState, event: SessionEvent,
+                              effects: list[Effect], sid: int) -> None:
+    expected = state.notes_prompts_answered + 1
+    if event.payload["prompt_index"] != expected or expected > 3:
+        raise InvalidEvent(
+            f"notes-intent prompt {event.payload['prompt_index']} "
+            f"out of order (expected {expected})")
+    state.notes_prompts_answered = expected
 
-    elif kind is EventKind.ITEM_SELECTED:
-        # Scene 3 fills the list board; scene 8 grabs are free-form, and
-        # re-grab attempts are legitimate errors.
-        item = event.payload["item"]
-        if sid == 3:
-            if item in state.selections:
-                raise InvalidEvent(f"item {item!r} already selected")
-            if len(state.selections) >= SHOPPING_LIST_LENGTH:
-                raise InvalidEvent(
-                    f"the list board holds {SHOPPING_LIST_LENGTH} items")
-            state.selections.add(item)
 
-    elif kind is EventKind.ROUTE_UNIT_TOGGLED:
-        if state.route_submitted:
-            raise InvalidEvent("route already submitted")
-        unit = event.payload["unit"]
-        if not 1 <= unit <= ROUTE_UNIT_COUNT:
-            raise InvalidEvent(f"street unit {unit} out of range")
-        if event.payload["selected"]:
-            if unit in state.route_selected:
-                raise InvalidEvent(f"street unit {unit} already selected")
-            state.route_selected.add(unit)
-        else:
-            if unit not in state.route_selected:
-                raise InvalidEvent(f"street unit {unit} not selected")
-            state.route_selected.discard(unit)
-
-    elif kind is EventKind.ROUTE_SUBMITTED:
-        if state.route_submitted:
-            raise InvalidEvent("route already submitted")
-        state.route_submitted = True
-
-    elif kind is EventKind.COOKING_ITEM_PLACED:
-        item = event.payload["item"]
-        if item not in COOKING_ITEMS:
-            raise InvalidEvent(f"unknown cooking item {item!r}")
-        if item in state.cooked_items:
-            raise InvalidEvent(f"{item} already placed on the worktop")
-        if event.payload["cook_time_s"] < 0:
-            raise InvalidEvent("cook_time_s must be non-negative")
-        state.cooked_items.add(item)
-
-    elif kind is EventKind.FINAL_BUTTON_PRESSED:
-        if sid == 6:
-            _cascade_press(state, PM_TASKS[sid], effects)
-        elif sid == 14:
-            _resolve(state, effects)
-        else:  # the finale
-            task = PM_TASKS[sid]
-            if task.task_id not in state.pm_action_done:
-                state.pm_done_depth[task.task_id] = 4
-            state.completed = True
-            effects.append(SessionComplete())
-
-    elif kind is EventKind.EXIT_ATTEMPTED:
-        _cascade_press(state, PM_TASKS[sid], effects)
-
-    elif kind in (EventKind.MEDICATION_TAKEN, EventKind.PIE_REMOVED):
-        _pm_action(state, PM_TASKS[sid])
-
-    elif kind is EventKind.NOTE_OPENED:
-        if state.note_open:
-            raise InvalidEvent("notes already open")
-        state.note_open = True
-
-    elif kind is EventKind.NOTE_CLOSED:
-        if not state.note_open:
-            raise InvalidEvent("notes are not open")
-        state.note_open = False
-
-    elif kind is EventKind.NPC_PROMPT_ANSWERED:
-        if state.awaiting_choice:
-            raise InvalidEvent("answer already given; choose an item")
-        task = PM_TASKS[sid]
-        expected = state.npc_answered + 1
-        if event.payload["prompt_index"] != expected or expected > 3:
-            raise InvalidEvent(
-                f"conversation prompt {event.payload['prompt_index']} "
-                f"out of order (expected {expected})")
-        state.npc_answered = expected
-        if event.payload["yes"]:
-            state.npc_affirmed_at[task.task_id] = expected
-            if task.polarity is PmPolarity.POSITIVE:
-                state.awaiting_choice = True
-            else:
-                _resolve(state, effects)
-        elif expected < 3:
-            depth = expected + 1
-            state.prompt_depth[task.task_id] = depth
-            effects.append(PromptShown(task.task_id, depth,
-                                       task.cascade.prompt_texts[depth - 1]))
-        else:
-            state.npc_affirmed_at[task.task_id] = 0
-            _resolve(state, effects)
-
-    elif kind is EventKind.NPC_ITEM_CHOSEN:
-        if not state.awaiting_choice:
-            raise InvalidEvent("no item board is showing")
-        choice = event.payload["choice"]
-        if choice not in {c.value for c in NpcChoice}:
-            raise InvalidEvent(f"unknown board choice {choice!r}")
-        task = PM_TASKS[sid]
-        state.npc_choice[task.task_id] = choice
-        state.awaiting_choice = False
-        _resolve(state, effects)
-
-    elif kind is EventKind.POSTER_SPOTTED:
-        if event.payload["stimulus_kind"] not in VISUAL_STIMULUS_KINDS:
-            raise InvalidEvent(
-                f"unknown poster kind {event.payload['stimulus_kind']!r}")
-        if event.payload["side"] not in SIDES:
-            raise InvalidEvent(f"unknown side {event.payload['side']!r}")
-        stim = event.payload["stimulus_id"]
-        if stim in state.spotted_ids:
-            raise InvalidEvent(f"stimulus {stim!r} already spotted")
-        state.spotted_ids.add(stim)
-
-    elif kind is EventKind.SOUND_TRIGGERED:
-        if event.payload["stimulus_kind"] not in AUDITORY_STIMULUS_KINDS:
-            raise InvalidEvent(
-                f"unknown sound kind {event.payload['stimulus_kind']!r}")
-        if event.payload["stimulus_side"] not in SIDES:
-            raise InvalidEvent(f"unknown side {event.payload['stimulus_side']!r}")
-        if event.payload["response_side"] not in (None, "left", "right"):
-            raise InvalidEvent(
-                f"unknown response side {event.payload['response_side']!r}")
-        stim = event.payload["stimulus_id"]
-        if stim in state.spotted_ids:
-            raise InvalidEvent(f"stimulus {stim!r} already recorded")
-        state.spotted_ids.add(stim)
-
-    elif kind is EventKind.SHOPPING_COLLECTED:
-        item = event.payload["item"]
+def _on_item_selected(state: SessionState, event: SessionEvent,
+                      effects: list[Effect], sid: int) -> None:
+    # Scene 3 fills the list board; scene 8 grabs are free-form, and
+    # re-grab attempts are legitimate errors.
+    item = event.payload["item"]
+    if sid == 3:
         if item in state.selections:
-            raise InvalidEvent(f"item {item!r} already in the basket")
+            raise InvalidEvent(f"item {item!r} already selected")
         if len(state.selections) >= SHOPPING_LIST_LENGTH:
             raise InvalidEvent(
-                f"the basket holds {SHOPPING_LIST_LENGTH} items")
+                f"the list board holds {SHOPPING_LIST_LENGTH} items")
         state.selections.add(item)
 
-    elif kind is EventKind.KEYS_GIVEN:
-        if state.keys_given:
-            raise InvalidEvent("keys already handed over")
-        state.keys_given = True
 
-    elif kind is EventKind.ITEM_STOWED:
-        item = event.payload["item"]
-        if item in state.selections:
-            raise InvalidEvent(f"item {item!r} already put away")
-        state.selections.add(item)
+def _on_route_unit_toggled(state: SessionState, event: SessionEvent,
+                           effects: list[Effect], sid: int) -> None:
+    if state.route_submitted:
+        raise InvalidEvent("route already submitted")
+    unit = event.payload["unit"]
+    if not 1 <= unit <= ROUTE_UNIT_COUNT:
+        raise InvalidEvent(f"street unit {unit} out of range")
+    if event.payload["selected"]:
+        if unit in state.route_selected:
+            raise InvalidEvent(f"street unit {unit} already selected")
+        state.route_selected.add(unit)
+    else:
+        if unit not in state.route_selected:
+            raise InvalidEvent(f"street unit {unit} not selected")
+        state.route_selected.discard(unit)
 
-    else:  # pragma: no cover - every kind is handled above
-        raise InvalidEvent(f"unhandled event kind {kind}")
 
-    state.sim_clock_ms = event.sim_time_ms
+def _on_route_submitted(state: SessionState, event: SessionEvent,
+                        effects: list[Effect], sid: int) -> None:
+    if state.route_submitted:
+        raise InvalidEvent("route already submitted")
+    state.route_submitted = True
+
+
+def _on_cooking_item_placed(state: SessionState, event: SessionEvent,
+                            effects: list[Effect], sid: int) -> None:
+    item = event.payload["item"]
+    if item not in COOKING_ITEMS:
+        raise InvalidEvent(f"unknown cooking item {item!r}")
+    if item in state.cooked_items:
+        raise InvalidEvent(f"{item} already placed on the worktop")
+    if event.payload["cook_time_s"] < 0:
+        raise InvalidEvent("cook_time_s must be non-negative")
+    state.cooked_items.add(item)
+
+
+def _on_final_button_pressed(state: SessionState, event: SessionEvent,
+                             effects: list[Effect], sid: int) -> None:
+    if sid == 6:
+        _cascade_press(state, PM_TASKS[sid], effects)
+    elif sid == 14:
+        _resolve(state, effects)
+    else:  # the finale
+        task = PM_TASKS[sid]
+        if task.task_id not in state.pm_action_done:
+            state.pm_done_depth[task.task_id] = 4
+        state.completed = True
+        effects.append(SessionComplete())
+
+
+def _on_exit_attempted(state: SessionState, event: SessionEvent,
+                       effects: list[Effect], sid: int) -> None:
+    _cascade_press(state, PM_TASKS[sid], effects)
+
+
+def _on_pm_action(state: SessionState, event: SessionEvent,
+                  effects: list[Effect], sid: int) -> None:
+    _pm_action(state, PM_TASKS[sid])
+
+
+def _on_note_opened(state: SessionState, event: SessionEvent,
+                    effects: list[Effect], sid: int) -> None:
+    if state.note_open:
+        raise InvalidEvent("notes already open")
+    state.note_open = True
+
+
+def _on_note_closed(state: SessionState, event: SessionEvent,
+                    effects: list[Effect], sid: int) -> None:
+    if not state.note_open:
+        raise InvalidEvent("notes are not open")
+    state.note_open = False
+
+
+def _on_npc_prompt_answered(state: SessionState, event: SessionEvent,
+                            effects: list[Effect], sid: int) -> None:
+    if state.awaiting_choice:
+        raise InvalidEvent("answer already given; choose an item")
+    task = PM_TASKS[sid]
+    expected = state.npc_answered + 1
+    if event.payload["prompt_index"] != expected or expected > 3:
+        raise InvalidEvent(
+            f"conversation prompt {event.payload['prompt_index']} "
+            f"out of order (expected {expected})")
+    state.npc_answered = expected
+    if event.payload["yes"]:
+        state.npc_affirmed_at[task.task_id] = expected
+        if task.polarity is PmPolarity.POSITIVE:
+            state.awaiting_choice = True
+        else:
+            _resolve(state, effects)
+    elif expected < 3:
+        depth = expected + 1
+        state.prompt_depth[task.task_id] = depth
+        effects.append(PromptShown(task.task_id, depth,
+                                   task.cascade.prompt_texts[depth - 1]))
+    else:
+        state.npc_affirmed_at[task.task_id] = 0
+        _resolve(state, effects)
+
+
+_NPC_CHOICES = frozenset(c.value for c in NpcChoice)
+
+
+def _on_npc_item_chosen(state: SessionState, event: SessionEvent,
+                        effects: list[Effect], sid: int) -> None:
+    if not state.awaiting_choice:
+        raise InvalidEvent("no item board is showing")
+    choice = event.payload["choice"]
+    if choice not in _NPC_CHOICES:
+        raise InvalidEvent(f"unknown board choice {choice!r}")
+    task = PM_TASKS[sid]
+    state.npc_choice[task.task_id] = choice
+    state.awaiting_choice = False
+    _resolve(state, effects)
+
+
+def _on_poster_spotted(state: SessionState, event: SessionEvent,
+                       effects: list[Effect], sid: int) -> None:
+    if event.payload["stimulus_kind"] not in VISUAL_STIMULUS_KINDS:
+        raise InvalidEvent(
+            f"unknown poster kind {event.payload['stimulus_kind']!r}")
+    if event.payload["side"] not in SIDES:
+        raise InvalidEvent(f"unknown side {event.payload['side']!r}")
+    stim = event.payload["stimulus_id"]
+    if stim in state.spotted_ids:
+        raise InvalidEvent(f"stimulus {stim!r} already spotted")
+    state.spotted_ids.add(stim)
+
+
+def _on_sound_triggered(state: SessionState, event: SessionEvent,
+                        effects: list[Effect], sid: int) -> None:
+    if event.payload["stimulus_kind"] not in AUDITORY_STIMULUS_KINDS:
+        raise InvalidEvent(
+            f"unknown sound kind {event.payload['stimulus_kind']!r}")
+    if event.payload["stimulus_side"] not in SIDES:
+        raise InvalidEvent(f"unknown side {event.payload['stimulus_side']!r}")
+    if event.payload["response_side"] not in (None, "left", "right"):
+        raise InvalidEvent(
+            f"unknown response side {event.payload['response_side']!r}")
+    stim = event.payload["stimulus_id"]
+    if stim in state.spotted_ids:
+        raise InvalidEvent(f"stimulus {stim!r} already recorded")
+    state.spotted_ids.add(stim)
+
+
+def _on_shopping_collected(state: SessionState, event: SessionEvent,
+                           effects: list[Effect], sid: int) -> None:
+    item = event.payload["item"]
+    if item in state.selections:
+        raise InvalidEvent(f"item {item!r} already in the basket")
+    if len(state.selections) >= SHOPPING_LIST_LENGTH:
+        raise InvalidEvent(
+            f"the basket holds {SHOPPING_LIST_LENGTH} items")
+    state.selections.add(item)
+
+
+def _on_keys_given(state: SessionState, event: SessionEvent,
+                   effects: list[Effect], sid: int) -> None:
+    if state.keys_given:
+        raise InvalidEvent("keys already handed over")
+    state.keys_given = True
+
+
+def _on_item_stowed(state: SessionState, event: SessionEvent,
+                    effects: list[Effect], sid: int) -> None:
+    item = event.payload["item"]
+    if item in state.selections:
+        raise InvalidEvent(f"item {item!r} already put away")
+    state.selections.add(item)
+
+
+_HANDLERS = {
+    EventKind.TUTORIAL_COMPLETED: _on_tutorial_completed,
+    EventKind.PRACTICE_ATTEMPT: _on_practice_attempt,
+    EventKind.NOTES_INTENT_ANSWERED: _on_notes_intent_answered,
+    EventKind.ITEM_SELECTED: _on_item_selected,
+    EventKind.ROUTE_UNIT_TOGGLED: _on_route_unit_toggled,
+    EventKind.ROUTE_SUBMITTED: _on_route_submitted,
+    EventKind.COOKING_ITEM_PLACED: _on_cooking_item_placed,
+    EventKind.FINAL_BUTTON_PRESSED: _on_final_button_pressed,
+    EventKind.EXIT_ATTEMPTED: _on_exit_attempted,
+    EventKind.MEDICATION_TAKEN: _on_pm_action,
+    EventKind.PIE_REMOVED: _on_pm_action,
+    EventKind.NOTE_OPENED: _on_note_opened,
+    EventKind.NOTE_CLOSED: _on_note_closed,
+    EventKind.NPC_PROMPT_ANSWERED: _on_npc_prompt_answered,
+    EventKind.NPC_ITEM_CHOSEN: _on_npc_item_chosen,
+    EventKind.POSTER_SPOTTED: _on_poster_spotted,
+    EventKind.SOUND_TRIGGERED: _on_sound_triggered,
+    EventKind.SHOPPING_COLLECTED: _on_shopping_collected,
+    EventKind.KEYS_GIVEN: _on_keys_given,
+    EventKind.ITEM_STOWED: _on_item_stowed,
+}
+assert set(_HANDLERS) == set(EventKind) - {
+    EventKind.SCENE_ENTERED, EventKind.SCENE_EXITED}
 
 
 def replay(events: Iterable[SessionEvent],

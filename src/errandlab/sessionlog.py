@@ -114,6 +114,8 @@ def log_from_events(events: Iterable[SessionEvent], seed: Optional[int] = None,
 # One encoder for every line: json.dumps with these options builds a new
 # JSONEncoder per call, and a log has one line per event.
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The canonical JSON of each kind's name, for the event envelope.
+_KIND_JSON = {kind: _dumps(kind.value) for kind in EventKind}
 
 
 def serialize_log(log: SessionLog) -> bytes:
@@ -125,19 +127,38 @@ def serialize_log(log: SessionLog) -> bytes:
         "seed": log.seed,
         "config_hash": log.config_hash,
     })]
+    # The envelope is written here in sorted-key order, as _dumps would
+    # write it; only a non-empty payload goes through the encoder.
     for event in log.events:
-        lines.append(_dumps({
-            "seq": event.seq,
-            "sim_time_ms": event.sim_time_ms,
-            "scene": event.scene,
-            "kind": event.kind.value,
-            "payload": event.payload,
-        }))
+        payload = _dumps(event.payload) if event.payload else "{}"
+        lines.append(
+            f'{{"kind":{_KIND_JSON[event.kind]},"payload":{payload},'
+            f'"scene":{event.scene:d},"seq":{event.seq:d},'
+            f'"sim_time_ms":{event.sim_time_ms:d}}}')
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 _EVENT_KINDS = {kind.value: kind for kind in EventKind}
 _EVENT_FIELDS = frozenset({"seq", "sim_time_ms", "scene", "kind", "payload"})
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_line(number: int, line: str) -> dict[str, Any]:
+    # raw_decode reads one JSON value from the start of the line.  A line it
+    # cannot read whole (leading or trailing whitespace, extra data, invalid
+    # JSON) goes to json.loads, which accepts padding and words the errors.
+    try:
+        record, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    if end != len(line):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {number}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(record, dict):
+        raise ParseError(f"line {number}: expected a JSON object")
+    return record
 
 
 def deserialize_log(data: bytes) -> SessionLog:
@@ -156,23 +177,18 @@ def deserialize_log(data: bytes) -> SessionLog:
         raise ParseError("log is empty")
     if not text.endswith("\n"):
         raise ParseError("log is truncated (no trailing newline)")
-    lines = text.split("\n")[:-1]
+    lines = text.split("\n")
+    lines.pop()
 
-    def parse_line(index: int, line: str) -> dict[str, Any]:
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {index + 1}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise ParseError(f"line {index + 1}: expected a JSON object")
-        return record
-
-    header = parse_line(0, lines[0])
+    header = _parse_line(1, lines[0])
     if header.get("kind") != "header" or header.get("schema") != SCHEMA_NAME:
         raise ParseError("first line is not a session-log header")
-    if header.get("version") != SCHEMA_VERSION:
+    version = header.get("version")
+    # 1.0 and true compare equal to 1 but would be written back as 1.
+    if (not isinstance(version, int) or isinstance(version, bool)
+            or version != SCHEMA_VERSION):
         raise SchemaVersionMismatch(
-            f"schema version {header.get('version')!r} unsupported "
+            f"schema version {version!r} unsupported "
             f"(expected {SCHEMA_VERSION})")
     seed = header.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
@@ -181,31 +197,29 @@ def deserialize_log(data: bytes) -> SessionLog:
     if config_hash is not None and not isinstance(config_hash, str):
         raise ParseError("header config_hash must be a string or null")
 
-    def parse_event(index: int, line: str) -> SessionEvent:
-        record = parse_line(index, line)
-        if set(record) != _EVENT_FIELDS:
+    events: list[SessionEvent] = []
+    for number in range(2, len(lines) + 1):
+        record = _parse_line(number, lines[number - 1])
+        if record.keys() != _EVENT_FIELDS:
             raise ParseError(
-                f"line {index + 1}: event fields must be {sorted(_EVENT_FIELDS)}")
+                f"line {number}: event fields must be {sorted(_EVENT_FIELDS)}")
         kind_name = record["kind"]
-        if kind_name not in _EVENT_KINDS:
-            raise ParseError(f"line {index + 1}: unknown event kind {kind_name!r}")
+        # an array or object kind is unhashable, so test the type first
+        kind = _EVENT_KINDS.get(kind_name) if isinstance(kind_name, str) else None
+        if kind is None:
+            raise ParseError(f"line {number}: unknown event kind {kind_name!r}")
         payload = record["payload"]
         if not isinstance(payload, dict):
-            raise ParseError(f"line {index + 1}: payload must be an object")
+            raise ParseError(f"line {number}: payload must be an object")
         try:
-            return SessionEvent(
-                seq=record["seq"],
-                sim_time_ms=record["sim_time_ms"],
-                scene=record["scene"],
-                kind=_EVENT_KINDS[kind_name],
-                payload=payload,
-            )
+            event = SessionEvent(record["seq"], record["sim_time_ms"],
+                                 record["scene"], kind, payload)
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"line {index + 1}: {exc}") from exc
-
-    return log_from_events(
-        (parse_event(index, line) for index, line in enumerate(lines[1:], start=1)),
-        seed=seed, config_hash=config_hash)
+            raise ParseError(f"line {number}: {exc}") from exc
+        if events:
+            _check_order(events[-1], event)
+        events.append(event)
+    return SessionLog(seed=seed, config_hash=config_hash, events=tuple(events))
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,26 @@ class TestScoreCommand:
         incomplete.write_bytes(partial)
         assert main(["score", "--log", str(incomplete)]) == 4
 
+    @pytest.mark.parametrize("kind", [["SceneEntered"], {"SceneEntered": 1}])
+    def test_array_or_object_kind_exits_4(self, session_dir, tmp_path, capsys, kind):
+        head, line, rest = (session_dir / "session.ndjson").read_bytes().split(b"\n", 2)
+        record = json.loads(line)
+        record["kind"] = kind
+        bad = tmp_path / "kind.ndjson"
+        bad.write_bytes(head + b"\n" + json.dumps(record).encode() + b"\n" + rest)
+        assert main(["score", "--log", str(bad)]) == 4
+        assert capsys.readouterr().err == f"error: line 2: unknown event kind {kind!r}\n"
+
+    @pytest.mark.parametrize("version, shown", [("1.0", "1.0"), ("true", "True")])
+    def test_non_integer_version_exits_4(self, session_dir, tmp_path, capsys,
+                                         version, shown):
+        data = (session_dir / "session.ndjson").read_bytes()
+        bad = tmp_path / "version.ndjson"
+        bad.write_bytes(data.replace(b'"version":1', b'"version":' + version.encode(), 1))
+        assert main(["score", "--log", str(bad)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: schema version {shown} unsupported (expected 1)\n")
+
     def test_missing_log_exits_3(self, tmp_path, capsys):
         missing = tmp_path / "absent.ndjson"
         assert main(["score", "--log", str(missing)]) == 3
@@ -363,6 +383,25 @@ class TestCallCounts:
         telemetry = _count_calls(monkeypatch, errandlab.sessionlog, "derive_telemetry")
         assert main(["score", "--log", str(out / "session.ndjson")]) == 0
         assert (len(replays), len(telemetry)) == (1, 1)
+
+
+    def test_score_parses_a_canonical_log_without_json_loads(self, tmp_path,
+                                                             monkeypatch):
+        # json.loads is the parser's slow path, for padded or invalid lines;
+        # the config module's own call (config_to_dict) is not counted.
+        out = tmp_path / "run"
+        assert main(["simulate", "--seed", "2", "--out", str(out)]) == 0
+        calls = []
+        original = json.loads
+
+        def counted(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "errandlab.sessionlog":
+                calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted)
+        assert main(["score", "--log", str(out / "session.ndjson")]) == 0
+        assert calls == []
 
 
 def _subprocess_env():

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from errandlab import sessionlog
+from errandlab import scenario, sessionlog
 from errandlab.config import DEFAULT_BAND_POINTS
 from errandlab.scenario import EventKind, SessionEvent
 from errandlab.scoring import aggregate_scorecard
@@ -118,6 +118,11 @@ class TestSerialization:
         assert clone.events == ()
         assert clone.seed is None
 
+    def test_padded_lines_are_accepted(self, walk_log):
+        lines = serialize_log(walk_log).split(b"\n")[:-1]
+        padded = b"".join(b" \t" + line + b"  \n" for line in lines)
+        assert deserialize_log(padded) == walk_log
+
     def test_missing_header(self, walk_log):
         body = serialize_log(walk_log).split(b"\n", 1)[1]
         with pytest.raises(ParseError, match="header"):
@@ -157,17 +162,15 @@ class TestSerialization:
 _TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\u2028é漢😀'),
                           st.characters()), max_size=8)
 _NUMBER = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
-_PAYLOADS = st.one_of(
-    st.just((EventKind.SCENE_ENTERED, {})),
-    st.fixed_dictionaries({"item": _TEXT, "cook_time_s": _NUMBER}).map(
-        lambda p: (EventKind.COOKING_ITEM_PLACED, p)),
-    st.fixed_dictionaries({"stimulus_id": _TEXT, "stimulus_kind": _TEXT,
-                           "stimulus_side": _TEXT,
-                           "response_side": st.none() | _TEXT}).map(
-        lambda p: (EventKind.SOUND_TRIGGERED, p)),
-    st.fixed_dictionaries({"prompt_index": st.integers(), "yes": st.booleans()}).map(
-        lambda p: (EventKind.NOTES_INTENT_ANSWERED, p)),
-)
+# One strategy per allowed-types tuple of the payload schema.
+_VALUES = {(str,): _TEXT, (int,): st.integers(), (bool,): st.booleans(),
+           (int, float): _NUMBER, (str, type(None)): st.none() | _TEXT}
+# Every event kind, with its payload drawn from its schema: the empty
+# payloads too, which serialize_log writes without the encoder.
+_PAYLOADS = st.one_of(*(
+    st.fixed_dictionaries({name: _VALUES[types] for name, types in fields.items()})
+    .map(lambda payload, kind=kind: (kind, payload))
+    for kind, fields in scenario._PAYLOAD_FIELDS.items()))
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
     lambda children: st.lists(children, max_size=4)
