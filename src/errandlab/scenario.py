@@ -340,6 +340,7 @@ class SessionEvent:
     payload: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Three plain ints pass at once; anything else is checked by name.
         if not (type(self.seq) is type(self.sim_time_ms) is type(self.scene) is int):
             for name in ("seq", "sim_time_ms", "scene"):
                 value = getattr(self, name)

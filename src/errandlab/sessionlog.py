@@ -177,8 +177,7 @@ def deserialize_log(data: bytes) -> SessionLog:
         raise ParseError("log is empty")
     if not text.endswith("\n"):
         raise ParseError("log is truncated (no trailing newline)")
-    lines = text.split("\n")
-    lines.pop()
+    lines = text.split("\n")[:-1]
 
     header = _parse_line(1, lines[0])
     if header.get("kind") != "header" or header.get("schema") != SCHEMA_NAME:
@@ -198,8 +197,8 @@ def deserialize_log(data: bytes) -> SessionLog:
         raise ParseError("header config_hash must be a string or null")
 
     events: list[SessionEvent] = []
-    for number in range(2, len(lines) + 1):
-        record = _parse_line(number, lines[number - 1])
+    for number, line in enumerate(lines[1:], start=2):
+        record = _parse_line(number, line)
         if record.keys() != _EVENT_FIELDS:
             raise ParseError(
                 f"line {number}: event fields must be {sorted(_EVENT_FIELDS)}")
