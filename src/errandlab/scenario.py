@@ -533,11 +533,12 @@ def _resolve(state: SessionState, effects: list[Effect]) -> None:
     effects.append(SceneTransition(nxt))
 
 
-def _cascade_press(state: SessionState, task: PmTaskSpec,
-                   effects: list[Effect]) -> None:
+def _cascade_press(state: SessionState, event: SessionEvent,
+                   effects: list[Effect], sid: int) -> None:
     # Shared by the breakfast final button and the flat exit attempt: a press
     # with the task done ends the scene; otherwise each press escalates one
     # prompt, and the press after the third prompt ends the scene unscored.
+    task = PM_TASKS[sid]
     if task.task_id in state.pm_action_done:
         _resolve(state, effects)
         return
@@ -552,7 +553,9 @@ def _cascade_press(state: SessionState, task: PmTaskSpec,
         _resolve(state, effects)
 
 
-def _pm_action(state: SessionState, task: PmTaskSpec) -> None:
+def _pm_action(state: SessionState, event: SessionEvent,
+               effects: list[Effect], sid: int) -> None:
+    task = PM_TASKS[sid]
     if task.task_id in state.pm_action_done:
         raise InvalidEvent(f"{task.task_id} already done")
     state.pm_action_done.add(task.task_id)
@@ -640,9 +643,10 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
     state.sim_clock_ms = event.sim_time_ms
 
 
-# One handler per scene-specific event kind: (state, event, effects, scene
-# id) -> None.  Each runs after _apply's common checks, mutates the state in
-# place and appends its effects.
+# The handlers _apply dispatches to through _HANDLERS: (state, event,
+# effects, scene id) -> None.  Each runs after _apply's common checks,
+# mutates the state in place and appends its effects; _cascade_press and
+# _pm_action above are handlers too.
 
 
 def _on_tutorial_completed(state: SessionState, event: SessionEvent,
@@ -732,7 +736,7 @@ def _on_cooking_item_placed(state: SessionState, event: SessionEvent,
 def _on_final_button_pressed(state: SessionState, event: SessionEvent,
                              effects: list[Effect], sid: int) -> None:
     if sid == 6:
-        _cascade_press(state, PM_TASKS[sid], effects)
+        _cascade_press(state, event, effects, sid)
     elif sid == 14:
         _resolve(state, effects)
     else:  # the finale
@@ -741,16 +745,6 @@ def _on_final_button_pressed(state: SessionState, event: SessionEvent,
             state.pm_done_depth[task.task_id] = 4
         state.completed = True
         effects.append(SessionComplete())
-
-
-def _on_exit_attempted(state: SessionState, event: SessionEvent,
-                       effects: list[Effect], sid: int) -> None:
-    _cascade_press(state, PM_TASKS[sid], effects)
-
-
-def _on_pm_action(state: SessionState, event: SessionEvent,
-                  effects: list[Effect], sid: int) -> None:
-    _pm_action(state, PM_TASKS[sid])
 
 
 def _on_note_opened(state: SessionState, event: SessionEvent,
@@ -874,9 +868,9 @@ _HANDLERS = {
     EventKind.ROUTE_SUBMITTED: _on_route_submitted,
     EventKind.COOKING_ITEM_PLACED: _on_cooking_item_placed,
     EventKind.FINAL_BUTTON_PRESSED: _on_final_button_pressed,
-    EventKind.EXIT_ATTEMPTED: _on_exit_attempted,
-    EventKind.MEDICATION_TAKEN: _on_pm_action,
-    EventKind.PIE_REMOVED: _on_pm_action,
+    EventKind.EXIT_ATTEMPTED: _cascade_press,
+    EventKind.MEDICATION_TAKEN: _pm_action,
+    EventKind.PIE_REMOVED: _pm_action,
     EventKind.NOTE_OPENED: _on_note_opened,
     EventKind.NOTE_CLOSED: _on_note_closed,
     EventKind.NPC_PROMPT_ANSWERED: _on_npc_prompt_answered,
