@@ -311,9 +311,10 @@ _PAYLOAD_KEYS: dict[EventKind, frozenset[str]] = {
 
 def validate_payload(kind: EventKind, payload: dict[str, Any]) -> None:
     """Check a payload against the fixed schema for its event kind."""
-    if payload.keys() != _PAYLOAD_KEYS[kind]:
-        extra = set(payload) - _PAYLOAD_KEYS[kind]
-        missing = _PAYLOAD_KEYS[kind] - set(payload)
+    keys = _PAYLOAD_KEYS[kind]
+    if payload.keys() != keys:
+        extra = set(payload) - keys
+        missing = keys - set(payload)
         raise ValueError(
             f"{kind.value} payload has wrong fields "
             f"(missing={sorted(missing)}, unexpected={sorted(extra)})")

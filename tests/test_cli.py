@@ -384,7 +384,6 @@ class TestCallCounts:
         assert main(["score", "--log", str(out / "session.ndjson")]) == 0
         assert (len(replays), len(telemetry)) == (1, 1)
 
-
     def test_score_parses_a_canonical_log_without_json_loads(self, tmp_path,
                                                              monkeypatch):
         # json.loads is the parser's slow path, for padded or invalid lines;
