@@ -5,8 +5,10 @@ engine, the scorers or the report that keeps behaviour keeps every digest,
 and an upgrade of numpy that shifts the ``Generator`` streams the simulator
 draws from fails here instead of silently changing the logs.  Covers the
 three profile presets at seeds 1-3 under the default config, the
-telemetry of every 20th prefix of those logs, and the bytes that the
-``simulate --cohort`` command prints and writes.
+telemetry of every 20th prefix of those logs, the telemetry and warnings of
+every prefix, the scorecards of those logs with one note left open until
+its scene exits, and the bytes that the ``simulate --cohort`` command prints
+and writes.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
+import re
 
 import pytest
 
 from errandlab.cli import main
 from errandlab.config import config_hash, default_config
+from errandlab.scenario import EventKind
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
 from errandlab.sessionlog import (
     SessionLog,
@@ -144,3 +149,105 @@ def test_simulate_cli_matches_golden_digests(preset, tmp_path, monkeypatch, caps
         digest.update(path.relative_to(tmp_path).as_posix().encode("utf-8") + b"\0")
         digest.update(path.read_bytes())
     assert digest.hexdigest() == _GOLDEN_CLI[preset]
+
+
+def _warnings(caplog):
+    return [record.getMessage() for record in caplog.records
+            if record.name == "errandlab.sessionlog"]
+
+
+def _every_prefix_digest(log, caplog):
+    # One line per prefix events[:0], events[:1], ...: the sorted-key JSON of
+    # derive_telemetry (int keys stringified), then one line per warning the
+    # call logged.
+    digest = hashlib.sha256()
+    warnings = 0
+    for end in range(len(log.events) + 1):
+        caplog.clear()
+        telemetry = derive_telemetry(SessionLog(
+            seed=log.seed, config_hash=log.config_hash, events=log.events[:end]))
+        lines = [json.dumps(_stringify_keys(dataclasses.asdict(telemetry)),
+                            sort_keys=True), *_warnings(caplog)]
+        warnings += len(lines) - 1
+        digest.update("\n".join(lines).encode("utf-8") + b"\n")
+    return digest.hexdigest(), warnings
+
+
+# (preset, seed) -> (sha256 over every prefix of the simulated log, the
+# number of dangling-note warnings those prefixes log).  A prefix that ends
+# while the notes are open closes them at its last event and warns.
+_GOLDEN_EVERY_PREFIX_TELEMETRY = {
+    ("default", 1): (
+        "34ec1d0cf6e9cab3b20d311a670596c54593824c5ca20b64830fa6e16b7e051d", 4),
+    ("default", 2): (
+        "17cdb346532477894cf25eb2240ea1177a27858a99cf81a49c1f72c97e94993e", 3),
+    ("default", 3): (
+        "6a36d886e0ef36a6a772a542de39e9115698d33c774454c8bd080f2277b463cc", 2),
+    ("perfect", 1): (
+        "32dfb818bd54075e6f22b143bfe3f5a0f9513d5d38c0f279552dfa615c01d1ca", 4),
+    ("perfect", 2): (
+        "db6e731c215cb7ea15404dfc921ef21c8eb1a7c6a8040e96e85b8f6643109579", 4),
+    ("perfect", 3): (
+        "67ce696e6d05600ec76a7678543fbcbe931c0350d785e8329b4cf3754bdc508e", 4),
+    ("null", 1): (
+        "76bc555dad17e4e8b490d12c0f152ca981aabc98dd6ba88847e9f7e7970fbeae", 0),
+    ("null", 2): (
+        "76bc555dad17e4e8b490d12c0f152ca981aabc98dd6ba88847e9f7e7970fbeae", 0),
+    ("null", 3): (
+        "76bc555dad17e4e8b490d12c0f152ca981aabc98dd6ba88847e9f7e7970fbeae", 0),
+}
+
+
+@pytest.mark.parametrize("preset, seed", sorted(_GOLDEN_EVERY_PREFIX_TELEMETRY))
+def test_every_prefix_telemetry_matches_golden_digests(preset, seed, caplog):
+    caplog.set_level(logging.WARNING, logger="errandlab.sessionlog")
+    log = simulate_session(PROFILE_PRESETS[preset](), seed, default_config())
+    assert (_every_prefix_digest(log, caplog)
+            == _GOLDEN_EVERY_PREFIX_TELEMETRY[(preset, seed)])
+
+
+# (preset, seed) -> (sha256, warnings, variants).  Each variant is the
+# simulated log with one NoteClosed event dropped, so that the notes stay
+# open until the scene exits; the digest runs over the sorted-key JSON of
+# each variant's scorecard_to_dict, then its warning lines.  The null
+# profile never opens the notes, so it has no variants.
+_GOLDEN_DANGLING_NOTES = {
+    ("default", 1): (
+        "a012c52388cb9467f5c5c680458f0d7c4793951da89e13bd2edb68007a36a74a", 4, 4),
+    ("default", 2): (
+        "b7e58113ba63dba38d8fd01e5a388633a8dc89ef768342ffea38bc929dab74ba", 3, 3),
+    ("default", 3): (
+        "423a2e8b3c176adb0549ebaa69b4d9f0da60692197f9a7512fc0c01818d9f624", 2, 2),
+    ("perfect", 1): (
+        "8c46f69aabd6b6e0150186c119c6ff2240715f1fb45f96d181c1f2788d6ab6a7", 4, 4),
+    ("perfect", 2): (
+        "8c46f69aabd6b6e0150186c119c6ff2240715f1fb45f96d181c1f2788d6ab6a7", 4, 4),
+    ("perfect", 3): (
+        "8c46f69aabd6b6e0150186c119c6ff2240715f1fb45f96d181c1f2788d6ab6a7", 4, 4),
+}
+_DANGLING_WARNING = re.compile(
+    r"notes left open in scene \d+; closed at scene exit")
+
+
+@pytest.mark.parametrize("preset, seed", sorted(_GOLDEN_DANGLING_NOTES))
+def test_dangling_note_scorecards_match_golden_digests(preset, seed, caplog):
+    caplog.set_level(logging.WARNING, logger="errandlab.sessionlog")
+    config = default_config()
+    log = simulate_session(PROFILE_PRESETS[preset](), seed, config)
+    digest = hashlib.sha256()
+    warnings = []
+    closes = [i for i, event in enumerate(log.events)
+              if event.kind is EventKind.NOTE_CLOSED]
+    for index in closes:
+        caplog.clear()
+        variant = dataclasses.replace(
+            log, events=log.events[:index] + log.events[index + 1:])
+        card = aggregate_scorecard(variant, config)
+        lines = [json.dumps(scorecard_to_dict(card), sort_keys=True),
+                 *_warnings(caplog)]
+        warnings.extend(lines[1:])
+        digest.update("\n".join(lines).encode("utf-8") + b"\n")
+    assert len(warnings) == len(closes)
+    assert all(_DANGLING_WARNING.fullmatch(text) for text in warnings)
+    assert (digest.hexdigest(), len(warnings), len(closes)) == (
+        _GOLDEN_DANGLING_NOTES[(preset, seed)])
