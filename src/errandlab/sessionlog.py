@@ -147,15 +147,18 @@ def _parse_line(number: int, line: str) -> dict[str, Any]:
     # raw_decode reads one JSON value from the start of the line.  A line it
     # cannot read whole (leading or trailing whitespace, extra data, invalid
     # JSON) goes to json.loads, which accepts padding and words the errors.
+    # Either decoder raises RecursionError on a value nested too deeply.
     try:
-        record, end = _raw_decode(line)
-    except json.JSONDecodeError:
-        end = -1
-    if end != len(line):
         try:
+            record, end = _raw_decode(line)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(line):
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {number}: invalid JSON ({exc.msg})") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {number}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise ParseError(f"line {number}: JSON nested too deeply") from exc
     if not isinstance(record, dict):
         raise ParseError(f"line {number}: expected a JSON object")
     return record

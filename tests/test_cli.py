@@ -170,6 +170,18 @@ class TestScoreCommand:
         assert main(["score", "--log", str(bad)]) == 4
         assert capsys.readouterr().err == f"error: line 2: unknown event kind {kind!r}\n"
 
+    @pytest.mark.parametrize("padding", ["", " "])
+    def test_deeply_nested_line_exits_4(self, session_dir, tmp_path, capsys, padding):
+        # Both decoders (raw_decode, and json.loads for a padded line) raise
+        # RecursionError on this line.
+        head, _, rest = (session_dir / "session.ndjson").read_bytes().split(b"\n", 2)
+        depth = 100_000
+        nested = padding.encode() + b"[" * depth + b"]" * depth
+        bad = tmp_path / "nested.ndjson"
+        bad.write_bytes(head + b"\n" + nested + b"\n" + rest)
+        assert main(["score", "--log", str(bad)]) == 4
+        assert capsys.readouterr().err == "error: line 2: JSON nested too deeply\n"
+
     @pytest.mark.parametrize("version, shown", [("1.0", "1.0"), ("true", "True")])
     def test_non_integer_version_exits_4(self, session_dir, tmp_path, capsys,
                                          version, shown):
