@@ -72,9 +72,11 @@ class VrnqScores:
 
 def score_vrnq(responses: VrnqResponseSet,
                domain_mapping: Optional[Mapping[str, Sequence[int]]] = None) -> VrnqScores:
-    """Sum items into the four domain sub-scores and the total."""
-    mapping = domain_mapping if domain_mapping is not None else DEFAULT_DOMAIN_MAPPING
-    validate_domain_mapping(mapping)
+    """Sum items into the domain sub-scores and the total; checks a passed mapping."""
+    mapping = DEFAULT_DOMAIN_MAPPING
+    if domain_mapping is not None:
+        validate_domain_mapping(domain_mapping)
+        mapping = domain_mapping
     subs = {
         domain: sum(responses.items[item - 1] for item in mapping[domain])
         for domain in DOMAINS

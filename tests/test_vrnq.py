@@ -5,7 +5,8 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from errandlab.config import ConfigError
+import errandlab.vrnq
+from errandlab.config import DEFAULT_DOMAIN_MAPPING, ConfigError
 from errandlab.vrnq import (
     CohortAggregate,
     CUTOFFS,
@@ -71,6 +72,26 @@ class TestScoring:
 
 
 class TestDomainMappingValidation:
+    def test_default_mapping_is_valid(self):
+        # score_vrnq trusts the default mapping and validates only a passed one
+        validate_domain_mapping(DEFAULT_DOMAIN_MAPPING)
+
+    def test_only_a_passed_mapping_is_validated(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(errandlab.vrnq, "validate_domain_mapping", checked.append)
+        score_vrnq(_responses(items=[4] * 20))
+        assert checked == []
+        score_vrnq(_responses(items=[4] * 20), domain_mapping=DEFAULT_DOMAIN_MAPPING)
+        assert checked == [DEFAULT_DOMAIN_MAPPING]
+
+    def test_score_vrnq_rejects_a_passed_mapping(self):
+        mapping = {"UserExperience": [1, 2, 3, 4, 5],
+                   "GameMechanics": [5, 6, 7, 8, 9],
+                   "InGameAssistance": [10, 11, 12, 13, 14],
+                   "VRISE": [15, 16, 17, 18, 19]}
+        with pytest.raises(ConfigError):
+            score_vrnq(_responses(items=[4] * 20), domain_mapping=mapping)
+
     def test_default_domains_required(self):
         with pytest.raises(ConfigError):
             validate_domain_mapping({"UserExperience": list(range(1, 21))})
