@@ -504,15 +504,10 @@ def score_session(log: SessionLog, final_state: SessionState,
     if not final_state.completed:
         raise IncompleteSession("log ends before the scenario's final button")
     telemetry = derive_telemetry(log)
-
-    # Group the payloads by the (scene, kind) that produced them: each task's
-    # input is then one lookup.
-    inputs: dict[tuple[int, EventKind], list[dict[str, Any]]] = {}
-    for event in log.events:
-        inputs.setdefault((event.scene, event.kind), []).append(event.payload)
+    groups = log.events_by_key
 
     def payloads(scene_id: int, kind: EventKind) -> list[dict[str, Any]]:
-        return inputs.get((scene_id, kind), [])
+        return [event.payload for event in groups.get((scene_id, kind), [])]
 
     route_units: set[int] = set()
     for toggle in payloads(3, EventKind.ROUTE_UNIT_TOGGLED):

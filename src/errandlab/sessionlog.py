@@ -11,6 +11,7 @@ the determinism tests lean on that.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -61,6 +62,9 @@ class IncompleteSession(LogError):
     """The log ends before the scenario's final button."""
 
 
+_EventKey = tuple[int, EventKind]
+
+
 @dataclass(frozen=True)
 class SessionLog:
     """Immutable log value: header fields plus the event tuple."""
@@ -68,6 +72,17 @@ class SessionLog:
     seed: Optional[int] = None
     config_hash: Optional[str] = None
     events: tuple[SessionEvent, ...] = ()
+
+    @functools.cached_property
+    def events_by_key(self) -> dict[_EventKey, list[SessionEvent]]:
+        """Each (scene, kind) that occurs, mapped to its events in log order.
+
+        Built by one walk over :attr:`events` on first read; read-only.
+        """
+        groups: dict[_EventKey, list[SessionEvent]] = {}
+        for event in self.events:
+            groups.setdefault((event.scene, event.kind), []).append(event)
+        return groups
 
 
 def new_log(seed: Optional[int] = None, config_hash: Optional[str] = None) -> SessionLog:
@@ -249,7 +264,6 @@ class Telemetry:
 
 # Each task window runs from the first event of its start (scene, kind) to the
 # last event of its end (scene, kind), and exists once both have occurred.
-_EventKey = tuple[int, EventKind]
 TASK_WINDOWS: dict[str, tuple[_EventKey, _EventKey]] = {
     "immediate_recognition": ((3, EventKind.ITEM_SELECTED), (3, EventKind.ITEM_SELECTED)),
     "planning": ((3, EventKind.ROUTE_UNIT_TOGGLED), (3, EventKind.ROUTE_SUBMITTED)),
@@ -263,64 +277,22 @@ TASK_WINDOWS: dict[str, tuple[_EventKey, _EventKey]] = {
 
 
 def derive_telemetry(log: SessionLog) -> Telemetry:
-    """Fold the event stream into timing and usage measures.
+    """Read timing and usage measures from the log's (scene, kind) groups.
 
     Tolerates partial logs.  A note left open at scene exit is closed at the
-    exit timestamp and logged as a warning; completeness enforcement lives
-    with the scorecard aggregation, not here.  Scene times and the
+    exit timestamp, or at the last event of a log that ends inside the scene,
+    and logged as a warning; completeness enforcement lives with the
+    scorecard aggregation, not here.  Scene times, notes time and the
     :data:`TASK_WINDOWS` are defined on engine-accepted logs and their
-    prefixes, where each scene is entered once and exited after its entry.
+    prefixes, where each scene is entered once, exited after its entry, and
+    holds at most one open note at a time.
     """
-    first_ms: dict[_EventKey, int] = {}
-    last_ms: dict[_EventKey, int] = {}
-    attempts: dict[int, int] = {}
-    notes_opens: dict[int, int] = {}
-    notes_total_ms: dict[int, int] = {}
-    note_opened_at: Optional[int] = None
-    note_scene: Optional[int] = None
-    intent = [False, False, False]
-
-    def close_note(at_ms: int, *, dangling: bool) -> None:
-        nonlocal note_opened_at, note_scene
-        if note_opened_at is None or note_scene is None:
-            return
-        notes_total_ms[note_scene] = (
-            notes_total_ms.get(note_scene, 0) + (at_ms - note_opened_at))
-        if dangling:
-            logger.warning(
-                "notes left open in scene %d; closed at scene exit", note_scene)
-        note_opened_at = None
-        note_scene = None
-
-    for event in log.events:
-        kind = event.kind
-        key = (event.scene, kind)
-        if key not in first_ms:
-            first_ms[key] = event.sim_time_ms
-        last_ms[key] = event.sim_time_ms
-        if kind is EventKind.SCENE_EXITED:
-            if note_opened_at is not None:
-                close_note(event.sim_time_ms, dangling=True)
-        elif kind is EventKind.PRACTICE_ATTEMPT:
-            attempts[event.scene] = attempts.get(event.scene, 0) + 1
-        elif kind is EventKind.NOTE_OPENED:
-            notes_opens[event.scene] = notes_opens.get(event.scene, 0) + 1
-            note_opened_at = event.sim_time_ms
-            note_scene = event.scene
-        elif kind is EventKind.NOTE_CLOSED:
-            close_note(event.sim_time_ms, dangling=False)
-        elif kind is EventKind.NOTES_INTENT_ANSWERED:
-            index = event.payload["prompt_index"]
-            if 1 <= index <= 3:
-                intent[index - 1] = bool(event.payload["yes"])
-
-    if note_opened_at is not None and log.events:
-        close_note(log.events[-1].sim_time_ms, dangling=True)
+    groups = log.events_by_key
 
     def window_s(start: _EventKey, end: _EventKey) -> Optional[float]:
-        if start not in first_ms or end not in last_ms:
+        if start not in groups or end not in groups:
             return None
-        return (last_ms[end] - first_ms[start]) / 1000.0
+        return (groups[end][-1].sim_time_ms - groups[start][0].sim_time_ms) / 1000.0
 
     scene_time = {
         scene_id: seconds for scene_id in sorted(SCENES_BY_ID)
@@ -330,18 +302,38 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
         name: seconds for name, (start, end) in sorted(TASK_WINDOWS.items())
         if (seconds := window_s(start, end)) is not None}
 
-    notes_views = {
-        scene_id: NotesUsage(
-            opens=notes_opens.get(scene_id, 0),
-            total_open_s=notes_total_ms.get(scene_id, 0) / 1000.0)
-        for scene_id in sorted(set(notes_opens) | set(notes_total_ms))
-    }
+    attempts = {
+        scene_id: len(groups[key]) for scene_id in sorted(SCENES_BY_ID)
+        if (key := (scene_id, EventKind.PRACTICE_ATTEMPT)) in groups}
+
+    notes_views: dict[int, NotesUsage] = {}
+    for scene_id in sorted(SCENES_BY_ID):
+        opened = groups.get((scene_id, EventKind.NOTE_OPENED))
+        if opened is None:
+            continue
+        closed = groups.get((scene_id, EventKind.NOTE_CLOSED), [])
+        open_ms = (sum(event.sim_time_ms for event in closed)
+                   - sum(event.sim_time_ms for event in opened))
+        if len(closed) < len(opened):
+            # the last note opened is still open when the scene (or log) ends
+            exit_events = groups.get((scene_id, EventKind.SCENE_EXITED), log.events)
+            open_ms += exit_events[-1].sim_time_ms
+            logger.warning(
+                "notes left open in scene %d; closed at scene exit", scene_id)
+        notes_views[scene_id] = NotesUsage(
+            opens=len(opened), total_open_s=open_ms / 1000.0)
+
+    intent = [False, False, False]
+    for event in groups.get((3, EventKind.NOTES_INTENT_ANSWERED), []):
+        index = event.payload["prompt_index"]
+        if 1 <= index <= 3:
+            intent[index - 1] = bool(event.payload["yes"])
 
     total_s = log.events[-1].sim_time_ms / 1000.0 if log.events else 0.0
     return Telemetry(
         scene_time_s=scene_time,
         tutorial_time_s={k: v for k, v in scene_time.items() if k in TUTORIAL_SCENES},
-        practice_attempts=dict(sorted(attempts.items())),
+        practice_attempts=attempts,
         notes_views=notes_views,
         task_time_s=task_time,
         notes_intent=(intent[0], intent[1], intent[2]),

@@ -50,7 +50,7 @@ from .scenario import (
     scene_sequence,
 )
 from .scoring import TaskScorecard, score_session
-from .sessionlog import SessionLog, log_from_events
+from .sessionlog import SessionLog
 
 if TYPE_CHECKING:
     import numpy as np
@@ -528,7 +528,9 @@ def _simulate(profile: ParticipantProfile, seed: int, config: ScoringConfig,
         duration_ms = max(1_000, int(_NOMINAL_DURATION_S[sid] * scale * 1000))
         _SCENE_MODELS[sid](builder, duration_ms)
 
-    log = log_from_events(builder.events, seed=seed, config_hash=cfg_hash)
+    # The order needs no second check: seq is the event's index, and the
+    # engine raised OutOfOrderEvent on any step back in time.
+    log = SessionLog(seed=seed, config_hash=cfg_hash, events=tuple(builder.events))
     return log, builder.state
 
 

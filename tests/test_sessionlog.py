@@ -334,6 +334,19 @@ class TestTelemetry:
         assert telemetry.notes_views[1].opens == 2
         assert telemetry.notes_views[1].total_open_s == pytest.approx(4.0)
 
+    def test_scoring_groups_the_events_once(self, walk_log, config):
+        log = dataclasses.replace(walk_log)  # a copy without cached groups
+        assert "events_by_key" not in vars(log)
+        aggregate_scorecard(log, config)
+        groups = vars(log)["events_by_key"]
+        assert log.events_by_key is groups
+        for (scene_id, kind), events in groups.items():
+            assert all((e.scene, e.kind) == (scene_id, kind) for e in events)
+        grouped = [event for events in groups.values() for event in events]
+        assert sorted(grouped, key=lambda event: event.seq) == list(log.events)
+        assert all(events == sorted(events, key=lambda event: event.seq)
+                   for events in groups.values())
+
     def test_partial_log_partial_scenes(self, walk_log):
         log = new_log()
         for event in walk_log.events[:10]:
