@@ -92,6 +92,18 @@ DEFAULT_DOMAIN_MAPPING: dict[str, list[int]] = {
     "VRISE": [16, 17, 18, 19, 20],
 }
 
+# Ride -> stimulus kind -> the field that sets how many stimuli of that kind
+# each side of the ride shows.  The kinds run in the engine's order
+# (scenario.VISUAL_STIMULUS_KINDS, AUDITORY_STIMULUS_KINDS).
+_PER_SIDE_FIELDS: dict[str, dict[str, str]] = {
+    "visual": {"target": "visual_targets_per_side",
+               "shape_distractor": "visual_shape_distractors_per_side",
+               "color_distractor": "visual_color_distractors_per_side"},
+    "auditory": {"target": "auditory_targets_per_side",
+                 "high_pitch_distractor": "auditory_high_distractors_per_side",
+                 "low_pitch_distractor": "auditory_low_distractors_per_side"},
+}
+
 
 @dataclass(frozen=True)
 class ScoringConfig:
@@ -164,9 +176,8 @@ class ScoringConfig:
                 raise ConfigError("negative deductions cannot be positive")
             if value < -3:
                 raise ConfigError("a single deduction cannot exceed 3 points")
-        for name in ("visual_targets_per_side", "visual_shape_distractors_per_side",
-                     "visual_color_distractors_per_side", "auditory_targets_per_side",
-                     "auditory_high_distractors_per_side", "auditory_low_distractors_per_side"):
+        for name in (*_PER_SIDE_FIELDS["visual"].values(),
+                     *_PER_SIDE_FIELDS["auditory"].values()):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if self.session_target_s <= 0:

@@ -825,7 +825,7 @@ def _on_sound_triggered(state: SessionState, event: SessionEvent,
             f"unknown sound kind {event.payload['stimulus_kind']!r}")
     if event.payload["stimulus_side"] not in SIDES:
         raise InvalidEvent(f"unknown side {event.payload['stimulus_side']!r}")
-    if event.payload["response_side"] not in (None, "left", "right"):
+    if event.payload["response_side"] not in (None, *SIDES):
         raise InvalidEvent(
             f"unknown response side {event.payload['response_side']!r}")
     stim = event.payload["stimulus_id"]

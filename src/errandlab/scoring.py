@@ -37,13 +37,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable, Mapping, Optional, Sequence
 
-from .config import ScoringConfig
+from .config import ScoringConfig, _PER_SIDE_FIELDS
 from .scenario import (
     AUDITORY_STIMULUS_KINDS,
     COOKING_ITEMS,
     EngineError,
     EventKind,
-    NpcChoice,
     PM_TASKS,
     PmPolarity,
     ROUTE_IDEAL_UNITS,
@@ -53,6 +52,7 @@ from .scenario import (
     SessionState,
     TriggerKind,
     VISUAL_STIMULUS_KINDS,
+    _NPC_CHOICES,
     replay,
 )
 from .sessionlog import (
@@ -284,7 +284,7 @@ def score_npc_pm_positive(affirmed_at: int, choice: Optional[str],
         return 0
     if choice is None:
         raise ScoringError("an affirmation must be followed by a board choice")
-    if choice not in {c.value for c in NpcChoice}:
+    if choice not in _NPC_CHOICES:
         raise ScoringError(f"unknown board choice {choice!r}")
     return int(config.npc_positive_matrix[str(affirmed_at)][choice])
 
@@ -363,18 +363,15 @@ def _empty_counts(kinds: Iterable[str]) -> dict[str, dict[str, int]]:
     return {side: {kind: 0 for kind in kinds} for side in SIDES}
 
 
-def _visual_capacity(config: ScoringConfig) -> dict[str, int]:
-    return {
-        "target": config.visual_targets_per_side,
-        "shape_distractor": config.visual_shape_distractors_per_side,
-        "color_distractor": config.visual_color_distractors_per_side,
-    }
+def _capacity(config: ScoringConfig, ride: str) -> dict[str, int]:
+    return {kind: getattr(config, name)
+            for kind, name in _PER_SIDE_FIELDS[ride].items()}
 
 
 def score_visual_attention(responses: Sequence[VisualResponse],
                            config: ScoringConfig) -> VisualAttentionScore:
     """+1 per spotted target, -1 per spotted distractor, one spot each."""
-    capacity = _visual_capacity(config)
+    capacity = _capacity(config, "visual")
     counts = _empty_counts(VISUAL_STIMULUS_KINDS)
     seen: set[str] = set()
     points = 0
@@ -395,14 +392,6 @@ def score_visual_attention(responses: Sequence[VisualResponse],
     return VisualAttentionScore(points=points, responded=counts)
 
 
-def _auditory_capacity(config: ScoringConfig) -> dict[str, int]:
-    return {
-        "target": config.auditory_targets_per_side,
-        "high_pitch_distractor": config.auditory_high_distractors_per_side,
-        "low_pitch_distractor": config.auditory_low_distractors_per_side,
-    }
-
-
 def score_auditory_attention(responses: Sequence[AuditoryResponse],
                              config: ScoringConfig) -> AuditoryAttentionScore:
     """Side-matched target +2, cross-side target +1, distractor response -1.
@@ -410,7 +399,7 @@ def score_auditory_attention(responses: Sequence[AuditoryResponse],
     Stimuli that drew no response (``response_side`` None) score nothing and
     are not counted as detections.
     """
-    capacity = _auditory_capacity(config)
+    capacity = _capacity(config, "auditory")
     counts = _empty_counts(AUDITORY_STIMULUS_KINDS)
     seen: set[str] = set()
     points = matched = mismatched = false_alarms = 0

@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
-from .config import ScoringConfig, config_hash, default_config
+from .config import ScoringConfig, _PER_SIDE_FIELDS, config_hash, default_config
 from .scenario import (
-    AUDITORY_STIMULUS_KINDS,
+    COOKING_ITEMS,
     EVENT_SCENES,
     EventKind,
     FINALE_PROMPT_OFFSETS_MS,
@@ -38,18 +38,19 @@ from .scenario import (
     PM_TASKS,
     PmDelay,
     PmPolarity,
+    ROUTE_IDEAL_UNITS,
+    ROUTE_UNIT_COUNT,
     SCENES_BY_ID,
     SHOPPING_LIST_LENGTH,
     SIDES,
     SessionEvent,
     SessionState,
     TUTORIAL_SCENES,
-    VISUAL_STIMULUS_KINDS,
     _apply,
     initial_state,
     scene_sequence,
 )
-from .scoring import TaskScorecard, score_session
+from .scoring import _COOKING_EDGES_CS, TaskScorecard, score_session
 from .sessionlog import SessionLog
 
 if TYPE_CHECKING:
@@ -60,17 +61,19 @@ class LengthMismatch(Exception):
     """Cohort profiles and seeds differ in length."""
 
 
-# Per-scene share of the simulated clock, in seconds, at the default target
-# of 3 732 s.  The shares scale linearly with config.session_target_s.
+# Per-scene share of the simulated clock, in seconds; the shares add up to
+# the default config.session_target_s and scale linearly with it.
 _NOMINAL_DURATION_S: dict[int, int] = {
     1: 180, 2: 180, 3: 300, 4: 180, 5: 180, 6: 300, 7: 120, 8: 240,
     9: 180, 10: 150, 11: 150, 12: 150, 13: 90, 14: 240, 15: 120, 16: 90,
     17: 120, 18: 150, 19: 180, 20: 90, 21: 90, 22: 252,
 }
-assert sum(_NOMINAL_DURATION_S.values()) == 3732
+assert sum(_NOMINAL_DURATION_S.values()) == ScoringConfig.session_target_s
 
 # Cooking removal targets: the midpoint of each item's on-time window.
-_COOKING_MIDPOINT_S = {"omelette": 20.0, "sausages": 24.0, "kettle": 16.0}
+_COOKING_MIDPOINT_S = {item: (on_time_lo + on_time_hi) / 200.0
+                       for item, (_, on_time_lo, on_time_hi, _)
+                       in _COOKING_EDGES_CS.items()}
 
 _PRACTICE_ATTEMPT_CAP = 5
 
@@ -305,8 +308,9 @@ def _scene_planning(b: _SessionBuilder, duration_ms: int) -> None:
         deviation = int(b.rng.poisson(p.planning_extra_units))
         if _bernoulli(b.rng, 0.5):
             deviation = -deviation
-    n_units = min(23, max(1, 15 + deviation))
-    units = [int(u) for u in b.rng.choice(23, size=n_units, replace=False) + 1]
+    n_units = min(ROUTE_UNIT_COUNT, max(1, ROUTE_IDEAL_UNITS + deviation))
+    units = [int(u) for u in
+             b.rng.choice(ROUTE_UNIT_COUNT, size=n_units, replace=False) + 1]
     for unit in units:
         b.act(EventKind.ROUTE_UNIT_TOGGLED, {"unit": unit, "selected": True})
     b.act(EventKind.ROUTE_SUBMITTED)
@@ -335,7 +339,7 @@ def _event_cascade(b: _SessionBuilder, trigger: EventKind, action: EventKind,
 def _scene_breakfast(b: _SessionBuilder, duration_ms: int) -> None:
     p = b.profile
     _maybe_use_notes(b)
-    for item in ("omelette", "sausages", "kettle"):
+    for item in COOKING_ITEMS:
         noise = p.cooking_timing_sd_s * float(b.rng.standard_normal())
         cook_time = max(0.0, _COOKING_MIDPOINT_S[item] + noise)
         b.act(EventKind.COOKING_ITEM_PLACED,
@@ -393,25 +397,20 @@ def _scene_npc(b: _SessionBuilder, duration_ms: int) -> None:
     b.exit_scene(duration_ms)
 
 
-def _ride_stimuli(b: _SessionBuilder, kinds: Sequence[str],
-                  counts: Sequence[int]) -> list[tuple[str, str]]:
+def _ride_stimuli(b: _SessionBuilder, ride: str) -> list[tuple[str, str]]:
     # Fixed inventory (kind, side), shuffled per session so stimulus order
     # varies with the seed but stays deterministic.
     inventory: list[tuple[str, str]] = []
-    for kind, count in zip(kinds, counts):
+    for kind, name in _PER_SIDE_FIELDS[ride].items():
         for side in SIDES:
-            inventory.extend((kind, side) for _ in range(count))
+            inventory.extend((kind, side) for _ in range(getattr(b.config, name)))
     order = b.rng.permutation(len(inventory))
     return [inventory[int(i)] for i in order]
 
 
 def _scene_visual_ride(b: _SessionBuilder, duration_ms: int) -> None:
     p = b.profile
-    cfg = b.config
-    stimuli = _ride_stimuli(
-        b, VISUAL_STIMULUS_KINDS,
-        (cfg.visual_targets_per_side, cfg.visual_shape_distractors_per_side,
-         cfg.visual_color_distractors_per_side))
+    stimuli = _ride_stimuli(b, "visual")
     step = max(1, (duration_ms * 8 // 10) // max(1, len(stimuli)))
     for index, (kind, side) in enumerate(stimuli):
         hit_p = (p.attention_hit_prob if kind == "target"
@@ -426,11 +425,7 @@ def _scene_visual_ride(b: _SessionBuilder, duration_ms: int) -> None:
 
 def _scene_auditory_ride(b: _SessionBuilder, duration_ms: int) -> None:
     p = b.profile
-    cfg = b.config
-    stimuli = _ride_stimuli(
-        b, AUDITORY_STIMULUS_KINDS,
-        (cfg.auditory_targets_per_side, cfg.auditory_high_distractors_per_side,
-         cfg.auditory_low_distractors_per_side))
+    stimuli = _ride_stimuli(b, "auditory")
     step = max(1, (duration_ms * 8 // 10) // max(1, len(stimuli)))
     for index, (kind, side) in enumerate(stimuli):
         hit_p = (p.attention_hit_prob if kind == "target"
@@ -518,7 +513,7 @@ def _simulate(profile: ParticipantProfile, seed: int, config: ScoringConfig,
     import numpy as np  # here, so that importing the package skips numpy
 
     builder = _SessionBuilder(profile, config)
-    scale = config.session_target_s / 3732.0
+    scale = config.session_target_s / sum(_NOMINAL_DURATION_S.values())
     stream_seed = seed & 0xFFFFFFFFFFFFFFFF
 
     for descriptor in scene_sequence():
