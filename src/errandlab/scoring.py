@@ -3,8 +3,9 @@
 Each scorer is a pure function over task-level inputs; none of them touch a
 log.  :func:`aggregate_scorecard` bridges the two worlds: it replays a full
 session log through the scenario engine (rejecting anything the engine
-rejects), then :func:`score_session` folds the events into task inputs and
-applies every scorer with the :class:`~errandlab.config.ScoringConfig` in
+rejects), then :func:`score_session` reads each task's input from the log's
+(scene, kind) groups (:attr:`~errandlab.sessionlog.SessionLog.events_by_key`)
+and applies every scorer with the :class:`~errandlab.config.ScoringConfig` in
 force.  The simulator, which already holds the engine's final state, calls
 :func:`score_session` directly.
 
