@@ -5,9 +5,11 @@ output paths, seeds, config hash, tool version) so the run can be reproduced
 from the manifest alone.  Manifests carry no timestamps: identical
 invocations produce identical manifests.
 
+A failed run prints one ``error:`` line (a usage error also prints usage).
 Exit codes: 0 success, 1 a Bayes factor that cannot be computed to the
-required accuracy, 2 configuration problem, 3 I/O problem (message names
-the path), 4 rejected or incomplete session log, 5 malformed response CSV.
+required accuracy, 2 usage or configuration error (a bad ``--config``,
+``--profile`` or ``--domains`` file is named), 3 I/O error (``error: <path>:
+<reason>``), 4 rejected or incomplete session log, 5 malformed response CSV.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from typing import Any, Optional, Sequence
 from . import __version__
 from .config import (
     ConfigError,
-    ScoringConfig,
     config_hash,
     default_config,
     load_config,
+    read_json,
     validate_domain_mapping,
 )
 from .scenario import EngineError
@@ -57,45 +59,20 @@ _EXIT_LOG = 4
 _EXIT_CSV = 5
 
 
-class _CliIOError(Exception):
-    pass
-
-
-def _read_bytes(path: str) -> bytes:
-    try:
-        with open(path, "rb") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise _CliIOError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
 def _write_bytes(path: str, data: bytes) -> None:
-    try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(data)
-    except OSError as exc:
-        raise _CliIOError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _load_config_arg(path: Optional[str]) -> ScoringConfig:
-    if path is None:
-        return default_config()
-    try:
-        return load_config(path)
-    except OSError as exc:
-        raise _CliIOError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 def _load_profile_arg(spec: Optional[str]) -> ParticipantProfile:
-    if spec is None:
-        return PROFILE_PRESETS["default"]()
-    if spec in PROFILE_PRESETS:
-        return PROFILE_PRESETS[spec]()
+    preset = PROFILE_PRESETS.get(spec or "default")
+    if preset is not None:
+        return preset()
     try:
         return load_profile(spec)
-    except OSError as exc:
-        raise _CliIOError(f"cannot read {spec}: {exc.strerror or exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{spec}: {exc}") from exc
 
 
 def _positive_int(text: str) -> int:
@@ -127,8 +104,10 @@ def _manifest(command: str, *, parameters: dict[str, Any],
     return manifest
 
 
-def _manifest_bytes(manifest: dict[str, Any]) -> bytes:
-    return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+def _write_manifest(out: str, manifest: dict[str, Any]) -> str:
+    path = os.path.join(out, "manifest.json")
+    _write_bytes(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    return path
 
 
 def _emit(payload: dict[str, Any], text_lines: Sequence[str], fmt: str) -> None:
@@ -144,7 +123,7 @@ def _emit(payload: dict[str, Any], text_lines: Sequence[str], fmt: str) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config_arg(args.config)
+    cfg = load_config(args.config) if args.config else default_config()
     profile = _load_profile_arg(args.profile)
     cfg_hash = config_hash(cfg)
     count = args.cohort
@@ -181,8 +160,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "profile": args.profile if args.profile and args.profile not in PROFILE_PRESETS else None,
             "config": args.config}.items() if v},
         outputs=outputs, cfg_hash=cfg_hash, seeds=seeds)
-    manifest_path = os.path.join(args.out, "manifest.json")
-    _write_bytes(manifest_path, _manifest_bytes(manifest))
+    manifest_path = _write_manifest(args.out, manifest)
 
     lines = [f"wrote {s['log']} ({s['events']} events) and {s['report']}"
              for s in summaries]
@@ -196,9 +174,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    cfg = _load_config_arg(args.config)
+    cfg = load_config(args.config) if args.config else default_config()
     cfg_hash = config_hash(cfg)
-    log = deserialize_log(_read_bytes(args.log))
+    with open(args.log, "rb") as handle:
+        log = deserialize_log(handle.read())
     card = aggregate_scorecard(log, cfg)
     report = export_report(card, cfg, log.seed, cfg_hash)
 
@@ -214,8 +193,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         inputs={"log": args.log, **({"config": args.config} if args.config else {})},
         outputs=outputs, cfg_hash=cfg_hash)
     if args.out:
-        _write_bytes(os.path.join(args.out, "manifest.json"),
-                     _manifest_bytes(manifest))
+        _write_manifest(args.out, manifest)
 
     payload = {"scorecard": scorecard_to_dict(card), "manifest": manifest}
     _emit(payload, report.splitlines(), args.format)
@@ -226,28 +204,20 @@ def _cmd_score(args: argparse.Namespace) -> int:
 # vrnq
 
 
-def _load_domains_arg(args: argparse.Namespace) -> Optional[dict]:
-    if not getattr(args, "domains", None):
+def _load_domains_arg(path: Optional[str]) -> Optional[dict]:
+    if not path:
         return None
-    raw = _read_bytes(args.domains)
+    mapping = read_json(path)
     try:
-        mapping = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"domain mapping {args.domains} is not valid JSON: {exc}")
-    validate_domain_mapping(mapping)
+        validate_domain_mapping(mapping)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return mapping
 
 
-def _read_cohort_arg(path: str):
-    try:
-        return read_cohort_csv(path)
-    except OSError as exc:
-        raise _CliIOError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
 def _cmd_vrnq_score(args: argparse.Namespace) -> int:
-    mapping = _load_domains_arg(args)
-    responses = _read_cohort_arg(args.responses)
+    mapping = _load_domains_arg(args.domains)
+    responses = read_cohort_csv(args.responses)
     scored = [score_vrnq(r, mapping) for r in responses]
     aggregate = aggregate_cohort(scored)
     verdict = check_cutoffs(aggregate, args.tier)
@@ -295,8 +265,7 @@ def _cmd_vrnq_score(args: argparse.Namespace) -> int:
                 **({"domains": args.domains} if args.domains else {})},
         outputs={})
     if args.out:
-        _write_bytes(os.path.join(args.out, "manifest.json"),
-                     _manifest_bytes(manifest))
+        _write_manifest(args.out, manifest)
 
     payload = {
         "participants": participant_rows,
@@ -333,9 +302,9 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
     # scipy costs most of a cold start; only this command needs it
     from . import bayes
 
-    mapping = _load_domains_arg(args)
-    baseline = _read_cohort_arg(args.baseline)
-    revised = _read_cohort_arg(args.revised)
+    mapping = _load_domains_arg(args.domains)
+    baseline = read_cohort_csv(args.baseline)
+    revised = read_cohort_csv(args.revised)
     direction = bayes.Direction(args.direction)
     columns = _paired_columns(baseline, revised, mapping)
 
@@ -408,8 +377,7 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
                 **({"domains": args.domains} if args.domains else {})},
         outputs=outputs)
     if args.out:
-        _write_bytes(os.path.join(args.out, "manifest.json"),
-                     _manifest_bytes(manifest))
+        _write_manifest(args.out, manifest)
 
     payload = {"hypothesis": hypothesis, "rows": rows, "manifest": manifest}
     _emit(payload, lines, args.format)
@@ -483,8 +451,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except _CliIOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {where}", file=sys.stderr)
         return _EXIT_IO
     except (LogError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)

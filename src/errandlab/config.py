@@ -15,9 +15,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
+
+from .scenario import SHOPPING_LIST_LENGTH, NpcChoice
 
 
 class ConfigError(Exception):
@@ -144,55 +147,72 @@ class ScoringConfig:
         default_factory=lambda: {k: list(v) for k, v in DEFAULT_DOMAIN_MAPPING.items()})
 
     def validate(self) -> None:
-        if len(self.recognition_targets) != 10:
-            raise ConfigError("recognition_targets must list 10 items")
-        if len(self.recognition_qualitative) != 5:
-            raise ConfigError("recognition_qualitative must list 5 items")
-        if len(self.recognition_quantitative) != 5:
-            raise ConfigError("recognition_quantitative must list 5 items")
-        if len(self.recognition_false) != 10:
-            raise ConfigError("recognition_false must list 10 items")
+        # Types first, so that no comparison below meets a mistyped value.
+        for name in ("normative_route_mean_s", "normative_route_sd_s",
+                     "session_target_s"):
+            value = getattr(self, name)
+            if not ((type(value) is int or isinstance(value, float))
+                    and abs(value) <= sys.float_info.max):  # NaN fails too
+                raise ConfigError(f"{name} must be a finite number")
+        for name in (*_PER_SIDE_FIELDS["visual"].values(),
+                     *_PER_SIDE_FIELDS["auditory"].values()):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer")
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
+        for name, count in (("recognition_targets", SHOPPING_LIST_LENGTH),
+                            ("recognition_qualitative", 5),
+                            ("recognition_quantitative", 5),
+                            ("recognition_false", 10), ("collection_targets", 6)):
+            if len(getattr(self, name)) != count:
+                raise ConfigError(f"{name} must list {count} items")
         catalog = (self.recognition_targets + self.recognition_qualitative
                    + self.recognition_quantitative + self.recognition_false)
         if len(set(catalog)) != len(catalog):
             raise ConfigError("recognition catalog items must be unique")
-        if len(self.collection_targets) != 6:
-            raise ConfigError("collection_targets must list 6 items")
         if set(self.collection_targets) & set(self.collection_distractors):
             raise ConfigError("collection targets and distractors overlap")
         if self.normative_route_sd_s <= 0:
             raise ConfigError("normative_route_sd_s must be positive")
-        if set(self.band_points) != set(BAND_NAMES):
-            raise ConfigError(f"band_points must cover exactly {BAND_NAMES}")
-        if set(self.npc_positive_matrix) != {"1", "2", "3"}:
+        _check_points("band_points", self.band_points, set(BAND_NAMES),
+                      f"band_points must cover exactly {BAND_NAMES}")
+        matrix = self.npc_positive_matrix
+        if not isinstance(matrix, Mapping) or set(matrix) != {"1", "2", "3"}:
             raise ConfigError("npc_positive_matrix needs rows '1', '2', '3'")
-        for row in self.npc_positive_matrix.values():
-            if set(row) != {"correct", "semantic_relative", "other_pm_task", "unrelated"}:
-                raise ConfigError("npc_positive_matrix rows need all four item categories")
-        if set(self.npc_negative_deductions) != {"0", "1", "2", "3"}:
-            raise ConfigError("npc_negative_deductions needs keys '0'..'3'")
-        for key, value in self.npc_negative_deductions.items():
+        for row in matrix.values():
+            _check_points("npc_positive_matrix", row, {c.value for c in NpcChoice},
+                          "npc_positive_matrix rows need all four item categories")
+        _check_points("npc_negative_deductions", self.npc_negative_deductions,
+                      {"0", "1", "2", "3"}, "npc_negative_deductions needs keys '0'..'3'")
+        for value in self.npc_negative_deductions.values():
             if value > 0:
                 raise ConfigError("negative deductions cannot be positive")
             if value < -3:
                 raise ConfigError("a single deduction cannot exceed 3 points")
-        for name in (*_PER_SIDE_FIELDS["visual"].values(),
-                     *_PER_SIDE_FIELDS["auditory"].values()):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
         if self.session_target_s <= 0:
             raise ConfigError("session_target_s must be positive")
         validate_domain_mapping(self.domain_mapping)
 
 
+def _check_points(name: str, table: Any, keys: set[str], message: str) -> None:
+    """Require a mapping from exactly ``keys`` to ints; ``message`` if the keys differ."""
+    if not isinstance(table, Mapping) or set(table) != keys:
+        raise ConfigError(message)
+    for value in table.values():
+        if type(value) is not int:
+            raise ConfigError(f"{name} values must be integers, not {value!r}")
+
+
 def validate_domain_mapping(mapping: Mapping[str, Any]) -> None:
     """Require a partition of items 1..20 into the four named 5-item domains."""
     expected_domains = set(DEFAULT_DOMAIN_MAPPING)
-    if set(mapping) != expected_domains:
+    if not isinstance(mapping, Mapping) or set(mapping) != expected_domains:
         raise ConfigError(
             f"domain_mapping must name exactly {sorted(expected_domains)}")
     seen: list[int] = []
     for domain, items in mapping.items():
+        if not isinstance(items, (list, tuple)):
+            raise ConfigError(f"domain {domain} items must be a list")
         if len(items) != 5:
             raise ConfigError(f"domain {domain} must map exactly 5 items")
         for item in items:
@@ -224,10 +244,8 @@ def default_config() -> ScoringConfig:
     return config
 
 
-_TUPLE_FIELDS = {
-    "recognition_targets", "recognition_qualitative", "recognition_quantitative",
-    "recognition_false", "collection_targets", "collection_distractors",
-}
+_TUPLE_FIELDS = {f.name for f in dataclasses.fields(ScoringConfig)
+                 if isinstance(f.default, tuple)}
 
 
 def config_from_dict(data: Mapping[str, Any]) -> ScoringConfig:
@@ -255,14 +273,22 @@ def config_from_dict(data: Mapping[str, Any]) -> ScoringConfig:
     return config
 
 
+def read_json(path: str | Path) -> Any:
+    """The JSON document in the UTF-8 file at ``path``; ConfigError naming
+    ``path`` if the bytes are not UTF-8 JSON or nest past the recursion limit."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def load_config(path: str | Path) -> ScoringConfig:
     """Read a JSON config file, merging the given keys over the defaults."""
-    text = Path(path).read_text(encoding="utf-8")
+    data = read_json(path)
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(data)
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def save_config(config: ScoringConfig, path: str | Path) -> None:

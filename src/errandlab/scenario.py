@@ -40,8 +40,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Optional, Union
 
-SCENE_COUNT = 22
-
 # Fixed storyline content.
 ROUTE_UNIT_COUNT = 23
 ROUTE_IDEAL_UNITS = 15
@@ -208,7 +206,6 @@ NPC_SCENES = frozenset(
     if s.pm_task is not None and s.pm_task.cascade.trigger is TriggerKind.NPC_DIALOGUE)
 PM_TASKS: dict[int, PmTaskSpec] = {
     s.scene_id: s.pm_task for s in _SCENES if s.pm_task is not None}
-PM_SCENES = frozenset(PM_TASKS)
 
 
 def scene_sequence() -> tuple[SceneDescriptor, ...]:

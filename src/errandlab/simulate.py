@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
-from .config import ScoringConfig, _PER_SIDE_FIELDS, config_hash, default_config
+from .config import ScoringConfig, _PER_SIDE_FIELDS, config_hash, default_config, read_json
 from .scenario import (
     COOKING_ITEMS,
     EVENT_SCENES,
@@ -114,14 +114,14 @@ class ParticipantProfile:
                  self.attention_hit_prob, self.attention_false_alarm_prob,
                  self.wrong_controller_prob, self.notes_use_prob]
         for p in probs:
-            if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):
+            if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):  # NaN fails too
                 raise ValueError(f"probability {p!r} outside [0, 1]")
         if not (isinstance(self.planning_extra_units, int)
                 and self.planning_extra_units >= 0):
             raise ValueError("planning_extra_units must be a non-negative integer")
         for name in ("cooking_timing_sd_s", "latency_mean_ms", "latency_sd_ms"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if not (isinstance(value, (int, float)) and 0 <= value <= sys.float_info.max):
                 raise ValueError(f"{name} must be non-negative and finite")
 
 
@@ -165,6 +165,8 @@ def profile_to_dict(profile: ParticipantProfile) -> dict[str, Any]:
 
 
 def profile_from_dict(data: Mapping[str, Any]) -> ParticipantProfile:
+    if not isinstance(data, Mapping):
+        raise ValueError("profile document must be a JSON object")
     known = {f.name for f in dataclasses.fields(ParticipantProfile)}
     unknown = set(data) - known
     if unknown:
@@ -176,8 +178,7 @@ def profile_from_dict(data: Mapping[str, Any]) -> ParticipantProfile:
 
 
 def load_profile(path: str) -> ParticipantProfile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return profile_from_dict(json.load(handle))
+    return profile_from_dict(read_json(path))
 
 
 def save_profile(profile: ParticipantProfile, path: str) -> None:
@@ -363,11 +364,13 @@ def _scene_collect_and_pie(b: _SessionBuilder, duration_ms: int) -> None:
     b.exit_scene(duration_ms)
 
 
+_WRONG_CHOICES = tuple(c.value for c in NpcChoice if c is not NpcChoice.CORRECT)
+
+
 def _npc_choice(b: _SessionBuilder) -> str:
     if _bernoulli(b.rng, b.profile.recognition_target_prob):
         return NpcChoice.CORRECT.value
-    wrong = [c.value for c in NpcChoice if c is not NpcChoice.CORRECT]
-    return wrong[int(b.rng.integers(len(wrong)))]
+    return _WRONG_CHOICES[int(b.rng.integers(len(_WRONG_CHOICES)))]
 
 
 def _scene_npc(b: _SessionBuilder, duration_ms: int) -> None:
@@ -434,7 +437,7 @@ def _scene_auditory_ride(b: _SessionBuilder, duration_ms: int) -> None:
         if _bernoulli(b.rng, hit_p):
             response = side
             if _bernoulli(b.rng, p.wrong_controller_prob):
-                response = "right" if side == "left" else "left"
+                response = SIDES[1 - SIDES.index(side)]
         b.act(EventKind.SOUND_TRIGGERED,
               {"stimulus_id": f"sound_{index:02d}", "stimulus_kind": kind,
                "stimulus_side": side, "response_side": response},

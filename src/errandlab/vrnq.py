@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .config import DEFAULT_DOMAIN_MAPPING, validate_domain_mapping
 
-DOMAINS = ("UserExperience", "GameMechanics", "InGameAssistance", "VRISE")
+DOMAINS = tuple(DEFAULT_DOMAIN_MAPPING)
 ITEM_COUNT = 20
 SCALE_MIN, SCALE_MAX = 1, 7
 
@@ -165,7 +165,10 @@ def read_cohort_csv(source: str | Path | io.TextIOBase) -> list[VrnqResponseSet]
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _read_cohort(handle)
+            try:
+                return _read_cohort(handle)
+            except UnicodeDecodeError as exc:
+                raise VrnqError(f"{source}: invalid UTF-8 ({exc})") from exc
     return _read_cohort(source)
 
 

@@ -471,6 +471,58 @@ class TestEntryPoints:
         assert (tmp_path / "run" / "session.ndjson").exists()
 
 
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+# (option, content of the file it names, exit code): every case reads one bad file
+_BAD_INPUT_FILES = [
+    pytest.param("--profile", "{not json", 2, id="profile-invalid-json"),
+    pytest.param("--profile", '{"bogus": 1}', 2, id="profile-unknown-field"),
+    pytest.param("--profile", '{"notes_use_prob": 2}', 2, id="profile-probability-2"),
+    pytest.param("--profile", "[1, 2]", 2, id="profile-array"),
+    pytest.param("--profile", '{"latency_mean_ms": "x"}', 2, id="profile-string-number"),
+    pytest.param("--config", b'{"session_target_s": "\xff"}', 2, id="config-not-utf8"),
+    pytest.param("--config", _DEEP, 2, id="config-nested-deep"),
+    pytest.param("--domains", _DEEP, 2, id="domains-nested-deep"),
+    pytest.param("--config", '{"normative_route_sd_s": NaN}', 2, id="config-nan"),
+    pytest.param("--config", '{"visual_targets_per_side": "8"}', 2,
+                 id="config-string-count"),
+    pytest.param("--config", json.dumps({"band_points": {
+        **errandlab.config.DEFAULT_BAND_POINTS, "OnTime": "x"}}), 2,
+                 id="config-string-band-points"),
+    pytest.param("--responses", (",".join(CSV_COLUMNS) + "\np\xff,").encode("latin-1")
+                 + b",".join([b"4"] * 20) + b"\n", 5, id="responses-not-utf8"),
+    pytest.param("--domains", json.dumps({
+        **errandlab.config.DEFAULT_DOMAIN_MAPPING, "UserExperience": 5}), 2,
+                 id="domains-items-not-a-list"),
+]
+
+
+class TestBadInputFiles:
+    @staticmethod
+    def _argv(option, path, tmp_path):
+        """A command whose one bad input is ``path``, passed as ``option``."""
+        if option in ("--profile", "--config"):
+            return ["simulate", "--seed", "1", option, path,
+                    "--out", str(tmp_path / "run")]
+        if option == "--responses":
+            return ["vrnq", "score", "--responses", path]
+        good = _cohort_csv(tmp_path / "cohort.csv", {"p1": 100, "p2": 90})
+        return ["vrnq", "score", "--responses", str(good), option, path]
+
+    @pytest.mark.parametrize("option, content, code", _BAD_INPUT_FILES)
+    def test_one_error_line_naming_the_file(self, tmp_path, option, content, code):
+        bad = tmp_path / "bad_input"
+        bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+        result = subprocess.run(
+            [sys.executable, "-m", "errandlab", *self._argv(option, str(bad), tmp_path)],
+            capture_output=True, text=True, env=_subprocess_env())
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"error: {bad}: ")
+
+
 _BAYES_NAMES = (
     "BayesComparison", "DegenerateSample", "Direction", "EvidenceBand",
     "IntegrationFailure", "PairedSample", "TTestResult", "bf10_directional",
