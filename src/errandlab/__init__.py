@@ -93,6 +93,7 @@ from .simulate import (
 from .vrnq import (
     CohortAggregate,
     CutoffVerdict,
+    DomainMapping,
     VrnqError,
     VrnqResponseSet,
     VrnqScores,

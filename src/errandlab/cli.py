@@ -27,7 +27,6 @@ from .config import (
     default_config,
     load_config,
     read_json,
-    validate_domain_mapping,
 )
 from .scenario import EngineError
 from .scoring import aggregate_scorecard, score_session, scorecard_to_dict
@@ -46,6 +45,7 @@ from .simulate import (
 from .vrnq import (
     CUTOFFS,
     DOMAINS,
+    DomainMapping,
     VrnqError,
     aggregate_cohort,
     check_cutoffs,
@@ -204,15 +204,14 @@ def _cmd_score(args: argparse.Namespace) -> int:
 # vrnq
 
 
-def _load_domains_arg(path: Optional[str]) -> Optional[dict]:
+def _load_domains_arg(path: Optional[str]) -> Optional[DomainMapping]:
     if not path:
         return None
     mapping = read_json(path)
     try:
-        validate_domain_mapping(mapping)
+        return DomainMapping(mapping)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return mapping
 
 
 def _cmd_vrnq_score(args: argparse.Namespace) -> int:

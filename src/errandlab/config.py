@@ -108,6 +108,15 @@ _PER_SIDE_FIELDS: dict[str, dict[str, str]] = {
 }
 
 
+# The simulated clock counts whole milliseconds, which the simulator derives
+# from session_target_s through floats (share * scale * 1000) and telemetry
+# turns back into float seconds: a double holds every whole millisecond up
+# to 2**53, and past about 1.8e308 ms the conversion overflows.
+_MAX_CLOCK_MS = 2**53
+# the longest planning time telemetry can report: float(ms) / 1000.0
+_MAX_PLANNING_S = sys.float_info.max / 1000.0
+
+
 @dataclass(frozen=True)
 class ScoringConfig:
     """All injectable scoring and simulation parameters."""
@@ -174,6 +183,15 @@ class ScoringConfig:
             raise ConfigError("collection targets and distractors overlap")
         if self.normative_route_sd_s <= 0:
             raise ConfigError("normative_route_sd_s must be positive")
+        # time_z = (c - mean) / sd for a planning time c that telemetry
+        # computes as milliseconds / 1000.0, so c lies in [0, max / 1000]
+        # and the z of either end must stay finite
+        worst = max(abs(self.normative_route_mean_s),
+                    abs(_MAX_PLANNING_S - self.normative_route_mean_s))
+        if not worst / self.normative_route_sd_s <= sys.float_info.max:
+            raise ConfigError(
+                f"normative_route_sd_s {self.normative_route_sd_s!r} lets time_z "
+                f"overflow for a planning time in [0, {_MAX_PLANNING_S:.3g}] s")
         _check_points("band_points", self.band_points, set(BAND_NAMES),
                       f"band_points must cover exactly {BAND_NAMES}")
         matrix = self.npc_positive_matrix
@@ -191,6 +209,9 @@ class ScoringConfig:
                 raise ConfigError("a single deduction cannot exceed 3 points")
         if self.session_target_s <= 0:
             raise ConfigError("session_target_s must be positive")
+        if self.session_target_s * 1000 > _MAX_CLOCK_MS:
+            raise ConfigError(
+                f"session_target_s must be at most {_MAX_CLOCK_MS / 1000:g} (2**53 ms)")
         validate_domain_mapping(self.domain_mapping)
 
 

@@ -113,16 +113,22 @@ class ParticipantProfile:
                  self.recognition_target_prob, self.recognition_distractor_prob,
                  self.attention_hit_prob, self.attention_false_alarm_prob,
                  self.wrong_controller_prob, self.notes_use_prob]
+        # bool is a subclass of int, and no field here takes one
         for p in probs:
-            if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):  # NaN fails too
-                raise ValueError(f"probability {p!r} outside [0, 1]")
-        if not (isinstance(self.planning_extra_units, int)
+            if not (_is_number(p) and 0.0 <= p <= 1.0):  # NaN fails too
+                raise ValueError(f"probability {p!r} is not a number in [0, 1]")
+        if not (type(self.planning_extra_units) is int
                 and self.planning_extra_units >= 0):
             raise ValueError("planning_extra_units must be a non-negative integer")
         for name in ("cooking_timing_sd_s", "latency_mean_ms", "latency_sd_ms"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0 <= value <= sys.float_info.max):
-                raise ValueError(f"{name} must be non-negative and finite")
+            if not (_is_number(value) and 0 <= value <= sys.float_info.max):
+                raise ValueError(f"{name} must be a non-negative finite number")
+
+
+def _is_number(value: Any) -> bool:
+    """An int or a float, and not a bool."""
+    return type(value) is int or isinstance(value, float)
 
 
 def default_profile() -> ParticipantProfile:

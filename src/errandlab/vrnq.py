@@ -22,7 +22,7 @@ import io
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import DEFAULT_DOMAIN_MAPPING, validate_domain_mapping
 
@@ -70,12 +70,33 @@ class VrnqScores:
     total: int  # 20..140
 
 
+class DomainMapping(Mapping[str, tuple[int, ...]]):
+    """A domain mapping that passed :func:`validate_domain_mapping` when it
+    was made, with its item lists copied to tuples.  :func:`score_vrnq`
+    trusts it, so a cohort scored under it is checked once."""
+
+    def __init__(self, mapping: Mapping[str, Sequence[int]]) -> None:
+        validate_domain_mapping(mapping)
+        self._items = {domain: tuple(mapping[domain]) for domain in DOMAINS}
+
+    def __getitem__(self, domain: str) -> tuple[int, ...]:
+        return self._items[domain]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+
 def score_vrnq(responses: VrnqResponseSet,
                domain_mapping: Optional[Mapping[str, Sequence[int]]] = None) -> VrnqScores:
-    """Sum items into the domain sub-scores and the total; checks a passed mapping."""
+    """Sum items into the domain sub-scores and the total; checks a passed
+    mapping unless it is a :class:`DomainMapping`."""
     mapping = DEFAULT_DOMAIN_MAPPING
     if domain_mapping is not None:
-        validate_domain_mapping(domain_mapping)
+        if not isinstance(domain_mapping, DomainMapping):
+            validate_domain_mapping(domain_mapping)
         mapping = domain_mapping
     subs = {
         domain: sum(responses.items[item - 1] for item in mapping[domain])

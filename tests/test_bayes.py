@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+import errandlab.bayes
 from errandlab.bayes import (
     BayesComparison,
     DEFAULT_PRIOR_SCALE,
@@ -289,6 +292,99 @@ class TestGoldenBayesFactors:
     def test_matches_high_precision_at_extremes(self, t, n, direction):
         bf = bf10_directional(t, n, direction=Direction(direction))
         assert bf == pytest.approx(self.HIGH_PRECISION[(t, n, direction)], rel=1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_t_tail(k, x):
+    # P(T_k < -|w|) for x = k / (k + w^2); both one-sided directions of one
+    # (t, n) meet the same nodes, so each tail is computed once
+    return mpmath.betainc(k / 2, mpmath.mpf(1) / 2, 0, x, regularized=True) / 2
+
+
+def _mp_bf10(t, n, direction, prior_scale=DEFAULT_PRIOR_SCALE):
+    """bf10 and the quadrature's error estimate, at 40 digits: the integral
+    over g of the ``bayes`` docstring, taken in y = log g by mpmath.quad,
+    with the Student t distribution function from mpmath.betainc.  It shares
+    no code with ``bayes``."""
+    sign = {Direction.A_LESS: 1, Direction.A_GREATER: -1,
+            Direction.TWO_SIDED: 0}[direction]
+    with mpmath.workdps(40):
+        t, r, k = mpmath.mpf(t), mpmath.mpf(prior_scale), mpmath.mpf(n)
+        nu = k - 1
+
+        def integrand(y):
+            g = mpmath.exp(y)
+            omega2 = 1 + n * g
+            z2 = t * t / omega2
+            # g times the InvGamma(1/2, r^2/2) density, and t_nu(z) / omega
+            # over t_nu(t)
+            value = (r / mpmath.sqrt(2 * mpmath.pi * g) * mpmath.exp(-r * r / (2 * g))
+                     / mpmath.sqrt(omega2) * ((nu + z2) / (nu + t * t)) ** (-k / 2))
+            if sign:
+                w2 = n * g * z2 * k / (nu + z2)
+                tail = _mp_t_tail(k, k / (k + w2))
+                value *= 2 * (tail if sign * t < 0 else 1 - tail)
+            return value
+
+        # the integrand peaks for g in [r^2/4, max(t^2/n, r^2)]; four e-folds
+        # below it exp(-r^2/2g) is under e^-100
+        lo = mpmath.log(r * r / 4)
+        hi = mpmath.log(max(t * t / n, r * r))
+        value, error = mpmath.quad(integrand, [lo - 4, lo, hi + 2, mpmath.inf],
+                                   error=True, maxdegree=5)
+        return value, error / value
+
+
+class TestErrorEstimateIsHonest:
+    # The reported relative error must bound the true one, except for the
+    # rounding of the last steps: log bf = peak + log split + log value, three
+    # rounded logs and two additions, each off by at most eps/2 of a term no
+    # larger than |log bf| when they do not cancel, and exp adds eps/2 of
+    # relative error.  That is 3 eps |log bf|, and C = 4 leaves a margin.
+    C = 4
+    WORKLOAD = [(t, n, direction) for n in (12, 25, 60, 100)
+                for t in (0.3, 3.0, 6.0) for direction in Direction]
+
+    @classmethod
+    def _check(cls, t, n, direction, ref):
+        bf, rel_err = bf10_directional_with_error(t, n, direction=direction)
+        floor = cls.C * sys.float_info.epsilon * max(1.0, abs(math.log(bf)))
+        assert float(abs(bf - ref) / ref) <= max(rel_err, floor), (bf, rel_err)
+
+    @pytest.mark.parametrize("t,n,direction", WORKLOAD)
+    def test_workload_shaped_grid(self, t, n, direction):
+        ref, quad_err = _mp_bf10(t, n, direction)
+        assert quad_err < 1e-20  # far below every bound checked here
+        self._check(t, n, direction, ref)
+
+    @pytest.mark.parametrize("t,n,direction", list(TestGoldenBayesFactors.HIGH_PRECISION))
+    def test_high_precision_cases(self, t, n, direction):
+        ref = mpmath.mpf(TestGoldenBayesFactors.HIGH_PRECISION[(t, n, direction)])
+        self._check(t, n, Direction(direction), ref)
+
+    def test_reference_reproduces_the_recorded_high_precision_values(self):
+        # two recorded values, one per direction kind, from the same integral
+        for key in ((1e6, 2, "greater"), (100.0, 2, "two-sided")):
+            ref, _ = _mp_bf10(key[0], key[1], Direction(key[2]))
+            assert float(abs(ref - TestGoldenBayesFactors.HIGH_PRECISION[key])
+                         / ref) < 1e-15
+
+
+class TestQuadratureShape:
+    @pytest.mark.parametrize("t,n,direction", TestErrorEstimateIsHonest.WORKLOAD)
+    def test_stdtr_is_called_on_arrays(self, monkeypatch, t, n, direction):
+        # one call for the tail limit, then one per round of the rule over
+        # every node at once; two-sided needs only the first
+        calls = []
+        original = errandlab.bayes.stdtr
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(errandlab.bayes, "stdtr", counted)
+        bf10_directional(t, n, direction=direction)
+        assert len(calls) <= (1 if direction is Direction.TWO_SIDED else 3)
 
 
 class TestEvidenceBands:

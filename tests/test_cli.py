@@ -396,6 +396,22 @@ class TestCallCounts:
         assert main(["score", "--log", str(out / "session.ndjson")]) == 0
         assert (len(replays), len(telemetry)) == (1, 1)
 
+    @pytest.mark.parametrize("command", ["score", "compare"])
+    def test_vrnq_validates_a_domains_mapping_once(self, tmp_path, monkeypatch,
+                                                   command):
+        domains = tmp_path / "domains.json"
+        domains.write_text(json.dumps(errandlab.config.DEFAULT_DOMAIN_MAPPING))
+        ids = [f"p{i:02d}" for i in range(12)]
+        baseline = _cohort_csv(tmp_path / "a.csv", {p: 60 + 3 * i for i, p in enumerate(ids)})
+        revised = _cohort_csv(tmp_path / "b.csv",
+                              {p: 70 + 3 * i + i % 4 for i, p in enumerate(ids)})
+        argv = (["vrnq", "score", "--responses", str(baseline)] if command == "score"
+                else ["vrnq", "compare", "--baseline", str(baseline),
+                      "--revised", str(revised)])
+        checks = _count_calls(monkeypatch, errandlab.config, "validate_domain_mapping")
+        assert main([*argv, "--domains", str(domains), "--format", "json"]) == 0
+        assert len(checks) == 1
+
     def test_score_parses_a_canonical_log_without_json_loads(self, tmp_path,
                                                              monkeypatch):
         # json.loads is the parser's slow path, for padded or invalid lines;
@@ -449,6 +465,11 @@ class TestEntryPoints:
     def test_import_leaves_scipy_stats_unloaded(self):
         assert _heavy_modules_after("import errandlab.cli") == []
 
+    def test_bayes_import_leaves_scipy_integrate_unloaded(self):
+        loaded = _heavy_modules_after("import errandlab.bayes")
+        assert "errandlab.bayes" in loaded
+        assert [m for m in loaded if m.startswith("scipy.integrate")] == []
+
     def test_package_import_leaves_scipy_and_numpy_unloaded(self):
         assert _heavy_modules_after("import errandlab") == []
 
@@ -495,6 +516,11 @@ _BAD_INPUT_FILES = [
     pytest.param("--domains", json.dumps({
         **errandlab.config.DEFAULT_DOMAIN_MAPPING, "UserExperience": 5}), 2,
                  id="domains-items-not-a-list"),
+    pytest.param("--config", '{"normative_route_sd_s": 1e-320}', 2,
+                 id="config-sd-overflows-time-z"),
+    pytest.param("--config", '{"session_target_s": 1e308}', 2,
+                 id="config-session-target-overflows-clock"),
+    pytest.param("--profile", '{"latency_sd_ms": true}', 2, id="profile-bool-number"),
 ]
 
 

@@ -12,6 +12,7 @@ from errandlab.vrnq import (
     CUTOFFS,
     CSV_COLUMNS,
     DOMAINS,
+    DomainMapping,
     ScoreStats,
     VrnqError,
     VrnqResponseSet,
@@ -91,6 +92,22 @@ class TestDomainMappingValidation:
                    "VRISE": [15, 16, 17, 18, 19]}
         with pytest.raises(ConfigError):
             score_vrnq(_responses(items=[4] * 20), domain_mapping=mapping)
+
+    def test_a_domain_mapping_is_checked_once_when_made(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(errandlab.vrnq, "validate_domain_mapping", checked.append)
+        source = {domain: list(items) for domain, items in DEFAULT_DOMAIN_MAPPING.items()}
+        mapping = DomainMapping(source)
+        source["VRISE"].append(21)  # the copy made at the check is what scores
+        items = list(range(1, 8)) * 2 + [1, 2, 3, 4, 5, 6]
+        for _ in range(3):
+            scores = score_vrnq(_responses(items=items), domain_mapping=mapping)
+        assert checked == [source]
+        assert scores == score_vrnq(_responses(items=items))
+
+    def test_domain_mapping_rejects_a_bad_mapping(self):
+        with pytest.raises(ConfigError):
+            DomainMapping({**DEFAULT_DOMAIN_MAPPING, "VRISE": [1, 2, 3, 4, 5]})
 
     def test_default_domains_required(self):
         with pytest.raises(ConfigError):
