@@ -11,8 +11,6 @@ The :mod:`errandlab.bayes` names are re-exported lazily (PEP 562), so that
 importing the package or its CLI loads neither scipy nor numpy.
 """
 
-from __future__ import annotations
-
 import importlib
 
 __version__ = "0.1.0"
@@ -51,17 +49,7 @@ from .scenario import (
 from .scoring import (
     TaskScorecard,
     aggregate_scorecard,
-    classify_cooking_time,
-    score_auditory_attention,
-    score_cooking,
-    score_collection,
-    score_npc_pm_negative,
-    score_npc_pm_positive,
-    score_planning,
-    score_prompt_cascade,
-    score_recognition,
     score_session,
-    score_visual_attention,
     scorecard_to_dict,
 )
 from .sessionlog import (

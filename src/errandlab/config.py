@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .scenario import SHOPPING_LIST_LENGTH, NpcChoice
+from .scenario import _MAX_CLOCK_MS, SHOPPING_LIST_LENGTH, NpcChoice
 
 
 class ConfigError(Exception):
@@ -108,11 +108,6 @@ _PER_SIDE_FIELDS: dict[str, dict[str, str]] = {
 }
 
 
-# The simulated clock counts whole milliseconds, which the simulator derives
-# from session_target_s through floats (share * scale * 1000) and telemetry
-# turns back into float seconds: a double holds every whole millisecond up
-# to 2**53, and past about 1.8e308 ms the conversion overflows.
-_MAX_CLOCK_MS = 2**53
 # the longest planning time telemetry can report: float(ms) / 1000.0
 _MAX_PLANNING_S = sys.float_info.max / 1000.0
 

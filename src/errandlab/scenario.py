@@ -327,6 +327,12 @@ def validate_payload(kind: EventKind, payload: dict[str, Any]) -> None:
             raise ValueError(f"{kind.value}.{name} must be finite")
 
 
+# The session clock counts whole milliseconds, which telemetry and the
+# simulator turn into float seconds and back: a double holds every whole
+# millisecond up to 2**53, and past about 1.8e308 ms the conversion overflows.
+_MAX_CLOCK_MS = 2**53
+
+
 @dataclass(frozen=True, slots=True)
 class SessionEvent:
     """One timestamped, scene-stamped record of something the user did."""
@@ -350,6 +356,8 @@ class SessionEvent:
             raise ValueError("seq must be non-negative")
         if self.sim_time_ms < 0:
             raise ValueError("sim_time_ms must be non-negative")
+        if self.sim_time_ms > _MAX_CLOCK_MS:
+            raise ValueError("sim_time_ms must be at most 2**53")
         if self.scene not in SCENES_BY_ID:
             raise ValueError(f"unknown scene id {self.scene}")
         validate_payload(self.kind, self.payload)

@@ -1,13 +1,18 @@
 """Task scoring rules for the errand battery.
 
-Each scorer is a pure function over task-level inputs; none of them touch a
-log.  :func:`aggregate_scorecard` bridges the two worlds: it replays a full
-session log through the scenario engine (rejecting anything the engine
-rejects), then :func:`score_session` reads each task's input from the log's
-(scene, kind) groups (:attr:`~errandlab.sessionlog.SessionLog.events_by_key`)
-and applies every scorer with the :class:`~errandlab.config.ScoringConfig` in
-force.  The simulator, which already holds the engine's final state, calls
-:func:`score_session` directly.
+The scoring API is :func:`aggregate_scorecard`, :func:`score_session` and
+:func:`scorecard_to_dict`.  :func:`aggregate_scorecard` replays a full session
+log through the scenario engine (rejecting anything the engine rejects), then
+:func:`score_session` reads each task's input from the log's (scene, kind)
+groups (:attr:`~errandlab.sessionlog.SessionLog.events_by_key`) and applies
+every private per-task scorer with the
+:class:`~errandlab.config.ScoringConfig` in force.  The simulator, which
+already holds the engine's final state, calls :func:`score_session` directly.
+
+The scorers' inputs come from engine-accepted logs, so they trust what the
+engine established (known names, no repeats, prompts in order) and check
+only what depends on the config, which the engine never sees: the
+recognition catalog, the collection targets and the stimuli per side.
 
 Scoring summary:
 
@@ -47,13 +52,10 @@ from .scenario import (
     PM_TASKS,
     PmPolarity,
     ROUTE_IDEAL_UNITS,
-    ROUTE_UNIT_COUNT,
-    SHOPPING_LIST_LENGTH,
     SIDES,
     SessionState,
     TriggerKind,
     VISUAL_STIMULUS_KINDS,
-    _NPC_CHOICES,
     replay,
 )
 from .sessionlog import (
@@ -73,10 +75,6 @@ class UnknownItem(ScoringError):
     """A selection names an item outside the configured catalog."""
 
 
-class DuplicateSpot(ScoringError):
-    """The same attention stimulus appears twice."""
-
-
 # ---------------------------------------------------------------------------
 # Recognition
 
@@ -90,28 +88,20 @@ class RecognitionScore:
     false_items: int
 
 
-def score_recognition(selected: Collection[str], config: ScoringConfig) -> RecognitionScore:
+def _score_recognition(selected: Iterable[str], config: ScoringConfig) -> RecognitionScore:
     """Score a shopping-list recognition selection.
 
     2 points per intended item, 1 per related (qualitative or quantitative)
-    variant, 0 per absent item.  Duplicate or unknown selections raise, as
-    does a selection larger than the ten-item list, which keeps the result
-    inside [0, 20].
+    variant, 0 per absent item.  The engine admits at most ten distinct
+    items, which keeps the result inside [0, 20]; an item outside the
+    configured catalog raises :class:`UnknownItem`.
     """
-    seen = set()
-    for item in selected:
-        if item in seen:
-            raise UnknownItem(f"item {item!r} selected twice")
-        seen.add(item)
-    if len(seen) > SHOPPING_LIST_LENGTH:
-        raise ScoringError(
-            f"{len(seen)} selections exceed the {SHOPPING_LIST_LENGTH}-item list")
     targets = set(config.recognition_targets)
     qualitative = set(config.recognition_qualitative)
     quantitative = set(config.recognition_quantitative)
     false_items = set(config.recognition_false)
     n_target = n_qual = n_quant = n_false = 0
-    for item in seen:
+    for item in selected:
         if item in targets:
             n_target += 1
         elif item in qualitative:
@@ -141,13 +131,12 @@ class PlanningScore:
     time_z: float
 
 
-def planning_time_modifier(completion_time_s: float, mean_s: float, sd_s: float) -> int:
+def _planning_time_modifier(z: float) -> int:
     """Whole-point timing modifier from the normative z-score.
 
     Two or more SDs faster than the norm earns +2, between one and two +1;
     the mirror-image slowness costs -1 and -2; the middle band is neutral.
     """
-    z = (completion_time_s - mean_s) / sd_s
     if z <= -2:
         return 2
     if z <= -1:
@@ -159,24 +148,15 @@ def planning_time_modifier(completion_time_s: float, mean_s: float, sd_s: float)
     return -2
 
 
-def score_planning(selected_units: Collection[int], completion_time_s: float,
-                   config: ScoringConfig) -> PlanningScore:
+def _score_planning(selected_units: Collection[int], completion_time_s: float,
+                    config: ScoringConfig) -> PlanningScore:
     """Score the street-unit route: deviation from the ideal plus timing."""
-    units = set()
-    for unit in selected_units:
-        if not 1 <= unit <= ROUTE_UNIT_COUNT:
-            raise ScoringError(f"street unit {unit} out of range")
-        if unit in units:
-            raise ScoringError(f"street unit {unit} selected twice")
-        units.add(unit)
-    if completion_time_s < 0 or not math.isfinite(completion_time_s):
-        raise ScoringError("completion_time_s must be finite and non-negative")
-    route_score = max(0, ROUTE_IDEAL_UNITS - abs(len(units) - ROUTE_IDEAL_UNITS))
-    modifier = planning_time_modifier(
-        completion_time_s, config.normative_route_mean_s, config.normative_route_sd_s)
+    units = len(selected_units)
+    route_score = max(0, ROUTE_IDEAL_UNITS - abs(units - ROUTE_IDEAL_UNITS))
     z = (completion_time_s - config.normative_route_mean_s) / config.normative_route_sd_s
+    modifier = _planning_time_modifier(z)
     return PlanningScore(
-        units_selected=len(units), route_score=route_score, time_modifier=modifier,
+        units_selected=units, route_score=route_score, time_modifier=modifier,
         total=route_score + modifier, completion_time_s=completion_time_s, time_z=z)
 
 
@@ -205,18 +185,18 @@ def _to_centiseconds(seconds: float) -> int:
     return int(math.floor(seconds * 100.0 + 0.5))
 
 
-def classify_cooking_time(item: str, cook_time_s: float) -> str:
+def _classify_cooking_time(item: str, cook_time_s: float) -> str:
     """Name the timing band for one cooked item.
 
     Times are rounded half-up to centiseconds first; the printed band edges
-    are closed on both sides, so the rounded grid partitions cleanly.
+    are closed on both sides, so the rounded grid partitions cleanly.  A
+    time past the VeryLate edge is banded off the grid, so that a time of
+    any size cannot overflow the conversion.
     """
-    if item not in COOKING_ITEMS:
-        raise ScoringError(f"unknown cooking item {item!r}")
-    if not math.isfinite(cook_time_s) or cook_time_s < 0:
-        raise ScoringError("cook_time_s must be finite and non-negative")
-    cs = _to_centiseconds(cook_time_s)
     very_early_hi, on_time_lo, on_time_hi, very_late_lo = _COOKING_EDGES_CS[item]
+    if cook_time_s * 100 >= very_late_lo:
+        return "VeryLate"
+    cs = _to_centiseconds(cook_time_s)
     if cs <= very_early_hi:
         return "VeryEarly"
     if cs < on_time_lo - 200:
@@ -232,17 +212,14 @@ def classify_cooking_time(item: str, cook_time_s: float) -> str:
     return "VeryLate"
 
 
-def score_cooking(cook_times_s: Mapping[str, float],
-                  config: ScoringConfig) -> tuple[dict[str, CookingItemScore], int]:
+def _score_cooking(cook_times_s: Mapping[str, float],
+                   config: ScoringConfig) -> tuple[dict[str, CookingItemScore], int]:
     """Band and score all three items; items never placed rate VeryLate."""
-    unknown = set(cook_times_s) - set(COOKING_ITEMS)
-    if unknown:
-        raise ScoringError(f"unknown cooking items: {sorted(unknown)}")
     per_item: dict[str, CookingItemScore] = {}
     total = 0
     for item in COOKING_ITEMS:
         if item in cook_times_s:
-            band = classify_cooking_time(item, cook_times_s[item])
+            band = _classify_cooking_time(item, cook_times_s[item])
         else:
             band = "VeryLate"  # never taken off the heat
         points = int(config.band_points[band])
@@ -258,42 +235,30 @@ def score_cooking(cook_times_s: Mapping[str, float],
 _CASCADE_POINTS = {0: 6, 1: 4, 2: 2, 3: 1, 4: 0}
 
 
-def score_prompt_cascade(depth_when_done: int) -> int:
+def _score_prompt_cascade(depth_when_done: int) -> int:
     """Points for a graded reminder cascade.
 
-    ``depth_when_done`` counts the prompts shown before the user acted;
-    4 means the user never acted at all.
+    ``depth_when_done`` counts the prompts shown before the user acted
+    (0..3); 4 means the user never acted at all.
     """
-    if depth_when_done not in _CASCADE_POINTS:
-        raise ScoringError("depth_when_done must be in 0..4")
     return _CASCADE_POINTS[depth_when_done]
 
 
-def score_npc_pm_positive(affirmed_at: int, choice: Optional[str],
-                          config: ScoringConfig) -> int:
+def _score_npc_pm_positive(affirmed_at: int, choice: Optional[str],
+                           config: ScoringConfig) -> int:
     """Points for a companion-conversation task.
 
     ``affirmed_at`` is the prompt (1..3) at which the user said yes, or 0 if
     they never did.  ``choice`` is the board item category picked after
-    affirming; it is required exactly when ``affirmed_at`` is nonzero.
+    affirming; the engine finishes the scene only once it is chosen.
     """
-    if affirmed_at not in (0, 1, 2, 3):
-        raise ScoringError("affirmed_at must be in 0..3")
     if affirmed_at == 0:
-        if choice is not None:
-            raise ScoringError("no board choice happens without an affirmation")
         return 0
-    if choice is None:
-        raise ScoringError("an affirmation must be followed by a board choice")
-    if choice not in _NPC_CHOICES:
-        raise ScoringError(f"unknown board choice {choice!r}")
     return int(config.npc_positive_matrix[str(affirmed_at)][choice])
 
 
-def score_npc_pm_negative(affirmed_at: int, config: ScoringConfig) -> int:
+def _score_npc_pm_negative(affirmed_at: int, config: ScoringConfig) -> int:
     """Deduction for a false reminder: 0 if resisted, else by prompt."""
-    if affirmed_at not in (0, 1, 2, 3):
-        raise ScoringError("affirmed_at must be in 0..3")
     return int(config.npc_negative_deductions[str(affirmed_at)])
 
 
@@ -307,7 +272,7 @@ class CollectionScore:
     errors: int
 
 
-def score_collection(grabs: Sequence[str], config: ScoringConfig) -> CollectionScore:
+def _score_collection(grabs: Sequence[str], config: ScoringConfig) -> CollectionScore:
     """One point per distinct target gathered; every other grab is an error.
 
     Grabs are attempts, so repeated swipes at the same distractor each count
@@ -369,21 +334,13 @@ def _capacity(config: ScoringConfig, ride: str) -> dict[str, int]:
             for kind, name in _PER_SIDE_FIELDS[ride].items()}
 
 
-def score_visual_attention(responses: Sequence[VisualResponse],
-                           config: ScoringConfig) -> VisualAttentionScore:
+def _score_visual_attention(responses: Sequence[VisualResponse],
+                            config: ScoringConfig) -> VisualAttentionScore:
     """+1 per spotted target, -1 per spotted distractor, one spot each."""
     capacity = _capacity(config, "visual")
     counts = _empty_counts(VISUAL_STIMULUS_KINDS)
-    seen: set[str] = set()
     points = 0
     for response in responses:
-        if response.stimulus_id in seen:
-            raise DuplicateSpot(f"stimulus {response.stimulus_id!r} spotted twice")
-        seen.add(response.stimulus_id)
-        if response.stimulus_kind not in VISUAL_STIMULUS_KINDS:
-            raise ScoringError(f"unknown stimulus kind {response.stimulus_kind!r}")
-        if response.side not in SIDES:
-            raise ScoringError(f"unknown side {response.side!r}")
         counts[response.side][response.stimulus_kind] += 1
         if counts[response.side][response.stimulus_kind] > capacity[response.stimulus_kind]:
             raise ScoringError(
@@ -393,8 +350,8 @@ def score_visual_attention(responses: Sequence[VisualResponse],
     return VisualAttentionScore(points=points, responded=counts)
 
 
-def score_auditory_attention(responses: Sequence[AuditoryResponse],
-                             config: ScoringConfig) -> AuditoryAttentionScore:
+def _score_auditory_attention(responses: Sequence[AuditoryResponse],
+                              config: ScoringConfig) -> AuditoryAttentionScore:
     """Side-matched target +2, cross-side target +1, distractor response -1.
 
     Stimuli that drew no response (``response_side`` None) score nothing and
@@ -402,20 +359,10 @@ def score_auditory_attention(responses: Sequence[AuditoryResponse],
     """
     capacity = _capacity(config, "auditory")
     counts = _empty_counts(AUDITORY_STIMULUS_KINDS)
-    seen: set[str] = set()
     points = matched = mismatched = false_alarms = 0
     for response in responses:
-        if response.stimulus_id in seen:
-            raise DuplicateSpot(f"stimulus {response.stimulus_id!r} recorded twice")
-        seen.add(response.stimulus_id)
-        if response.stimulus_kind not in AUDITORY_STIMULUS_KINDS:
-            raise ScoringError(f"unknown stimulus kind {response.stimulus_kind!r}")
-        if response.stimulus_side not in SIDES:
-            raise ScoringError(f"unknown side {response.stimulus_side!r}")
         if response.response_side is None:
             continue
-        if response.response_side not in SIDES:
-            raise ScoringError(f"unknown response side {response.response_side!r}")
         counts[response.stimulus_side][response.stimulus_kind] += 1
         if (counts[response.stimulus_side][response.stimulus_kind]
                 > capacity[response.stimulus_kind]):
@@ -507,25 +454,25 @@ def score_session(log: SessionLog, final_state: SessionState,
             route_units.discard(toggle["unit"])
 
     try:
-        immediate = score_recognition(
+        immediate = _score_recognition(
             [p["item"] for p in payloads(3, EventKind.ITEM_SELECTED)], config)
-        delayed = score_recognition(
+        delayed = _score_recognition(
             [p["item"] for p in payloads(14, EventKind.SHOPPING_COLLECTED)], config)
-        planning = score_planning(
-            route_units, telemetry.task_time_s.get("planning", 0.0), config)
-        cooking, cooking_total = score_cooking(
-            {p["item"]: float(p["cook_time_s"])
-             for p in payloads(6, EventKind.COOKING_ITEM_PLACED)}, config)
-        collection = score_collection(
+        collection = _score_collection(
             [p["item"] for p in payloads(8, EventKind.ITEM_SELECTED)], config)
-        visual_score = score_visual_attention(
+        visual_score = _score_visual_attention(
             [VisualResponse(**p) for p in payloads(12, EventKind.POSTER_SPOTTED)],
             config)
-        auditory_score = score_auditory_attention(
+        auditory_score = _score_auditory_attention(
             [AuditoryResponse(**p) for p in payloads(19, EventKind.SOUND_TRIGGERED)],
             config)
     except ScoringError as exc:
         raise MalformedLog(f"log content failed scoring validation: {exc}") from exc
+    planning = _score_planning(
+        route_units, telemetry.task_time_s.get("planning", 0.0), config)
+    cooking, cooking_total = _score_cooking(
+        {p["item"]: p["cook_time_s"]
+         for p in payloads(6, EventKind.COOKING_ITEM_PLACED)}, config)
 
     pm: dict[str, PmOutcome] = {}
     positive_total = 0
@@ -535,15 +482,15 @@ def score_session(log: SessionLog, final_state: SessionState,
             affirmed_at = final_state.npc_affirmed_at.get(task.task_id, 0)
             choice = final_state.npc_choice.get(task.task_id)
             if task.polarity is PmPolarity.POSITIVE:
-                points = score_npc_pm_positive(affirmed_at, choice, config)
+                points = _score_npc_pm_positive(affirmed_at, choice, config)
             else:
-                points = score_npc_pm_negative(affirmed_at, config)
+                points = _score_npc_pm_negative(affirmed_at, config)
             pm[task.task_id] = PmOutcome(
                 task_id=task.task_id, polarity=task.polarity.value,
                 points=points, prompt_depth=affirmed_at, choice=choice)
         else:
             depth = final_state.pm_done_depth.get(task.task_id, 4)
-            points = score_prompt_cascade(depth)
+            points = _score_prompt_cascade(depth)
             pm[task.task_id] = PmOutcome(
                 task_id=task.task_id, polarity=task.polarity.value,
                 points=points, prompt_depth=depth)

@@ -26,7 +26,14 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
-from .config import ScoringConfig, _PER_SIDE_FIELDS, config_hash, default_config, read_json
+from .config import (
+    ConfigError,
+    ScoringConfig,
+    _PER_SIDE_FIELDS,
+    config_hash,
+    default_config,
+    read_json,
+)
 from .scenario import (
     COOKING_ITEMS,
     EVENT_SCENES,
@@ -46,6 +53,7 @@ from .scenario import (
     SessionEvent,
     SessionState,
     TUTORIAL_SCENES,
+    _MAX_CLOCK_MS,
     _apply,
     initial_state,
     scene_sequence,
@@ -124,6 +132,10 @@ class ParticipantProfile:
             value = getattr(self, name)
             if not (_is_number(value) and 0 <= value <= sys.float_info.max):
                 raise ValueError(f"{name} must be a non-negative finite number")
+        # each latency is added to the millisecond clock, which ends at 2**53
+        for name in ("latency_mean_ms", "latency_sd_ms"):
+            if getattr(self, name) > _MAX_CLOCK_MS:
+                raise ValueError(f"{name} must be at most 2**53 ms")
 
 
 def _is_number(value: Any) -> bool:
@@ -216,6 +228,10 @@ class _SessionBuilder:
         return max(0, int(round(raw)))
 
     def _emit(self, kind: EventKind, payload: Optional[dict[str, Any]] = None) -> None:
+        if self.cursor_ms > _MAX_CLOCK_MS:
+            raise ConfigError(
+                "the simulated session runs past 2**53 ms; lower latency_mean_ms, "
+                "latency_sd_ms or session_target_s")
         event = SessionEvent(
             seq=len(self.events), sim_time_ms=self.cursor_ms,
             scene=self.state.current_scene, kind=kind, payload=payload or {})
@@ -508,7 +524,9 @@ def simulate_session(profile: ParticipantProfile, seed: int,
     """Generate one complete, engine-accepted session log.
 
     Deterministic in ``(profile, seed, config)``; the log replays through
-    the engine with zero errors and scores without raising.
+    the engine with zero errors and scores without raising.  Raises
+    :class:`~errandlab.config.ConfigError` if the profile's latencies would
+    run the session clock past 2**53 ms.
     """
     cfg = config if config is not None else default_config()
     log, _ = _simulate(profile, seed, cfg, config_hash(cfg))

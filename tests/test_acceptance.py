@@ -25,15 +25,15 @@ from errandlab.config import config_hash, default_config
 from errandlab.scoring import (
     AuditoryResponse,
     VisualResponse,
+    _classify_cooking_time,
+    _score_auditory_attention,
+    _score_npc_pm_negative,
+    _score_npc_pm_positive,
+    _score_planning,
+    _score_prompt_cascade,
+    _score_recognition,
+    _score_visual_attention,
     aggregate_scorecard,
-    classify_cooking_time,
-    score_auditory_attention,
-    score_npc_pm_negative,
-    score_npc_pm_positive,
-    score_planning,
-    score_prompt_cascade,
-    score_recognition,
-    score_visual_attention,
 )
 from errandlab.sessionlog import derive_telemetry, export_report, serialize_log
 from errandlab.simulate import default_profile, simulate_cohort, simulate_session
@@ -60,10 +60,10 @@ def _timed(budget_s):
 
 def test_criterion_1_planning_route_score(config):
     """Redundant units shrink the route score; budget < 1 ms."""
-    score_planning(range(1, 19), 30.0, config)  # warm caches before timing
+    _score_planning(range(1, 19), 30.0, config)  # warm caches before timing
     best = min(_time_planning_pair(config) for _ in range(5))
-    first = score_planning(range(1, 19), 30.0, config)
-    second = score_planning(range(1, 13), 30.0, config)
+    first = _score_planning(range(1, 19), 30.0, config)
+    second = _score_planning(range(1, 13), 30.0, config)
     assert first.route_score == 12
     assert second.route_score == 12
     assert best < 1e-3, f"scoring pair took {best * 1e3:.3f} ms"
@@ -71,8 +71,8 @@ def test_criterion_1_planning_route_score(config):
 
 def _time_planning_pair(config):
     start = time.perf_counter()
-    score_planning(range(1, 19), 30.0, config)
-    score_planning(range(1, 13), 30.0, config)
+    _score_planning(range(1, 19), 30.0, config)
+    _score_planning(range(1, 13), 30.0, config)
     return time.perf_counter() - start
 
 
@@ -80,7 +80,7 @@ def test_criterion_2_recognition_bounds_and_deltas(config):
     """All targets scores 20; 10k random lists stay in 0..20; marginal
     value of each extra item is exactly its category worth; budget < 1 s."""
     with _timed(1.0):
-        assert score_recognition(config.recognition_targets, config).points == 20
+        assert _score_recognition(config.recognition_targets, config).points == 20
 
         catalog = (list(config.recognition_targets)
                    + list(config.recognition_qualitative)
@@ -99,12 +99,12 @@ def test_criterion_2_recognition_bounds_and_deltas(config):
         for trial in range(10_000):
             size = int(rng.integers(0, 11))
             selection = list(rng.choice(catalog, size=size, replace=False))
-            score = score_recognition(selection, config)
+            score = _score_recognition(selection, config)
             assert 0 <= score.points <= 20
             assert score.points == sum(worth[item] for item in selection)
             if trial % 5 == 0 and size < 10:
                 extra = next(item for item in catalog if item not in selection)
-                grown = score_recognition(selection + [extra], config)
+                grown = _score_recognition(selection + [extra], config)
                 assert grown.points - score.points == worth[extra]
 
 
@@ -135,13 +135,13 @@ def test_criterion_3_cooking_band_edges_and_sweep():
                   for seconds, band in edges]
         assert len(probes) == 21
         for item, seconds, band in probes:
-            assert classify_cooking_time(item, seconds) == band, (item, seconds)
+            assert _classify_cooking_time(item, seconds) == band, (item, seconds)
 
         total_probes = 0
         for item in _COOKING_PRINTED_EDGES:
             ranks = []
             for centis in range(0, 6001):
-                band = classify_cooking_time(item, centis / 100.0)
+                band = _classify_cooking_time(item, centis / 100.0)
                 ranks.append(_BAND_ORDER.index(band))  # KeyError = a gap
                 total_probes += 1
             # bands sit in timeline order with no interleaving (no overlaps)
@@ -154,7 +154,7 @@ def test_criterion_4_pm_enumerations(config):
     """Exhaustive cascade, positive-response and false-prompt scoring
     tables; deductions bounded per scene and overall; budget < 1 s."""
     with _timed(1.0):
-        assert [score_prompt_cascade(d) for d in range(5)] == [6, 4, 2, 1, 0]
+        assert [_score_prompt_cascade(d) for d in range(5)] == [6, 4, 2, 1, 0]
 
         matrix = {(1, "correct"): 6, (1, "semantic_relative"): 3,
                   (1, "other_pm_task"): 1, (1, "unrelated"): 0,
@@ -163,10 +163,10 @@ def test_criterion_4_pm_enumerations(config):
                   (3, "correct"): 2, (3, "semantic_relative"): 1,
                   (3, "other_pm_task"): 1, (3, "unrelated"): 0}
         for (prompt, choice), points in matrix.items():
-            assert score_npc_pm_positive(prompt, choice, config) == points
-        assert score_npc_pm_positive(0, None, config) == 0
+            assert _score_npc_pm_positive(prompt, choice, config) == points
+        assert _score_npc_pm_positive(0, None, config) == 0
 
-        deductions = [score_npc_pm_negative(a, config) for a in range(4)]
+        deductions = [_score_npc_pm_negative(a, config) for a in range(4)]
         assert deductions == [0, -3, -2, -1]
         per_scene_worst = min(deductions)
         assert per_scene_worst >= -3
@@ -181,14 +181,14 @@ def test_criterion_5_attention_schedules(config):
         targets = [VisualResponse(f"{side}{i}", "target", side)
                    for side in ("left", "right")
                    for i in range(config.visual_targets_per_side)]
-        assert score_visual_attention(targets, config).points == 16
+        assert _score_visual_attention(targets, config).points == 16
 
         kinds = ("target", "high_pitch_distractor", "low_pitch_distractor")
         combos = list(itertools.product(kinds, ("left", "right"),
                                         ("left", "right", None)))
         assert len(combos) == 18
         for kind, stim_side, resp_side in combos:
-            score = score_auditory_attention(
+            score = _score_auditory_attention(
                 [AuditoryResponse("s0", kind, stim_side, resp_side)], config)
             if resp_side is None:
                 expected = 0

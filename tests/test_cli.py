@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -191,6 +192,34 @@ class TestScoreCommand:
         assert main(["score", "--log", str(bad)]) == 4
         assert capsys.readouterr().err == (
             f"error: schema version {shown} unsupported (expected 1)\n")
+
+    @staticmethod
+    def _edited(session_dir, tmp_path, kind, edit):
+        """The session log with ``edit`` applied to the first ``kind`` record."""
+        head, *lines = (session_dir / "session.ndjson").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+        record = json.loads(lines[at])
+        edit(record)
+        lines[at] = json.dumps(record, separators=(",", ":"))
+        path = tmp_path / "edited.ndjson"
+        path.write_text("\n".join([head, *lines]) + "\n")
+        return at + 2, path  # the file line, after the header
+
+    @pytest.mark.parametrize("cook_time_s", [1e308, 10**400], ids=["1e308", "400-digits"])
+    def test_huge_cook_time_is_very_late(self, session_dir, tmp_path, capsys, cook_time_s):
+        _, path = self._edited(session_dir, tmp_path, "CookingItemPlaced",
+                               lambda r: r["payload"].update(cook_time_s=cook_time_s))
+        assert main(["score", "--log", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        json.dumps(payload, allow_nan=False)
+        assert payload["scorecard"]["cooking"]["omelette"]["band"] == "VeryLate"
+
+    def test_clock_past_2_53_ms_exits_4(self, session_dir, tmp_path, capsys):
+        line, path = self._edited(session_dir, tmp_path, "SceneExited",
+                                  lambda r: r.update(sim_time_ms=10**400))
+        assert main(["score", "--log", str(path), "--format", "json"]) == 4
+        assert capsys.readouterr().err == (
+            f"error: line {line}: sim_time_ms must be at most 2**53\n")
 
     def test_missing_log_exits_3(self, tmp_path, capsys):
         missing = tmp_path / "absent.ndjson"
@@ -521,6 +550,8 @@ _BAD_INPUT_FILES = [
     pytest.param("--config", '{"session_target_s": 1e308}', 2,
                  id="config-session-target-overflows-clock"),
     pytest.param("--profile", '{"latency_sd_ms": true}', 2, id="profile-bool-number"),
+    pytest.param("--profile", '{"latency_mean_ms": 1e308}', 2,
+                 id="profile-latency-overflows-clock"),
 ]
 
 
@@ -572,3 +603,35 @@ class TestLazyBayesExports:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             errandlab.no_such_name
+
+
+# Every public name of the package.  A name added or removed here is a
+# deliberate change to the API.
+_PUBLIC_NAMES = (
+    "BayesComparison", "CohortAggregate", "ConfigError", "CutoffVerdict",
+    "DegenerateSample", "Direction", "DomainMapping", "EngineError", "EventKind",
+    "EvidenceBand", "GateResult", "IncompleteSession", "IntegrationFailure",
+    "InvalidEvent", "LengthMismatch", "LogError", "MalformedLog", "NotAGatedScene",
+    "OutOfOrderEvent", "PairedSample", "ParseError", "ParticipantProfile",
+    "PracticePassed", "PracticeRetry", "PromptShown", "SceneTransition",
+    "ScoringConfig", "SessionComplete", "SessionEvent", "SessionLog",
+    "SessionState", "TTestResult", "TaskScorecard", "Telemetry", "VrnqError",
+    "VrnqResponseSet", "VrnqScores", "WrongSceneEvent", "advance",
+    "aggregate_cohort", "aggregate_scorecard", "append_event", "bf10_directional",
+    "check_cutoffs", "classify_evidence", "compare_paired", "config_from_dict",
+    "config_hash", "config_to_dict", "default_config", "default_profile",
+    "derive_telemetry", "deserialize_log", "evidence_stars", "export_report",
+    "initial_state", "load_config", "load_profile", "log_from_events",
+    "median_absolute_deviation", "nct_logpdf", "new_log", "null_profile",
+    "paired_t", "perfect_profile", "practice_gate", "read_cohort_csv", "replay",
+    "save_config", "save_profile", "scene_sequence", "score_session", "score_vrnq",
+    "scorecard_to_dict", "serialize_log", "simulate_cohort", "simulate_session",
+    "write_cohort_csv",
+)
+
+
+def test_public_namespace_is_pinned():
+    # submodules are attributes once imported, and are not names of the API
+    public = tuple(name for name in dir(errandlab) if not name.startswith("_")
+                   and not isinstance(vars(errandlab).get(name), types.ModuleType))
+    assert public == _PUBLIC_NAMES

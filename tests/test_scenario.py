@@ -416,6 +416,16 @@ class TestEventValidation:
                          kind=EventKind.PRACTICE_ATTEMPT,
                          payload={"targets_hit": True, "distractors_hit": 0})
 
+    def test_clock_ends_at_2_53_ms(self):
+        def entered_at(t_ms):
+            return SessionEvent(seq=0, sim_time_ms=t_ms, scene=1,
+                                kind=EventKind.SCENE_ENTERED)
+        assert entered_at(2**53).sim_time_ms == 2**53
+        with pytest.raises(ValueError, match=r"^sim_time_ms must be at most 2\*\*53$"):
+            entered_at(2**53 + 1)
+        with pytest.raises(ValueError, match="^sim_time_ms must be non-negative$"):
+            entered_at(-1)
+
     def test_nonfinite_float_rejected(self):
         with pytest.raises(ValueError):
             SessionEvent(seq=0, sim_time_ms=0, scene=6,

@@ -1,43 +1,108 @@
+"""The task scoring rules, and what the scoring API rejects.
+
+The per-task scorers are private: each rule is tested on the scorer itself,
+and each fact the engine owns (a repeat, an unknown name, a value out of
+range) on a parsed log through :func:`aggregate_scorecard`.
+"""
+
 from __future__ import annotations
+
+import copy
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from errandlab.scoring import (
     AuditoryResponse,
-    DuplicateSpot,
     ScoringError,
     UnknownItem,
     VisualResponse,
-    classify_cooking_time,
-    planning_time_modifier,
-    score_auditory_attention,
-    score_collection,
-    score_cooking,
-    score_npc_pm_negative,
-    score_npc_pm_positive,
-    score_planning,
-    score_prompt_cascade,
-    score_recognition,
-    score_visual_attention,
+    _classify_cooking_time,
+    _planning_time_modifier,
+    _score_auditory_attention,
+    _score_collection,
+    _score_cooking,
+    _score_npc_pm_negative,
+    _score_npc_pm_positive,
+    _score_planning,
+    _score_prompt_cascade,
+    _score_recognition,
+    _score_visual_attention,
+    aggregate_scorecard,
 )
+from errandlab.sessionlog import MalformedLog, deserialize_log, serialize_log
+from errandlab.simulate import null_profile, perfect_profile, simulate_session
+
+
+@pytest.fixture(scope="module")
+def logs(config):
+    """Header line and event records of the seed-1 perfect and null sessions."""
+    out = {}
+    for name, profile in (("perfect", perfect_profile()), ("null", null_profile())):
+        data = serialize_log(simulate_session(profile, 1, config))
+        header, *lines = data.decode("utf-8").splitlines()
+        out[name] = header, [json.loads(line) for line in lines]
+    return out
+
+
+def _index(records, scene, kind, last=False):
+    found = [i for i, r in enumerate(records) if (r["scene"], r["kind"]) == (scene, kind)]
+    return found[-1] if last else found[0]
+
+
+def _engine_rejection(log, config, edit):
+    """The engine's message when the log, with ``edit`` applied, is scored."""
+    header, records = log
+    records = copy.deepcopy(records)
+    edit(records)
+    lines = [header, *(json.dumps(dict(record, seq=seq), sort_keys=True,
+                                  separators=(",", ":"))
+                       for seq, record in enumerate(records))]
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    with pytest.raises(MalformedLog) as info:
+        aggregate_scorecard(deserialize_log(data), config)
+    prefix, message = str(info.value).split(": ", 1)
+    assert prefix == "log rejected by the scenario engine"
+    return message
+
+
+def _repeat(scene, kind):
+    def edit(records):
+        at = _index(records, scene, kind)
+        records.insert(at + 1, records[at])
+    return edit
+
+
+def _set(scene, kind, **payload):
+    def edit(records):
+        records[_index(records, scene, kind)]["payload"].update(payload)
+    return edit
+
+
+def _add_after(scene, kind, new_kind, payload):
+    """Insert a ``new_kind`` event right after the last ``kind`` of ``scene``."""
+    def edit(records):
+        at = _index(records, scene, kind, last=True)
+        records.insert(at + 1, dict(records[at], kind=new_kind, payload=payload))
+    return edit
 
 
 class TestRecognition:
     def test_all_targets(self, config):
-        score = score_recognition(config.recognition_targets, config)
+        score = _score_recognition(config.recognition_targets, config)
         assert score.points == 20
         assert (score.targets, score.qualitative,
                 score.quantitative, score.false_items) == (10, 0, 0, 0)
 
     def test_empty(self, config):
-        assert score_recognition([], config).points == 0
+        assert _score_recognition([], config).points == 0
 
     def test_mixed_selection(self, config):
         selection = (list(config.recognition_targets[:7])
                      + list(config.recognition_qualitative[:2])
                      + [config.recognition_false[0]])
-        score = score_recognition(selection, config)
+        score = _score_recognition(selection, config)
         assert score.points == 16
         assert (score.targets, score.qualitative,
                 score.quantitative, score.false_items) == (7, 2, 0, 1)
@@ -45,27 +110,27 @@ class TestRecognition:
     def test_near_miss_categories_are_worth_one(self, config):
         selection = (list(config.recognition_qualitative[:5])
                      + list(config.recognition_quantitative[:5]))
-        score = score_recognition(selection, config)
+        score = _score_recognition(selection, config)
         assert score.points == 10
         assert (score.qualitative, score.quantitative) == (5, 5)
 
     def test_false_items_score_nothing(self, config):
-        assert score_recognition(config.recognition_false, config).points == 0
+        assert _score_recognition(config.recognition_false, config).points == 0
 
     def test_unknown_item(self, config):
         with pytest.raises(UnknownItem, match="not_stocked"):
-            score_recognition(["not_stocked"], config)
+            _score_recognition(["not_stocked"], config)
 
-    def test_duplicate_item(self, config):
-        item = config.recognition_targets[0]
-        with pytest.raises(UnknownItem, match="twice"):
-            score_recognition([item, item], config)
+    def test_duplicate_item(self, logs, config):
+        message = _engine_rejection(logs["perfect"], config,
+                                    _repeat(3, "ItemSelected"))
+        assert message.endswith("already selected")
 
-    def test_eleven_items_rejected(self, config):
-        selection = (list(config.recognition_targets)
-                     + [config.recognition_false[0]])
-        with pytest.raises(ScoringError, match="10-item"):
-            score_recognition(selection, config)
+    def test_eleven_items_rejected(self, logs, config):
+        eleventh = _add_after(3, "ItemSelected", "ItemSelected",
+                              {"item": config.recognition_false[0]})
+        assert (_engine_rejection(logs["perfect"], config, eleventh)
+                == "the list board holds 10 items")
 
     @given(st.data())
     def test_points_decompose_and_stay_in_range(self, config, data):
@@ -75,7 +140,7 @@ class TestRecognition:
                    + list(config.recognition_false))
         selection = data.draw(st.lists(st.sampled_from(catalog), unique=True,
                                        max_size=10))
-        score = score_recognition(selection, config)
+        score = _score_recognition(selection, config)
         assert score.points == 2 * score.targets + score.qualitative + score.quantitative
         assert 0 <= score.points <= 20
         assert (score.targets + score.qualitative + score.quantitative
@@ -84,31 +149,31 @@ class TestRecognition:
 
 class TestPlanning:
     def test_route_with_redundant_units(self, config):
-        score = score_planning(range(1, 19), 30.0, config)
+        score = _score_planning(range(1, 19), 30.0, config)
         assert score.route_score == 12
         assert score.time_modifier == 0
         assert score.total == 12
 
     def test_route_exact_dozen(self, config):
-        assert score_planning(range(1, 13), 30.0, config).route_score == 12
+        assert _score_planning(range(1, 13), 30.0, config).route_score == 12
 
     def test_route_peak_is_fifteen(self, config):
-        score = score_planning(range(1, 16), 30.0, config)
+        score = _score_planning(range(1, 16), 30.0, config)
         assert score.route_score == 15
         assert score.total == 15
 
     def test_route_count_only_not_identity(self, config):
-        low = score_planning(range(1, 13), 30.0, config)
-        high = score_planning(range(12, 24), 30.0, config)
+        low = _score_planning(range(1, 13), 30.0, config)
+        high = _score_planning(range(12, 24), 30.0, config)
         assert low.route_score == high.route_score == 12
 
     def test_every_extra_unit_beyond_fifteen_costs_one(self, config):
-        scores = [score_planning(range(1, n + 1), 30.0, config).route_score
+        scores = [_score_planning(range(1, n + 1), 30.0, config).route_score
                   for n in range(15, 24)]
         assert scores == list(range(15, 6, -1))
 
     def test_fast_completion_bonus(self, config):
-        score = score_planning(range(1, 16), 6.0, config)
+        score = _score_planning(range(1, 16), 6.0, config)
         assert score.time_modifier == 2
         assert score.time_z == pytest.approx(-2.4)
         assert score.total == 17
@@ -118,20 +183,21 @@ class TestPlanning:
         (39.99, 0), (40.0, -1), (49.99, -1), (50.0, -2), (90.0, -2),
     ])
     def test_time_modifier_boundaries(self, seconds, expected):
-        assert planning_time_modifier(seconds, 30.0, 10.0) == expected
+        assert _planning_time_modifier((seconds - 30.0) / 10.0) == expected
 
-    def test_unit_out_of_range(self, config):
-        with pytest.raises(ScoringError):
-            score_planning([0], 30.0, config)
-        with pytest.raises(ScoringError):
-            score_planning([24], 30.0, config)
+    def test_unit_out_of_range(self, logs, config):
+        for unit in (0, 24):
+            assert (_engine_rejection(logs["perfect"], config,
+                                      _set(3, "RouteUnitToggled", unit=unit))
+                    == f"street unit {unit} out of range")
 
-    def test_duplicate_unit(self, config):
-        with pytest.raises(ScoringError, match="twice"):
-            score_planning([3, 3], 30.0, config)
+    def test_duplicate_unit(self, logs, config):
+        message = _engine_rejection(logs["perfect"], config,
+                                    _repeat(3, "RouteUnitToggled"))
+        assert message.endswith("already selected")
 
     def test_empty_route(self, config):
-        score = score_planning([], 30.0, config)
+        score = _score_planning([], 30.0, config)
         assert score.route_score == 0
         assert score.units_selected == 0
 
@@ -158,23 +224,25 @@ class TestCooking:
         ("omelette", OMELETTE), ("sausages", SAUSAGES), ("kettle", KETTLE)])
     def test_band_edges(self, item, cases):
         for seconds, band in cases:
-            assert classify_cooking_time(item, seconds) == band, (item, seconds)
+            assert _classify_cooking_time(item, seconds) == band, (item, seconds)
 
     def test_half_up_rounding_to_centiseconds(self):
         # 13.995 rounds half-up to 14.00 -> Early, not VeryEarly
-        assert classify_cooking_time("omelette", 13.995) == "Early"
-        assert classify_cooking_time("omelette", 13.9949) == "VeryEarly"
+        assert _classify_cooking_time("omelette", 13.995) == "Early"
+        assert _classify_cooking_time("omelette", 13.9949) == "VeryEarly"
 
-    def test_unknown_item(self):
-        with pytest.raises(ScoringError):
-            classify_cooking_time("toast", 20.0)
+    def test_unknown_item(self, logs, config):
+        assert (_engine_rejection(logs["perfect"], config,
+                                  _set(6, "CookingItemPlaced", item="toast"))
+                == "unknown cooking item 'toast'")
 
-    def test_negative_time(self):
-        with pytest.raises(ScoringError):
-            classify_cooking_time("kettle", -0.5)
+    def test_negative_time(self, logs, config):
+        assert (_engine_rejection(logs["perfect"], config,
+                                  _set(6, "CookingItemPlaced", cook_time_s=-0.5))
+                == "cook_time_s must be non-negative")
 
     def test_scoring_sums_band_points(self, config):
-        items, total = score_cooking(
+        items, total = _score_cooking(
             {"omelette": 19.0, "sausages": 27.0, "kettle": 16.5}, config)
         assert items["omelette"].band == "OnTime"
         assert items["omelette"].points == 3
@@ -184,19 +252,22 @@ class TestCooking:
         assert total == 8
 
     def test_missing_items_are_very_late(self, config):
-        items, total = score_cooking({}, config)
+        items, total = _score_cooking({}, config)
         assert {s.band for s in items.values()} == {"VeryLate"}
         assert total == 0
 
-    def test_unknown_cooked_item(self, config):
-        with pytest.raises(ScoringError):
-            score_cooking({"toast": 10.0}, config)
+    def test_unknown_cooked_item(self, logs, config):
+        # a fourth placement, after all three known items
+        toast = _add_after(6, "CookingItemPlaced", "CookingItemPlaced",
+                           {"item": "toast", "cook_time_s": 10.0})
+        assert (_engine_rejection(logs["perfect"], config, toast)
+                == "unknown cooking item 'toast'")
 
     @given(st.floats(min_value=0.0, max_value=120.0,
                      allow_nan=False, allow_infinity=False))
     def test_every_time_lands_in_exactly_one_band(self, seconds):
         for item in ("omelette", "sausages", "kettle"):
-            band = classify_cooking_time(item, seconds)
+            band = _classify_cooking_time(item, seconds)
             assert band in {"VeryEarly", "Early", "SlightlyEarly", "OnTime",
                             "SlightlyLate", "Late", "VeryLate"}
 
@@ -204,20 +275,21 @@ class TestCooking:
         order = ["VeryEarly", "Early", "SlightlyEarly", "OnTime",
                  "SlightlyLate", "Late", "VeryLate"]
         for item in ("omelette", "sausages", "kettle"):
-            ranks = [order.index(classify_cooking_time(item, t / 100.0))
+            ranks = [order.index(_classify_cooking_time(item, t / 100.0))
                      for t in range(0, 6001)]
             assert ranks == sorted(ranks), item
 
 
 class TestPromptCascade:
     def test_full_ladder(self):
-        assert [score_prompt_cascade(d) for d in range(5)] == [6, 4, 2, 1, 0]
+        assert [_score_prompt_cascade(d) for d in range(5)] == [6, 4, 2, 1, 0]
 
-    def test_depth_out_of_range(self):
-        with pytest.raises(ScoringError):
-            score_prompt_cascade(5)
-        with pytest.raises(ScoringError):
-            score_prompt_cascade(-1)
+    def test_depth_out_of_range(self, logs, config):
+        # After the fourth press the cascade has given up (depth 4): acting
+        # then, at a depth past 4, is not an event the engine admits.
+        late = _add_after(6, "FinalButtonPressed", "MedicationTaken", {})
+        assert (_engine_rejection(logs["null"], config, late)
+                == "scene 6 already resolved; only SceneExited is valid")
 
 
 class TestNpcScoring:
@@ -229,51 +301,55 @@ class TestNpcScoring:
                     (3, "correct"): 2, (3, "semantic_relative"): 1,
                     (3, "other_pm_task"): 1, (3, "unrelated"): 0}
         for (prompt, choice), points in expected.items():
-            assert score_npc_pm_positive(prompt, choice, config) == points
+            assert _score_npc_pm_positive(prompt, choice, config) == points
 
     def test_positive_never_affirmed(self, config):
-        assert score_npc_pm_positive(0, None, config) == 0
+        assert _score_npc_pm_positive(0, None, config) == 0
 
-    def test_positive_affirmed_requires_choice(self, config):
-        with pytest.raises(ScoringError):
-            score_npc_pm_positive(1, None, config)
+    def test_positive_affirmed_requires_choice(self, logs, config):
+        def no_choice(records):
+            del records[_index(records, 10, "NpcItemChosen")]
+        assert (_engine_rejection(logs["perfect"], config, no_choice)
+                == "scene 10 is not finished")
 
-    def test_positive_unknown_choice(self, config):
-        with pytest.raises(ScoringError):
-            score_npc_pm_positive(1, "sandwich", config)
+    def test_positive_unknown_choice(self, logs, config):
+        assert (_engine_rejection(logs["perfect"], config,
+                                  _set(10, "NpcItemChosen", choice="sandwich"))
+                == "unknown board choice 'sandwich'")
 
     def test_negative_deductions(self, config):
-        assert [score_npc_pm_negative(a, config) for a in range(4)] == [0, -3, -2, -1]
+        assert [_score_npc_pm_negative(a, config) for a in range(4)] == [0, -3, -2, -1]
 
-    def test_negative_out_of_range(self, config):
-        with pytest.raises(ScoringError):
-            score_npc_pm_negative(4, config)
+    def test_negative_out_of_range(self, logs, config):
+        assert (_engine_rejection(logs["perfect"], config,
+                                  _set(16, "NpcPromptAnswered", prompt_index=4))
+                == "conversation prompt 4 out of order (expected 1)")
 
 
 class TestCollection:
     def test_mixed_grab(self, config):
-        score = score_collection(
+        score = _score_collection(
             ["red_book", "smartphone", "magazine", "blue_book",
              "car_keys", "flat_keys"], config)
         assert score.points == 4
         assert score.errors == 2
 
     def test_all_targets(self, config):
-        score = score_collection(config.collection_targets, config)
+        score = _score_collection(config.collection_targets, config)
         assert score.points == 6
         assert score.errors == 0
 
     def test_target_regrab_rejected(self, config):
         with pytest.raises(ScoringError, match="twice"):
-            score_collection(["red_book", "red_book"], config)
+            _score_collection(["red_book", "red_book"], config)
 
     def test_repeated_distractor_counts_each_time(self, config):
-        score = score_collection(["magazine", "magazine", "magazine"], config)
+        score = _score_collection(["magazine", "magazine", "magazine"], config)
         assert score.points == 0
         assert score.errors == 3
 
     def test_any_non_target_grab_is_an_error(self, config):
-        score = score_collection(["lamp"], config)
+        score = _score_collection(["lamp"], config)
         assert score.points == 0
         assert score.errors == 1
 
@@ -286,33 +362,33 @@ class TestVisualAttention:
                 for i in range(config.visual_targets_per_side)]
 
     def test_all_targets(self, config):
-        score = score_visual_attention(self._targets(config), config)
+        score = _score_visual_attention(self._targets(config), config)
         assert score.points == 16
 
     def test_distractor_costs_one(self, config):
         responses = self._targets(config) + [
             VisualResponse("d1", "shape_distractor", "left"),
             VisualResponse("d2", "color_distractor", "right")]
-        assert score_visual_attention(responses, config).points == 14
+        assert _score_visual_attention(responses, config).points == 14
 
     def test_no_responses(self, config):
-        assert score_visual_attention([], config).points == 0
+        assert _score_visual_attention([], config).points == 0
 
     def test_capacity_enforced(self, config):
         over = [VisualResponse(f"t{i}", "target", "left")
                 for i in range(config.visual_targets_per_side + 1)]
         with pytest.raises(ScoringError, match="more target"):
-            score_visual_attention(over, config)
+            _score_visual_attention(over, config)
 
-    def test_duplicate_stimulus(self, config):
-        twice = [VisualResponse("t0", "target", "left"),
-                 VisualResponse("t0", "target", "left")]
-        with pytest.raises(DuplicateSpot):
-            score_visual_attention(twice, config)
+    def test_duplicate_stimulus(self, logs, config):
+        message = _engine_rejection(logs["perfect"], config,
+                                    _repeat(12, "PosterSpotted"))
+        assert message.endswith("already spotted")
 
-    def test_unknown_kind(self, config):
-        with pytest.raises(ScoringError):
-            score_visual_attention([VisualResponse("x", "sparkle", "left")], config)
+    def test_unknown_kind(self, logs, config):
+        assert (_engine_rejection(logs["perfect"], config,
+                                  _set(12, "PosterSpotted", stimulus_kind="sparkle"))
+                == "unknown poster kind 'sparkle'")
 
 
 class TestAuditoryAttention:
@@ -323,7 +399,7 @@ class TestAuditoryAttention:
             AuditoryResponse("d1", "high_pitch_distractor", "right", "right"),  # -1
             AuditoryResponse("t3", "target", "right", None),        # silent
         ]
-        score = score_auditory_attention(responses, config)
+        score = _score_auditory_attention(responses, config)
         assert score.points == 2
         assert score.side_matched == 1
         assert score.side_mismatched == 1
@@ -333,33 +409,30 @@ class TestAuditoryAttention:
         responses = [AuditoryResponse(f"{side}_t{i}", "target", side, side)
                      for side in ("left", "right")
                      for i in range(config.auditory_targets_per_side)]
-        assert score_auditory_attention(responses, config).points == 32
+        assert _score_auditory_attention(responses, config).points == 32
 
     def test_unanswered_stimuli_do_not_use_capacity(self, config):
         responses = [AuditoryResponse(f"s{i}", "target", "left",
                                       "left" if i == 0 else None)
                      for i in range(config.auditory_targets_per_side + 3)]
-        assert score_auditory_attention(responses, config).points == 2
+        assert _score_auditory_attention(responses, config).points == 2
 
     def test_capacity_enforced(self, config):
         over = [AuditoryResponse(f"s{i}", "low_pitch_distractor", "left", "left")
                 for i in range(config.auditory_low_distractors_per_side + 1)]
         with pytest.raises(ScoringError, match="more low_pitch_distractor"):
-            score_auditory_attention(over, config)
+            _score_auditory_attention(over, config)
 
-    def test_duplicate_stimulus(self, config):
-        twice = [AuditoryResponse("s", "target", "left", None),
-                 AuditoryResponse("s", "target", "left", "left")]
-        with pytest.raises(DuplicateSpot):
-            score_auditory_attention(twice, config)
+    def test_duplicate_stimulus(self, logs, config):
+        message = _engine_rejection(logs["perfect"], config,
+                                    _repeat(19, "SoundTriggered"))
+        assert message.endswith("already recorded")
 
-    def test_unknown_kind_and_sides(self, config):
-        with pytest.raises(ScoringError):
-            score_auditory_attention(
-                [AuditoryResponse("s", "chime", "left", None)], config)
-        with pytest.raises(ScoringError):
-            score_auditory_attention(
-                [AuditoryResponse("s", "target", "middle", None)], config)
-        with pytest.raises(ScoringError):
-            score_auditory_attention(
-                [AuditoryResponse("s", "target", "left", "middle")], config)
+    def test_unknown_kind_and_sides(self, logs, config):
+        for field, value, message in (
+                ("stimulus_kind", "chime", "unknown sound kind 'chime'"),
+                ("stimulus_side", "middle", "unknown side 'middle'"),
+                ("response_side", "middle", "unknown response side 'middle'")):
+            assert (_engine_rejection(logs["perfect"], config,
+                                      _set(19, "SoundTriggered", **{field: value}))
+                    == message)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from errandlab.config import config_hash, default_config
+from errandlab.config import ConfigError, config_hash, default_config
 from errandlab.scenario import replay
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
 from errandlab.sessionlog import derive_telemetry, serialize_log
@@ -217,6 +217,21 @@ class TestSessionClock:
         assert total == pytest.approx(1866.0, rel=0.2)
         final, _ = replay(log.events)
         assert final.completed
+
+    def test_longest_target_fits_the_clock(self, config):
+        longest = dataclasses.replace(config, session_target_s=2**53 / 1000)
+        longest.validate()
+        for preset in PROFILE_PRESETS.values():
+            log = simulate_session(preset(), seed=1, config=longest)
+            assert log.events[-1].sim_time_ms <= 2**53
+
+    def test_latency_bounded_by_the_clock(self, typical):
+        with pytest.raises(ValueError, match=r"latency_sd_ms must be at most 2\*\*53 ms"):
+            dataclasses.replace(typical, latency_sd_ms=2**53 + 1)
+        # each latency fits, but the session's sum of them does not
+        slow = dataclasses.replace(typical, latency_mean_ms=2**53)
+        with pytest.raises(ConfigError, match=r"runs past 2\*\*53 ms"):
+            simulate_session(slow, seed=1)
 
 
 class TestBehaviouralKnobs:
