@@ -175,10 +175,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     cfg = load_config(args.config) if args.config else default_config()
-    cfg_hash = config_hash(cfg)
     with open(args.log, "rb") as handle:
         log = deserialize_log(handle.read())
     card = aggregate_scorecard(log, cfg)
+    # hashed once the log is accepted: a rejected log needs no hash
+    cfg_hash = config_hash(cfg)
     report = export_report(card, cfg, log.seed, cfg_hash)
 
     outputs: dict[str, str] = {}

@@ -250,8 +250,13 @@ def _canonical_json(data: Any) -> str:
 
 
 def config_hash(config: ScoringConfig) -> str:
-    """sha256 over the canonical JSON of the full effective config."""
-    return hashlib.sha256(_canonical_json(config_to_dict(config)).encode("utf-8")).hexdigest()
+    """sha256 over the canonical JSON of the full effective config.
+
+    The JSON is written straight from the fields, which gives the bytes of
+    :func:`config_to_dict`'s JSON for a config that passes ``validate()``.
+    """
+    fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    return hashlib.sha256(_canonical_json(fields).encode("utf-8")).hexdigest()
 
 
 def default_config() -> ScoringConfig:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any, Iterable, Optional, Union
 
@@ -301,28 +301,34 @@ AUDITORY_STIMULUS_KINDS = ("target", "high_pitch_distractor", "low_pitch_distrac
 SIDES = ("left", "right")
 
 
-# The field names of each kind's payload, for one comparison per event.
-_PAYLOAD_KEYS: dict[EventKind, frozenset[str]] = {
-    kind: frozenset(schema) for kind, schema in _PAYLOAD_FIELDS.items()}
+# Each kind's payload schema as the check reads it: the field names, for one
+# comparison per event, then (name, allowed types, whether a bool is allowed)
+# per field.
+_PAYLOAD_SCHEMA: dict[EventKind, tuple[frozenset[str],
+                                       tuple[tuple[str, tuple[type, ...], bool], ...]]] = {
+    kind: (frozenset(schema),
+           tuple((name, types, bool in types) for name, types in schema.items()))
+    for kind, schema in _PAYLOAD_FIELDS.items()}
 
 
 def validate_payload(kind: EventKind, payload: dict[str, Any]) -> None:
     """Check a payload against the fixed schema for its event kind."""
-    keys = _PAYLOAD_KEYS[kind]
+    keys, checks = _PAYLOAD_SCHEMA[kind]
     if payload.keys() != keys:
         extra = set(payload) - keys
         missing = keys - set(payload)
         raise ValueError(
             f"{kind.value} payload has wrong fields "
             f"(missing={sorted(missing)}, unexpected={sorted(extra)})")
-    for name, types in _PAYLOAD_FIELDS[kind].items():
+    for name, types, bool_allowed in checks:
         value = payload[name]
         # bool is an int subclass; keep the two apart.
-        if isinstance(value, bool) and bool not in types:
+        if type(value) is bool and not bool_allowed:
             raise ValueError(f"{kind.value}.{name} must not be a bool")
         if not isinstance(value, types):
             raise ValueError(
                 f"{kind.value}.{name} has type {type(value).__name__}")
+        # a float subclass (numpy's float64) is checked too
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{kind.value}.{name} must be finite")
 
@@ -332,8 +338,11 @@ def validate_payload(kind: EventKind, payload: dict[str, Any]) -> None:
 # millisecond up to 2**53, and past about 1.8e308 ms the conversion overflows.
 _MAX_CLOCK_MS = 2**53
 
+# The default of SessionEvent's payload, which stands for a new empty dict.
+_NO_PAYLOAD: Any = object()
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class SessionEvent:
     """One timestamped, scene-stamped record of something the user did."""
 
@@ -343,24 +352,39 @@ class SessionEvent:
     kind: EventKind
     payload: dict[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
+    def __init__(self, seq: int, sim_time_ms: int, scene: int, kind: EventKind,
+                 payload: dict[str, Any] = _NO_PAYLOAD) -> None:
+        # The checks run before any field is set, in the order of the fields.
         # Three plain ints pass at once; anything else is checked by name.
-        if not (type(self.seq) is type(self.sim_time_ms) is type(self.scene) is int):
-            for name in ("seq", "sim_time_ms", "scene"):
-                value = getattr(self, name)
+        if not (type(seq) is type(sim_time_ms) is type(scene) is int):
+            for name, value in (("seq", seq), ("sim_time_ms", sim_time_ms),
+                                ("scene", scene)):
                 # bool is an int subclass; keep the two apart.
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise TypeError(
                         f"{name} must be an integer, not {type(value).__name__}")
-        if self.seq < 0:
+        if seq < 0:
             raise ValueError("seq must be non-negative")
-        if self.sim_time_ms < 0:
+        if sim_time_ms < 0:
             raise ValueError("sim_time_ms must be non-negative")
-        if self.sim_time_ms > _MAX_CLOCK_MS:
+        if sim_time_ms > _MAX_CLOCK_MS:
             raise ValueError("sim_time_ms must be at most 2**53")
-        if self.scene not in SCENES_BY_ID:
-            raise ValueError(f"unknown scene id {self.scene}")
-        validate_payload(self.kind, self.payload)
+        if scene not in SCENES_BY_ID:
+            raise ValueError(f"unknown scene id {scene}")
+        if payload is _NO_PAYLOAD:
+            payload = {}
+        validate_payload(kind, payload)
+        _set_seq(self, seq)
+        _set_sim_time_ms(self, sim_time_ms)
+        _set_scene(self, scene)
+        _set_kind(self, kind)
+        _set_payload(self, payload)
+
+
+# The setters of SessionEvent's slots, which its frozen __setattr__ refuses:
+# object.__setattr__ would look each one up by name on every call.
+_set_seq, _set_sim_time_ms, _set_scene, _set_kind, _set_payload = (
+    SessionEvent.__dict__[f.name].__set__ for f in fields(SessionEvent))
 
 
 # ---------------------------------------------------------------------------

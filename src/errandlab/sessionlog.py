@@ -126,11 +126,21 @@ def log_from_events(events: Iterable[SessionEvent], seed: Optional[int] = None,
     return SessionLog(seed=seed, config_hash=config_hash, events=tuple(collected))
 
 
-# One encoder for every line: json.dumps with these options builds a new
-# JSONEncoder per call, and a log has one line per event.
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The header and the kind names go through _dumps, whose encode builds a new
+# C encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_dumps = _ENCODER.encode
 # The canonical JSON of each kind's name, for the event envelope.
 _KIND_JSON = {kind: _dumps(kind.value) for kind in EventKind}
+# The payloads go through one C encoder with _dumps's options, built once; it
+# returns the JSON in chunks.  Its circular-reference markers outlive each
+# call, and an encoding that fails leaves its containers in them, so
+# serialize_log empties them.
+_MARKERS: dict[int, Any] = {}
+_encode_payload = json.encoder.c_make_encoder(  # type: ignore[attr-defined]
+    _MARKERS, _ENCODER.default, json.encoder.encode_basestring_ascii,
+    _ENCODER.indent, _ENCODER.key_separator, _ENCODER.item_separator,
+    _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan)
 
 
 def serialize_log(log: SessionLog) -> bytes:
@@ -144,18 +154,25 @@ def serialize_log(log: SessionLog) -> bytes:
     })]
     # The envelope is written here in sorted-key order, as _dumps would
     # write it; only a non-empty payload goes through the encoder.
-    for event in log.events:
-        payload = _dumps(event.payload) if event.payload else "{}"
-        lines.append(
-            f'{{"kind":{_KIND_JSON[event.kind]},"payload":{payload},'
-            f'"scene":{event.scene:d},"seq":{event.seq:d},'
-            f'"sim_time_ms":{event.sim_time_ms:d}}}')
+    encode, join = _encode_payload, "".join
+    try:
+        for event in log.events:
+            payload = join(encode(event.payload, 0)) if event.payload else "{}"
+            lines.append(
+                f'{{"kind":{_KIND_JSON[event.kind]},"payload":{payload},'
+                f'"scene":{event.scene:d},"seq":{event.seq:d},'
+                f'"sim_time_ms":{event.sim_time_ms:d}}}')
+    finally:
+        _MARKERS.clear()
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 _EVENT_KINDS = {kind.value: kind for kind in EventKind}
 _EVENT_FIELDS = frozenset({"seq", "sim_time_ms", "scene", "kind", "payload"})
-_raw_decode = json.JSONDecoder().raw_decode
+_decoder = json.JSONDecoder()
+_raw_decode = _decoder.raw_decode
+# Reads one JSON value starting at an index; StopIteration if none starts there.
+_scan_once = _decoder.scan_once
 
 
 def _parse_line(number: int, line: str) -> dict[str, Any]:
@@ -215,27 +232,40 @@ def deserialize_log(data: bytes) -> SessionLog:
         raise ParseError("header config_hash must be a string or null")
 
     events: list[SessionEvent] = []
+    append = events.append
+    # SessionEvent makes seq and sim_time_ms non-negative, so the first
+    # event is never out of order.
+    last_seq, last_ms = -1, 0
     for number, line in enumerate(lines[1:], start=2):
-        record = _parse_line(number, line)
+        # A canonical line is one JSON object from end to end; any other
+        # line goes to _parse_line, which rejects it or reads its padding.
+        try:
+            record, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line) or type(record) is not dict:
+            record = _parse_line(number, line)
         if record.keys() != _EVENT_FIELDS:
             raise ParseError(
                 f"line {number}: event fields must be {sorted(_EVENT_FIELDS)}")
         kind_name = record["kind"]
         # an array or object kind is unhashable, so test the type first
-        kind = _EVENT_KINDS.get(kind_name) if isinstance(kind_name, str) else None
+        kind = _EVENT_KINDS.get(kind_name) if type(kind_name) is str else None
         if kind is None:
             raise ParseError(f"line {number}: unknown event kind {kind_name!r}")
         payload = record["payload"]
-        if not isinstance(payload, dict):
+        if type(payload) is not dict:
             raise ParseError(f"line {number}: payload must be an object")
         try:
             event = SessionEvent(record["seq"], record["sim_time_ms"],
                                  record["scene"], kind, payload)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"line {number}: {exc}") from exc
-        if events:
+        seq, time_ms = event.seq, event.sim_time_ms
+        if seq <= last_seq or time_ms < last_ms:
             _check_order(events[-1], event)
-        events.append(event)
+        last_seq, last_ms = seq, time_ms
+        append(event)
     return SessionLog(seed=seed, config_hash=config_hash, events=tuple(events))
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
@@ -85,6 +86,14 @@ _COOKING_MIDPOINT_S = {item: (on_time_lo + on_time_hi) / 200.0
 
 _PRACTICE_ATTEMPT_CAP = 5
 
+# numpy's Generator.poisson refuses a mean above this double.
+_POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
+# Generator.standard_normal draws from a ziggurat whose tail starts at 3.654
+# and adds at most -log(2**-53) / 3.654, about 10.05, to it: |z| < 14.  An sd
+# up to the largest double / 14 keeps every midpoint + sd * z finite.
+_MAX_NORMAL_Z = 14
+_MAX_COOKING_SD_S = sys.float_info.max / _MAX_NORMAL_Z
+
 
 @dataclass(frozen=True)
 class ParticipantProfile:
@@ -128,10 +137,19 @@ class ParticipantProfile:
         if not (type(self.planning_extra_units) is int
                 and self.planning_extra_units >= 0):
             raise ValueError("planning_extra_units must be a non-negative integer")
+        # the mean of a Poisson draw, which numpy compares as a double
+        # (min keeps float() from overflowing)
+        if float(min(self.planning_extra_units, 2**64)) > _POISSON_LAM_MAX:
+            raise ValueError(f"planning_extra_units must be at most {_POISSON_LAM_MAX:.6g} "
+                             "(the largest Poisson mean numpy draws from)")
         for name in ("cooking_timing_sd_s", "latency_mean_ms", "latency_sd_ms"):
             value = getattr(self, name)
             if not (_is_number(value) and 0 <= value <= sys.float_info.max):
                 raise ValueError(f"{name} must be a non-negative finite number")
+        # a cook time is a midpoint plus cooking_timing_sd_s times a normal draw
+        if self.cooking_timing_sd_s > _MAX_COOKING_SD_S:
+            raise ValueError(f"cooking_timing_sd_s must be at most {_MAX_COOKING_SD_S:.6g} "
+                             f"(the largest double / {_MAX_NORMAL_Z})")
         # each latency is added to the millisecond clock, which ends at 2**53
         for name in ("latency_mean_ms", "latency_sd_ms"):
             if getattr(self, name) > _MAX_CLOCK_MS:

@@ -425,6 +425,18 @@ class TestCallCounts:
         assert main(["score", "--log", str(out / "session.ndjson")]) == 0
         assert (len(replays), len(telemetry)) == (1, 1)
 
+    def test_score_hashes_the_config_only_for_an_accepted_log(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["simulate", "--seed", "2", "--out", str(out)]) == 0
+        lines = (out / "session.ndjson").read_bytes().split(b"\n")
+        rejected = tmp_path / "rejected.ndjson"
+        rejected.write_bytes(b"\n".join(lines[:2] + lines[3:]))  # no TutorialCompleted
+        hashes = _count_calls(monkeypatch, errandlab.config, "config_hash")
+        assert main(["score", "--log", str(rejected)]) == 4
+        assert hashes == []
+        assert main(["score", "--log", str(out / "session.ndjson")]) == 0
+        assert len(hashes) == 1
+
     @pytest.mark.parametrize("command", ["score", "compare"])
     def test_vrnq_validates_a_domains_mapping_once(self, tmp_path, monkeypatch,
                                                    command):
@@ -552,6 +564,10 @@ _BAD_INPUT_FILES = [
     pytest.param("--profile", '{"latency_sd_ms": true}', 2, id="profile-bool-number"),
     pytest.param("--profile", '{"latency_mean_ms": 1e308}', 2,
                  id="profile-latency-overflows-clock"),
+    pytest.param("--profile", '{"cooking_timing_sd_s": 1e308}', 2,
+                 id="profile-cooking-sd-overflows-cook-time"),
+    pytest.param("--profile", '{"planning_extra_units": 1000000000000000000000}', 2,
+                 id="profile-extra-units-past-poisson-limit"),
 ]
 
 

@@ -22,7 +22,13 @@ import re
 import pytest
 
 from errandlab.cli import main
-from errandlab.config import config_hash, default_config
+from errandlab.config import (
+    DEFAULT_BAND_POINTS,
+    DEFAULT_DOMAIN_MAPPING,
+    config_hash,
+    config_to_dict,
+    default_config,
+)
 from errandlab.scenario import EventKind
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
 from errandlab.sessionlog import (
@@ -89,6 +95,26 @@ def test_outputs_match_golden_digests(preset, seed):
     assert (_sha256(serialize_log(log)),
             _sha256(report.encode("utf-8")),
             _sha256(scorecard_json.encode("utf-8"))) == _GOLDEN[(preset, seed)]
+
+
+# The config hash stamped into every log and manifest is the sha256 of the
+# canonical JSON of config_to_dict, for the default config and for configs
+# that override fields of each type (tuples, floats, ints, nested mappings).
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"recognition_targets": tuple(f"item_{i}" for i in range(10)),
+     "normative_route_mean_s": 0.1, "visual_targets_per_side": 3},
+    {"band_points": {**DEFAULT_BAND_POINTS, "OnTime": 5},
+     "npc_negative_deductions": {"0": 0, "1": -1, "2": -1, "3": 0},
+     "domain_mapping": {domain: tuple(reversed(items))
+                        for domain, items in DEFAULT_DOMAIN_MAPPING.items()},
+     "session_target_s": 1e-7},
+])
+def test_config_hash_is_the_hash_of_config_to_dict(overrides):
+    config = dataclasses.replace(default_config(), **overrides)
+    config.validate()
+    canonical = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
+    assert config_hash(config) == _sha256(canonical.encode("utf-8"))
 
 
 # (preset, seed) -> sha256 over the prefixes events[:0], events[:20], ... of

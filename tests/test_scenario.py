@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -393,6 +394,86 @@ class TestFinaleTimers:
         _, effects = advance(state, _ev(2, 95_000, 22, EventKind.ITEM_STOWED,
                                         {"item": "milk"}))
         assert effects == []
+
+
+# Constructor arguments over a valid SceneEntered event, and the error each
+# gives; when several fields are wrong, the first check in field order wins,
+# with the type checks first.
+_BAD_EVENTS = [
+    ({"seq": 1.0}, TypeError, "seq must be an integer, not float"),
+    ({"sim_time_ms": True}, TypeError, "sim_time_ms must be an integer, not bool"),
+    ({"scene": "3"}, TypeError, "scene must be an integer, not str"),
+    ({"seq": -1, "scene": "3"}, TypeError, "scene must be an integer, not str"),
+    ({"seq": -1}, ValueError, "seq must be non-negative"),
+    ({"seq": -1, "sim_time_ms": -1, "scene": 23}, ValueError, "seq must be non-negative"),
+    ({"sim_time_ms": -1}, ValueError, "sim_time_ms must be non-negative"),
+    ({"sim_time_ms": 2**53 + 1, "scene": 0}, ValueError, "sim_time_ms must be at most 2**53"),
+    ({"scene": 0, "payload": {"x": 1}}, ValueError, "unknown scene id 0"),
+    ({"payload": {"x": 1}}, ValueError,
+     "SceneEntered payload has wrong fields (missing=[], unexpected=['x'])"),
+    ({"kind": EventKind.ITEM_SELECTED, "scene": 3, "payload": {"extra": 1}}, ValueError,
+     "ItemSelected payload has wrong fields (missing=['item'], unexpected=['extra'])"),
+    ({"kind": EventKind.PRACTICE_ATTEMPT, "scene": 11,
+      "payload": {"targets_hit": 3, "distractors_hit": False}}, ValueError,
+     "PracticeAttempt.distractors_hit must not be a bool"),
+    ({"kind": EventKind.ITEM_SELECTED, "scene": 3, "payload": {"item": 7}}, ValueError,
+     "ItemSelected.item has type int"),
+    ({"kind": EventKind.NOTES_INTENT_ANSWERED, "scene": 3,
+      "payload": {"prompt_index": 1, "yes": 1}}, ValueError,
+     "NotesIntentAnswered.yes has type int"),
+    ({"kind": EventKind.COOKING_ITEM_PLACED, "scene": 6,
+      "payload": {"item": "kettle", "cook_time_s": np.float64("inf")}}, ValueError,
+     "CookingItemPlaced.cook_time_s must be finite"),
+]
+
+
+class TestEventConstructor:
+    """The SessionEvent API: construction, its checks and the frozen value."""
+
+    def test_positional_keyword_and_replace_agree(self):
+        payload = {"item": "milk"}
+        positional = SessionEvent(4, 1000, 3, EventKind.ITEM_SELECTED, payload)
+        keyword = SessionEvent(payload=payload, kind=EventKind.ITEM_SELECTED,
+                               scene=3, sim_time_ms=1000, seq=4)
+        assert positional == keyword
+        assert positional.payload is payload
+        assert dataclasses.astuple(positional) == (4, 1000, 3, EventKind.ITEM_SELECTED,
+                                                   {"item": "milk"})
+        moved = dataclasses.replace(positional, seq=5)
+        assert (moved.seq, moved.payload) == (5, payload)
+        assert moved != positional
+        with pytest.raises(ValueError, match="^seq must be non-negative$"):
+            dataclasses.replace(positional, seq=-1)
+
+    def test_repr_and_fields(self):
+        event = SessionEvent(0, 0, 1, EventKind.SCENE_ENTERED)
+        assert repr(event) == (
+            "SessionEvent(seq=0, sim_time_ms=0, scene=1, "
+            "kind=<EventKind.SCENE_ENTERED: 'SceneEntered'>, payload={})")
+        assert [f.name for f in dataclasses.fields(SessionEvent)] == [
+            "seq", "sim_time_ms", "scene", "kind", "payload"]
+        assert not hasattr(event, "__dict__")
+
+    def test_omitted_payload_is_a_fresh_dict(self):
+        first = SessionEvent(0, 0, 1, EventKind.SCENE_ENTERED)
+        second = SessionEvent(seq=1, sim_time_ms=0, scene=1, kind=EventKind.SCENE_EXITED)
+        assert first.payload == second.payload == {}
+        assert first.payload is not second.payload
+
+    def test_frozen(self):
+        event = SessionEvent(0, 0, 1, EventKind.SCENE_ENTERED)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.seq = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del event.payload
+
+    @pytest.mark.parametrize("fields, error, message", _BAD_EVENTS)
+    def test_each_check_and_its_message(self, fields, error, message):
+        arguments = {"seq": 0, "sim_time_ms": 0, "scene": 1,
+                     "kind": EventKind.SCENE_ENTERED, **fields}
+        with pytest.raises(error) as caught:
+            SessionEvent(**arguments)
+        assert str(caught.value) == message
 
 
 class TestEventValidation:

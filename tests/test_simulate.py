@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
+from errandlab import simulate
 from errandlab.config import ConfigError, config_hash, default_config
 from errandlab.scenario import replay
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
@@ -196,6 +198,21 @@ class TestProfiles:
             dataclasses.replace(typical, cooking_timing_sd_s=-1.0)
         with pytest.raises(ValueError):
             dataclasses.replace(typical, planning_extra_units=-1)
+
+    def test_largest_spread_and_extra_units_simulate(self, typical, config):
+        # each bound is the largest value the simulator's draws can take
+        sd = simulate._MAX_COOKING_SD_S
+        units = int(simulate._POISSON_LAM_MAX) + 512  # numpy rounds it down
+        widest = dataclasses.replace(typical, cooking_timing_sd_s=sd,
+                                     planning_extra_units=units)
+        for seed in range(1, 4):
+            log = simulate_session(widest, seed=seed, config=config)
+            assert replay(log.events)[0].completed
+        with pytest.raises(ValueError, match="^cooking_timing_sd_s must be at most"):
+            dataclasses.replace(typical, cooking_timing_sd_s=math.nextafter(sd, math.inf))
+        for too_many in (units + 1, 10**21, 10**400):
+            with pytest.raises(ValueError, match="^planning_extra_units must be at most"):
+                dataclasses.replace(typical, planning_extra_units=too_many)
 
     def test_presets_are_valid_and_distinct(self):
         profiles = {name: factory() for name, factory in PROFILE_PRESETS.items()}
