@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Optional, Union
 
@@ -350,7 +350,7 @@ class SessionEvent:
     sim_time_ms: int
     scene: int
     kind: EventKind
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: dict[str, Any]
 
     def __init__(self, seq: int, sim_time_ms: int, scene: int, kind: EventKind,
                  payload: dict[str, Any] = _NO_PAYLOAD) -> None:
@@ -383,8 +383,11 @@ class SessionEvent:
 
 # The setters of SessionEvent's slots, which its frozen __setattr__ refuses:
 # object.__setattr__ would look each one up by name on every call.
-_set_seq, _set_sim_time_ms, _set_scene, _set_kind, _set_payload = (
-    SessionEvent.__dict__[f.name].__set__ for f in fields(SessionEvent))
+_set_seq = SessionEvent.seq.__set__
+_set_sim_time_ms = SessionEvent.sim_time_ms.__set__
+_set_scene = SessionEvent.scene.__set__
+_set_kind = SessionEvent.kind.__set__
+_set_payload = SessionEvent.payload.__set__
 
 
 # ---------------------------------------------------------------------------

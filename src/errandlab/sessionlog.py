@@ -133,12 +133,10 @@ _dumps = _ENCODER.encode
 # The canonical JSON of each kind's name, for the event envelope.
 _KIND_JSON = {kind: _dumps(kind.value) for kind in EventKind}
 # The payloads go through one C encoder with _dumps's options, built once; it
-# returns the JSON in chunks.  Its circular-reference markers outlive each
-# call, and an encoding that fails leaves its containers in them, so
-# serialize_log empties them.
-_MARKERS: dict[int, Any] = {}
+# returns the JSON in chunks.  A payload holds scalars only, so it keeps no
+# circular-reference markers (None, as check_circular=False would).
 _encode_payload = json.encoder.c_make_encoder(  # type: ignore[attr-defined]
-    _MARKERS, _ENCODER.default, json.encoder.encode_basestring_ascii,
+    None, _ENCODER.default, json.encoder.encode_basestring_ascii,
     _ENCODER.indent, _ENCODER.key_separator, _ENCODER.item_separator,
     _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan)
 
@@ -155,38 +153,37 @@ def serialize_log(log: SessionLog) -> bytes:
     # The envelope is written here in sorted-key order, as _dumps would
     # write it; only a non-empty payload goes through the encoder.
     encode, join = _encode_payload, "".join
-    try:
-        for event in log.events:
-            payload = join(encode(event.payload, 0)) if event.payload else "{}"
-            lines.append(
-                f'{{"kind":{_KIND_JSON[event.kind]},"payload":{payload},'
-                f'"scene":{event.scene:d},"seq":{event.seq:d},'
-                f'"sim_time_ms":{event.sim_time_ms:d}}}')
-    finally:
-        _MARKERS.clear()
+    for event in log.events:
+        payload = join(encode(event.payload, 0)) if event.payload else "{}"
+        lines.append(
+            f'{{"kind":{_KIND_JSON[event.kind]},"payload":{payload},'
+            f'"scene":{event.scene:d},"seq":{event.seq:d},'
+            f'"sim_time_ms":{event.sim_time_ms:d}}}')
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 _EVENT_KINDS = {kind.value: kind for kind in EventKind}
 _EVENT_FIELDS = frozenset({"seq", "sim_time_ms", "scene", "kind", "payload"})
-_decoder = json.JSONDecoder()
-_raw_decode = _decoder.raw_decode
 # Reads one JSON value starting at an index; StopIteration if none starts there.
-_scan_once = _decoder.scan_once
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _read_line(number: int, line: str) -> dict[str, Any]:
+    # A canonical line is one JSON object from end to end; any other line
+    # goes to _parse_line, which rejects it or reads its padding.
+    try:
+        record, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end != len(line) or type(record) is not dict:
+        record = _parse_line(number, line)
+    return record
 
 
 def _parse_line(number: int, line: str) -> dict[str, Any]:
-    # raw_decode reads one JSON value from the start of the line.  A line it
-    # cannot read whole (leading or trailing whitespace, extra data, invalid
-    # JSON) goes to json.loads, which accepts padding and words the errors.
-    # Either decoder raises RecursionError on a value nested too deeply.
+    # json.loads accepts padding around the value and words the errors.
     try:
-        try:
-            record, end = _raw_decode(line)
-        except json.JSONDecodeError:
-            end = -1
-        if end != len(line):
-            record = json.loads(line)
+        record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {number}: invalid JSON ({exc.msg})") from exc
     except RecursionError as exc:
@@ -214,7 +211,7 @@ def deserialize_log(data: bytes) -> SessionLog:
         raise ParseError("log is truncated (no trailing newline)")
     lines = text.split("\n")[:-1]
 
-    header = _parse_line(1, lines[0])
+    header = _read_line(1, lines[0])
     if header.get("kind") != "header" or header.get("schema") != SCHEMA_NAME:
         raise ParseError("first line is not a session-log header")
     version = header.get("version")
@@ -237,14 +234,7 @@ def deserialize_log(data: bytes) -> SessionLog:
     # event is never out of order.
     last_seq, last_ms = -1, 0
     for number, line in enumerate(lines[1:], start=2):
-        # A canonical line is one JSON object from end to end; any other
-        # line goes to _parse_line, which rejects it or reads its padding.
-        try:
-            record, end = _scan_once(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(line) or type(record) is not dict:
-            record = _parse_line(number, line)
+        record = _read_line(number, line)
         if record.keys() != _EVENT_FIELDS:
             raise ParseError(
                 f"line {number}: event fields must be {sorted(_EVENT_FIELDS)}")
