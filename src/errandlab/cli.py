@@ -15,6 +15,7 @@ required accuracy, 2 usage or configuration error (a bad ``--config``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -443,9 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Safe to share: no action has a mutable default, parse_args makes a new
+    # Namespace on each call, and help width is read when help is formatted.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -296,10 +296,13 @@ def config_from_dict(data: Mapping[str, Any]) -> ScoringConfig:
 
 def read_json(path: str | Path) -> Any:
     """The JSON document in the UTF-8 file at ``path``; ConfigError naming
-    ``path`` if the bytes are not UTF-8 JSON or nest past the recursion limit."""
+    ``path`` if the bytes are not UTF-8 JSON, nest past the recursion limit
+    or hold an integer longer than Python converts from a string."""
+    data = Path(path).read_bytes()
     try:
-        return json.loads(Path(path).read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        return json.loads(data.decode("utf-8"))
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors too
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 

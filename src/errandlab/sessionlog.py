@@ -186,6 +186,8 @@ def _parse_line(number: int, line: str) -> dict[str, Any]:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {number}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an integer too long to convert
+        raise ParseError(f"line {number}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
         raise ParseError(f"line {number}: JSON nested too deeply") from exc
     if not isinstance(record, dict):

@@ -21,6 +21,7 @@ import csv
 import io
 import statistics
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -29,6 +30,8 @@ from .config import DEFAULT_DOMAIN_MAPPING, validate_domain_mapping
 DOMAINS = tuple(DEFAULT_DOMAIN_MAPPING)
 ITEM_COUNT = 20
 SCALE_MIN, SCALE_MAX = 1, 7
+_INT_ONLY = frozenset({int})
+_SCALE = frozenset(range(SCALE_MIN, SCALE_MAX + 1))
 
 CUTOFFS = {
     "minimum": {"sub": 25, "total": 100},
@@ -49,11 +52,17 @@ class VrnqResponseSet:
     feedback: Optional[str] = None  # stored verbatim, never analyzed
 
     def __post_init__(self) -> None:
-        if len(self.items) != ITEM_COUNT:
+        items = self.items
+        # One test accepts a row of 20 plain ints on the scale; the loop
+        # below words the first fault, or accepts an int subclass.
+        if (len(items) == ITEM_COUNT and _INT_ONLY.issuperset(map(type, items))
+                and _SCALE.issuperset(items)):
+            return
+        if len(items) != ITEM_COUNT:
             raise VrnqError(
                 f"{self.participant_id}: expected {ITEM_COUNT} items, "
-                f"got {len(self.items)}")
-        for index, value in enumerate(self.items, start=1):
+                f"got {len(items)}")
+        for index, value in enumerate(items, start=1):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise VrnqError(
                     f"{self.participant_id}: item {index} must be an integer")
@@ -73,11 +82,16 @@ class VrnqScores:
 class DomainMapping(Mapping[str, tuple[int, ...]]):
     """A domain mapping that passed :func:`validate_domain_mapping` when it
     was made, with its item lists copied to tuples.  :func:`score_vrnq`
-    trusts it, so a cohort scored under it is checked once."""
+    trusts it, so a cohort scored under it is checked once, and sums each
+    domain through one :func:`operator.itemgetter` made here."""
 
     def __init__(self, mapping: Mapping[str, Sequence[int]]) -> None:
         validate_domain_mapping(mapping)
         self._items = {domain: tuple(mapping[domain]) for domain in DOMAINS}
+        # every domain holds five items, so each getter returns a tuple
+        self._getters = tuple(
+            (domain, itemgetter(*(item - 1 for item in items)))
+            for domain, items in self._items.items())
 
     def __getitem__(self, domain: str) -> tuple[int, ...]:
         return self._items[domain]
@@ -89,19 +103,18 @@ class DomainMapping(Mapping[str, tuple[int, ...]]):
         return len(self._items)
 
 
+_DEFAULT_MAPPING = DomainMapping(DEFAULT_DOMAIN_MAPPING)
+
+
 def score_vrnq(responses: VrnqResponseSet,
                domain_mapping: Optional[Mapping[str, Sequence[int]]] = None) -> VrnqScores:
     """Sum items into the domain sub-scores and the total; checks a passed
     mapping unless it is a :class:`DomainMapping`."""
-    mapping = DEFAULT_DOMAIN_MAPPING
-    if domain_mapping is not None:
-        if not isinstance(domain_mapping, DomainMapping):
-            validate_domain_mapping(domain_mapping)
-        mapping = domain_mapping
-    subs = {
-        domain: sum(responses.items[item - 1] for item in mapping[domain])
-        for domain in DOMAINS
-    }
+    mapping = domain_mapping
+    if not isinstance(mapping, DomainMapping):
+        mapping = _DEFAULT_MAPPING if mapping is None else DomainMapping(mapping)
+    items = responses.items
+    subs = {domain: sum(get(items)) for domain, get in mapping._getters}
     return VrnqScores(participant_id=responses.participant_id,
                       sub_scores=subs, total=sum(subs.values()))
 
@@ -190,6 +203,8 @@ def read_cohort_csv(source: str | Path | io.TextIOBase) -> list[VrnqResponseSet]
                 return _read_cohort(handle)
             except UnicodeDecodeError as exc:
                 raise VrnqError(f"{source}: invalid UTF-8 ({exc})") from exc
+            except csv.Error as exc:
+                raise VrnqError(f"{source}: invalid CSV ({exc})") from exc
     return _read_cohort(source)
 
 
@@ -219,7 +234,7 @@ def _read_cohort(handle) -> list[VrnqResponseSet]:
             raise VrnqError(f"line {line_no}: duplicate participant {participant_id!r}")
         seen_ids.add(participant_id)
         try:
-            items = tuple(int(cell) for cell in row[1:ITEM_COUNT + 1])
+            items = tuple(map(int, row[1:ITEM_COUNT + 1]))
         except ValueError as exc:
             raise VrnqError(f"line {line_no}: non-integer item value") from exc
         feedback = row[ITEM_COUNT + 1] if has_feedback else None

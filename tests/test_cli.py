@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -220,6 +221,18 @@ class TestScoreCommand:
         assert main(["score", "--log", str(path), "--format", "json"]) == 4
         assert capsys.readouterr().err == (
             f"error: line {line}: sim_time_ms must be at most 2**53\n")
+
+    @pytest.mark.parametrize("line, field", [(1, "seed"), (3, "seq")])
+    def test_integer_past_the_digit_limit_exits_4(self, session_dir, tmp_path, capsys,
+                                                  line, field):
+        lines = (session_dir / "session.ndjson").read_text().split("\n")
+        lines[line - 1] = re.sub(rf'"{field}":\d+', f'"{field}":{_LONG_INT}',
+                                 lines[line - 1])
+        bad = tmp_path / "long_int.ndjson"
+        bad.write_text("\n".join(lines))
+        assert main(["score", "--log", str(bad)]) == 4
+        [error] = capsys.readouterr().err.splitlines()
+        assert error.startswith(f"error: line {line}: invalid JSON (")
 
     def test_missing_log_exits_3(self, tmp_path, capsys):
         missing = tmp_path / "absent.ndjson"
@@ -534,7 +547,70 @@ class TestEntryPoints:
 
 
 
+# Runs each argv of a JSON list through errandlab.cli.main, all in this one
+# process, and prints [exit code, stdout, stderr, ArgumentParsers built] for
+# each call.
+_RUN_CALLS = """
+import argparse, contextlib, io, json, sys
+from errandlab.cli import main
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    before = len(built)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue(), len(built) - before])
+print(json.dumps(results))
+"""
+
+
+def _run_calls(calls):
+    result = subprocess.run([sys.executable, "-c", _RUN_CALLS, json.dumps(calls)],
+                            capture_output=True, text=True, env=_subprocess_env())
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+class TestParserReuse:
+    def test_main_builds_its_parser_once_per_process(self, tmp_path):
+        score = ["score", "--log", str(tmp_path / "absent.ndjson")]
+        results = _run_calls([score, score])
+        assert [(code, built) for code, _, _, built in results] == [(3, 6), (3, 0)]
+
+    def test_each_call_matches_the_same_call_alone(self, tmp_path):
+        ids = [f"p{i:02d}" for i in range(12)]
+        baseline = str(_cohort_csv(tmp_path / "a.csv",
+                                   {p: 60 + 3 * i for i, p in enumerate(ids)}))
+        revised = str(_cohort_csv(tmp_path / "b.csv",
+                                  {p: 70 + 3 * i + i % 4 for i, p in enumerate(ids)}))
+        run = str(tmp_path / "run")
+        compare = ["vrnq", "compare", "--baseline", baseline, "--revised", revised]
+        calls = [
+            ["score"],
+            ["--version"],
+            [*compare, "--direction", "sideways"],
+            ["simulate", "--seed", "7", "--out", run],
+            ["score", "--log", os.path.join(run, "session.ndjson"), "--format", "json"],
+            ["vrnq", "score", "--responses", baseline],
+            [*compare, "--direction", "two-sided", "--format", "json"],
+        ]
+        in_sequence = [result[:3] for result in _run_calls(calls)]
+        assert [code for code, _, _ in in_sequence] == [2, 0, 2, 0, 0, 0, 0]
+        assert in_sequence == [_run_calls([argv])[0][:3] for argv in calls]
+
+
 _DEEP = "[" * 100_000 + "]" * 100_000
+# more digits than Python converts from a string by default (4,300)
+_LONG_INT = "1" * 5_000
 
 # (option, content of the file it names, exit code): every case reads one bad file
 _BAD_INPUT_FILES = [
@@ -568,6 +644,14 @@ _BAD_INPUT_FILES = [
                  id="profile-cooking-sd-overflows-cook-time"),
     pytest.param("--profile", '{"planning_extra_units": 1000000000000000000000}', 2,
                  id="profile-extra-units-past-poisson-limit"),
+    pytest.param("--config", f'{{"visual_targets_per_side": {_LONG_INT}}}', 2,
+                 id="config-int-past-digit-limit"),
+    pytest.param("--profile", f'{{"planning_extra_units": {_LONG_INT}}}', 2,
+                 id="profile-int-past-digit-limit"),
+    pytest.param("--domains", f'{{"VRISE": [{_LONG_INT}]}}', 2,
+                 id="domains-int-past-digit-limit"),
+    pytest.param("--responses", ",".join(CSV_COLUMNS) + "\n" + "p" * 140_000
+                 + ",4" * 20 + "\n", 5, id="responses-field-past-csv-limit"),
 ]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 
+import numpy
 import pytest
 from hypothesis import given, strategies as st
 
@@ -128,6 +129,69 @@ class TestDomainMappingValidation:
                    "VRISE": [15, 16, 17, 18, 19]}
         with pytest.raises(ConfigError):
             validate_domain_mapping(mapping)
+
+
+class _Rating(int):
+    """An int subclass, as a caller's own item type might be."""
+
+
+def _with(index, value, rest=4):
+    """Twenty items of ``rest`` with ``value`` at 1-based ``index``."""
+    items = [rest] * 20
+    items[index - 1] = value
+    return items
+
+
+# (items, the error message, or None where the row is accepted)
+_RESPONSE_ROWS = [
+    pytest.param([4] * 19, "p1: expected 20 items, got 19", id="19-items"),
+    pytest.param([4] * 21, "p1: expected 20 items, got 21", id="21-items"),
+    pytest.param(_with(5, True), "p1: item 5 must be an integer", id="bool"),
+    pytest.param(_with(7, 3.0), "p1: item 7 must be an integer", id="float"),
+    pytest.param(_with(9, numpy.int64(3)), "p1: item 9 must be an integer",
+                 id="numpy-int64"),
+    pytest.param(_with(20, 0), "p1: item 20 value 0 outside 1..7", id="zero"),
+    pytest.param(_with(1, 8), "p1: item 1 value 8 outside 1..7", id="eight"),
+    pytest.param([4, True, 4, 0] + [4] * 16, "p1: item 2 must be an integer",
+                 id="type-fault-first"),
+    pytest.param([4, 9, 4, "x"] + [4] * 16, "p1: item 2 value 9 outside 1..7",
+                 id="range-fault-first"),
+    pytest.param(_with(3, _Rating(9)), "p1: item 3 value 9 outside 1..7",
+                 id="int-subclass-out-of-range"),
+    pytest.param(_with(3, _Rating(6)), None, id="int-subclass-accepted"),
+    pytest.param([_Rating(7)] * 20, None, id="all-int-subclass-accepted"),
+]
+
+
+class TestResponseSetChecks:
+    @pytest.mark.parametrize("items, message", _RESPONSE_ROWS)
+    def test_first_fault_is_named(self, items, message):
+        if message is None:
+            accepted = VrnqResponseSet(participant_id="p1", items=tuple(items))
+            plain = [int(v) for v in items]
+            assert score_vrnq(accepted).total == sum(plain)
+            return
+        with pytest.raises(VrnqError) as excinfo:
+            VrnqResponseSet(participant_id="p1", items=tuple(items))
+        assert str(excinfo.value) == message
+
+    @given(st.permutations(range(1, 21)),
+           st.lists(st.integers(min_value=1, max_value=7), min_size=20, max_size=20))
+    def test_every_mapping_form_is_a_per_item_sum(self, order, items):
+        mapping = {domain: order[5 * i:5 * i + 5] for i, domain in enumerate(DOMAINS)}
+        responses = _responses(items=items)
+
+        def plain(partition):
+            subs = {d: sum(items[item - 1] for item in partition[d]) for d in DOMAINS}
+            return subs, sum(items)
+
+        expected = plain(mapping)
+        for form in (mapping, DomainMapping(mapping)):
+            scores = score_vrnq(responses, form)
+            assert (scores.sub_scores, scores.total) == expected
+            assert list(scores.sub_scores) == list(DOMAINS)
+        scores = score_vrnq(responses)
+        assert (scores.sub_scores, scores.total) == plain(DEFAULT_DOMAIN_MAPPING)
 
 
 class TestRobustStats:
