@@ -60,8 +60,13 @@ _EXIT_LOG = 4
 _EXIT_CSV = 5
 
 
+def _make_out_dir(out: str) -> None:
+    # Once per command, before its first write: the directory that every
+    # output path is joined onto.
+    os.makedirs(os.path.dirname(os.path.join(out, "")) or ".", exist_ok=True)
+
+
 def _write_bytes(path: str, data: bytes) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "wb") as handle:
         handle.write(data)
 
@@ -140,6 +145,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         suffix = "" if count == 1 else f"_{index:03d}"
         log_path = os.path.join(args.out, f"session{suffix}.ndjson")
         report_path = os.path.join(args.out, f"report{suffix}.txt")
+        if index == 0:
+            _make_out_dir(args.out)
         _write_bytes(log_path, serialize_log(log))
         _write_bytes(report_path, report.encode("utf-8"))
         outputs[f"log_{index:03d}"] = log_path
@@ -185,6 +192,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
     outputs: dict[str, str] = {}
     if args.out:
+        _make_out_dir(args.out)
         report_path = os.path.join(args.out, "report.txt")
         _write_bytes(report_path, report.encode("utf-8"))
         outputs["report"] = report_path
@@ -266,6 +274,7 @@ def _cmd_vrnq_score(args: argparse.Namespace) -> int:
                 **({"domains": args.domains} if args.domains else {})},
         outputs={})
     if args.out:
+        _make_out_dir(args.out)
         _write_manifest(args.out, manifest)
 
     payload = {
@@ -366,6 +375,7 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
                     f"{row['p']!r},{row['bf10']!r},{row['band']},{row['stars']},"
                     f"{row['bf10_rel_err']!r}")
         csv_path = os.path.join(args.out, "comparison.csv")
+        _make_out_dir(args.out)
         _write_bytes(csv_path, ("\n".join(csv_lines) + "\n").encode("utf-8"))
         outputs["comparison"] = csv_path
 

@@ -541,6 +541,14 @@ def _reset_scene_fields(state: SessionState) -> None:
 # ---------------------------------------------------------------------------
 # Engine
 
+# The members the per-event code tests, bound once: on Python 3.11 each
+# ``EventKind.X`` read goes through ``EnumType.__getattr__``, about ten times
+# the cost of a module global.
+_SCENE_ENTERED = EventKind.SCENE_ENTERED
+_SCENE_EXITED = EventKind.SCENE_EXITED
+_KEYS_GIVEN = EventKind.KEYS_GIVEN
+_POSITIVE = PmPolarity.POSITIVE
+
 
 def _fire_due_finale_prompts(state: SessionState, now_ms: int,
                              effects: list[Effect]) -> None:
@@ -625,10 +633,10 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
     kind = event.kind
     sid = state.current_scene
 
-    if state.completed and kind is not EventKind.SCENE_EXITED:
+    if state.completed and kind is not _SCENE_EXITED:
         raise InvalidEvent("session already complete")
 
-    if kind is EventKind.SCENE_ENTERED:
+    if kind is _SCENE_ENTERED:
         if state.entered:
             raise InvalidEvent(f"scene {sid} already entered")
         state.entered = True
@@ -649,7 +657,7 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
     if sid == 22 and not state.completed:
         _fire_due_finale_prompts(state, event.sim_time_ms, effects)
 
-    if kind is EventKind.SCENE_EXITED:
+    if kind is _SCENE_EXITED:
         if not state.completed:
             if state.armed_to is None:
                 # the free-running rides and scene 3 resolve on their exit
@@ -665,7 +673,7 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
         state.sim_clock_ms = event.sim_time_ms
         return
 
-    if state.armed_to is not None and kind is not EventKind.KEYS_GIVEN:
+    if state.armed_to is not None and kind is not _KEYS_GIVEN:
         raise InvalidEvent(
             f"scene {sid} already resolved; only SceneExited is valid")
     scenes = EVENT_SCENES.get(kind)
@@ -807,7 +815,7 @@ def _on_npc_prompt_answered(state: SessionState, event: SessionEvent,
     state.npc_answered = expected
     if event.payload["yes"]:
         state.npc_affirmed_at[task.task_id] = expected
-        if task.polarity is PmPolarity.POSITIVE:
+        if task.polarity is _POSITIVE:
             state.awaiting_choice = True
         else:
             _resolve(state, effects)

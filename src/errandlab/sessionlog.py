@@ -298,6 +298,19 @@ TASK_WINDOWS: dict[str, tuple[_EventKey, _EventKey]] = {
 }
 
 
+# Each scene's id with the (scene, kind) keys derive_telemetry reads for it,
+# in scene order: entered, exited, practice attempt, note opened, note closed.
+# Built once, since on Python 3.11 each EventKind member read goes through
+# EnumType.__getattr__.
+_SCENE_KEYS: tuple[tuple[int, _EventKey, _EventKey, _EventKey, _EventKey, _EventKey],
+                   ...] = tuple(
+    (scene_id, (scene_id, EventKind.SCENE_ENTERED), (scene_id, EventKind.SCENE_EXITED),
+     (scene_id, EventKind.PRACTICE_ATTEMPT), (scene_id, EventKind.NOTE_OPENED),
+     (scene_id, EventKind.NOTE_CLOSED))
+    for scene_id in sorted(SCENES_BY_ID))
+_NOTES_INTENT_KEY: _EventKey = (3, EventKind.NOTES_INTENT_ANSWERED)
+
+
 def derive_telemetry(log: SessionLog) -> Telemetry:
     """Read timing and usage measures from the log's (scene, kind) groups.
 
@@ -317,28 +330,27 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
         return (groups[end][-1].sim_time_ms - groups[start][0].sim_time_ms) / 1000.0
 
     scene_time = {
-        scene_id: seconds for scene_id in sorted(SCENES_BY_ID)
-        if (seconds := window_s((scene_id, EventKind.SCENE_ENTERED),
-                                (scene_id, EventKind.SCENE_EXITED))) is not None}
+        scene_id: seconds for scene_id, entered, exited, *_ in _SCENE_KEYS
+        if (seconds := window_s(entered, exited)) is not None}
     task_time = {
         name: seconds for name, (start, end) in sorted(TASK_WINDOWS.items())
         if (seconds := window_s(start, end)) is not None}
 
     attempts = {
-        scene_id: len(groups[key]) for scene_id in sorted(SCENES_BY_ID)
-        if (key := (scene_id, EventKind.PRACTICE_ATTEMPT)) in groups}
+        scene_id: len(groups[attempt]) for scene_id, _, _, attempt, _, _ in _SCENE_KEYS
+        if attempt in groups}
 
     notes_views: dict[int, NotesUsage] = {}
-    for scene_id in sorted(SCENES_BY_ID):
-        opened = groups.get((scene_id, EventKind.NOTE_OPENED))
+    for scene_id, _, exited, _, opened_key, closed_key in _SCENE_KEYS:
+        opened = groups.get(opened_key)
         if opened is None:
             continue
-        closed = groups.get((scene_id, EventKind.NOTE_CLOSED), [])
+        closed = groups.get(closed_key, [])
         open_ms = (sum(event.sim_time_ms for event in closed)
                    - sum(event.sim_time_ms for event in opened))
         if len(closed) < len(opened):
             # the last note opened is still open when the scene (or log) ends
-            exit_events = groups.get((scene_id, EventKind.SCENE_EXITED), log.events)
+            exit_events = groups.get(exited, log.events)
             open_ms += exit_events[-1].sim_time_ms
             logger.warning(
                 "notes left open in scene %d; closed at scene exit", scene_id)
@@ -346,7 +358,7 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
             opens=len(opened), total_open_s=open_ms / 1000.0)
 
     intent = [False, False, False]
-    for event in groups.get((3, EventKind.NOTES_INTENT_ANSWERED), []):
+    for event in groups.get(_NOTES_INTENT_KEY, []):
         index = event.payload["prompt_index"]
         if 1 <= index <= 3:
             intent[index - 1] = bool(event.payload["yes"])

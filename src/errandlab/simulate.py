@@ -7,11 +7,13 @@ is generated by walking the 22 scenes in order and feeding each event to the
 scenario engine (the in-place core of :func:`errandlab.scenario.advance`),
 so every generated log is engine-accepted by construction.
 
-Determinism contract: each scene draws from its own
-``numpy.random.default_rng([seed, scene_id])`` stream, so identical
-``(profile, seed, config)`` inputs always reproduce the same log byte for
-byte, and editing one scene's behavior model cannot perturb another scene's
-draws.
+Determinism contract: each scene draws from its own stream, the one
+``numpy.random.default_rng([seed, scene_id])`` gives (the seed taken modulo
+2**64), so identical ``(profile, seed, config)`` inputs always reproduce the
+same log byte for byte, and editing one scene's behavior model cannot perturb
+another scene's draws.  A scene's generator is built on its first draw, from
+the seed's 32-bit words worked out once per session, so a scene that never
+draws costs no generator.
 
 The simulated clock targets ``config.session_target_s`` (default 3 732 s,
 about an hour); each scene gets a fixed share of that budget and is padded
@@ -85,6 +87,11 @@ _COOKING_MIDPOINT_S = {item: (on_time_lo + on_time_hi) / 200.0
                        in _COOKING_EDGES_CS.items()}
 
 _PRACTICE_ATTEMPT_CAP = 5
+
+# bound once: on Python 3.11 each EventKind.X read goes through
+# EnumType.__getattr__
+_SCENE_ENTERED = EventKind.SCENE_ENTERED
+_SCENE_EXITED = EventKind.SCENE_EXITED
 
 # numpy's Generator.poisson refuses a mean above this double.
 _POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
@@ -230,19 +237,39 @@ def save_profile(profile: ParticipantProfile, path: str) -> None:
 class _SessionBuilder:
     """Feeds events through the engine while tracking a millisecond cursor."""
 
-    rng: np.random.Generator  # the current scene's stream, set by enter()
-
-    def __init__(self, profile: ParticipantProfile, config: ScoringConfig) -> None:
+    def __init__(self, profile: ParticipantProfile, config: ScoringConfig,
+                 streams: Callable[[int], np.random.Generator]) -> None:
         self.profile = profile
         self.config = config
+        self.streams = streams
         self.state: SessionState = initial_state()
         self.events: list[SessionEvent] = []
         self.cursor_ms = 0
         self.scene_entry_ms = 0
+        self.scene_id = 0
+        self._rng: Optional[np.random.Generator] = None
+        # read once per session, not on every call
+        self.latency_mean_ms = profile.latency_mean_ms
+        self.latency_sd_ms = profile.latency_sd_ms
+        self.recognition_targets = frozenset(config.recognition_targets)
+        self.recognition_catalog = (
+            config.recognition_targets + config.recognition_qualitative
+            + config.recognition_quantitative + config.recognition_false)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        # The current scene's stream, built on the scene's first draw: a
+        # scene that never draws builds none.  (A class __getattr__ would
+        # make the later reads free, but on Python 3.11 it stops the
+        # interpreter from specializing every attribute read on the builder.)
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.streams(self.scene_id)
+        return rng
 
     def latency_ms(self) -> int:
-        raw = (self.profile.latency_mean_ms
-               + self.profile.latency_sd_ms * float(self.rng.standard_normal()))
+        raw = (self.latency_mean_ms
+               + self.latency_sd_ms * float(self.rng.standard_normal()))
         return max(0, int(round(raw)))
 
     def _emit(self, kind: EventKind, payload: Optional[dict[str, Any]] = None) -> None:
@@ -250,16 +277,17 @@ class _SessionBuilder:
             raise ConfigError(
                 "the simulated session runs past 2**53 ms; lower latency_mean_ms, "
                 "latency_sd_ms or session_target_s")
-        event = SessionEvent(
-            seq=len(self.events), sim_time_ms=self.cursor_ms,
-            scene=self.state.current_scene, kind=kind, payload=payload or {})
+        # positional: a keyword call costs more, once per event
+        event = SessionEvent(len(self.events), self.cursor_ms, self.state.current_scene,
+                             kind, payload or {})
         _apply(self.state, event, [])  # the builder owns its state
         self.events.append(event)
 
-    def enter(self, rng: np.random.Generator) -> None:
-        self.rng = rng
+    def enter(self, scene_id: int) -> None:
+        self.scene_id = scene_id
+        self._rng = None
         self.scene_entry_ms = self.cursor_ms
-        self._emit(EventKind.SCENE_ENTERED)
+        self._emit(_SCENE_ENTERED)
 
     def act(self, kind: EventKind, payload: Optional[dict[str, Any]] = None, *,
             at_offset_ms: Optional[int] = None) -> None:
@@ -271,7 +299,7 @@ class _SessionBuilder:
 
     def exit_scene(self, duration_ms: int) -> None:
         self.cursor_ms = max(self.cursor_ms, self.scene_entry_ms + duration_ms)
-        self._emit(EventKind.SCENE_EXITED)
+        self._emit(_SCENE_EXITED)
 
 
 def _bernoulli(rng: np.random.Generator, p: float) -> bool:
@@ -322,9 +350,8 @@ def _recognition_pick(b: _SessionBuilder, kind: EventKind, payload_key: str) -> 
     # Walk the shelf in a seeded order, deciding item by item until the
     # ten-slot basket is full.
     p = b.profile
-    targets = set(b.config.recognition_targets)
-    catalog = (b.config.recognition_targets + b.config.recognition_qualitative
-               + b.config.recognition_quantitative + b.config.recognition_false)
+    targets = b.recognition_targets
+    catalog = b.recognition_catalog
     order = b.rng.permutation(len(catalog))
     picked = 0
     for index in order:
@@ -551,20 +578,35 @@ def simulate_session(profile: ParticipantProfile, seed: int,
     return log
 
 
+def _scene_streams(seed: int) -> Callable[[int], np.random.Generator]:
+    # scene id -> the stream default_rng([seed & (2**64 - 1), scene_id])
+    # gives.  SeedSequence reads that list as the masked seed's 32-bit words,
+    # least significant first, then the scene id; the words are worked out
+    # once here, and a uint32 array of them skips default_rng's conversions.
+    import numpy as np  # here, so that importing the package skips numpy
+    from numpy.random import PCG64, Generator, SeedSequence
+
+    value = seed & 0xFFFFFFFFFFFFFFFF
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+
+    def stream(scene_id: int) -> np.random.Generator:
+        return Generator(PCG64(SeedSequence(np.array(words + [scene_id], np.uint32))))
+
+    return stream
+
+
 def _simulate(profile: ParticipantProfile, seed: int, config: ScoringConfig,
               cfg_hash: str) -> tuple[SessionLog, SessionState]:
     # The log stamped with the caller's hash of ``config``, and the state the
     # engine ends in after its events: what replaying the log would return.
-    import numpy as np  # here, so that importing the package skips numpy
-
-    builder = _SessionBuilder(profile, config)
+    builder = _SessionBuilder(profile, config, _scene_streams(seed))
     scale = config.session_target_s / sum(_NOMINAL_DURATION_S.values())
-    stream_seed = seed & 0xFFFFFFFFFFFFFFFF
 
     for descriptor in scene_sequence():
         sid = descriptor.scene_id
-        rng = np.random.default_rng([stream_seed, sid])
-        builder.enter(rng)
+        builder.enter(sid)
         duration_ms = max(1_000, int(_NOMINAL_DURATION_S[sid] * scale * 1000))
         _SCENE_MODELS[sid](builder, duration_ms)
 

@@ -199,13 +199,18 @@ def read_cohort_csv(source: str | Path | io.TextIOBase) -> list[VrnqResponseSet]
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            try:
-                return _read_cohort(handle)
-            except UnicodeDecodeError as exc:
-                raise VrnqError(f"{source}: invalid UTF-8 ({exc})") from exc
-            except csv.Error as exc:
-                raise VrnqError(f"{source}: invalid CSV ({exc})") from exc
-    return _read_cohort(source)
+            return _read_cohort_or_fail(handle, f"{source}: ")
+    return _read_cohort_or_fail(source, "")
+
+
+def _read_cohort_or_fail(handle, where: str) -> list[VrnqResponseSet]:
+    # the reader's own errors as VrnqError, prefixed with the path if any
+    try:
+        return _read_cohort(handle)
+    except UnicodeDecodeError as exc:
+        raise VrnqError(f"{where}invalid UTF-8 ({exc})") from exc
+    except csv.Error as exc:
+        raise VrnqError(f"{where}invalid CSV ({exc})") from exc
 
 
 def _read_cohort(handle) -> list[VrnqResponseSet]:

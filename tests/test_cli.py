@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -483,6 +484,43 @@ class TestCallCounts:
         monkeypatch.setattr(json, "loads", counted)
         assert main(["score", "--log", str(out / "session.ndjson")]) == 0
         assert calls == []
+
+    def test_each_command_makes_its_out_directory_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        calls = []
+        original = os.makedirs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", counted)
+        assert main(["simulate", "--seed", "2", "--cohort", "3", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert len(os.listdir(out)) == 7  # 3 logs, 3 reports and the manifest
+        calls.clear()
+        assert main(["score", "--log", str(out / "session_000.ndjson"),
+                     "--out", str(tmp_path / "scored")]) == 0
+        assert len(calls) == 1
+        assert sorted(os.listdir(tmp_path / "scored")) == ["manifest.json", "report.txt"]
+
+
+class TestOutNamingAFile:
+    @pytest.mark.parametrize("command", ["simulate", "score"])
+    def test_exits_3_with_one_error_line(self, tmp_path, capsys, command):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        if command == "simulate":
+            argv = ["simulate", "--seed", "1", "--cohort", "2", "--out", str(blocker)]
+        else:
+            log = tmp_path / "session.ndjson"
+            log.write_bytes(serialize_log(simulate_session(default_profile(), 1)))
+            argv = ["score", "--log", str(log), "--out", str(blocker)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {blocker}: {os.strerror(errno.EEXIST)}\n"
+        assert captured.out == ""
+        assert blocker.read_text() == "not a directory\n"
 
 
 def _subprocess_env():

@@ -97,6 +97,21 @@ def test_outputs_match_golden_digests(preset, seed):
             _sha256(scorecard_json.encode("utf-8"))) == _GOLDEN[(preset, seed)]
 
 
+# seed -> sha256 of serialize_log for the default preset, at seeds past one
+# 32-bit word and below zero: the simulator masks a seed to 64 bits and draws
+# each scene from default_rng([masked seed, scene id]).
+_GOLDEN_WIDE_SEEDS = {
+    2**40 + 17: "6185949e14c25882bc83ce3a6fa48c270956bf830c054cfae265ff9ed603fb04",
+    -1: "77780de162b369af6b2be833d0fba830161c75bd214178a764e448605ce19de3",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_GOLDEN_WIDE_SEEDS))
+def test_wide_seed_logs_match_golden_digests(seed):
+    log = simulate_session(PROFILE_PRESETS["default"](), seed, default_config())
+    assert _sha256(serialize_log(log)) == _GOLDEN_WIDE_SEEDS[seed]
+
+
 # The config hash stamped into every log and manifest is the sha256 of the
 # canonical JSON of config_to_dict, for the default config and for configs
 # that override fields of each type (tuples, floats, ints, nested mappings).

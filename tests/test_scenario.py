@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from errandlab import simulate
+from errandlab import scenario, sessionlog
 from errandlab.scenario import (
     EVENT_SCENES,
     EngineError,
@@ -726,3 +727,32 @@ def test_state_copy_shares_no_container():
         value = getattr(state, f.name)
         if isinstance(value, (set, dict)):
             assert getattr(clone, f.name) is not value, f.name
+
+
+def _global_names(code):
+    """The names ``code`` and the code nested in it (comprehensions, inner
+    functions) load as globals or attributes."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            names |= _global_names(const)
+    return names
+
+
+class TestNoPerEventEnumReads:
+    # On Python 3.11 every ``EventKind.X`` or ``PmPolarity.X`` read goes
+    # through ``EnumType.__getattr__``, about ten times the cost of a module
+    # global, so the code that runs per event reads its members from module
+    # globals bound at import.
+    @pytest.mark.parametrize("fn", [
+        scenario._apply,
+        scenario._on_npc_prompt_answered,
+        sessionlog.derive_telemetry,
+        simulate._SessionBuilder._emit,
+        simulate._SessionBuilder.enter,
+        simulate._SessionBuilder.exit_scene,
+    ], ids=lambda fn: fn.__qualname__)
+    def test_loads_no_enum_class(self, fn):
+        names = _global_names(fn.__code__)
+        assert "EventKind" not in names
+        assert "PmPolarity" not in names

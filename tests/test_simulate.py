@@ -4,11 +4,13 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from errandlab import simulate
 from errandlab.config import ConfigError, config_hash, default_config
 from errandlab.scenario import replay
+from errandlab.scenario import SCENES_BY_ID
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
 from errandlab.sessionlog import derive_telemetry, serialize_log
 from errandlab.simulate import (
@@ -45,6 +47,37 @@ class TestDeterminism:
         log = simulate_session(typical, seed=99, config=config)
         assert log.seed == 99
         assert log.config_hash == config_hash(config)
+
+
+class TestSceneStreams:
+    """Each scene draws from the stream ``default_rng([seed mod 2**64, scene id])``
+    gives, built on the scene's first draw."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 17, 2**64 - 1,
+                                      2**64, -1, -2**40])
+    def test_each_drawing_scene_gets_its_default_rng_stream(self, monkeypatch, seed):
+        built = []
+        original = simulate._scene_streams
+
+        def recording(session_seed):
+            stream = original(session_seed)
+
+            def recorded(scene_id):
+                rng = stream(scene_id)
+                built.append((scene_id, rng.bit_generator.state))
+                return rng
+
+            return recorded
+
+        monkeypatch.setattr(simulate, "_scene_streams", recording)
+        simulate_session(default_profile(), seed)
+        # a plain tutorial never draws, so it builds no stream
+        plain = {scene_id for scene_id, model in simulate._SCENE_MODELS.items()
+                 if model is simulate._plain_tutorial}
+        assert [scene_id for scene_id, _ in built] == sorted(SCENES_BY_ID.keys() - plain)
+        for scene_id, state in built:
+            expected = np.random.default_rng([seed & (2**64 - 1), scene_id])
+            assert state == expected.bit_generator.state
 
 
 class TestProtocolValidity:

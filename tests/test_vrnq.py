@@ -329,6 +329,18 @@ class TestCsv:
         with pytest.raises(VrnqError, match="no responses"):
             read_cohort_csv(path)
 
+    def test_oversized_field_from_a_handle(self):
+        # past the csv module's 131,072-character field limit
+        text = ",".join(CSV_COLUMNS) + "\n" + "p" * 140_000 + ",4" * 20 + "\n"
+        with pytest.raises(VrnqError, match=r"^invalid CSV \(field larger than"):
+            read_cohort_csv(io.StringIO(text))
+
+    def test_undecodable_bytes_from_a_handle(self):
+        data = (",".join(CSV_COLUMNS) + "\n").encode() + b"p\xff1" + b",4" * 20 + b"\n"
+        handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        with pytest.raises(VrnqError, match=r"^invalid UTF-8 \("):
+            read_cohort_csv(handle)
+
     @staticmethod
     def _csv_text(rows):
         lines = [",".join(CSV_COLUMNS + ["feedback"])]
