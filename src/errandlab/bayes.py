@@ -66,6 +66,7 @@ bands use closed lower edges while stars are strict inequalities.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -255,13 +256,12 @@ class PairedSample:
             raise ValueError("paired samples must have equal lengths")
         if len(self.a) < 2:
             raise ValueError("paired samples need at least two pairs")
-        for value in (*self.a, *self.b):
-            if not math.isfinite(value):
-                raise ValueError("paired samples must be finite")
+        if not (all(map(math.isfinite, self.a)) and all(map(math.isfinite, self.b))):
+            raise ValueError("paired samples must be finite")
 
     @property
     def differences(self) -> tuple[float, ...]:
-        return tuple(bi - ai for ai, bi in zip(self.a, self.b))
+        return tuple(map(operator.sub, self.b, self.a))
 
 
 @dataclass(frozen=True)
@@ -509,8 +509,7 @@ def compare_paired(a: Sequence[float], b: Sequence[float], *,
                    prior_scale: float = DEFAULT_PRIOR_SCALE,
                    label: str = "") -> BayesComparison:
     """Full paired comparison: t, direction-matched p, BF10, band, stars."""
-    sample = PairedSample(a=tuple(float(x) for x in a),
-                          b=tuple(float(x) for x in b))
+    sample = PairedSample(a=tuple(map(float, a)), b=tuple(map(float, b)))
     result = paired_t(sample, direction)
     bf10, rel_err = bf10_directional_with_error(
         result.t, len(sample.a), prior_scale, direction)

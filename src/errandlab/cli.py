@@ -48,6 +48,7 @@ from .vrnq import (
     DOMAINS,
     DomainMapping,
     VrnqError,
+    _paired_columns,
     aggregate_cohort,
     check_cutoffs,
     read_cohort_csv,
@@ -285,27 +286,6 @@ def _cmd_vrnq_score(args: argparse.Namespace) -> int:
     }
     _emit(payload, lines, args.format)
     return 0
-
-
-def _paired_columns(baseline, revised, mapping) -> dict[str, tuple[list, list]]:
-    ids_a = {r.participant_id for r in baseline}
-    ids_b = {r.participant_id for r in revised}
-    if ids_a != ids_b:
-        missing = sorted(ids_a ^ ids_b)
-        raise VrnqError(f"cohorts do not pair up; unmatched ids: {missing}")
-    by_id_b = {r.participant_id: r for r in revised}
-    columns: dict[str, tuple[list, list]] = {
-        "Total": ([], []), **{d: ([], []) for d in DOMAINS}}
-    for resp_a in sorted(baseline, key=lambda r: r.participant_id):
-        resp_b = by_id_b[resp_a.participant_id]
-        score_a = score_vrnq(resp_a, mapping)
-        score_b = score_vrnq(resp_b, mapping)
-        columns["Total"][0].append(score_a.total)
-        columns["Total"][1].append(score_b.total)
-        for domain in DOMAINS:
-            columns[domain][0].append(score_a.sub_scores[domain])
-            columns[domain][1].append(score_b.sub_scores[domain])
-    return columns
 
 
 def _cmd_vrnq_compare(args: argparse.Namespace) -> int:

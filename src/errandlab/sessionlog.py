@@ -15,7 +15,7 @@ import functools
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Optional
 
 from .scenario import (
     COOKING_ITEMS,
@@ -170,18 +170,20 @@ _scan_once = json.JSONDecoder().scan_once
 
 def _read_line(number: int, line: str) -> dict[str, Any]:
     # A canonical line is one JSON object from end to end; any other line
-    # goes to _parse_line, which rejects it or reads its padding.
+    # goes to _parse_line, which rejects it.
     try:
         record, end = _scan_once(line, 0)
     except (StopIteration, ValueError, RecursionError):
         end = -1
     if end != len(line) or type(record) is not dict:
-        record = _parse_line(number, line)
+        _parse_line(number, line)
     return record
 
 
-def _parse_line(number: int, line: str) -> dict[str, Any]:
-    # json.loads accepts padding around the value and words the errors.
+def _parse_line(number: int, line: str) -> NoReturn:
+    # json.loads words the fault of a line that is not one JSON value; one
+    # that it reads as an object has whitespace around it, which
+    # serialize_log would not write back.
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -192,7 +194,7 @@ def _parse_line(number: int, line: str) -> dict[str, Any]:
         raise ParseError(f"line {number}: JSON nested too deeply") from exc
     if not isinstance(record, dict):
         raise ParseError(f"line {number}: expected a JSON object")
-    return record
+    raise ParseError(f"line {number}: whitespace around the JSON object")
 
 
 def deserialize_log(data: bytes) -> SessionLog:

@@ -32,6 +32,8 @@ ITEM_COUNT = 20
 SCALE_MIN, SCALE_MAX = 1, 7
 _INT_ONLY = frozenset({int})
 _SCALE = frozenset(range(SCALE_MIN, SCALE_MAX + 1))
+# A CSV field that spells a rating as str() writes it -> the rating, else None
+_RATING = {str(value): value for value in _SCALE}.get
 
 CUTOFFS = {
     "minimum": {"sub": 25, "total": 100},
@@ -117,6 +119,26 @@ def score_vrnq(responses: VrnqResponseSet,
     subs = {domain: sum(get(items)) for domain, get in mapping._getters}
     return VrnqScores(participant_id=responses.participant_id,
                       sub_scores=subs, total=sum(subs.values()))
+
+
+def _paired_columns(baseline: Sequence[VrnqResponseSet], revised: Sequence[VrnqResponseSet],
+                    mapping: Optional[DomainMapping]) -> dict[str, tuple[list[int], ...]]:
+    """Pair two cohorts by participant id: the (baseline, revised) columns of
+    ``Total`` and of each domain, in id order, as :func:`score_vrnq` sums them."""
+    items_a = {r.participant_id: r.items for r in baseline}
+    items_b = {r.participant_id: r.items for r in revised}
+    if items_a.keys() != items_b.keys():
+        missing = sorted(items_a.keys() ^ items_b.keys())
+        raise VrnqError(f"cohorts do not pair up; unmatched ids: {missing}")
+    if len(items_a) < 2:
+        raise VrnqError("a paired comparison needs at least two participants, "
+                        f"got {len(items_a)}")
+    ids = sorted(items_a)
+    sides = ([items_a[pid] for pid in ids], [items_b[pid] for pid in ids])
+    columns = {"Total": tuple([sum(items) for items in side] for side in sides)}
+    for domain, get in (_DEFAULT_MAPPING if mapping is None else mapping)._getters:
+        columns[domain] = tuple([sum(get(items)) for items in side] for side in sides)
+    return columns
 
 
 def _median(values: Sequence[float]) -> float:
@@ -238,10 +260,13 @@ def _read_cohort(handle) -> list[VrnqResponseSet]:
         if participant_id in seen_ids:
             raise VrnqError(f"line {line_no}: duplicate participant {participant_id!r}")
         seen_ids.add(participant_id)
-        try:
-            items = tuple(map(int, row[1:ITEM_COUNT + 1]))
-        except ValueError as exc:
-            raise VrnqError(f"line {line_no}: non-integer item value") from exc
+        fields = row[1:ITEM_COUNT + 1]
+        items = tuple(map(_RATING, fields))
+        if None in items:  # " 3", "+3", "03" or a fault: int() words it
+            try:
+                items = tuple(map(int, fields))
+            except ValueError as exc:
+                raise VrnqError(f"line {line_no}: non-integer item value") from exc
         feedback = row[ITEM_COUNT + 1] if has_feedback else None
         rows.append(VrnqResponseSet(participant_id=participant_id,
                                     items=items, feedback=feedback))

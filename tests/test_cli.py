@@ -357,6 +357,18 @@ class TestVrnqCompareCommand:
         assert code == 5
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_one_participant_cohorts_exit_5(self, tmp_path, capsys):
+        baseline = _cohort_csv(tmp_path / "baseline.csv", {"p1": 100})
+        revised = _cohort_csv(tmp_path / "revised.csv", {"p1": 110})
+        code = main(["vrnq", "compare", "--baseline", str(baseline),
+                     "--revised", str(revised), "--out", str(tmp_path / "cmp")])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.err == ("error: a paired comparison needs at least two "
+                                "participants, got 1\n")
+        assert captured.out == ""
+        assert not (tmp_path / "cmp").exists()
+
     def test_bad_direction_is_a_usage_error(self, tmp_path, capsys):
         baseline, revised = self._paired_csvs(tmp_path, shift=5)
         with pytest.raises(SystemExit) as excinfo:

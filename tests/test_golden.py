@@ -7,8 +7,9 @@ draws from fails here instead of silently changing the logs.  Covers the
 three profile presets at seeds 1-3 under the default config, the
 telemetry of every 20th prefix of those logs, the telemetry and warnings of
 every prefix, the scorecards of those logs with one note left open until
-its scene exits, and the bytes that the ``simulate --cohort`` command prints
-and writes.
+its scene exits, the bytes that the ``simulate --cohort`` command prints
+and writes, and the scores and t statistics that the ``vrnq score`` and
+``vrnq compare`` commands print for one fixed pair of cohorts.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import random
 import re
 
 import pytest
@@ -38,6 +40,7 @@ from errandlab.sessionlog import (
     serialize_log,
 )
 from errandlab.simulate import PROFILE_PRESETS, simulate_session
+from errandlab.vrnq import CSV_COLUMNS
 
 # (preset, seed) -> sha256 of (serialize_log, export_report, the sorted-key
 # JSON of scorecard_to_dict).
@@ -292,3 +295,51 @@ def test_dangling_note_scorecards_match_golden_digests(preset, seed, caplog):
     assert all(_DANGLING_WARNING.fullmatch(text) for text in warnings)
     assert (digest.hexdigest(), len(warnings), len(closes)) == (
         _GOLDEN_DANGLING_NOTES[(preset, seed)])
+
+
+def _vrnq_cohort_csvs(directory):
+    """Write one fixed pair of 25-participant cohorts as baseline.csv and
+    revised.csv.  The revised ratings move by -1..+2 per item, except
+    InGameAssistance's, which stay put, so that column is degenerate; the
+    revised file lists the participants in another order, and only the
+    baseline file has a feedback column."""
+    rng = random.Random(2019)
+    header = ",".join(CSV_COLUMNS)
+    baseline, revised = [header + ",feedback"], [header]
+    steady = set(DEFAULT_DOMAIN_MAPPING["InGameAssistance"])
+    for index in range(1, 26):
+        items = [rng.randint(2, 6) for _ in range(20)]
+        moved = [v if item in steady else min(7, max(1, v + rng.randint(-1, 2)))
+                 for item, v in enumerate(items, start=1)]
+        pid = f"p{index:02d}"
+        baseline.append(",".join([pid, *map(str, items), f"note {index}"]))
+        revised.append(",".join([pid, *map(str, moved)]))
+    revised[1:] = rng.sample(revised[1:], len(revised) - 1)
+    for name, lines in (("baseline.csv", baseline), ("revised.csv", revised)):
+        (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# sha256 over the stdout of `vrnq score --format json` on each cohort of
+# _vrnq_cohort_csvs, run from their directory, then, for each direction of
+# `vrnq compare --format json`, one sorted-key JSON line of every row's
+# score, n, t, df and degenerate.  BF10 and p are left out: numpy's SIMD
+# exp and log may differ in the last bit between CPUs.
+_GOLDEN_VRNQ = "20b4face627ae1cad04b3f96c6c38055d3736f7e8f55cf7b52d90283a8b31262"
+
+
+def test_vrnq_commands_match_golden_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _vrnq_cohort_csvs(tmp_path)
+    digest = hashlib.sha256()
+    for name in ("baseline.csv", "revised.csv"):
+        assert main(["vrnq", "score", "--responses", name, "--format", "json"]) == 0
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+    for direction in ("less", "greater", "two-sided"):
+        assert main(["vrnq", "compare", "--baseline", "baseline.csv",
+                     "--revised", "revised.csv", "--direction", direction,
+                     "--format", "json"]) == 0
+        rows = [{key: row[key] for key in ("score", "n", "t", "df", "degenerate")}
+                for row in json.loads(capsys.readouterr().out)["rows"]]
+        assert [row["degenerate"] for row in rows] == [False, False, False, True, False]
+        digest.update(json.dumps(rows, sort_keys=True).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == _GOLDEN_VRNQ

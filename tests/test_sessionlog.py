@@ -118,14 +118,22 @@ class TestSerialization:
         assert clone.events == ()
         assert clone.seed is None
 
-    def test_padded_lines_are_accepted(self, walk_log):
-        lines = serialize_log(walk_log).split(b"\n")[:-1]
-        padded = b"".join(b" \t" + line + b"  \n" for line in lines)
-        assert deserialize_log(padded) == walk_log
+    def test_padded_lines_are_rejected(self, walk_log):
+        # serialize_log would write a padded line back without its padding
+        lines = serialize_log(walk_log).split(b"\n")
+        for number in (1, 3):
+            line = lines[number - 1]
+            for padded_line in (b" \t" + line, line + b"  ", line + b"\r"):
+                padded = lines[:number - 1] + [padded_line] + lines[number:]
+                with pytest.raises(ParseError) as excinfo:
+                    deserialize_log(b"\n".join(padded))
+                assert str(excinfo.value) == (
+                    f"line {number}: whitespace around the JSON object")
 
     def test_only_other_lines_reach_the_slow_parser(self, walk_log, monkeypatch):
-        # _parse_line reads only a line that is not one JSON object from end
-        # to end; canonical lines, the header included, bypass it
+        # _parse_line sees only a line that is not one JSON object from end
+        # to end, and rejects it; canonical lines, the header included,
+        # bypass it
         numbers = []
         original = sessionlog._parse_line
 
@@ -139,7 +147,8 @@ class TestSerialization:
         assert numbers == []
         lines = data.split(b"\n")
         lines[3] = b" " + lines[3]
-        assert deserialize_log(b"\n".join(lines)) == walk_log
+        with pytest.raises(ParseError, match="^line 4: whitespace around"):
+            deserialize_log(b"\n".join(lines))
         assert numbers == [4]
 
     def test_missing_header(self, walk_log):

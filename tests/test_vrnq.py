@@ -4,7 +4,7 @@ import io
 
 import numpy
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import errandlab.vrnq
 from errandlab.config import DEFAULT_DOMAIN_MAPPING, ConfigError
@@ -17,6 +17,7 @@ from errandlab.vrnq import (
     ScoreStats,
     VrnqError,
     VrnqResponseSet,
+    _paired_columns,
     aggregate_cohort,
     check_cutoffs,
     median_absolute_deviation,
@@ -194,6 +195,55 @@ class TestResponseSetChecks:
         assert (scores.sub_scores, scores.total) == plain(DEFAULT_DOMAIN_MAPPING)
 
 
+def _paired_columns_per_participant(baseline, revised, mapping):
+    """The pairing as it was done before the columns: score_vrnq on each
+    participant of both cohorts, in id order."""
+    by_id_b = {r.participant_id: r for r in revised}
+    columns = {"Total": ([], []), **{d: ([], []) for d in DOMAINS}}
+    for resp_a in sorted(baseline, key=lambda r: r.participant_id):
+        score_a = score_vrnq(resp_a, mapping)
+        score_b = score_vrnq(by_id_b[resp_a.participant_id], mapping)
+        columns["Total"][0].append(score_a.total)
+        columns["Total"][1].append(score_b.total)
+        for domain in DOMAINS:
+            columns[domain][0].append(score_a.sub_scores[domain])
+            columns[domain][1].append(score_b.sub_scores[domain])
+    return columns
+
+
+_ITEM_ROWS = st.lists(st.integers(min_value=1, max_value=7), min_size=20, max_size=20)
+_MAPPINGS = st.none() | st.permutations(range(1, 21)).map(lambda order: DomainMapping(
+    {domain: order[5 * i:5 * i + 5] for i, domain in enumerate(DOMAINS)}))
+
+
+class TestPairedColumns:
+    @settings(max_examples=25)
+    @given(st.lists(st.tuples(st.text(min_size=1, max_size=3), _ITEM_ROWS, _ITEM_ROWS),
+                    min_size=2, max_size=30, unique_by=lambda row: row[0]),
+           _MAPPINGS, st.randoms(use_true_random=False))
+    def test_columns_equal_per_participant_scores(self, rows, mapping, rng):
+        baseline = [_responses(pid, items_a) for pid, items_a, _ in rows]
+        revised = [_responses(pid, items_b) for pid, _, items_b in rows]
+        rng.shuffle(baseline)
+        rng.shuffle(revised)
+        columns = _paired_columns(baseline, revised, mapping)
+        expected = _paired_columns_per_participant(baseline, revised, mapping)
+        assert list(columns) == list(expected) == ["Total", *DOMAINS]
+        assert columns == expected
+
+    @pytest.mark.parametrize("ids_a, ids_b, message", [
+        (["p1", "p2", "p3"], ["p1", "p2", "p4"],
+         "cohorts do not pair up; unmatched ids: ['p3', 'p4']"),
+        (["p1"], ["p1"], "a paired comparison needs at least two participants, got 1"),
+        ([], [], "a paired comparison needs at least two participants, got 0"),
+    ])
+    def test_pairing_faults(self, ids_a, ids_b, message):
+        with pytest.raises(VrnqError) as excinfo:
+            _paired_columns([_responses(pid) for pid in ids_a],
+                            [_responses(pid) for pid in ids_b], None)
+        assert str(excinfo.value) == message
+
+
 class TestRobustStats:
     def test_median_and_mad_small(self):
         assert median_absolute_deviation([1, 2, 3]) == 1.0
@@ -309,6 +359,29 @@ class TestCsv:
         path.write_text(rows)
         with pytest.raises(VrnqError):
             read_cohort_csv(path)
+
+    @staticmethod
+    def _read_fields(fields):
+        # one row, p1, whose first items are the given CSV fields, then 4s
+        row = ",".join(["p1", *fields, *["4"] * (20 - len(fields))])
+        return read_cohort_csv(io.StringIO(",".join(CSV_COLUMNS) + "\n" + row + "\n"))
+
+    def test_int_spellings_of_a_rating_are_read(self):
+        for field in ("3", " 3", "3 ", "+3", "03", "\u0663"):
+            assert self._read_fields([field])[0].items == (3,) + (4,) * 19
+
+    @pytest.mark.parametrize("fields, message", [
+        (["4", "8"], "p1: item 2 value 8 outside 1..7"),
+        (["0"], "p1: item 1 value 0 outside 1..7"),
+        (["x"], "line 2: non-integer item value"),
+        ([""], "line 2: non-integer item value"),
+        (["3.0"], "line 2: non-integer item value"),
+        (["8", "x"], "line 2: non-integer item value"),
+    ])
+    def test_item_faults_are_worded(self, fields, message):
+        with pytest.raises(VrnqError) as excinfo:
+            self._read_fields(fields)
+        assert str(excinfo.value) == message
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
