@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Any, Optional, Sequence
@@ -24,6 +23,7 @@ from typing import Any, Optional, Sequence
 from . import __version__
 from .config import (
     ConfigError,
+    _json_text,
     config_hash,
     default_config,
     load_config,
@@ -113,16 +113,8 @@ def _manifest(command: str, *, parameters: dict[str, Any],
 
 def _write_manifest(out: str, manifest: dict[str, Any]) -> str:
     path = os.path.join(out, "manifest.json")
-    _write_bytes(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    _write_bytes(path, (_json_text(manifest) + "\n").encode("utf-8"))
     return path
-
-
-def _emit(payload: dict[str, Any], text_lines: Sequence[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +163,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         outputs=outputs, cfg_hash=cfg_hash, seeds=seeds)
     manifest_path = _write_manifest(args.out, manifest)
 
-    lines = [f"wrote {s['log']} ({s['events']} events) and {s['report']}"
-             for s in summaries]
-    lines.append(f"wrote {manifest_path}")
-    _emit({"sessions": summaries, "manifest": manifest}, lines, args.format)
+    if args.format == "json":
+        print(_json_text({"sessions": summaries, "manifest": manifest}))
+        return 0
+    for s in summaries:
+        print(f"wrote {s['log']} ({s['events']} events) and {s['report']}")
+    print(f"wrote {manifest_path}")
     return 0
 
 
@@ -189,7 +183,9 @@ def _cmd_score(args: argparse.Namespace) -> int:
     card = aggregate_scorecard(log, cfg)
     # hashed once the log is accepted: a rejected log needs no hash
     cfg_hash = config_hash(cfg)
-    report = export_report(card, cfg, log.seed, cfg_hash)
+    # JSON output prints no report: build it only to print or write it
+    report = (export_report(card, cfg, log.seed, cfg_hash)
+              if args.format == "text" or args.out else "")
 
     outputs: dict[str, str] = {}
     if args.out:
@@ -206,8 +202,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
     if args.out:
         _write_manifest(args.out, manifest)
 
-    payload = {"scorecard": scorecard_to_dict(card), "manifest": manifest}
-    _emit(payload, report.splitlines(), args.format)
+    if args.format == "json":
+        print(_json_text({"scorecard": scorecard_to_dict(card), "manifest": manifest}))
+        return 0
+    for line in report.splitlines():
+        print(line)
     return 0
 
 
@@ -232,41 +231,6 @@ def _cmd_vrnq_score(args: argparse.Namespace) -> int:
     aggregate = aggregate_cohort(scored)
     verdict = check_cutoffs(aggregate, args.tier)
 
-    participant_rows = [{
-        "participant_id": r.participant_id,
-        "sub_scores": dict(s.sub_scores),
-        "total": s.total,
-    } for r, s in zip(responses, scored)]
-    aggregate_row = {
-        "n": aggregate.total_stats.n,
-        "sub_scores": {d: {"median": st.median, "mad": st.mad}
-                       for d, st in aggregate.sub_stats.items()},
-        "total": {"median": aggregate.total_stats.median,
-                  "mad": aggregate.total_stats.mad},
-    }
-    verdict_row = {
-        "tier": verdict.tier,
-        "passes": dict(verdict.passes),
-        "overall": verdict.overall,
-    }
-
-    lines = [f"participants: {aggregate.total_stats.n}"]
-    for row in participant_rows:
-        subs = "  ".join(f"{d}={row['sub_scores'][d]}" for d in DOMAINS)
-        lines.append(f"  {row['participant_id']}: {subs}  total={row['total']}")
-    lines.append("cohort medians (MAD):")
-    for domain in DOMAINS:
-        st = aggregate.sub_stats[domain]
-        lines.append(f"  {domain}: {st.median:g} ({st.mad:g})")
-    lines.append(f"  Total: {aggregate.total_stats.median:g} "
-                 f"({aggregate.total_stats.mad:g})")
-    thresholds = CUTOFFS[args.tier]
-    lines.append(f"cut-off tier {args.tier} "
-                 f"(sub>={thresholds['sub']}, total>={thresholds['total']}):")
-    for name, passed in verdict.passes.items():
-        lines.append(f"  {name}: {'pass' if passed else 'FAIL'}")
-    lines.append(f"overall: {'pass' if verdict.overall else 'FAIL'}")
-
     manifest = _manifest(
         "vrnq score",
         parameters={"tier": args.tier,
@@ -278,13 +242,44 @@ def _cmd_vrnq_score(args: argparse.Namespace) -> int:
         _make_out_dir(args.out)
         _write_manifest(args.out, manifest)
 
-    payload = {
-        "participants": participant_rows,
-        "aggregate": aggregate_row,
-        "verdict": verdict_row,
-        "manifest": manifest,
-    }
-    _emit(payload, lines, args.format)
+    if args.format == "json":
+        print(_json_text({
+            "participants": [{
+                "participant_id": r.participant_id,
+                "sub_scores": dict(s.sub_scores),
+                "total": s.total,
+            } for r, s in zip(responses, scored)],
+            "aggregate": {
+                "n": aggregate.total_stats.n,
+                "sub_scores": {d: {"median": st.median, "mad": st.mad}
+                               for d, st in aggregate.sub_stats.items()},
+                "total": {"median": aggregate.total_stats.median,
+                          "mad": aggregate.total_stats.mad},
+            },
+            "verdict": {
+                "tier": verdict.tier,
+                "passes": dict(verdict.passes),
+                "overall": verdict.overall,
+            },
+            "manifest": manifest,
+        }))
+        return 0
+    print(f"participants: {aggregate.total_stats.n}")
+    for r, s in zip(responses, scored):
+        subs = "  ".join(f"{d}={s.sub_scores[d]}" for d in DOMAINS)
+        print(f"  {r.participant_id}: {subs}  total={s.total}")
+    print("cohort medians (MAD):")
+    for domain in DOMAINS:
+        st = aggregate.sub_stats[domain]
+        print(f"  {domain}: {st.median:g} ({st.mad:g})")
+    print(f"  Total: {aggregate.total_stats.median:g} "
+          f"({aggregate.total_stats.mad:g})")
+    thresholds = CUTOFFS[args.tier]
+    print(f"cut-off tier {args.tier} "
+          f"(sub>={thresholds['sub']}, total>={thresholds['total']}):")
+    for name, passed in verdict.passes.items():
+        print(f"  {name}: {'pass' if passed else 'FAIL'}")
+    print(f"overall: {'pass' if verdict.overall else 'FAIL'}")
     return 0
 
 
@@ -326,22 +321,6 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
         "greater": "baseline > revised",
         "two-sided": "baseline != revised",
     }[args.direction]
-    lines = [
-        f"paired comparison, alternative: {hypothesis} "
-        f"(direction {args.direction}, prior scale {args.prior_scale:g})",
-        f"{'score':<18} {'n':>3}  {'t':>8}  {'p':>9}  {'BF10':>12}  "
-        f"{'bf10_rel_err':>12}  evidence",
-    ]
-    for row in rows:
-        if row["degenerate"]:
-            lines.append(f"{row['score']:<18} {row['n']:>3}  "
-                         f"{'identical samples; t undefined':>46}")
-        else:
-            evidence = row["band"] + (f" {row['stars']}" if row["stars"] else "")
-            lines.append(
-                f"{row['score']:<18} {row['n']:>3}  {row['t']:>8.3f}  "
-                f"{row['p']:>9.4g}  {row['bf10']:>12.3f}  "
-                f"{row['bf10_rel_err']:>12.1e}  {evidence}")
 
     outputs: dict[str, str] = {}
     if args.out:
@@ -370,8 +349,22 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
     if args.out:
         _write_manifest(args.out, manifest)
 
-    payload = {"hypothesis": hypothesis, "rows": rows, "manifest": manifest}
-    _emit(payload, lines, args.format)
+    if args.format == "json":
+        print(_json_text({"hypothesis": hypothesis, "rows": rows, "manifest": manifest}))
+        return 0
+    print(f"paired comparison, alternative: {hypothesis} "
+          f"(direction {args.direction}, prior scale {args.prior_scale:g})")
+    print(f"{'score':<18} {'n':>3}  {'t':>8}  {'p':>9}  {'BF10':>12}  "
+          f"{'bf10_rel_err':>12}  evidence")
+    for row in rows:
+        if row["degenerate"]:
+            print(f"{row['score']:<18} {row['n']:>3}  "
+                  f"{'identical samples; t undefined':>46}")
+        else:
+            evidence = row["band"] + (f" {row['stars']}" if row["stars"] else "")
+            print(f"{row['score']:<18} {row['n']:>3}  {row['t']:>8.3f}  "
+                  f"{row['p']:>9.4g}  {row['bf10']:>12.3f}  "
+                  f"{row['bf10_rel_err']:>12.1e}  {evidence}")
     return 0
 
 

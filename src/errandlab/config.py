@@ -15,10 +15,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .scenario import _MAX_CLOCK_MS, SHOPPING_LIST_LENGTH, NpcChoice
 
@@ -249,6 +251,74 @@ def _canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+# json's text of each leaf type.  A leaf is looked up by its exact type, and
+# a subclass (numpy.float64, a str or int enum) by the first base json tests.
+_LEAF_TEXT: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+    bool: lambda value: "true" if value else "false", type(None): lambda value: "null",
+}
+
+
+def _key_text(key: Any) -> str:
+    # json sorts by the original key, then writes it as a quoted leaf
+    for base in (str, float, bool, type(None), int):
+        if isinstance(key, base):
+            text = _LEAF_TEXT[base](key)
+            return text if base is str else encode_basestring_ascii(text)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_json(value: Any, indent: str, out: list[str]) -> None:
+    """Append ``value``'s JSON to ``out``, its closing bracket after ``indent``."""
+    text = _LEAF_TEXT.get(type(value))
+    if text is not None:
+        out.append(text(value))
+    elif not isinstance(value, (dict, list, tuple)):
+        for base in (str, int, float):
+            if isinstance(value, base):
+                out.append(_LEAF_TEXT[base](value))
+                return
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            key = encode_basestring_ascii(key) if type(key) is str else _key_text(key)
+            out.append(f"{sep}{key}: ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+
+
+def _json_text(value: Any) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a tree of JSON
+    values (a container inside itself recurses without end)."""
+    if sys.version_info >= (3, 13):
+        # json's C encoder indents from 3.13 on and beats the writer there;
+        # delete the writer once requires-python reaches 3.13
+        return json.dumps(value, indent=2, sort_keys=True)
+    # before 3.13 an indent sends json.dumps to its pure-Python encoder
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
 def config_hash(config: ScoringConfig) -> str:
     """sha256 over the canonical JSON of the full effective config.
 
@@ -316,6 +386,4 @@ def load_config(path: str | Path) -> ScoringConfig:
 
 
 def save_config(config: ScoringConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    Path(path).write_text(_json_text(config_to_dict(config)) + "\n", encoding="utf-8")

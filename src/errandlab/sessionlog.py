@@ -318,9 +318,9 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
 
     Tolerates partial logs.  A note left open at scene exit is closed at the
     exit timestamp, or at the last event of a log that ends inside the scene,
-    and logged as a warning; completeness enforcement lives with the
-    scorecard aggregation, not here.  Scene times, notes time and the
-    :data:`TASK_WINDOWS` are defined on engine-accepted logs and their
+    and logged as a warning that names which; completeness enforcement lives
+    with the scorecard aggregation, not here.  Scene times, notes time and
+    the :data:`TASK_WINDOWS` are defined on engine-accepted logs and their
     prefixes, where each scene is entered once, exited after its entry, and
     holds at most one open note at a time.
     """
@@ -352,10 +352,10 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
                    - sum(event.sim_time_ms for event in opened))
         if len(closed) < len(opened):
             # the last note opened is still open when the scene (or log) ends
-            exit_events = groups.get(exited, log.events)
-            open_ms += exit_events[-1].sim_time_ms
+            open_ms += groups.get(exited, log.events)[-1].sim_time_ms
+            closed_at = "scene exit" if exited in groups else "the log's last event"
             logger.warning(
-                "notes left open in scene %d; closed at scene exit", scene_id)
+                "notes left open in scene %d; closed at %s", scene_id, closed_at)
         notes_views[scene_id] = NotesUsage(
             opens=len(opened), total_open_s=open_ms / 1000.0)
 

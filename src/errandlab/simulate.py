@@ -23,7 +23,6 @@ to it before exit, so the total session duration is stable across profiles.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -33,6 +32,7 @@ from .config import (
     ConfigError,
     ScoringConfig,
     _PER_SIDE_FIELDS,
+    _json_text,
     config_hash,
     default_config,
     read_json,
@@ -226,8 +226,7 @@ def load_profile(path: str) -> ParticipantProfile:
 
 def save_profile(profile: ParticipantProfile, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(profile_to_dict(profile), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(_json_text(profile_to_dict(profile)) + "\n")
 
 
 # ---------------------------------------------------------------------------

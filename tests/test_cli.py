@@ -463,6 +463,26 @@ class TestCallCounts:
         assert main(["score", "--log", str(out / "session.ndjson")]) == 0
         assert len(hashes) == 1
 
+    # JSON output prints no report, so only --out or text output builds it;
+    # the report written is the one simulate wrote for the same session.
+    @pytest.mark.parametrize("fmt, out, reports", [
+        ("json", False, 0), ("json", True, 1), ("text", False, 1), ("text", True, 1)])
+    def test_score_builds_the_report_only_to_print_or_write_it(
+            self, tmp_path, monkeypatch, capsys, fmt, out, reports):
+        run = tmp_path / "run"
+        assert main(["simulate", "--seed", "2", "--out", str(run)]) == 0
+        capsys.readouterr()
+        calls = _count_calls(monkeypatch, errandlab.sessionlog, "export_report")
+        argv = ["score", "--log", str(run / "session.ndjson"), "--format", fmt]
+        assert main(argv + (["--out", str(tmp_path / "scored")] if out else [])) == 0
+        assert len(calls) == reports
+        expected = (run / "report.txt").read_text(encoding="utf-8")
+        if out:
+            assert (tmp_path / "scored" / "report.txt").read_text(
+                encoding="utf-8") == expected
+        if fmt == "text":
+            assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("command", ["score", "compare"])
     def test_vrnq_validates_a_domains_mapping_once(self, tmp_path, monkeypatch,
                                                    command):

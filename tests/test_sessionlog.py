@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import math
 import time
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from errandlab import scenario, sessionlog
-from errandlab.config import DEFAULT_BAND_POINTS
+from errandlab.config import DEFAULT_BAND_POINTS, _json_text, _write_json
 from errandlab.scenario import EventKind, SessionEvent
 from errandlab.scoring import aggregate_scorecard
 from errandlab.sessionlog import (
@@ -248,6 +250,56 @@ class TestEncoderProperties:
         assert "".join(sessionlog._encode_payload(payload, 0)) == _canonical(payload)
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf])
+# Leaves of every type json writes, subclasses included (numpy.float64 is a
+# float, EventKind a str, _Level an int), and every key type json converts;
+# the keys of one object are of types that sort together.
+_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT
+    | _FLOATS.map(numpy.float64) | st.sampled_from([EventKind.NOTE_OPENED, _Level.LOW]),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT | st.sampled_from([EventKind.NOTE_OPENED]), children,
+                      max_size=4)
+    | st.dictionaries(st.integers() | _FLOATS | _FLOATS.map(numpy.float64)
+                      | st.booleans() | st.just(_Level.LOW), children, max_size=4)
+    | st.dictionaries(st.none(), children, max_size=1),
+    max_leaves=6)
+
+
+def _indented(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _writer_text(value):
+    # the writer itself, which _json_text uses before Python 3.13
+    out = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+class TestIndentedWriter:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(value=_TREES)
+    def test_equals_json_dumps(self, value):
+        assert _writer_text(value) == _json_text(value) == _indented(value)
+
+    @pytest.mark.parametrize("value", [
+        {1: 0, "a": 0}, {"a": {None: 0, 1: 0}}, {1, 2}, [0, {"k": (b"x",)}],
+        {(1,): 0}, {"k": object()}, {"k": 1j}, {"a": {1.5: frozenset()}}])
+    def test_raises_type_error_where_json_does(self, value):
+        with pytest.raises(TypeError) as expected:
+            _indented(value)
+        for write in (_writer_text, _json_text):
+            with pytest.raises(TypeError) as raised:
+                write(value)
+            assert str(raised.value) == str(expected.value)
+
+
 class TestFieldTypes:
     """seq, sim_time_ms and scene must be integers, bools excluded."""
 
@@ -369,6 +421,23 @@ class TestTelemetry:
         telemetry = derive_telemetry(log)
         assert telemetry.notes_views[1].opens == 2
         assert telemetry.notes_views[1].total_open_s == pytest.approx(4.0)
+
+    # A note still open is closed at the scene's exit, or at the last event
+    # of a log that ends inside the scene, and the warning says which.
+    @pytest.mark.parametrize("length, open_s, closed_at", [
+        (4, 4.0, "scene exit"), (3, 2.0, "the log's last event")])
+    def test_a_dangling_note_warns_where_it_was_closed(self, caplog, length,
+                                                       open_s, closed_at):
+        kinds = [EventKind.SCENE_ENTERED, EventKind.NOTE_OPENED,
+                 EventKind.TUTORIAL_COMPLETED, EventKind.SCENE_EXITED]
+        log = log_from_events(
+            [SessionEvent(seq=seq, sim_time_ms=seq * 2_000, scene=1, kind=kind)
+             for seq, kind in enumerate(kinds[:length])], seed=None, config_hash=None)
+        with caplog.at_level("WARNING", logger="errandlab.sessionlog"):
+            telemetry = derive_telemetry(log)
+        assert telemetry.notes_views[1].total_open_s == open_s
+        assert [record.getMessage() for record in caplog.records] == [
+            f"notes left open in scene 1; closed at {closed_at}"]
 
     def test_scoring_groups_the_events_once(self, walk_log, config):
         log = dataclasses.replace(walk_log)  # a copy without cached groups
