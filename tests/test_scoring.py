@@ -31,8 +31,15 @@ from errandlab.scoring import (
     _score_visual_attention,
     aggregate_scorecard,
 )
-from errandlab.sessionlog import MalformedLog, deserialize_log, serialize_log
+from errandlab.scenario import EventKind, SessionEvent
+from errandlab.sessionlog import (
+    MalformedLog,
+    deserialize_log,
+    log_from_events,
+    serialize_log,
+)
 from errandlab.simulate import null_profile, perfect_profile, simulate_session
+from walks import minimal_walk
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +207,25 @@ class TestPlanning:
         score = _score_planning([], 30.0, config)
         assert score.route_score == 0
         assert score.units_selected == 0
+
+    def test_a_unit_counts_if_its_last_toggle_selected_it(self, config):
+        # The simulator never deselects, so a hand-built walk selects 17
+        # units in scene 3, deselects three of them and selects one again.
+        toggles = [(unit, True) for unit in range(1, 18)]
+        toggles += [(17, False), (4, False), (16, False), (4, True)]
+        stream = [(e.scene, e.kind, e.payload) for e in minimal_walk()]
+        at = stream.index((3, EventKind.ROUTE_SUBMITTED, {}))
+        stream[at:at] = [(3, EventKind.ROUTE_UNIT_TOGGLED,
+                          {"unit": unit, "selected": selected})
+                         for unit, selected in toggles]
+        log = log_from_events(
+            SessionEvent(seq=i, sim_time_ms=1_000 * i, scene=scene, kind=kind,
+                         payload=payload)
+            for i, (scene, kind, payload) in enumerate(stream))
+        planning = aggregate_scorecard(log, config).planning
+        assert planning.units_selected == 15
+        assert planning.route_score == 15
+        assert planning.completion_time_s == len(toggles)
 
 
 class TestCooking:
