@@ -374,6 +374,9 @@ def bf10_directional_with_error(
     sign = _SKEW_SIGN[direction]
     nu = n - 1.0
     r2 = prior_scale * prior_scale
+    if not sys.float_info.min <= r2 <= sys.float_info.max:
+        raise IntegrationFailure(
+            f"prior_scale = {prior_scale:g} squared is outside the normal double range")
     # the smooth factor peaks in [r^2/4, max(t^2/n, r^2/3)], so this split
     # keeps the adaptive rule from stepping over the mass near the peak
     split = max(t * t / n, r2, 1e-6)
@@ -409,7 +412,6 @@ def bf10_directional_with_error(
     span = math.log(split) - math.log(0.25 * r2)
     steps = min(int(span / _GRID_STEP) + 1, _MAX_GRID_STEPS)
     grid = np.exp(-span / steps * np.arange(steps, -1, -1))
-    peak = float(np.max(log_smooth(split * grid)))
 
     def integrand(u: np.ndarray) -> np.ndarray:
         # u < 1 is x itself; u > 1 is s = 1/x = 2 - u, with dx = ds / s^2
@@ -430,6 +432,7 @@ def bf10_directional_with_error(
     # either into IntegrationFailure
     edges = np.concatenate(([0.0], grid[0] * _BELOW_GRID, grid, [2.0]))
     with np.errstate(over="ignore", invalid="ignore"):
+        peak = float(np.max(log_smooth(split * grid)))
         value, error = _adaptive_gk21(integrand, edges[:-1], edges[1:])
     if value <= 0.0 or not math.isfinite(value):
         raise IntegrationFailure("alternative marginal is not positive")

@@ -92,6 +92,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value <= sys.float_info.max:  # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, not {value:g}")
+    return value
+
+
 def _manifest(command: str, *, parameters: dict[str, Any],
               inputs: dict[str, str], outputs: dict[str, str],
               cfg_hash: Optional[str] = None,
@@ -417,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vcmp.add_argument("--direction",
                         choices=("less", "greater", "two-sided"),
                         default="less")
-    p_vcmp.add_argument("--prior-scale", type=float, default=0.707,
+    p_vcmp.add_argument("--prior-scale", type=_positive_float, default=0.707,
                         dest="prior_scale")
     p_vcmp.add_argument("--domains", default=None)
     p_vcmp.add_argument("--out", default=None)

@@ -22,7 +22,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from .scenario import _MAX_CLOCK_MS, SHOPPING_LIST_LENGTH, NpcChoice
+from .scenario import (_MAX_CLOCK_MS, AUDITORY_STIMULUS_KINDS, SHOPPING_LIST_LENGTH,
+                       VISUAL_STIMULUS_KINDS, NpcChoice)
 
 
 class ConfigError(Exception):
@@ -98,15 +99,14 @@ DEFAULT_DOMAIN_MAPPING: dict[str, list[int]] = {
 }
 
 # Ride -> stimulus kind -> the field that sets how many stimuli of that kind
-# each side of the ride shows.  The kinds run in the engine's order
-# (scenario.VISUAL_STIMULUS_KINDS, AUDITORY_STIMULUS_KINDS).
+# each side of the ride shows, in the engine's order of the kinds.
 _PER_SIDE_FIELDS: dict[str, dict[str, str]] = {
-    "visual": {"target": "visual_targets_per_side",
-               "shape_distractor": "visual_shape_distractors_per_side",
-               "color_distractor": "visual_color_distractors_per_side"},
-    "auditory": {"target": "auditory_targets_per_side",
-                 "high_pitch_distractor": "auditory_high_distractors_per_side",
-                 "low_pitch_distractor": "auditory_low_distractors_per_side"},
+    "visual": dict(zip(VISUAL_STIMULUS_KINDS, (
+        "visual_targets_per_side", "visual_shape_distractors_per_side",
+        "visual_color_distractors_per_side"), strict=True)),
+    "auditory": dict(zip(AUDITORY_STIMULUS_KINDS, (
+        "auditory_targets_per_side", "auditory_high_distractors_per_side",
+        "auditory_low_distractors_per_side"), strict=True)),
 }
 
 

@@ -38,7 +38,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, NamedTuple, Optional, Union
 
 # Fixed storyline content.
 ROUTE_UNIT_COUNT = 23
@@ -299,6 +299,43 @@ EVENT_SCENES: dict[EventKind, frozenset[int]] = {
 VISUAL_STIMULUS_KINDS = ("target", "shape_distractor", "color_distractor")
 AUDITORY_STIMULUS_KINDS = ("target", "high_pitch_distractor", "low_pitch_distractor")
 SIDES = ("left", "right")
+
+
+class TaskSpec(NamedTuple):
+    """A scored task: its scene, the kind of the events whose payloads are its
+    input, and its window, from the scene's first ``start_kind`` event to its
+    last ``end_kind`` event."""
+
+    scene_id: int
+    input_kind: EventKind
+    start_kind: EventKind
+    end_kind: EventKind
+
+
+# The tasks scored from their own events; PM_TASKS holds the reminder ones.
+TASKS: dict[str, TaskSpec] = {
+    "immediate_recognition": TaskSpec(
+        3, EventKind.ITEM_SELECTED, EventKind.ITEM_SELECTED, EventKind.ITEM_SELECTED),
+    "planning": TaskSpec(3, EventKind.ROUTE_UNIT_TOGGLED,
+                         EventKind.ROUTE_UNIT_TOGGLED, EventKind.ROUTE_SUBMITTED),
+    "cooking": TaskSpec(6, EventKind.COOKING_ITEM_PLACED,
+                        EventKind.SCENE_ENTERED, EventKind.COOKING_ITEM_PLACED),
+    "collection": TaskSpec(
+        8, EventKind.ITEM_SELECTED, EventKind.SCENE_ENTERED, EventKind.ITEM_SELECTED),
+    "visual_attention": TaskSpec(
+        12, EventKind.POSTER_SPOTTED, EventKind.SCENE_ENTERED, EventKind.SCENE_EXITED),
+    "delayed_recognition": TaskSpec(14, EventKind.SHOPPING_COLLECTED,
+                                    EventKind.SCENE_ENTERED, EventKind.FINAL_BUTTON_PRESSED),
+    "auditory_attention": TaskSpec(
+        19, EventKind.SOUND_TRIGGERED, EventKind.SCENE_ENTERED, EventKind.SCENE_EXITED),
+}
+# Each kind a task reads must occur in its scene; EVENT_SCENES omits the kinds
+# that occur in every scene.
+_MISPLACED = [f"{name}: {kind.value} in scene {task.scene_id}"
+              for name, task in TASKS.items() for kind in task[1:]
+              if task.scene_id not in EVENT_SCENES.get(kind, SCENES_BY_ID)]
+if _MISPLACED:
+    raise AssertionError(f"task events outside their scenes: {_MISPLACED}")
 
 
 # Each kind's payload schema as the check reads it: the field names, for one

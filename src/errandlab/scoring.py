@@ -3,16 +3,18 @@
 The scoring API is :func:`aggregate_scorecard`, :func:`score_session` and
 :func:`scorecard_to_dict`.  :func:`aggregate_scorecard` replays a full session
 log through the scenario engine (rejecting anything the engine rejects), then
-:func:`score_session` reads each task's input from the log's (scene, kind)
-groups (:attr:`~errandlab.sessionlog.SessionLog.events_by_key`) and applies
-every private per-task scorer with the
-:class:`~errandlab.config.ScoringConfig` in force.  The simulator, which
-already holds the engine's final state, calls :func:`score_session` directly.
+:func:`score_session` looks each task up in :data:`~errandlab.scenario.TASKS`,
+reads the payloads of its input events from the log's (scene, kind) groups
+(:attr:`~errandlab.sessionlog.SessionLog.events_by_key`) and applies every
+private per-task scorer with the :class:`~errandlab.config.ScoringConfig` in
+force.  The simulator, which already holds the engine's final state, calls
+:func:`score_session` directly.
 
-The scorers' inputs come from engine-accepted logs, so they trust what the
-engine established (known names, no repeats, prompts in order) and check
-only what depends on the config, which the engine never sees: the
-recognition catalog, the collection targets and the stimuli per side.
+The scorers' inputs come from engine-accepted logs, so they read the payloads
+as the engine validated them, trust what it established (known names, no
+repeats, prompts in order) and check only what depends on the config, which
+the engine never sees: the recognition catalog, the collection targets and
+the stimuli per side.
 
 Scoring summary:
 
@@ -45,17 +47,15 @@ from typing import Any, Collection, Iterable, Mapping, Optional, Sequence
 
 from .config import ScoringConfig, _PER_SIDE_FIELDS
 from .scenario import (
-    AUDITORY_STIMULUS_KINDS,
     COOKING_ITEMS,
     EngineError,
-    EventKind,
     PM_TASKS,
     PmPolarity,
     ROUTE_IDEAL_UNITS,
     SIDES,
     SessionState,
+    TASKS,
     TriggerKind,
-    VISUAL_STIMULUS_KINDS,
     replay,
 )
 from .sessionlog import (
@@ -296,21 +296,6 @@ def _score_collection(grabs: Sequence[str], config: ScoringConfig) -> Collection
 
 
 @dataclass(frozen=True)
-class VisualResponse:
-    stimulus_id: str
-    stimulus_kind: str  # target | shape_distractor | color_distractor
-    side: str
-
-
-@dataclass(frozen=True)
-class AuditoryResponse:
-    stimulus_id: str
-    stimulus_kind: str  # target | high_pitch_distractor | low_pitch_distractor
-    stimulus_side: str
-    response_side: Optional[str]  # None when the stimulus drew no response
-
-
-@dataclass(frozen=True)
 class VisualAttentionScore:
     points: int
     responded: dict[str, dict[str, int]]  # side -> kind -> count
@@ -325,63 +310,44 @@ class AuditoryAttentionScore:
     false_alarms: int
 
 
-def _empty_counts(kinds: Iterable[str]) -> dict[str, dict[str, int]]:
-    return {side: {kind: 0 for kind in kinds} for side in SIDES}
+def _count_responses(responses: Iterable[Mapping[str, Any]], config: ScoringConfig,
+                     ride: str, side_field: str) -> dict[str, dict[str, int]]:
+    """Count payloads per side and stimulus kind; more than a side shows is an error."""
+    capacity = {kind: getattr(config, name) for kind, name in _PER_SIDE_FIELDS[ride].items()}
+    counts = {side: dict.fromkeys(capacity, 0) for side in SIDES}
+    for response in responses:
+        side, kind = response[side_field], response["stimulus_kind"]
+        counts[side][kind] += 1
+        if counts[side][kind] > capacity[kind]:
+            raise ScoringError(f"more {kind} responses on the {side} than stimuli exist")
+    return counts
 
 
-def _capacity(config: ScoringConfig, ride: str) -> dict[str, int]:
-    return {kind: getattr(config, name)
-            for kind, name in _PER_SIDE_FIELDS[ride].items()}
-
-
-def _score_visual_attention(responses: Sequence[VisualResponse],
+def _score_visual_attention(responses: Iterable[Mapping[str, Any]],
                             config: ScoringConfig) -> VisualAttentionScore:
     """+1 per spotted target, -1 per spotted distractor, one spot each."""
-    capacity = _capacity(config, "visual")
-    counts = _empty_counts(VISUAL_STIMULUS_KINDS)
-    points = 0
-    for response in responses:
-        counts[response.side][response.stimulus_kind] += 1
-        if counts[response.side][response.stimulus_kind] > capacity[response.stimulus_kind]:
-            raise ScoringError(
-                f"more {response.stimulus_kind} responses on the "
-                f"{response.side} than stimuli exist")
-        points += 1 if response.stimulus_kind == "target" else -1
+    counts = _count_responses(responses, config, "visual", "side")
+    points = sum(count if kind == "target" else -count
+                 for per_kind in counts.values() for kind, count in per_kind.items())
     return VisualAttentionScore(points=points, responded=counts)
 
 
-def _score_auditory_attention(responses: Sequence[AuditoryResponse],
+def _score_auditory_attention(responses: Iterable[Mapping[str, Any]],
                               config: ScoringConfig) -> AuditoryAttentionScore:
     """Side-matched target +2, cross-side target +1, distractor response -1.
 
     Stimuli that drew no response (``response_side`` None) score nothing and
     are not counted as detections.
     """
-    capacity = _capacity(config, "auditory")
-    counts = _empty_counts(AUDITORY_STIMULUS_KINDS)
-    points = matched = mismatched = false_alarms = 0
-    for response in responses:
-        if response.response_side is None:
-            continue
-        counts[response.stimulus_side][response.stimulus_kind] += 1
-        if (counts[response.stimulus_side][response.stimulus_kind]
-                > capacity[response.stimulus_kind]):
-            raise ScoringError(
-                f"more {response.stimulus_kind} responses on the "
-                f"{response.stimulus_side} than stimuli exist")
-        if response.stimulus_kind == "target":
-            if response.response_side == response.stimulus_side:
-                points += 2
-                matched += 1
-            else:
-                points += 1
-                mismatched += 1
-        else:
-            points -= 1
-            false_alarms += 1
+    answered = [r for r in responses if r["response_side"] is not None]
+    counts = _count_responses(answered, config, "auditory", "stimulus_side")
+    targets = [r for r in answered if r["stimulus_kind"] == "target"]
+    matched = sum(r["response_side"] == r["stimulus_side"] for r in targets)
+    mismatched = len(targets) - matched
+    false_alarms = len(answered) - len(targets)
     return AuditoryAttentionScore(
-        points=points, responded=counts, side_matched=matched,
-        side_mismatched=mismatched, false_alarms=false_alarms)
+        points=2 * matched + mismatched - false_alarms, responded=counts,
+        side_matched=matched, side_mismatched=mismatched, false_alarms=false_alarms)
 
 
 # ---------------------------------------------------------------------------
@@ -443,61 +409,52 @@ def score_session(log: SessionLog, final_state: SessionState,
     telemetry = derive_telemetry(log)
     groups = log.events_by_key
 
-    def payloads(scene_id: int, kind: EventKind) -> list[dict[str, Any]]:
-        return [event.payload for event in groups.get((scene_id, kind), [])]
-
-    route_units: set[int] = set()
-    for toggle in payloads(3, EventKind.ROUTE_UNIT_TOGGLED):
-        if toggle["selected"]:
-            route_units.add(toggle["unit"])
-        else:
-            route_units.discard(toggle["unit"])
+    def payloads(task: str) -> list[dict[str, Any]]:
+        scene_id, kind, *_ = TASKS[task]
+        return [event.payload for event in groups.get((scene_id, kind), ())]
 
     try:
         immediate = _score_recognition(
-            [p["item"] for p in payloads(3, EventKind.ITEM_SELECTED)], config)
+            [p["item"] for p in payloads("immediate_recognition")], config)
         delayed = _score_recognition(
-            [p["item"] for p in payloads(14, EventKind.SHOPPING_COLLECTED)], config)
+            [p["item"] for p in payloads("delayed_recognition")], config)
         collection = _score_collection(
-            [p["item"] for p in payloads(8, EventKind.ITEM_SELECTED)], config)
-        visual_score = _score_visual_attention(
-            [VisualResponse(**p) for p in payloads(12, EventKind.POSTER_SPOTTED)],
-            config)
+            [p["item"] for p in payloads("collection")], config)
+        visual_score = _score_visual_attention(payloads("visual_attention"), config)
         auditory_score = _score_auditory_attention(
-            [AuditoryResponse(**p) for p in payloads(19, EventKind.SOUND_TRIGGERED)],
-            config)
+            payloads("auditory_attention"), config)
     except ScoringError as exc:
         raise MalformedLog(f"log content failed scoring validation: {exc}") from exc
+    # a unit is on the route if its last toggle selected it
+    last_toggle = {p["unit"]: p["selected"] for p in payloads("planning")}
     planning = _score_planning(
-        route_units, telemetry.task_time_s.get("planning", 0.0), config)
+        [unit for unit, selected in last_toggle.items() if selected],
+        telemetry.task_time_s.get("planning", 0.0), config)
     cooking, cooking_total = _score_cooking(
-        {p["item"]: p["cook_time_s"]
-         for p in payloads(6, EventKind.COOKING_ITEM_PLACED)}, config)
+        {p["item"]: p["cook_time_s"] for p in payloads("cooking")}, config)
 
     pm: dict[str, PmOutcome] = {}
     positive_total = 0
     deductions_total = 0
-    for scene_id, task in sorted(PM_TASKS.items()):
+    for _, task in sorted(PM_TASKS.items()):
+        choice = None
         if task.cascade.trigger is TriggerKind.NPC_DIALOGUE:
-            affirmed_at = final_state.npc_affirmed_at.get(task.task_id, 0)
+            depth = final_state.npc_affirmed_at.get(task.task_id, 0)
             choice = final_state.npc_choice.get(task.task_id)
             if task.polarity is PmPolarity.POSITIVE:
-                points = _score_npc_pm_positive(affirmed_at, choice, config)
+                points = _score_npc_pm_positive(depth, choice, config)
             else:
-                points = _score_npc_pm_negative(affirmed_at, config)
-            pm[task.task_id] = PmOutcome(
-                task_id=task.task_id, polarity=task.polarity.value,
-                points=points, prompt_depth=affirmed_at, choice=choice)
+                points = _score_npc_pm_negative(depth, config)
         else:
             depth = final_state.pm_done_depth.get(task.task_id, 4)
             points = _score_prompt_cascade(depth)
-            pm[task.task_id] = PmOutcome(
-                task_id=task.task_id, polarity=task.polarity.value,
-                points=points, prompt_depth=depth)
+        pm[task.task_id] = PmOutcome(
+            task_id=task.task_id, polarity=task.polarity.value,
+            points=points, prompt_depth=depth, choice=choice)
         if task.polarity is PmPolarity.POSITIVE:
-            positive_total += pm[task.task_id].points
+            positive_total += points
         else:
-            deductions_total += pm[task.task_id].points
+            deductions_total += points
 
     # two false reminders at -3 apiece bound the total deduction
     assert -6 <= deductions_total <= 0

@@ -18,19 +18,21 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Optional
 
 from .scenario import (
+    AUDITORY_STIMULUS_KINDS,
     COOKING_ITEMS,
     EventKind,
     ROUTE_IDEAL_UNITS,
     SCENES_BY_ID,
     SHOPPING_LIST_LENGTH,
-    SIDES,
     SessionEvent,
+    TASKS,
     TUTORIAL_SCENES,
+    VISUAL_STIMULUS_KINDS,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ScoringConfig
-    from .scoring import TaskScorecard
+    from .scoring import RecognitionScore, TaskScorecard
 
 logger = logging.getLogger(__name__)
 
@@ -286,20 +288,6 @@ class Telemetry:
     total_time_s: float = 0.0
 
 
-# Each task window runs from the first event of its start (scene, kind) to the
-# last event of its end (scene, kind), and exists once both have occurred.
-TASK_WINDOWS: dict[str, tuple[_EventKey, _EventKey]] = {
-    "immediate_recognition": ((3, EventKind.ITEM_SELECTED), (3, EventKind.ITEM_SELECTED)),
-    "planning": ((3, EventKind.ROUTE_UNIT_TOGGLED), (3, EventKind.ROUTE_SUBMITTED)),
-    "cooking": ((6, EventKind.SCENE_ENTERED), (6, EventKind.COOKING_ITEM_PLACED)),
-    "collection": ((8, EventKind.SCENE_ENTERED), (8, EventKind.ITEM_SELECTED)),
-    "visual_attention": ((12, EventKind.SCENE_ENTERED), (12, EventKind.SCENE_EXITED)),
-    "delayed_recognition": (
-        (14, EventKind.SCENE_ENTERED), (14, EventKind.FINAL_BUTTON_PRESSED)),
-    "auditory_attention": ((19, EventKind.SCENE_ENTERED), (19, EventKind.SCENE_EXITED)),
-}
-
-
 # Each scene's id with the (scene, kind) keys derive_telemetry reads for it,
 # in scene order: entered, exited, practice attempt, note opened, note closed.
 # Built once, since on Python 3.11 each EventKind member read goes through
@@ -320,9 +308,9 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
     exit timestamp, or at the last event of a log that ends inside the scene,
     and logged as a warning that names which; completeness enforcement lives
     with the scorecard aggregation, not here.  Scene times, notes time and
-    the :data:`TASK_WINDOWS` are defined on engine-accepted logs and their
-    prefixes, where each scene is entered once, exited after its entry, and
-    holds at most one open note at a time.
+    the task windows of :data:`~errandlab.scenario.TASKS`, in name order, are
+    defined on engine-accepted logs and their prefixes, where each scene is
+    entered once, exited after its entry, and holds at most one open note.
     """
     groups = log.events_by_key
 
@@ -335,8 +323,8 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
         scene_id: seconds for scene_id, entered, exited, *_ in _SCENE_KEYS
         if (seconds := window_s(entered, exited)) is not None}
     task_time = {
-        name: seconds for name, (start, end) in sorted(TASK_WINDOWS.items())
-        if (seconds := window_s(start, end)) is not None}
+        name: seconds for name, (scene_id, _, start, end) in sorted(TASKS.items())
+        if (seconds := window_s((scene_id, start), (scene_id, end))) is not None}
 
     attempts = {
         scene_id: len(groups[attempt]) for scene_id, _, _, attempt, _, _ in _SCENE_KEYS
@@ -385,6 +373,23 @@ def _fmt_s(value: float) -> str:
     return f"{value:.2f}"
 
 
+# The report names each stimulus kind by its first word: "shape", not "shape_distractor".
+_KIND_LABELS = {kind: kind.split("_", 1)[0]
+                for kind in (*VISUAL_STIMULUS_KINDS, *AUDITORY_STIMULUS_KINDS)}
+
+
+def _response_lines(ride: str, responded: dict[str, dict[str, int]]) -> list[str]:
+    return [f"{ride}_responses_{side}: " + ", ".join(
+        f"{_KIND_LABELS[kind]} {count}" for kind, count in counts.items())
+        for side, counts in responded.items()]
+
+
+def _recognition_line(board: str, rec: "RecognitionScore") -> str:
+    return (f"{board}_recognition: {rec.points}/{2 * SHOPPING_LIST_LENGTH} "
+            f"(targets {rec.targets}, qualitative {rec.qualitative}, "
+            f"quantitative {rec.quantitative}, absent {rec.false_items})")
+
+
 def export_report(scorecard: "TaskScorecard", config: "ScoringConfig",
                   seed: Optional[int] = None,
                   config_hash: Optional[str] = None) -> str:
@@ -396,7 +401,6 @@ def export_report(scorecard: "TaskScorecard", config: "ScoringConfig",
     session.  Fixed ordering, seconds to two decimals, LF line endings.
     Identical inputs produce identical bytes.
     """
-    recognition_max = 2 * SHOPPING_LIST_LENGTH
     cooking_max = len(COOKING_ITEMS) * max(config.band_points.values())
     lines: list[str] = []
     lines.append("errand session report")
@@ -408,10 +412,7 @@ def export_report(scorecard: "TaskScorecard", config: "ScoringConfig",
     lines.append("------")
     lines.append("notes_intent: " + ", ".join(
         "yes" if flag else "no" for flag in scorecard.notes_intent))
-    rec = scorecard.immediate_recognition
-    lines.append(f"immediate_recognition: {rec.points}/{recognition_max} "
-                 f"(targets {rec.targets}, qualitative {rec.qualitative}, "
-                 f"quantitative {rec.quantitative}, absent {rec.false_items})")
+    lines.append(_recognition_line("immediate", scorecard.immediate_recognition))
     plan = scorecard.planning
     lines.append(f"planning_units: {plan.units_selected}")
     lines.append(f"planning_route: {plan.route_score}/{ROUTE_IDEAL_UNITS}")
@@ -430,27 +431,14 @@ def export_report(scorecard: "TaskScorecard", config: "ScoringConfig",
     lines.append(f"collection_errors: {scorecard.collection.errors}")
     lines.append(f"visual_attention: {scorecard.visual.points}/"
                  f"{2 * config.visual_targets_per_side}")
-    for side in SIDES:
-        counts = scorecard.visual.responded[side]
-        lines.append(
-            f"visual_responses_{side}: target {counts['target']}, "
-            f"shape {counts['shape_distractor']}, "
-            f"color {counts['color_distractor']}")
-    rec = scorecard.delayed_recognition
-    lines.append(f"delayed_recognition: {rec.points}/{recognition_max} "
-                 f"(targets {rec.targets}, qualitative {rec.qualitative}, "
-                 f"quantitative {rec.quantitative}, absent {rec.false_items})")
+    lines.extend(_response_lines("visual", scorecard.visual.responded))
+    lines.append(_recognition_line("delayed", scorecard.delayed_recognition))
     aud = scorecard.auditory
     lines.append(f"auditory_attention: {aud.points}")
     lines.append(f"auditory_side_matched: {aud.side_matched}")
     lines.append(f"auditory_wrong_controller: {aud.side_mismatched}")
     lines.append(f"auditory_false_alarms: {aud.false_alarms}")
-    for side in SIDES:
-        counts = aud.responded[side]
-        lines.append(
-            f"auditory_responses_{side}: target {counts['target']}, "
-            f"high {counts['high_pitch_distractor']}, "
-            f"low {counts['low_pitch_distractor']}")
+    lines.extend(_response_lines("auditory", aud.responded))
     lines.append("")
     lines.append("telemetry")
     lines.append("---------")

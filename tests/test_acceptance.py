@@ -23,8 +23,6 @@ from errandlab.bayes import (
 )
 from errandlab.config import config_hash, default_config
 from errandlab.scoring import (
-    AuditoryResponse,
-    VisualResponse,
     _classify_cooking_time,
     _score_auditory_attention,
     _score_npc_pm_negative,
@@ -173,12 +171,23 @@ def test_criterion_4_pm_enumerations(config):
         assert 2 * per_scene_worst >= -6  # two false-prompt scenes overall
 
 
+def _poster(stimulus_id, kind, side):
+    """A ``PosterSpotted`` payload."""
+    return {"stimulus_id": stimulus_id, "stimulus_kind": kind, "side": side}
+
+
+def _sound(stimulus_id, kind, stimulus_side, response_side):
+    """A ``SoundTriggered`` payload."""
+    return {"stimulus_id": stimulus_id, "stimulus_kind": kind,
+            "stimulus_side": stimulus_side, "response_side": response_side}
+
+
 def test_criterion_5_attention_schedules(config):
     """Visual: all targets score 16.  Auditory: every stimulus-kind x
     stimulus-side x response-side combination follows the +2/+1/-1
     schedule; budget < 1 s."""
     with _timed(1.0):
-        targets = [VisualResponse(f"{side}{i}", "target", side)
+        targets = [_poster(f"{side}{i}", "target", side)
                    for side in ("left", "right")
                    for i in range(config.visual_targets_per_side)]
         assert _score_visual_attention(targets, config).points == 16
@@ -189,7 +198,7 @@ def test_criterion_5_attention_schedules(config):
         assert len(combos) == 18
         for kind, stim_side, resp_side in combos:
             score = _score_auditory_attention(
-                [AuditoryResponse("s0", kind, stim_side, resp_side)], config)
+                [_sound("s0", kind, stim_side, resp_side)], config)
             if resp_side is None:
                 expected = 0
             elif kind != "target":

@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -228,6 +229,22 @@ class TestBayesFactor:
             for direction in Direction:
                 with pytest.raises(IntegrationFailure):
                     bf10_directional(t, n, direction=direction)
+
+    def test_a_prior_scale_whose_square_leaves_double_range_is_named(self):
+        # the square underflows to zero, is subnormal, or overflows
+        for prior_scale in (1e-300, 1e-154, 1.4e154):
+            with pytest.raises(IntegrationFailure, match="prior_scale"):
+                bf10_directional(3.0, 5, prior_scale=prior_scale)
+
+    def test_no_numpy_warning_at_the_edge_of_double_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for prior_scale in (1e154, 1e150):
+                try:
+                    bf, _ = bf10_directional_with_error(3.0, 5, prior_scale)
+                except IntegrationFailure:
+                    continue
+                assert math.isfinite(bf) and bf > 0
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),

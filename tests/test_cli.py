@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 
 import pytest
 
@@ -400,6 +401,29 @@ class TestVrnqCompareCommand:
         row = lines[2].split()
         assert row[0] == "Total"
         assert row[5] == f"{total['bf10_rel_err']:.1e}"
+
+    @pytest.mark.parametrize("prior_scale, code", [
+        ("0", 2), ("-1", 2), ("nan", 2), ("inf", 2), ("abc", 2),
+        ("1e-300", 1), ("1.4e154", 1), ("1e154", 1)])
+    def test_bad_prior_scale_ends_in_one_error_line(self, tmp_path, capsys,
+                                                    prior_scale, code):
+        baseline, revised = self._paired_csvs(tmp_path, shift=20)
+        argv = ["vrnq", "compare", "--baseline", str(baseline),
+                "--revised", str(revised), "--prior-scale", prior_scale]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = main(argv)
+            except SystemExit as exc:
+                result = exc.code
+        assert result == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        if code == 2:
+            assert "argument --prior-scale" in line
+        else:
+            assert line.startswith("error: ")
 
     def test_integration_failure_exits_1(self, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):

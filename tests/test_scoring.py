@@ -14,10 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from errandlab.scoring import (
-    AuditoryResponse,
     ScoringError,
     UnknownItem,
-    VisualResponse,
     _classify_cooking_time,
     _planning_time_modifier,
     _score_auditory_attention,
@@ -380,10 +378,21 @@ class TestCollection:
         assert score.errors == 1
 
 
+def _poster(stimulus_id, kind, side):
+    """A ``PosterSpotted`` payload."""
+    return {"stimulus_id": stimulus_id, "stimulus_kind": kind, "side": side}
+
+
+def _sound(stimulus_id, kind, stimulus_side, response_side):
+    """A ``SoundTriggered`` payload."""
+    return {"stimulus_id": stimulus_id, "stimulus_kind": kind,
+            "stimulus_side": stimulus_side, "response_side": response_side}
+
+
 class TestVisualAttention:
     @staticmethod
     def _targets(config):
-        return [VisualResponse(f"{side}_t{i}", "target", side)
+        return [_poster(f"{side}_t{i}", "target", side)
                 for side in ("left", "right")
                 for i in range(config.visual_targets_per_side)]
 
@@ -393,15 +402,15 @@ class TestVisualAttention:
 
     def test_distractor_costs_one(self, config):
         responses = self._targets(config) + [
-            VisualResponse("d1", "shape_distractor", "left"),
-            VisualResponse("d2", "color_distractor", "right")]
+            _poster("d1", "shape_distractor", "left"),
+            _poster("d2", "color_distractor", "right")]
         assert _score_visual_attention(responses, config).points == 14
 
     def test_no_responses(self, config):
         assert _score_visual_attention([], config).points == 0
 
     def test_capacity_enforced(self, config):
-        over = [VisualResponse(f"t{i}", "target", "left")
+        over = [_poster(f"t{i}", "target", "left")
                 for i in range(config.visual_targets_per_side + 1)]
         with pytest.raises(ScoringError, match="more target"):
             _score_visual_attention(over, config)
@@ -420,10 +429,10 @@ class TestVisualAttention:
 class TestAuditoryAttention:
     def test_point_schedule(self, config):
         responses = [
-            AuditoryResponse("t1", "target", "left", "left"),       # +2
-            AuditoryResponse("t2", "target", "left", "right"),      # +1
-            AuditoryResponse("d1", "high_pitch_distractor", "right", "right"),  # -1
-            AuditoryResponse("t3", "target", "right", None),        # silent
+            _sound("t1", "target", "left", "left"),     # +2
+            _sound("t2", "target", "left", "right"),    # +1
+            _sound("d1", "high_pitch_distractor", "right", "right"),  # -1
+            _sound("t3", "target", "right", None),      # silent
         ]
         score = _score_auditory_attention(responses, config)
         assert score.points == 2
@@ -432,19 +441,19 @@ class TestAuditoryAttention:
         assert score.false_alarms == 1
 
     def test_perfect_run(self, config):
-        responses = [AuditoryResponse(f"{side}_t{i}", "target", side, side)
+        responses = [_sound(f"{side}_t{i}", "target", side, side)
                      for side in ("left", "right")
                      for i in range(config.auditory_targets_per_side)]
         assert _score_auditory_attention(responses, config).points == 32
 
     def test_unanswered_stimuli_do_not_use_capacity(self, config):
-        responses = [AuditoryResponse(f"s{i}", "target", "left",
-                                      "left" if i == 0 else None)
+        responses = [_sound(f"s{i}", "target", "left",
+                            "left" if i == 0 else None)
                      for i in range(config.auditory_targets_per_side + 3)]
         assert _score_auditory_attention(responses, config).points == 2
 
     def test_capacity_enforced(self, config):
-        over = [AuditoryResponse(f"s{i}", "low_pitch_distractor", "left", "left")
+        over = [_sound(f"s{i}", "low_pitch_distractor", "left", "left")
                 for i in range(config.auditory_low_distractors_per_side + 1)]
         with pytest.raises(ScoringError, match="more low_pitch_distractor"):
             _score_auditory_attention(over, config)
