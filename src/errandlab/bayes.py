@@ -418,6 +418,12 @@ def bf10_directional_with_error(
         upper = u > 1.0
         x = np.where(upper, 1.0 / (2.0 - u), u)
         ng = n * split * x
+        # n g (nu + 1) below must be finite, and n g in log_smooth, which
+        # rounds its own product; past that the integral would lose mass
+        if not ng.max() <= 0.5 * sys.float_info.max / n:
+            raise IntegrationFailure(
+                f"prior_scale = {prior_scale:g} is too large for n = {n}: "
+                f"n g overflows in the integral")
         values = np.exp(log_smooth(split * x) - peak) * np.where(upper, x * x, 1.0)
         if sign:
             z = t / np.sqrt(1.0 + ng)
@@ -428,8 +434,8 @@ def bf10_directional_with_error(
     # the grid's points break [0, 1], and so do three more below it, where
     # the prior's exp(-r^2 / 2g) falls from e^-2 to e^-16 and the rule would
     # otherwise bisect; [1, 2] in u is all of x >= 1.  Near the edge of
-    # double range n g overflows and 0 * inf is NaN: the checks below turn
-    # either into IntegrationFailure
+    # double range n g overflows in the peak's grid too, quietly: the
+    # integrand then raises IntegrationFailure on its first call
     edges = np.concatenate(([0.0], grid[0] * _BELOW_GRID, grid, [2.0]))
     with np.errstate(over="ignore", invalid="ignore"):
         peak = float(np.max(log_smooth(split * grid)))

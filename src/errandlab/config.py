@@ -166,10 +166,12 @@ class ScoringConfig:
                 raise ConfigError(f"{name} must be an integer")
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        for name, count in (("recognition_targets", SHOPPING_LIST_LENGTH),
-                            ("recognition_qualitative", 5),
-                            ("recognition_quantitative", 5),
-                            ("recognition_false", 10), ("collection_targets", 6)):
+        for name, count in (
+                ("recognition_targets", SHOPPING_LIST_LENGTH),
+                ("recognition_qualitative", len(_DEFAULT_RECOGNITION_QUALITATIVE)),
+                ("recognition_quantitative", len(_DEFAULT_RECOGNITION_QUANTITATIVE)),
+                ("recognition_false", len(_DEFAULT_RECOGNITION_FALSE)),
+                ("collection_targets", len(_DEFAULT_COLLECTION_TARGETS))):
             if len(getattr(self, name)) != count:
                 raise ConfigError(f"{name} must list {count} items")
         catalog = (self.recognition_targets + self.recognition_qualitative

@@ -21,9 +21,9 @@ Core invariants, enforced here and property-tested in the suite:
   entered without a :class:`PracticePassed` effect first.
 * A timestamp regression raises :class:`OutOfOrderEvent`; an event stamped
   with the wrong scene raises :class:`WrongSceneEvent`.
-* :data:`EVENT_SCENES` is the one statement of which scenes host each
-  scene-specific event kind; such an event anywhere else raises
-  :class:`InvalidEvent`.
+* One table maps each event kind to the scenes that host it and to what it
+  does in each; an event in any other scene raises :class:`InvalidEvent`,
+  and :data:`EVENT_SCENES` lists the hosts of the kinds not in every scene.
 
 Scene transitions are engine-emitted effects, never implicit: a scene's
 resolving event (final button, exit attempt, conversation outcome, tutorial
@@ -38,7 +38,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, NamedTuple, Optional, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Union
 
 # Fixed storyline content.
 ROUTE_UNIT_COUNT = 23
@@ -136,6 +136,7 @@ class SceneDescriptor:
     kind: SceneKind
     title: str
     gated: bool = False
+    free_running: bool = False  # no resolving event: the exit resolves it
     pm_task: Optional[PmTaskSpec] = None
 
 
@@ -148,7 +149,8 @@ def _npc_task(task_id: str, scene_id: int, basis: PmBasis, delay: PmDelay,
 _SCENES: tuple[SceneDescriptor, ...] = (
     SceneDescriptor(1, SceneKind.TUTORIAL, "basic interaction and navigation"),
     SceneDescriptor(2, SceneKind.TUTORIAL, "interactive boards"),
-    SceneDescriptor(3, SceneKind.STORYLINE, "task list, shopping list, and route planning"),
+    SceneDescriptor(3, SceneKind.STORYLINE, "task list, shopping list, and route planning",
+                    free_running=True),
     SceneDescriptor(4, SceneKind.TUTORIAL, "reminder prompts and notes"),
     SceneDescriptor(5, SceneKind.TUTORIAL, "cooking controls"),
     SceneDescriptor(
@@ -167,7 +169,8 @@ _SCENES: tuple[SceneDescriptor, ...] = (
         10, SceneKind.STORYLINE, "front-gate conversation and planned phone call",
         pm_task=_npc_task("call_rose", 10, PmBasis.TIME_BASED, PmDelay.SHORT)),
     SceneDescriptor(11, SceneKind.TUTORIAL, "gaze practice", gated=True),
-    SceneDescriptor(12, SceneKind.STORYLINE, "poster spotting on the ride into town"),
+    SceneDescriptor(12, SceneKind.STORYLINE, "poster spotting on the ride into town",
+                    free_running=True),
     SceneDescriptor(13, SceneKind.TUTORIAL, "shopping practice"),
     SceneDescriptor(14, SceneKind.STORYLINE, "supermarket shopping from memory"),
     SceneDescriptor(
@@ -181,7 +184,8 @@ _SCENES: tuple[SceneDescriptor, ...] = (
         17, SceneKind.STORYLINE, "library book return",
         pm_task=_npc_task("return_book", 17, PmBasis.EVENT_BASED, PmDelay.MEDIUM)),
     SceneDescriptor(18, SceneKind.TUTORIAL, "sound localisation practice", gated=True),
-    SceneDescriptor(19, SceneKind.STORYLINE, "sound spotting on the ride back"),
+    SceneDescriptor(19, SceneKind.STORYLINE, "sound spotting on the ride back",
+                    free_running=True),
     SceneDescriptor(
         20, SceneKind.STORYLINE, "false reminder at the petrol station",
         pm_task=_npc_task("false_prompt_home", 20, PmBasis.TIME_BASED,
@@ -201,11 +205,13 @@ SCENES_BY_ID: dict[int, SceneDescriptor] = {s.scene_id: s for s in _SCENES}
 TUTORIAL_SCENES = frozenset(s.scene_id for s in _SCENES if s.kind is SceneKind.TUTORIAL)
 STORYLINE_SCENES = frozenset(s.scene_id for s in _SCENES if s.kind is SceneKind.STORYLINE)
 GATED_SCENES = frozenset(s.scene_id for s in _SCENES if s.gated)
-NPC_SCENES = frozenset(
-    s.scene_id for s in _SCENES
-    if s.pm_task is not None and s.pm_task.cascade.trigger is TriggerKind.NPC_DIALOGUE)
+FREE_RUNNING_SCENES = frozenset(s.scene_id for s in _SCENES if s.free_running)
 PM_TASKS: dict[int, PmTaskSpec] = {
     s.scene_id: s.pm_task for s in _SCENES if s.pm_task is not None}
+NPC_SCENES = frozenset(sid for sid, task in PM_TASKS.items()
+                       if task.cascade.trigger is TriggerKind.NPC_DIALOGUE)
+TIMER_SCENES = frozenset(sid for sid, task in PM_TASKS.items()
+                         if task.cascade.trigger is TriggerKind.TIMER)
 
 
 def scene_sequence() -> tuple[SceneDescriptor, ...]:
@@ -272,30 +278,6 @@ _PAYLOAD_FIELDS: dict[EventKind, dict[str, tuple[type, ...]]] = {
     EventKind.ITEM_STOWED: {"item": (str,)},
 }
 
-# The scenes that host each scene-specific event kind; the engine rejects such
-# an event in any other scene before it reads the payload.  Kinds left out
-# occur in every scene (entry, exit, notes), except practice attempts, which
-# practice_gate judges: outside GATED_SCENES it raises NotAGatedScene.
-EVENT_SCENES: dict[EventKind, frozenset[int]] = {
-    EventKind.TUTORIAL_COMPLETED: TUTORIAL_SCENES - GATED_SCENES,
-    EventKind.NOTES_INTENT_ANSWERED: frozenset({3}),
-    EventKind.ITEM_SELECTED: frozenset({3, 8}),
-    EventKind.ROUTE_UNIT_TOGGLED: frozenset({3}),
-    EventKind.ROUTE_SUBMITTED: frozenset({3}),
-    EventKind.COOKING_ITEM_PLACED: frozenset({6}),
-    EventKind.FINAL_BUTTON_PRESSED: frozenset({6, 14, 22}),
-    EventKind.EXIT_ATTEMPTED: frozenset({8}),
-    EventKind.MEDICATION_TAKEN: frozenset({6, 22}),
-    EventKind.PIE_REMOVED: frozenset({8}),
-    EventKind.NPC_PROMPT_ANSWERED: NPC_SCENES,
-    EventKind.NPC_ITEM_CHOSEN: NPC_SCENES,
-    EventKind.POSTER_SPOTTED: frozenset({12}),
-    EventKind.SOUND_TRIGGERED: frozenset({19}),
-    EventKind.SHOPPING_COLLECTED: frozenset({14}),
-    EventKind.KEYS_GIVEN: frozenset({21}),
-    EventKind.ITEM_STOWED: frozenset({22}),
-}
-
 VISUAL_STIMULUS_KINDS = ("target", "shape_distractor", "color_distractor")
 AUDITORY_STIMULUS_KINDS = ("target", "high_pitch_distractor", "low_pitch_distractor")
 SIDES = ("left", "right")
@@ -329,13 +311,6 @@ TASKS: dict[str, TaskSpec] = {
     "auditory_attention": TaskSpec(
         19, EventKind.SOUND_TRIGGERED, EventKind.SCENE_ENTERED, EventKind.SCENE_EXITED),
 }
-# Each kind a task reads must occur in its scene; EVENT_SCENES omits the kinds
-# that occur in every scene.
-_MISPLACED = [f"{name}: {kind.value} in scene {task.scene_id}"
-              for name, task in TASKS.items() for kind in task[1:]
-              if task.scene_id not in EVENT_SCENES.get(kind, SCENES_BY_ID)]
-if _MISPLACED:
-    raise AssertionError(f"task events outside their scenes: {_MISPLACED}")
 
 
 # Each kind's payload schema as the check reads it: the field names, for one
@@ -587,12 +562,12 @@ _KEYS_GIVEN = EventKind.KEYS_GIVEN
 _POSITIVE = PmPolarity.POSITIVE
 
 
-def _fire_due_finale_prompts(state: SessionState, now_ms: int,
-                             effects: list[Effect]) -> None:
-    # Scene 22 reminders are clock-driven: any event whose timestamp reaches
-    # an offset fires the prompts due up to that instant, oldest first,
-    # before the event itself is applied.
-    task = PM_TASKS[22]
+def _fire_due_timer_prompts(state: SessionState, now_ms: int,
+                            effects: list[Effect], sid: int) -> None:
+    # Timer reminders are clock-driven: any event whose timestamp reaches an
+    # offset fires the prompts due up to that instant, oldest first, before
+    # the event itself is applied.
+    task = PM_TASKS[sid]
     if task.task_id in state.pm_action_done:
         return
     depth = state.prompt_depth.get(task.task_id, 0)
@@ -691,18 +666,18 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
     if not state.entered:
         raise InvalidEvent(f"scene {sid} not entered yet")
 
-    if sid == 22 and not state.completed:
-        _fire_due_finale_prompts(state, event.sim_time_ms, effects)
+    if sid in TIMER_SCENES and not state.completed:
+        _fire_due_timer_prompts(state, event.sim_time_ms, effects, sid)
 
     if kind is _SCENE_EXITED:
         if not state.completed:
             if state.armed_to is None:
-                # the free-running rides and scene 3 resolve on their exit
-                if sid not in (3, 12, 19):
+                if sid not in FREE_RUNNING_SCENES:
                     raise InvalidEvent(f"scene {sid} is not finished")
-                if sid == 3 and (state.notes_prompts_answered < 3
-                                 or not state.route_submitted):
-                    raise InvalidEvent("scene 3 tasks unfinished")
+                # the planning scene's exit needs its prompts and its route
+                if sid in _ROUTE_SCENES and (state.notes_prompts_answered < 3
+                                             or not state.route_submitted):
+                    raise InvalidEvent(f"scene {sid} tasks unfinished")
                 _resolve(state, effects)
             state.current_scene = state.armed_to
             state.armed_to = None
@@ -713,11 +688,10 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
     if state.armed_to is not None and kind is not _KEYS_GIVEN:
         raise InvalidEvent(
             f"scene {sid} already resolved; only SceneExited is valid")
-    scenes = EVENT_SCENES.get(kind)
-    if scenes is not None and sid not in scenes:
+    handler = _HANDLERS[kind].get(sid)
+    if handler is None:
         raise InvalidEvent(f"{kind.value} does not occur in scene {sid}")
-
-    _HANDLERS[kind](state, event, effects, sid)
+    handler(state, event, effects, sid)
     state.sim_clock_ms = event.sim_time_ms
 
 
@@ -761,18 +735,21 @@ def _on_notes_intent_answered(state: SessionState, event: SessionEvent,
     state.notes_prompts_answered = expected
 
 
-def _on_item_selected(state: SessionState, event: SessionEvent,
-                      effects: list[Effect], sid: int) -> None:
-    # Scene 3 fills the list board; scene 8 grabs are free-form, and
-    # re-grab attempts are legitimate errors.
+def _on_list_board_item(state: SessionState, event: SessionEvent,
+                        effects: list[Effect], sid: int) -> None:
     item = event.payload["item"]
-    if sid == 3:
-        if item in state.selections:
-            raise InvalidEvent(f"item {item!r} already selected")
-        if len(state.selections) >= SHOPPING_LIST_LENGTH:
-            raise InvalidEvent(
-                f"the list board holds {SHOPPING_LIST_LENGTH} items")
-        state.selections.add(item)
+    if item in state.selections:
+        raise InvalidEvent(f"item {item!r} already selected")
+    if len(state.selections) >= SHOPPING_LIST_LENGTH:
+        raise InvalidEvent(
+            f"the list board holds {SHOPPING_LIST_LENGTH} items")
+    state.selections.add(item)
+
+
+def _on_item_grabbed(state: SessionState, event: SessionEvent,
+                     effects: list[Effect], sid: int) -> None:
+    # grabs are free-form, and re-grab attempts are legitimate errors
+    pass
 
 
 def _on_route_unit_toggled(state: SessionState, event: SessionEvent,
@@ -811,18 +788,18 @@ def _on_cooking_item_placed(state: SessionState, event: SessionEvent,
     state.cooked_items.add(item)
 
 
-def _on_final_button_pressed(state: SessionState, event: SessionEvent,
-                             effects: list[Effect], sid: int) -> None:
-    if sid == 6:
-        _cascade_press(state, event, effects, sid)
-    elif sid == 14:
-        _resolve(state, effects)
-    else:  # the finale
-        task = PM_TASKS[sid]
-        if task.task_id not in state.pm_action_done:
-            state.pm_done_depth[task.task_id] = 4
-        state.completed = True
-        effects.append(SessionComplete())
+def _on_checkout(state: SessionState, event: SessionEvent,
+                 effects: list[Effect], sid: int) -> None:
+    _resolve(state, effects)
+
+
+def _on_session_end(state: SessionState, event: SessionEvent,
+                    effects: list[Effect], sid: int) -> None:
+    task = PM_TASKS[sid]
+    if task.task_id not in state.pm_action_done:
+        state.pm_done_depth[task.task_id] = 4  # never done
+    state.completed = True
+    effects.append(SessionComplete())
 
 
 def _on_note_opened(state: SessionState, event: SessionEvent,
@@ -937,30 +914,49 @@ def _on_item_stowed(state: SessionState, event: SessionEvent,
     state.selections.add(item)
 
 
-_HANDLERS = {
-    EventKind.TUTORIAL_COMPLETED: _on_tutorial_completed,
-    EventKind.PRACTICE_ATTEMPT: _on_practice_attempt,
-    EventKind.NOTES_INTENT_ANSWERED: _on_notes_intent_answered,
-    EventKind.ITEM_SELECTED: _on_item_selected,
-    EventKind.ROUTE_UNIT_TOGGLED: _on_route_unit_toggled,
-    EventKind.ROUTE_SUBMITTED: _on_route_submitted,
-    EventKind.COOKING_ITEM_PLACED: _on_cooking_item_placed,
-    EventKind.FINAL_BUTTON_PRESSED: _on_final_button_pressed,
-    EventKind.EXIT_ATTEMPTED: _cascade_press,
-    EventKind.MEDICATION_TAKEN: _pm_action,
-    EventKind.PIE_REMOVED: _pm_action,
-    EventKind.NOTE_OPENED: _on_note_opened,
-    EventKind.NOTE_CLOSED: _on_note_closed,
-    EventKind.NPC_PROMPT_ANSWERED: _on_npc_prompt_answered,
-    EventKind.NPC_ITEM_CHOSEN: _on_npc_item_chosen,
-    EventKind.POSTER_SPOTTED: _on_poster_spotted,
-    EventKind.SOUND_TRIGGERED: _on_sound_triggered,
-    EventKind.SHOPPING_COLLECTED: _on_shopping_collected,
-    EventKind.KEYS_GIVEN: _on_keys_given,
-    EventKind.ITEM_STOWED: _on_item_stowed,
+# Which event does what in which scene: each kind after entry maps the scenes
+# that host it to its handler there.  A practice attempt is handled in every
+# scene, since practice_gate raises NotAGatedScene outside GATED_SCENES.
+_Handler = Callable[[SessionState, SessionEvent, list[Effect], int], None]
+_HANDLERS: dict[EventKind, dict[int, _Handler]] = {
+    EventKind.TUTORIAL_COMPLETED: dict.fromkeys(TUTORIAL_SCENES - GATED_SCENES,
+                                                _on_tutorial_completed),
+    EventKind.PRACTICE_ATTEMPT: dict.fromkeys(SCENES_BY_ID, _on_practice_attempt),
+    EventKind.NOTES_INTENT_ANSWERED: {3: _on_notes_intent_answered},
+    EventKind.ITEM_SELECTED: {3: _on_list_board_item, 8: _on_item_grabbed},
+    EventKind.ROUTE_UNIT_TOGGLED: {3: _on_route_unit_toggled},
+    EventKind.ROUTE_SUBMITTED: {3: _on_route_submitted},
+    EventKind.COOKING_ITEM_PLACED: {6: _on_cooking_item_placed},
+    EventKind.FINAL_BUTTON_PRESSED: {6: _cascade_press, 14: _on_checkout,
+                                     22: _on_session_end},
+    EventKind.EXIT_ATTEMPTED: {8: _cascade_press},
+    EventKind.MEDICATION_TAKEN: {6: _pm_action, 22: _pm_action},
+    EventKind.PIE_REMOVED: {8: _pm_action},
+    EventKind.NOTE_OPENED: dict.fromkeys(SCENES_BY_ID, _on_note_opened),
+    EventKind.NOTE_CLOSED: dict.fromkeys(SCENES_BY_ID, _on_note_closed),
+    EventKind.NPC_PROMPT_ANSWERED: dict.fromkeys(NPC_SCENES, _on_npc_prompt_answered),
+    EventKind.NPC_ITEM_CHOSEN: dict.fromkeys(NPC_SCENES, _on_npc_item_chosen),
+    EventKind.POSTER_SPOTTED: {12: _on_poster_spotted},
+    EventKind.SOUND_TRIGGERED: {19: _on_sound_triggered},
+    EventKind.SHOPPING_COLLECTED: {14: _on_shopping_collected},
+    EventKind.KEYS_GIVEN: {21: _on_keys_given},
+    EventKind.ITEM_STOWED: {22: _on_item_stowed},
 }
 assert set(_HANDLERS) == set(EventKind) - {
     EventKind.SCENE_ENTERED, EventKind.SCENE_EXITED}
+
+# The hosts of each kind that does not occur in every scene.
+EVENT_SCENES: dict[EventKind, frozenset[int]] = {
+    kind: frozenset(hosts) for kind, hosts in _HANDLERS.items()
+    if hosts.keys() != SCENES_BY_ID.keys()}
+_ROUTE_SCENES = EVENT_SCENES[EventKind.ROUTE_SUBMITTED]
+
+# Each kind a task reads must occur in its scene.
+_MISPLACED = [f"{name}: {kind.value} in scene {task.scene_id}"
+              for name, task in TASKS.items() for kind in task[1:]
+              if task.scene_id not in _HANDLERS.get(kind, SCENES_BY_ID)]
+if _MISPLACED:
+    raise AssertionError(f"task events outside their scenes: {_MISPLACED}")
 
 
 def replay(events: Iterable[SessionEvent],

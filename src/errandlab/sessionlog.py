@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Optional
 from .scenario import (
     AUDITORY_STIMULUS_KINDS,
     COOKING_ITEMS,
+    EVENT_SCENES,
     EventKind,
     ROUTE_IDEAL_UNITS,
     SCENES_BY_ID,
@@ -298,7 +299,8 @@ _SCENE_KEYS: tuple[tuple[int, _EventKey, _EventKey, _EventKey, _EventKey, _Event
      (scene_id, EventKind.PRACTICE_ATTEMPT), (scene_id, EventKind.NOTE_OPENED),
      (scene_id, EventKind.NOTE_CLOSED))
     for scene_id in sorted(SCENES_BY_ID))
-_NOTES_INTENT_KEY: _EventKey = (3, EventKind.NOTES_INTENT_ANSWERED)
+[_NOTES_SCENE] = EVENT_SCENES[EventKind.NOTES_INTENT_ANSWERED]
+_NOTES_INTENT_KEY: _EventKey = (_NOTES_SCENE, EventKind.NOTES_INTENT_ANSWERED)
 
 
 def derive_telemetry(log: SessionLog) -> Telemetry:

@@ -236,6 +236,20 @@ class TestBayesFactor:
             with pytest.raises(IntegrationFailure, match="prior_scale"):
                 bf10_directional(3.0, 5, prior_scale=prior_scale)
 
+    @pytest.mark.parametrize("t, n", [(3.0, 5), (-6.0, 3), (2.0, 25), (0.3, 100)])
+    def test_a_prior_scale_too_large_for_the_integral_is_named(self, t, n):
+        # Far out, bf10 falls as 1 / r, so r * bf10 holds its value at
+        # r = 1e140; where n g would overflow it must raise instead.
+        for direction in Direction:
+            reference = 1e140 * bf10_directional(t, n, 1e140, direction)
+            for prior_scale in np.logspace(150, math.log10(1.34e154), 16):
+                try:
+                    bf = bf10_directional(t, n, float(prior_scale), direction)
+                except IntegrationFailure as exc:
+                    assert "prior_scale" in str(exc)
+                    continue
+                assert prior_scale * bf == pytest.approx(reference, rel=1e-6)
+
     def test_no_numpy_warning_at_the_edge_of_double_range(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

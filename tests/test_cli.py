@@ -425,6 +425,15 @@ class TestVrnqCompareCommand:
         else:
             assert line.startswith("error: ")
 
+    def test_two_sided_prior_scale_past_overflow_exits_1(self, tmp_path, capsys):
+        baseline, revised = self._paired_csvs(tmp_path, shift=20)
+        code = main(["vrnq", "compare", "--baseline", str(baseline),
+                     "--revised", str(revised), "--prior-scale", "1e154",
+                     "--direction", "two-sided"])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: prior_scale = 1e+154 ")
+
     def test_integration_failure_exits_1(self, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):
             raise IntegrationFailure("quadrature did not converge")

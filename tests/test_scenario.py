@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -73,6 +75,57 @@ class TestSceneTable:
         negatives = {sid for sid, task in PM_TASKS.items()
                      if task.polarity.value == "negative"}
         assert negatives == {16, 20}
+
+    def test_free_running_and_timer_scenes(self):
+        assert scenario.FREE_RUNNING_SCENES == {3, 12, 19}
+        assert scenario.TIMER_SCENES == {22}
+
+    def test_event_scenes_derived_from_the_handler_table(self):
+        # the map as it was written out by hand before the handler table
+        K = EventKind
+        assert EVENT_SCENES == {
+            K.TUTORIAL_COMPLETED: TUTORIAL_SCENES - GATED_SCENES,
+            K.NOTES_INTENT_ANSWERED: {3},
+            K.ITEM_SELECTED: {3, 8},
+            K.ROUTE_UNIT_TOGGLED: {3},
+            K.ROUTE_SUBMITTED: {3},
+            K.COOKING_ITEM_PLACED: {6},
+            K.FINAL_BUTTON_PRESSED: {6, 14, 22},
+            K.EXIT_ATTEMPTED: {8},
+            K.MEDICATION_TAKEN: {6, 22},
+            K.PIE_REMOVED: {8},
+            K.NPC_PROMPT_ANSWERED: NPC_SCENES,
+            K.NPC_ITEM_CHOSEN: NPC_SCENES,
+            K.POSTER_SPOTTED: {12},
+            K.SOUND_TRIGGERED: {19},
+            K.SHOPPING_COLLECTED: {14},
+            K.KEYS_GIVEN: {21},
+            K.ITEM_STOWED: {22},
+        }
+
+
+def _is_scene_literal(node):
+    # an int literal, or a tuple, list or set of them
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_scene_literal, node.elts))
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+@pytest.mark.parametrize(
+    "fn", sorted({scenario._apply, scenario._fire_due_timer_prompts,
+                  *(handler for hosts in scenario._HANDLERS.values()
+                    for handler in hosts.values())}, key=lambda fn: fn.__name__),
+    ids=lambda fn: fn.__name__)
+def test_engine_names_no_scene_id(fn):
+    # which scene does what is stated in the handler and scene tables only
+    tree = ast.parse(inspect.getsource(fn))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        if any(isinstance(o, ast.Name) and o.id == "sid" for o in operands):
+            assert not any(map(_is_scene_literal, operands)), (
+                f"{fn.__name__} line {node.lineno}: {ast.unparse(node)}")
 
 
 class TestPracticeGate:
@@ -746,7 +799,12 @@ class TestNoPerEventEnumReads:
     # globals bound at import.
     @pytest.mark.parametrize("fn", [
         scenario._apply,
+        scenario._fire_due_timer_prompts,
         scenario._on_npc_prompt_answered,
+        scenario._on_list_board_item,
+        scenario._on_item_grabbed,
+        scenario._on_checkout,
+        scenario._on_session_end,
         sessionlog.derive_telemetry,
         simulate._SessionBuilder._emit,
         simulate._SessionBuilder.enter,

@@ -8,6 +8,7 @@ range) on a parsed log through :func:`aggregate_scorecard`.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -29,6 +30,7 @@ from errandlab.scoring import (
     _score_visual_attention,
     aggregate_scorecard,
 )
+from errandlab.config import ConfigError
 from errandlab.scenario import EventKind, SessionEvent
 from errandlab.sessionlog import (
     MalformedLog,
@@ -471,3 +473,13 @@ class TestAuditoryAttention:
             assert (_engine_rejection(logs["perfect"], config,
                                       _set(19, "SoundTriggered", **{field: value}))
                     == message)
+
+
+@pytest.mark.parametrize("name, count", [
+    ("recognition_targets", 10), ("recognition_qualitative", 5),
+    ("recognition_quantitative", 5), ("recognition_false", 10),
+    ("collection_targets", 6)])
+def test_a_catalog_of_another_length_is_rejected(config, name, count):
+    short = dataclasses.replace(config, **{name: getattr(config, name)[1:]})
+    with pytest.raises(ConfigError, match=f"^{name} must list {count} items$"):
+        short.validate()
