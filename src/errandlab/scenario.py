@@ -15,7 +15,7 @@ Core invariants, enforced here and property-tested in the suite:
   identical ``(state, effects)`` pairs, and the input state is not mutated.
 * Scene ids only ever move forward, one scene at a time.
 * Within one reminder task the emitted prompt depths form a strictly
-  increasing prefix of ``(1, 2, 3)``.
+  increasing prefix of ``1..n``, for the ``n`` prompts of its ladder.
 * The practice gates (scenes 11 and 18) pass only on an attempt with all
   three targets hit and zero distractors, so scene 12 (or 19) can never be
   entered without a :class:`PracticePassed` effect first.
@@ -73,6 +73,8 @@ _FINALE_PROMPTS = (
 # Scene 22 reminders fire at these absolute offsets from scene entry.
 FINALE_PROMPT_OFFSETS_MS = (70_000, 80_000, 90_000)
 
+NEVER_DONE_DEPTH = 4  # the depth of a reminder task never done: past every ladder
+
 
 class SceneKind(str, Enum):
     TUTORIAL = "tutorial"
@@ -116,8 +118,8 @@ class CascadeSpec:
     """How a reminder task escalates: what triggers it and what it says."""
 
     trigger: TriggerKind
-    prompt_texts: tuple[str, str, str]
-    timer_offsets_ms: Optional[tuple[int, int, int]] = None
+    prompt_texts: tuple[str, ...]  # the ladder, one prompt per depth
+    timer_offsets_ms: Optional[tuple[int, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -367,14 +369,18 @@ class SessionEvent:
     def __init__(self, seq: int, sim_time_ms: int, scene: int, kind: EventKind,
                  payload: dict[str, Any] = _NO_PAYLOAD) -> None:
         # The checks run before any field is set, in the order of the fields.
-        # Three plain ints pass at once; anything else is checked by name.
-        if not (type(seq) is type(sim_time_ms) is type(scene) is int):
+        # Three plain ints and a kind pass at once; the rest is checked by name.
+        if not (type(seq) is type(sim_time_ms) is type(scene) is int
+                and type(kind) is EventKind):
             for name, value in (("seq", seq), ("sim_time_ms", sim_time_ms),
                                 ("scene", scene)):
                 # bool is an int subclass; keep the two apart.
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise TypeError(
                         f"{name} must be an integer, not {type(value).__name__}")
+            if type(kind) is not EventKind:  # a str would pass the schema lookup
+                raise TypeError(
+                    f"kind must be an EventKind, not {type(kind).__name__}")
         if seq < 0:
             raise ValueError("seq must be non-negative")
         if sim_time_ms < 0:
@@ -409,7 +415,7 @@ _set_payload = SessionEvent.payload.__set__
 @dataclass(frozen=True)
 class PromptShown:
     task_id: str
-    depth: int  # 1..3
+    depth: int  # 1..len(prompt_texts)
     text: str
 
 
@@ -508,7 +514,6 @@ class SessionState:
     completed: bool = False
     armed_to: Optional[int] = None
 
-    tutorial_done: bool = False
     practice_attempts: dict[int, int] = field(default_factory=dict)
 
     notes_prompts_answered: int = 0
@@ -519,11 +524,10 @@ class SessionState:
     spotted_ids: set[str] = field(default_factory=set)
     note_open: bool = False
     keys_given: bool = False
-    npc_answered: int = 0
     awaiting_choice: bool = False
 
+    # prompts shown per reminder task; a task is done iff pm_done_depth has it
     prompt_depth: dict[str, int] = field(default_factory=dict)
-    pm_action_done: set[str] = field(default_factory=set)
     pm_done_depth: dict[str, int] = field(default_factory=dict)
     npc_affirmed_at: dict[str, int] = field(default_factory=dict)
     npc_choice: dict[str, str] = field(default_factory=dict)
@@ -537,7 +541,6 @@ def initial_state() -> SessionState:
 
 
 def _reset_scene_fields(state: SessionState) -> None:
-    state.tutorial_done = False
     state.notes_prompts_answered = 0
     state.route_selected = set()
     state.route_submitted = False
@@ -546,7 +549,6 @@ def _reset_scene_fields(state: SessionState) -> None:
     state.spotted_ids = set()
     state.note_open = False
     state.keys_given = False
-    state.npc_answered = 0
     state.awaiting_choice = False
 
 
@@ -562,22 +564,25 @@ _KEYS_GIVEN = EventKind.KEYS_GIVEN
 _POSITIVE = PmPolarity.POSITIVE
 
 
+def _show_prompt(state: SessionState, task: PmTaskSpec, effects: list[Effect]) -> None:
+    # The one step of every reminder ladder: the task's next prompt.
+    depth = state.prompt_depth.get(task.task_id, 0) + 1
+    state.prompt_depth[task.task_id] = depth
+    effects.append(PromptShown(task.task_id, depth, task.cascade.prompt_texts[depth - 1]))
+
+
 def _fire_due_timer_prompts(state: SessionState, now_ms: int,
                             effects: list[Effect], sid: int) -> None:
     # Timer reminders are clock-driven: any event whose timestamp reaches an
     # offset fires the prompts due up to that instant, oldest first, before
     # the event itself is applied.
     task = PM_TASKS[sid]
-    if task.task_id in state.pm_action_done:
+    if task.task_id in state.pm_done_depth:
         return
-    depth = state.prompt_depth.get(task.task_id, 0)
     offsets = task.cascade.timer_offsets_ms or ()
     due = sum(1 for off in offsets if now_ms - state.scene_entry_ms >= off)
-    while depth < due:
-        depth += 1
-        state.prompt_depth[task.task_id] = depth
-        effects.append(PromptShown(task.task_id, depth,
-                                   task.cascade.prompt_texts[depth - 1]))
+    while state.prompt_depth.get(task.task_id, 0) < due:
+        _show_prompt(state, task, effects)
 
 
 def _resolve(state: SessionState, effects: list[Effect]) -> None:
@@ -590,28 +595,21 @@ def _cascade_press(state: SessionState, event: SessionEvent,
                    effects: list[Effect], sid: int) -> None:
     # Shared by the breakfast final button and the flat exit attempt: a press
     # with the task done ends the scene; otherwise each press escalates one
-    # prompt, and the press after the third prompt ends the scene unscored.
+    # prompt, and the press after the last prompt ends the scene unscored.
     task = PM_TASKS[sid]
-    if task.task_id in state.pm_action_done:
-        _resolve(state, effects)
-        return
-    depth = state.prompt_depth.get(task.task_id, 0)
-    if depth < 3:
-        depth += 1
-        state.prompt_depth[task.task_id] = depth
-        effects.append(PromptShown(task.task_id, depth,
-                                   task.cascade.prompt_texts[depth - 1]))
-    else:
-        state.pm_done_depth[task.task_id] = 4  # never done
-        _resolve(state, effects)
+    if task.task_id not in state.pm_done_depth:
+        if state.prompt_depth.get(task.task_id, 0) < len(task.cascade.prompt_texts):
+            _show_prompt(state, task, effects)
+            return
+        state.pm_done_depth[task.task_id] = NEVER_DONE_DEPTH
+    _resolve(state, effects)
 
 
 def _pm_action(state: SessionState, event: SessionEvent,
                effects: list[Effect], sid: int) -> None:
     task = PM_TASKS[sid]
-    if task.task_id in state.pm_action_done:
+    if task.task_id in state.pm_done_depth:
         raise InvalidEvent(f"{task.task_id} already done")
-    state.pm_action_done.add(task.task_id)
     state.pm_done_depth[task.task_id] = state.prompt_depth.get(task.task_id, 0)
 
 
@@ -656,10 +654,7 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
         state.scene_entry_ms = event.sim_time_ms
         _reset_scene_fields(state)
         if sid in NPC_SCENES:
-            task = PM_TASKS[sid]
-            state.prompt_depth[task.task_id] = 1
-            effects.append(PromptShown(task.task_id, 1,
-                                       task.cascade.prompt_texts[0]))
+            _show_prompt(state, PM_TASKS[sid], effects)
         state.sim_clock_ms = event.sim_time_ms
         return
 
@@ -701,11 +696,9 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
 # _pm_action above are handlers too.
 
 
-def _on_tutorial_completed(state: SessionState, event: SessionEvent,
-                           effects: list[Effect], sid: int) -> None:
-    if state.tutorial_done:
-        raise InvalidEvent(f"tutorial {sid} already completed")
-    state.tutorial_done = True
+def _on_resolving_event(state: SessionState, event: SessionEvent,
+                        effects: list[Effect], sid: int) -> None:
+    # a tutorial's completion or the supermarket till: the scene is done
     _resolve(state, effects)
 
 
@@ -788,16 +781,9 @@ def _on_cooking_item_placed(state: SessionState, event: SessionEvent,
     state.cooked_items.add(item)
 
 
-def _on_checkout(state: SessionState, event: SessionEvent,
-                 effects: list[Effect], sid: int) -> None:
-    _resolve(state, effects)
-
-
 def _on_session_end(state: SessionState, event: SessionEvent,
                     effects: list[Effect], sid: int) -> None:
-    task = PM_TASKS[sid]
-    if task.task_id not in state.pm_action_done:
-        state.pm_done_depth[task.task_id] = 4  # never done
+    state.pm_done_depth.setdefault(PM_TASKS[sid].task_id, NEVER_DONE_DEPTH)
     state.completed = True
     effects.append(SessionComplete())
 
@@ -820,24 +806,21 @@ def _on_npc_prompt_answered(state: SessionState, event: SessionEvent,
                             effects: list[Effect], sid: int) -> None:
     if state.awaiting_choice:
         raise InvalidEvent("answer already given; choose an item")
+    # the answer is to the prompt showing, the deepest one shown
     task = PM_TASKS[sid]
-    expected = state.npc_answered + 1
-    if event.payload["prompt_index"] != expected or expected > 3:
+    expected = state.prompt_depth[task.task_id]
+    if event.payload["prompt_index"] != expected:
         raise InvalidEvent(
             f"conversation prompt {event.payload['prompt_index']} "
             f"out of order (expected {expected})")
-    state.npc_answered = expected
     if event.payload["yes"]:
         state.npc_affirmed_at[task.task_id] = expected
         if task.polarity is _POSITIVE:
             state.awaiting_choice = True
         else:
             _resolve(state, effects)
-    elif expected < 3:
-        depth = expected + 1
-        state.prompt_depth[task.task_id] = depth
-        effects.append(PromptShown(task.task_id, depth,
-                                   task.cascade.prompt_texts[depth - 1]))
+    elif expected < len(task.cascade.prompt_texts):
+        _show_prompt(state, task, effects)
     else:
         state.npc_affirmed_at[task.task_id] = 0
         _resolve(state, effects)
@@ -920,14 +903,14 @@ def _on_item_stowed(state: SessionState, event: SessionEvent,
 _Handler = Callable[[SessionState, SessionEvent, list[Effect], int], None]
 _HANDLERS: dict[EventKind, dict[int, _Handler]] = {
     EventKind.TUTORIAL_COMPLETED: dict.fromkeys(TUTORIAL_SCENES - GATED_SCENES,
-                                                _on_tutorial_completed),
+                                                _on_resolving_event),
     EventKind.PRACTICE_ATTEMPT: dict.fromkeys(SCENES_BY_ID, _on_practice_attempt),
     EventKind.NOTES_INTENT_ANSWERED: {3: _on_notes_intent_answered},
     EventKind.ITEM_SELECTED: {3: _on_list_board_item, 8: _on_item_grabbed},
     EventKind.ROUTE_UNIT_TOGGLED: {3: _on_route_unit_toggled},
     EventKind.ROUTE_SUBMITTED: {3: _on_route_submitted},
     EventKind.COOKING_ITEM_PLACED: {6: _on_cooking_item_placed},
-    EventKind.FINAL_BUTTON_PRESSED: {6: _cascade_press, 14: _on_checkout,
+    EventKind.FINAL_BUTTON_PRESSED: {6: _cascade_press, 14: _on_resolving_event,
                                      22: _on_session_end},
     EventKind.EXIT_ATTEMPTED: {8: _cascade_press},
     EventKind.MEDICATION_TAKEN: {6: _pm_action, 22: _pm_action},

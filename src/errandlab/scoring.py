@@ -49,6 +49,7 @@ from .config import ScoringConfig, _PER_SIDE_FIELDS
 from .scenario import (
     COOKING_ITEMS,
     EngineError,
+    NEVER_DONE_DEPTH,
     PM_TASKS,
     PmPolarity,
     ROUTE_IDEAL_UNITS,
@@ -232,14 +233,14 @@ def _score_cooking(cook_times_s: Mapping[str, float],
 # Reminder cascades and conversation tasks
 
 
-_CASCADE_POINTS = {0: 6, 1: 4, 2: 2, 3: 1, 4: 0}
+_CASCADE_POINTS = {0: 6, 1: 4, 2: 2, 3: 1, NEVER_DONE_DEPTH: 0}
 
 
 def _score_prompt_cascade(depth_when_done: int) -> int:
     """Points for a graded reminder cascade.
 
     ``depth_when_done`` counts the prompts shown before the user acted
-    (0..3); 4 means the user never acted at all.
+    (0..3); ``NEVER_DONE_DEPTH`` means the user never acted at all.
     """
     return _CASCADE_POINTS[depth_when_done]
 
@@ -359,7 +360,7 @@ class PmOutcome:
     task_id: str
     polarity: str
     points: int
-    prompt_depth: int  # cascade depth when done (0..4) or affirmed prompt (0..3)
+    prompt_depth: int  # depth when done (NEVER_DONE_DEPTH if never) or prompt affirmed
     choice: Optional[str] = None
 
 
@@ -446,7 +447,7 @@ def score_session(log: SessionLog, final_state: SessionState,
             else:
                 points = _score_npc_pm_negative(depth, config)
         else:
-            depth = final_state.pm_done_depth.get(task.task_id, 4)
+            depth = final_state.pm_done_depth.get(task.task_id, NEVER_DONE_DEPTH)
             points = _score_prompt_cascade(depth)
         pm[task.task_id] = PmOutcome(
             task_id=task.task_id, polarity=task.polarity.value,

@@ -40,6 +40,7 @@ from .config import (
 from .scenario import (
     COOKING_ITEMS,
     EVENT_SCENES,
+    Effect,
     EventKind,
     FINALE_PROMPT_OFFSETS_MS,
     GATED_SCENES,
@@ -48,6 +49,7 @@ from .scenario import (
     PM_TASKS,
     PmDelay,
     PmPolarity,
+    PromptShown,
     ROUTE_IDEAL_UNITS,
     ROUTE_UNIT_COUNT,
     SCENES_BY_ID,
@@ -271,7 +273,8 @@ class _SessionBuilder:
                + self.latency_sd_ms * float(self.rng.standard_normal()))
         return max(0, int(round(raw)))
 
-    def _emit(self, kind: EventKind, payload: Optional[dict[str, Any]] = None) -> None:
+    def _emit(self, kind: EventKind,
+              payload: Optional[dict[str, Any]] = None) -> list[Effect]:
         if self.cursor_ms > _MAX_CLOCK_MS:
             raise ConfigError(
                 "the simulated session runs past 2**53 ms; lower latency_mean_ms, "
@@ -279,8 +282,10 @@ class _SessionBuilder:
         # positional: a keyword call costs more, once per event
         event = SessionEvent(len(self.events), self.cursor_ms, self.state.current_scene,
                              kind, payload or {})
-        _apply(self.state, event, [])  # the builder owns its state
+        effects: list[Effect] = []
+        _apply(self.state, event, effects)  # the builder owns its state
         self.events.append(event)
+        return effects
 
     def enter(self, scene_id: int) -> None:
         self.scene_id = scene_id
@@ -289,12 +294,12 @@ class _SessionBuilder:
         self._emit(_SCENE_ENTERED)
 
     def act(self, kind: EventKind, payload: Optional[dict[str, Any]] = None, *,
-            at_offset_ms: Optional[int] = None) -> None:
+            at_offset_ms: Optional[int] = None) -> list[Effect]:
         if at_offset_ms is not None:
             self.cursor_ms = max(self.cursor_ms, self.scene_entry_ms + at_offset_ms)
         else:
             self.cursor_ms += self.latency_ms()
-        self._emit(kind, payload)
+        return self._emit(kind, payload)
 
     def exit_scene(self, duration_ms: int) -> None:
         self.cursor_ms = max(self.cursor_ms, self.scene_entry_ms + duration_ms)
@@ -340,7 +345,7 @@ def _gated_tutorial(b: _SessionBuilder, duration_ms: int) -> None:
             distractors = int(b.rng.binomial(3, p.attention_false_alarm_prob))
         b.act(EventKind.PRACTICE_ATTEMPT,
               {"targets_hit": targets, "distractors_hit": distractors})
-        if targets == 3 and distractors == 0:
+        if b.state.armed_to is not None:  # the gate passed
             break
     b.exit_scene(duration_ms)
 
@@ -387,20 +392,17 @@ def _scene_planning(b: _SessionBuilder, duration_ms: int) -> None:
 def _event_cascade(b: _SessionBuilder, trigger: EventKind, action: EventKind,
                    delay: str) -> None:
     # The reminder dance shared by breakfast (final button) and leaving the
-    # flat (exit attempt): either act before touching the trigger, or keep
-    # triggering and maybe comply after each prompt.
+    # flat (exit attempt): maybe act before touching the trigger, then keep
+    # triggering, maybe complying after each prompt it shows, until the
+    # engine ends the scene (the task done, or its last prompt ignored).
     p = b.profile
     if _bernoulli(b.rng, p.pm_hit_prob[delay]):
         b.act(action)
-        b.act(trigger)
-        return
-    for depth in range(1, 4):
-        b.act(trigger)  # shows prompt `depth`
-        if _bernoulli(b.rng, p.prompt_yield_probs[depth - 1]):
-            b.act(action)
-            b.act(trigger)
-            return
-    b.act(trigger)  # fourth touch gives up and moves on
+    while b.state.armed_to is None:
+        for effect in b.act(trigger):
+            if (isinstance(effect, PromptShown)
+                    and _bernoulli(b.rng, p.prompt_yield_probs[effect.depth - 1])):
+                b.act(action)
 
 
 def _scene_breakfast(b: _SessionBuilder, duration_ms: int) -> None:
@@ -441,27 +443,25 @@ def _npc_choice(b: _SessionBuilder) -> str:
 
 def _scene_npc(b: _SessionBuilder, duration_ms: int) -> None:
     # The companion's first question is already showing (engine emits it on
-    # entry).  Affirming a positive task opens the item board; affirming a
-    # false one just costs points; three refusals end the conversation.
+    # entry).  Answer the question showing until the engine opens the item
+    # board (a positive task affirmed) or ends the conversation (a false one
+    # affirmed, or the last question refused).
     p = b.profile
-    scene_id = b.state.current_scene
+    state = b.state
+    scene_id = state.current_scene
     task = PM_TASKS[scene_id]
     if task.polarity is PmPolarity.POSITIVE:
-        yes_probs = (p.pm_hit_prob[task.delay.value],
-                     p.prompt_yield_probs[1], p.prompt_yield_probs[2])
+        yes_probs = (p.pm_hit_prob[task.delay.value], *p.prompt_yield_probs[1:])
     else:
-        fa = p.attention_false_alarm_prob
-        yes_probs = (fa, fa, fa)
-    affirmed = False
-    for index in range(1, 4):
-        if _bernoulli(b.rng, yes_probs[index - 1]):
-            b.act(EventKind.NPC_PROMPT_ANSWERED, {"prompt_index": index, "yes": True})
-            affirmed = True
-            break
-        b.act(EventKind.NPC_PROMPT_ANSWERED, {"prompt_index": index, "yes": False})
-    if affirmed and task.polarity is PmPolarity.POSITIVE:
+        yes_probs = (p.attention_false_alarm_prob,) * len(p.prompt_yield_probs)
+    while state.armed_to is None and not state.awaiting_choice:
+        index = state.prompt_depth[task.task_id]
+        b.act(EventKind.NPC_PROMPT_ANSWERED,
+              {"prompt_index": index, "yes": _bernoulli(b.rng, yes_probs[index - 1])})
+    if state.awaiting_choice:
         b.act(EventKind.NPC_ITEM_CHOSEN, {"choice": _npc_choice(b)})
-    if affirmed and scene_id in EVENT_SCENES[EventKind.KEYS_GIVEN]:
+    if (state.npc_affirmed_at[task.task_id]
+            and scene_id in EVENT_SCENES[EventKind.KEYS_GIVEN]):
         b.act(EventKind.KEYS_GIVEN)
     b.exit_scene(duration_ms)
 
@@ -536,7 +536,9 @@ def _scene_finale(b: _SessionBuilder, duration_ms: int) -> None:
                       at_offset_ms=offset_ms + min(b.latency_ms(), 9_000))
                 took = True
                 break
-    final_offset = duration_ms if took or duration_ms > 95_000 else 95_000
+    # unless it was taken, the final button waits 5 s past the last reminder
+    final_offset = (duration_ms if took
+                    else max(duration_ms, FINALE_PROMPT_OFFSETS_MS[-1] + 5_000))
     b.act(EventKind.FINAL_BUTTON_PRESSED, at_offset_ms=final_offset)
     b.exit_scene(duration_ms)
 

@@ -14,6 +14,7 @@ error is around 1e-13, asserted below 1e-8).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,6 +27,9 @@ SPOT_CHECKS = 1_000
 SPOT_RTOL = 1e-8
 
 
+# Deterministic (the spot checks draw from a fixed seed), so a grid that two
+# tests share is computed once per test session.
+@functools.cache
 def oracle_bf10_a_less(t: float, n: int, prior_scale: float = 0.707) -> float:
     """BF10 for the alternative mean(b - a) > 0, fixed-grid quadrature."""
     df = n - 1

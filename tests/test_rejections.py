@@ -10,10 +10,8 @@ each one ends in, or ``accepted`` when it scores.  A change to the parser or
 the engine that keeps behaviour keeps the digest.
 
 The engine corruptions reach every ``InvalidEvent`` branch of
-``scenario._apply`` that a parsed log can reach.  Two cannot: "tutorial
-already completed" (a completed tutorial has resolved its scene, so the
-"already resolved" check fires first) and ``OutOfOrderEvent`` (the parser
-rejects a time regression before the engine sees it).
+``scenario._apply`` that a parsed log can reach.  ``OutOfOrderEvent`` cannot
+be reached: the parser rejects a time regression before the engine sees it.
 """
 
 from __future__ import annotations

@@ -478,6 +478,9 @@ _BAD_EVENTS = [
     ({"kind": EventKind.COOKING_ITEM_PLACED, "scene": 6,
       "payload": {"item": "kettle", "cook_time_s": np.float64("inf")}}, ValueError,
      "CookingItemPlaced.cook_time_s must be finite"),
+    ({"kind": "SceneEntered"}, TypeError, "kind must be an EventKind, not str"),
+    ({"kind": "bogus"}, TypeError, "kind must be an EventKind, not str"),
+    ({"seq": -1, "kind": "SceneEntered"}, TypeError, "kind must be an EventKind, not str"),
 ]
 
 
@@ -803,7 +806,7 @@ class TestNoPerEventEnumReads:
         scenario._on_npc_prompt_answered,
         scenario._on_list_board_item,
         scenario._on_item_grabbed,
-        scenario._on_checkout,
+        scenario._on_resolving_event,
         scenario._on_session_end,
         sessionlog.derive_telemetry,
         simulate._SessionBuilder._emit,

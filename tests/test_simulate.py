@@ -9,8 +9,13 @@ import pytest
 
 from errandlab import simulate
 from errandlab.config import ConfigError, config_hash, default_config
-from errandlab.scenario import replay
-from errandlab.scenario import SCENES_BY_ID
+from errandlab.scenario import (
+    NEVER_DONE_DEPTH,
+    PM_TASKS,
+    SCENES_BY_ID,
+    EventKind,
+    replay,
+)
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
 from errandlab.sessionlog import derive_telemetry, serialize_log
 from errandlab.simulate import (
@@ -169,6 +174,39 @@ class TestNullProfile:
     def test_attention_floors(self, scorecard):
         assert scorecard.visual.points == 0
         assert scorecard.auditory.points == 0
+
+
+class TestLadderFromSceneTable:
+    """The engine and the simulator read each reminder ladder's length from
+    the scene table: with two-prompt scripts in scenes 6, 8, 10 and 16, every
+    preset still plays out to a log that scores."""
+
+    @pytest.fixture
+    def two_prompt_ladders(self, monkeypatch):
+        for sid in (6, 8, 10, 16):
+            task = PM_TASKS[sid]
+            cascade = dataclasses.replace(task.cascade,
+                                          prompt_texts=task.cascade.prompt_texts[:2])
+            monkeypatch.setitem(PM_TASKS, sid, dataclasses.replace(task, cascade=cascade))
+
+    @pytest.mark.parametrize("preset", sorted(PROFILE_PRESETS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_preset_scores(self, two_prompt_ladders, config, preset, seed):
+        log = simulate_session(PROFILE_PRESETS[preset](), seed=seed, config=config)
+        aggregate_scorecard(log, config)
+        for event in log.events:
+            if event.kind is EventKind.NPC_PROMPT_ANSWERED and event.scene in (10, 16):
+                assert event.payload["prompt_index"] <= 2
+
+    def test_null_profile_never_acts(self, two_prompt_ladders, config):
+        log = simulate_session(null_profile(), seed=1, config=config)
+        card = aggregate_scorecard(log, config)
+        for task_id in ("take_medication", "remove_pie"):
+            assert card.pm[task_id].prompt_depth == NEVER_DONE_DEPTH == 4
+            assert card.pm[task_id].points == 0
+        presses = [e for e in log.events if e.scene == 6
+                   and e.kind is EventKind.FINAL_BUTTON_PRESSED]
+        assert len(presses) == 3  # two prompts, then the scene ends
 
 
 class TestCohort:
