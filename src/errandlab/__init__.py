@@ -96,8 +96,8 @@ from .vrnq import (
 _BAYES_NAMES = frozenset({
     "BayesComparison", "DegenerateSample", "Direction", "EvidenceBand",
     "IntegrationFailure", "PairedSample", "TTestResult", "bf10_directional",
-    "classify_evidence", "compare_paired", "evidence_stars", "nct_logpdf",
-    "paired_t",
+    "classify_evidence", "compare_paired", "compare_paired_columns",
+    "evidence_stars", "nct_logpdf", "paired_t",
 })
 
 

@@ -38,14 +38,18 @@ r^2, 1e-6)`` lies near the integrand's peak.  ``x`` in [0, 1] is cut at a
 geometric grid from ``r^2 / (4 split)`` to 1 and at three points below that
 grid; ``x >= 1`` is integrated in ``s = 1/x`` on (0, 1], where the integrand
 is smooth up to ``s = 0``.  Each piece gets QUADPACK's 21-point Gauss-Kronrod rule
-(Piessens et al. 1983, *QUADPACK*, dqk21), evaluated on numpy arrays: one
-``stdtr`` call covers every node of a round.  A piece's error estimate is
+(Piessens et al. 1983, *QUADPACK*, dqk21), evaluated on numpy arrays.  The
+columns of one comparison (the total and each domain) are integrated
+together, each piece tagged with its column: one ``stdtr`` call covers
+every node of every column in a round.  A piece's error estimate is
 dqk21's: ``|K21 - G10|``, scaled by how far the integrand strays from its
 mean over the piece, and never below 50 machine epsilons times the piece's
-integral.  Rounds bisect every piece whose estimate exceeds its equal share
-of ``1e-9 * |value|`` until the pieces' estimates sum below that; the
-reported relative error is that sum over the value.  On ordinary inputs the
-first round converges and the estimate reads about 1e-14, the floor.
+integral.  Each column converges on its own: rounds bisect every piece whose
+estimate exceeds its equal share of ``1e-9 * |value|`` of its column, until
+the column's estimates sum below that, within a budget of pieces per column;
+the reported relative error is that sum over the value.  A column's result,
+or its failure, is the one it has when integrated alone.  On ordinary inputs
+the first round converges and the estimate reads about 1e-14, the floor.
 
 :func:`nct_logpdf` is an authored noncentral t log-density, kept as a public
 building block; the Bayes factor does not use it.
@@ -71,7 +75,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln, stdtr
@@ -299,52 +303,210 @@ def paired_t(sample: PairedSample, direction: Direction = Direction.A_LESS) -> T
 # Bayes factor
 
 
-def _gk21(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gk21(f, lo: np.ndarray, hi: np.ndarray,
+          col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """GK21 estimates of the integral of a non-negative ``f`` over each
-    [lo, hi], and their QUADPACK error estimates; ``f`` maps arrays."""
+    [lo, hi], their QUADPACK error estimates, and whether ``f`` was in range
+    at every node.  ``f(u, col)`` maps nodes, one row per interval, and each
+    interval's column to the values there and to that flag per row."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    values = f(center[:, None] + half[:, None] * _NODES)
-    kronrod = values @ _KRONROD
-    error = np.abs(kronrod - values @ _GAUSS)
+    values, in_range = f(center[:, None] + half[:, None] * _NODES, col)
+    # row sums by einsum, not @: a BLAS product can round a row differently
+    # with the number of rows, and no column may depend on the others
+    kronrod = np.einsum("ij,j->i", values, _KRONROD)
+    error = np.abs(kronrod - np.einsum("ij,j->i", values, _GAUSS))
     # dqk21 scales |K - G| by how far f strays from its mean, and floors the
     # result at 50 eps times the integral of |f|, which is K here
-    spread = np.abs(values - 0.5 * kronrod[:, None]) @ _KRONROD
+    spread = np.einsum("ij,j->i", np.abs(values - 0.5 * kronrod[:, None]), _KRONROD)
     scaled = spread * np.minimum(
         1.0, (200.0 * error / np.where(spread > 0.0, spread, 1.0)) ** 1.5)
     error = np.maximum(np.where(spread > 0.0, scaled, error),
                        50.0 * sys.float_info.epsilon * kronrod)
-    return kronrod * half, error * half
+    return kronrod * half, error * half, in_range
 
 
-def _adaptive_gk21(f, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
-    """The integral of a non-negative ``f`` over the intervals [lo, hi], and
-    its error estimate, to a relative error of _EPSREL.
+def _adaptive_gk21(f, lo: np.ndarray, hi: np.ndarray, col: np.ndarray,
+                   out_of_range: str) -> tuple[np.ndarray, np.ndarray, list[Optional[str]]]:
+    """The integrals of non-negative integrands, one per column, over the
+    intervals [lo, hi] of their column ``col`` (0, 1, ...), the integrals'
+    error estimates, and each column's failure message or None.
 
-    Each round bisects, all at once, every interval whose error estimate
-    exceeds its equal share of the allowed error.  Raises
-    :class:`IntegrationFailure` past _MAX_INTERVALS intervals.
+    Each column is refined to a relative error of _EPSREL on its own: each
+    round bisects, all at once, every interval of an unconverged column whose
+    error estimate exceeds its equal share of that column's allowed error.
+    A column fails with ``out_of_range`` once ``f`` is out of range on one of
+    its intervals, or past _MAX_INTERVALS intervals, and is then left as it
+    is.  A column whose value is NaN counts as converged, for the caller.
     """
-    parts, errors = _gk21(f, lo, hi)
+    columns = int(col.max()) + 1
+    failures: list[Optional[str]] = [None] * columns
+    refining = np.ones(columns, dtype=bool)
+    parts, errors, in_range = _gk21(f, lo, hi, col)
+    new_col = col
     while True:
-        value = float(np.sum(parts))
-        error = float(np.sum(errors))
-        if not error > _EPSREL * value:  # converged, or NaN for the caller
-            return value, error
-        bisect = errors > _EPSREL * value / len(parts)
-        if len(parts) + np.count_nonzero(bisect) > _MAX_INTERVALS:
-            raise IntegrationFailure(
-                f"quadrature did not converge: {error / value:.3e} relative "
-                f"error left after {len(parts)} subintervals")
+        if not in_range.all():
+            for j in np.unique(new_col[~in_range]):
+                failures[j] = out_of_range
+                refining[j] = False
+        value = np.bincount(col, parts, columns)
+        error = np.bincount(col, errors, columns)
+        refining &= error > _EPSREL * value
+        if not refining.any():
+            return value, error, failures
+        intervals = np.bincount(col, minlength=columns)
+        bisect = refining[col] & (errors > (_EPSREL * value / intervals)[col])
+        grown = intervals + np.bincount(col[bisect], minlength=columns)
+        for j in np.flatnonzero(refining & (grown > _MAX_INTERVALS)):
+            failures[j] = (
+                f"quadrature did not converge: {error[j] / value[j]:.3e} relative "
+                f"error left after {intervals[j]} subintervals")
+            refining[j] = False
+            bisect &= col != j
+        if not bisect.any():
+            return value, error, failures
         keep = ~bisect
         mid = 0.5 * (lo[bisect] + hi[bisect])
         new_lo = np.concatenate((lo[bisect], mid))
         new_hi = np.concatenate((mid, hi[bisect]))
-        new_parts, new_errors = _gk21(f, new_lo, new_hi)
+        new_col = np.concatenate((col[bisect], col[bisect]))
+        new_parts, new_errors, in_range = _gk21(f, new_lo, new_hi, new_col)
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
+        col = np.concatenate((col[keep], new_col))
         parts = np.concatenate((parts[keep], new_parts))
         errors = np.concatenate((errors[keep], new_errors))
+
+
+# the integrand is evaluated quietly near the edge of double range: a value
+# that overflows there fails a check below, and no warning escapes
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _bf10_columns(ts: Sequence[float], n: int, prior_scale: float,
+                  direction: Direction) -> list[tuple[float, float]]:
+    """BF10 and the integrator's relative error estimate for each paired t
+    statistic in ``ts`` (at least one), all of ``n`` pairs, integrated
+    together.
+
+    Each column's result, or failure, is the one it would have alone; the
+    :class:`IntegrationFailure` raised is that of the first failing column.
+    """
+    if not all(map(math.isfinite, ts)):
+        raise ValueError("t must be finite")
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if not (math.isfinite(prior_scale) and prior_scale > 0):
+        raise ValueError("prior_scale must be positive")
+    # the integral over g described in the module docstring
+    sign = _SKEW_SIGN[direction]
+    nu = n - 1.0
+    r2 = prior_scale * prior_scale
+    if not sys.float_info.min <= r2 <= sys.float_info.max:
+        raise IntegrationFailure(
+            f"prior_scale = {prior_scale:g} squared is outside the normal double range")
+    t = np.array(ts, dtype=float)
+    # the smooth factor peaks in [r^2/4, max(t^2/n, r^2/3)], so this split
+    # keeps the adaptive rule from stepping over the mass near the peak
+    split = np.maximum(np.maximum(t * t / n, r2), 1e-6)
+    # the skew factor moves monotonically in g towards this limit, which is
+    # its smallest value in the opposed direction; a limit below the normal
+    # double range would leave subnormal, imprecise tail values
+    tail_limit = 2.0 * stdtr(nu + 1.0, sign * t * math.sqrt((nu + 1.0) / nu))
+    # a column that fails here is the last one integrated: the ones after it
+    # cannot change which failure is raised
+    count = 0
+    first_failure = None
+    for column_t, column_split, limit in zip(ts, split, tail_limit):
+        if not math.isfinite(column_split):
+            first_failure = f"t = {column_t:g} is beyond double range"
+            break
+        if limit < sys.float_info.min:
+            first_failure = f"the one-sided tail at t = {column_t:g} is below double range"
+            break
+        count += 1
+    if not count:
+        raise IntegrationFailure(first_failure)
+
+    # t_nu(z) / t_nu(t) = ((nu + z^2) / (nu + t^2))^-(nu+1)/2, and that ratio
+    # is b + a / omega^2 = 1 - a n g / omega^2 with a + b = 1.  Its log is
+    # taken from the sum of positive terms when a is near 1, and through
+    # log1p when a is small, where the ratio is near 1 and the power large
+    t, split = t[:count], split[:count]
+    a = t * t / (nu + t * t)
+    b = nu / (nu + t * t)
+    log_norm = math.log(prior_scale) - 0.5 * math.log(2.0 * math.pi)
+
+    def log_smooth(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # a and b are those of each g's column
+        ng = n * g
+        omega2 = 1.0 + ng
+        log_ratio = np.where(a > 0.5, np.log(b + a / omega2),
+                             np.log1p(-a * ng / omega2))
+        return (log_norm - 1.5 * np.log(g) - 0.5 * r2 / g
+                - 0.5 * np.log(omega2) - 0.5 * (nu + 1.0) * log_ratio)
+
+    # each column's geometric grid x = g / split over [r^2/4 / split, 1]; its
+    # integrand is evaluated relative to the peak of its smooth factor there,
+    # and the skew factor lies in [0, 2], so no value can overflow
+    grids = []
+    for column_split in split:
+        span = math.log(column_split) - math.log(0.25 * r2)
+        steps = min(int(span / _GRID_STEP) + 1, _MAX_GRID_STEPS)
+        grids.append(np.exp(-span / steps * np.arange(steps, -1, -1)))
+    sizes = [len(grid) for grid in grids]
+    grid_col = np.repeat(np.arange(count), sizes)
+    peak = np.maximum.reduceat(
+        log_smooth(split[grid_col] * np.concatenate(grids), a[grid_col], b[grid_col]),
+        np.cumsum([0] + sizes[:-1]))
+    columns = np.array((split, t, a, b, peak))
+    limit_ng = 0.5 * sys.float_info.max / n
+
+    def integrand(u: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the split, t, a, b and peak of each node's column
+        split, t, a, b, peak = columns[:, col, None]
+        # u < 1 is x itself; u > 1 is s = 1/x = 2 - u, with dx = ds / s^2
+        upper = u > 1.0
+        x = np.where(upper, 1.0 / (2.0 - u), u)
+        ng = n * split * x
+        values = np.exp(log_smooth(split * x, a, b) - peak) * np.where(upper, x * x, 1.0)
+        if sign:
+            z = t / np.sqrt(1.0 + ng)
+            values *= 2.0 * stdtr(nu + 1.0,
+                                  sign * z * np.sqrt(ng * (nu + 1.0) / (nu + z * z)))
+        # n g (nu + 1) above must be finite, and n g in log_smooth, which
+        # rounds its own product; past that the integral would lose mass
+        return values, np.all(ng <= limit_ng, axis=1)
+
+    # the grid's points break [0, 1], and so do three more below it, where
+    # the prior's exp(-r^2 / 2g) falls from e^-2 to e^-16 and the rule would
+    # otherwise bisect; [1, 2] in u is all of x >= 1.  Near the edge of
+    # double range n g overflows in the peak's grid too, quietly: the
+    # integrand is then out of range on its first call
+    edges = [np.concatenate(([0.0], grid[0] * _BELOW_GRID, grid, [2.0]))
+             for grid in grids]
+    value, error, failures = _adaptive_gk21(
+        integrand, np.concatenate([e[:-1] for e in edges]),
+        np.concatenate([e[1:] for e in edges]),
+        np.repeat(np.arange(count), [size + 4 for size in sizes]),
+        f"prior_scale = {prior_scale:g} is too large for n = {n}: "
+        f"n g overflows in the integral")
+    results = []
+    for j, failure in enumerate(failures):
+        if failure is not None:
+            raise IntegrationFailure(failure)
+        if value[j] <= 0.0 or not math.isfinite(value[j]):
+            raise IntegrationFailure("alternative marginal is not positive")
+        log_bf = float(peak[j]) + math.log(split[j]) + math.log(value[j])
+        if log_bf > _LOG_MAX:
+            raise IntegrationFailure(
+                f"bf10 = exp({log_bf:.6g}) is beyond double range")
+        rel_err = float(error[j] / value[j])
+        if not math.isfinite(rel_err) or rel_err > 1e-6:
+            raise IntegrationFailure(
+                f"relative error {rel_err:.3e} exceeds 1e-6")
+        results.append((math.exp(log_bf), rel_err))
+    if first_failure is not None:
+        raise IntegrationFailure(first_failure)
+    return results
 
 
 def bf10_directional(t: float, n: int, prior_scale: float = DEFAULT_PRIOR_SCALE,
@@ -364,93 +526,8 @@ def bf10_directional_with_error(
         t: float, n: int, prior_scale: float = DEFAULT_PRIOR_SCALE,
         direction: Direction = Direction.A_LESS) -> tuple[float, float]:
     """BF10 plus the integrator's relative error estimate."""
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not (math.isfinite(prior_scale) and prior_scale > 0):
-        raise ValueError("prior_scale must be positive")
-    # the integral over g described in the module docstring
-    sign = _SKEW_SIGN[direction]
-    nu = n - 1.0
-    r2 = prior_scale * prior_scale
-    if not sys.float_info.min <= r2 <= sys.float_info.max:
-        raise IntegrationFailure(
-            f"prior_scale = {prior_scale:g} squared is outside the normal double range")
-    # the smooth factor peaks in [r^2/4, max(t^2/n, r^2/3)], so this split
-    # keeps the adaptive rule from stepping over the mass near the peak
-    split = max(t * t / n, r2, 1e-6)
-    if not math.isfinite(split):
-        raise IntegrationFailure(f"t = {t:g} is beyond double range")
-    # the skew factor moves monotonically in g towards this limit, which is
-    # its smallest value in the opposed direction; a limit below the normal
-    # double range would leave subnormal, imprecise tail values
-    tail_limit = 2.0 * stdtr(nu + 1.0, sign * t * math.sqrt((nu + 1.0) / nu))
-    if tail_limit < sys.float_info.min:
-        raise IntegrationFailure(
-            f"the one-sided tail at t = {t:g} is below double range")
-
-    # t_nu(z) / t_nu(t) = ((nu + z^2) / (nu + t^2))^-(nu+1)/2, and that ratio
-    # is b + a / omega^2 = 1 - a n g / omega^2 with a + b = 1.  Its log is
-    # taken from the sum of positive terms when a is near 1, and through
-    # log1p when a is small, where the ratio is near 1 and the power large
-    a = t * t / (nu + t * t)
-    b = nu / (nu + t * t)
-    log_norm = math.log(prior_scale) - 0.5 * math.log(2.0 * math.pi)
-
-    def log_smooth(g: np.ndarray) -> np.ndarray:
-        ng = n * g
-        omega2 = 1.0 + ng
-        log_ratio = (np.log(b + a / omega2) if a > 0.5
-                     else np.log1p(-a * ng / omega2))
-        return (log_norm - 1.5 * np.log(g) - 0.5 * r2 / g
-                - 0.5 * np.log(omega2) - 0.5 * (nu + 1.0) * log_ratio)
-
-    # a geometric grid x = g / split over [r^2/4 / split, 1]; the integrand
-    # is evaluated relative to the peak of its smooth factor there, and the
-    # skew factor lies in [0, 2], so no value can overflow
-    span = math.log(split) - math.log(0.25 * r2)
-    steps = min(int(span / _GRID_STEP) + 1, _MAX_GRID_STEPS)
-    grid = np.exp(-span / steps * np.arange(steps, -1, -1))
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        # u < 1 is x itself; u > 1 is s = 1/x = 2 - u, with dx = ds / s^2
-        upper = u > 1.0
-        x = np.where(upper, 1.0 / (2.0 - u), u)
-        ng = n * split * x
-        # n g (nu + 1) below must be finite, and n g in log_smooth, which
-        # rounds its own product; past that the integral would lose mass
-        if not ng.max() <= 0.5 * sys.float_info.max / n:
-            raise IntegrationFailure(
-                f"prior_scale = {prior_scale:g} is too large for n = {n}: "
-                f"n g overflows in the integral")
-        values = np.exp(log_smooth(split * x) - peak) * np.where(upper, x * x, 1.0)
-        if sign:
-            z = t / np.sqrt(1.0 + ng)
-            values *= 2.0 * stdtr(nu + 1.0,
-                                  sign * z * np.sqrt(ng * (nu + 1.0) / (nu + z * z)))
-        return values
-
-    # the grid's points break [0, 1], and so do three more below it, where
-    # the prior's exp(-r^2 / 2g) falls from e^-2 to e^-16 and the rule would
-    # otherwise bisect; [1, 2] in u is all of x >= 1.  Near the edge of
-    # double range n g overflows in the peak's grid too, quietly: the
-    # integrand then raises IntegrationFailure on its first call
-    edges = np.concatenate(([0.0], grid[0] * _BELOW_GRID, grid, [2.0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        peak = float(np.max(log_smooth(split * grid)))
-        value, error = _adaptive_gk21(integrand, edges[:-1], edges[1:])
-    if value <= 0.0 or not math.isfinite(value):
-        raise IntegrationFailure("alternative marginal is not positive")
-    log_bf = peak + math.log(split) + math.log(value)
-    if log_bf > _LOG_MAX:
-        raise IntegrationFailure(
-            f"bf10 = exp({log_bf:.6g}) is beyond double range")
-    rel_err = error / value
-    if not math.isfinite(rel_err) or rel_err > 1e-6:
-        raise IntegrationFailure(
-            f"relative error {rel_err:.3e} exceeds 1e-6")
-    return math.exp(log_bf), rel_err
+    [result] = _bf10_columns((t,), n, prior_scale, direction)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +594,48 @@ def compare_paired(a: Sequence[float], b: Sequence[float], *,
                    direction: Direction = Direction.A_LESS,
                    prior_scale: float = DEFAULT_PRIOR_SCALE,
                    label: str = "") -> BayesComparison:
-    """Full paired comparison: t, direction-matched p, BF10, band, stars."""
-    sample = PairedSample(a=tuple(map(float, a)), b=tuple(map(float, b)))
-    result = paired_t(sample, direction)
-    bf10, rel_err = bf10_directional_with_error(
-        result.t, len(sample.a), prior_scale, direction)
-    return BayesComparison(
-        label=label, direction=direction, n=len(sample.a),
-        t=result.t, df=result.df, p=result.p,
-        bf10=bf10, bf10_rel_err=rel_err,
-        band=classify_evidence(bf10), stars=evidence_stars(bf10),
-        prior_scale=prior_scale)
+    """Full paired comparison: t, direction-matched p, BF10, band, stars.
+
+    Raises :class:`DegenerateSample` when the differences have zero
+    variance.
+    """
+    comparison = compare_paired_columns(
+        {label: (a, b)}, direction=direction, prior_scale=prior_scale)[label]
+    if comparison is None:
+        raise DegenerateSample("all paired differences are identical")
+    return comparison
+
+
+def compare_paired_columns(
+        columns: Mapping[str, tuple[Sequence[float], Sequence[float]]], *,
+        direction: Direction = Direction.A_LESS,
+        prior_scale: float = DEFAULT_PRIOR_SCALE) -> dict[str, Optional[BayesComparison]]:
+    """:func:`compare_paired` for each labelled ``(a, b)`` column of the same
+    pairs, or None for a column whose differences are all equal.
+
+    The Bayes factors of all columns are integrated together, and each keeps
+    its own error estimate.  Raises the :class:`IntegrationFailure` of the
+    first column whose Bayes factor fails.
+    """
+    samples = {label: PairedSample(a=tuple(map(float, a)), b=tuple(map(float, b)))
+               for label, (a, b) in columns.items()}
+    sizes = {len(sample.a) for sample in samples.values()}
+    if len(sizes) > 1:
+        raise ValueError("paired columns must have the same number of pairs")
+    tests: dict[str, TTestResult] = {}
+    for label, sample in samples.items():
+        try:
+            tests[label] = paired_t(sample, direction)
+        except DegenerateSample:
+            pass
+    comparisons: dict[str, Optional[BayesComparison]] = dict.fromkeys(samples)
+    if not tests:
+        return comparisons
+    [n] = sizes
+    factors = _bf10_columns([test.t for test in tests.values()], n, prior_scale, direction)
+    for (label, test), (bf10, rel_err) in zip(tests.items(), factors):
+        comparisons[label] = BayesComparison(
+            label=label, direction=direction, n=n, t=test.t, df=test.df, p=test.p,
+            bf10=bf10, bf10_rel_err=rel_err, band=classify_evidence(bf10),
+            stars=evidence_stars(bf10), prior_scale=prior_scale)
+    return comparisons

@@ -304,12 +304,15 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
     direction = bayes.Direction(args.direction)
     columns = _paired_columns(baseline, revised, mapping)
 
+    try:
+        comparisons = bayes.compare_paired_columns(
+            columns, direction=direction, prior_scale=args.prior_scale)
+    except bayes.IntegrationFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     rows: list[dict[str, Any]] = []
-    for name, (col_a, col_b) in columns.items():
-        try:
-            cmp_result = bayes.compare_paired(
-                col_a, col_b, direction=direction,
-                prior_scale=args.prior_scale, label=name)
+    for name, cmp_result in comparisons.items():
+        if cmp_result is not None:
             rows.append({
                 "score": name, "n": cmp_result.n, "t": cmp_result.t,
                 "df": cmp_result.df, "p": cmp_result.p,
@@ -317,15 +320,13 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
                 "stars": cmp_result.stars, "degenerate": False,
                 "bf10_rel_err": cmp_result.bf10_rel_err,
             })
-        except bayes.DegenerateSample:
+        else:
+            col_a = columns[name][0]
             rows.append({
                 "score": name, "n": len(col_a), "t": None, "df": len(col_a) - 1,
                 "p": None, "bf10": None, "band": None, "stars": "",
                 "degenerate": True, "bf10_rel_err": None,
             })
-        except bayes.IntegrationFailure as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
 
     hypothesis = {
         "less": "baseline < revised",

@@ -74,6 +74,7 @@ _FINALE_PROMPTS = (
 FINALE_PROMPT_OFFSETS_MS = (70_000, 80_000, 90_000)
 
 NEVER_DONE_DEPTH = 4  # the depth of a reminder task never done: past every ladder
+NOTES_INTENT_PROMPTS = 3  # the planning scene's notes-intent questions, asked in order
 
 
 class SceneKind(str, Enum):
@@ -670,8 +671,9 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
                 if sid not in FREE_RUNNING_SCENES:
                     raise InvalidEvent(f"scene {sid} is not finished")
                 # the planning scene's exit needs its prompts and its route
-                if sid in _ROUTE_SCENES and (state.notes_prompts_answered < 3
-                                             or not state.route_submitted):
+                if sid in _ROUTE_SCENES and (
+                        state.notes_prompts_answered < NOTES_INTENT_PROMPTS
+                        or not state.route_submitted):
                     raise InvalidEvent(f"scene {sid} tasks unfinished")
                 _resolve(state, effects)
             state.current_scene = state.armed_to
@@ -721,7 +723,7 @@ def _on_practice_attempt(state: SessionState, event: SessionEvent,
 def _on_notes_intent_answered(state: SessionState, event: SessionEvent,
                               effects: list[Effect], sid: int) -> None:
     expected = state.notes_prompts_answered + 1
-    if event.payload["prompt_index"] != expected or expected > 3:
+    if event.payload["prompt_index"] != expected or expected > NOTES_INTENT_PROMPTS:
         raise InvalidEvent(
             f"notes-intent prompt {event.payload['prompt_index']} "
             f"out of order (expected {expected})")

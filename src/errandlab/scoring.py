@@ -366,7 +366,7 @@ class PmOutcome:
 
 @dataclass(frozen=True)
 class TaskScorecard:
-    notes_intent: tuple[bool, bool, bool]
+    notes_intent: tuple[bool, ...]
     immediate_recognition: RecognitionScore
     planning: PlanningScore
     cooking: dict[str, CookingItemScore]

@@ -22,6 +22,7 @@ from .scenario import (
     COOKING_ITEMS,
     EVENT_SCENES,
     EventKind,
+    NOTES_INTENT_PROMPTS,
     ROUTE_IDEAL_UNITS,
     SCENES_BY_ID,
     SHOPPING_LIST_LENGTH,
@@ -285,7 +286,7 @@ class Telemetry:
     practice_attempts: dict[int, int] = field(default_factory=dict)
     notes_views: dict[int, NotesUsage] = field(default_factory=dict)
     task_time_s: dict[str, float] = field(default_factory=dict)
-    notes_intent: tuple[bool, bool, bool] = (False, False, False)
+    notes_intent: tuple[bool, ...] = (False,) * NOTES_INTENT_PROMPTS
     total_time_s: float = 0.0
 
 
@@ -349,10 +350,10 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
         notes_views[scene_id] = NotesUsage(
             opens=len(opened), total_open_s=open_ms / 1000.0)
 
-    intent = [False, False, False]
+    intent = [False] * NOTES_INTENT_PROMPTS
     for event in groups.get(_NOTES_INTENT_KEY, []):
         index = event.payload["prompt_index"]
-        if 1 <= index <= 3:
+        if 1 <= index <= NOTES_INTENT_PROMPTS:
             intent[index - 1] = bool(event.payload["yes"])
 
     total_s = log.events[-1].sim_time_ms / 1000.0 if log.events else 0.0
@@ -362,7 +363,7 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
         practice_attempts=attempts,
         notes_views=notes_views,
         task_time_s=task_time,
-        notes_intent=(intent[0], intent[1], intent[2]),
+        notes_intent=tuple(intent),
         total_time_s=total_s,
     )
 

@@ -44,6 +44,7 @@ from .scenario import (
     EventKind,
     FINALE_PROMPT_OFFSETS_MS,
     GATED_SCENES,
+    NOTES_INTENT_PROMPTS,
     NPC_SCENES,
     NpcChoice,
     PM_TASKS,
@@ -371,7 +372,7 @@ def _recognition_pick(b: _SessionBuilder, kind: EventKind, payload_key: str) -> 
 
 def _scene_planning(b: _SessionBuilder, duration_ms: int) -> None:
     p = b.profile
-    for index in range(1, 4):
+    for index in range(1, NOTES_INTENT_PROMPTS + 1):
         b.act(EventKind.NOTES_INTENT_ANSWERED,
               {"prompt_index": index, "yes": _bernoulli(b.rng, p.notes_use_prob)})
     _recognition_pick(b, EventKind.ITEM_SELECTED, "item")

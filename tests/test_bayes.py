@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import sys
@@ -25,6 +26,7 @@ from errandlab.bayes import (
     bf10_directional_with_error,
     classify_evidence,
     compare_paired,
+    compare_paired_columns,
     evidence_stars,
     nct_logpdf,
     paired_t,
@@ -416,6 +418,78 @@ class TestQuadratureShape:
         monkeypatch.setattr(errandlab.bayes, "stdtr", counted)
         bf10_directional(t, n, direction=direction)
         assert len(calls) <= (1 if direction is Direction.TWO_SIDED else 3)
+
+
+class TestColumnsIntegratedTogether:
+    """A comparison integrates all its columns in one pass; each column's
+    result, or the failure raised for it, is the one it has alone."""
+
+    # t values whose Bayes factors fail at each stage for some n
+    _EXTREME_T = (45.0, -45.0, 1e4, 1e50, 1e80, 1e100, 1e200, 5e-324)
+
+    @staticmethod
+    def _alone(t, n, prior_scale, direction):
+        try:
+            return bf10_directional_with_error(t, n, prior_scale, direction)
+        except IntegrationFailure as exc:
+            return exc
+
+    @settings(max_examples=50, deadline=None)
+    @given(ts=st.lists(st.one_of(st.floats(min_value=-60, max_value=60),
+                                 st.sampled_from(_EXTREME_T)),
+                       min_size=1, max_size=5),
+           n=st.one_of(st.integers(min_value=2, max_value=200), st.just(5000)),
+           direction=st.sampled_from(Direction),
+           prior_scale=st.sampled_from((DEFAULT_PRIOR_SCALE, 0.1, 3.0, 1e150, 1.3e154)))
+    # at n = 5000, t = 45 leaves the opposed tail below double range, which
+    # is found before integrating, and t = -45 leaves bf10 beyond it, which
+    # is found after: whichever column comes first names the failure
+    @example(ts=[45.0, -45.0, 1.0], n=5000, direction=Direction.A_GREATER,
+             prior_scale=DEFAULT_PRIOR_SCALE)
+    @example(ts=[-45.0, 45.0, 1.0], n=5000, direction=Direction.A_GREATER,
+             prior_scale=DEFAULT_PRIOR_SCALE)
+    # two columns that run out of subintervals, with their own error left,
+    # beside one that converges
+    @example(ts=[2.0, 1e80, 1e100], n=2, direction=Direction.A_LESS,
+             prior_scale=DEFAULT_PRIOR_SCALE)
+    # two columns whose bf10 leave double range, each naming its own
+    @example(ts=[1.0, 1e80, 1e50], n=12, direction=Direction.A_LESS,
+             prior_scale=DEFAULT_PRIOR_SCALE)
+    def test_each_column_is_what_it_is_alone(self, ts, n, direction, prior_scale):
+        alone = [self._alone(t, n, prior_scale, direction) for t in ts]
+        failures = [result for result in alone if isinstance(result, IntegrationFailure)]
+        if failures:
+            with pytest.raises(IntegrationFailure) as info:
+                errandlab.bayes._bf10_columns(ts, n, prior_scale, direction)
+            assert str(info.value) == str(failures[0])
+            return
+        together = errandlab.bayes._bf10_columns(ts, n, prior_scale, direction)
+        assert len(together) == len(ts)
+        for (bf, rel_err), (bf_alone, rel_err_alone) in zip(together, alone):
+            assert bf == pytest.approx(bf_alone, rel=1e-12, abs=0.0)
+            assert rel_err == rel_err_alone
+
+    def test_columns_match_compare_paired(self):
+        rng = np.random.default_rng(5)
+        baseline = rng.normal(30, 2, size=(4, 15))
+        revised = baseline + rng.normal((0.0, 0.5, -1.0, 1.5), 1.0, size=(15, 4)).T
+        columns = {f"c{i}": (baseline[i], revised[i]) for i in range(4)}
+        columns["same"] = (baseline[0], baseline[0])
+        for direction in Direction:
+            together = compare_paired_columns(columns, direction=direction)
+            assert list(together) == list(columns)
+            assert together["same"] is None
+            for label in list(columns)[:-1]:
+                alone = compare_paired(*columns[label], direction=direction, label=label)
+                assert together[label].bf10 == pytest.approx(alone.bf10, rel=1e-12)
+                assert together[label] == dataclasses.replace(
+                    alone, bf10=together[label].bf10,
+                    bf10_rel_err=together[label].bf10_rel_err)
+
+    def test_columns_must_share_their_pairs(self):
+        with pytest.raises(ValueError, match="same number of pairs"):
+            compare_paired_columns({"a": ((1.0, 2.0, 4.0), (2.0, 2.0, 5.0)),
+                                    "b": ((1.0, 2.0), (3.0, 5.0))})
 
 
 class TestEvidenceBands:

@@ -348,6 +348,19 @@ class TestVrnqCompareCommand:
         assert code == 0
         assert "identical samples" in capsys.readouterr().out
 
+    def test_identical_cohorts_make_no_integration_call(self, tmp_path, monkeypatch,
+                                                        capsys):
+        def integrate(*args):
+            raise AssertionError("a degenerate column was integrated")
+
+        monkeypatch.setattr(errandlab.bayes, "_bf10_columns", integrate)
+        baseline, _ = self._paired_csvs(tmp_path, shift=20)
+        # a prior scale whose square underflows fails any integration
+        code = main(["vrnq", "compare", "--baseline", str(baseline),
+                     "--revised", str(baseline), "--prior-scale", "1e-300"])
+        assert code == 0
+        assert capsys.readouterr().out.count("identical samples") == 5
+
     def test_unmatched_ids_exit_5(self, tmp_path, capsys):
         baseline = _cohort_csv(tmp_path / "baseline.csv",
                                {"p1": 100, "p2": 104, "p3": 96})
@@ -438,7 +451,7 @@ class TestVrnqCompareCommand:
         def failing(*args, **kwargs):
             raise IntegrationFailure("quadrature did not converge")
 
-        monkeypatch.setattr(errandlab.bayes, "compare_paired", failing)
+        monkeypatch.setattr(errandlab.bayes, "compare_paired_columns", failing)
         baseline, revised = self._paired_csvs(tmp_path, shift=20)
         code = main(["vrnq", "compare", "--baseline", str(baseline),
                      "--revised", str(revised), "--out", str(tmp_path / "cmp")])
@@ -786,8 +799,8 @@ class TestBadInputFiles:
 _BAYES_NAMES = (
     "BayesComparison", "DegenerateSample", "Direction", "EvidenceBand",
     "IntegrationFailure", "PairedSample", "TTestResult", "bf10_directional",
-    "classify_evidence", "compare_paired", "evidence_stars", "nct_logpdf",
-    "paired_t",
+    "classify_evidence", "compare_paired", "compare_paired_columns",
+    "evidence_stars", "nct_logpdf", "paired_t",
 )
 
 
@@ -821,9 +834,10 @@ _PUBLIC_NAMES = (
     "SessionState", "TTestResult", "TaskScorecard", "Telemetry", "VrnqError",
     "VrnqResponseSet", "VrnqScores", "WrongSceneEvent", "advance",
     "aggregate_cohort", "aggregate_scorecard", "append_event", "bf10_directional",
-    "check_cutoffs", "classify_evidence", "compare_paired", "config_from_dict",
-    "config_hash", "config_to_dict", "default_config", "default_profile",
-    "derive_telemetry", "deserialize_log", "evidence_stars", "export_report",
+    "check_cutoffs", "classify_evidence", "compare_paired",
+    "compare_paired_columns", "config_from_dict", "config_hash", "config_to_dict",
+    "default_config", "default_profile", "derive_telemetry", "deserialize_log",
+    "evidence_stars", "export_report",
     "initial_state", "load_config", "load_profile", "log_from_events",
     "median_absolute_deviation", "nct_logpdf", "new_log", "null_profile",
     "paired_t", "perfect_profile", "practice_gate", "read_cohort_csv", "replay",
