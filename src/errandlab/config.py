@@ -22,8 +22,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from .scenario import (_MAX_CLOCK_MS, AUDITORY_STIMULUS_KINDS, SHOPPING_LIST_LENGTH,
-                       VISUAL_STIMULUS_KINDS, NpcChoice)
+from .scenario import (_MAX_CLOCK_MS, AUDITORY_STIMULUS_KINDS, LADDER_DEPTH,
+                       SHOPPING_LIST_LENGTH, VISUAL_STIMULUS_KINDS, NpcChoice)
 
 
 class ConfigError(Exception):
@@ -149,6 +149,7 @@ class ScoringConfig:
     # Simulated session length target, in seconds.
     session_target_s: float = 3732.0
 
+    # Validated and hashed into config_hash, but read by nothing: vrnq takes --domains.
     domain_mapping: Mapping[str, list[int]] = field(
         default_factory=lambda: {k: list(v) for k, v in DEFAULT_DOMAIN_MAPPING.items()})
 
@@ -193,14 +194,16 @@ class ScoringConfig:
                 f"overflow for a planning time in [0, {_MAX_PLANNING_S:.3g}] s")
         _check_points("band_points", self.band_points, set(BAND_NAMES),
                       f"band_points must cover exactly {BAND_NAMES}")
+        # keyed by the prompt affirmed at, or 0 for none
+        depths = [str(depth) for depth in range(LADDER_DEPTH + 1)]
         matrix = self.npc_positive_matrix
-        if not isinstance(matrix, Mapping) or set(matrix) != {"1", "2", "3"}:
-            raise ConfigError("npc_positive_matrix needs rows '1', '2', '3'")
+        if not isinstance(matrix, Mapping) or set(matrix) != set(depths[1:]):
+            raise ConfigError("npc_positive_matrix needs rows " + ", ".join(map(repr, depths[1:])))
         for row in matrix.values():
             _check_points("npc_positive_matrix", row, {c.value for c in NpcChoice},
                           "npc_positive_matrix rows need all four item categories")
-        _check_points("npc_negative_deductions", self.npc_negative_deductions,
-                      {"0", "1", "2", "3"}, "npc_negative_deductions needs keys '0'..'3'")
+        _check_points("npc_negative_deductions", self.npc_negative_deductions, set(depths),
+                      f"npc_negative_deductions needs keys '0'..'{LADDER_DEPTH}'")
         for value in self.npc_negative_deductions.values():
             if value > 0:
                 raise ConfigError("negative deductions cannot be positive")

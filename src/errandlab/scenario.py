@@ -70,10 +70,6 @@ _FINALE_PROMPTS = (
     "You Have to Take Your Meds",
 )
 
-# Scene 22 reminders fire at these absolute offsets from scene entry.
-FINALE_PROMPT_OFFSETS_MS = (70_000, 80_000, 90_000)
-
-NEVER_DONE_DEPTH = 4  # the depth of a reminder task never done: past every ladder
 NOTES_INTENT_PROMPTS = 3  # the planning scene's notes-intent questions, asked in order
 
 
@@ -120,7 +116,7 @@ class CascadeSpec:
 
     trigger: TriggerKind
     prompt_texts: tuple[str, ...]  # the ladder, one prompt per depth
-    timer_offsets_ms: Optional[tuple[int, ...]] = None
+    timer_offsets_ms: Optional[tuple[int, ...]] = None  # each prompt's, from scene entry
 
 
 @dataclass(frozen=True)
@@ -201,7 +197,7 @@ _SCENES: tuple[SceneDescriptor, ...] = (
         pm_task=PmTaskSpec(
             "evening_medication", 22, PmBasis.TIME_BASED, PmDelay.LONG, PmPolarity.POSITIVE,
             CascadeSpec(TriggerKind.TIMER, _FINALE_PROMPTS,
-                        timer_offsets_ms=FINALE_PROMPT_OFFSETS_MS))),
+                        timer_offsets_ms=(70_000, 80_000, 90_000)))),
 )
 
 SCENES_BY_ID: dict[int, SceneDescriptor] = {s.scene_id: s for s in _SCENES}
@@ -215,6 +211,9 @@ NPC_SCENES = frozenset(sid for sid, task in PM_TASKS.items()
                        if task.cascade.trigger is TriggerKind.NPC_DIALOGUE)
 TIMER_SCENES = frozenset(sid for sid, task in PM_TASKS.items()
                          if task.cascade.trigger is TriggerKind.TIMER)
+# the deepest reminder ladder's prompts; a task never done is past every ladder
+LADDER_DEPTH = max(len(task.cascade.prompt_texts) for task in PM_TASKS.values())
+NEVER_DONE_DEPTH = LADDER_DEPTH + 1
 
 
 def scene_sequence() -> tuple[SceneDescriptor, ...]:
@@ -501,6 +500,19 @@ def practice_gate(scene_id: int, targets_hit: int, distractors_hit: int) -> Gate
 
 
 @dataclass
+class SceneState:
+    """What only the entered scene reads; each ``SceneEntered`` makes a new one."""
+
+    practice_attempts: int = 0
+    notes_prompts_answered: int = 0
+    route_submitted: bool = False
+    note_open: bool = False
+    keys_given: bool = False
+    awaiting_choice: bool = False
+    taken: set[str] = field(default_factory=set)  # the scene's items or stimuli
+
+
+@dataclass
 class SessionState:
     """Everything the engine needs to validate the next event.
 
@@ -514,18 +526,8 @@ class SessionState:
     sim_clock_ms: int = 0
     completed: bool = False
     armed_to: Optional[int] = None
-
-    practice_attempts: dict[int, int] = field(default_factory=dict)
-
-    notes_prompts_answered: int = 0
-    route_selected: set[int] = field(default_factory=set)
-    route_submitted: bool = False
-    selections: set[str] = field(default_factory=set)
-    cooked_items: set[str] = field(default_factory=set)
-    spotted_ids: set[str] = field(default_factory=set)
-    note_open: bool = False
-    keys_given: bool = False
-    awaiting_choice: bool = False
+    scene: SceneState = field(default_factory=SceneState)
+    route_selected: set[int] = field(default_factory=set)  # kept for scoring
 
     # prompts shown per reminder task; a task is done iff pm_done_depth has it
     prompt_depth: dict[str, int] = field(default_factory=dict)
@@ -539,18 +541,6 @@ class SessionState:
 
 def initial_state() -> SessionState:
     return SessionState()
-
-
-def _reset_scene_fields(state: SessionState) -> None:
-    state.notes_prompts_answered = 0
-    state.route_selected = set()
-    state.route_submitted = False
-    state.selections = set()
-    state.cooked_items = set()
-    state.spotted_ids = set()
-    state.note_open = False
-    state.keys_given = False
-    state.awaiting_choice = False
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +643,7 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
         state.entered = True
         state.armed_to = None
         state.scene_entry_ms = event.sim_time_ms
-        _reset_scene_fields(state)
+        state.scene = SceneState()
         if sid in NPC_SCENES:
             _show_prompt(state, PM_TASKS[sid], effects)
         state.sim_clock_ms = event.sim_time_ms
@@ -672,8 +662,8 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
                     raise InvalidEvent(f"scene {sid} is not finished")
                 # the planning scene's exit needs its prompts and its route
                 if sid in _ROUTE_SCENES and (
-                        state.notes_prompts_answered < NOTES_INTENT_PROMPTS
-                        or not state.route_submitted):
+                        state.scene.notes_prompts_answered < NOTES_INTENT_PROMPTS
+                        or not state.scene.route_submitted):
                     raise InvalidEvent(f"scene {sid} tasks unfinished")
                 _resolve(state, effects)
             state.current_scene = state.armed_to
@@ -711,8 +701,8 @@ def _on_practice_attempt(state: SessionState, event: SessionEvent,
                                event.payload["distractors_hit"])
     except ValueError as exc:
         raise InvalidEvent(str(exc)) from exc
-    attempts = state.practice_attempts.get(sid, 0) + 1
-    state.practice_attempts[sid] = attempts
+    state.scene.practice_attempts += 1
+    attempts = state.scene.practice_attempts
     if result is GateResult.PASS:
         effects.append(PracticePassed(sid, attempts))
         _resolve(state, effects)
@@ -722,23 +712,23 @@ def _on_practice_attempt(state: SessionState, event: SessionEvent,
 
 def _on_notes_intent_answered(state: SessionState, event: SessionEvent,
                               effects: list[Effect], sid: int) -> None:
-    expected = state.notes_prompts_answered + 1
+    expected = state.scene.notes_prompts_answered + 1
     if event.payload["prompt_index"] != expected or expected > NOTES_INTENT_PROMPTS:
         raise InvalidEvent(
             f"notes-intent prompt {event.payload['prompt_index']} "
             f"out of order (expected {expected})")
-    state.notes_prompts_answered = expected
+    state.scene.notes_prompts_answered = expected
 
 
 def _on_list_board_item(state: SessionState, event: SessionEvent,
                         effects: list[Effect], sid: int) -> None:
     item = event.payload["item"]
-    if item in state.selections:
+    if item in state.scene.taken:
         raise InvalidEvent(f"item {item!r} already selected")
-    if len(state.selections) >= SHOPPING_LIST_LENGTH:
+    if len(state.scene.taken) >= SHOPPING_LIST_LENGTH:
         raise InvalidEvent(
             f"the list board holds {SHOPPING_LIST_LENGTH} items")
-    state.selections.add(item)
+    state.scene.taken.add(item)
 
 
 def _on_item_grabbed(state: SessionState, event: SessionEvent,
@@ -749,7 +739,7 @@ def _on_item_grabbed(state: SessionState, event: SessionEvent,
 
 def _on_route_unit_toggled(state: SessionState, event: SessionEvent,
                            effects: list[Effect], sid: int) -> None:
-    if state.route_submitted:
+    if state.scene.route_submitted:
         raise InvalidEvent("route already submitted")
     unit = event.payload["unit"]
     if not 1 <= unit <= ROUTE_UNIT_COUNT:
@@ -766,9 +756,9 @@ def _on_route_unit_toggled(state: SessionState, event: SessionEvent,
 
 def _on_route_submitted(state: SessionState, event: SessionEvent,
                         effects: list[Effect], sid: int) -> None:
-    if state.route_submitted:
+    if state.scene.route_submitted:
         raise InvalidEvent("route already submitted")
-    state.route_submitted = True
+    state.scene.route_submitted = True
 
 
 def _on_cooking_item_placed(state: SessionState, event: SessionEvent,
@@ -776,11 +766,11 @@ def _on_cooking_item_placed(state: SessionState, event: SessionEvent,
     item = event.payload["item"]
     if item not in COOKING_ITEMS:
         raise InvalidEvent(f"unknown cooking item {item!r}")
-    if item in state.cooked_items:
+    if item in state.scene.taken:
         raise InvalidEvent(f"{item} already placed on the worktop")
     if event.payload["cook_time_s"] < 0:
         raise InvalidEvent("cook_time_s must be non-negative")
-    state.cooked_items.add(item)
+    state.scene.taken.add(item)
 
 
 def _on_session_end(state: SessionState, event: SessionEvent,
@@ -792,21 +782,21 @@ def _on_session_end(state: SessionState, event: SessionEvent,
 
 def _on_note_opened(state: SessionState, event: SessionEvent,
                     effects: list[Effect], sid: int) -> None:
-    if state.note_open:
+    if state.scene.note_open:
         raise InvalidEvent("notes already open")
-    state.note_open = True
+    state.scene.note_open = True
 
 
 def _on_note_closed(state: SessionState, event: SessionEvent,
                     effects: list[Effect], sid: int) -> None:
-    if not state.note_open:
+    if not state.scene.note_open:
         raise InvalidEvent("notes are not open")
-    state.note_open = False
+    state.scene.note_open = False
 
 
 def _on_npc_prompt_answered(state: SessionState, event: SessionEvent,
                             effects: list[Effect], sid: int) -> None:
-    if state.awaiting_choice:
+    if state.scene.awaiting_choice:
         raise InvalidEvent("answer already given; choose an item")
     # the answer is to the prompt showing, the deepest one shown
     task = PM_TASKS[sid]
@@ -818,7 +808,7 @@ def _on_npc_prompt_answered(state: SessionState, event: SessionEvent,
     if event.payload["yes"]:
         state.npc_affirmed_at[task.task_id] = expected
         if task.polarity is _POSITIVE:
-            state.awaiting_choice = True
+            state.scene.awaiting_choice = True
         else:
             _resolve(state, effects)
     elif expected < len(task.cascade.prompt_texts):
@@ -833,14 +823,14 @@ _NPC_CHOICES = frozenset(c.value for c in NpcChoice)
 
 def _on_npc_item_chosen(state: SessionState, event: SessionEvent,
                         effects: list[Effect], sid: int) -> None:
-    if not state.awaiting_choice:
+    if not state.scene.awaiting_choice:
         raise InvalidEvent("no item board is showing")
     choice = event.payload["choice"]
     if choice not in _NPC_CHOICES:
         raise InvalidEvent(f"unknown board choice {choice!r}")
     task = PM_TASKS[sid]
     state.npc_choice[task.task_id] = choice
-    state.awaiting_choice = False
+    state.scene.awaiting_choice = False
     _resolve(state, effects)
 
 
@@ -852,9 +842,9 @@ def _on_poster_spotted(state: SessionState, event: SessionEvent,
     if event.payload["side"] not in SIDES:
         raise InvalidEvent(f"unknown side {event.payload['side']!r}")
     stim = event.payload["stimulus_id"]
-    if stim in state.spotted_ids:
+    if stim in state.scene.taken:
         raise InvalidEvent(f"stimulus {stim!r} already spotted")
-    state.spotted_ids.add(stim)
+    state.scene.taken.add(stim)
 
 
 def _on_sound_triggered(state: SessionState, event: SessionEvent,
@@ -868,35 +858,35 @@ def _on_sound_triggered(state: SessionState, event: SessionEvent,
         raise InvalidEvent(
             f"unknown response side {event.payload['response_side']!r}")
     stim = event.payload["stimulus_id"]
-    if stim in state.spotted_ids:
+    if stim in state.scene.taken:
         raise InvalidEvent(f"stimulus {stim!r} already recorded")
-    state.spotted_ids.add(stim)
+    state.scene.taken.add(stim)
 
 
 def _on_shopping_collected(state: SessionState, event: SessionEvent,
                            effects: list[Effect], sid: int) -> None:
     item = event.payload["item"]
-    if item in state.selections:
+    if item in state.scene.taken:
         raise InvalidEvent(f"item {item!r} already in the basket")
-    if len(state.selections) >= SHOPPING_LIST_LENGTH:
+    if len(state.scene.taken) >= SHOPPING_LIST_LENGTH:
         raise InvalidEvent(
             f"the basket holds {SHOPPING_LIST_LENGTH} items")
-    state.selections.add(item)
+    state.scene.taken.add(item)
 
 
 def _on_keys_given(state: SessionState, event: SessionEvent,
                    effects: list[Effect], sid: int) -> None:
-    if state.keys_given:
+    if state.scene.keys_given:
         raise InvalidEvent("keys already handed over")
-    state.keys_given = True
+    state.scene.keys_given = True
 
 
 def _on_item_stowed(state: SessionState, event: SessionEvent,
                     effects: list[Effect], sid: int) -> None:
     item = event.payload["item"]
-    if item in state.selections:
+    if item in state.scene.taken:
         raise InvalidEvent(f"item {item!r} already put away")
-    state.selections.add(item)
+    state.scene.taken.add(item)
 
 
 # Which event does what in which scene: each kind after entry maps the scenes

@@ -5,9 +5,10 @@ The scoring API is :func:`aggregate_scorecard`, :func:`score_session` and
 log through the scenario engine (rejecting anything the engine rejects), then
 :func:`score_session` looks each task up in :data:`~errandlab.scenario.TASKS`,
 reads the payloads of its input events from the log's (scene, kind) groups
-(:attr:`~errandlab.sessionlog.SessionLog.events_by_key`) and applies every
-private per-task scorer with the :class:`~errandlab.config.ScoringConfig` in
-force.  The simulator, which already holds the engine's final state, calls
+(:attr:`~errandlab.sessionlog.SessionLog.events_by_key`), the route and the
+reminders from the engine's final state, and applies every private per-task
+scorer with the :class:`~errandlab.config.ScoringConfig` in force.  The
+simulator, which already holds the engine's final state, calls
 :func:`score_session` directly.
 
 The scorers' inputs come from engine-accepted logs, so they read the payloads
@@ -426,11 +427,8 @@ def score_session(log: SessionLog, final_state: SessionState,
             payloads("auditory_attention"), config)
     except ScoringError as exc:
         raise MalformedLog(f"log content failed scoring validation: {exc}") from exc
-    # a unit is on the route if its last toggle selected it
-    last_toggle = {p["unit"]: p["selected"] for p in payloads("planning")}
-    planning = _score_planning(
-        [unit for unit, selected in last_toggle.items() if selected],
-        telemetry.task_time_s.get("planning", 0.0), config)
+    planning = _score_planning(final_state.route_selected,
+                               telemetry.task_time_s.get("planning", 0.0), config)
     cooking, cooking_total = _score_cooking(
         {p["item"]: p["cook_time_s"] for p in payloads("cooking")}, config)
 

@@ -314,6 +314,8 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
     the task windows of :data:`~errandlab.scenario.TASKS`, in name order, are
     defined on engine-accepted logs and their prefixes, where each scene is
     entered once, exited after its entry, and holds at most one open note.
+    A scene with more note closes than opens, or two or more opens over its
+    closes, is outside that domain and raises :class:`MalformedLog`.
     """
     groups = log.events_by_key
 
@@ -335,10 +337,13 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
 
     notes_views: dict[int, NotesUsage] = {}
     for scene_id, _, exited, _, opened_key, closed_key in _SCENE_KEYS:
-        opened = groups.get(opened_key)
-        if opened is None:
+        opened = groups.get(opened_key, ())
+        closed = groups.get(closed_key, ())
+        if len(opened) - len(closed) not in (0, 1):
+            raise MalformedLog(f"scene {scene_id} has {len(opened)} NoteOpened "
+                               f"and {len(closed)} NoteClosed events")
+        if not opened:
             continue
-        closed = groups.get(closed_key, [])
         open_ms = (sum(event.sim_time_ms for event in closed)
                    - sum(event.sim_time_ms for event in opened))
         if len(closed) < len(opened):

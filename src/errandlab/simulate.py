@@ -42,8 +42,8 @@ from .scenario import (
     EVENT_SCENES,
     Effect,
     EventKind,
-    FINALE_PROMPT_OFFSETS_MS,
     GATED_SCENES,
+    LADDER_DEPTH,
     NOTES_INTENT_PROMPTS,
     NPC_SCENES,
     NpcChoice,
@@ -111,14 +111,14 @@ class ParticipantProfile:
 
     ``pm_hit_prob`` maps reminder delay (short/medium/long) to the chance of
     performing the task before any prompt; ``prompt_yield_probs`` gives the
-    chance of complying after prompts 1..3.  Attention probabilities drive
+    chance of complying after prompts 1..``LADDER_DEPTH``.  Attention probabilities drive
     the rides, the practice gates, and item collection; the false-alarm
     probability doubles as the chance of affirming a false reminder.
     """
 
     pm_hit_prob: Mapping[str, float] = field(
         default_factory=lambda: {"short": 0.7, "medium": 0.5, "long": 0.35})
-    prompt_yield_probs: tuple[float, float, float] = (0.6, 0.7, 0.8)
+    prompt_yield_probs: tuple[float, ...] = (0.6, 0.7, 0.8)
     recognition_target_prob: float = 0.85
     recognition_distractor_prob: float = 0.12
     planning_extra_units: int = 2
@@ -134,8 +134,8 @@ class ParticipantProfile:
         delays = {d.value for d in PmDelay}
         if set(self.pm_hit_prob) != delays:
             raise ValueError(f"pm_hit_prob needs exactly the keys {sorted(delays)}")
-        if len(self.prompt_yield_probs) != 3:
-            raise ValueError("prompt_yield_probs must have three entries")
+        if len(self.prompt_yield_probs) != LADDER_DEPTH:
+            raise ValueError(f"prompt_yield_probs must have {LADDER_DEPTH} entries")
         probs = [*self.pm_hit_prob.values(), *self.prompt_yield_probs,
                  self.recognition_target_prob, self.recognition_distractor_prob,
                  self.attention_hit_prob, self.attention_false_alarm_prob,
@@ -455,11 +455,11 @@ def _scene_npc(b: _SessionBuilder, duration_ms: int) -> None:
         yes_probs = (p.pm_hit_prob[task.delay.value], *p.prompt_yield_probs[1:])
     else:
         yes_probs = (p.attention_false_alarm_prob,) * len(p.prompt_yield_probs)
-    while state.armed_to is None and not state.awaiting_choice:
+    while state.armed_to is None and not state.scene.awaiting_choice:
         index = state.prompt_depth[task.task_id]
         b.act(EventKind.NPC_PROMPT_ANSWERED,
               {"prompt_index": index, "yes": _bernoulli(b.rng, yes_probs[index - 1])})
-    if state.awaiting_choice:
+    if state.scene.awaiting_choice:
         b.act(EventKind.NPC_ITEM_CHOSEN, {"choice": _npc_choice(b)})
     if (state.npc_affirmed_at[task.task_id]
             and scene_id in EVENT_SCENES[EventKind.KEYS_GIVEN]):
@@ -521,6 +521,10 @@ def _scene_supermarket(b: _SessionBuilder, duration_ms: int) -> None:
 
 def _scene_finale(b: _SessionBuilder, duration_ms: int) -> None:
     p = b.profile
+    # a dose comes at least 10 s before the first reminder, or 1 s before the next
+    offsets = PM_TASKS[b.state.current_scene].cascade.timer_offsets_ms or ()
+    reply_within = min((nxt - off for off, nxt in zip(offsets, offsets[1:])),
+                       default=duration_ms) - 1_000
     stow_at = min(30_000, duration_ms // 4)
     for offset, item in enumerate(b.config.recognition_targets[:2]):
         b.act(EventKind.ITEM_STOWED, {"item": item},
@@ -528,18 +532,17 @@ def _scene_finale(b: _SessionBuilder, duration_ms: int) -> None:
     took = False
     if _bernoulli(b.rng, p.pm_hit_prob[PmDelay.LONG.value]):
         b.act(EventKind.MEDICATION_TAKEN,
-              at_offset_ms=min(60_000, max(duration_ms // 2, stow_at + 10_000)))
+              at_offset_ms=min(offsets[0] - 10_000, max(duration_ms // 2, stow_at + 10_000)))
         took = True
     else:
-        for depth, offset_ms in enumerate(FINALE_PROMPT_OFFSETS_MS, start=1):
+        for depth, offset_ms in enumerate(offsets, start=1):
             if _bernoulli(b.rng, p.prompt_yield_probs[depth - 1]):
                 b.act(EventKind.MEDICATION_TAKEN,
-                      at_offset_ms=offset_ms + min(b.latency_ms(), 9_000))
+                      at_offset_ms=offset_ms + min(b.latency_ms(), reply_within))
                 took = True
                 break
     # unless it was taken, the final button waits 5 s past the last reminder
-    final_offset = (duration_ms if took
-                    else max(duration_ms, FINALE_PROMPT_OFFSETS_MS[-1] + 5_000))
+    final_offset = (duration_ms if took else max(duration_ms, offsets[-1] + 5_000))
     b.act(EventKind.FINAL_BUTTON_PRESSED, at_offset_ms=final_offset)
     b.exit_scene(duration_ms)
 

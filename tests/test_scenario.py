@@ -298,7 +298,7 @@ class TestNpcScenes:
             state, _ev(1, 1, 10, EventKind.NPC_PROMPT_ANSWERED,
                        {"prompt_index": 1, "yes": True}))
         assert effects == []  # the item board opens; no transition yet
-        assert state.awaiting_choice
+        assert state.scene.awaiting_choice
         with pytest.raises(InvalidEvent):
             advance(state, _ev(2, 2, 10, EventKind.NPC_PROMPT_ANSWERED,
                                {"prompt_index": 2, "yes": False}))
@@ -331,7 +331,7 @@ class TestNpcScenes:
                        {"prompt_index": 1, "yes": True}))
         assert effects == [SceneTransition(17)]
         assert state.npc_affirmed_at["false_prompt_library"] == 1
-        assert not state.awaiting_choice
+        assert not state.scene.awaiting_choice
 
     def test_out_of_order_prompt_index(self):
         state = _entered(10)
@@ -347,7 +347,7 @@ class TestNpcScenes:
                                       {"choice": "correct"}))
         assert state.armed_to == 22
         state, _ = advance(state, _ev(3, 3, 21, EventKind.KEYS_GIVEN))
-        assert state.keys_given
+        assert state.scene.keys_given
         state, _ = advance(state, _ev(4, 4, 21, EventKind.SCENE_EXITED))
         assert state.current_scene == 22
 

@@ -16,6 +16,7 @@ from errandlab.scenario import EventKind, SessionEvent
 from errandlab.scoring import aggregate_scorecard
 from errandlab.sessionlog import (
     IncompleteSession,
+    MalformedLog,
     MonotonicityViolation,
     ParseError,
     SCHEMA_NAME,
@@ -438,6 +439,24 @@ class TestTelemetry:
         assert telemetry.notes_views[1].total_open_s == open_s
         assert [record.getMessage() for record in caplog.records] == [
             f"notes left open in scene 1; closed at {closed_at}"]
+
+    # Outside its domain telemetry raises rather than returning a number:
+    # notes closed without an open, or two notes open at once.
+    @pytest.mark.parametrize("kinds, times_s, counts", [
+        ([EventKind.NOTE_OPENED, EventKind.NOTE_CLOSED, EventKind.NOTE_CLOSED],
+         [1, 2, 10], (1, 2)),
+        ([EventKind.NOTE_CLOSED], [3], (0, 1)),
+        ([EventKind.NOTE_OPENED, EventKind.NOTE_OPENED], [1, 2], (2, 0))])
+    def test_unmatched_notes_are_malformed(self, kinds, times_s, counts):
+        events = [SessionEvent(0, 0, 4, EventKind.SCENE_ENTERED)] + [
+            SessionEvent(seq, time_s * 1_000, 4, kind)
+            for seq, (kind, time_s) in enumerate(zip(kinds, times_s), start=1)]
+        log = log_from_events(events, seed=None, config_hash=None)
+        opened, closed = counts
+        with pytest.raises(MalformedLog) as raised:
+            derive_telemetry(log)
+        assert str(raised.value) == (
+            f"scene 4 has {opened} NoteOpened and {closed} NoteClosed events")
 
     def test_scoring_groups_the_events_once(self, walk_log, config):
         log = dataclasses.replace(walk_log)  # a copy without cached groups

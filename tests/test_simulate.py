@@ -10,6 +10,7 @@ import pytest
 from errandlab import simulate
 from errandlab.config import ConfigError, config_hash, default_config
 from errandlab.scenario import (
+    LADDER_DEPTH,
     NEVER_DONE_DEPTH,
     PM_TASKS,
     SCENES_BY_ID,
@@ -209,6 +210,40 @@ class TestLadderFromSceneTable:
         assert len(presses) == 3  # two prompts, then the scene ends
 
 
+class TestFinaleFromSceneTable:
+    """The finale's doses follow the reminder schedule of the scene table:
+    with the reminders moved to 50, 55 and 58 s, an unprompted dose still
+    comes before the first and a prompted one before the next."""
+
+    @pytest.fixture
+    def retimed_finale(self, monkeypatch):
+        task = PM_TASKS[22]
+        cascade = dataclasses.replace(task.cascade,
+                                      timer_offsets_ms=(50_000, 55_000, 58_000))
+        monkeypatch.setitem(PM_TASKS, 22, dataclasses.replace(task, cascade=cascade))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_an_unprompted_dose_comes_before_the_first_reminder(
+            self, retimed_finale, perfect, config, seed):
+        card = aggregate_scorecard(simulate_session(perfect, seed=seed, config=config),
+                                   config)
+        outcome = card.pm["evening_medication"]
+        assert (outcome.prompt_depth, outcome.points) == (0, 6)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_prompted_dose_comes_before_the_next_reminder(
+            self, retimed_finale, perfect, config, seed):
+        # never acts unprompted and always complies after a prompt, 8 s on:
+        # longer than the 3 s between the last two reminders
+        late = dataclasses.replace(
+            perfect, pm_hit_prob={"short": 0.0, "medium": 0.0, "long": 0.0},
+            latency_mean_ms=8_000.0)
+        card = aggregate_scorecard(simulate_session(late, seed=seed, config=config),
+                                   config)
+        outcome = card.pm["evening_medication"]
+        assert (outcome.prompt_depth, outcome.points) == (1, 4)
+
+
 class TestCohort:
     def test_pairs_match_rescoring(self, typical, perfect, config):
         # scorecard_to_dict covers the telemetry, which == on scorecards skips
@@ -259,6 +294,12 @@ class TestProfiles:
             dataclasses.replace(typical, recognition_target_prob=1.5)
         with pytest.raises(ValueError):
             dataclasses.replace(typical, attention_hit_prob=-0.1)
+
+    @pytest.mark.parametrize("dials", [(0.5, 0.5), (0.5,) * (LADDER_DEPTH + 1)])
+    def test_one_yield_dial_per_prompt_of_the_deepest_ladder(self, typical, dials):
+        assert LADDER_DEPTH == 3
+        with pytest.raises(ValueError, match=r"^prompt_yield_probs must have 3 entries$"):
+            dataclasses.replace(typical, prompt_yield_probs=dials)
 
     def test_pm_hit_keys_pinned(self, typical):
         with pytest.raises(ValueError):
