@@ -335,9 +335,7 @@ def config_hash(config: ScoringConfig) -> str:
 
 
 def default_config() -> ScoringConfig:
-    config = ScoringConfig()
-    config.validate()
-    return config
+    return ScoringConfig()  # the built-in defaults, which the test suite validates
 
 
 _TUPLE_FIELDS = {f.name for f in dataclasses.fields(ScoringConfig)

@@ -71,6 +71,7 @@ _FINALE_PROMPTS = (
 )
 
 NOTES_INTENT_PROMPTS = 3  # the planning scene's notes-intent questions, asked in order
+PRACTICE_TARGETS = 3  # the targets of each attempt in a gated tutorial
 
 
 class SceneKind(str, Enum):
@@ -111,22 +112,14 @@ class NpcChoice(str, Enum):
 
 
 @dataclass(frozen=True)
-class CascadeSpec:
-    """How a reminder task escalates: what triggers it and what it says."""
-
-    trigger: TriggerKind
-    prompt_texts: tuple[str, ...]  # the ladder, one prompt per depth
-    timer_offsets_ms: Optional[tuple[int, ...]] = None  # each prompt's, from scene entry
-
-
-@dataclass(frozen=True)
 class PmTaskSpec:
     task_id: str
-    scene_id: int
     basis: PmBasis
     delay: PmDelay
     polarity: PmPolarity
-    cascade: CascadeSpec
+    trigger: TriggerKind
+    prompt_texts: tuple[str, ...] = ()  # the ladder, one prompt per depth
+    timer_offsets_ms: tuple[int, ...] = ()  # a timer task's, per prompt, from scene entry
 
 
 @dataclass(frozen=True)
@@ -139,10 +132,10 @@ class SceneDescriptor:
     pm_task: Optional[PmTaskSpec] = None
 
 
-def _npc_task(task_id: str, scene_id: int, basis: PmBasis, delay: PmDelay,
+def _npc_task(task_id: str, basis: PmBasis, delay: PmDelay,
               polarity: PmPolarity = PmPolarity.POSITIVE) -> PmTaskSpec:
-    return PmTaskSpec(task_id, scene_id, basis, delay, polarity,
-                      CascadeSpec(TriggerKind.NPC_DIALOGUE, _NPC_PROMPTS))
+    return PmTaskSpec(task_id, basis, delay, polarity,
+                      TriggerKind.NPC_DIALOGUE, _NPC_PROMPTS)
 
 
 _SCENES: tuple[SceneDescriptor, ...] = (
@@ -155,18 +148,18 @@ _SCENES: tuple[SceneDescriptor, ...] = (
     SceneDescriptor(
         6, SceneKind.STORYLINE, "breakfast multitasking and morning medication",
         pm_task=PmTaskSpec(
-            "take_medication", 6, PmBasis.EVENT_BASED, PmDelay.SHORT, PmPolarity.POSITIVE,
-            CascadeSpec(TriggerKind.FINAL_BUTTON, _BREAKFAST_PROMPTS))),
+            "take_medication", PmBasis.EVENT_BASED, PmDelay.SHORT, PmPolarity.POSITIVE,
+            TriggerKind.FINAL_BUTTON, _BREAKFAST_PROMPTS)),
     SceneDescriptor(7, SceneKind.TUTORIAL, "collecting items"),
     SceneDescriptor(
         8, SceneKind.STORYLINE, "collect belongings and oven pie",
         pm_task=PmTaskSpec(
-            "remove_pie", 8, PmBasis.EVENT_BASED, PmDelay.SHORT, PmPolarity.POSITIVE,
-            CascadeSpec(TriggerKind.EXIT_ATTEMPT, _LEAVING_PROMPTS))),
+            "remove_pie", PmBasis.EVENT_BASED, PmDelay.SHORT, PmPolarity.POSITIVE,
+            TriggerKind.EXIT_ATTEMPT, _LEAVING_PROMPTS)),
     SceneDescriptor(9, SceneKind.TUTORIAL, "talking with characters"),
     SceneDescriptor(
         10, SceneKind.STORYLINE, "front-gate conversation and planned phone call",
-        pm_task=_npc_task("call_rose", 10, PmBasis.TIME_BASED, PmDelay.SHORT)),
+        pm_task=_npc_task("call_rose", PmBasis.TIME_BASED, PmDelay.SHORT)),
     SceneDescriptor(11, SceneKind.TUTORIAL, "gaze practice", gated=True),
     SceneDescriptor(12, SceneKind.STORYLINE, "poster spotting on the ride into town",
                     free_running=True),
@@ -174,30 +167,29 @@ _SCENES: tuple[SceneDescriptor, ...] = (
     SceneDescriptor(14, SceneKind.STORYLINE, "supermarket shopping from memory"),
     SceneDescriptor(
         15, SceneKind.STORYLINE, "bakery order pickup",
-        pm_task=_npc_task("collect_cake", 15, PmBasis.TIME_BASED, PmDelay.MEDIUM)),
+        pm_task=_npc_task("collect_cake", PmBasis.TIME_BASED, PmDelay.MEDIUM)),
     SceneDescriptor(
         16, SceneKind.STORYLINE, "false reminder outside the bakery",
-        pm_task=_npc_task("false_prompt_library", 16, PmBasis.EVENT_BASED,
-                          PmDelay.MEDIUM, PmPolarity.NEGATIVE)),
+        pm_task=_npc_task("false_prompt_library", PmBasis.EVENT_BASED, PmDelay.MEDIUM,
+                          PmPolarity.NEGATIVE)),
     SceneDescriptor(
         17, SceneKind.STORYLINE, "library book return",
-        pm_task=_npc_task("return_book", 17, PmBasis.EVENT_BASED, PmDelay.MEDIUM)),
+        pm_task=_npc_task("return_book", PmBasis.EVENT_BASED, PmDelay.MEDIUM)),
     SceneDescriptor(18, SceneKind.TUTORIAL, "sound localisation practice", gated=True),
     SceneDescriptor(19, SceneKind.STORYLINE, "sound spotting on the ride back",
                     free_running=True),
     SceneDescriptor(
         20, SceneKind.STORYLINE, "false reminder at the petrol station",
-        pm_task=_npc_task("false_prompt_home", 20, PmBasis.TIME_BASED,
-                          PmDelay.LONG, PmPolarity.NEGATIVE)),
+        pm_task=_npc_task("false_prompt_home", PmBasis.TIME_BASED, PmDelay.LONG,
+                          PmPolarity.NEGATIVE)),
     SceneDescriptor(
         21, SceneKind.STORYLINE, "handing over the flat keys",
-        pm_task=_npc_task("give_keys", 21, PmBasis.EVENT_BASED, PmDelay.LONG)),
+        pm_task=_npc_task("give_keys", PmBasis.EVENT_BASED, PmDelay.LONG)),
     SceneDescriptor(
         22, SceneKind.STORYLINE, "putting away shopping and afternoon medication",
         pm_task=PmTaskSpec(
-            "evening_medication", 22, PmBasis.TIME_BASED, PmDelay.LONG, PmPolarity.POSITIVE,
-            CascadeSpec(TriggerKind.TIMER, _FINALE_PROMPTS,
-                        timer_offsets_ms=(70_000, 80_000, 90_000)))),
+            "evening_medication", PmBasis.TIME_BASED, PmDelay.LONG, PmPolarity.POSITIVE,
+            TriggerKind.TIMER, _FINALE_PROMPTS, timer_offsets_ms=(70_000, 80_000, 90_000))),
 )
 
 SCENES_BY_ID: dict[int, SceneDescriptor] = {s.scene_id: s for s in _SCENES}
@@ -208,12 +200,25 @@ FREE_RUNNING_SCENES = frozenset(s.scene_id for s in _SCENES if s.free_running)
 PM_TASKS: dict[int, PmTaskSpec] = {
     s.scene_id: s.pm_task for s in _SCENES if s.pm_task is not None}
 NPC_SCENES = frozenset(sid for sid, task in PM_TASKS.items()
-                       if task.cascade.trigger is TriggerKind.NPC_DIALOGUE)
+                       if task.trigger is TriggerKind.NPC_DIALOGUE)
 TIMER_SCENES = frozenset(sid for sid, task in PM_TASKS.items()
-                         if task.cascade.trigger is TriggerKind.TIMER)
+                         if task.trigger is TriggerKind.TIMER)
 # the deepest reminder ladder's prompts; a task never done is past every ladder
-LADDER_DEPTH = max(len(task.cascade.prompt_texts) for task in PM_TASKS.values())
+LADDER_DEPTH = max(len(task.prompt_texts) for task in PM_TASKS.values())
 NEVER_DONE_DEPTH = LADDER_DEPTH + 1
+
+
+def _check_timer_schedules(tasks: dict[int, PmTaskSpec]) -> None:
+    # Exactly the timer tasks carry offsets: one per prompt, strictly increasing.
+    wrong = [sid for sid, task in tasks.items()
+             if (task.trigger is TriggerKind.TIMER) != bool(task.timer_offsets_ms)
+             or len(task.timer_offsets_ms) not in (0, len(task.prompt_texts))
+             or sorted(set(task.timer_offsets_ms)) != list(task.timer_offsets_ms)]
+    if wrong:
+        raise AssertionError(f"timer schedules wrong in scenes {wrong}")
+
+
+_check_timer_schedules(PM_TASKS)
 
 
 def scene_sequence() -> tuple[SceneDescriptor, ...]:
@@ -486,11 +491,11 @@ def practice_gate(scene_id: int, targets_hit: int, distractors_hit: int) -> Gate
     """
     if scene_id not in GATED_SCENES:
         raise NotAGatedScene(f"scene {scene_id} has no practice gate")
-    if not 0 <= targets_hit <= 3:
-        raise ValueError("targets_hit must be in 0..3")
+    if not 0 <= targets_hit <= PRACTICE_TARGETS:
+        raise ValueError(f"targets_hit must be in 0..{PRACTICE_TARGETS}")
     if distractors_hit < 0:
         raise ValueError("distractors_hit must be non-negative")
-    if targets_hit == 3 and distractors_hit == 0:
+    if targets_hit == PRACTICE_TARGETS and distractors_hit == 0:
         return GateResult.PASS
     return GateResult.RETRY
 
@@ -501,8 +506,10 @@ def practice_gate(scene_id: int, targets_hit: int, distractors_hit: int) -> Gate
 
 @dataclass
 class SceneState:
-    """What only the entered scene reads; each ``SceneEntered`` makes a new one."""
+    """What only the entered scene reads, its reminder ladder's position too;
+    each ``SceneEntered`` makes a new one."""
 
+    prompt_depth: int = 0  # the prompts of the scene's reminder task shown
     practice_attempts: int = 0
     notes_prompts_answered: int = 0
     route_submitted: bool = False
@@ -516,8 +523,9 @@ class SceneState:
 class SessionState:
     """Everything the engine needs to validate the next event.
 
-    Treat instances as values: :func:`advance` copies before mutating, so a
-    state can be shared across threads or kept for inspection.
+    ``scene`` holds what only the entered scene reads; the rest lasts the
+    session.  Treat instances as values: :func:`advance` copies before
+    mutating, so a state can be shared across threads or kept for inspection.
     """
 
     current_scene: int = 1
@@ -528,9 +536,7 @@ class SessionState:
     armed_to: Optional[int] = None
     scene: SceneState = field(default_factory=SceneState)
     route_selected: set[int] = field(default_factory=set)  # kept for scoring
-
-    # prompts shown per reminder task; a task is done iff pm_done_depth has it
-    prompt_depth: dict[str, int] = field(default_factory=dict)
+    # kept for scoring, per reminder task; a task is done iff pm_done_depth has it
     pm_done_depth: dict[str, int] = field(default_factory=dict)
     npc_affirmed_at: dict[str, int] = field(default_factory=dict)
     npc_choice: dict[str, str] = field(default_factory=dict)
@@ -557,9 +563,9 @@ _POSITIVE = PmPolarity.POSITIVE
 
 def _show_prompt(state: SessionState, task: PmTaskSpec, effects: list[Effect]) -> None:
     # The one step of every reminder ladder: the task's next prompt.
-    depth = state.prompt_depth.get(task.task_id, 0) + 1
-    state.prompt_depth[task.task_id] = depth
-    effects.append(PromptShown(task.task_id, depth, task.cascade.prompt_texts[depth - 1]))
+    depth = state.scene.prompt_depth + 1
+    state.scene.prompt_depth = depth
+    effects.append(PromptShown(task.task_id, depth, task.prompt_texts[depth - 1]))
 
 
 def _fire_due_timer_prompts(state: SessionState, now_ms: int,
@@ -570,9 +576,8 @@ def _fire_due_timer_prompts(state: SessionState, now_ms: int,
     task = PM_TASKS[sid]
     if task.task_id in state.pm_done_depth:
         return
-    offsets = task.cascade.timer_offsets_ms or ()
-    due = sum(1 for off in offsets if now_ms - state.scene_entry_ms >= off)
-    while state.prompt_depth.get(task.task_id, 0) < due:
+    due = sum(1 for off in task.timer_offsets_ms if now_ms - state.scene_entry_ms >= off)
+    while state.scene.prompt_depth < due:
         _show_prompt(state, task, effects)
 
 
@@ -589,7 +594,7 @@ def _cascade_press(state: SessionState, event: SessionEvent,
     # prompt, and the press after the last prompt ends the scene unscored.
     task = PM_TASKS[sid]
     if task.task_id not in state.pm_done_depth:
-        if state.prompt_depth.get(task.task_id, 0) < len(task.cascade.prompt_texts):
+        if state.scene.prompt_depth < len(task.prompt_texts):
             _show_prompt(state, task, effects)
             return
         state.pm_done_depth[task.task_id] = NEVER_DONE_DEPTH
@@ -601,7 +606,7 @@ def _pm_action(state: SessionState, event: SessionEvent,
     task = PM_TASKS[sid]
     if task.task_id in state.pm_done_depth:
         raise InvalidEvent(f"{task.task_id} already done")
-    state.pm_done_depth[task.task_id] = state.prompt_depth.get(task.task_id, 0)
+    state.pm_done_depth[task.task_id] = state.scene.prompt_depth
 
 
 def advance(state: SessionState, event: SessionEvent) -> tuple[SessionState, list[Effect]]:
@@ -800,7 +805,7 @@ def _on_npc_prompt_answered(state: SessionState, event: SessionEvent,
         raise InvalidEvent("answer already given; choose an item")
     # the answer is to the prompt showing, the deepest one shown
     task = PM_TASKS[sid]
-    expected = state.prompt_depth[task.task_id]
+    expected = state.scene.prompt_depth
     if event.payload["prompt_index"] != expected:
         raise InvalidEvent(
             f"conversation prompt {event.payload['prompt_index']} "
@@ -811,7 +816,7 @@ def _on_npc_prompt_answered(state: SessionState, event: SessionEvent,
             state.scene.awaiting_choice = True
         else:
             _resolve(state, effects)
-    elif expected < len(task.cascade.prompt_texts):
+    elif expected < len(task.prompt_texts):
         _show_prompt(state, task, effects)
     else:
         state.npc_affirmed_at[task.task_id] = 0

@@ -437,7 +437,7 @@ def score_session(log: SessionLog, final_state: SessionState,
     deductions_total = 0
     for _, task in sorted(PM_TASKS.items()):
         choice = None
-        if task.cascade.trigger is TriggerKind.NPC_DIALOGUE:
+        if task.trigger is TriggerKind.NPC_DIALOGUE:
             depth = final_state.npc_affirmed_at.get(task.task_id, 0)
             choice = final_state.npc_choice.get(task.task_id)
             if task.polarity is PmPolarity.POSITIVE:

@@ -48,6 +48,7 @@ from .scenario import (
     NPC_SCENES,
     NpcChoice,
     PM_TASKS,
+    PRACTICE_TARGETS,
     PmDelay,
     PmPolarity,
     PromptShown,
@@ -247,8 +248,6 @@ class _SessionBuilder:
         self.state: SessionState = initial_state()
         self.events: list[SessionEvent] = []
         self.cursor_ms = 0
-        self.scene_entry_ms = 0
-        self.scene_id = 0
         self._rng: Optional[np.random.Generator] = None
         # read once per session, not on every call
         self.latency_mean_ms = profile.latency_mean_ms
@@ -266,7 +265,7 @@ class _SessionBuilder:
         # interpreter from specializing every attribute read on the builder.)
         rng = self._rng
         if rng is None:
-            rng = self._rng = self.streams(self.scene_id)
+            rng = self._rng = self.streams(self.state.current_scene)
         return rng
 
     def latency_ms(self) -> int:
@@ -288,22 +287,20 @@ class _SessionBuilder:
         self.events.append(event)
         return effects
 
-    def enter(self, scene_id: int) -> None:
-        self.scene_id = scene_id
+    def enter(self) -> None:
         self._rng = None
-        self.scene_entry_ms = self.cursor_ms
         self._emit(_SCENE_ENTERED)
 
     def act(self, kind: EventKind, payload: Optional[dict[str, Any]] = None, *,
             at_offset_ms: Optional[int] = None) -> list[Effect]:
         if at_offset_ms is not None:
-            self.cursor_ms = max(self.cursor_ms, self.scene_entry_ms + at_offset_ms)
+            self.cursor_ms = max(self.cursor_ms, self.state.scene_entry_ms + at_offset_ms)
         else:
             self.cursor_ms += self.latency_ms()
         return self._emit(kind, payload)
 
     def exit_scene(self, duration_ms: int) -> None:
-        self.cursor_ms = max(self.cursor_ms, self.scene_entry_ms + duration_ms)
+        self.cursor_ms = max(self.cursor_ms, self.state.scene_entry_ms + duration_ms)
         self._emit(_SCENE_EXITED)
 
 
@@ -326,7 +323,7 @@ def _maybe_use_notes(b: _SessionBuilder) -> None:
 
 def _plain_tutorial(b: _SessionBuilder, duration_ms: int) -> None:
     b.act(EventKind.TUTORIAL_COMPLETED,
-          at_offset_ms=max(duration_ms // 2, b.cursor_ms - b.scene_entry_ms))
+          at_offset_ms=max(duration_ms // 2, b.cursor_ms - b.state.scene_entry_ms))
     b.exit_scene(duration_ms)
 
 
@@ -340,9 +337,9 @@ def _gated_tutorial(b: _SessionBuilder, duration_ms: int) -> None:
     p = b.profile
     for attempt in range(1, _PRACTICE_ATTEMPT_CAP + 1):
         if attempt == _PRACTICE_ATTEMPT_CAP:
-            targets, distractors = 3, 0  # the front end coaches until passed
+            targets, distractors = PRACTICE_TARGETS, 0  # the front end coaches until passed
         else:
-            targets = int(b.rng.binomial(3, p.attention_hit_prob))
+            targets = int(b.rng.binomial(PRACTICE_TARGETS, p.attention_hit_prob))
             distractors = int(b.rng.binomial(3, p.attention_false_alarm_prob))
         b.act(EventKind.PRACTICE_ATTEMPT,
               {"targets_hit": targets, "distractors_hit": distractors})
@@ -390,14 +387,13 @@ def _scene_planning(b: _SessionBuilder, duration_ms: int) -> None:
     b.exit_scene(duration_ms)
 
 
-def _event_cascade(b: _SessionBuilder, trigger: EventKind, action: EventKind,
-                   delay: str) -> None:
+def _event_cascade(b: _SessionBuilder, trigger: EventKind, action: EventKind) -> None:
     # The reminder dance shared by breakfast (final button) and leaving the
     # flat (exit attempt): maybe act before touching the trigger, then keep
     # triggering, maybe complying after each prompt it shows, until the
     # engine ends the scene (the task done, or its last prompt ignored).
     p = b.profile
-    if _bernoulli(b.rng, p.pm_hit_prob[delay]):
+    if _bernoulli(b.rng, p.pm_hit_prob[PM_TASKS[b.state.current_scene].delay.value]):
         b.act(action)
     while b.state.armed_to is None:
         for effect in b.act(trigger):
@@ -414,8 +410,7 @@ def _scene_breakfast(b: _SessionBuilder, duration_ms: int) -> None:
         cook_time = max(0.0, _COOKING_MIDPOINT_S[item] + noise)
         b.act(EventKind.COOKING_ITEM_PLACED,
               {"item": item, "cook_time_s": round(cook_time, 2)})
-    _event_cascade(b, EventKind.FINAL_BUTTON_PRESSED, EventKind.MEDICATION_TAKEN,
-                   PmDelay.SHORT.value)
+    _event_cascade(b, EventKind.FINAL_BUTTON_PRESSED, EventKind.MEDICATION_TAKEN)
     b.exit_scene(duration_ms)
 
 
@@ -428,8 +423,7 @@ def _scene_collect_and_pie(b: _SessionBuilder, duration_ms: int) -> None:
     for item in b.config.collection_distractors:
         if _bernoulli(b.rng, p.attention_false_alarm_prob):
             b.act(EventKind.ITEM_SELECTED, {"item": item})
-    _event_cascade(b, EventKind.EXIT_ATTEMPTED, EventKind.PIE_REMOVED,
-                   PmDelay.SHORT.value)
+    _event_cascade(b, EventKind.EXIT_ATTEMPTED, EventKind.PIE_REMOVED)
     b.exit_scene(duration_ms)
 
 
@@ -456,7 +450,7 @@ def _scene_npc(b: _SessionBuilder, duration_ms: int) -> None:
     else:
         yes_probs = (p.attention_false_alarm_prob,) * len(p.prompt_yield_probs)
     while state.armed_to is None and not state.scene.awaiting_choice:
-        index = state.prompt_depth[task.task_id]
+        index = state.scene.prompt_depth
         b.act(EventKind.NPC_PROMPT_ANSWERED,
               {"prompt_index": index, "yes": _bernoulli(b.rng, yes_probs[index - 1])})
     if state.scene.awaiting_choice:
@@ -521,8 +515,9 @@ def _scene_supermarket(b: _SessionBuilder, duration_ms: int) -> None:
 
 def _scene_finale(b: _SessionBuilder, duration_ms: int) -> None:
     p = b.profile
+    task = PM_TASKS[b.state.current_scene]
     # a dose comes at least 10 s before the first reminder, or 1 s before the next
-    offsets = PM_TASKS[b.state.current_scene].cascade.timer_offsets_ms or ()
+    offsets = task.timer_offsets_ms
     reply_within = min((nxt - off for off, nxt in zip(offsets, offsets[1:])),
                        default=duration_ms) - 1_000
     stow_at = min(30_000, duration_ms // 4)
@@ -530,7 +525,7 @@ def _scene_finale(b: _SessionBuilder, duration_ms: int) -> None:
         b.act(EventKind.ITEM_STOWED, {"item": item},
               at_offset_ms=stow_at + offset * 5_000)
     took = False
-    if _bernoulli(b.rng, p.pm_hit_prob[PmDelay.LONG.value]):
+    if _bernoulli(b.rng, p.pm_hit_prob[task.delay.value]):
         b.act(EventKind.MEDICATION_TAKEN,
               at_offset_ms=min(offsets[0] - 10_000, max(duration_ms // 2, stow_at + 10_000)))
         took = True
@@ -611,7 +606,7 @@ def _simulate(profile: ParticipantProfile, seed: int, config: ScoringConfig,
 
     for descriptor in scene_sequence():
         sid = descriptor.scene_id
-        builder.enter(sid)
+        builder.enter()
         duration_ms = max(1_000, int(_NOMINAL_DURATION_S[sid] * scale * 1000))
         _SCENE_MODELS[sid](builder, duration_ms)
 

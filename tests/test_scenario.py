@@ -21,9 +21,11 @@ from errandlab.scenario import (
     NotAGatedScene,
     OutOfOrderEvent,
     PM_TASKS,
+    PmTaskSpec,
     PracticePassed,
     PracticeRetry,
     PromptShown,
+    SCENES_BY_ID,
     SceneKind,
     SceneTransition,
     SessionComplete,
@@ -79,6 +81,32 @@ class TestSceneTable:
     def test_free_running_and_timer_scenes(self):
         assert scenario.FREE_RUNNING_SCENES == {3, 12, 19}
         assert scenario.TIMER_SCENES == {22}
+
+    def test_each_reminder_task_is_its_scene_row(self):
+        for sid, descriptor in SCENES_BY_ID.items():
+            if descriptor.pm_task is None:
+                assert sid not in PM_TASKS
+            else:
+                assert PM_TASKS[sid] is descriptor.pm_task
+        names = {f.name for f in dataclasses.fields(PmTaskSpec)}
+        assert not names & {"scene_id", "cascade"}
+
+    def test_the_timer_schedules_pass_their_check(self):
+        scenario._check_timer_schedules(PM_TASKS)
+
+    @pytest.mark.parametrize("sid, offsets", [
+        (22, (70_000, 80_000)),  # two offsets for three prompts
+        (22, (70_000, 90_000, 80_000)),  # out of order
+        (22, (70_000, 80_000, 80_000)),  # not strictly increasing
+        (22, ()),  # a timer task with no schedule
+        (6, (1_000, 2_000, 3_000)),  # a schedule on a final-button task
+    ])
+    def test_a_wrong_timer_schedule_is_rejected(self, sid, offsets):
+        patched = {**PM_TASKS,
+                   sid: dataclasses.replace(PM_TASKS[sid], timer_offsets_ms=offsets)}
+        with pytest.raises(AssertionError,
+                           match=rf"^timer schedules wrong in scenes \[{sid}\]$"):
+            scenario._check_timer_schedules(patched)
 
     def test_event_scenes_derived_from_the_handler_table(self):
         # the map as it was written out by hand before the handler table
@@ -323,6 +351,21 @@ class TestNpcScenes:
                        {"prompt_index": 3, "yes": False}))
         assert effects == [SceneTransition(16)]
         assert state.npc_affirmed_at["collect_cake"] == 0
+
+    def test_the_ladder_position_is_scene_state(self):
+        # replayed from the minimal walk, which refuses all three of scene
+        # 10's questions: the last refusal ends the talk with no fourth
+        events = minimal_walk()
+        entry = next(i for i, e in enumerate(events)
+                     if e.scene == 10 and e.kind is EventKind.SCENE_ENTERED)
+        assert [e.kind for e in events[entry + 1:entry + 4]] == [
+            EventKind.NPC_PROMPT_ANSWERED] * 3
+        depths = [replay(events[:end])[0].scene.prompt_depth
+                  for end in range(entry + 1, entry + 5)]
+        assert depths == [1, 2, 3, 3]
+        assert events[entry + 5].kind is EventKind.SCENE_ENTERED  # scene 11
+        assert replay(events[:entry + 6])[0].scene.prompt_depth == 0
+        assert "prompt_depth" not in {f.name for f in dataclasses.fields(SessionState)}
 
     def test_false_prompt_affirm_resolves_without_board(self):
         state = _entered(16)

@@ -30,7 +30,7 @@ from errandlab.scoring import (
     _score_visual_attention,
     aggregate_scorecard,
 )
-from errandlab.config import ConfigError
+from errandlab.config import ConfigError, ScoringConfig, default_config
 from errandlab.scenario import EventKind, SessionEvent
 from errandlab.sessionlog import (
     MalformedLog,
@@ -483,3 +483,9 @@ def test_a_catalog_of_another_length_is_rejected(config, name, count):
     short = dataclasses.replace(config, **{name: getattr(config, name)[1:]})
     with pytest.raises(ConfigError, match=f"^{name} must list {count} items$"):
         short.validate()
+
+
+def test_the_built_in_defaults_validate():
+    # default_config returns them unchecked
+    ScoringConfig().validate()
+    assert default_config() == ScoringConfig()

@@ -186,9 +186,8 @@ class TestLadderFromSceneTable:
     def two_prompt_ladders(self, monkeypatch):
         for sid in (6, 8, 10, 16):
             task = PM_TASKS[sid]
-            cascade = dataclasses.replace(task.cascade,
-                                          prompt_texts=task.cascade.prompt_texts[:2])
-            monkeypatch.setitem(PM_TASKS, sid, dataclasses.replace(task, cascade=cascade))
+            monkeypatch.setitem(PM_TASKS, sid, dataclasses.replace(
+                task, prompt_texts=task.prompt_texts[:2]))
 
     @pytest.mark.parametrize("preset", sorted(PROFILE_PRESETS))
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -217,10 +216,8 @@ class TestFinaleFromSceneTable:
 
     @pytest.fixture
     def retimed_finale(self, monkeypatch):
-        task = PM_TASKS[22]
-        cascade = dataclasses.replace(task.cascade,
-                                      timer_offsets_ms=(50_000, 55_000, 58_000))
-        monkeypatch.setitem(PM_TASKS, 22, dataclasses.replace(task, cascade=cascade))
+        monkeypatch.setitem(PM_TASKS, 22, dataclasses.replace(
+            PM_TASKS[22], timer_offsets_ms=(50_000, 55_000, 58_000)))
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_an_unprompted_dose_comes_before_the_first_reminder(
