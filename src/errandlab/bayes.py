@@ -75,6 +75,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -276,26 +277,39 @@ class TTestResult:
     direction: Direction
 
 
+def _t_statistic(d: Sequence[float]) -> Optional[float]:
+    """The t statistic of paired differences, or None when they have zero
+    variance."""
+    n = len(d)
+    mean = math.fsum(d) / n
+    # the floats of (di - mean) ** 2 for each di, made and summed in C
+    var = math.fsum(map(pow, map(operator.sub, d, repeat(mean)), repeat(2))) / (n - 1)
+    if var == 0.0:
+        return None
+    return mean * math.sqrt(n) / math.sqrt(var)
+
+
+def _p_values(ts: Sequence[float], df: int, direction: Direction) -> np.ndarray:
+    """The direction-matched p of each t statistic, from one ``stdtr`` call."""
+    ts = np.asarray(ts, dtype=float)
+    if direction is Direction.A_LESS:
+        return stdtr(df, -ts)
+    if direction is Direction.A_GREATER:
+        return stdtr(df, ts)
+    return 2.0 * stdtr(df, -np.abs(ts))
+
+
 def paired_t(sample: PairedSample, direction: Direction = Direction.A_LESS) -> TTestResult:
     """Paired t statistic on d = b - a with a direction-matched p-value.
 
     Raises :class:`DegenerateSample` when the differences have zero
     variance.
     """
-    d = sample.differences
-    n = len(d)
-    mean = math.fsum(d) / n
-    var = math.fsum((di - mean) ** 2 for di in d) / (n - 1)
-    if var == 0.0:
+    t = _t_statistic(sample.differences)
+    if t is None:
         raise DegenerateSample("all paired differences are identical")
-    t = mean * math.sqrt(n) / math.sqrt(var)
-    df = n - 1
-    if direction is Direction.A_LESS:
-        p = float(stdtr(df, -t))
-    elif direction is Direction.A_GREATER:
-        p = float(stdtr(df, t))
-    else:
-        p = float(2.0 * stdtr(df, -abs(t)))
+    df = len(sample.a) - 1
+    [p] = _p_values([t], df, direction).tolist()
     return TTestResult(t=t, df=df, p=p, direction=direction)
 
 
@@ -622,20 +636,20 @@ def compare_paired_columns(
     sizes = {len(sample.a) for sample in samples.values()}
     if len(sizes) > 1:
         raise ValueError("paired columns must have the same number of pairs")
-    tests: dict[str, TTestResult] = {}
+    ts: dict[str, float] = {}
     for label, sample in samples.items():
-        try:
-            tests[label] = paired_t(sample, direction)
-        except DegenerateSample:
-            pass
+        t = _t_statistic(sample.differences)
+        if t is not None:
+            ts[label] = t
     comparisons: dict[str, Optional[BayesComparison]] = dict.fromkeys(samples)
-    if not tests:
+    if not ts:
         return comparisons
     [n] = sizes
-    factors = _bf10_columns([test.t for test in tests.values()], n, prior_scale, direction)
-    for (label, test), (bf10, rel_err) in zip(tests.items(), factors):
+    ps = _p_values(list(ts.values()), n - 1, direction).tolist()
+    factors = _bf10_columns(list(ts.values()), n, prior_scale, direction)
+    for (label, t), p, (bf10, rel_err) in zip(ts.items(), ps, factors):
         comparisons[label] = BayesComparison(
-            label=label, direction=direction, n=n, t=test.t, df=test.df, p=test.p,
+            label=label, direction=direction, n=n, t=t, df=n - 1, p=p,
             bf10=bf10, bf10_rel_err=rel_err, band=classify_evidence(bf10),
             stars=evidence_stars(bf10), prior_scale=prior_scale)
     return comparisons

@@ -49,6 +49,7 @@ from .vrnq import (
     DomainMapping,
     VrnqError,
     _paired_columns,
+    _read_cohort_items,
     aggregate_cohort,
     check_cutoffs,
     read_cohort_csv,
@@ -299,8 +300,8 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
     from . import bayes
 
     mapping = _load_domains_arg(args.domains)
-    baseline = read_cohort_csv(args.baseline)
-    revised = read_cohort_csv(args.revised)
+    baseline, _ = _read_cohort_items(args.baseline)
+    revised, _ = _read_cohort_items(args.revised)
     direction = bayes.Direction(args.direction)
     columns = _paired_columns(baseline, revised, mapping)
 

@@ -21,6 +21,7 @@ import csv
 import io
 import statistics
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -32,8 +33,12 @@ ITEM_COUNT = 20
 SCALE_MIN, SCALE_MAX = 1, 7
 _INT_ONLY = frozenset({int})
 _SCALE = frozenset(range(SCALE_MIN, SCALE_MAX + 1))
-# A CSV field that spells a rating as str() writes it -> the rating, else None
-_RATING = {str(value): value for value in _SCALE}.get
+# the CSV fields that spell a rating as str() writes it
+_RATING_TEXTS = frozenset(map(str, _SCALE))
+# the ASCII digit of a rating -> the byte of its value
+_RATING_BYTES = bytes.maketrans(
+    "".join(map(str, range(SCALE_MIN, SCALE_MAX + 1))).encode(),
+    bytes(range(SCALE_MIN, SCALE_MAX + 1)))
 
 CUTOFFS = {
     "minimum": {"sub": 25, "total": 100},
@@ -54,24 +59,27 @@ class VrnqResponseSet:
     feedback: Optional[str] = None  # stored verbatim, never analyzed
 
     def __post_init__(self) -> None:
-        items = self.items
-        # One test accepts a row of 20 plain ints on the scale; the loop
-        # below words the first fault, or accepts an int subclass.
-        if (len(items) == ITEM_COUNT and _INT_ONLY.issuperset(map(type, items))
-                and _SCALE.issuperset(items)):
-            return
-        if len(items) != ITEM_COUNT:
+        _check_items(self.participant_id, self.items)
+
+
+def _check_items(participant_id: str, items: tuple) -> None:
+    """Raise a :class:`VrnqError` that names the first fault of a
+    participant's ratings, if they have one."""
+    # One test accepts a row of 20 plain ints on the scale; the loop
+    # below words the first fault, or accepts an int subclass.
+    if (len(items) == ITEM_COUNT and _INT_ONLY.issuperset(map(type, items))
+            and _SCALE.issuperset(items)):
+        return
+    if len(items) != ITEM_COUNT:
+        raise VrnqError(
+            f"{participant_id}: expected {ITEM_COUNT} items, got {len(items)}")
+    for index, value in enumerate(items, start=1):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise VrnqError(f"{participant_id}: item {index} must be an integer")
+        if not SCALE_MIN <= value <= SCALE_MAX:
             raise VrnqError(
-                f"{self.participant_id}: expected {ITEM_COUNT} items, "
-                f"got {len(items)}")
-        for index, value in enumerate(items, start=1):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise VrnqError(
-                    f"{self.participant_id}: item {index} must be an integer")
-            if not SCALE_MIN <= value <= SCALE_MAX:
-                raise VrnqError(
-                    f"{self.participant_id}: item {index} value {value} "
-                    f"outside {SCALE_MIN}..{SCALE_MAX}")
+                f"{participant_id}: item {index} value {value} "
+                f"outside {SCALE_MIN}..{SCALE_MAX}")
 
 
 @dataclass(frozen=True)
@@ -121,24 +129,27 @@ def score_vrnq(responses: VrnqResponseSet,
                       sub_scores=subs, total=sum(subs.values()))
 
 
-def _paired_columns(baseline: Sequence[VrnqResponseSet], revised: Sequence[VrnqResponseSet],
+def _paired_columns(baseline: Mapping[str, tuple[int, ...]],
+                    revised: Mapping[str, tuple[int, ...]],
                     mapping: Optional[DomainMapping]) -> dict[str, tuple[list[int], ...]]:
-    """Pair two cohorts by participant id: the (baseline, revised) columns of
-    ``Total`` and of each domain, in id order, as :func:`score_vrnq` sums them."""
-    items_a = {r.participant_id: r.items for r in baseline}
-    items_b = {r.participant_id: r.items for r in revised}
-    if items_a.keys() != items_b.keys():
-        missing = sorted(items_a.keys() ^ items_b.keys())
+    """Pair two cohorts, each a map of participant id to item ratings: the
+    (baseline, revised) columns of ``Total`` and of each domain, in id
+    order, as :func:`score_vrnq` sums them."""
+    if baseline.keys() != revised.keys():
+        missing = sorted(baseline.keys() ^ revised.keys())
         raise VrnqError(f"cohorts do not pair up; unmatched ids: {missing}")
-    if len(items_a) < 2:
+    if len(baseline) < 2:
         raise VrnqError("a paired comparison needs at least two participants, "
-                        f"got {len(items_a)}")
-    ids = sorted(items_a)
-    sides = ([items_a[pid] for pid in ids], [items_b[pid] for pid in ids])
-    columns = {"Total": tuple([sum(items) for items in side] for side in sides)}
-    for domain, get in (_DEFAULT_MAPPING if mapping is None else mapping)._getters:
-        columns[domain] = tuple([sum(get(items)) for items in side] for side in sides)
-    return columns
+                        f"got {len(baseline)}")
+    ids = sorted(baseline)
+    getters = (_DEFAULT_MAPPING if mapping is None else mapping)._getters
+    sides = []
+    for items_by_id in (baseline, revised):
+        item_columns = list(zip(*map(items_by_id.__getitem__, ids)))
+        domains = [list(map(sum, zip(*get(item_columns)))) for _, get in getters]
+        # the domains partition the items, so their sums add up to the total
+        sides.append([list(map(sum, zip(*domains))), *domains])
+    return dict(zip(["Total", *(domain for domain, _ in getters)], zip(*sides)))
 
 
 def _median(values: Sequence[float]) -> float:
@@ -211,21 +222,35 @@ def check_cutoffs(aggregate: CohortAggregate, tier: str = "parsimonious") -> Cut
 
 
 CSV_COLUMNS = ["participant_id"] + [f"q{i}" for i in range(1, ITEM_COUNT + 1)]
+# each participant's item ratings by id, in file order, and the feedback
+# column, or None for a file without one
+_Cohort = tuple[dict[str, tuple[int, ...]], Optional[Sequence[str]]]
 
 
 def read_cohort_csv(source: str | Path | io.TextIOBase) -> list[VrnqResponseSet]:
     """Read a cohort CSV: header ``participant_id,q1,...,q20``.
 
     An optional trailing ``feedback`` column is stored verbatim.  Any other
-    deviation raises :class:`VrnqError`.
+    deviation raises :class:`VrnqError`.  A path is read as UTF-8 with or
+    without a leading byte-order mark; a handle is read as its caller
+    opened it.
     """
+    items_by_id, feedback = _read_cohort_items(source)
+    return [VrnqResponseSet(participant_id=participant_id, items=items, feedback=note)
+            for (participant_id, items), note
+            in zip(items_by_id.items(), feedback or repeat(None))]
+
+
+def _read_cohort_items(source: str | Path | io.TextIOBase) -> _Cohort:
+    """The one cohort reader, under :func:`read_cohort_csv`'s rules."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        # utf-8-sig drops the byte-order mark of a spreadsheet's "CSV UTF-8"
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return _read_cohort_or_fail(handle, f"{source}: ")
     return _read_cohort_or_fail(source, "")
 
 
-def _read_cohort_or_fail(handle, where: str) -> list[VrnqResponseSet]:
+def _read_cohort_or_fail(handle, where: str) -> _Cohort:
     # the reader's own errors as VrnqError, prefixed with the path if any
     try:
         return _read_cohort(handle)
@@ -235,44 +260,74 @@ def _read_cohort_or_fail(handle, where: str) -> list[VrnqResponseSet]:
         raise VrnqError(f"{where}invalid CSV ({exc})") from exc
 
 
-def _read_cohort(handle) -> list[VrnqResponseSet]:
+def _read_cohort(handle) -> _Cohort:
     reader = csv.reader(handle)
     try:
         header = next(reader)
     except StopIteration:
         raise VrnqError("CSV is empty") from None
-    has_feedback = header == CSV_COLUMNS + ["feedback"]
-    if not has_feedback and header != CSV_COLUMNS:
+    if header != CSV_COLUMNS and header != CSV_COLUMNS + ["feedback"]:
         raise VrnqError(
             "CSV header must be participant_id,q1,...,q20 "
             "(optionally plus feedback)")
-    expected_len = len(CSV_COLUMNS) + (1 if has_feedback else 0)
-    rows: list[VrnqResponseSet] = []
-    seen_ids: set[str] = set()
-    for line_no, row in enumerate(reader, start=2):
+    width = len(header)
+    rows: list[list[str]] = []
+    try:
+        rows.extend(reader)  # on a fault, rows keeps the rows read before it
+    except (csv.Error, UnicodeDecodeError):
+        _cohort_row_by_row(rows, width)  # a faulty row before it is named first
+        raise
+    cohort = _cohort_at_once(rows, width) or _cohort_row_by_row(rows, width)
+    if not cohort[0]:
+        raise VrnqError("CSV contains no responses")
+    return cohort
+
+
+def _cohort_at_once(rows: list[list[str]], width: int) -> Optional[_Cohort]:
+    """Check and convert every row at once; None if any row is blank, has
+    the wrong width, an empty or repeated id, or a rating that is not one
+    of the strings ``"1"``..``"7"``."""
+    if not rows or set(map(len, rows)) != {width}:
+        return None
+    columns = list(zip(*rows))
+    ids = list(map(str.strip, columns[0]))
+    item_columns = columns[1:ITEM_COUNT + 1]
+    if (not all(ids) or len(set(ids)) < len(ids)
+            or not _RATING_TEXTS.issuperset(chain.from_iterable(item_columns))):
+        return None
+    # one byte per rating, item column after item column; a bytes slice
+    # yields ints, so zipping the columns gives each participant's tuple
+    ratings = "".join(chain.from_iterable(item_columns)).encode().translate(_RATING_BYTES)
+    n = len(ids)
+    items = zip(*[ratings[start:start + n] for start in range(0, len(ratings), n)])
+    feedback = columns[ITEM_COUNT + 1] if width > len(CSV_COLUMNS) else None
+    return dict(zip(ids, items)), feedback
+
+
+def _cohort_row_by_row(rows: list[list[str]], width: int) -> _Cohort:
+    """Read the rows one by one, raising a :class:`VrnqError` for the
+    first faulty row in file order."""
+    items_by_id: dict[str, tuple[int, ...]] = {}
+    feedback: Optional[list[str]] = [] if width > len(CSV_COLUMNS) else None
+    for line_no, row in enumerate(rows, start=2):
         if not row:
             continue
-        if len(row) != expected_len:
-            raise VrnqError(f"line {line_no}: expected {expected_len} fields")
+        if len(row) != width:
+            raise VrnqError(f"line {line_no}: expected {width} fields")
         participant_id = row[0].strip()
         if not participant_id:
             raise VrnqError(f"line {line_no}: empty participant_id")
-        if participant_id in seen_ids:
+        if participant_id in items_by_id:
             raise VrnqError(f"line {line_no}: duplicate participant {participant_id!r}")
-        seen_ids.add(participant_id)
-        fields = row[1:ITEM_COUNT + 1]
-        items = tuple(map(_RATING, fields))
-        if None in items:  # " 3", "+3", "03" or a fault: int() words it
-            try:
-                items = tuple(map(int, fields))
-            except ValueError as exc:
-                raise VrnqError(f"line {line_no}: non-integer item value") from exc
-        feedback = row[ITEM_COUNT + 1] if has_feedback else None
-        rows.append(VrnqResponseSet(participant_id=participant_id,
-                                    items=items, feedback=feedback))
-    if not rows:
-        raise VrnqError("CSV contains no responses")
-    return rows
+        try:  # int() reads " 3", "+3" and "03" as 3
+            items = tuple(map(int, row[1:ITEM_COUNT + 1]))
+        except ValueError as exc:
+            raise VrnqError(f"line {line_no}: non-integer item value") from exc
+        _check_items(participant_id, items)
+        items_by_id[participant_id] = items
+        if feedback is not None:
+            feedback.append(row[ITEM_COUNT + 1])
+    return items_by_id, feedback
 
 
 def write_cohort_csv(cohort: Sequence[VrnqResponseSet], path: str | Path) -> None:

@@ -3,15 +3,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import random
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
+from scipy.special import stdtr
 
 import errandlab.bayes
 from errandlab.bayes import (
@@ -490,6 +493,65 @@ class TestColumnsIntegratedTogether:
         with pytest.raises(ValueError, match="same number of pairs"):
             compare_paired_columns({"a": ((1.0, 2.0, 4.0), (2.0, 2.0, 5.0)),
                                     "b": ((1.0, 2.0), (3.0, 5.0))})
+
+
+def _t_and_p_reference(a, b, direction):
+    """A column's t and p as paired_t computed them one column at a time:
+    a generator of squared deviations and a scalar stdtr; None when the
+    differences have zero variance."""
+    d = [float(y) - float(x) for x, y in zip(a, b)]
+    n = len(d)
+    mean = math.fsum(d) / n
+    var = math.fsum((x - mean) ** 2 for x in d) / (n - 1)
+    if var == 0.0:
+        return None
+    t = mean * math.sqrt(n) / math.sqrt(var)
+    df = n - 1
+    if direction is Direction.A_LESS:
+        p = float(stdtr(df, -t))
+    elif direction is Direction.A_GREATER:
+        p = float(stdtr(df, t))
+    else:
+        p = float(2.0 * stdtr(df, -abs(t)))
+    return t, p
+
+
+@st.composite
+def _integer_columns(draw):
+    """Labelled (a, b) integer columns of one size; some have equal
+    differences, so their comparison is degenerate.  A drawn seed fills
+    the columns: drawing up to ten lists of 200 values costs far more."""
+    n = draw(st.integers(min_value=2, max_value=200))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    columns = {}
+    for index in range(draw(st.integers(min_value=1, max_value=5))):
+        a = [rng.randint(-50, 150) for _ in range(n)]
+        kind = draw(st.sampled_from(("free", "shifted", "equal")))
+        if kind == "free":
+            b = [rng.randint(-50, 150) for _ in range(n)]
+        else:
+            shift = rng.randint(-3, 3) if kind == "shifted" else 0
+            b = [x + shift for x in a]
+        columns[f"c{index}"] = (a, b)
+    return columns
+
+
+class TestTAndPAreBitIdentical:
+    @settings(max_examples=40, deadline=None)
+    @given(columns=_integer_columns(), direction=st.sampled_from(Direction))
+    def test_columns_equal_the_per_column_formula(self, columns, direction):
+        # the Bayes factor is stubbed out: only t and p are under test here
+        with mock.patch.object(errandlab.bayes, "_bf10_columns",
+                               lambda ts, n, prior_scale, direction: [(1.0, 0.0)] * len(ts)):
+            comparisons = compare_paired_columns(columns, direction=direction)
+        assert list(comparisons) == list(columns)
+        for label, (a, b) in columns.items():
+            expected = _t_and_p_reference(a, b, direction)
+            if expected is None:
+                assert comparisons[label] is None
+            else:
+                assert (comparisons[label].t, comparisons[label].p) == expected
+                assert comparisons[label].df == len(a) - 1
 
 
 class TestEvidenceBands:

@@ -18,6 +18,7 @@ import errandlab.config
 import errandlab.scenario
 import errandlab.scoring
 import errandlab.sessionlog
+import errandlab.vrnq
 from errandlab.bayes import Direction, IntegrationFailure
 from errandlab.cli import build_parser, main
 from errandlab.config import config_hash, default_config
@@ -289,6 +290,31 @@ class TestVrnqScoreCommand:
                      "--domains", str(bad)]) == 2
 
 
+class TestByteOrderMark:
+    """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark; a
+    cohort file with one reads as the same file without it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["vrnq", "score", "--responses", "a.csv", "--format", "json"],
+        ["vrnq", "compare", "--baseline", "a.csv", "--revised", "b.csv",
+         "--format", "json"],
+    ], ids=["score", "compare"])
+    def test_marked_files_read_as_plain_ones(self, tmp_path, monkeypatch, capsys, argv):
+        ids = [f"p{i}" for i in range(8)]
+        outputs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            directory = tmp_path / ("marked" if mark else "plain")
+            directory.mkdir()
+            for name, shift in (("a.csv", 0), ("b.csv", 6)):
+                path = _cohort_csv(directory / name,
+                                   {p: 80 + shift + 3 * i + i % 3 for i, p in enumerate(ids)})
+                path.write_bytes(mark + path.read_bytes())
+            monkeypatch.chdir(directory)
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
 class TestVrnqCompareCommand:
     @staticmethod
     def _paired_csvs(tmp_path, shift):
@@ -544,6 +570,34 @@ class TestCallCounts:
         checks = _count_calls(monkeypatch, errandlab.config, "validate_domain_mapping")
         assert main([*argv, "--domains", str(domains), "--format", "json"]) == 0
         assert len(checks) == 1
+
+    def test_vrnq_compare_builds_no_response_set_and_opens_each_csv_once(
+            self, tmp_path, monkeypatch):
+        ids = [f"p{i:02d}" for i in range(12)]
+        baseline = _cohort_csv(tmp_path / "a.csv", {p: 60 + 3 * i for i, p in enumerate(ids)})
+        revised = _cohort_csv(tmp_path / "b.csv",
+                              {p: 70 + 3 * i + i % 4 for i, p in enumerate(ids)})
+        response_sets, opened = [], []
+        check = VrnqResponseSet.__post_init__
+
+        def counted_check(self):
+            response_sets.append(self.participant_id)
+            check(self)
+
+        def counted_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(VrnqResponseSet, "__post_init__", counted_check)
+        monkeypatch.setattr(errandlab.vrnq, "open", counted_open, raising=False)
+        assert main(["vrnq", "compare", "--baseline", str(baseline),
+                     "--revised", str(revised), "--format", "json"]) == 0
+        assert response_sets == []
+        assert opened == [str(baseline), str(revised)]
+        # the counters see what a command that does build them builds
+        assert main(["vrnq", "score", "--responses", str(baseline)]) == 0
+        assert len(response_sets) == len(ids)
+        assert opened[2:] == [str(baseline)]
 
     def test_score_parses_a_canonical_log_without_json_loads(self, tmp_path,
                                                              monkeypatch):

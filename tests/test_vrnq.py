@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import csv
 import io
+import random
 
 import numpy
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import errandlab.vrnq
 from errandlab.config import DEFAULT_DOMAIN_MAPPING, ConfigError
@@ -211,6 +213,10 @@ def _paired_columns_per_participant(baseline, revised, mapping):
     return columns
 
 
+def _items_by_id(cohort):
+    return {r.participant_id: r.items for r in cohort}
+
+
 _ITEM_ROWS = st.lists(st.integers(min_value=1, max_value=7), min_size=20, max_size=20)
 _MAPPINGS = st.none() | st.permutations(range(1, 21)).map(lambda order: DomainMapping(
     {domain: order[5 * i:5 * i + 5] for i, domain in enumerate(DOMAINS)}))
@@ -226,7 +232,7 @@ class TestPairedColumns:
         revised = [_responses(pid, items_b) for pid, _, items_b in rows]
         rng.shuffle(baseline)
         rng.shuffle(revised)
-        columns = _paired_columns(baseline, revised, mapping)
+        columns = _paired_columns(_items_by_id(baseline), _items_by_id(revised), mapping)
         expected = _paired_columns_per_participant(baseline, revised, mapping)
         assert list(columns) == list(expected) == ["Total", *DOMAINS]
         assert columns == expected
@@ -239,8 +245,8 @@ class TestPairedColumns:
     ])
     def test_pairing_faults(self, ids_a, ids_b, message):
         with pytest.raises(VrnqError) as excinfo:
-            _paired_columns([_responses(pid) for pid in ids_a],
-                            [_responses(pid) for pid in ids_b], None)
+            _paired_columns({pid: (4,) * 20 for pid in ids_a},
+                            {pid: (4,) * 20 for pid in ids_b}, None)
         assert str(excinfo.value) == message
 
 
@@ -414,9 +420,127 @@ class TestCsv:
         with pytest.raises(VrnqError, match=r"^invalid UTF-8 \("):
             read_cohort_csv(handle)
 
+    def test_a_row_fault_before_a_csv_error_is_named_first(self):
+        good = "4," * 19 + "4"
+        text = "\n".join([",".join(CSV_COLUMNS), f"p1,{good}", f"p1,{good}",
+                          f"p2,{good}", "p" * 140_000 + f",{good}"]) + "\n"
+        for reader in (read_cohort_csv, _read_cohort_per_row):
+            with pytest.raises(VrnqError) as excinfo:
+                reader(io.StringIO(text))
+            assert str(excinfo.value) == "line 3: duplicate participant 'p1'"
+
+    def test_a_byte_order_mark_is_dropped_from_a_path_only(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_cohort_csv([_responses("p1"), _responses("p2", [5] * 20)], plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_cohort_csv(marked) == read_cohort_csv(plain)
+        # a handle keeps its caller's encoding, and utf-8 keeps the mark
+        with open(marked, encoding="utf-8", newline="") as handle:
+            with pytest.raises(VrnqError, match="header"):
+                read_cohort_csv(handle)
+
     @staticmethod
     def _csv_text(rows):
         lines = [",".join(CSV_COLUMNS + ["feedback"])]
         for pid, items in rows:
             lines.append(",".join([pid] + [str(x) for x in items] + [""]))
         return "\r\n".join(lines) + "\r\n"
+
+
+def _read_cohort_per_row(handle):
+    """The cohort reader as it was before the per-file check: every row
+    checked and turned into a VrnqResponseSet in file order."""
+    try:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise VrnqError("CSV is empty") from None
+        has_feedback = header == CSV_COLUMNS + ["feedback"]
+        if not has_feedback and header != CSV_COLUMNS:
+            raise VrnqError(
+                "CSV header must be participant_id,q1,...,q20 "
+                "(optionally plus feedback)")
+        expected_len = len(CSV_COLUMNS) + (1 if has_feedback else 0)
+        rows = []
+        seen_ids = set()
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != expected_len:
+                raise VrnqError(f"line {line_no}: expected {expected_len} fields")
+            participant_id = row[0].strip()
+            if not participant_id:
+                raise VrnqError(f"line {line_no}: empty participant_id")
+            if participant_id in seen_ids:
+                raise VrnqError(f"line {line_no}: duplicate participant {participant_id!r}")
+            seen_ids.add(participant_id)
+            try:
+                items = tuple(int(field) for field in row[1:21])
+            except ValueError as exc:
+                raise VrnqError(f"line {line_no}: non-integer item value") from exc
+            feedback = row[21] if has_feedback else None
+            rows.append(VrnqResponseSet(participant_id=participant_id,
+                                        items=items, feedback=feedback))
+        if not rows:
+            raise VrnqError("CSV contains no responses")
+        return rows
+    except UnicodeDecodeError as exc:
+        raise VrnqError(f"invalid UTF-8 ({exc})") from exc
+    except csv.Error as exc:
+        raise VrnqError(f"invalid CSV ({exc})") from exc
+
+
+# fields that int() reads as a rating, fields it reads as an off-scale
+# number, and fields it cannot read
+_ODD_FIELDS = (" 3", "3 ", "+3", "03", "\u0663", "0", "8", "-1", "x", "", "3.0")
+_ROW_FAULTS = (None, "field", "field", "blank", "empty id", "duplicate id",
+               "padded id", "short", "long")
+
+
+@st.composite
+def _cohort_texts(draw):
+    """A cohort CSV: canonical, or with some rows that carry one of the
+    faults or odd spellings the per-row loop words or reads.  A drawn seed
+    picks the canonical ratings, which cost too much to draw one by one."""
+    with_feedback = draw(st.booleans())
+    faulty = draw(st.booleans())
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    handle = io.StringIO()
+    writer = csv.writer(handle, lineterminator=draw(st.sampled_from(("\n", "\r\n"))))
+    writer.writerow(CSV_COLUMNS + ["feedback"] * with_feedback)
+    for index in range(draw(st.integers(min_value=1, max_value=8))):
+        row = [f"p{index}", *rng.choices("1234567", k=20)]
+        if with_feedback:
+            row.append(rng.choice(("", "fine", 'said "wow", twice\nthen left')))
+        fault = draw(st.sampled_from(_ROW_FAULTS)) if faulty else None
+        if fault == "field":
+            row[draw(st.integers(min_value=1, max_value=20))] = draw(st.sampled_from(_ODD_FIELDS))
+        elif fault == "blank":
+            row = []
+        elif fault == "empty id":
+            row[0] = draw(st.sampled_from(("", "  ")))
+        elif fault == "duplicate id":
+            row[0] = draw(st.sampled_from(("p0", " p0", "p0 ")))
+        elif fault == "padded id":
+            row[0] = f" {row[0]} "
+        elif fault == "short":
+            row = row[:draw(st.integers(min_value=1, max_value=len(row) - 1))]
+        elif fault == "long":
+            row.append("4")
+        writer.writerow(row)
+    return handle.getvalue()
+
+
+def _outcome(reader, text):
+    try:
+        return reader(io.StringIO(text))
+    except VrnqError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100)
+@given(_cohort_texts())
+@example(",".join(CSV_COLUMNS) + "\n\n")
+def test_the_per_file_check_reads_as_the_per_row_loop(text):
+    assert _outcome(read_cohort_csv, text) == _outcome(_read_cohort_per_row, text)
