@@ -64,7 +64,6 @@ from .sessionlog import (
     deserialize_log,
     export_report,
     log_from_events,
-    new_log,
     serialize_log,
 )
 from .simulate import (

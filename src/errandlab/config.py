@@ -8,6 +8,12 @@ rules themselves (what gets multiplied by what) stay in :mod:`scoring`.
 Configs serialize to canonical JSON; :func:`config_hash` over that JSON is
 stamped into every session log header and run manifest so a log can always be
 matched to the exact rules that scored it.
+
+The questionnaire's domain mapping is not a config field: ``vrnq score`` and
+``vrnq compare`` take it only from ``--domains``, and a config file that holds
+``domain_mapping`` is refused as an unknown key.  Logs written while the field
+existed carry a hash that covered it; ``score`` never compares a log header's
+hash with its config.
 """
 
 from __future__ import annotations
@@ -90,7 +96,7 @@ _DEFAULT_COLLECTION_DISTRACTORS = (
 )
 
 # Default questionnaire domain mapping: contiguous five-item blocks in domain
-# order.  Studies with a different printed item order override this.
+# order.  Studies with a different printed item order pass `vrnq --domains`.
 DEFAULT_DOMAIN_MAPPING: dict[str, list[int]] = {
     "UserExperience": [1, 2, 3, 4, 5],
     "GameMechanics": [6, 7, 8, 9, 10],
@@ -148,10 +154,6 @@ class ScoringConfig:
 
     # Simulated session length target, in seconds.
     session_target_s: float = 3732.0
-
-    # Validated and hashed into config_hash, but read by nothing: vrnq takes --domains.
-    domain_mapping: Mapping[str, list[int]] = field(
-        default_factory=lambda: {k: list(v) for k, v in DEFAULT_DOMAIN_MAPPING.items()})
 
     def validate(self) -> None:
         # Types first, so that no comparison below meets a mistyped value.
@@ -214,7 +216,6 @@ class ScoringConfig:
         if self.session_target_s * 1000 > _MAX_CLOCK_MS:
             raise ConfigError(
                 f"session_target_s must be at most {_MAX_CLOCK_MS / 1000:g} (2**53 ms)")
-        validate_domain_mapping(self.domain_mapping)
 
 
 def _check_points(name: str, table: Any, keys: set[str], message: str) -> None:
@@ -224,26 +225,6 @@ def _check_points(name: str, table: Any, keys: set[str], message: str) -> None:
     for value in table.values():
         if type(value) is not int:
             raise ConfigError(f"{name} values must be integers, not {value!r}")
-
-
-def validate_domain_mapping(mapping: Mapping[str, Any]) -> None:
-    """Require a partition of items 1..20 into the four named 5-item domains."""
-    expected_domains = set(DEFAULT_DOMAIN_MAPPING)
-    if not isinstance(mapping, Mapping) or set(mapping) != expected_domains:
-        raise ConfigError(
-            f"domain_mapping must name exactly {sorted(expected_domains)}")
-    seen: list[int] = []
-    for domain, items in mapping.items():
-        if not isinstance(items, (list, tuple)):
-            raise ConfigError(f"domain {domain} items must be a list")
-        if len(items) != 5:
-            raise ConfigError(f"domain {domain} must map exactly 5 items")
-        for item in items:
-            if not isinstance(item, int) or isinstance(item, bool) or not 1 <= item <= 20:
-                raise ConfigError(f"domain {domain} has invalid item {item!r}")
-        seen.extend(items)
-    if sorted(seen) != list(range(1, 21)):
-        raise ConfigError("domain_mapping must partition items 1..20")
 
 
 def config_to_dict(config: ScoringConfig) -> dict[str, Any]:
@@ -314,11 +295,9 @@ def _write_json(value: Any, indent: str, out: list[str]) -> None:
 def _json_text(value: Any) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for a tree of JSON
     values (a container inside itself recurses without end)."""
-    if sys.version_info >= (3, 13):
-        # json's C encoder indents from 3.13 on and beats the writer there;
-        # delete the writer once requires-python reaches 3.13
-        return json.dumps(value, indent=2, sort_keys=True)
-    # before 3.13 an indent sends json.dumps to its pure-Python encoder
+    # before 3.13 an indent sends json.dumps to its pure-Python encoder,
+    # which the writer beats; json.dumps(value, indent=2, sort_keys=True)
+    # replaces the writer once requires-python reaches 3.13
     out: list[str] = []
     _write_json(value, "\n", out)
     return "".join(out)

@@ -89,10 +89,6 @@ class SessionLog:
         return groups
 
 
-def new_log(seed: Optional[int] = None, config_hash: Optional[str] = None) -> SessionLog:
-    return SessionLog(seed=seed, config_hash=config_hash)
-
-
 def _check_order(last: SessionEvent, event: SessionEvent) -> None:
     if event.seq <= last.seq:
         raise MonotonicityViolation(

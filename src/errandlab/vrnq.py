@@ -3,9 +3,9 @@
 Twenty items on a 1..7 agreement scale, five items per domain
 (UserExperience, GameMechanics, InGameAssistance, VRISE), so each domain
 sub-score spans 5..35 and the total spans 20..140.  Which printed item
-belongs to which domain is a config input — a validated partition of items
-1..20 into four five-item groups — because deployments order their
-questionnaires differently.
+belongs to which domain is an input of its own — a validated partition of
+items 1..20 into four five-item groups, given to the CLI with ``--domains``
+— because deployments order their questionnaires differently.
 
 Cohort statistics are medians with median absolute deviations: the
 questionnaire's scale is ordinal and cohorts are small, so rank-based
@@ -24,12 +24,13 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .config import DEFAULT_DOMAIN_MAPPING, validate_domain_mapping
+from .config import DEFAULT_DOMAIN_MAPPING, ConfigError
 
 DOMAINS = tuple(DEFAULT_DOMAIN_MAPPING)
 ITEM_COUNT = 20
+DOMAIN_SIZE = ITEM_COUNT // len(DOMAINS)
 SCALE_MIN, SCALE_MAX = 1, 7
 _INT_ONLY = frozenset({int})
 _SCALE = frozenset(range(SCALE_MIN, SCALE_MAX + 1))
@@ -89,6 +90,26 @@ class VrnqScores:
     total: int  # 20..140
 
 
+def validate_domain_mapping(mapping: Mapping[str, Any]) -> None:
+    """Require a partition of items 1..ITEM_COUNT into the named DOMAINS,
+    DOMAIN_SIZE items each."""
+    if not isinstance(mapping, Mapping) or set(mapping) != set(DOMAINS):
+        raise ConfigError(f"domain_mapping must name exactly {sorted(DOMAINS)}")
+    seen: list[int] = []
+    for domain, items in mapping.items():
+        if not isinstance(items, (list, tuple)):
+            raise ConfigError(f"domain {domain} items must be a list")
+        if len(items) != DOMAIN_SIZE:
+            raise ConfigError(f"domain {domain} must map exactly {DOMAIN_SIZE} items")
+        for item in items:
+            if (not isinstance(item, int) or isinstance(item, bool)
+                    or not 1 <= item <= ITEM_COUNT):
+                raise ConfigError(f"domain {domain} has invalid item {item!r}")
+        seen.extend(items)
+    if sorted(seen) != list(range(1, ITEM_COUNT + 1)):
+        raise ConfigError(f"domain_mapping must partition items 1..{ITEM_COUNT}")
+
+
 class DomainMapping(Mapping[str, tuple[int, ...]]):
     """A domain mapping that passed :func:`validate_domain_mapping` when it
     was made, with its item lists copied to tuples.  :func:`score_vrnq`
@@ -98,7 +119,7 @@ class DomainMapping(Mapping[str, tuple[int, ...]]):
     def __init__(self, mapping: Mapping[str, Sequence[int]]) -> None:
         validate_domain_mapping(mapping)
         self._items = {domain: tuple(mapping[domain]) for domain in DOMAINS}
-        # every domain holds five items, so each getter returns a tuple
+        # every domain holds DOMAIN_SIZE > 1 items, so each getter returns a tuple
         self._getters = tuple(
             (domain, itemgetter(*(item - 1 for item in items)))
             for domain, items in self._items.items())

@@ -118,6 +118,18 @@ class TestSimulateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_a_config_domain_mapping_is_an_unknown_key(self, tmp_path, capsys):
+        # the questionnaire partition comes only from vrnq --domains
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"domain_mapping": errandlab.config.DEFAULT_DOMAIN_MAPPING}))
+        code = main(["simulate", "--seed", "1", "--config", str(config),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: unknown config keys: ['domain_mapping']\n")
+        assert not (tmp_path / "run").exists()
+
 
 class TestScoreCommand:
     @pytest.fixture
@@ -567,7 +579,7 @@ class TestCallCounts:
         argv = (["vrnq", "score", "--responses", str(baseline)] if command == "score"
                 else ["vrnq", "compare", "--baseline", str(baseline),
                       "--revised", str(revised)])
-        checks = _count_calls(monkeypatch, errandlab.config, "validate_domain_mapping")
+        checks = _count_calls(monkeypatch, errandlab.vrnq, "validate_domain_mapping")
         assert main([*argv, "--domains", str(domains), "--format", "json"]) == 0
         assert len(checks) == 1
 
@@ -893,7 +905,7 @@ _PUBLIC_NAMES = (
     "default_config", "default_profile", "derive_telemetry", "deserialize_log",
     "evidence_stars", "export_report",
     "initial_state", "load_config", "load_profile", "log_from_events",
-    "median_absolute_deviation", "nct_logpdf", "new_log", "null_profile",
+    "median_absolute_deviation", "nct_logpdf", "null_profile",
     "paired_t", "perfect_profile", "practice_gate", "read_cohort_csv", "replay",
     "save_config", "save_profile", "scene_sequence", "score_session", "score_vrnq",
     "scorecard_to_dict", "serialize_log", "simulate_cohort", "simulate_session",

@@ -1,9 +1,11 @@
 """Golden sha256 digests of the simulator's and the scorer's outputs.
 
-Each digest was recorded once and must never change: a refactor of the
-engine, the scorers or the report that keeps behaviour keeps every digest,
-and an upgrade of numpy that shifts the ``Generator`` streams the simulator
-draws from fails here instead of silently changing the logs.  Covers the
+A refactor of the engine, the scorers or the report that keeps behaviour
+keeps every digest, and an upgrade of numpy that shifts the ``Generator``
+streams the simulator draws from fails here instead of silently changing
+the logs.  A change to the default config's fields moves only the digests
+over bytes that carry its hash (log headers, reports, manifests, the saved
+config); those are re-recorded once it is shown that nothing else moved.  Covers the
 three profile presets at seeds 1-3 under the default config, the
 telemetry of every 20th prefix of those logs, the telemetry and warnings of
 every prefix, the scorecards of those logs with one note left open until
@@ -54,40 +56,40 @@ from errandlab.vrnq import CSV_COLUMNS
 # JSON of scorecard_to_dict).
 _GOLDEN = {
     ("default", 1): (
-        "1638bb230ac8fd1672fcf2c683f164f5a9687f17776328dcd5de5dae0119e268",
-        "7fad5effad9bf5568e4ca1d9a11d5ee9ad8ab732703bc8dc24f18ce3be1fa1d7",
+        "c810eb3948d190f3e4f8dc97fe1264af0c756aa10631f5d8fb7cc09c6f20a1da",
+        "a2c33281c5c40de7cb87aaf489038d2b40349a3a1dccb39bfd3a9eed036e9171",
         "2aaeddfb060bfedb92a5b7ee9da4c89fd7cfa177d697ccca87fe1f742b1114e9"),
     ("default", 2): (
-        "761249da2ffd7d08fc284a698e1d4f00dc78a476bd1ae8cfb6c4c0a2815589fc",
-        "a6d4f8a14ef4bd7b9f8005c34eb8c04bca4a8d19c8b9b92069bf953623745b68",
+        "98245b61aa5e63a3a20db0b5485c4f907977457a9865151ad0d6d04d96454e17",
+        "fe4daba309c81831757f59d5aa4ac6ccccb3058fcd377c7b3df2dac7d6dcf2c3",
         "648274bbbd85869fe78b8356b75f920be260e8aed4d84d3f23d763c48dc7af4d"),
     ("default", 3): (
-        "1fbc933006745becaf2b4866b010c4ac70c9bdca1b73863cce96545dfdacd1f2",
-        "722dd0dae1eeac85dcb99dd144a263d93d94d0ddd0c578f971fb4827f7080f5a",
+        "4186dd8adc3588343d249d5be7382c2aeba1417f8335a00b796a0573b01d910f",
+        "805e74d19bcdb88393594770fa192c3cb514e0e3c156f9076a6973a535ec123b",
         "7b53e86ebce33c632b8e03b693ac56ca8c6c87fbff0fca71c77fa3351226495c"),
     ("perfect", 1): (
-        "6f6e57b956fb50c24d8590c6da18d085313dfba99bac171d9301388232ae2f3d",
-        "52120cbba7a1b1b6fe763aa34c0c69127687f15f5ce1f975fa1c3fd721108c7a",
+        "998e956361d990cb3052cea34cc9d8126f457cf661c691d4871f92a866393887",
+        "d8c40089f270940e414239ccd8075f340a8e71a783494d23dd393505baacbedd",
         "abf39204dba9fd8332643a2d1991bcfce7553ae6f280842ce06241e5c29bffc1"),
     ("perfect", 2): (
-        "a82dde1b960790246f46691f81c15b87dabb2fa422eb33eaff57f803fcc2b6ce",
-        "d61f1cdacc3fe42ed40b4c18295316a4b4cb439901abd5d35892c1ff68ce7a21",
+        "53b6aefb29e3a3dd98c8022844416c3d54f0309c37500cbb6ff383cebdfc33fc",
+        "0d323df0213516a8044d873fed245dbba4b7956a8a6149dadbd205fae288dcbe",
         "abf39204dba9fd8332643a2d1991bcfce7553ae6f280842ce06241e5c29bffc1"),
     ("perfect", 3): (
-        "8ed098a0c2e5ceb47fb82cf43ac9507f2b9215ddeae3005952bb6d0c6031c375",
-        "06a56330dd82476cf839111b3419d3dbc0a0ad6b6ea01f7b4aa99a5c6a573d86",
+        "c0aadd47e3aa979e8dca1248137b12eb963cc0024f4473f744f06c7df46373ad",
+        "0a8a75634da15b739ef585021bf6723e6d432aca7febe316b7ef64e53438a3c9",
         "abf39204dba9fd8332643a2d1991bcfce7553ae6f280842ce06241e5c29bffc1"),
     ("null", 1): (
-        "63afee5472fa702889f884717ca6410f67056514652b16b139ffcd1abd3c1d06",
-        "55de00ffc61ee3edb8113058cc9de2cc81cd2051ebf8c1489f7d286333f51114",
+        "c4f57c91299e524664ba65f3c4df920b22cdd9e3d6f43c72fe231d39a3523deb",
+        "e13649ba6c6c8b5a7dc14a16025ff7bfd5c203871a78aac92c8efdaa5357b185",
         "e91639c4f94ddbcb748cf5b974aa9b6ed16a7b4096cd695c56162f51130e065b"),
     ("null", 2): (
-        "f9288fbde14830a1e6bfab41f2e12d943a867f0d6c4cc8ed92c9181081bc17fc",
-        "6893f661673eb05ec4dfce31ccd2b81ad991b0b3b146ea8ad08611ea9c366ce1",
+        "72352199b15d12d77072178943ee4efd6f7cd119b8b3f63829aedcd62f344874",
+        "496c375f009fa8ecd4d3c1937658e610a92d1df03bb7437792c2c051b4303dcf",
         "e91639c4f94ddbcb748cf5b974aa9b6ed16a7b4096cd695c56162f51130e065b"),
     ("null", 3): (
-        "d091c3f624a1157f0ed5591ddf075bfa1c25d9b6e0fc160d649f8e1f12d4a02c",
-        "f7219ec967c7182624d876d24d19a80e183a2c373276ea41a7096ce9ffb3d1f8",
+        "4f04d9bc924bf6b953162f46e50d2c2e96fb2bea7064a00fe0e9c8c293033ce3",
+        "78b91b7074827b5c1091610a403a7855b7cf35243e6521c82f15bcb5f2da091c",
         "e91639c4f94ddbcb748cf5b974aa9b6ed16a7b4096cd695c56162f51130e065b"),
 }
 
@@ -112,8 +114,8 @@ def test_outputs_match_golden_digests(preset, seed):
 # 32-bit word and below zero: the simulator masks a seed to 64 bits and draws
 # each scene from default_rng([masked seed, scene id]).
 _GOLDEN_WIDE_SEEDS = {
-    2**40 + 17: "6185949e14c25882bc83ce3a6fa48c270956bf830c054cfae265ff9ed603fb04",
-    -1: "77780de162b369af6b2be833d0fba830161c75bd214178a764e448605ce19de3",
+    2**40 + 17: "4ce46ae417857ba9315bb4acfacd16f64fd2940402d59e5b199be3cd1ce4c583",
+    -1: "4d1f2c8c2f6992f9221e68a7e620f8dee8c67321232e9f8ffa1334d32044e877",
 }
 
 
@@ -132,8 +134,6 @@ def test_wide_seed_logs_match_golden_digests(seed):
      "normative_route_mean_s": 0.1, "visual_targets_per_side": 3},
     {"band_points": {**DEFAULT_BAND_POINTS, "OnTime": 5},
      "npc_negative_deductions": {"0": 0, "1": -1, "2": -1, "3": 0},
-     "domain_mapping": {domain: tuple(reversed(items))
-                        for domain, items in DEFAULT_DOMAIN_MAPPING.items()},
      "session_target_s": 1e-7},
 ])
 def test_config_hash_is_the_hash_of_config_to_dict(overrides):
@@ -185,9 +185,9 @@ def test_prefix_telemetry_matches_golden_digests(preset, seed):
 # json --out out` run from an empty directory, then over every file the run
 # wrote: its path relative to that directory, a NUL, its bytes, in path order.
 _GOLDEN_CLI = {
-    "default": "2e089711ad7b5ed3459a44bee358f8b9aead85ac34c46811daba456b9388bf5a",
-    "perfect": "aa0d8e79890ab8e7be968fabf9a76281a2f8658bedb540d7e49ed886fd526987",
-    "null": "d31104b8917bad9f74065e448ccb52ec1f21be21944db50510c04936226839bc",
+    "default": "fb326b316221972699623bc83f0701368442c47f8b3d474cd288aed76ff13876",
+    "perfect": "0784bbd802c13aad14dd3b6ba35221919161859220654efb19c1c2e79ec2adf2",
+    "null": "0a042940e11e1d5980c33004c750801ad5f4227590161c052a751eed028737a5",
 }
 
 
@@ -359,7 +359,7 @@ def test_vrnq_commands_match_golden_digest(tmp_path, monkeypatch, capsys):
 # `vrnq score --out`, then the files save_config and save_profile write for
 # the defaults.  `vrnq compare` is left out: its bf10 may differ in the last
 # bit between CPUs.
-_GOLDEN_CLI_JSON = "d2a1752ac671993b7647f7ad8617efae69d5e9e0833bff225188f80a45cf9684"
+_GOLDEN_CLI_JSON = "03b3b233289d815956ca5983ac77f9db939a53430be639e75e56d103bba09437"
 
 
 def test_cli_json_matches_golden_digest(tmp_path, monkeypatch, capsys):
@@ -390,7 +390,7 @@ def test_cli_json_matches_golden_digest(tmp_path, monkeypatch, capsys):
 # on the seed 1-3 default logs, `simulate --cohort 2 --out simulate`, and
 # `vrnq score` on each cohort of _vrnq_cohort_csvs under both tiers.  The
 # `vrnq compare` table is left out for the reason given above.
-_GOLDEN_CLI_TEXT = "0fe9ff4dcd82aa0d8b6a469b054e00347c6308b6c9f83f7e8b704acc8cec3702"
+_GOLDEN_CLI_TEXT = "889f17569c5e82d4d16e7e3a982ee78f1398632529f28f2b032f84f525d1c363"
 
 
 def test_cli_text_matches_golden_digest(tmp_path, monkeypatch, capsys):

@@ -29,16 +29,29 @@ from errandlab.scoring import (
     _score_recognition,
     _score_visual_attention,
     aggregate_scorecard,
+    scorecard_to_dict,
 )
-from errandlab.config import ConfigError, ScoringConfig, default_config
+from errandlab.config import (
+    DEFAULT_BAND_POINTS,
+    DEFAULT_NPC_POSITIVE_MATRIX,
+    ConfigError,
+    ScoringConfig,
+    default_config,
+)
 from errandlab.scenario import EventKind, SessionEvent
 from errandlab.sessionlog import (
     MalformedLog,
     deserialize_log,
+    export_report,
     log_from_events,
     serialize_log,
 )
-from errandlab.simulate import null_profile, perfect_profile, simulate_session
+from errandlab.simulate import (
+    default_profile,
+    null_profile,
+    perfect_profile,
+    simulate_session,
+)
 from walks import minimal_walk
 
 
@@ -489,3 +502,51 @@ def test_the_built_in_defaults_validate():
     # default_config returns them unchecked
     ScoringConfig().validate()
     assert default_config() == ScoringConfig()
+
+
+# Each ScoringConfig field, set to one other valid value.  A field whose
+# value moves neither a simulated session nor its scores nor its report
+# is a knob that nothing reads.
+_OTHER_VALUES = {
+    **{name: tuple(f"other_{item}" for item in getattr(ScoringConfig, name))
+       for name in ("recognition_targets", "recognition_qualitative",
+                    "recognition_quantitative", "recognition_false",
+                    "collection_targets", "collection_distractors")},
+    "normative_route_mean_s": 300.0,
+    "normative_route_sd_s": 0.5,
+    "band_points": {band: points + 1 for band, points in DEFAULT_BAND_POINTS.items()},
+    "npc_positive_matrix": {depth: {choice: points + 1 for choice, points in row.items()}
+                            for depth, row in DEFAULT_NPC_POSITIVE_MATRIX.items()},
+    "npc_negative_deductions": {"0": -1, "1": -2, "2": -3, "3": -3},
+    "visual_targets_per_side": 7,
+    "visual_shape_distractors_per_side": 3,
+    "visual_color_distractors_per_side": 3,
+    "auditory_targets_per_side": 7,
+    "auditory_high_distractors_per_side": 3,
+    "auditory_low_distractors_per_side": 3,
+    "session_target_s": 1800.0,
+}
+
+
+def _session_outputs(config):
+    # every false-alarm draw fires, so that the false reminders are affirmed
+    # and the collection distractors are picked up
+    profile = dataclasses.replace(default_profile(), attention_false_alarm_prob=1.0)
+    log = simulate_session(profile, 3, config)
+    card = aggregate_scorecard(log, config)
+    report = export_report(card, config, log.seed, log.config_hash).splitlines()
+    return (log.events, scorecard_to_dict(card),
+            [line for line in report if not line.startswith("config: ")])
+
+
+def test_every_config_field_moves_a_session():
+    assert list(_OTHER_VALUES) == [f.name for f in dataclasses.fields(ScoringConfig)]
+    config = default_config()
+    base = _session_outputs(config)
+    inert = []
+    for name, value in _OTHER_VALUES.items():
+        changed = dataclasses.replace(config, **{name: value})
+        changed.validate()
+        if _session_outputs(changed) == base:
+            inert.append(name)
+    assert inert == []

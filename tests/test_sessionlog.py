@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from errandlab import scenario, sessionlog
-from errandlab.config import DEFAULT_BAND_POINTS, _json_text, _write_json
+from errandlab.config import DEFAULT_BAND_POINTS, _json_text
 from errandlab.scenario import EventKind, SessionEvent
 from errandlab.scoring import aggregate_scorecard
 from errandlab.sessionlog import (
@@ -29,7 +29,6 @@ from errandlab.sessionlog import (
     deserialize_log,
     export_report,
     log_from_events,
-    new_log,
     serialize_log,
 )
 from errandlab.simulate import simulate_session
@@ -38,7 +37,7 @@ from walks import minimal_walk
 
 @pytest.fixture(scope="module")
 def walk_log():
-    log = new_log(seed=7, config_hash="deadbeef")
+    log = SessionLog(seed=7, config_hash="deadbeef")
     for event in minimal_walk():
         log = append_event(log, event)
     return log
@@ -50,14 +49,14 @@ def _canonical(record):
 
 class TestAppend:
     def test_append_is_pure(self):
-        log = new_log()
+        log = SessionLog()
         grown = append_event(log, SessionEvent(seq=0, sim_time_ms=0, scene=1,
                                                kind=EventKind.SCENE_ENTERED))
         assert log.events == ()
         assert len(grown.events) == 1
 
     def test_seq_must_increase(self):
-        log = new_log()
+        log = SessionLog()
         log = append_event(log, SessionEvent(seq=5, sim_time_ms=0, scene=1,
                                              kind=EventKind.SCENE_ENTERED))
         with pytest.raises(MonotonicityViolation):
@@ -65,7 +64,7 @@ class TestAppend:
                                            kind=EventKind.TUTORIAL_COMPLETED))
 
     def test_time_must_not_regress(self):
-        log = new_log()
+        log = SessionLog()
         log = append_event(log, SessionEvent(seq=0, sim_time_ms=100, scene=1,
                                              kind=EventKind.SCENE_ENTERED))
         with pytest.raises(MonotonicityViolation):
@@ -73,7 +72,7 @@ class TestAppend:
                                            kind=EventKind.TUTORIAL_COMPLETED))
 
     def test_equal_times_allowed(self):
-        log = new_log()
+        log = SessionLog()
         log = append_event(log, SessionEvent(seq=0, sim_time_ms=100, scene=1,
                                              kind=EventKind.SCENE_ENTERED))
         log = append_event(log, SessionEvent(seq=1, sim_time_ms=100, scene=1,
@@ -116,7 +115,7 @@ class TestSerialization:
             deserialize_log(b"")
 
     def test_header_only_is_valid(self):
-        log = new_log(seed=None, config_hash=None)
+        log = SessionLog(seed=None, config_hash=None)
         clone = deserialize_log(serialize_log(log))
         assert clone.events == ()
         assert clone.seed is None
@@ -276,18 +275,11 @@ def _indented(value):
     return json.dumps(value, indent=2, sort_keys=True)
 
 
-def _writer_text(value):
-    # the writer itself, which _json_text uses before Python 3.13
-    out = []
-    _write_json(value, "\n", out)
-    return "".join(out)
-
-
 class TestIndentedWriter:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(value=_TREES)
     def test_equals_json_dumps(self, value):
-        assert _writer_text(value) == _json_text(value) == _indented(value)
+        assert _json_text(value) == _indented(value)
 
     @pytest.mark.parametrize("value", [
         {1: 0, "a": 0}, {"a": {None: 0, 1: 0}}, {1, 2}, [0, {"k": (b"x",)}],
@@ -295,10 +287,9 @@ class TestIndentedWriter:
     def test_raises_type_error_where_json_does(self, value):
         with pytest.raises(TypeError) as expected:
             _indented(value)
-        for write in (_writer_text, _json_text):
-            with pytest.raises(TypeError) as raised:
-                write(value)
-            assert str(raised.value) == str(expected.value)
+        with pytest.raises(TypeError) as raised:
+            _json_text(value)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestFieldTypes:
@@ -405,7 +396,7 @@ class TestTelemetry:
         assert derive_telemetry(walk_log).notes_intent == (False, False, False)
 
     def test_notes_views(self):
-        log = new_log()
+        log = SessionLog()
         events = [
             (1, EventKind.SCENE_ENTERED, {}),
             (1, EventKind.NOTE_OPENED, {}),
@@ -472,14 +463,14 @@ class TestTelemetry:
                    for events in groups.values())
 
     def test_partial_log_partial_scenes(self, walk_log):
-        log = new_log()
+        log = SessionLog()
         for event in walk_log.events[:10]:
             log = append_event(log, event)
         telemetry = derive_telemetry(log)
         assert len(telemetry.scene_time_s) < 22
 
     def test_incomplete_session_cannot_be_scored(self, walk_log, config):
-        log = new_log()
+        log = SessionLog()
         for event in walk_log.events[:40]:
             log = append_event(log, event)
         with pytest.raises(IncompleteSession):

@@ -133,6 +133,24 @@ class TestDomainMappingValidation:
         with pytest.raises(ConfigError):
             validate_domain_mapping(mapping)
 
+    @pytest.mark.parametrize("mapping, message", [
+        ({"UserExperience": list(range(1, 21))}, "domain_mapping must name exactly "
+         "['GameMechanics', 'InGameAssistance', 'UserExperience', 'VRISE']"),
+        ({**DEFAULT_DOMAIN_MAPPING, "VRISE": 5}, "domain VRISE items must be a list"),
+        ({**DEFAULT_DOMAIN_MAPPING, "VRISE": [16, 17, 18, 19]},
+         "domain VRISE must map exactly 5 items"),
+        ({**DEFAULT_DOMAIN_MAPPING, "VRISE": [16, 17, 18, 19, 21]},
+         "domain VRISE has invalid item 21"),
+        ({**DEFAULT_DOMAIN_MAPPING, "VRISE": [16, 17, 18, 19, True]},
+         "domain VRISE has invalid item True"),
+        ({**DEFAULT_DOMAIN_MAPPING, "VRISE": [1, 2, 3, 4, 5]},
+         "domain_mapping must partition items 1..20"),
+    ])
+    def test_each_fault_has_its_message(self, mapping, message):
+        with pytest.raises(ConfigError) as raised:
+            validate_domain_mapping(mapping)
+        assert str(raised.value) == message
+
 
 class _Rating(int):
     """An int subclass, as a caller's own item type might be."""
