@@ -18,7 +18,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import __version__
 from .config import (
@@ -30,31 +30,10 @@ from .config import (
     read_json,
 )
 from .scenario import EngineError
-from .scoring import aggregate_scorecard, score_session, scorecard_to_dict
-from .sessionlog import (
-    LogError,
-    deserialize_log,
-    export_report,
-    serialize_log,
-)
-from .simulate import (
-    PROFILE_PRESETS,
-    ParticipantProfile,
-    _simulate,
-    load_profile,
-)
-from .vrnq import (
-    CUTOFFS,
-    DOMAINS,
-    DomainMapping,
-    VrnqError,
-    _paired_columns,
-    _read_cohort_items,
-    aggregate_cohort,
-    check_cutoffs,
-    read_cohort_csv,
-    score_vrnq,
-)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .simulate import ParticipantProfile
+    from .vrnq import DomainMapping
 
 _EXIT_CONFIG = 2
 _EXIT_IO = 3
@@ -74,6 +53,8 @@ def _write_bytes(path: str, data: bytes) -> None:
 
 
 def _load_profile_arg(spec: Optional[str]) -> ParticipantProfile:
+    from .simulate import PROFILE_PRESETS, load_profile
+
     preset = PROFILE_PRESETS.get(spec or "default")
     if preset is not None:
         return preset()
@@ -134,6 +115,10 @@ def _write_manifest(out: str, manifest: dict[str, Any]) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .scoring import score_session, scorecard_to_dict
+    from .sessionlog import export_report, serialize_log
+    from .simulate import PROFILE_PRESETS, _simulate
+
     cfg = load_config(args.config) if args.config else default_config()
     profile = _load_profile_arg(args.profile)
     cfg_hash = config_hash(cfg)
@@ -189,6 +174,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    from .scoring import aggregate_scorecard, scorecard_to_dict
+    from .sessionlog import deserialize_log, export_report
+
     cfg = load_config(args.config) if args.config else default_config()
     with open(args.log, "rb") as handle:
         log = deserialize_log(handle.read())
@@ -229,6 +217,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _load_domains_arg(path: Optional[str]) -> Optional[DomainMapping]:
     if not path:
         return None
+    from .vrnq import DomainMapping
+
     mapping = read_json(path)
     try:
         return DomainMapping(mapping)
@@ -237,6 +227,9 @@ def _load_domains_arg(path: Optional[str]) -> Optional[DomainMapping]:
 
 
 def _cmd_vrnq_score(args: argparse.Namespace) -> int:
+    from .vrnq import (CUTOFFS, DOMAINS, aggregate_cohort, check_cutoffs,
+                       read_cohort_csv, score_vrnq)
+
     mapping = _load_domains_arg(args.domains)
     responses = read_cohort_csv(args.responses)
     scored = [score_vrnq(r, mapping) for r in responses]
@@ -298,6 +291,7 @@ def _cmd_vrnq_score(args: argparse.Namespace) -> int:
 def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
     # scipy costs most of a cold start; only this command needs it
     from . import bayes
+    from .vrnq import _paired_columns, _read_cohort_items
 
     mapping = _load_domains_arg(args.domains)
     baseline, _ = _read_cohort_items(args.baseline)
@@ -440,6 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _raised(module: str, name: str) -> tuple[type[Exception], ...]:
+    """``module``'s error class ``name``, or no class if no command imported
+    ``module``: a command that never ran it cannot have raised its errors,
+    so the error path loads nothing."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return () if loaded is None else (getattr(loaded, name),)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # Safe to share: no action has a mutable default, parse_args makes a new
@@ -458,10 +460,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {where}", file=sys.stderr)
         return _EXIT_IO
-    except (LogError, EngineError) as exc:
+    except (EngineError, *_raised("sessionlog", "LogError")) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_LOG
-    except VrnqError as exc:
+    except _raised("vrnq", "VrnqError") as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CSV
 

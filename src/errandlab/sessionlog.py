@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import json
-import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Optional
 
@@ -35,8 +34,6 @@ from .scenario import (
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ScoringConfig
     from .scoring import RecognitionScore, TaskScorecard
-
-logger = logging.getLogger(__name__)
 
 SCHEMA_NAME = "session-log"
 SCHEMA_VERSION = 1
@@ -346,7 +343,9 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
             # the last note opened is still open when the scene (or log) ends
             open_ms += groups.get(exited, log.events)[-1].sim_time_ms
             closed_at = "scene exit" if exited in groups else "the log's last event"
-            logger.warning(
+            import logging  # here: the module's only log call, and a rare one
+
+            logging.getLogger(__name__).warning(
                 "notes left open in scene %d; closed at %s", scene_id, closed_at)
         notes_views[scene_id] = NotesUsage(
             opens=len(opened), total_open_s=open_ms / 1000.0)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import statistics
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -175,7 +174,11 @@ def _paired_columns(baseline: Mapping[str, tuple[int, ...]],
 
 def _median(values: Sequence[float]) -> float:
     # even-length medians are the mean of the two middle values
-    return float(statistics.median(values))
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[middle])
+    return (ordered[middle - 1] + ordered[middle]) / 2
 
 
 def median_absolute_deviation(values: Sequence[float]) -> float:

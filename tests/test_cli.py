@@ -4,6 +4,7 @@ import argparse
 import errno
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -675,15 +676,33 @@ def _subprocess_env():
     return env
 
 
-def _heavy_modules_after(code):
-    """The scipy, numpy and errandlab.bayes modules loaded after ``code``."""
+def _modules_after(code):
+    """Every module a fresh interpreter has loaded after running ``code``."""
     result = subprocess.run(
-        [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps(sorted("
-         "m for m in sys.modules if m.partition('.')[0] in ('scipy', 'numpy')"
-         " or m == 'errandlab.bayes')))"],
+        [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"],
         capture_output=True, text=True, env=_subprocess_env())
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
+
+
+def _heavy_modules_after(code):
+    """The scipy, numpy and errandlab.bayes modules loaded after ``code``."""
+    return [m for m in _modules_after(code)
+            if m.partition(".")[0] in ("scipy", "numpy") or m == "errandlab.bayes"]
+
+
+def _errandlab_modules_after(code):
+    """The errandlab package and submodules loaded after ``code``."""
+    return [m for m in _modules_after(code) if m.partition(".")[0] == "errandlab"]
+
+
+# Runs one argv through errandlab.cli.main with its stdout discarded.
+_MAIN = """
+import contextlib, io
+from errandlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+"""
 
 
 class TestEntryPoints:
@@ -713,11 +732,31 @@ class TestEntryPoints:
         log_path = tmp_path / "session.ndjson"
         log_path.write_bytes(serialize_log(simulate_session(default_profile(), 2)))
         assert _heavy_modules_after(
-            "import contextlib, io\n"
-            "from errandlab.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main(['score', '--log', {str(log_path)!r}]) == 0\n"
-        ) == []
+            _MAIN.format(argv=["score", "--log", str(log_path)])) == []
+
+    def test_package_import_loads_no_submodule(self):
+        assert _errandlab_modules_after("import errandlab") == ["errandlab"]
+
+    def test_cli_import_loads_only_config_and_scenario(self):
+        assert _errandlab_modules_after(
+            "import errandlab.cli\nerrandlab.cli.build_parser()"
+        ) == ["errandlab", "errandlab.cli", "errandlab.config", "errandlab.scenario"]
+
+    def test_score_loads_no_simulator_or_questionnaire_modules(self, tmp_path):
+        log_path = tmp_path / "session.ndjson"
+        log_path.write_bytes(serialize_log(simulate_session(default_profile(), 2)))
+        loaded = _modules_after(_MAIN.format(argv=["score", "--log", str(log_path)]))
+        assert "errandlab.scoring" in loaded
+        assert set(loaded) & {"errandlab.simulate", "errandlab.vrnq",
+                              "statistics", "csv"} == set()
+
+    def test_vrnq_score_loads_no_session_modules(self, tmp_path):
+        responses = _cohort_csv(tmp_path / "cohort.csv", {"p1": 100, "p2": 90})
+        loaded = _modules_after(
+            _MAIN.format(argv=["vrnq", "score", "--responses", str(responses)]))
+        assert "errandlab.vrnq" in loaded
+        assert set(loaded) & {"errandlab.scoring", "errandlab.sessionlog",
+                              "errandlab.simulate", "logging"} == set()
 
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
@@ -776,6 +815,8 @@ class TestParserReuse:
                                   {p: 70 + 3 * i + i % 4 for i, p in enumerate(ids)}))
         run = str(tmp_path / "run")
         compare = ["vrnq", "compare", "--baseline", baseline, "--revised", revised]
+        bad_header = tmp_path / "header.csv"
+        bad_header.write_text("id,q1\n")
         calls = [
             ["score"],
             ["--version"],
@@ -784,9 +825,11 @@ class TestParserReuse:
             ["score", "--log", os.path.join(run, "session.ndjson"), "--format", "json"],
             ["vrnq", "score", "--responses", baseline],
             [*compare, "--direction", "two-sided", "--format", "json"],
+            ["score", "--log", baseline],
+            ["vrnq", "score", "--responses", str(bad_header)],
         ]
         in_sequence = [result[:3] for result in _run_calls(calls)]
-        assert [code for code, _, _ in in_sequence] == [2, 0, 2, 0, 0, 0, 0]
+        assert [code for code, _, _ in in_sequence] == [2, 0, 2, 0, 0, 0, 0, 4, 5]
         assert in_sequence == [_run_calls([argv])[0][:3] for argv in calls]
 
 
@@ -918,3 +961,26 @@ def test_public_namespace_is_pinned():
     public = tuple(name for name in dir(errandlab) if not name.startswith("_")
                    and not isinstance(vars(errandlab).get(name), types.ModuleType))
     assert public == _PUBLIC_NAMES
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("name", _PUBLIC_NAMES)
+    def test_name_resolves_to_its_defining_modules_object(self, name):
+        value = getattr(errandlab, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("errandlab.")
+        assert getattr(home, name) is value
+
+    def test_every_submodule_resolves_without_an_import(self):
+        names = sorted(m.name for m in pkgutil.iter_modules(errandlab.__path__)
+                       if m.name != "__main__")
+        assert {"bayes", "cli", "scoring", "vrnq"} <= set(names)
+        _modules_after(
+            "import sys, errandlab\n"
+            f"for name in {names!r}:\n"
+            "    assert getattr(errandlab, name) is sys.modules['errandlab.' + name]\n")
+
+    def test_a_name_loads_only_its_own_module(self):
+        loaded = _errandlab_modules_after("from errandlab import score_vrnq")
+        assert "errandlab.vrnq" in loaded
+        assert "errandlab.scoring" not in loaded

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import statistics
 
 import numpy
 import pytest
@@ -19,6 +20,7 @@ from errandlab.vrnq import (
     ScoreStats,
     VrnqError,
     VrnqResponseSet,
+    _median,
     _paired_columns,
     aggregate_cohort,
     check_cutoffs,
@@ -301,6 +303,17 @@ class TestRobustStats:
         shuffled = list(values)
         rng.shuffle(shuffled)
         assert median_absolute_deviation(shuffled) == median_absolute_deviation(values)
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @given(st.one_of(
+        st.lists(st.integers(min_value=-10**9, max_value=10**9), min_size=2, max_size=41),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=2, max_size=41)))
+    def test_median_equals_statistics_median(self, parity, values):
+        values = values[len(values) % 2 != parity:]
+        median = _median(values)
+        assert type(median) is float
+        assert median == float(statistics.median(values))
 
 
 def _items_for_total(total):
