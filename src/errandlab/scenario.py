@@ -956,3 +956,14 @@ def replay(events: Iterable[SessionEvent],
         _apply(current, event, effects)
         trace.append((event, effects))
     return current, trace
+
+
+def _final_state(events: Iterable[SessionEvent]) -> SessionState:
+    # replay(events)[0] without the trace, for a caller that reads only the
+    # final state: every event's effects go to one list that nothing reads,
+    # and the same engine error is raised at the same event.
+    state = initial_state()
+    effects: list[Effect] = []
+    for event in events:
+        _apply(state, event, effects)
+    return state

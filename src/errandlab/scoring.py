@@ -1,10 +1,11 @@
 """Task scoring rules for the errand battery.
 
 The scoring API is :func:`aggregate_scorecard`, :func:`score_session` and
-:func:`scorecard_to_dict`.  :func:`aggregate_scorecard` replays a full session
-log through the scenario engine (rejecting anything the engine rejects), then
-:func:`score_session` looks each task up in :data:`~errandlab.scenario.TASKS`,
-reads the payloads of its input events from the log's (scene, kind) groups
+:func:`scorecard_to_dict`.  :func:`aggregate_scorecard` folds a full session
+log through the scenario engine, keeping only the final state and rejecting
+anything the engine rejects; then :func:`score_session` looks each task up in
+:data:`~errandlab.scenario.TASKS`, reads the payloads of its input events from
+the log's (scene, kind) groups
 (:attr:`~errandlab.sessionlog.SessionLog.events_by_key`), the route and the
 reminders from the engine's final state, and applies every private per-task
 scorer with the :class:`~errandlab.config.ScoringConfig` in force.  The
@@ -58,7 +59,7 @@ from .scenario import (
     SessionState,
     TASKS,
     TriggerKind,
-    replay,
+    _final_state,
 )
 from .sessionlog import (
     IncompleteSession,
@@ -383,14 +384,14 @@ class TaskScorecard:
 
 
 def aggregate_scorecard(log: SessionLog, config: ScoringConfig) -> TaskScorecard:
-    """Replay a complete session log and score every task.
+    """Run a complete session log through the engine and score every task.
 
     Raises :class:`MalformedLog` if the engine rejects any event and
     :class:`IncompleteSession` if the log never reaches the scenario's
     final button.
     """
     try:
-        final_state, _ = replay(log.events)
+        final_state = _final_state(log.events)
     except EngineError as exc:
         raise MalformedLog(f"log rejected by the scenario engine: {exc}") from exc
     return score_session(log, final_state, config)

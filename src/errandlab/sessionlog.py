@@ -7,12 +7,18 @@ config in force, so any log can be matched to the exact rules that produced
 and scored it.  Serialization is canonical (sorted keys, fixed separators,
 LF line endings, UTF-8), which makes valid logs round-trip byte-for-byte —
 the determinism tests lean on that.
+
+Parsing reads an event line that :func:`serialize_log` writes with an
+empty payload by one pattern match, with no call of the JSON scanner.  The
+header, and every other event line, is scanned whole; a line parses to the
+same event, or fails with the same message, whichever way it is read.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Optional
 
@@ -161,13 +167,40 @@ def serialize_log(log: SessionLog) -> bytes:
 
 _EVENT_KINDS = {kind.value: kind for kind in EventKind}
 _EVENT_FIELDS = frozenset({"seq", "sim_time_ms", "scene", "kind", "payload"})
-# Reads one JSON value starting at an index; StopIteration if none starts there.
+# Reads one JSON value starting at an index; StopIteration if none starts
+# there or a value nested in it is missing (as in '{"a":}'), ValueError for
+# other faults.
 _scan_once = json.JSONDecoder().scan_once
+# The line that serialize_log writes for an event with an empty payload: a
+# kind of ASCII letters and three integers that int() reads as the scanner
+# would (at most 18 digits, far below the 4,300-digit limit whose message a
+# longer one keeps).
+_ENVELOPE_INT = r"(0|[1-9][0-9]{0,17})"
+_match_empty_event = re.compile(
+    r'\{"kind":"([A-Za-z]+)","payload":\{\},'
+    r'"scene":%s,"seq":%s,"sim_time_ms":%s\}' % ((_ENVELOPE_INT,) * 3)).fullmatch
+
+
+def _empty_event_fields(line: str) -> Optional[tuple[int, int, int, EventKind,
+                                                       dict[str, Any]]]:
+    # seq, sim_time_ms, scene, kind and a fresh payload of a line that
+    # _match_empty_event takes, as JSON would read them; None, for
+    # _read_event to read or word, if the line is not one or its kind is
+    # unknown.
+    match = _match_empty_event(line)
+    if match is None:
+        return None
+    kind_name, scene, seq, time_ms = match.groups()
+    kind = _EVENT_KINDS.get(kind_name)
+    if kind is None:
+        return None
+    return int(seq), int(time_ms), int(scene), kind, {}
 
 
 def _read_line(number: int, line: str) -> dict[str, Any]:
-    # A canonical line is one JSON object from end to end; any other line
-    # goes to _parse_line, which rejects it.
+    # The header, and an event line that _empty_event_fields does not read,
+    # must be one JSON object from end to end; any other line goes to
+    # _parse_line, which rejects it.
     try:
         record, end = _scan_once(line, 0)
     except (StopIteration, ValueError, RecursionError):
@@ -192,6 +225,26 @@ def _parse_line(number: int, line: str) -> NoReturn:
     if not isinstance(record, dict):
         raise ParseError(f"line {number}: expected a JSON object")
     raise ParseError(f"line {number}: whitespace around the JSON object")
+
+
+def _read_event(number: int, line: str) -> tuple[Any, Any, Any, EventKind,
+                                                   dict[str, Any]]:
+    # seq, sim_time_ms, scene, kind and payload of an event line, as JSON
+    # reads them: the kind known and the payload an object, the integers
+    # left for SessionEvent to check.
+    record = _read_line(number, line)
+    if record.keys() != _EVENT_FIELDS:
+        raise ParseError(
+            f"line {number}: event fields must be {sorted(_EVENT_FIELDS)}")
+    kind_name = record["kind"]
+    # an array or object kind is unhashable, so test the type first
+    kind = _EVENT_KINDS.get(kind_name) if type(kind_name) is str else None
+    if kind is None:
+        raise ParseError(f"line {number}: unknown event kind {kind_name!r}")
+    payload = record["payload"]
+    if type(payload) is not dict:
+        raise ParseError(f"line {number}: payload must be an object")
+    return record["seq"], record["sim_time_ms"], record["scene"], kind, payload
 
 
 def deserialize_log(data: bytes) -> SessionLog:
@@ -235,21 +288,11 @@ def deserialize_log(data: bytes) -> SessionLog:
     # event is never out of order.
     last_seq, last_ms = -1, 0
     for number, line in enumerate(lines[1:], start=2):
-        record = _read_line(number, line)
-        if record.keys() != _EVENT_FIELDS:
-            raise ParseError(
-                f"line {number}: event fields must be {sorted(_EVENT_FIELDS)}")
-        kind_name = record["kind"]
-        # an array or object kind is unhashable, so test the type first
-        kind = _EVENT_KINDS.get(kind_name) if type(kind_name) is str else None
-        if kind is None:
-            raise ParseError(f"line {number}: unknown event kind {kind_name!r}")
-        payload = record["payload"]
-        if type(payload) is not dict:
-            raise ParseError(f"line {number}: payload must be an object")
+        # the substring test spares a line with a payload the pattern match
+        fields = ('"payload":{},' in line and _empty_event_fields(line)
+                  or _read_event(number, line))
         try:
-            event = SessionEvent(record["seq"], record["sim_time_ms"],
-                                 record["scene"], kind, payload)
+            event = SessionEvent(*fields)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"line {number}: {exc}") from exc
         seq, time_ms = event.seq, event.sim_time_ms

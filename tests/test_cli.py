@@ -200,6 +200,20 @@ class TestScoreCommand:
         assert main(["score", "--log", str(bad)]) == 4
         assert capsys.readouterr().err == "error: line 2: JSON nested too deeply\n"
 
+    @pytest.mark.parametrize("value", ["", "tru", "-", "[1,"])
+    def test_payload_value_missing_exits_4(self, session_dir, tmp_path, capsys, value):
+        # a canonical line whose payload holds a value with nothing (or a
+        # cut-off word, number or array) where the value should be
+        head, *lines = (session_dir / "session.ndjson").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if '"payload":{}' not in line)
+        lines[at] = re.sub(r'"payload":\{[^{}]*\}', f'"payload":{{"a":{value}}}',
+                           lines[at])
+        bad = tmp_path / "missing.ndjson"
+        bad.write_text("\n".join([head, *lines]) + "\n")
+        assert main(["score", "--log", str(bad)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: line {at + 2}: invalid JSON (Expecting value)\n")
+
     @pytest.mark.parametrize("version, shown", [("1.0", "1.0"), ("true", "True")])
     def test_non_integer_version_exits_4(self, session_dir, tmp_path, capsys,
                                          version, shown):
@@ -523,18 +537,22 @@ class TestCallCounts:
                                                   fmt, scorecards):
         hashes = _count_calls(monkeypatch, errandlab.config, "config_hash")
         replays = _count_calls(monkeypatch, errandlab.scenario, "replay")
+        folds = _count_calls(monkeypatch, errandlab.scenario, "_final_state")
         dicts = _count_calls(monkeypatch, errandlab.scoring, "scorecard_to_dict")
         assert main(["simulate", "--seed", "2", "--cohort", "4", "--format", fmt,
                      "--out", str(tmp_path / "run")]) == 0
-        assert (len(hashes), len(replays), len(dicts)) == (1, 0, scorecards)
+        assert (len(hashes), len(replays), len(folds), len(dicts)) == (
+            1, 0, 0, scorecards)
 
     def test_score_replays_and_derives_telemetry_once(self, tmp_path, monkeypatch):
+        # one engine pass: the trace-free fold, never replay
         out = tmp_path / "run"
         assert main(["simulate", "--seed", "2", "--out", str(out)]) == 0
         replays = _count_calls(monkeypatch, errandlab.scenario, "replay")
+        folds = _count_calls(monkeypatch, errandlab.scenario, "_final_state")
         telemetry = _count_calls(monkeypatch, errandlab.sessionlog, "derive_telemetry")
         assert main(["score", "--log", str(out / "session.ndjson")]) == 0
-        assert (len(replays), len(telemetry)) == (1, 1)
+        assert (len(folds), len(replays), len(telemetry)) == (1, 0, 1)
 
     def test_score_hashes_the_config_only_for_an_accepted_log(self, tmp_path, monkeypatch):
         out = tmp_path / "run"

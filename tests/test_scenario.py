@@ -40,6 +40,7 @@ from errandlab.scenario import (
     replay,
     scene_sequence,
 )
+from errandlab.scoring import aggregate_scorecard
 from errandlab.simulate import PROFILE_PRESETS, simulate_session
 from walks import minimal_walk
 
@@ -696,6 +697,26 @@ class TestInPlaceMatchesAdvance:
             assert str(caught.value) == str(expected)
             seen.add(type(expected))
         assert seen == {InvalidEvent, WrongSceneEvent, OutOfOrderEvent}
+
+    # aggregate_scorecard folds the engine without replay's trace: the fold
+    # must end in replay's state and fail as replay fails.
+    def test_final_state_equals_replay(self, simulated_logs):
+        for log in simulated_logs:
+            events = log.events
+            for end in (*range(0, len(events), 20), len(events)):
+                assert scenario._final_state(events[:end]) == replay(events[:end])[0]
+
+    def test_scoring_words_a_rejection_as_replay_raises_it(self, simulated_logs,
+                                                           config):
+        for corrupted in _corruptions(list(simulated_logs[0].events)):
+            with pytest.raises(EngineError) as expected:
+                replay(corrupted)
+            with pytest.raises(sessionlog.MalformedLog) as raised:
+                aggregate_scorecard(sessionlog.SessionLog(events=tuple(corrupted)),
+                                    config)
+            assert str(raised.value) == (
+                f"log rejected by the scenario engine: {expected.value}")
+            assert type(raised.value.__cause__) is type(expected.value)
 
     def test_simulator_state_equals_replay(self, monkeypatch):
         builders = []

@@ -250,6 +250,208 @@ class TestEncoderProperties:
         assert "".join(sessionlog._encode_payload(payload, 0)) == _canonical(payload)
 
 
+def _events_per_line(lines):
+    """The event lines read as they were before the empty-payload pattern: each
+    line scanned whole as JSON (json.loads words a line that fails), its
+    fields checked by name, then one SessionEvent and the order check.
+    ``lines`` are the log's lines after the header."""
+    scan_once = json.JSONDecoder().scan_once
+    kinds = {kind.value: kind for kind in EventKind}
+    fields = frozenset({"seq", "sim_time_ms", "scene", "kind", "payload"})
+    events = []
+    for number, line in enumerate(lines, start=2):
+        try:
+            record, end = scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line) or type(record) is not dict:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"line {number}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:
+                raise ParseError(f"line {number}: invalid JSON ({exc})") from exc
+            except RecursionError as exc:
+                raise ParseError(f"line {number}: JSON nested too deeply") from exc
+            if not isinstance(record, dict):
+                raise ParseError(f"line {number}: expected a JSON object")
+            raise ParseError(f"line {number}: whitespace around the JSON object")
+        if record.keys() != fields:
+            raise ParseError(f"line {number}: event fields must be {sorted(fields)}")
+        kind_name = record["kind"]
+        kind = kinds.get(kind_name) if type(kind_name) is str else None
+        if kind is None:
+            raise ParseError(f"line {number}: unknown event kind {kind_name!r}")
+        payload = record["payload"]
+        if type(payload) is not dict:
+            raise ParseError(f"line {number}: payload must be an object")
+        try:
+            event = SessionEvent(record["seq"], record["sim_time_ms"],
+                                 record["scene"], kind, payload)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"line {number}: {exc}") from exc
+        if events:
+            sessionlog._check_order(events[-1], event)
+        events.append(event)
+    return tuple(events)
+
+
+def _assert_parses_as_per_line(lines):
+    # the same events, their payloads' value types included, or the same
+    # exception class and message
+    header = serialize_log(SessionLog(seed=1, config_hash="c")).decode().rstrip("\n")
+    data = "\n".join([header, *lines, ""]).encode("utf-8")
+    try:
+        expected = _events_per_line(lines)
+    except (ParseError, MonotonicityViolation) as exc:
+        with pytest.raises(type(exc)) as raised:
+            deserialize_log(data)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+    else:
+        assert list(map(repr, deserialize_log(data).events)) == list(map(repr, expected))
+
+
+# Text with the braces, brackets and quotes that end or nest a payload, and
+# non-ASCII, which serialize_log writes as \u escapes.
+_ENVELOPE_TEXT = _TEXT | st.text(
+    st.sampled_from('{}[]":,\\ aé漢😀') | st.characters(exclude_categories=("Cs",)),
+    max_size=6)
+_ENVELOPE_VALUES = {**_VALUES, (str,): _ENVELOPE_TEXT,
+                    (str, type(None)): st.none() | _ENVELOPE_TEXT}
+_ENVELOPE_PAYLOADS = st.one_of(*(
+    st.fixed_dictionaries({name: _ENVELOPE_VALUES[types]
+                           for name, types in fields.items()})
+    .map(lambda payload, kind=kind: (kind, payload))
+    for kind, fields in scenario._PAYLOAD_FIELDS.items()))
+# Spellings of each envelope field that JSON reads (or rejects) and that the
+# empty-payload pattern does not take: leading zeros, signs, floats, integers
+# past 18 digits and past the 4,300-digit limit, escaped and unknown kinds,
+# nested, deep, duplicate-key, brace-holding and cut-off payloads, and one
+# that holds the text the pattern's substring test looks for.
+_ODD_INTEGERS = [
+    "00", "05", "-0", "-1", "3.0", "1e3", "1E0", "true", "null", '"3"', "[]",
+    "9" * 18, "1" + "0" * 17, "9" * 19, "1" + "0" * 18, "1" * 4301]
+_ODD_SPELLINGS = {
+    "kind": [
+        '"\\u0053ceneEntered"', '"Scene\\u0045ntered"', '"Teleported"',
+        '"sceneentered"', '"NoteOpened "', '"NoteÖpened"', '"\\u00d6"', "3",
+        '["NoteOpened"]', '{"a":1}', "null"],
+    "payload": [
+        '{"item":"a{b"}', '{"item":"}"}', '{"item":"{}"}', '{"a":{"b":1}}',
+        '{"a":{}}', '{"item":"x","item":"y"}', '{"item":"é漢😀"}',
+        '{"item":"\\u00e9"}', "{ }", '{"a":1,}', "[]", "null", '"{}"',
+        '{"a":[[1],[]]}', '{"a":' + "[" * 1200 + "]" * 1200 + "}",
+        '{"a":1' + "0" * 4300 + "}", '{"cook_time_s":-0}', '{"unit":07}',
+        '{"cook_time_s":NaN,"item":"x"}', '{"cook_time_s":-Infinity}',
+        '{"item":"x"', '{"item":"x\\"}', '{"a":}', '{"item":tru}', '{"a":-}',
+        '{"a":[1,}', '{"a":{"payload":{},"b":1}}', '{"payload":{},"a":1}'],
+    "scene": _ODD_INTEGERS,
+    "seq": _ODD_INTEGERS,
+    "sim_time_ms": _ODD_INTEGERS,
+}
+
+
+@st.composite
+def _event_lines(draw):
+    """Event lines in serialize_log's envelope, each field now and then
+    spelled oddly, the keys now and then reordered, dropped, repeated or
+    joined by one more, the separators spaced and the line padded."""
+    lines = []
+    for seq in range(draw(st.integers(1, 4))):
+        kind, payload = draw(_ENVELOPE_PAYLOADS)
+        fields = {
+            "kind": json.dumps(kind.value),
+            "payload": json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                                  ensure_ascii=draw(st.booleans())),
+            "scene": str(draw(st.integers(1, 22))),
+            "seq": str(seq),
+            "sim_time_ms": str(draw(st.sampled_from([0, 1000 * seq, 2**53]))),
+        }
+        for name, odd in _ODD_SPELLINGS.items():
+            if draw(st.integers(0, 7)) == 0:
+                fields[name] = draw(st.sampled_from(odd))
+        names = sorted(fields)
+        keys = draw(st.sampled_from(["sorted"] * 6 + ["shuffled", "dropped",
+                                                       "repeated", "rogue"]))
+        if keys == "shuffled":
+            names = draw(st.permutations(names))
+        elif keys == "dropped":
+            names.remove(draw(st.sampled_from(names)))
+        elif keys == "repeated":
+            names.append(draw(st.sampled_from(names)))
+        elif keys == "rogue":
+            fields["rogue"] = draw(st.sampled_from(["1", "{}", '{"seq":1}']))
+            names.insert(draw(st.integers(0, len(names))), "rogue")
+        comma, colon = draw(st.sampled_from(
+            [(",", ":")] * 4 + [(", ", ": "), (",", " :"), (" ,", ":")]))
+        line = "{" + comma.join(f'"{name}"{colon}{fields[name]}' for name in names) + "}"
+        if draw(st.integers(0, 15)) == 0:
+            line = (draw(st.sampled_from(["", " ", "\t"])) + line
+                    + draw(st.sampled_from(["", " ", "\r"])))
+        lines.append(line)
+    return lines
+
+
+class TestEnvelopeReading:
+    """deserialize_log reads an event line that serialize_log writes with
+    an empty payload by pattern and every other line by JSON; either way
+    it parses as the per-line loop did, to the same events or to the same
+    error."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(lines=_event_lines())
+    def test_equals_the_per_line_loop(self, lines):
+        _assert_parses_as_per_line(lines)
+
+    @staticmethod
+    def _lines(**spelled):
+        # one line per payload kind, empty or not, with these fields spelled
+        # as given and the others as serialize_log spells them
+        lines = []
+        for kind, payload in ((EventKind.ITEM_SELECTED, {"item": "x"}),
+                              (EventKind.NOTE_OPENED, {})):
+            fields = {"kind": json.dumps(kind.value), "payload": _canonical(payload),
+                      "scene": "3", "seq": "4", "sim_time_ms": "5", **spelled}
+            lines.append("{" + ",".join(f'"{key}":{fields[key]}'
+                                        for key in sorted(fields)) + "}")
+        return lines
+
+    @pytest.mark.parametrize("name, odd", [
+        (name, odd) for name, spellings in _ODD_SPELLINGS.items()
+        for odd in spellings])
+    def test_each_odd_spelling_equals_the_per_line_loop(self, name, odd):
+        for line in self._lines(**{name: odd}):
+            _assert_parses_as_per_line([line])
+
+    # A key between the payload and the scene, whose object value ends in
+    # "}" as the payload does.
+    @pytest.mark.parametrize("value", ["1", "{}", '{"seq":1}'])
+    def test_a_key_after_the_payload_equals_the_per_line_loop(self, value):
+        for line in self._lines(rogue=value):
+            _assert_parses_as_per_line([line])
+
+    def test_empty_payload_lines_skip_the_line_scan(self, walk_log, monkeypatch):
+        # the header and each event line with a payload are scanned whole;
+        # no canonical line with an empty payload is
+        scanned = []
+        original = sessionlog._read_line
+
+        def counted(number, line):
+            scanned.append(number)
+            return original(number, line)
+
+        monkeypatch.setattr(sessionlog, "_read_line", counted)
+        parsed = deserialize_log(serialize_log(walk_log))
+        assert parsed == walk_log
+        # each empty payload is a dict of its own, as JSON would give it
+        empty = [id(event.payload) for event in parsed.events if not event.payload]
+        assert len(set(empty)) == len(empty) > 1
+        assert scanned == [1] + [number for number, event in
+                                 enumerate(walk_log.events, start=2) if event.payload]
+        assert len(scanned) < len(walk_log.events) + 1
+
+
 class _Level(enum.IntEnum):
     LOW = 1
 
