@@ -11,7 +11,8 @@ Every public name, and every submodule, is resolved lazily (PEP 562): the
 first use of ``errandlab.score_vrnq`` or ``errandlab.scoring`` imports the
 one submodule that defines it.  So ``import errandlab`` loads no submodule,
 and each CLI command loads only the modules it runs: every command loads
-``config`` and ``scenario``; ``score`` adds ``sessionlog`` and ``scoring``;
+``cli`` and ``jsonio`` (the JSON reader and writer, and ``ConfigError``);
+``score`` adds ``config``, ``scenario``, ``sessionlog`` and ``scoring``;
 ``simulate`` adds those and ``simulate`` (numpy); ``vrnq score`` adds only
 ``vrnq``; and ``vrnq compare`` adds ``vrnq`` and ``bayes`` (numpy, scipy).
 """
@@ -22,9 +23,10 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
+    "jsonio": ("ConfigError",),
     "config": (
-        "ConfigError", "ScoringConfig", "config_from_dict", "config_hash",
-        "config_to_dict", "default_config", "load_config", "save_config",
+        "ScoringConfig", "config_from_dict", "config_hash", "config_to_dict",
+        "default_config", "load_config", "save_config",
     ),
     "scenario": (
         "EngineError", "EventKind", "GateResult", "InvalidEvent",

@@ -21,15 +21,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import __version__
-from .config import (
-    ConfigError,
-    _json_text,
-    config_hash,
-    default_config,
-    load_config,
-    read_json,
-)
-from .scenario import EngineError
+from .jsonio import ConfigError, _json_text, read_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulate import ParticipantProfile
@@ -115,6 +107,7 @@ def _write_manifest(out: str, manifest: dict[str, Any]) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .config import config_hash, default_config, load_config
     from .scoring import score_session, scorecard_to_dict
     from .sessionlog import export_report, serialize_log
     from .simulate import PROFILE_PRESETS, _simulate
@@ -174,6 +167,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    from .config import config_hash, default_config, load_config
     from .scoring import aggregate_scorecard, scorecard_to_dict
     from .sessionlog import deserialize_log, export_report
 
@@ -460,7 +454,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {where}", file=sys.stderr)
         return _EXIT_IO
-    except (EngineError, *_raised("sessionlog", "LogError")) as exc:
+    except (*_raised("scenario", "EngineError"),
+            *_raised("sessionlog", "LogError")) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_LOG
     except _raised("vrnq", "VrnqError") as exc:

@@ -21,19 +21,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
+from .jsonio import ConfigError, _json_text, read_json
 from .scenario import (_MAX_CLOCK_MS, AUDITORY_STIMULUS_KINDS, LADDER_DEPTH,
                        SHOPPING_LIST_LENGTH, VISUAL_STIMULUS_KINDS, NpcChoice)
-
-
-class ConfigError(Exception):
-    """Raised for unknown, missing, or invalid configuration content."""
 
 
 # Band names for the cooking timing classifier.
@@ -94,15 +89,6 @@ _DEFAULT_COLLECTION_DISTRACTORS = (
     "magazine", "blue_book", "tv_remote", "notebook", "pencil",
     "chessboard", "wine_bottle",
 )
-
-# Default questionnaire domain mapping: contiguous five-item blocks in domain
-# order.  Studies with a different printed item order pass `vrnq --domains`.
-DEFAULT_DOMAIN_MAPPING: dict[str, list[int]] = {
-    "UserExperience": [1, 2, 3, 4, 5],
-    "GameMechanics": [6, 7, 8, 9, 10],
-    "InGameAssistance": [11, 12, 13, 14, 15],
-    "VRISE": [16, 17, 18, 19, 20],
-}
 
 # Ride -> stimulus kind -> the field that sets how many stimuli of that kind
 # each side of the ride shows, in the engine's order of the kinds.
@@ -237,72 +223,6 @@ def _canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _float_text(value: float) -> str:
-    if math.isfinite(value):
-        return float.__repr__(value)
-    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-
-
-# json's text of each leaf type.  A leaf is looked up by its exact type, and
-# a subclass (numpy.float64, a str or int enum) by the first base json tests.
-_LEAF_TEXT: dict[type, Callable[[Any], str]] = {
-    str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
-    bool: lambda value: "true" if value else "false", type(None): lambda value: "null",
-}
-
-
-def _key_text(key: Any) -> str:
-    # json sorts by the original key, then writes it as a quoted leaf
-    for base in (str, float, bool, type(None), int):
-        if isinstance(key, base):
-            text = _LEAF_TEXT[base](key)
-            return text if base is str else encode_basestring_ascii(text)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _write_json(value: Any, indent: str, out: list[str]) -> None:
-    """Append ``value``'s JSON to ``out``, its closing bracket after ``indent``."""
-    text = _LEAF_TEXT.get(type(value))
-    if text is not None:
-        out.append(text(value))
-    elif not isinstance(value, (dict, list, tuple)):
-        for base in (str, int, float):
-            if isinstance(value, base):
-                out.append(_LEAF_TEXT[base](value))
-                return
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    elif not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, dict):
-        inner = indent + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            key = encode_basestring_ascii(key) if type(key) is str else _key_text(key)
-            out.append(f"{sep}{key}: ")
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(indent + "}")
-    else:
-        inner = indent + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(indent + "]")
-
-
-def _json_text(value: Any) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for a tree of JSON
-    values (a container inside itself recurses without end)."""
-    # before 3.13 an indent sends json.dumps to its pure-Python encoder,
-    # which the writer beats; json.dumps(value, indent=2, sort_keys=True)
-    # replaces the writer once requires-python reaches 3.13
-    out: list[str] = []
-    _write_json(value, "\n", out)
-    return "".join(out)
-
-
 def config_hash(config: ScoringConfig) -> str:
     """sha256 over the canonical JSON of the full effective config.
 
@@ -346,18 +266,6 @@ def config_from_dict(data: Mapping[str, Any]) -> ScoringConfig:
     return config
 
 
-def read_json(path: str | Path) -> Any:
-    """The JSON document in the UTF-8 file at ``path``; ConfigError naming
-    ``path`` if the bytes are not UTF-8 JSON, nest past the recursion limit
-    or hold an integer longer than Python converts from a string."""
-    data = Path(path).read_bytes()
-    try:
-        return json.loads(data.decode("utf-8"))
-    # UnicodeDecodeError and JSONDecodeError are ValueErrors too
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-
-
 def load_config(path: str | Path) -> ScoringConfig:
     """Read a JSON config file, merging the given keys over the defaults."""
     data = read_json(path)
@@ -369,3 +277,11 @@ def load_config(path: str | Path) -> ScoringConfig:
 
 def save_config(config: ScoringConfig, path: str | Path) -> None:
     Path(path).write_text(_json_text(config_to_dict(config)) + "\n", encoding="utf-8")
+
+
+def __getattr__(name: str) -> Any:
+    # the default mapping lives in vrnq, imported only when the name is read
+    if name == "DEFAULT_DOMAIN_MAPPING":
+        from .vrnq import DEFAULT_DOMAIN_MAPPING
+        return DEFAULT_DOMAIN_MAPPING
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,0 +1,92 @@
+"""The JSON reader of input files, its :class:`ConfigError`, and the
+indented JSON writer: every command uses them, and they import no other
+errandlab module, so no command loads the session engine for them."""
+
+import json
+import math
+import os
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable
+
+
+class ConfigError(Exception):
+    """Raised for unknown, missing, or invalid configuration content."""
+
+
+def read_json(path: str | os.PathLike[str]) -> Any:
+    """The JSON document in the UTF-8 file at ``path``; ConfigError naming
+    ``path`` if the bytes are not UTF-8 JSON, nest past the recursion limit
+    or hold an integer longer than Python converts from a string."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors too
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+# json's text of each leaf type.  A leaf is looked up by its exact type, and
+# a subclass (numpy.float64, a str or int enum) by the first base json tests.
+_LEAF_TEXT: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+    bool: lambda value: "true" if value else "false", type(None): lambda value: "null",
+}
+
+
+def _key_text(key: Any) -> str:
+    # json sorts by the original key, then writes it as a quoted leaf
+    for base in (str, float, bool, type(None), int):
+        if isinstance(key, base):
+            text = _LEAF_TEXT[base](key)
+            return text if base is str else encode_basestring_ascii(text)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_json(value: Any, indent: str, out: list[str]) -> None:
+    """Append ``value``'s JSON to ``out``, its closing bracket after ``indent``."""
+    text = _LEAF_TEXT.get(type(value))
+    if text is not None:
+        out.append(text(value))
+    elif not isinstance(value, (dict, list, tuple)):
+        for base in (str, int, float):
+            if isinstance(value, base):
+                out.append(_LEAF_TEXT[base](value))
+                return
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            key = encode_basestring_ascii(key) if type(key) is str else _key_text(key)
+            out.append(f"{sep}{key}: ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+
+
+def _json_text(value: Any) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a tree of JSON
+    values (a container inside itself recurses without end)."""
+    # before 3.13 an indent sends json.dumps to its pure-Python encoder,
+    # which the writer beats; json.dumps(value, indent=2, sort_keys=True)
+    # replaces the writer once requires-python reaches 3.13
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)

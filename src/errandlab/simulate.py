@@ -28,15 +28,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
-from .config import (
-    ConfigError,
-    ScoringConfig,
-    _PER_SIDE_FIELDS,
-    _json_text,
-    config_hash,
-    default_config,
-    read_json,
-)
+from .config import ScoringConfig, _PER_SIDE_FIELDS, config_hash, default_config
+from .jsonio import ConfigError, _json_text, read_json
 from .scenario import (
     COOKING_ITEMS,
     EVENT_SCENES,
@@ -570,7 +563,7 @@ def simulate_session(profile: ParticipantProfile, seed: int,
 
     Deterministic in ``(profile, seed, config)``; the log replays through
     the engine with zero errors and scores without raising.  Raises
-    :class:`~errandlab.config.ConfigError` if the profile's latencies would
+    :class:`~errandlab.jsonio.ConfigError` if the profile's latencies would
     run the session clock past 2**53 ms.
     """
     cfg = config if config is not None else default_config()

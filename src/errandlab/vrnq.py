@@ -25,8 +25,16 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .config import DEFAULT_DOMAIN_MAPPING, ConfigError
+from .jsonio import ConfigError
 
+# Default domain mapping: contiguous five-item blocks in domain order.
+# Studies with a different printed item order pass `vrnq --domains`.
+DEFAULT_DOMAIN_MAPPING: dict[str, list[int]] = {
+    "UserExperience": [1, 2, 3, 4, 5],
+    "GameMechanics": [6, 7, 8, 9, 10],
+    "InGameAssistance": [11, 12, 13, 14, 15],
+    "VRISE": [16, 17, 18, 19, 20],
+}
 DOMAINS = tuple(DEFAULT_DOMAIN_MAPPING)
 ITEM_COUNT = 20
 DOMAIN_SIZE = ITEM_COUNT // len(DOMAINS)

@@ -16,6 +16,7 @@ import pytest
 import errandlab
 import errandlab.bayes
 import errandlab.config
+import errandlab.jsonio
 import errandlab.scenario
 import errandlab.scoring
 import errandlab.sessionlog
@@ -123,7 +124,7 @@ class TestSimulateCommand:
         # the questionnaire partition comes only from vrnq --domains
         config = tmp_path / "config.json"
         config.write_text(json.dumps(
-            {"domain_mapping": errandlab.config.DEFAULT_DOMAIN_MAPPING}))
+            {"domain_mapping": errandlab.vrnq.DEFAULT_DOMAIN_MAPPING}))
         code = main(["simulate", "--seed", "1", "--config", str(config),
                      "--out", str(tmp_path / "run")])
         assert code == 2
@@ -154,6 +155,15 @@ class TestScoreCommand:
         log = deserialize_log((session_dir / "session.ndjson").read_bytes())
         expected = scorecard_to_dict(aggregate_scorecard(log, default_config()))
         assert payload["scorecard"] == json.loads(json.dumps(expected))
+
+    def test_an_engine_error_from_a_command_exits_4(self, session_dir, capsys,
+                                                    monkeypatch):
+        # main catches the engine's errors once a command has loaded it
+        def reject(log, config):
+            raise errandlab.scenario.EngineError("rejected")
+        monkeypatch.setattr(errandlab.scoring, "aggregate_scorecard", reject)
+        assert main(["score", "--log", str(session_dir / "session.ndjson")]) == 4
+        assert capsys.readouterr().err == "error: rejected\n"
 
     def test_out_directory(self, session_dir, tmp_path):
         dest = tmp_path / "scored"
@@ -590,7 +600,7 @@ class TestCallCounts:
     def test_vrnq_validates_a_domains_mapping_once(self, tmp_path, monkeypatch,
                                                    command):
         domains = tmp_path / "domains.json"
-        domains.write_text(json.dumps(errandlab.config.DEFAULT_DOMAIN_MAPPING))
+        domains.write_text(json.dumps(errandlab.vrnq.DEFAULT_DOMAIN_MAPPING))
         ids = [f"p{i:02d}" for i in range(12)]
         baseline = _cohort_csv(tmp_path / "a.csv", {p: 60 + 3 * i for i, p in enumerate(ids)})
         revised = _cohort_csv(tmp_path / "b.csv",
@@ -755,10 +765,19 @@ class TestEntryPoints:
     def test_package_import_loads_no_submodule(self):
         assert _errandlab_modules_after("import errandlab") == ["errandlab"]
 
-    def test_cli_import_loads_only_config_and_scenario(self):
+    def test_cli_import_loads_only_the_json_leaf(self):
         assert _errandlab_modules_after(
             "import errandlab.cli\nerrandlab.cli.build_parser()"
-        ) == ["errandlab", "errandlab.cli", "errandlab.config", "errandlab.scenario"]
+        ) == ["errandlab", "errandlab.cli", "errandlab.jsonio"]
+
+    @pytest.mark.parametrize("command", ["score", "simulate"])
+    def test_session_commands_load_config_and_scenario(self, tmp_path, command):
+        log_path = tmp_path / "session.ndjson"
+        log_path.write_bytes(serialize_log(simulate_session(default_profile(), 2)))
+        argv = (["score", "--log", str(log_path)] if command == "score" else
+                ["simulate", "--seed", "2", "--out", str(tmp_path / "run")])
+        loaded = _modules_after(_MAIN.format(argv=argv))
+        assert {"errandlab.config", "errandlab.scenario"} <= set(loaded)
 
     def test_score_loads_no_simulator_or_questionnaire_modules(self, tmp_path):
         log_path = tmp_path / "session.ndjson"
@@ -773,8 +792,21 @@ class TestEntryPoints:
         loaded = _modules_after(
             _MAIN.format(argv=["vrnq", "score", "--responses", str(responses)]))
         assert "errandlab.vrnq" in loaded
-        assert set(loaded) & {"errandlab.scoring", "errandlab.sessionlog",
+        assert set(loaded) & {"errandlab.config", "errandlab.scenario",
+                              "errandlab.scoring", "errandlab.sessionlog",
                               "errandlab.simulate", "logging"} == set()
+
+    def test_vrnq_compare_loads_no_session_modules(self, tmp_path):
+        ids = [f"p{i:02d}" for i in range(12)]
+        baseline = _cohort_csv(tmp_path / "a.csv", {p: 60 + 3 * i for i, p in enumerate(ids)})
+        revised = _cohort_csv(tmp_path / "b.csv",
+                              {p: 70 + 3 * i + i % 4 for i, p in enumerate(ids)})
+        loaded = _modules_after(_MAIN.format(argv=[
+            "vrnq", "compare", "--baseline", str(baseline), "--revised", str(revised)]))
+        assert {"errandlab.vrnq", "errandlab.bayes"} <= set(loaded)
+        assert set(loaded) & {"errandlab.config", "errandlab.scenario",
+                              "errandlab.scoring", "errandlab.sessionlog",
+                              "errandlab.simulate"} == set()
 
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
@@ -874,7 +906,7 @@ _BAD_INPUT_FILES = [
     pytest.param("--responses", (",".join(CSV_COLUMNS) + "\np\xff,").encode("latin-1")
                  + b",".join([b"4"] * 20) + b"\n", 5, id="responses-not-utf8"),
     pytest.param("--domains", json.dumps({
-        **errandlab.config.DEFAULT_DOMAIN_MAPPING, "UserExperience": 5}), 2,
+        **errandlab.vrnq.DEFAULT_DOMAIN_MAPPING, "UserExperience": 5}), 2,
                  id="domains-items-not-a-list"),
     pytest.param("--config", '{"normative_route_sd_s": 1e-320}', 2,
                  id="config-sd-overflows-time-z"),
@@ -1002,3 +1034,28 @@ class TestLazyExports:
         loaded = _errandlab_modules_after("from errandlab import score_vrnq")
         assert "errandlab.vrnq" in loaded
         assert "errandlab.scoring" not in loaded
+
+    def test_config_error_loads_neither_config_nor_scenario(self):
+        assert _errandlab_modules_after("from errandlab import ConfigError") == [
+            "errandlab", "errandlab.jsonio"]
+
+    def test_config_reexports_the_one_config_error(self, tmp_path, capsys):
+        assert errandlab.config.ConfigError is errandlab.jsonio.ConfigError
+        assert errandlab.ConfigError is errandlab.jsonio.ConfigError
+        # raised in config, caught by cli through the leaf's name
+        bad = tmp_path / "config.json"
+        bad.write_text('{"bogus": 1}')
+        log_path = tmp_path / "session.ndjson"
+        log_path.write_bytes(serialize_log(simulate_session(default_profile(), 2)))
+        assert main(["score", "--log", str(log_path), "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: unknown config keys: ['bogus']\n"
+
+    def test_config_reads_the_default_domain_mapping_from_vrnq(self):
+        assert errandlab.config.DEFAULT_DOMAIN_MAPPING is errandlab.vrnq.DEFAULT_DOMAIN_MAPPING
+        with pytest.raises(AttributeError, match="no_such_name"):
+            errandlab.config.no_such_name
+
+    def test_config_import_leaves_vrnq_unloaded(self):
+        loaded = _errandlab_modules_after("import errandlab.config")
+        assert "errandlab.config" in loaded
+        assert "errandlab.vrnq" not in loaded

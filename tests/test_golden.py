@@ -30,7 +30,6 @@ import pytest
 from errandlab.cli import main
 from errandlab.config import (
     DEFAULT_BAND_POINTS,
-    DEFAULT_DOMAIN_MAPPING,
     config_hash,
     config_to_dict,
     default_config,
@@ -50,7 +49,7 @@ from errandlab.simulate import (
     save_profile,
     simulate_session,
 )
-from errandlab.vrnq import CSV_COLUMNS
+from errandlab.vrnq import CSV_COLUMNS, DEFAULT_DOMAIN_MAPPING
 
 # (preset, seed) -> sha256 of (serialize_log, export_report, the sorted-key
 # JSON of scorecard_to_dict).

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from errandlab import scenario, sessionlog
-from errandlab.config import DEFAULT_BAND_POINTS, _json_text
+from errandlab.config import DEFAULT_BAND_POINTS
+from errandlab.jsonio import _json_text
 from errandlab.scenario import EventKind, SessionEvent
 from errandlab.scoring import aggregate_scorecard
 from errandlab.sessionlog import (

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import errandlab.vrnq
-from errandlab.config import DEFAULT_DOMAIN_MAPPING, ConfigError
+from errandlab.jsonio import ConfigError
 from errandlab.vrnq import (
     CohortAggregate,
     CUTOFFS,
     CSV_COLUMNS,
+    DEFAULT_DOMAIN_MAPPING,
     DOMAINS,
     DomainMapping,
     ScoreStats,
