@@ -32,6 +32,12 @@ function and ``s`` is +1 for "a < b", -1 for "a > b" and 0 for two-sided
 (``S = 1``, and ``T_nu`` is never evaluated).  Every direction takes the
 same code path.  ``S`` is a tail probability computed directly, never the
 log of a distribution function, so the opposed direction cannot cancel.
+Its degrees of freedom ``nu + 1 = n`` are an integer, and where its argument
+is non-negative ``T_n`` is a finite series (Abramowitz & Stegun 26.7.3-4) of
+``n/2`` non-negative terms whose sum is at least 1/2.  Up to _SERIES_MAX_DF
+degrees of freedom the series is summed there; every other node calls
+``stdtr``, because below zero the series gives a small tail as a difference
+of numbers near 1.
 
 The integral is taken in ``x = g / split``, where ``split = max(t^2/n,
 r^2, 1e-6)`` lies near the integrand's peak.  ``x`` in [0, 1] is cut at a
@@ -40,8 +46,8 @@ grid; ``x >= 1`` is integrated in ``s = 1/x`` on (0, 1], where the integrand
 is smooth up to ``s = 0``.  Each piece gets QUADPACK's 21-point Gauss-Kronrod rule
 (Piessens et al. 1983, *QUADPACK*, dqk21), evaluated on numpy arrays.  The
 columns of one comparison (the total and each domain) are integrated
-together, each piece tagged with its column: one ``stdtr`` call covers
-every node of every column in a round.  A piece's error estimate is
+together, each piece tagged with its column: in a round, one evaluation of
+``S`` covers every node of every column.  A piece's error estimate is
 dqk21's: ``|K21 - G10|``, scaled by how far the integrand strays from its
 mean over the piece, and never below 50 machine epsilons times the piece's
 integral.  Each column converges on its own: rounds bisect every piece whose
@@ -69,6 +75,7 @@ bands use closed lower edges while stars are strict inequalities.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -100,6 +107,11 @@ _BELOW_GRID = np.array((0.125, 0.25, 0.5))
 # the adaptive rule's target relative error, and its subinterval budget
 _EPSREL = 1e-9
 _MAX_INTERVALS = 300
+
+# the skew factor's distribution function is a finite series of df/2 terms
+# up to this many degrees of freedom; past it one call over a first round's
+# 840 nodes costs more than stdtr
+_SERIES_MAX_DF = 250
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (dqk21): the Kronrod
 # nodes and weights for x >= 0 in falling order, and the weights of the
@@ -392,6 +404,59 @@ def _adaptive_gk21(f, lo: np.ndarray, hi: np.ndarray, col: np.ndarray,
         errors = np.concatenate((errors[keep], new_errors))
 
 
+@functools.cache
+def _series_coefficients(m: int) -> tuple[float, ...]:
+    """The coefficients of the power series in cos^2 of Student t's
+    distribution function with ``m`` degrees of freedom, highest power first:
+    ``(2k - 1) / 2k`` ratios for even ``m``, ``2k / (2k + 1)`` for odd."""
+    coefficients = [1.0] if m > 1 else []
+    for k in range(1, m // 2):
+        ratio = (2 * k - 1) / (2 * k) if m % 2 == 0 else 2 * k / (2 * k + 1)
+        coefficients.append(coefficients[-1] * ratio)
+    return tuple(reversed(coefficients))
+
+
+def _t_cdf_upper(m: int, w: np.ndarray) -> np.ndarray:
+    """Student t's distribution function with integer ``m >= 1`` degrees of
+    freedom at each ``w >= 0``, by the finite series of Abramowitz & Stegun
+    26.7.3-4 in ``theta = atan2(w, sqrt(m))``.  Every term is non-negative and
+    the value is at least 1/2, so its rounding error is relative."""
+    root_m = math.sqrt(m)
+    radius = np.hypot(w, root_m)  # no w^2 to overflow
+    sin = w / radius
+    cos = root_m / radius
+    y = cos * cos
+    series = np.zeros_like(w)
+    for coefficient in _series_coefficients(m):
+        series *= y
+        series += coefficient
+    series *= sin
+    if m % 2:
+        series *= cos
+        series += np.arctan2(w, root_m)
+        series *= 2.0 / math.pi
+    series += 1.0
+    series *= 0.5
+    return series
+
+
+def _t_cdf(m: int, w: np.ndarray) -> np.ndarray:
+    """Student t's distribution function with integer ``m`` degrees of freedom
+    at each ``w``: the finite series where ``w >= 0`` and ``m`` is at most
+    _SERIES_MAX_DF, ``stdtr`` elsewhere: below zero the series would give a
+    small tail as a difference of numbers near 1.  Each value's branch is
+    chosen by its own ``w``, so no value depends on the others."""
+    upper = w >= 0.0
+    if m > _SERIES_MAX_DF or not upper.any():
+        return stdtr(m, w)
+    if upper.all():
+        return _t_cdf_upper(m, w)
+    values = np.empty_like(w)
+    values[~upper] = stdtr(m, w[~upper])
+    values[upper] = _t_cdf_upper(m, w[upper])
+    return values
+
+
 # the integrand is evaluated quietly near the edge of double range: a value
 # that overflows there fails a check below, and no warning escapes
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -483,9 +548,10 @@ def _bf10_columns(ts: Sequence[float], n: int, prior_scale: float,
         ng = n * split * x
         values = np.exp(log_smooth(split * x, a, b) - peak) * np.where(upper, x * x, 1.0)
         if sign:
+            # the skew factor at integer df n: a finite series on the nodes
+            # whose argument is non-negative, stdtr on the others
             z = t / np.sqrt(1.0 + ng)
-            values *= 2.0 * stdtr(nu + 1.0,
-                                  sign * z * np.sqrt(ng * (nu + 1.0) / (nu + z * z)))
+            values *= 2.0 * _t_cdf(n, sign * z * np.sqrt(ng * (nu + 1.0) / (nu + z * z)))
         # n g (nu + 1) above must be finite, and n g in log_smooth, which
         # rounds its own product; past that the integral would lose mass
         return values, np.all(ng <= limit_ng, axis=1)

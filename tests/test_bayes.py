@@ -409,18 +409,86 @@ class TestErrorEstimateIsHonest:
 class TestQuadratureShape:
     @pytest.mark.parametrize("t,n,direction", TestErrorEstimateIsHonest.WORKLOAD)
     def test_stdtr_is_called_on_arrays(self, monkeypatch, t, n, direction):
-        # one call for the tail limit, then one per round of the rule over
-        # every node at once; two-sided needs only the first
-        calls = []
-        original = errandlab.bayes.stdtr
+        # stdtr once for the tail limit; then, once per round of the rule
+        # over every node at once, the skew factor: the series where its
+        # argument is non-negative, which is every node of an aligned t > 0,
+        # and stdtr where it is negative, every node of an opposed t > 0.
+        # Two-sided evaluates no skew factor
+        calls = {"stdtr": [], "_t_cdf_upper": []}
+        for name, counted in calls.items():
+            def counting(*args, original=getattr(errandlab.bayes, name), counted=counted):
+                counted.append(args)
+                return original(*args)
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(errandlab.bayes, "stdtr", counted)
+            monkeypatch.setattr(errandlab.bayes, name, counting)
         bf10_directional(t, n, direction=direction)
-        assert len(calls) <= (1 if direction is Direction.TWO_SIDED else 3)
+        tail_limit, *stdtr_rounds = calls["stdtr"]
+        assert np.shape(tail_limit[1]) == (1,)
+        series_rounds = calls["_t_cdf_upper"]
+        if direction is Direction.A_LESS:
+            assert stdtr_rounds == []
+            rounds = series_rounds
+        elif direction is Direction.A_GREATER:
+            assert series_rounds == []
+            rounds = stdtr_rounds
+        else:
+            assert stdtr_rounds == series_rounds == []
+            return
+        assert 1 <= len(rounds) <= 2
+        for df, w in rounds:
+            assert df == n and w.ndim == 2 and w.shape[1] == 21
+
+
+def _mp_t_cdf(m, w):
+    """Student t's distribution function at w >= 0, at 40 digits, from
+    mpmath.betainc."""
+    with mpmath.workdps(40):
+        m, w = mpmath.mpf(m), mpmath.mpf(w)
+        return 1 - _mp_t_tail(m, m / (m + w * w))
+
+
+class TestSkewFactorSeries:
+    """The skew factor's T_m(w) for integer m, the finite series of
+    Abramowitz & Stegun 26.7.3-4 where w >= 0 and m is at most the cap."""
+
+    CAP = errandlab.bayes._SERIES_MAX_DF
+    W = np.concatenate(([0.0, 5e-324, 1e154, 1e300], np.logspace(-8, 3, 111)))
+
+    def test_every_series_df_matches_stdtr(self):
+        for m in range(2, self.CAP + 1):
+            got = errandlab.bayes._t_cdf(m, self.W)
+            rel = np.abs(got / stdtr(m, self.W) - 1.0)
+            assert rel.max() <= 1e-14, (m, self.W[rel.argmax()], rel.max())
+
+    @pytest.mark.parametrize("m", [1, 2, 3, CAP])
+    def test_matches_high_precision(self, m):
+        # at m = 1 the series has no term: A = 2 theta / pi.  scipy's stdtr
+        # is off by 3e-9 relative there at w = 1e-8, so the reference is
+        # mpmath alone
+        w = (1e-10, 1e-8, 1e-3, 0.7, 3.0, 40.0, 1e6)
+        got = errandlab.bayes._t_cdf_upper(m, np.array(w))
+        for value, x in zip(got.tolist(), w):
+            ref = _mp_t_cdf(m, x)
+            assert float(abs(value - ref) / ref) <= 1e-14, (m, x, value)
+
+    def test_zero_gives_exactly_one_half(self):
+        for m in range(1, self.CAP + 1):
+            assert errandlab.bayes._t_cdf(m, np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
+
+    def test_lower_half_and_high_df_are_stdtr_bit_for_bit(self):
+        lower = -self.W[1:]
+        for m in (2, 3, 12, 101, self.CAP):
+            assert np.array_equal(errandlab.bayes._t_cdf(m, lower), stdtr(m, lower))
+        both = np.concatenate((lower, self.W))
+        for m in (self.CAP + 1, 1000, 10**6):
+            assert np.array_equal(errandlab.bayes._t_cdf(m, both), stdtr(m, both))
+
+    def test_each_node_takes_its_own_branch(self):
+        w = np.array([[2.0, -2.0, 0.5], [-1e-3, 1e-3, 7.0]])
+        got = errandlab.bayes._t_cdf(12, w)
+        upper = w >= 0.0
+        assert np.array_equal(got[~upper], stdtr(12, w[~upper]))
+        assert np.array_equal(got[upper], errandlab.bayes._t_cdf_upper(12, w[upper]))
 
 
 class TestColumnsIntegratedTogether:
@@ -458,6 +526,15 @@ class TestColumnsIntegratedTogether:
     # two columns whose bf10 leave double range, each naming its own
     @example(ts=[1.0, 1e80, 1e50], n=12, direction=Direction.A_LESS,
              prior_scale=DEFAULT_PRIOR_SCALE)
+    # an aligned comparison with t of both signs: one call takes the skew
+    # factor's series on some nodes and stdtr on the others
+    @example(ts=[2.5, -1.5, 0.4, -3.0], n=25, direction=Direction.A_LESS,
+             prior_scale=DEFAULT_PRIOR_SCALE)
+    # n at the series' df cap and one past it
+    @example(ts=[3.0, -0.8], n=errandlab.bayes._SERIES_MAX_DF,
+             direction=Direction.A_LESS, prior_scale=DEFAULT_PRIOR_SCALE)
+    @example(ts=[3.0, -0.8], n=errandlab.bayes._SERIES_MAX_DF + 1,
+             direction=Direction.A_LESS, prior_scale=DEFAULT_PRIOR_SCALE)
     def test_each_column_is_what_it_is_alone(self, ts, n, direction, prior_scale):
         alone = [self._alone(t, n, prior_scale, direction) for t in ts]
         failures = [result for result in alone if isinstance(result, IntegrationFailure)]
