@@ -32,12 +32,16 @@ function and ``s`` is +1 for "a < b", -1 for "a > b" and 0 for two-sided
 (``S = 1``, and ``T_nu`` is never evaluated).  Every direction takes the
 same code path.  ``S`` is a tail probability computed directly, never the
 log of a distribution function, so the opposed direction cannot cancel.
-Its degrees of freedom ``nu + 1 = n`` are an integer, and where its argument
-is non-negative ``T_n`` is a finite series (Abramowitz & Stegun 26.7.3-4) of
-``n/2`` non-negative terms whose sum is at least 1/2.  Up to _SERIES_MAX_DF
-degrees of freedom the series is summed there; every other node calls
-``stdtr``, because below zero the series gives a small tail as a difference
-of numbers near 1.
+Its degrees of freedom ``nu + 1 = n`` are an integer, and up to
+_SERIES_MAX_DF of them ``T_n`` has a finite form of non-negative terms.
+Where its argument is non-negative that is the series of Abramowitz &
+Stegun 26.7.3-4, of ``n/2`` terms whose sum is at least 1/2.  Below zero
+the series would give a small tail as a difference of numbers near 1; at
+even ``n = 2k`` the tail is instead Beta(k, k)'s distribution function, a
+binomial tail of ``k`` positive terms (Abramowitz & Stegun 26.5.24).  Odd
+``n`` below zero, and every ``n`` past the cap, call ``stdtr``.  The
+p-values call ``stdtr`` too, except at one degree of freedom, where
+``T_1(x) = 1/2 + atan(x) / pi`` is taken in closed form.
 
 The integral is taken in ``x = g / split``, where ``split = max(t^2/n,
 r^2, 1e-6)`` lies near the integrand's peak.  ``x`` in [0, 1] is cut at a
@@ -108,9 +112,10 @@ _BELOW_GRID = np.array((0.125, 0.25, 0.5))
 _EPSREL = 1e-9
 _MAX_INTERVALS = 300
 
-# the skew factor's distribution function is a finite series of df/2 terms
-# up to this many degrees of freedom; past it one call over a first round's
-# 840 nodes costs more than stdtr
+# the skew factor's distribution function is a finite sum of at most df/2
+# terms up to this many degrees of freedom, on both halves; past it one call
+# over a first round's 840 nodes costs more than stdtr: the upper half's
+# series from about df 260-290, the lower half's binomial tail from 290-300
 _SERIES_MAX_DF = 250
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (dqk21): the Kronrod
@@ -301,14 +306,29 @@ def _t_statistic(d: Sequence[float]) -> Optional[float]:
     return mean * math.sqrt(n) / math.sqrt(var)
 
 
-def _p_values(ts: Sequence[float], df: int, direction: Direction) -> np.ndarray:
-    """The direction-matched p of each t statistic, from one ``stdtr`` call."""
+def _t_cdf_one_df(x: float) -> float:
+    """Student t's distribution function with one degree of freedom, in
+    closed form; below zero as ``atan2(1, |x|) / pi``, with no difference."""
+    if x < 0.0:
+        return math.atan2(1.0, -x) / math.pi
+    return 0.5 + math.atan(x) / math.pi
+
+
+def _p_values(ts: Sequence[float], df: int, direction: Direction) -> list[float]:
+    """The direction-matched p of each t statistic, from one ``stdtr`` call,
+    or in closed form at one degree of freedom, where ``stdtr`` is off near
+    zero."""
     ts = np.asarray(ts, dtype=float)
     if direction is Direction.A_LESS:
-        return stdtr(df, -ts)
-    if direction is Direction.A_GREATER:
-        return stdtr(df, ts)
-    return 2.0 * stdtr(df, -np.abs(ts))
+        x = -ts
+    elif direction is Direction.A_GREATER:
+        x = ts
+    else:
+        x = -np.abs(ts)
+    p = list(map(_t_cdf_one_df, x.tolist())) if df == 1 else stdtr(df, x).tolist()
+    if direction is Direction.TWO_SIDED:
+        return [2.0 * value for value in p]
+    return p
 
 
 def paired_t(sample: PairedSample, direction: Direction = Direction.A_LESS) -> TTestResult:
@@ -321,7 +341,7 @@ def paired_t(sample: PairedSample, direction: Direction = Direction.A_LESS) -> T
     if t is None:
         raise DegenerateSample("all paired differences are identical")
     df = len(sample.a) - 1
-    [p] = _p_values([t], df, direction).tolist()
+    [p] = _p_values([t], df, direction)
     return TTestResult(t=t, df=df, p=p, direction=direction)
 
 
@@ -440,19 +460,68 @@ def _t_cdf_upper(m: int, w: np.ndarray) -> np.ndarray:
     return series
 
 
+@functools.cache
+def _binomial_tail_terms(k: int) -> tuple[float, tuple[float, ...]]:
+    """``log C(2k - 1, k)`` and the ratios ``C(2k - 1, k + j) / C(2k - 1, k)``
+    for ``j < k``, highest ``j`` first: the terms of Beta(k, k)'s
+    distribution function as a binomial tail."""
+    ratios = [1.0]
+    for j in range(1, k):
+        ratios.append(ratios[-1] * (k - j) / (k + j))
+    return math.log(math.comb(2 * k - 1, k)), tuple(reversed(ratios))
+
+
+def _t_cdf_lower(m: int, w: np.ndarray) -> np.ndarray:
+    """Student t's distribution function with even ``m = 2k`` degrees of
+    freedom at each ``w < 0``.  There ``p = (1 - |w| / sqrt(m + w^2)) / 2`` is
+    Beta(k, k)-distributed, and its distribution function is the binomial
+    tail (Abramowitz & Stegun 26.5.24)
+
+        C(2k - 1, k) p^k q^(k-1) * sum over j < k of
+            C(2k - 1, k + j) / C(2k - 1, k) * (p / q)^j,  q = 1 - p,
+
+    whose terms are all positive, so its rounding error is relative: about
+    ``|log T|`` machine epsilons, from the prefactor's exp."""
+    k = m // 2
+    log_choose, ratios = _binomial_tail_terms(k)
+    radius = np.hypot(w, math.sqrt(m))  # no w^2 to overflow
+    # 1 - |w| / r = m / (r (r + |w|)), with no difference of numbers near 1
+    p = k / radius
+    p /= radius + np.abs(w)
+    q = 1.0 - p
+    ratio = p / q
+    series = np.zeros_like(w)
+    for coefficient in ratios:
+        series *= ratio
+        series += coefficient
+    # the prefactor as the exp of a log sum: p^k alone underflows while the
+    # value is still a normal double.  p is 0 only far below that
+    with np.errstate(divide="ignore"):
+        log_prefactor = np.log(p)
+    log_prefactor *= k
+    log_prefactor += (k - 1) * np.log(q)
+    log_prefactor += log_choose
+    series *= np.exp(log_prefactor)
+    return series
+
+
 def _t_cdf(m: int, w: np.ndarray) -> np.ndarray:
     """Student t's distribution function with integer ``m`` degrees of freedom
-    at each ``w``: the finite series where ``w >= 0`` and ``m`` is at most
-    _SERIES_MAX_DF, ``stdtr`` elsewhere: below zero the series would give a
-    small tail as a difference of numbers near 1.  Each value's branch is
-    chosen by its own ``w``, so no value depends on the others."""
-    upper = w >= 0.0
-    if m > _SERIES_MAX_DF or not upper.any():
+    at each ``w``.  Up to _SERIES_MAX_DF, the finite series where ``w >= 0``,
+    and the binomial tail where ``w < 0`` and ``m`` is even; ``stdtr``
+    elsewhere: odd ``m``'s lower tail has an arctan term and no finite
+    positive-term form.  Each value's branch is chosen by its own ``w``, so
+    no value depends on the others."""
+    if m > _SERIES_MAX_DF:
         return stdtr(m, w)
+    lower = stdtr if m % 2 else _t_cdf_lower
+    upper = w >= 0.0
     if upper.all():
         return _t_cdf_upper(m, w)
+    if not upper.any():
+        return lower(m, w)
     values = np.empty_like(w)
-    values[~upper] = stdtr(m, w[~upper])
+    values[~upper] = lower(m, w[~upper])
     values[upper] = _t_cdf_upper(m, w[upper])
     return values
 
@@ -548,8 +617,8 @@ def _bf10_columns(ts: Sequence[float], n: int, prior_scale: float,
         ng = n * split * x
         values = np.exp(log_smooth(split * x, a, b) - peak) * np.where(upper, x * x, 1.0)
         if sign:
-            # the skew factor at integer df n: a finite series on the nodes
-            # whose argument is non-negative, stdtr on the others
+            # the skew factor at integer df n: a finite sum of positive
+            # terms on each node, or stdtr (see _t_cdf)
             z = t / np.sqrt(1.0 + ng)
             values *= 2.0 * _t_cdf(n, sign * z * np.sqrt(ng * (nu + 1.0) / (nu + z * z)))
         # n g (nu + 1) above must be finite, and n g in log_smooth, which
@@ -697,21 +766,30 @@ def compare_paired_columns(
     its own error estimate.  Raises the :class:`IntegrationFailure` of the
     first column whose Bayes factor fails.
     """
-    samples = {label: PairedSample(a=tuple(map(float, a)), b=tuple(map(float, b)))
-               for label, (a, b) in columns.items()}
-    sizes = {len(sample.a) for sample in samples.values()}
+    # each column as float arrays, checked as PairedSample checks its tuples
+    differences = {}
+    for label, (a, b) in columns.items():
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if len(a) != len(b):
+            raise ValueError("paired samples must have equal lengths")
+        if len(a) < 2:
+            raise ValueError("paired samples need at least two pairs")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("paired samples must be finite")
+        differences[label] = (b - a).tolist()
+    sizes = set(map(len, differences.values()))
     if len(sizes) > 1:
         raise ValueError("paired columns must have the same number of pairs")
     ts: dict[str, float] = {}
-    for label, sample in samples.items():
-        t = _t_statistic(sample.differences)
+    for label, d in differences.items():
+        t = _t_statistic(d)
         if t is not None:
             ts[label] = t
-    comparisons: dict[str, Optional[BayesComparison]] = dict.fromkeys(samples)
+    comparisons: dict[str, Optional[BayesComparison]] = dict.fromkeys(differences)
     if not ts:
         return comparisons
     [n] = sizes
-    ps = _p_values(list(ts.values()), n - 1, direction).tolist()
+    ps = _p_values(list(ts.values()), n - 1, direction)
     factors = _bf10_columns(list(ts.values()), n, prior_scale, direction)
     for (label, t), p, (bf10, rel_err) in zip(ts.items(), ps, factors):
         comparisons[label] = BayesComparison(

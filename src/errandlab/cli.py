@@ -288,8 +288,8 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
     from .vrnq import _paired_columns, _read_cohort_items
 
     mapping = _load_domains_arg(args.domains)
-    baseline, _ = _read_cohort_items(args.baseline)
-    revised, _ = _read_cohort_items(args.revised)
+    baseline = _read_cohort_items(args.baseline)
+    revised = _read_cohort_items(args.revised)
     direction = bayes.Direction(args.direction)
     columns = _paired_columns(baseline, revised, mapping)
 

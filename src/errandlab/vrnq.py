@@ -41,12 +41,10 @@ DOMAIN_SIZE = ITEM_COUNT // len(DOMAINS)
 SCALE_MIN, SCALE_MAX = 1, 7
 _INT_ONLY = frozenset({int})
 _SCALE = frozenset(range(SCALE_MIN, SCALE_MAX + 1))
-# the CSV fields that spell a rating as str() writes it
-_RATING_TEXTS = frozenset(map(str, _SCALE))
-# the ASCII digit of a rating -> the byte of its value
-_RATING_BYTES = bytes.maketrans(
-    "".join(map(str, range(SCALE_MIN, SCALE_MAX + 1))).encode(),
-    bytes(range(SCALE_MIN, SCALE_MAX + 1)))
+# the ASCII digits that spell a rating as str() writes it, and the map from
+# each one to the byte of its value
+_RATING_DIGITS = "".join(map(str, range(SCALE_MIN, SCALE_MAX + 1))).encode()
+_RATING_BYTES = bytes.maketrans(_RATING_DIGITS, bytes(range(SCALE_MIN, SCALE_MAX + 1)))
 
 CUTOFFS = {
     "minimum": {"sub": 25, "total": 100},
@@ -157,27 +155,40 @@ def score_vrnq(responses: VrnqResponseSet,
                       sub_scores=subs, total=sum(subs.values()))
 
 
-def _paired_columns(baseline: Mapping[str, tuple[int, ...]],
-                    revised: Mapping[str, tuple[int, ...]],
-                    mapping: Optional[DomainMapping]) -> dict[str, tuple[list[int], ...]]:
-    """Pair two cohorts, each a map of participant id to item ratings: the
-    (baseline, revised) columns of ``Total`` and of each domain, in id
-    order, as :func:`score_vrnq` sums them."""
-    if baseline.keys() != revised.keys():
-        missing = sorted(baseline.keys() ^ revised.keys())
+# a cohort as the reader returns it: the participant ids in file order, their
+# ratings one byte each, item after item (n bytes per item, in the ids'
+# order), and the feedback column, or None for a file without one
+_Cohort = tuple[list[str], bytes, Optional[Sequence[str]]]
+
+
+def _paired_columns(baseline: _Cohort, revised: _Cohort,
+                    mapping: Optional[DomainMapping]) -> dict[str, tuple[Any, Any]]:
+    """Pair two cohorts as the reader returns them: the (baseline, revised)
+    columns of ``Total`` and of each domain, in id order, as :func:`score_vrnq`
+    sums them, each a numpy integer array."""
+    # here, so that reading and scoring a cohort never loads numpy
+    import numpy as np
+
+    ids, revised_ids = baseline[0], revised[0]
+    if set(ids) != set(revised_ids):
+        missing = sorted(set(ids) ^ set(revised_ids))
         raise VrnqError(f"cohorts do not pair up; unmatched ids: {missing}")
-    if len(baseline) < 2:
-        raise VrnqError("a paired comparison needs at least two participants, "
-                        f"got {len(baseline)}")
-    ids = sorted(baseline)
-    getters = (_DEFAULT_MAPPING if mapping is None else mapping)._getters
-    sides = []
-    for items_by_id in (baseline, revised):
-        item_columns = list(zip(*map(items_by_id.__getitem__, ids)))
-        domains = [list(map(sum, zip(*get(item_columns)))) for _, get in getters]
-        # the domains partition the items, so their sums add up to the total
-        sides.append([list(map(sum, zip(*domains))), *domains])
-    return dict(zip(["Total", *(domain for domain, _ in getters)], zip(*sides)))
+    n = len(ids)
+    if n < 2:
+        raise VrnqError(f"a paired comparison needs at least two participants, got {n}")
+    domains = _DEFAULT_MAPPING if mapping is None else mapping
+    # one row of item weights for the total and one for each domain
+    weights = np.zeros((1 + len(domains), ITEM_COUNT), dtype=np.int64)
+    weights[0] = 1
+    for row, items in enumerate(domains.values(), start=1):
+        weights[row, [item - 1 for item in items]] = 1
+    # each cohort's item-major ratings, its participants in id order, side by side
+    ratings = np.concatenate([
+        np.frombuffer(cohort[1], dtype=np.uint8).reshape(ITEM_COUNT, n)[
+            :, sorted(range(n), key=cohort[0].__getitem__)]
+        for cohort in (baseline, revised)], axis=1)
+    sums = weights @ ratings
+    return {label: (row[:n], row[n:]) for label, row in zip(["Total", *domains], sums)}
 
 
 def _median(values: Sequence[float]) -> float:
@@ -254,9 +265,6 @@ def check_cutoffs(aggregate: CohortAggregate, tier: str = "parsimonious") -> Cut
 
 
 CSV_COLUMNS = ["participant_id"] + [f"q{i}" for i in range(1, ITEM_COUNT + 1)]
-# each participant's item ratings by id, in file order, and the feedback
-# column, or None for a file without one
-_Cohort = tuple[dict[str, tuple[int, ...]], Optional[Sequence[str]]]
 
 
 def read_cohort_csv(source: str | Path | io.TextIOBase) -> list[VrnqResponseSet]:
@@ -267,10 +275,13 @@ def read_cohort_csv(source: str | Path | io.TextIOBase) -> list[VrnqResponseSet]
     without a leading byte-order mark; a handle is read as its caller
     opened it.
     """
-    items_by_id, feedback = _read_cohort_items(source)
-    return [VrnqResponseSet(participant_id=participant_id, items=items, feedback=note)
-            for (participant_id, items), note
-            in zip(items_by_id.items(), feedback or repeat(None))]
+    ids, ratings, feedback = _read_cohort_items(source)
+    # a bytes slice yields ints, so zipping the item rows gives each
+    # participant's tuple
+    n = len(ids)
+    items = zip(*[ratings[start:start + n] for start in range(0, len(ratings), n)])
+    return [VrnqResponseSet(participant_id=participant_id, items=row, feedback=note)
+            for participant_id, row, note in zip(ids, items, feedback or repeat(None))]
 
 
 def _read_cohort_items(source: str | Path | io.TextIOBase) -> _Cohort:
@@ -323,23 +334,26 @@ def _cohort_at_once(rows: list[list[str]], width: int) -> Optional[_Cohort]:
         return None
     columns = list(zip(*rows))
     ids = list(map(str.strip, columns[0]))
-    item_columns = columns[1:ITEM_COUNT + 1]
+    # The rating fields, item column after item column, joined by commas as
+    # bytes: every field is one digit 1..7 exactly when the text is two
+    # bytes per field less one long and every even position holds such a
+    # digit.  A longer field would have to be offset by an empty one, and
+    # the first field that is empty or of even length puts a comma at an
+    # even position
+    joined = ",".join(chain.from_iterable(columns[1:ITEM_COUNT + 1])).encode()
+    digits = joined[::2]
     if (not all(ids) or len(set(ids)) < len(ids)
-            or not _RATING_TEXTS.issuperset(chain.from_iterable(item_columns))):
+            or len(joined) != 2 * ITEM_COUNT * len(ids) - 1
+            or digits.translate(None, _RATING_DIGITS)):
         return None
-    # one byte per rating, item column after item column; a bytes slice
-    # yields ints, so zipping the columns gives each participant's tuple
-    ratings = "".join(chain.from_iterable(item_columns)).encode().translate(_RATING_BYTES)
-    n = len(ids)
-    items = zip(*[ratings[start:start + n] for start in range(0, len(ratings), n)])
     feedback = columns[ITEM_COUNT + 1] if width > len(CSV_COLUMNS) else None
-    return dict(zip(ids, items)), feedback
+    return ids, digits.translate(_RATING_BYTES), feedback
 
 
 def _cohort_row_by_row(rows: list[list[str]], width: int) -> _Cohort:
     """Read the rows one by one, raising a :class:`VrnqError` for the
     first faulty row in file order."""
-    items_by_id: dict[str, tuple[int, ...]] = {}
+    items_by_id: dict[str, tuple[int, ...]] = {}  # in file order
     feedback: Optional[list[str]] = [] if width > len(CSV_COLUMNS) else None
     for line_no, row in enumerate(rows, start=2):
         if not row:
@@ -359,7 +373,8 @@ def _cohort_row_by_row(rows: list[list[str]], width: int) -> _Cohort:
         items_by_id[participant_id] = items
         if feedback is not None:
             feedback.append(row[ITEM_COUNT + 1])
-    return items_by_id, feedback
+    ratings = bytes(chain.from_iterable(zip(*items_by_id.values())))
+    return list(items_by_id), ratings, feedback
 
 
 def write_cohort_csv(cohort: Sequence[VrnqResponseSet], path: str | Path) -> None:

@@ -73,6 +73,38 @@ class TestPairedT:
                     assert result.p == pytest.approx(expected, rel=1e-9), (
                         result.t, direction)
 
+    @pytest.mark.parametrize("magnitude", np.logspace(-300, 300, 61).tolist())
+    def test_p_at_one_degree_of_freedom_matches_high_precision(self, monkeypatch, magnitude):
+        # n = 2 pairs: p from T_1 in closed form, where scipy's stdtr is off
+        # near 0.  No pair of samples has a t this small or large, so the
+        # statistic is set, and the Bayes factor, which is not under test,
+        # stubbed out
+        monkeypatch.setattr(errandlab.bayes, "_bf10_columns",
+                            lambda ts, n, prior_scale, direction: [(1.0, 0.0)] * len(ts))
+        sample = PairedSample((0.0, 0.0), (1.0, 3.0))
+        for t in (magnitude, -magnitude):
+            monkeypatch.setattr(errandlab.bayes, "_t_statistic", lambda d, t=t: t)
+            with mpmath.workdps(40):
+                # P(T > |t|) from the Cauchy density 1 / (pi (1 + x^2)):
+                # 1/2 less its integral over [0, |t|], or past 1 its integral
+                # over [0, 1/|t|] in 1/x; either one scaled to [0, 1]
+                w = mpmath.mpf(abs(t))
+                s = w if w <= 1 else 1 / w
+                part = s * mpmath.quad(lambda v: 1 / (mpmath.pi * (1 + (s * v) ** 2)), [0, 1])
+                upper = 0.5 - part if w <= 1 else part
+                # P(T < t) and P(T > t), the smaller one without a difference
+                below, above = (upper, 1 - upper) if t < 0 else (1 - upper, upper)
+                expected = {Direction.A_LESS: above, Direction.A_GREATER: below,
+                            Direction.TWO_SIDED: 2 * upper}
+            for direction in Direction:
+                ref = float(expected[direction])
+                from_sample = paired_t(sample, direction)
+                [from_columns] = compare_paired_columns(
+                    {"c": (sample.a, sample.b)}, direction=direction).values()
+                for result in (from_sample, from_columns):
+                    assert (result.t, result.df) == (t, 1)
+                    assert abs(result.p - ref) <= 1e-15 * ref, (t, direction, result.p)
+
     def test_direction_changes_p_not_t(self):
         less = paired_t(PairedSample(self.A, self.B), Direction.A_LESS)
         greater = paired_t(PairedSample(self.A, self.B), Direction.A_GREATER)
@@ -412,9 +444,10 @@ class TestQuadratureShape:
         # stdtr once for the tail limit; then, once per round of the rule
         # over every node at once, the skew factor: the series where its
         # argument is non-negative, which is every node of an aligned t > 0,
-        # and stdtr where it is negative, every node of an opposed t > 0.
-        # Two-sided evaluates no skew factor
-        calls = {"stdtr": [], "_t_cdf_upper": []}
+        # and where it is negative, every node of an opposed t > 0, the
+        # binomial tail at even n and stdtr at odd n.  Two-sided evaluates
+        # no skew factor
+        calls = {"stdtr": [], "_t_cdf_upper": [], "_t_cdf_lower": []}
         for name, counted in calls.items():
             def counting(*args, original=getattr(errandlab.bayes, name), counted=counted):
                 counted.append(args)
@@ -424,19 +457,27 @@ class TestQuadratureShape:
         bf10_directional(t, n, direction=direction)
         tail_limit, *stdtr_rounds = calls["stdtr"]
         assert np.shape(tail_limit[1]) == (1,)
-        series_rounds = calls["_t_cdf_upper"]
+        series_rounds, binomial_rounds = calls["_t_cdf_upper"], calls["_t_cdf_lower"]
         if direction is Direction.A_LESS:
-            assert stdtr_rounds == []
+            assert stdtr_rounds == binomial_rounds == []
             rounds = series_rounds
         elif direction is Direction.A_GREATER:
             assert series_rounds == []
-            rounds = stdtr_rounds
+            assert [stdtr_rounds, binomial_rounds][n % 2] == []
+            rounds = stdtr_rounds + binomial_rounds
         else:
-            assert stdtr_rounds == series_rounds == []
+            assert stdtr_rounds == series_rounds == binomial_rounds == []
             return
         assert 1 <= len(rounds) <= 2
         for df, w in rounds:
             assert df == n and w.ndim == 2 and w.shape[1] == 21
+
+
+def _mp_lower_tail(m, w):
+    """Student t's distribution function at -|w|, at 40 digits."""
+    with mpmath.workdps(40):
+        m, w = mpmath.mpf(m), mpmath.mpf(w)
+        return _mp_t_tail(m, m / (m + w * w))
 
 
 def _mp_t_cdf(m, w):
@@ -476,8 +517,9 @@ class TestSkewFactorSeries:
             assert errandlab.bayes._t_cdf(m, np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
 
     def test_lower_half_and_high_df_are_stdtr_bit_for_bit(self):
+        # below zero at odd df; even df takes the binomial tail there
         lower = -self.W[1:]
-        for m in (2, 3, 12, 101, self.CAP):
+        for m in (3, 13, 101, self.CAP - 1):
             assert np.array_equal(errandlab.bayes._t_cdf(m, lower), stdtr(m, lower))
         both = np.concatenate((lower, self.W))
         for m in (self.CAP + 1, 1000, 10**6):
@@ -485,10 +527,38 @@ class TestSkewFactorSeries:
 
     def test_each_node_takes_its_own_branch(self):
         w = np.array([[2.0, -2.0, 0.5], [-1e-3, 1e-3, 7.0]])
-        got = errandlab.bayes._t_cdf(12, w)
         upper = w >= 0.0
-        assert np.array_equal(got[~upper], stdtr(12, w[~upper]))
-        assert np.array_equal(got[upper], errandlab.bayes._t_cdf_upper(12, w[upper]))
+        for m, lower in ((12, errandlab.bayes._t_cdf_lower), (13, stdtr)):
+            got = errandlab.bayes._t_cdf(m, w)
+            assert np.array_equal(got[~upper], lower(m, w[~upper]))
+            assert np.array_equal(got[upper], errandlab.bayes._t_cdf_upper(m, w[upper]))
+
+
+class TestSkewFactorBinomialTail:
+    """The skew factor's T_m(w) where w < 0 and m is even and at most the
+    cap: Beta(m/2, m/2)'s distribution function as a binomial tail."""
+
+    # the lower tail at 40 digits costs about 0.3 ms a point, so this grid
+    # is coarser than the series' one: 4 points a decade over [1e-8, 1e3]
+    W = np.concatenate(([0.0, 5e-324, 1e154, 1e300], np.logspace(-8, 3, 45)))
+
+    def test_every_even_df_matches_high_precision_and_stdtr(self):
+        for m in range(2, errandlab.bayes._SERIES_MAX_DF + 1, 2):
+            got = errandlab.bayes._t_cdf_lower(m, -self.W).tolist()
+            scipy_values = stdtr(m, -self.W).tolist()
+            for value, from_scipy, w in zip(got, scipy_values, self.W.tolist()):
+                ref = float(_mp_lower_tail(m, w))
+                if ref < sys.float_info.min:
+                    assert 0.0 <= value <= 2.0 * sys.float_info.min, (m, w, value)
+                    continue
+                assert abs(value - ref) <= 1e-12 * ref, (m, w, value, ref)
+                assert abs(value - from_scipy) <= 1e-12 * from_scipy, (m, w, value)
+
+    def test_the_branch_is_taken_below_zero_at_even_df_only(self):
+        w = -self.W[1:]
+        for m in (2, 12, 100, errandlab.bayes._SERIES_MAX_DF):
+            assert np.array_equal(errandlab.bayes._t_cdf(m, w),
+                                  errandlab.bayes._t_cdf_lower(m, w))
 
 
 class TestColumnsIntegratedTogether:
@@ -527,8 +597,11 @@ class TestColumnsIntegratedTogether:
     @example(ts=[1.0, 1e80, 1e50], n=12, direction=Direction.A_LESS,
              prior_scale=DEFAULT_PRIOR_SCALE)
     # an aligned comparison with t of both signs: one call takes the skew
-    # factor's series on some nodes and stdtr on the others
+    # factor's series on some nodes and stdtr on the others; at even n, the
+    # series on some and the binomial tail on the others
     @example(ts=[2.5, -1.5, 0.4, -3.0], n=25, direction=Direction.A_LESS,
+             prior_scale=DEFAULT_PRIOR_SCALE)
+    @example(ts=[2.5, -1.5, 0.4, -3.0], n=24, direction=Direction.A_GREATER,
              prior_scale=DEFAULT_PRIOR_SCALE)
     # n at the series' df cap and one past it
     @example(ts=[3.0, -0.8], n=errandlab.bayes._SERIES_MAX_DF,
@@ -574,8 +647,9 @@ class TestColumnsIntegratedTogether:
 
 def _t_and_p_reference(a, b, direction):
     """A column's t and p as paired_t computed them one column at a time:
-    a generator of squared deviations and a scalar stdtr; None when the
-    differences have zero variance."""
+    a generator of squared deviations and a scalar stdtr, or at one degree
+    of freedom the closed form; None when the differences have zero
+    variance."""
     d = [float(y) - float(x) for x, y in zip(a, b)]
     n = len(d)
     mean = math.fsum(d) / n
@@ -584,13 +658,19 @@ def _t_and_p_reference(a, b, direction):
         return None
     t = mean * math.sqrt(n) / math.sqrt(var)
     df = n - 1
+    cdf = _cauchy_cdf if df == 1 else functools.partial(stdtr, df)
     if direction is Direction.A_LESS:
-        p = float(stdtr(df, -t))
+        p = float(cdf(-t))
     elif direction is Direction.A_GREATER:
-        p = float(stdtr(df, t))
+        p = float(cdf(t))
     else:
-        p = float(2.0 * stdtr(df, -abs(t)))
+        p = float(2.0 * cdf(-abs(t)))
     return t, p
+
+
+def _cauchy_cdf(x):
+    # T_1(x) = 1/2 + atan(x) / pi, and 1/2 - atan(|x|) / pi = atan(1/|x|) / pi
+    return math.atan2(1.0, -x) / math.pi if x < 0.0 else 0.5 + math.atan(x) / math.pi
 
 
 @st.composite

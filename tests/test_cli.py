@@ -795,6 +795,8 @@ class TestEntryPoints:
         assert set(loaded) & {"errandlab.config", "errandlab.scenario",
                               "errandlab.scoring", "errandlab.sessionlog",
                               "errandlab.simulate", "logging"} == set()
+        # the cohort reader keeps numpy to the pairing of `vrnq compare`
+        assert set(loaded) & {"numpy", "scipy", "errandlab.bayes"} == set()
 
     def test_vrnq_compare_loads_no_session_modules(self, tmp_path):
         ids = [f"p{i:02d}" for i in range(12)]

@@ -17,6 +17,7 @@ from errandlab.vrnq import (
     CSV_COLUMNS,
     DEFAULT_DOMAIN_MAPPING,
     DOMAINS,
+    ITEM_COUNT,
     DomainMapping,
     ScoreStats,
     VrnqError,
@@ -234,29 +235,75 @@ def _paired_columns_per_participant(baseline, revised, mapping):
     return columns
 
 
-def _items_by_id(cohort):
-    return {r.participant_id: r.items for r in cohort}
-
-
 _ITEM_ROWS = st.lists(st.integers(min_value=1, max_value=7), min_size=20, max_size=20)
 _MAPPINGS = st.none() | st.permutations(range(1, 21)).map(lambda order: DomainMapping(
     {domain: order[5 * i:5 * i + 5] for i, domain in enumerate(DOMAINS)}))
+# ids that the reader keeps as they are: no padding to strip, no NUL
+_IDS = st.text(st.characters(codec="utf-8", exclude_characters="\x00"),
+               min_size=1, max_size=3).filter(lambda pid: pid == pid.strip())
+# spellings that int() reads as the rating, but the at-once check does not
+_ODD_SPELLINGS = ("0{}", " {}", "+{}")
+
+
+def _write_cohort(path, cohort, odd, bom, rng):
+    """Write VrnqResponseSets as a cohort CSV, with a feedback column when
+    they carry feedback, a byte-order mark if ``bom``, and, if ``odd``, one
+    rating of the first row and of about half the others spelled as int()
+    reads it but str() does not write it."""
+    with_feedback = cohort[0].feedback is not None
+    handle = io.StringIO()
+    writer = csv.writer(handle, lineterminator=rng.choice(("\n", "\r\n")))
+    writer.writerow(CSV_COLUMNS + ["feedback"] * with_feedback)
+    for index, response in enumerate(cohort):
+        row = [response.participant_id, *map(str, response.items)]
+        if odd and (index == 0 or rng.random() < 0.5):
+            item = rng.randint(1, ITEM_COUNT)
+            row[item] = rng.choice(_ODD_SPELLINGS).format(row[item])
+        if with_feedback:
+            row.append(response.feedback)
+        writer.writerow(row)
+    path.write_bytes(b"\xef\xbb\xbf" * bom + handle.getvalue().encode("utf-8"))
 
 
 class TestPairedColumns:
-    @settings(max_examples=25)
-    @given(st.lists(st.tuples(st.text(min_size=1, max_size=3), _ITEM_ROWS, _ITEM_ROWS),
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(_IDS, _ITEM_ROWS, _ITEM_ROWS),
                     min_size=2, max_size=30, unique_by=lambda row: row[0]),
-           _MAPPINGS, st.randoms(use_true_random=False))
-    def test_columns_equal_per_participant_scores(self, rows, mapping, rng):
-        baseline = [_responses(pid, items_a) for pid, items_a, _ in rows]
-        revised = [_responses(pid, items_b) for pid, _, items_b in rows]
-        rng.shuffle(baseline)
-        rng.shuffle(revised)
-        columns = _paired_columns(_items_by_id(baseline), _items_by_id(revised), mapping)
+           _MAPPINGS, st.booleans(), st.booleans(), st.booleans(),
+           st.randoms(use_true_random=False))
+    # a domain's items scattered over the questionnaire, read row by row
+    @example(rows=[("b", [1, 2, 3, 4, 5, 6, 7] * 2 + [7] * 6, [4] * 20),
+                   ("a", [7] * 20, list(range(7, 0, -1)) * 2 + [1] * 6),
+                   ("c", [2] * 20, [6] * 20)],
+             mapping=DomainMapping({domain: list(range(1 + i, 21, 4))
+                                    for i, domain in enumerate(DOMAINS)}),
+             odd=True, bom=True, with_feedback=True, rng=random.Random(0))
+    def test_columns_equal_per_participant_scores(self, tmp_path_factory, rows, mapping,
+                                                  odd, bom, with_feedback, rng):
+        # the cohorts go through the reader from files, as `vrnq compare`
+        # reads them: canonical ratings take the at-once route, odd
+        # spellings the row-by-row one, and both must pair the same way
+        def note():
+            return rng.choice(("", "fine", 'said "wow", twice\nthen left')) if with_feedback else None
+
+        baseline = [VrnqResponseSet(pid, tuple(items_a), note()) for pid, items_a, _ in rows]
+        revised = [VrnqResponseSet(pid, tuple(items_b), note()) for pid, _, items_b in rows]
+        folder = tmp_path_factory.mktemp("cohorts")
+        cohorts = []
+        for name, cohort in (("baseline.csv", baseline), ("revised.csv", revised)):
+            shuffled = list(cohort)
+            rng.shuffle(shuffled)
+            _write_cohort(folder / name, shuffled, odd, bom, rng)
+            with open(folder / name, encoding="utf-8-sig", newline="") as handle:
+                data_rows = list(csv.reader(handle))[1:]
+            at_once = errandlab.vrnq._cohort_at_once(data_rows, len(CSV_COLUMNS) + with_feedback)
+            assert (at_once is None) == odd
+            cohorts.append(errandlab.vrnq._read_cohort_items(folder / name))
+        columns = _paired_columns(*cohorts, mapping)
         expected = _paired_columns_per_participant(baseline, revised, mapping)
         assert list(columns) == list(expected) == ["Total", *DOMAINS]
-        assert columns == expected
+        assert {label: tuple(side.tolist() for side in pair)
+                for label, pair in columns.items()} == expected
 
     @pytest.mark.parametrize("ids_a, ids_b, message", [
         (["p1", "p2", "p3"], ["p1", "p2", "p4"],
@@ -266,8 +313,8 @@ class TestPairedColumns:
     ])
     def test_pairing_faults(self, ids_a, ids_b, message):
         with pytest.raises(VrnqError) as excinfo:
-            _paired_columns({pid: (4,) * 20 for pid in ids_a},
-                            {pid: (4,) * 20 for pid in ids_b}, None)
+            _paired_columns((ids_a, bytes([4]) * (20 * len(ids_a)), None),
+                            (ids_b, bytes([4]) * (20 * len(ids_b)), None), None)
         assert str(excinfo.value) == message
 
 
@@ -574,5 +621,23 @@ def _outcome(reader, text):
 @settings(max_examples=100)
 @given(_cohort_texts())
 @example(",".join(CSV_COLUMNS) + "\n\n")
+# fields whose lengths make up for each other: an empty one beside one of
+# two digits, of three characters with a comma inside, or of two characters
+# in three bytes
+@example(",".join(CSV_COLUMNS) + "\np0,,33" + ",4" * 18 + "\n")
+@example(",".join(CSV_COLUMNS) + "\np0,4" + ",4" * 17 + ',"3,3",\n')
+@example(",".join(CSV_COLUMNS) + "\np0,4" + ",4" * 17 + ',3\u0663,\n')
 def test_the_per_file_check_reads_as_the_per_row_loop(text):
     assert _outcome(read_cohort_csv, text) == _outcome(_read_cohort_per_row, text)
+
+
+@settings(max_examples=100)
+@given(_cohort_texts())
+def test_both_routes_read_a_canonical_file_alike(text):
+    header, *rows = csv.reader(io.StringIO(text))
+    at_once = errandlab.vrnq._cohort_at_once(rows, len(header))
+    if at_once is not None:
+        ids, ratings, feedback = errandlab.vrnq._cohort_row_by_row(rows, len(header))
+        assert (at_once[0], at_once[1]) == (ids, ratings)
+        assert (at_once[2] is None) == (feedback is None)
+        assert list(at_once[2] or ()) == list(feedback or ())
