@@ -762,11 +762,45 @@ def compare_paired_columns(
     """:func:`compare_paired` for each labelled ``(a, b)`` column of the same
     pairs, or None for a column whose differences are all equal.
 
-    The Bayes factors of all columns are integrated together, and each keeps
-    its own error estimate.  Raises the :class:`IntegrationFailure` of the
-    first column whose Bayes factor fails.
+    Columns of one length of at least two pairs, all finite, are converted,
+    checked and subtracted as one float array; else each column in turn, to
+    raise the ``ValueError`` of the first fault.  The Bayes factors of all
+    columns are integrated together, and each keeps its own error estimate.
+    Raises the :class:`IntegrationFailure` of the first column whose Bayes
+    factor fails.
     """
-    # each column as float arrays, checked as PairedSample checks its tuples
+    try:
+        stacked = np.array(list(columns.values()), dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        stacked = None
+    if (stacked is not None and stacked.ndim == 3 and stacked.shape[1] == 2
+            and stacked.shape[2] >= 2 and np.isfinite(stacked).all()):
+        differences = dict(zip(columns, (stacked[:, 1] - stacked[:, 0]).tolist()))
+    else:
+        differences = _checked_differences(columns)
+    ts: dict[str, float] = {}
+    for label, d in differences.items():
+        t = _t_statistic(d)
+        if t is not None:
+            ts[label] = t
+    comparisons: dict[str, Optional[BayesComparison]] = dict.fromkeys(differences)
+    if not ts:
+        return comparisons
+    n = len(next(iter(differences.values())))
+    ps = _p_values(list(ts.values()), n - 1, direction)
+    factors = _bf10_columns(list(ts.values()), n, prior_scale, direction)
+    for (label, t), p, (bf10, rel_err) in zip(ts.items(), ps, factors):
+        comparisons[label] = BayesComparison(
+            label=label, direction=direction, n=n, t=t, df=n - 1, p=p,
+            bf10=bf10, bf10_rel_err=rel_err, band=classify_evidence(bf10),
+            stars=evidence_stars(bf10), prior_scale=prior_scale)
+    return comparisons
+
+
+def _checked_differences(
+        columns: Mapping[str, tuple[Sequence[float], Sequence[float]]]) -> dict[str, list[float]]:
+    """b - a of each column, checked column by column as PairedSample checks
+    its tuples, so that the first fault raises its own ``ValueError``."""
     differences = {}
     for label, (a, b) in columns.items():
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -777,23 +811,6 @@ def compare_paired_columns(
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("paired samples must be finite")
         differences[label] = (b - a).tolist()
-    sizes = set(map(len, differences.values()))
-    if len(sizes) > 1:
+    if len(set(map(len, differences.values()))) > 1:
         raise ValueError("paired columns must have the same number of pairs")
-    ts: dict[str, float] = {}
-    for label, d in differences.items():
-        t = _t_statistic(d)
-        if t is not None:
-            ts[label] = t
-    comparisons: dict[str, Optional[BayesComparison]] = dict.fromkeys(differences)
-    if not ts:
-        return comparisons
-    [n] = sizes
-    ps = _p_values(list(ts.values()), n - 1, direction)
-    factors = _bf10_columns(list(ts.values()), n, prior_scale, direction)
-    for (label, t), p, (bf10, rel_err) in zip(ts.items(), ps, factors):
-        comparisons[label] = BayesComparison(
-            label=label, direction=direction, n=n, t=t, df=n - 1, p=p,
-            bf10=bf10, bf10_rel_err=rel_err, band=classify_evidence(bf10),
-            stars=evidence_stars(bf10), prior_scale=prior_scale)
-    return comparisons
+    return differences

@@ -1,5 +1,8 @@
 """Command-line entry point: simulate, score, and VRNQ analysis.
 
+Each command's own subparser parses what follows its command words; argv
+that names no command, or that it leaves unparsed, goes to the root parser.
+
 Every run emits a deterministic manifest (command, parameters, input and
 output paths, seeds, config hash, tool version) so the run can be reproduced
 from the manifest alone.  Manifests carry no timestamps: identical
@@ -81,19 +84,10 @@ def _manifest(command: str, *, parameters: dict[str, Any],
               inputs: dict[str, str], outputs: dict[str, str],
               cfg_hash: Optional[str] = None,
               seeds: Optional[list[int]] = None) -> dict[str, Any]:
-    manifest: dict[str, Any] = {
-        "command": command,
-        "tool": "errandlab",
-        "version": __version__,
-        "parameters": parameters,
-        "inputs": inputs,
-        "outputs": outputs,
-    }
-    if cfg_hash is not None:
-        manifest["config_hash"] = cfg_hash
-    if seeds is not None:
-        manifest["seeds"] = seeds
-    return manifest
+    extra = {"config_hash": cfg_hash, "seeds": seeds}
+    return {"command": command, "tool": "errandlab", "version": __version__,
+            "parameters": parameters, "inputs": inputs, "outputs": outputs,
+            **{key: value for key, value in extra.items() if value is not None}}
 
 
 def _write_manifest(out: str, manifest: dict[str, Any]) -> str:
@@ -221,13 +215,10 @@ def _load_domains_arg(path: Optional[str]) -> Optional[DomainMapping]:
 
 
 def _cmd_vrnq_score(args: argparse.Namespace) -> int:
-    from .vrnq import (CUTOFFS, DOMAINS, aggregate_cohort, check_cutoffs,
-                       read_cohort_csv, score_vrnq)
+    from .vrnq import CUTOFFS, DOMAINS, _score_cohort, check_cutoffs
 
     mapping = _load_domains_arg(args.domains)
-    responses = read_cohort_csv(args.responses)
-    scored = [score_vrnq(r, mapping) for r in responses]
-    aggregate = aggregate_cohort(scored)
+    scored, aggregate = _score_cohort(args.responses, mapping)
     verdict = check_cutoffs(aggregate, args.tier)
 
     manifest = _manifest(
@@ -244,10 +235,10 @@ def _cmd_vrnq_score(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(_json_text({
             "participants": [{
-                "participant_id": r.participant_id,
-                "sub_scores": dict(s.sub_scores),
-                "total": s.total,
-            } for r, s in zip(responses, scored)],
+                "participant_id": participant_id,
+                "sub_scores": dict(zip(DOMAINS, subs)),
+                "total": total,
+            } for participant_id, total, *subs in scored],
             "aggregate": {
                 "n": aggregate.total_stats.n,
                 "sub_scores": {d: {"median": st.median, "mad": st.mad}
@@ -264,9 +255,9 @@ def _cmd_vrnq_score(args: argparse.Namespace) -> int:
         }))
         return 0
     print(f"participants: {aggregate.total_stats.n}")
-    for r, s in zip(responses, scored):
-        subs = "  ".join(f"{d}={s.sub_scores[d]}" for d in DOMAINS)
-        print(f"  {r.participant_id}: {subs}  total={s.total}")
+    for participant_id, total, *subs in scored:
+        line = "  ".join(f"{d}={sub}" for d, sub in zip(DOMAINS, subs))
+        print(f"  {participant_id}: {line}  total={total}")
     print("cohort medians (MAD):")
     for domain in DOMAINS:
         st = aggregate.sub_stats[domain]
@@ -317,11 +308,8 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
                 "degenerate": True, "bf10_rel_err": None,
             })
 
-    hypothesis = {
-        "less": "baseline < revised",
-        "greater": "baseline > revised",
-        "two-sided": "baseline != revised",
-    }[args.direction]
+    hypothesis = {"less": "baseline < revised", "greater": "baseline > revised",
+                  "two-sided": "baseline != revised"}[args.direction]
 
     outputs: dict[str, str] = {}
     if args.out:
@@ -437,14 +425,26 @@ def _raised(module: str, name: str) -> tuple[type[Exception], ...]:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Safe to share: no action has a mutable default, parse_args makes a new
+def _parser() -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    # The root parser under (), each command's own under its words.  Safe to
+    # share: no action has a mutable default, parse_args makes a new
     # Namespace on each call, and help width is read when help is formatted.
-    return build_parser()
+    found = [((), build_parser())]
+    for words, parser in found:  # the walk appends what it finds
+        found += [((*words, name), sub) for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)
+                  for name, sub in action.choices.items()]
+    return dict(found)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    parsers = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the parser of the longest run of command words that argv starts with
+    size = max(len(words) for words in parsers if tuple(argv[:len(words)]) == words)
+    args, unparsed = parsers[tuple(argv[:size])].parse_known_args(argv[size:])
+    if unparsed:
+        args = parsers[()].parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

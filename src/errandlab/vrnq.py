@@ -13,6 +13,16 @@ summaries are the honest choice.  Two cut-off tiers gate a build: the
 minimum tier asks every domain median to reach 25 and the total median 100;
 the parsimonious tier raises those bars to 30 and 120.  All cut-offs are
 inclusive.
+
+A cohort file is read into columns, not participants: the ids in file order
+and the ratings one byte each, item after item.  Both ``vrnq`` commands sum
+those item rows into a column per domain and a total column
+(:func:`_score_columns`); ``vrnq score`` takes each column's median and MAD
+(:func:`_aggregate_columns`) and ``vrnq compare`` pairs the columns by id.
+Neither builds a :class:`VrnqResponseSet` or :class:`VrnqScores`.
+:func:`score_vrnq` sums one participant's ratings with the same helper
+(:func:`_score_sums`), and :func:`aggregate_cohort` aggregates their scores
+with the other.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -117,17 +126,13 @@ def validate_domain_mapping(mapping: Mapping[str, Any]) -> None:
 
 class DomainMapping(Mapping[str, tuple[int, ...]]):
     """A domain mapping that passed :func:`validate_domain_mapping` when it
-    was made, with its item lists copied to tuples.  :func:`score_vrnq`
-    trusts it, so a cohort scored under it is checked once, and sums each
-    domain through one :func:`operator.itemgetter` made here."""
+    was made, with its item lists copied to tuples in ``DOMAINS`` order.
+    :func:`score_vrnq` trusts it, so a cohort scored under it is checked
+    once."""
 
     def __init__(self, mapping: Mapping[str, Sequence[int]]) -> None:
         validate_domain_mapping(mapping)
         self._items = {domain: tuple(mapping[domain]) for domain in DOMAINS}
-        # every domain holds DOMAIN_SIZE > 1 items, so each getter returns a tuple
-        self._getters = tuple(
-            (domain, itemgetter(*(item - 1 for item in items)))
-            for domain, items in self._items.items())
 
     def __getitem__(self, domain: str) -> tuple[int, ...]:
         return self._items[domain]
@@ -142,17 +147,27 @@ class DomainMapping(Mapping[str, tuple[int, ...]]):
 _DEFAULT_MAPPING = DomainMapping(DEFAULT_DOMAIN_MAPPING)
 
 
+def _score_sums(rows: Sequence[int], mapping: Optional[DomainMapping]) -> dict[str, int]:
+    """``Total`` and then each domain in ``DOMAINS`` order, mapped to the sum
+    of its item rows: ``rows[i]`` is item i + 1's row, one participant's
+    rating or the packed row of a cohort (:func:`_score_columns`)."""
+    domains = _DEFAULT_MAPPING if mapping is None else mapping
+    sums = {domain: sum([rows[item - 1] for item in items])
+            for domain, items in domains._items.items()}
+    return {"Total": sum(sums.values()), **sums}
+
+
 def score_vrnq(responses: VrnqResponseSet,
                domain_mapping: Optional[Mapping[str, Sequence[int]]] = None) -> VrnqScores:
     """Sum items into the domain sub-scores and the total; checks a passed
     mapping unless it is a :class:`DomainMapping`."""
     mapping = domain_mapping
-    if not isinstance(mapping, DomainMapping):
-        mapping = _DEFAULT_MAPPING if mapping is None else DomainMapping(mapping)
-    items = responses.items
-    subs = {domain: sum(get(items)) for domain, get in mapping._getters}
+    if mapping is not None and not isinstance(mapping, DomainMapping):
+        mapping = DomainMapping(mapping)
+    subs = _score_sums(responses.items, mapping)
+    total = subs.pop("Total")
     return VrnqScores(participant_id=responses.participant_id,
-                      sub_scores=subs, total=sum(subs.values()))
+                      sub_scores=subs, total=total)
 
 
 # a cohort as the reader returns it: the participant ids in file order, their
@@ -160,12 +175,37 @@ def score_vrnq(responses: VrnqResponseSet,
 # order), and the feedback column, or None for a file without one
 _Cohort = tuple[list[str], bytes, Optional[Sequence[str]]]
 
+# no participant's total reaches 256, so packed rows add without a carry
+assert SCALE_MAX * ITEM_COUNT < 256
+
+
+def _score_columns(ratings: bytes, n: int,
+                   mapping: Optional[DomainMapping]) -> dict[str, bytes]:
+    """The columns of ``Total`` and of each domain, as :func:`score_vrnq`
+    sums them, for the n participants of a cohort's item-major ``ratings``:
+    one byte per participant, in the ratings' order.  Each item row is read
+    as one big-endian integer, so one addition sums a whole row."""
+    rows = [int.from_bytes(ratings[start:start + n], "big")
+            for start in range(0, len(ratings), n)]
+    return {label: packed.to_bytes(n, "big")
+            for label, packed in _score_sums(rows, mapping).items()}
+
+
+def _score_cohort(source: str | Path | io.TextIOBase, mapping: Optional[DomainMapping],
+                  ) -> tuple[list[tuple[Any, ...]], CohortAggregate]:
+    """``vrnq score`` of a cohort CSV, with no per-participant object: each
+    participant's (id, total, sub-score of each domain in ``DOMAINS``
+    order), in file order, and the cohort's aggregate."""
+    ids, ratings, _ = _read_cohort_items(source)
+    columns = _score_columns(ratings, len(ids), mapping)
+    return list(zip(ids, *columns.values())), _aggregate_columns(columns)
+
 
 def _paired_columns(baseline: _Cohort, revised: _Cohort,
                     mapping: Optional[DomainMapping]) -> dict[str, tuple[Any, Any]]:
     """Pair two cohorts as the reader returns them: the (baseline, revised)
-    columns of ``Total`` and of each domain, in id order, as :func:`score_vrnq`
-    sums them, each a numpy integer array."""
+    columns of :func:`_score_columns`, in id order, each a numpy integer
+    array."""
     # here, so that reading and scoring a cohort never loads numpy
     import numpy as np
 
@@ -176,19 +216,16 @@ def _paired_columns(baseline: _Cohort, revised: _Cohort,
     n = len(ids)
     if n < 2:
         raise VrnqError(f"a paired comparison needs at least two participants, got {n}")
-    domains = _DEFAULT_MAPPING if mapping is None else mapping
-    # one row of item weights for the total and one for each domain
-    weights = np.zeros((1 + len(domains), ITEM_COUNT), dtype=np.int64)
-    weights[0] = 1
-    for row, items in enumerate(domains.values(), start=1):
-        weights[row, [item - 1 for item in items]] = 1
-    # each cohort's item-major ratings, its participants in id order, side by side
-    ratings = np.concatenate([
-        np.frombuffer(cohort[1], dtype=np.uint8).reshape(ITEM_COUNT, n)[
-            :, sorted(range(n), key=cohort[0].__getitem__)]
-        for cohort in (baseline, revised)], axis=1)
-    sums = weights @ ratings
-    return {label: (row[:n], row[n:]) for label, row in zip(["Total", *domains], sums)}
+    # per label, the baseline's column and then the revised one's, each
+    # cohort's participants in id order
+    baseline_sums, revised_sums = (_score_columns(ratings, n, mapping).values()
+                                   for _, ratings, _ in (baseline, revised))
+    sums = np.frombuffer(b"".join(map(bytes.__add__, baseline_sums, revised_sums)),
+                         dtype=np.uint8).reshape(-1, 2 * n)
+    order = [side * n + index for side, cohort in enumerate((baseline, revised))
+             for index in sorted(range(n), key=cohort[0].__getitem__)]
+    sums = sums[:, order].astype(np.int64)
+    return {label: (row[:n], row[n:]) for label, row in zip(["Total", *DOMAINS], sums)}
 
 
 def _median(values: Sequence[float]) -> float:
@@ -204,8 +241,7 @@ def median_absolute_deviation(values: Sequence[float]) -> float:
     """Median of absolute deviations from the median (no scaling constant)."""
     if not values:
         raise VrnqError("cannot aggregate an empty cohort")
-    center = _median(values)
-    return _median([abs(v - center) for v in values])
+    return _score_stats(values).mad
 
 
 @dataclass(frozen=True)
@@ -227,17 +263,23 @@ def aggregate_cohort(cohort: Iterable[VrnqScores]) -> CohortAggregate:
     scored = list(cohort)
     if not scored:
         raise VrnqError("cannot aggregate an empty cohort")
-    sub_stats = {}
-    for domain in DOMAINS:
-        values = [s.sub_scores[domain] for s in scored]
-        sub_stats[domain] = ScoreStats(
-            median=_median(values), mad=median_absolute_deviation(values),
-            n=len(values))
-    totals = [s.total for s in scored]
-    total_stats = ScoreStats(
-        median=_median(totals), mad=median_absolute_deviation(totals),
-        n=len(totals))
-    return CohortAggregate(sub_stats=sub_stats, total_stats=total_stats)
+    columns = {domain: [s.sub_scores[domain] for s in scored] for domain in DOMAINS}
+    columns["Total"] = [s.total for s in scored]
+    return _aggregate_columns(columns)
+
+
+def _aggregate_columns(columns: Mapping[str, Sequence[int]]) -> CohortAggregate:
+    """:func:`aggregate_cohort` of the non-empty columns of ``Total`` and of
+    each domain, as :func:`_score_sums` labels them."""
+    return CohortAggregate(
+        sub_stats={domain: _score_stats(columns[domain]) for domain in DOMAINS},
+        total_stats=_score_stats(columns["Total"]))
+
+
+def _score_stats(values: Sequence[float]) -> ScoreStats:
+    center = _median(values)
+    return ScoreStats(median=center, mad=_median([abs(v - center) for v in values]),
+                      n=len(values))
 
 
 @dataclass(frozen=True)
@@ -340,7 +382,7 @@ def _cohort_at_once(rows: list[list[str]], width: int) -> Optional[_Cohort]:
     # digit.  A longer field would have to be offset by an empty one, and
     # the first field that is empty or of even length puts a comma at an
     # even position
-    joined = ",".join(chain.from_iterable(columns[1:ITEM_COUNT + 1])).encode()
+    joined = ",".join(map(",".join, columns[1:ITEM_COUNT + 1])).encode()
     digits = joined[::2]
     if (not all(ids) or len(set(ids)) < len(ids)
             or len(joined) != 2 * ITEM_COUNT * len(ids) - 1

@@ -561,6 +561,26 @@ class TestSkewFactorBinomialTail:
                                   errandlab.bayes._t_cdf_lower(m, w))
 
 
+@st.composite
+def _integer_columns(draw):
+    """Labelled (a, b) integer columns of one size; some have equal
+    differences, so their comparison is degenerate.  A drawn seed fills
+    the columns: drawing up to ten lists of 200 values costs far more."""
+    n = draw(st.integers(min_value=2, max_value=200))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    columns = {}
+    for index in range(draw(st.integers(min_value=1, max_value=5))):
+        a = [rng.randint(-50, 150) for _ in range(n)]
+        kind = draw(st.sampled_from(("free", "shifted", "equal")))
+        if kind == "free":
+            b = [rng.randint(-50, 150) for _ in range(n)]
+        else:
+            shift = rng.randint(-3, 3) if kind == "shifted" else 0
+            b = [x + shift for x in a]
+        columns[f"c{index}"] = (a, b)
+    return columns
+
+
 class TestColumnsIntegratedTogether:
     """A comparison integrates all its columns in one pass; each column's
     result, or the failure raised for it, is the one it has alone."""
@@ -644,6 +664,51 @@ class TestColumnsIntegratedTogether:
             compare_paired_columns({"a": ((1.0, 2.0, 4.0), (2.0, 2.0, 5.0)),
                                     "b": ((1.0, 2.0), (3.0, 5.0))})
 
+    @settings(max_examples=30, deadline=None)
+    @given(columns=_integer_columns(), direction=st.sampled_from(Direction),
+           as_arrays=st.booleans())
+    def test_each_comparison_is_bit_identical_to_its_column_alone(self, columns, direction,
+                                                                  as_arrays):
+        # the columns go in as lists, or as the integer arrays `vrnq compare` pairs
+        if as_arrays:
+            columns = {label: (np.array(a), np.array(b)) for label, (a, b) in columns.items()}
+        together = compare_paired_columns(columns, direction=direction)
+        assert list(together) == list(columns)
+        for label, pair in columns.items():
+            [alone] = compare_paired_columns({label: pair}, direction=direction).values()
+            # every field compared exactly: t, p, bf10 and bf10_rel_err included
+            assert together[label] == alone
+
+    # (columns, the ValueError message): the first fault in column order is
+    # named, whatever the columns after it hold
+    _NAN = float("nan")
+
+    @pytest.mark.parametrize("columns, message", [
+        pytest.param({"a": ((1, _NAN, 3), (1, 2, 4)), "b": ((1, 2), (1, 2, 3))},
+                     "paired samples must be finite", id="nan-before-unequal-lengths"),
+        pytest.param({"a": ((1, 2), (1, 2, 3)), "b": ((1, _NAN), (1, 2))},
+                     "paired samples must have equal lengths", id="unequal-lengths-before-nan"),
+        pytest.param({"a": ((1, 2, 3), (2, 3, 5)), "b": ((1,), (2,))},
+                     "paired samples need at least two pairs", id="one-pair-in-a-later-column"),
+        pytest.param({"a": ((1,), (2,))}, "paired samples need at least two pairs",
+                     id="one-pair-only"),
+        pytest.param({"a": ((1, 2, 3), (2, 3, 5)), "b": ((1, 2), (3, 1)),
+                      "c": ((1, _NAN), (3, 1))},
+                     "paired samples must be finite", id="nan-after-mismatched-n"),
+        pytest.param({"a": ((1, _NAN), (1, 2)), "b": ((10 ** 400, 1), (1, 2))},
+                     "paired samples must be finite", id="nan-before-int-past-float-range"),
+        pytest.param({"a": ((1, 2), (1, 2, 3)), "b": (("x", "y"), (1, 2))},
+                     "paired samples must have equal lengths", id="unequal-lengths-before-text"),
+        pytest.param({"a": (("x", "y"), (1, 2)), "b": ((1, 2), (1, 2, 3))},
+                     "could not convert string to float: 'x'", id="text-before-unequal-lengths"),
+        pytest.param({"a": ((1, float("inf")), (1, 2)), "b": ((1, 2), (1, 3))},
+                     "paired samples must be finite", id="inf"),
+    ])
+    def test_the_first_fault_is_named(self, columns, message):
+        with pytest.raises(ValueError) as raised:
+            compare_paired_columns(columns)
+        assert str(raised.value) == message
+
 
 def _t_and_p_reference(a, b, direction):
     """A column's t and p as paired_t computed them one column at a time:
@@ -671,26 +736,6 @@ def _t_and_p_reference(a, b, direction):
 def _cauchy_cdf(x):
     # T_1(x) = 1/2 + atan(x) / pi, and 1/2 - atan(|x|) / pi = atan(1/|x|) / pi
     return math.atan2(1.0, -x) / math.pi if x < 0.0 else 0.5 + math.atan(x) / math.pi
-
-
-@st.composite
-def _integer_columns(draw):
-    """Labelled (a, b) integer columns of one size; some have equal
-    differences, so their comparison is degenerate.  A drawn seed fills
-    the columns: drawing up to ten lists of 200 values costs far more."""
-    n = draw(st.integers(min_value=2, max_value=200))
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    columns = {}
-    for index in range(draw(st.integers(min_value=1, max_value=5))):
-        a = [rng.randint(-50, 150) for _ in range(n)]
-        kind = draw(st.sampled_from(("free", "shifted", "equal")))
-        if kind == "free":
-            b = [rng.randint(-50, 150) for _ in range(n)]
-        else:
-            shift = rng.randint(-3, 3) if kind == "shifted" else 0
-            b = [x + shift for x in a]
-        columns[f"c{index}"] = (a, b)
-    return columns
 
 
 class TestTAndPAreBitIdentical:

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import errno
+import io
 import json
 import os
 import pkgutil
+import random
 import re
+import statistics
 import subprocess
 import sys
 import types
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import errandlab
 import errandlab.bayes
@@ -23,11 +29,14 @@ import errandlab.sessionlog
 import errandlab.vrnq
 from errandlab.bayes import Direction, IntegrationFailure
 from errandlab.cli import build_parser, main
+from errandlab.jsonio import _json_text
 from errandlab.config import config_hash, default_config
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
 from errandlab.sessionlog import deserialize_log, serialize_log
 from errandlab.simulate import default_profile, simulate_session
-from errandlab.vrnq import CSV_COLUMNS, VrnqResponseSet, write_cohort_csv
+from errandlab.vrnq import (CSV_COLUMNS, CUTOFFS, DOMAINS, DomainMapping, VrnqResponseSet,
+                            aggregate_cohort, check_cutoffs, read_cohort_csv, score_vrnq,
+                            write_cohort_csv)
 
 
 def _cohort_csv(path, totals_by_id, base=None):
@@ -325,6 +334,107 @@ class TestVrnqScoreCommand:
         bad.write_text(json.dumps({"UserExperience": list(range(1, 21))}))
         assert main(["vrnq", "score", "--responses", str(csv_path),
                      "--domains", str(bad)]) == 2
+
+
+def _vrnq_score_per_participant(responses, domains, tier, fmt, manifest):
+    """What `vrnq score` printed when it scored each participant on its own:
+    check_cutoffs(aggregate_cohort([score_vrnq(r) ...])) over read_cohort_csv."""
+    mapping = None if domains is None else DomainMapping(json.loads(domains.read_text()))
+    cohort = read_cohort_csv(responses)
+    scored = [score_vrnq(r, mapping) for r in cohort]
+    aggregate = aggregate_cohort(scored)
+    verdict = check_cutoffs(aggregate, tier)
+    if fmt == "json":
+        return _json_text({
+            "participants": [{"participant_id": r.participant_id,
+                              "sub_scores": dict(s.sub_scores), "total": s.total}
+                             for r, s in zip(cohort, scored)],
+            "aggregate": {
+                "n": aggregate.total_stats.n,
+                "sub_scores": {d: {"median": st.median, "mad": st.mad}
+                               for d, st in aggregate.sub_stats.items()},
+                "total": {"median": aggregate.total_stats.median,
+                          "mad": aggregate.total_stats.mad},
+            },
+            "verdict": {"tier": verdict.tier, "passes": dict(verdict.passes),
+                        "overall": verdict.overall},
+            "manifest": manifest,
+        }) + "\n"
+    lines = [f"participants: {aggregate.total_stats.n}"]
+    for r, s in zip(cohort, scored):
+        subs = "  ".join(f"{d}={s.sub_scores[d]}" for d in DOMAINS)
+        lines.append(f"  {r.participant_id}: {subs}  total={s.total}")
+    lines.append("cohort medians (MAD):")
+    for domain in DOMAINS:
+        st = aggregate.sub_stats[domain]
+        lines.append(f"  {domain}: {st.median:g} ({st.mad:g})")
+    lines.append(f"  Total: {aggregate.total_stats.median:g} ({aggregate.total_stats.mad:g})")
+    bars = CUTOFFS[tier]
+    lines.append(f"cut-off tier {tier} (sub>={bars['sub']}, total>={bars['total']}):")
+    lines += [f"  {name}: {'pass' if ok else 'FAIL'}" for name, ok in verdict.passes.items()]
+    lines.append(f"overall: {'pass' if verdict.overall else 'FAIL'}")
+    return "\n".join(lines) + "\n"
+
+
+class TestVrnqScoreColumns:
+    """`vrnq score` sums the reader's columns and builds no per-participant
+    object; what it prints is what scoring each participant prints."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=120),
+           seed=st.integers(min_value=0, max_value=2**32),
+           odd=st.booleans(), with_feedback=st.booleans(), bom=st.booleans(),
+           order=st.none() | st.permutations(range(1, 21)),
+           tier=st.sampled_from(sorted(CUTOFFS)))
+    def test_output_equals_per_participant_scoring(self, tmp_path_factory, n, seed, odd,
+                                                   with_feedback, bom, order, tier):
+        # canonical one-digit ratings take the reader's at-once route; a
+        # rating spelled " 3", "+3" or "03" sends the file row by row
+        rng = random.Random(seed)
+        folder = tmp_path_factory.mktemp("vrnq-score")
+        handle = io.StringIO()
+        writer = csv.writer(handle, lineterminator=rng.choice(("\n", "\r\n")))
+        writer.writerow(CSV_COLUMNS + ["feedback"] * with_feedback)
+        for pid in rng.sample(range(10 * n), n):
+            row = [f"p{pid}", *(str(rng.randint(1, 7)) for _ in range(20))]
+            if odd and rng.random() < 0.3:
+                item = rng.randint(1, 20)
+                row[item] = rng.choice((" {}", "+{}", "0{}")).format(row[item])
+            writer.writerow(row + [rng.choice(("", "fine", "a,\nb"))] * with_feedback)
+        responses = folder / "cohort.csv"
+        responses.write_bytes(b"\xef\xbb\xbf" * bom + handle.getvalue().encode("utf-8"))
+        argv = ["vrnq", "score", "--responses", str(responses), "--tier", tier]
+        domains = None
+        if order is not None:
+            domains = folder / "domains.json"
+            domains.write_text(json.dumps(
+                {domain: order[5 * i:5 * i + 5] for i, domain in enumerate(DOMAINS)}))
+            argv += ["--domains", str(domains)]
+        printed = {}
+        for fmt in ("json", "text"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([*argv, "--format", fmt]) == 0
+            printed[fmt] = out.getvalue()
+        payload = json.loads(printed["json"])
+        for fmt, text in printed.items():
+            assert text == _vrnq_score_per_participant(
+                responses, domains, tier, fmt, payload["manifest"])
+        # the reference shares the sums and the aggregate with the command,
+        # so check them against plain item sums and statistics.median too
+        mapping = {domain: order[5 * i:5 * i + 5] if order else range(5 * i + 1, 5 * i + 6)
+                   for i, domain in enumerate(DOMAINS)}
+        columns = {"total": [], **{domain: [] for domain in DOMAINS}}
+        for response, row in zip(read_cohort_csv(responses), payload["participants"]):
+            expected = {d: sum(response.items[item - 1] for item in mapping[d]) for d in DOMAINS}
+            assert (row["sub_scores"], row["total"]) == (expected, sum(response.items))
+            for label, column in columns.items():
+                column.append(expected.get(label, row["total"]))
+        stats = {**payload["aggregate"]["sub_scores"], "total": payload["aggregate"]["total"]}
+        for label, values in columns.items():
+            center = statistics.median(values)
+            assert stats[label] == {"median": center,
+                                    "mad": statistics.median(abs(v - center) for v in values)}
 
 
 class TestByteOrderMark:
@@ -635,10 +745,14 @@ class TestCallCounts:
                      "--revised", str(revised), "--format", "json"]) == 0
         assert response_sets == []
         assert opened == [str(baseline), str(revised)]
-        # the counters see what a command that does build them builds
-        assert main(["vrnq", "score", "--responses", str(baseline)]) == 0
-        assert len(response_sets) == len(ids)
+        assert main(["vrnq", "score", "--responses", str(baseline),
+                     "--format", "json"]) == 0
+        assert response_sets == []
         assert opened[2:] == [str(baseline)]
+        # the counters see what a caller that does build them builds
+        assert len(errandlab.vrnq.read_cohort_csv(baseline)) == len(ids)
+        assert len(response_sets) == len(ids)
+        assert opened[3:] == [baseline]
 
     def test_score_parses_a_canonical_log_without_json_loads(self, tmp_path,
                                                              monkeypatch):
@@ -858,6 +972,67 @@ class TestParserReuse:
         score = ["score", "--log", str(tmp_path / "absent.ndjson")]
         results = _run_calls([score, score])
         assert [(code, built) for code, _, _, built in results] == [(3, 6), (3, 0)]
+
+    def test_each_argv_runs_as_after_one_root_parse(self, tmp_path, capsys):
+        # main hands what follows the command words to that command's own
+        # parser; every argv must end as one root parse_args call ends it
+        def root_main(argv):
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+
+        def outcome(run, argv):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        run = str(tmp_path / "run")
+        log = os.path.join(run, "session.ndjson")
+        ids = [f"p{i:02d}" for i in range(12)]
+        baseline = str(_cohort_csv(tmp_path / "a.csv",
+                                   {p: 60 + 3 * i for i, p in enumerate(ids)}))
+        revised = str(_cohort_csv(tmp_path / "b.csv",
+                                  {p: 70 + 3 * i + i % 4 for i, p in enumerate(ids)}))
+        compare = ["vrnq", "compare", "--baseline", baseline, "--revised", revised]
+        simulate = ["simulate", "--seed", "7", "--out", run]
+        corpus = [
+            # a valid call of every command, with the --opt=value form
+            [*simulate, "--cohort", "2"],
+            ["simulate", "--seed=8", f"--out={run}", "--format=json"],
+            ["score", "--log", log, "--format", "json"],
+            ["score", f"--log={log}"],
+            ["vrnq", "score", "--responses", baseline, "--tier", "minimum"],
+            ["vrnq", "score", f"--responses={baseline}", "--format=json"],
+            [*compare, "--direction=two-sided", "--prior-scale", "1.5"],
+            [*compare, "--format", "json"],
+            # abbreviations, one of them ambiguous
+            ["vrnq", "score", "--resp", baseline],
+            [*compare[:2], "--base", baseline, "--rev", revised, "--prior", "2"],
+            ["simulate", "--co", "2", "--seed", "1", "--out", run],
+            # help at the root and on each command
+            ["-h"], ["simulate", "-h"], ["score", "--help"], ["vrnq", "-h"],
+            ["vrnq", "score", "-h"], [*compare, "-h"],
+            # --version before and after a command
+            ["--version"], ["--version", "score", "--log", log],
+            ["score", "--log", log, "--version"], ["vrnq", "score", "--version"],
+            # an unknown option, a missing required option, a bad choice
+            ["score", "--log", log, "--bogus"], ["score", "--bogus"],
+            ["vrnq", "compare", "--baseline", baseline],
+            [*compare, "--direction", "sideways"],
+            # values their own types reject
+            [*simulate, "--cohort", "0"], [*compare, "--prior-scale", "nan"],
+            ["simulate", "--seed", "x", "--out", run],
+            # stray positionals and separators
+            ["score", "--log", log, "extra"], ["vrnq", "score", "stray"],
+            ["vrnq", "score", "--responses", baseline, "--"],
+            ["--", "score", "--log", log],
+            # no command, an unknown one, and an empty argv
+            ["vrnq"], ["vrnq", "bogus"], ["bogus"], ["scores", "--log", log], [],
+        ]
+        for argv in corpus:
+            assert outcome(main, argv) == outcome(root_main, argv), argv
 
     def test_each_call_matches_the_same_call_alone(self, tmp_path):
         ids = [f"p{i:02d}" for i in range(12)]
