@@ -92,6 +92,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import gammaln, stdtr
 
+from .jsonio import ErrandlabError
+
 DEFAULT_PRIOR_SCALE = 0.707
 
 # exp() underflows to zero near -745; anything provably far below that is
@@ -161,8 +163,9 @@ class DegenerateSample(Exception):
     """All differences are equal; the t statistic is undefined."""
 
 
-class IntegrationFailure(Exception):
+class IntegrationFailure(ErrandlabError):
     """The adaptive integrator could not reach the required accuracy."""
+    exit_code = 1
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +269,16 @@ def nct_logpdf(x: float, df: float, nc: float) -> float:
 # Paired t
 
 
+def _check_pairs(a: Sequence[float], b: Sequence[float]) -> None:
+    """Raise the ``ValueError`` of the first fault of the pairs of ``a`` and ``b``."""
+    if len(a) != len(b):
+        raise ValueError("paired samples must have equal lengths")
+    if len(a) < 2:
+        raise ValueError("paired samples need at least two pairs")
+    if not (all(map(math.isfinite, a)) and all(map(math.isfinite, b))):
+        raise ValueError("paired samples must be finite")
+
+
 @dataclass(frozen=True)
 class PairedSample:
     """Two paired measurement tuples; differences are taken as b - a."""
@@ -274,12 +287,7 @@ class PairedSample:
     b: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.a) != len(self.b):
-            raise ValueError("paired samples must have equal lengths")
-        if len(self.a) < 2:
-            raise ValueError("paired samples need at least two pairs")
-        if not (all(map(math.isfinite, self.a)) and all(map(math.isfinite, self.b))):
-            raise ValueError("paired samples must be finite")
+        _check_pairs(self.a, self.b)
 
     @property
     def differences(self) -> tuple[float, ...]:
@@ -804,12 +812,7 @@ def _checked_differences(
     differences = {}
     for label, (a, b) in columns.items():
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if len(a) != len(b):
-            raise ValueError("paired samples must have equal lengths")
-        if len(a) < 2:
-            raise ValueError("paired samples need at least two pairs")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("paired samples must be finite")
+        _check_pairs(a, b)
         differences[label] = (b - a).tolist()
     if len(set(map(len, differences.values()))) > 1:
         raise ValueError("paired columns must have the same number of pairs")

@@ -9,10 +9,12 @@ from the manifest alone.  Manifests carry no timestamps: identical
 invocations produce identical manifests.
 
 A failed run prints one ``error:`` line (a usage error also prints usage).
-Exit codes: 0 success, 1 a Bayes factor that cannot be computed to the
-required accuracy, 2 usage or configuration error (a bad ``--config``,
-``--profile`` or ``--domains`` file is named), 3 I/O error (``error: <path>:
-<reason>``), 4 rejected or incomplete session log, 5 malformed response CSV.
+Exit codes: 0 success, 2 usage error, 3 I/O error (``error: <path>:
+<reason>``), else the ``exit_code`` of the error's family: 1 IntegrationFailure
+(a Bayes factor short of the required accuracy), 2 ConfigError (a bad
+``--config``, ``--profile`` or ``--domains`` file is named), 4 EngineError or
+LogError (a rejected or incomplete session log), 5 VrnqError (a malformed
+response CSV).
 """
 
 from __future__ import annotations
@@ -24,16 +26,11 @@ import sys
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import __version__
-from .jsonio import ConfigError, _json_text, read_json
+from .jsonio import ConfigError, ErrandlabError, _json_text, read_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulate import ParticipantProfile
     from .vrnq import DomainMapping
-
-_EXIT_CONFIG = 2
-_EXIT_IO = 3
-_EXIT_LOG = 4
-_EXIT_CSV = 5
 
 
 def _make_out_dir(out: str) -> None:
@@ -284,12 +281,8 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
     direction = bayes.Direction(args.direction)
     columns = _paired_columns(baseline, revised, mapping)
 
-    try:
-        comparisons = bayes.compare_paired_columns(
-            columns, direction=direction, prior_scale=args.prior_scale)
-    except bayes.IntegrationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    comparisons = bayes.compare_paired_columns(
+        columns, direction=direction, prior_scale=args.prior_scale)
     rows: list[dict[str, Any]] = []
     for name, cmp_result in comparisons.items():
         if cmp_result is not None:
@@ -416,14 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _raised(module: str, name: str) -> tuple[type[Exception], ...]:
-    """``module``'s error class ``name``, or no class if no command imported
-    ``module``: a command that never ran it cannot have raised its errors,
-    so the error path loads nothing."""
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return () if loaded is None else (getattr(loaded, name),)
-
-
 @functools.cache
 def _parser() -> dict[tuple[str, ...], argparse.ArgumentParser]:
     # The root parser under (), each command's own under its words.  Safe to
@@ -447,20 +432,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parsers[()].parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ErrandlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+        return exc.exit_code
     except OSError as exc:
         where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {where}", file=sys.stderr)
-        return _EXIT_IO
-    except (*_raised("scenario", "EngineError"),
-            *_raised("sessionlog", "LogError")) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_LOG
-    except _raised("vrnq", "VrnqError") as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CSV
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
-"""The JSON reader of input files, its :class:`ConfigError`, and the
-indented JSON writer: every command uses them, and they import no other
-errandlab module, so no command loads the session engine for them."""
+"""The base of errandlab's errors, the JSON reader of input files with its
+:class:`ConfigError`, and the indented JSON writer: every command uses them,
+and they import no other errandlab module, so no command loads the session
+engine for them."""
 
 import json
 import math
@@ -9,8 +10,14 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 
-class ConfigError(Exception):
+class ErrandlabError(Exception):
+    """The base of each error family, whose ``exit_code`` the CLI returns."""
+    exit_code: int
+
+
+class ConfigError(ErrandlabError):
     """Raised for unknown, missing, or invalid configuration content."""
+    exit_code = 2
 
 
 def read_json(path: str | os.PathLike[str]) -> Any:

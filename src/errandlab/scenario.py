@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Union
 
+from .jsonio import ErrandlabError
+
 # Fixed storyline content.
 ROUTE_UNIT_COUNT = 23
 ROUTE_IDEAL_UNITS = 15
@@ -454,8 +456,9 @@ Effect = Union[PromptShown, SceneTransition, PracticeRetry, PracticePassed,
 # Errors
 
 
-class EngineError(Exception):
+class EngineError(ErrandlabError):
     """Base class for event rejections."""
+    exit_code = 4
 
 
 class OutOfOrderEvent(EngineError):

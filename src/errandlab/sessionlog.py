@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Optional
 
+from .jsonio import ErrandlabError
 from .scenario import (
     AUDITORY_STIMULUS_KINDS,
     COOKING_ITEMS,
@@ -45,8 +46,9 @@ SCHEMA_NAME = "session-log"
 SCHEMA_VERSION = 1
 
 
-class LogError(Exception):
+class LogError(ErrandlabError):
     """Base class for session-log problems."""
+    exit_code = 4
 
 
 class MonotonicityViolation(LogError):

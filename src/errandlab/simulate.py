@@ -126,7 +126,7 @@ class ParticipantProfile:
 
     def __post_init__(self) -> None:
         delays = {d.value for d in PmDelay}
-        if set(self.pm_hit_prob) != delays:
+        if not isinstance(self.pm_hit_prob, Mapping) or set(self.pm_hit_prob) != delays:
             raise ValueError(f"pm_hit_prob needs exactly the keys {sorted(delays)}")
         if len(self.prompt_yield_probs) != LADDER_DEPTH:
             raise ValueError(f"prompt_yield_probs must have {LADDER_DEPTH} entries")

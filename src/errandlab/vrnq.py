@@ -34,7 +34,7 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .jsonio import ConfigError
+from .jsonio import ConfigError, ErrandlabError
 
 # Default domain mapping: contiguous five-item blocks in domain order.
 # Studies with a different printed item order pass `vrnq --domains`.
@@ -61,8 +61,9 @@ CUTOFFS = {
 }
 
 
-class VrnqError(Exception):
+class VrnqError(ErrandlabError):
     """Raised for malformed questionnaire data."""
+    exit_code = 5
 
 
 @dataclass(frozen=True)
@@ -313,9 +314,9 @@ def read_cohort_csv(source: str | Path | io.TextIOBase) -> list[VrnqResponseSet]
     """Read a cohort CSV: header ``participant_id,q1,...,q20``.
 
     An optional trailing ``feedback`` column is stored verbatim.  Any other
-    deviation raises :class:`VrnqError`.  A path is read as UTF-8 with or
-    without a leading byte-order mark; a handle is read as its caller
-    opened it.
+    deviation raises :class:`VrnqError`, whose message starts with the path
+    if one was given.  A path is read as UTF-8 with or without a leading
+    byte-order mark; a handle is read as its caller opened it.
     """
     ids, ratings, feedback = _read_cohort_items(source)
     # a bytes slice yields ints, so zipping the item rows gives each
@@ -336,13 +337,15 @@ def _read_cohort_items(source: str | Path | io.TextIOBase) -> _Cohort:
 
 
 def _read_cohort_or_fail(handle, where: str) -> _Cohort:
-    # the reader's own errors as VrnqError, prefixed with the path if any
+    # every fault as VrnqError, prefixed with the path if any
     try:
         return _read_cohort(handle)
     except UnicodeDecodeError as exc:
         raise VrnqError(f"{where}invalid UTF-8 ({exc})") from exc
     except csv.Error as exc:
         raise VrnqError(f"{where}invalid CSV ({exc})") from exc
+    except VrnqError as exc:
+        raise VrnqError(f"{where}{exc}") from exc
 
 
 def _read_cohort(handle) -> _Cohort:

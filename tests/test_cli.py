@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import importlib
 import io
 import json
 import os
@@ -543,6 +544,17 @@ class TestVrnqCompareCommand:
                      "--revised", str(revised)])
         assert code == 5
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("faulty", ["baseline", "revised"])
+    def test_a_faulty_cohort_is_named(self, tmp_path, capsys, faulty):
+        paths = dict(zip(("baseline", "revised"), self._paired_csvs(tmp_path, shift=20)))
+        paths[faulty].write_text(",".join(CSV_COLUMNS) + "\np9" + ",9" + ",4" * 19 + "\n")
+        code = main(["vrnq", "compare", "--baseline", str(paths["baseline"]),
+                     "--revised", str(paths["revised"])])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {paths[faulty]}: p9: item 1 value 9 outside 1..7\n"
+        assert captured.out == ""
 
     def test_one_participant_cohorts_exit_5(self, tmp_path, capsys):
         baseline = _cohort_csv(tmp_path / "baseline.csv", {"p1": 100})
@@ -1090,6 +1102,8 @@ _BAD_INPUT_FILES = [
     pytest.param("--config", '{"session_target_s": 1e308}', 2,
                  id="config-session-target-overflows-clock"),
     pytest.param("--profile", '{"latency_sd_ms": true}', 2, id="profile-bool-number"),
+    pytest.param("--profile", '{"pm_hit_prob": ["short", "medium", "long"]}', 2,
+                 id="profile-pm-hit-prob-not-a-mapping"),
     pytest.param("--profile", '{"latency_mean_ms": 1e308}', 2,
                  id="profile-latency-overflows-clock"),
     pytest.param("--profile", '{"cooking_timing_sd_s": 1e308}', 2,
@@ -1104,6 +1118,8 @@ _BAD_INPUT_FILES = [
                  id="domains-int-past-digit-limit"),
     pytest.param("--responses", ",".join(CSV_COLUMNS) + "\n" + "p" * 140_000
                  + ",4" * 20 + "\n", 5, id="responses-field-past-csv-limit"),
+    pytest.param("--responses", ",".join(CSV_COLUMNS) + "\np9" + ",9" + ",4" * 19 + "\n", 5,
+                 id="responses-rating-outside-scale"),
 ]
 
 
@@ -1130,6 +1146,59 @@ class TestBadInputFiles:
         assert "Traceback" not in result.stderr
         [line] = result.stderr.splitlines()
         assert line.startswith(f"error: {bad}: ")
+
+
+# (error a command raises, exit code, error line): each family's exit_code,
+# and an OSError's I/O code
+_ERROR_EXITS = [
+    pytest.param(errandlab.jsonio.ConfigError("bad dial"), 2, "error: bad dial",
+                 id="ConfigError"),
+    pytest.param(errandlab.scenario.OutOfOrderEvent("late event"), 4,
+                 "error: late event", id="EngineError"),
+    pytest.param(errandlab.sessionlog.ParseError("line 3: not JSON"), 4,
+                 "error: line 3: not JSON", id="LogError"),
+    pytest.param(errandlab.vrnq.VrnqError("p9: bad row"), 5, "error: p9: bad row",
+                 id="VrnqError"),
+    pytest.param(IntegrationFailure("no convergence"), 1, "error: no convergence",
+                 id="IntegrationFailure"),
+    pytest.param(FileNotFoundError(errno.ENOENT, "No such file or directory", "gone.csv"),
+                 3, "error: gone.csv: No such file or directory", id="OSError"),
+]
+
+
+class TestExitCodeContract:
+    @staticmethod
+    def _run_raising(monkeypatch, tmp_path, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(errandlab.vrnq, "_score_cohort", failing)
+        return main(["vrnq", "score", "--responses", str(tmp_path / "cohort.csv")])
+
+    @pytest.mark.parametrize("error, code, line", _ERROR_EXITS)
+    def test_each_error_exits_with_its_code(self, monkeypatch, tmp_path, capsys,
+                                            error, code, line):
+        assert self._run_raising(monkeypatch, tmp_path, error) == code
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n"
+        assert captured.out == ""
+
+    def test_a_plain_value_error_propagates(self, monkeypatch, tmp_path):
+        with pytest.raises(ValueError, match="^not an errandlab error$"):
+            self._run_raising(monkeypatch, tmp_path, ValueError("not an errandlab error"))
+
+    def test_every_error_family_has_an_exit_code(self):
+        for module in pkgutil.iter_modules(errandlab.__path__):
+            if module.name != "__main__":
+                importlib.import_module(f"errandlab.{module.name}")
+        found = errandlab.jsonio.ErrandlabError.__subclasses__()
+        for cls in found:  # the walk appends what it finds
+            found += cls.__subclasses__()
+        families = [cls for cls in found if cls.__module__.startswith("errandlab.")]
+        assert {cls.__name__ for cls in families} >= {
+            "ConfigError", "EngineError", "LogError", "VrnqError", "IntegrationFailure"}
+        for cls in families:
+            assert cls.exit_code in {1, 2, 4, 5}, cls
 
 
 _BAYES_NAMES = (

@@ -302,6 +302,10 @@ class TestProfiles:
         with pytest.raises(ValueError):
             dataclasses.replace(typical, pm_hit_prob={"short": 0.5})
 
+    def test_pm_hit_prob_must_be_a_mapping(self, typical):
+        with pytest.raises(ValueError, match=r"^pm_hit_prob needs exactly the keys"):
+            dataclasses.replace(typical, pm_hit_prob=["short", "medium", "long"])
+
     def test_negative_spread_rejected(self, typical):
         with pytest.raises(ValueError):
             dataclasses.replace(typical, cooking_timing_sd_s=-1.0)
