@@ -26,7 +26,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import __version__
-from .jsonio import ConfigError, ErrandlabError, _json_text, read_json
+from .jsonio import ErrandlabError, _json_text, read_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulate import ParticipantProfile
@@ -48,12 +48,7 @@ def _load_profile_arg(spec: Optional[str]) -> ParticipantProfile:
     from .simulate import PROFILE_PRESETS, load_profile
 
     preset = PROFILE_PRESETS.get(spec or "default")
-    if preset is not None:
-        return preset()
-    try:
-        return load_profile(spec)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{spec}: {exc}") from exc
+    return preset() if preset is not None else load_profile(spec)
 
 
 def _positive_int(text: str) -> int:
@@ -204,11 +199,7 @@ def _load_domains_arg(path: Optional[str]) -> Optional[DomainMapping]:
         return None
     from .vrnq import DomainMapping
 
-    mapping = read_json(path)
-    try:
-        return DomainMapping(mapping)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return read_json(path, DomainMapping)
 
 
 def _cmd_vrnq_score(args: argparse.Namespace) -> int:

@@ -258,21 +258,15 @@ def config_from_dict(data: Mapping[str, Any]) -> ScoringConfig:
             kwargs[key] = tuple(value)
         else:
             kwargs[key] = value
-    try:
-        config = ScoringConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = ScoringConfig(**kwargs)  # every key is a field: no TypeError
     config.validate()
     return config
 
 
 def load_config(path: str | Path) -> ScoringConfig:
-    """Read a JSON config file, merging the given keys over the defaults."""
-    data = read_json(path)
-    try:
-        return config_from_dict(data)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    """Read a JSON config file, merging the given keys over the defaults; a
+    fault in its content is a ConfigError that names ``path``."""
+    return read_json(path, config_from_dict)
 
 
 def save_config(config: ScoringConfig, path: str | Path) -> None:

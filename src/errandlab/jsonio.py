@@ -1,13 +1,15 @@
-"""The base of errandlab's errors, the JSON reader of input files with its
-:class:`ConfigError`, and the indented JSON writer: every command uses them,
-and they import no other errandlab module, so no command loads the session
-engine for them."""
+"""The base of errandlab's errors, :func:`read_json` (the one reader of JSON
+input files, which names the file in each :class:`ConfigError` it raises)
+and the indented JSON writer: every command uses them, and they import no
+other errandlab module, so no command loads the session engine for them."""
 
 import json
 import math
 import os
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
+
+_T = TypeVar("_T")
 
 
 class ErrandlabError(Exception):
@@ -15,22 +17,27 @@ class ErrandlabError(Exception):
     exit_code: int
 
 
-class ConfigError(ErrandlabError):
+class ConfigError(ErrandlabError, ValueError):
     """Raised for unknown, missing, or invalid configuration content."""
     exit_code = 2
 
 
-def read_json(path: str | os.PathLike[str]) -> Any:
-    """The JSON document in the UTF-8 file at ``path``; ConfigError naming
-    ``path`` if the bytes are not UTF-8 JSON, nest past the recursion limit
-    or hold an integer longer than Python converts from a string."""
+def read_json(path: str | os.PathLike[str], build: Callable[[Any], _T]) -> _T:
+    """``build`` of the JSON document in the UTF-8 file at ``path``; a
+    ConfigError naming ``path`` if the bytes are not UTF-8 JSON, nest past
+    the recursion limit or hold an integer longer than Python converts from
+    a string, or if ``build`` raises a ValueError (a ConfigError is one)."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return json.loads(data.decode("utf-8"))
+        document = json.loads(data.decode("utf-8"))
     # UnicodeDecodeError and JSONDecodeError are ValueErrors too
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return build(document)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _float_text(value: float) -> str:

@@ -128,6 +128,8 @@ class ParticipantProfile:
         delays = {d.value for d in PmDelay}
         if not isinstance(self.pm_hit_prob, Mapping) or set(self.pm_hit_prob) != delays:
             raise ValueError(f"pm_hit_prob needs exactly the keys {sorted(delays)}")
+        if not isinstance(self.prompt_yield_probs, (list, tuple)):
+            raise ValueError(f"prompt_yield_probs must be a list of {LADDER_DEPTH} probabilities")
         if len(self.prompt_yield_probs) != LADDER_DEPTH:
             raise ValueError(f"prompt_yield_probs must have {LADDER_DEPTH} entries")
         probs = [*self.pm_hit_prob.values(), *self.prompt_yield_probs,
@@ -212,13 +214,15 @@ def profile_from_dict(data: Mapping[str, Any]) -> ParticipantProfile:
     if unknown:
         raise ValueError(f"unknown profile fields: {sorted(unknown)}")
     kwargs = dict(data)
-    if "prompt_yield_probs" in kwargs:
+    if isinstance(kwargs.get("prompt_yield_probs"), list):
         kwargs["prompt_yield_probs"] = tuple(kwargs["prompt_yield_probs"])
     return ParticipantProfile(**kwargs)
 
 
 def load_profile(path: str) -> ParticipantProfile:
-    return profile_from_dict(read_json(path))
+    """Read a JSON profile file over the default dials; a fault in its
+    content is a ConfigError that names ``path``."""
+    return read_json(path, profile_from_dict)
 
 
 def save_profile(profile: ParticipantProfile, path: str) -> None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -48,8 +49,6 @@ DOMAINS = tuple(DEFAULT_DOMAIN_MAPPING)
 ITEM_COUNT = 20
 DOMAIN_SIZE = ITEM_COUNT // len(DOMAINS)
 SCALE_MIN, SCALE_MAX = 1, 7
-_INT_ONLY = frozenset({int})
-_SCALE = frozenset(range(SCALE_MIN, SCALE_MAX + 1))
 # the ASCII digits that spell a rating as str() writes it, and the map from
 # each one to the byte of its value
 _RATING_DIGITS = "".join(map(str, range(SCALE_MIN, SCALE_MAX + 1))).encode()
@@ -81,11 +80,6 @@ class VrnqResponseSet:
 def _check_items(participant_id: str, items: tuple) -> None:
     """Raise a :class:`VrnqError` that names the first fault of a
     participant's ratings, if they have one."""
-    # One test accepts a row of 20 plain ints on the scale; the loop
-    # below words the first fault, or accepts an int subclass.
-    if (len(items) == ITEM_COUNT and _INT_ONLY.issuperset(map(type, items))
-            and _SCALE.issuperset(items)):
-        return
     if len(items) != ITEM_COUNT:
         raise VrnqError(
             f"{participant_id}: expected {ITEM_COUNT} items, got {len(items)}")
@@ -328,18 +322,15 @@ def read_cohort_csv(source: str | Path | io.TextIOBase) -> list[VrnqResponseSet]
 
 
 def _read_cohort_items(source: str | Path | io.TextIOBase) -> _Cohort:
-    """The one cohort reader, under :func:`read_cohort_csv`'s rules."""
-    if isinstance(source, (str, Path)):
-        # utf-8-sig drops the byte-order mark of a spreadsheet's "CSV UTF-8"
-        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            return _read_cohort_or_fail(handle, f"{source}: ")
-    return _read_cohort_or_fail(source, "")
-
-
-def _read_cohort_or_fail(handle, where: str) -> _Cohort:
-    # every fault as VrnqError, prefixed with the path if any
+    """The one cohort reader, under :func:`read_cohort_csv`'s rules: every
+    fault a VrnqError, prefixed with the path if one was given (an OSError
+    from open propagates as it is)."""
+    where = f"{source}: " if isinstance(source, (str, Path)) else ""
     try:
-        return _read_cohort(handle)
+        # utf-8-sig drops the byte-order mark of a spreadsheet's "CSV UTF-8"
+        with (open(source, "r", encoding="utf-8-sig", newline="") if where
+              else nullcontext(source)) as handle:
+            return _read_cohort(handle)
     except UnicodeDecodeError as exc:
         raise VrnqError(f"{where}invalid UTF-8 ({exc})") from exc
     except csv.Error as exc:

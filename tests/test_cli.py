@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import csv
 import errno
@@ -1305,3 +1306,38 @@ class TestLazyExports:
         loaded = _errandlab_modules_after("import errandlab.config")
         assert "errandlab.config" in loaded
         assert "errandlab.vrnq" not in loaded
+
+
+_BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "benchmarks")
+
+
+def _benchmark_names() -> list[tuple[str, str]]:
+    """(module, name) of each package function that ``benchmarks/bench.py``
+    traces or calls, and of each name that ``benchmarks/workloads.py``
+    imports from the package, read from their source without importing it."""
+    def tree(filename):
+        with open(os.path.join(_BENCHMARKS, filename), encoding="utf-8") as handle:
+            return ast.parse(handle.read())
+
+    [traced] = [node.value for node in tree("bench.py").body if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == ["TRACED"]]
+    names = [(f"errandlab.{module}", name) for module, name in ast.literal_eval(traced)]
+    names += [("errandlab.cli", "main"), ("errandlab.cli", "build_parser")]
+    names += [(node.module, alias.name) for node in ast.walk(tree("workloads.py"))
+              if isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "errandlab"
+              for alias in node.names]
+    return list(dict.fromkeys(names))  # each once, in the order found
+
+
+@pytest.mark.parametrize("module, name", [pytest.param(module, name, id=f"{module}.{name}")
+                                          for module, name in _benchmark_names()])
+def test_every_name_the_benchmark_reaches_into_resolves(module, name):
+    # The benchmark runs the package through these names, and
+    # ``bench.py --trace 1`` wraps each TRACED one: a name that is gone
+    # crashes it with AttributeError.  So a change that deletes a name
+    # listed here (such as bayes.nct_logpdf and sessionlog.append_event,
+    # which nothing in the package calls) waits until the benchmark stops
+    # naming it.
+    assert hasattr(importlib.import_module(module), name)

@@ -1,0 +1,110 @@
+"""Every JSON input file (``--config``, ``--profile``, ``--domains``) goes
+through ``jsonio.read_json`` and one builder.  A builder may refuse a
+document only with a ValueError, which ``read_json`` turns into one
+``error: <file>: <reason>`` line; any other exception would reach the user
+as Python's own text."""
+
+from __future__ import annotations
+
+import json
+import re
+from typing import Any, Callable, Iterator
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from errandlab.cli import main
+from errandlab.config import config_from_dict, config_to_dict, default_config
+from errandlab.jsonio import ConfigError, read_json
+from errandlab.simulate import default_profile, profile_from_dict, profile_to_dict
+from errandlab.vrnq import DEFAULT_DOMAIN_MAPPING, DomainMapping
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+# any document json.loads can return, NaN and the infinities included; a
+# scalar at least half the time, as a mistyped field most often holds
+_JSON = _SCALARS | st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=4)
+_REPLACEMENTS = st.lists(_JSON, min_size=1, max_size=3)
+_EXAMPLES = 40
+
+_CONFIG = config_to_dict(default_config())
+_PROFILE = json.loads(json.dumps(profile_to_dict(default_profile())))
+
+
+def _documents(default: dict, document: Any, values: list) -> Iterator[Any]:
+    """``document``, then, for each field of ``default`` in turn, ``default``
+    with that field and the ones after it (in sorted order, wrapping round)
+    replaced by ``values``: each value lands in every field."""
+    yield document
+    keys = sorted(default)
+    for start in range(len(keys)):
+        yield {**default, **{keys[(start + offset) % len(keys)]: value
+                             for offset, value in enumerate(values)}}
+
+
+def _builds_or_refuses(build: Callable[[Any], Any], documents: Iterator[Any]) -> None:
+    for document in documents:
+        try:
+            build(document)
+        except ValueError:  # ConfigError is one
+            pass
+
+
+class TestBuilders:
+    """Each builder, given any document, returns or raises a ValueError."""
+
+    @settings(max_examples=_EXAMPLES)
+    @given(document=_JSON, values=_REPLACEMENTS)
+    def test_config(self, document, values):
+        _builds_or_refuses(config_from_dict, _documents(_CONFIG, document, values))
+
+    @settings(max_examples=_EXAMPLES)
+    @given(document=_JSON, values=_REPLACEMENTS)
+    def test_profile(self, document, values):
+        _builds_or_refuses(profile_from_dict, _documents(_PROFILE, document, values))
+
+    @settings(max_examples=_EXAMPLES)
+    @given(document=_JSON, values=_REPLACEMENTS)
+    def test_domains(self, document, values):
+        _builds_or_refuses(DomainMapping, _documents(DEFAULT_DOMAIN_MAPPING, document, values))
+
+
+class TestReadJson:
+    def test_returns_what_build_makes_of_the_document(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1, 2]}')
+        assert read_json(path, lambda document: document["a"]) == [1, 2]
+
+    def test_a_value_error_from_build_names_the_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("[]")
+
+        def refuse(document):
+            raise ValueError("not an object")
+
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not an object$"):
+            read_json(path, refuse)
+
+    def test_any_other_error_from_build_propagates(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("[]")
+        with pytest.raises(KeyError):
+            read_json(path, lambda document: {}["missing"])
+
+    def test_a_config_error_is_a_value_error(self):
+        assert issubclass(ConfigError, ValueError)
+
+
+@pytest.mark.parametrize("value", ["null", "5", '"abc"', '{"a": 1, "b": 2, "c": 3}'])
+def test_prompt_yield_probs_not_a_list_is_one_error_line(tmp_path, capsys, value):
+    path = tmp_path / "p.json"
+    path.write_text(f'{{"prompt_yield_probs": {value}}}')
+    argv = ["simulate", "--seed", "1", "--profile", str(path), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {path}: prompt_yield_probs ")
+    assert captured.out == ""
