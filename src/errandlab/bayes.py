@@ -269,13 +269,17 @@ def nct_logpdf(x: float, df: float, nc: float) -> float:
 # Paired t
 
 
-def _check_pairs(a: Sequence[float], b: Sequence[float]) -> None:
-    """Raise the ``ValueError`` of the first fault of the pairs of ``a`` and ``b``."""
+def _check_pairs(a: Sequence[float], b: Sequence[float],
+                 finite: Optional[bool] = None) -> None:
+    """Raise the ``ValueError`` of the first fault of the pairs of ``a`` and
+    ``b``; ``finite``, when given, is whether all their values are."""
     if len(a) != len(b):
         raise ValueError("paired samples must have equal lengths")
     if len(a) < 2:
         raise ValueError("paired samples need at least two pairs")
-    if not (all(map(math.isfinite, a)) and all(map(math.isfinite, b))):
+    if finite is None:
+        finite = all(map(math.isfinite, a)) and all(map(math.isfinite, b))
+    if not finite:
         raise ValueError("paired samples must be finite")
 
 
@@ -770,22 +774,12 @@ def compare_paired_columns(
     """:func:`compare_paired` for each labelled ``(a, b)`` column of the same
     pairs, or None for a column whose differences are all equal.
 
-    Columns of one length of at least two pairs, all finite, are converted,
-    checked and subtracted as one float array; else each column in turn, to
-    raise the ``ValueError`` of the first fault.  The Bayes factors of all
-    columns are integrated together, and each keeps its own error estimate.
-    Raises the :class:`IntegrationFailure` of the first column whose Bayes
-    factor fails.
+    Each column in turn is converted and checked, so that the first fault
+    raises its own ``ValueError``.  The Bayes factors of all columns are
+    integrated together, and each keeps its own error estimate.  Raises the
+    :class:`IntegrationFailure` of the first column whose Bayes factor fails.
     """
-    try:
-        stacked = np.array(list(columns.values()), dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
-        stacked = None
-    if (stacked is not None and stacked.ndim == 3 and stacked.shape[1] == 2
-            and stacked.shape[2] >= 2 and np.isfinite(stacked).all()):
-        differences = dict(zip(columns, (stacked[:, 1] - stacked[:, 0]).tolist()))
-    else:
-        differences = _checked_differences(columns)
+    differences = _checked_differences(columns)
     ts: dict[str, float] = {}
     for label, d in differences.items():
         t = _t_statistic(d)
@@ -812,7 +806,7 @@ def _checked_differences(
     differences = {}
     for label, (a, b) in columns.items():
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        _check_pairs(a, b)
+        _check_pairs(a, b, bool(np.isfinite(a).all() and np.isfinite(b).all()))
         differences[label] = (b - a).tolist()
     if len(set(map(len, differences.values()))) > 1:
         raise ValueError("paired columns must have the same number of pairs")

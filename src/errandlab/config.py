@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .jsonio import ConfigError, _json_text, read_json
+from .jsonio import ConfigError, _json_text, _quoted, read_json
 from .scenario import (_MAX_CLOCK_MS, AUDITORY_STIMULUS_KINDS, LADDER_DEPTH,
                        SHOPPING_LIST_LENGTH, VISUAL_STIMULUS_KINDS, NpcChoice)
 
@@ -101,6 +101,8 @@ _PER_SIDE_FIELDS: dict[str, dict[str, str]] = {
         "auditory_low_distractors_per_side"), strict=True)),
 }
 
+
+_DEDUCTION_FLOOR = -3  # the lowest score one false reminder can get
 
 # the longest planning time telemetry can report: float(ms) / 1000.0
 _MAX_PLANNING_S = sys.float_info.max / 1000.0
@@ -195,8 +197,8 @@ class ScoringConfig:
         for value in self.npc_negative_deductions.values():
             if value > 0:
                 raise ConfigError("negative deductions cannot be positive")
-            if value < -3:
-                raise ConfigError("a single deduction cannot exceed 3 points")
+            if value < _DEDUCTION_FLOOR:
+                raise ConfigError(f"a single deduction cannot exceed {-_DEDUCTION_FLOOR} points")
         if self.session_target_s <= 0:
             raise ConfigError("session_target_s must be positive")
         if self.session_target_s * 1000 > _MAX_CLOCK_MS:
@@ -210,7 +212,7 @@ def _check_points(name: str, table: Any, keys: set[str], message: str) -> None:
         raise ConfigError(message)
     for value in table.values():
         if type(value) is not int:
-            raise ConfigError(f"{name} values must be integers, not {value!r}")
+            raise ConfigError(f"{name} values must be integers, not {_quoted(value)}")
 
 
 def config_to_dict(config: ScoringConfig) -> dict[str, Any]:
@@ -248,7 +250,7 @@ def config_from_dict(data: Mapping[str, Any]) -> ScoringConfig:
     known = {f.name for f in dataclasses.fields(ScoringConfig)}
     unknown = set(data) - known
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {_quoted(sorted(unknown))}")
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
         if key in _TUPLE_FIELDS:

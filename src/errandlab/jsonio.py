@@ -40,6 +40,16 @@ def read_json(path: str | os.PathLike[str], build: Callable[[Any], _T]) -> _T:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+_QUOTE_MAX = 60  # the most characters of a refused value that a fault quotes
+
+
+def _quoted(value: Any) -> str:
+    """``repr(value)``, or its first _QUOTE_MAX characters and its full
+    length when it is longer, so that a fault stays one short line."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_MAX else f"{text[:_QUOTE_MAX]}... ({len(text)} characters)"
+
+
 def _float_text(value: float) -> str:
     if math.isfinite(value):
         return float.__repr__(value)

@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable, Mapping, Optional, Sequence
 
-from .config import ScoringConfig, _PER_SIDE_FIELDS
+from .config import ScoringConfig, _DEDUCTION_FLOOR, _PER_SIDE_FIELDS
 from .scenario import (
     COOKING_ITEMS,
     EngineError,
@@ -260,6 +260,9 @@ def _score_npc_pm_positive(affirmed_at: int, choice: Optional[str],
     return int(config.npc_positive_matrix[str(affirmed_at)][choice])
 
 
+_FALSE_REMINDERS = sum(task.polarity is PmPolarity.NEGATIVE for task in PM_TASKS.values())
+
+
 def _score_npc_pm_negative(affirmed_at: int, config: ScoringConfig) -> int:
     """Deduction for a false reminder: 0 if resisted, else by prompt."""
     return int(config.npc_negative_deductions[str(affirmed_at)])
@@ -456,8 +459,8 @@ def score_session(log: SessionLog, final_state: SessionState,
         else:
             deductions_total += points
 
-    # two false reminders at -3 apiece bound the total deduction
-    assert -6 <= deductions_total <= 0
+    # each false reminder deducts at most the config's floor
+    assert _DEDUCTION_FLOOR * _FALSE_REMINDERS <= deductions_total <= 0
 
     return TaskScorecard(
         notes_intent=telemetry.notes_intent,

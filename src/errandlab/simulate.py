@@ -11,9 +11,8 @@ Determinism contract: each scene draws from its own stream, the one
 ``numpy.random.default_rng([seed, scene_id])`` gives (the seed taken modulo
 2**64), so identical ``(profile, seed, config)`` inputs always reproduce the
 same log byte for byte, and editing one scene's behavior model cannot perturb
-another scene's draws.  A scene's generator is built on its first draw, from
-the seed's 32-bit words worked out once per session, so a scene that never
-draws costs no generator.
+another scene's draws.  A scene's generator is built on its first draw, so a
+scene that never draws costs no generator.
 
 The simulated clock targets ``config.session_target_s`` (default 3 732 s,
 about an hour); each scene gets a fixed share of that budget and is padded
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from .config import ScoringConfig, _PER_SIDE_FIELDS, config_hash, default_config
-from .jsonio import ConfigError, _json_text, read_json
+from .jsonio import ConfigError, _json_text, _quoted, read_json
 from .scenario import (
     COOKING_ITEMS,
     EVENT_SCENES,
@@ -85,11 +84,6 @@ _COOKING_MIDPOINT_S = {item: (on_time_lo + on_time_hi) / 200.0
 
 _PRACTICE_ATTEMPT_CAP = 5
 
-# bound once: on Python 3.11 each EventKind.X read goes through
-# EnumType.__getattr__
-_SCENE_ENTERED = EventKind.SCENE_ENTERED
-_SCENE_EXITED = EventKind.SCENE_EXITED
-
 # numpy's Generator.poisson refuses a mean above this double.
 _POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 # Generator.standard_normal draws from a ziggurat whose tail starts at 3.654
@@ -139,7 +133,7 @@ class ParticipantProfile:
         # bool is a subclass of int, and no field here takes one
         for p in probs:
             if not (_is_number(p) and 0.0 <= p <= 1.0):  # NaN fails too
-                raise ValueError(f"probability {p!r} is not a number in [0, 1]")
+                raise ValueError(f"probability {_quoted(p)} is not a number in [0, 1]")
         if not (type(self.planning_extra_units) is int
                 and self.planning_extra_units >= 0):
             raise ValueError("planning_extra_units must be a non-negative integer")
@@ -212,7 +206,7 @@ def profile_from_dict(data: Mapping[str, Any]) -> ParticipantProfile:
     known = {f.name for f in dataclasses.fields(ParticipantProfile)}
     unknown = set(data) - known
     if unknown:
-        raise ValueError(f"unknown profile fields: {sorted(unknown)}")
+        raise ValueError(f"unknown profile fields: {_quoted(sorted(unknown))}")
     kwargs = dict(data)
     if isinstance(kwargs.get("prompt_yield_probs"), list):
         kwargs["prompt_yield_probs"] = tuple(kwargs["prompt_yield_probs"])
@@ -238,21 +232,14 @@ class _SessionBuilder:
     """Feeds events through the engine while tracking a millisecond cursor."""
 
     def __init__(self, profile: ParticipantProfile, config: ScoringConfig,
-                 streams: Callable[[int], np.random.Generator]) -> None:
+                 seed: int) -> None:
         self.profile = profile
         self.config = config
-        self.streams = streams
+        self.seed = seed
         self.state: SessionState = initial_state()
         self.events: list[SessionEvent] = []
         self.cursor_ms = 0
         self._rng: Optional[np.random.Generator] = None
-        # read once per session, not on every call
-        self.latency_mean_ms = profile.latency_mean_ms
-        self.latency_sd_ms = profile.latency_sd_ms
-        self.recognition_targets = frozenset(config.recognition_targets)
-        self.recognition_catalog = (
-            config.recognition_targets + config.recognition_qualitative
-            + config.recognition_quantitative + config.recognition_false)
 
     @property
     def rng(self) -> np.random.Generator:
@@ -262,12 +249,14 @@ class _SessionBuilder:
         # interpreter from specializing every attribute read on the builder.)
         rng = self._rng
         if rng is None:
-            rng = self._rng = self.streams(self.state.current_scene)
+            import numpy as np  # here, so that importing the package skips numpy
+            rng = self._rng = np.random.default_rng(
+                [self.seed % 2**64, self.state.current_scene])
         return rng
 
     def latency_ms(self) -> int:
-        raw = (self.latency_mean_ms
-               + self.latency_sd_ms * float(self.rng.standard_normal()))
+        p = self.profile
+        raw = p.latency_mean_ms + p.latency_sd_ms * float(self.rng.standard_normal())
         return max(0, int(round(raw)))
 
     def _emit(self, kind: EventKind,
@@ -286,7 +275,7 @@ class _SessionBuilder:
 
     def enter(self) -> None:
         self._rng = None
-        self._emit(_SCENE_ENTERED)
+        self._emit(EventKind.SCENE_ENTERED)
 
     def act(self, kind: EventKind, payload: Optional[dict[str, Any]] = None, *,
             at_offset_ms: Optional[int] = None) -> list[Effect]:
@@ -298,7 +287,7 @@ class _SessionBuilder:
 
     def exit_scene(self, duration_ms: int) -> None:
         self.cursor_ms = max(self.cursor_ms, self.state.scene_entry_ms + duration_ms)
-        self._emit(_SCENE_EXITED)
+        self._emit(EventKind.SCENE_EXITED)
 
 
 def _bernoulli(rng: np.random.Generator, p: float) -> bool:
@@ -349,8 +338,10 @@ def _recognition_pick(b: _SessionBuilder, kind: EventKind, payload_key: str) -> 
     # Walk the shelf in a seeded order, deciding item by item until the
     # ten-slot basket is full.
     p = b.profile
-    targets = b.recognition_targets
-    catalog = b.recognition_catalog
+    c = b.config
+    targets = c.recognition_targets
+    catalog = (c.recognition_targets + c.recognition_qualitative
+               + c.recognition_quantitative + c.recognition_false)
     order = b.rng.permutation(len(catalog))
     picked = 0
     for index in order:
@@ -575,30 +566,11 @@ def simulate_session(profile: ParticipantProfile, seed: int,
     return log
 
 
-def _scene_streams(seed: int) -> Callable[[int], np.random.Generator]:
-    # scene id -> the stream default_rng([seed & (2**64 - 1), scene_id])
-    # gives.  SeedSequence reads that list as the masked seed's 32-bit words,
-    # least significant first, then the scene id; the words are worked out
-    # once here, and a uint32 array of them skips default_rng's conversions.
-    import numpy as np  # here, so that importing the package skips numpy
-    from numpy.random import PCG64, Generator, SeedSequence
-
-    value = seed & 0xFFFFFFFFFFFFFFFF
-    words = [value & 0xFFFFFFFF]
-    while value := value >> 32:
-        words.append(value & 0xFFFFFFFF)
-
-    def stream(scene_id: int) -> np.random.Generator:
-        return Generator(PCG64(SeedSequence(np.array(words + [scene_id], np.uint32))))
-
-    return stream
-
-
 def _simulate(profile: ParticipantProfile, seed: int, config: ScoringConfig,
               cfg_hash: str) -> tuple[SessionLog, SessionState]:
     # The log stamped with the caller's hash of ``config``, and the state the
     # engine ends in after its events: what replaying the log would return.
-    builder = _SessionBuilder(profile, config, _scene_streams(seed))
+    builder = _SessionBuilder(profile, config, seed)
     scale = config.session_target_s / sum(_NOMINAL_DURATION_S.values())
 
     for descriptor in scene_sequence():

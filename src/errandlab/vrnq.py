@@ -35,7 +35,7 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .jsonio import ConfigError, ErrandlabError
+from .jsonio import ConfigError, ErrandlabError, _quoted
 
 # Default domain mapping: contiguous five-item blocks in domain order.
 # Studies with a different printed item order pass `vrnq --domains`.
@@ -113,7 +113,7 @@ def validate_domain_mapping(mapping: Mapping[str, Any]) -> None:
         for item in items:
             if (not isinstance(item, int) or isinstance(item, bool)
                     or not 1 <= item <= ITEM_COUNT):
-                raise ConfigError(f"domain {domain} has invalid item {item!r}")
+                raise ConfigError(f"domain {domain} has invalid item {_quoted(item)}")
         seen.extend(items)
     if sorted(seen) != list(range(1, ITEM_COUNT + 1)):
         raise ConfigError(f"domain_mapping must partition items 1..{ITEM_COUNT}")

@@ -709,6 +709,11 @@ class TestColumnsIntegratedTogether:
             compare_paired_columns(columns)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("value", [_NAN, float("inf"), -float("inf")])
+    def test_a_non_finite_b_is_refused(self, value):
+        with pytest.raises(ValueError, match="^paired samples must be finite$"):
+            compare_paired_columns({"a": ((1, 2, 3), (2, 3, 5)), "b": ((1, 2, 3), (2, value, 5))})
+
 
 def _t_and_p_reference(a, b, direction):
     """A column's t and p as paired_t computed them one column at a time:

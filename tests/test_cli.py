@@ -6,6 +6,7 @@ import contextlib
 import csv
 import errno
 import importlib
+import inspect
 import io
 import json
 import os
@@ -576,16 +577,33 @@ class TestVrnqCompareCommand:
                   "--revised", str(revised), "--direction", "sideways"])
         assert excinfo.value.code == 2
 
-    def test_direction_choices_are_the_direction_values(self):
-        # the parser spells the choices out so that it need not import bayes
-        def subcommand(parser, name):
+    @staticmethod
+    def _vrnq_option(command, dest):
+        """The action of ``dest`` in the parser of ``vrnq <command>``."""
+        parser = build_parser()
+        for name in ("vrnq", command):
             action = next(a for a in parser._actions
                           if isinstance(a, argparse._SubParsersAction))
-            return action.choices[name]
+            parser = action.choices[name]
+        return next(a for a in parser._actions if a.dest == dest)
 
-        compare = subcommand(subcommand(build_parser(), "vrnq"), "compare")
-        direction = next(a for a in compare._actions if a.dest == "direction")
+    # The parser spells out the values below so that ``import errandlab.cli``
+    # loads neither bayes nor vrnq; these tests keep each copy equal to its
+    # source.
+    def test_direction_choices_are_the_direction_values(self):
+        direction = self._vrnq_option("compare", "direction")
         assert tuple(direction.choices) == tuple(d.value for d in Direction)
+
+    def test_prior_scale_default_is_the_bayes_default(self):
+        prior_scale = self._vrnq_option("compare", "prior_scale")
+        assert prior_scale.default == errandlab.bayes.DEFAULT_PRIOR_SCALE
+
+    def test_tier_choices_are_the_cutoff_tiers(self):
+        assert tuple(self._vrnq_option("score", "tier").choices) == tuple(CUTOFFS)
+
+    def test_tier_default_is_the_check_cutoffs_default(self):
+        default = inspect.signature(errandlab.vrnq.check_cutoffs).parameters["tier"].default
+        assert self._vrnq_option("score", "tier").default == default
 
     def test_text_table_shows_bf10_rel_err(self, tmp_path, capsys):
         baseline, revised = self._paired_csvs(tmp_path, shift=20)

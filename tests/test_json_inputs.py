@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from errandlab.cli import main
 from errandlab.config import config_from_dict, config_to_dict, default_config
-from errandlab.jsonio import ConfigError, read_json
+from errandlab.jsonio import ConfigError, _quoted, read_json
 from errandlab.simulate import default_profile, profile_from_dict, profile_to_dict
-from errandlab.vrnq import DEFAULT_DOMAIN_MAPPING, DomainMapping
+from errandlab.vrnq import CSV_COLUMNS, DEFAULT_DOMAIN_MAPPING, ITEM_COUNT, DomainMapping
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
 # any document json.loads can return, NaN and the infinities included; a
@@ -107,4 +107,54 @@ def test_prompt_yield_probs_not_a_list_is_one_error_line(tmp_path, capsys, value
     captured = capsys.readouterr()
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: {path}: prompt_yield_probs ")
+    assert captured.out == ""
+
+
+class TestQuotedValue:
+    def test_a_value_that_fits_is_its_repr(self):
+        for value in ("x" * 58, 21, True, None, [1, "a"], 0.5):
+            assert _quoted(value) == repr(value)
+
+    def test_a_longer_value_is_cut_and_its_length_noted(self):
+        value = "x" * 1000
+        assert _quoted(value) == f"{repr(value)[:60]}... (1002 characters)"
+
+
+def _oversized_domains() -> dict:
+    mapping = {domain: list(items) for domain, items in DEFAULT_DOMAIN_MAPPING.items()}
+    mapping["VRISE"][0] = "z" * 70_000
+    return mapping
+
+
+# (option, document, the start of the reason): a refused value far longer
+# than any line a terminal shows
+_OVERSIZED = [
+    pytest.param("--profile", {"recognition_target_prob": "x" * 100_000}, "probability ",
+                 id="profile-probability"),
+    pytest.param("--profile", {"k" * 120_000: 1}, "unknown profile fields: ",
+                 id="profile-unknown-field"),
+    pytest.param("--config", {"band_points": {**_CONFIG["band_points"], "OnTime": "y" * 50_000}},
+                 "band_points values ", id="config-band-point"),
+    pytest.param("--domains", _oversized_domains(), "domain VRISE has invalid item ",
+                 id="domains-item"),
+]
+
+
+@pytest.mark.parametrize("option, document, reason", _OVERSIZED)
+def test_an_oversized_value_is_one_short_error_line(tmp_path, capsys, option, document,
+                                                    reason):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(document))
+    if option == "--domains":
+        responses = tmp_path / "c.csv"
+        responses.write_text(",".join(CSV_COLUMNS) + "\np1" + ",4" * ITEM_COUNT + "\n")
+        argv = ["vrnq", "score", "--responses", str(responses), option, str(path)]
+    else:
+        argv = ["simulate", "--seed", "1", option, str(path), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {path}: {reason}")
+    assert len(line) - len(str(path)) < 200
+    assert re.search(r"\.\.\. \(\d+ characters\)", line)
     assert captured.out == ""

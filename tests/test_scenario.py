@@ -874,8 +874,6 @@ class TestNoPerEventEnumReads:
         scenario._on_session_end,
         sessionlog.derive_telemetry,
         simulate._SessionBuilder._emit,
-        simulate._SessionBuilder.enter,
-        simulate._SessionBuilder.exit_scene,
     ], ids=lambda fn: fn.__qualname__)
     def test_loads_no_enum_class(self, fn):
         names = _global_names(fn.__code__)

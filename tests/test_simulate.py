@@ -63,20 +63,16 @@ class TestSceneStreams:
                                       2**64, -1, -2**40])
     def test_each_drawing_scene_gets_its_default_rng_stream(self, monkeypatch, seed):
         built = []
-        original = simulate._scene_streams
+        original = np.random.default_rng
 
-        def recording(session_seed):
-            stream = original(session_seed)
+        def recording(entropy):
+            rng = original(entropy)
+            built.append((entropy[1], rng.bit_generator.state))
+            return rng
 
-            def recorded(scene_id):
-                rng = stream(scene_id)
-                built.append((scene_id, rng.bit_generator.state))
-                return rng
-
-            return recorded
-
-        monkeypatch.setattr(simulate, "_scene_streams", recording)
+        monkeypatch.setattr(np.random, "default_rng", recording)
         simulate_session(default_profile(), seed)
+        monkeypatch.undo()
         # a plain tutorial never draws, so it builds no stream
         plain = {scene_id for scene_id, model in simulate._SCENE_MODELS.items()
                  if model is simulate._plain_tutorial}
