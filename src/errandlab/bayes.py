@@ -310,12 +310,23 @@ def _t_statistic(d: Sequence[float]) -> Optional[float]:
     """The t statistic of paired differences, or None when they have zero
     variance."""
     n = len(d)
-    mean = math.fsum(d) / n
-    # the floats of (di - mean) ** 2 for each di, made and summed in C
-    var = math.fsum(map(pow, map(operator.sub, d, repeat(mean)), repeat(2))) / (n - 1)
-    if var == 0.0:
-        return None
-    return mean * math.sqrt(n) / math.sqrt(var)
+    try:
+        mean = math.fsum(d) / n
+        # the floats of (di - mean) ** 2 for each di, made and summed in C
+        var = math.fsum(map(pow, map(operator.sub, d, repeat(mean)), repeat(2))) / (n - 1)
+        if 0.0 < var < math.inf:
+            t = mean * math.sqrt(n) / math.sqrt(var)
+            if math.isfinite(t):
+                return t
+        elif var == 0.0 and min(d) == max(d):
+            return None
+    except OverflowError:  # a square, or a sum, past double range
+        pass
+    # Past double range, or squares below it: scaling the differences by a
+    # power of two leaves every bit of t unchanged (short of subnormals), and
+    # below 2**400 they are in range, so this recursion ends at once.
+    shift = 400 - math.frexp(max(map(abs, d)))[1]
+    return _t_statistic([math.ldexp(x, shift) for x in d])
 
 
 def _t_cdf_one_df(x: float) -> float:
@@ -349,7 +360,8 @@ def paired_t(sample: PairedSample, direction: Direction = Direction.A_LESS) -> T
     Raises :class:`DegenerateSample` when the differences have zero
     variance.
     """
-    t = _t_statistic(sample.differences)
+    [d] = _checked_differences({"": (sample.a, sample.b)}).values()
+    t = _t_statistic(d)
     if t is None:
         raise DegenerateSample("all paired differences are identical")
     df = len(sample.a) - 1
@@ -804,10 +816,18 @@ def _checked_differences(
     """b - a of each column, checked column by column as PairedSample checks
     its tuples, so that the first fault raises its own ``ValueError``."""
     differences = {}
-    for label, (a, b) in columns.items():
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        _check_pairs(a, b, bool(np.isfinite(a).all() and np.isfinite(b).all()))
-        differences[label] = (b - a).tolist()
+    # a b - a that is not finite is looked into here, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for label, (a, b) in columns.items():
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            _check_pairs(a, b, True)  # the lengths: b - a is finite only if a and b are
+            d = b - a
+            if not np.isfinite(d).all():
+                _check_pairs(a, b, bool(np.isfinite(a).all() and np.isfinite(b).all()))
+                # finite pairs past double range: halving is exact short of
+                # the subnormals, and leaves t unchanged
+                d = b / 2 - a / 2
+            differences[label] = d.tolist()
     if len(set(map(len, differences.values()))) > 1:
         raise ValueError("paired columns must have the same number of pairs")
     return differences

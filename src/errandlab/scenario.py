@@ -24,6 +24,8 @@ Core invariants, enforced here and property-tested in the suite:
 * One table maps each event kind to the scenes that host it and to what it
   does in each; an event in any other scene raises :class:`InvalidEvent`,
   and :data:`EVENT_SCENES` lists the hosts of the kinds not in every scene.
+  What a scene takes once, and the payload values it knows, are rows of
+  that table too.
 
 Scene transitions are engine-emitted effects, never implicit: a scene's
 resolving event (final button, exit attempt, conversation outcome, tutorial
@@ -693,7 +695,7 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
 # The handlers _apply dispatches to through _HANDLERS: (state, event,
 # effects, scene id) -> None.  Each runs after _apply's common checks,
 # mutates the state in place and appends its effects; _cascade_press and
-# _pm_action above are handlers too.
+# _pm_action above are handlers too, and so is each _Take's apply below.
 
 
 def _on_resolving_event(state: SessionState, event: SessionEvent,
@@ -728,17 +730,6 @@ def _on_notes_intent_answered(state: SessionState, event: SessionEvent,
     state.scene.notes_prompts_answered = expected
 
 
-def _on_list_board_item(state: SessionState, event: SessionEvent,
-                        effects: list[Effect], sid: int) -> None:
-    item = event.payload["item"]
-    if item in state.scene.taken:
-        raise InvalidEvent(f"item {item!r} already selected")
-    if len(state.scene.taken) >= SHOPPING_LIST_LENGTH:
-        raise InvalidEvent(
-            f"the list board holds {SHOPPING_LIST_LENGTH} items")
-    state.scene.taken.add(item)
-
-
 def _on_item_grabbed(state: SessionState, event: SessionEvent,
                      effects: list[Effect], sid: int) -> None:
     # grabs are free-form, and re-grab attempts are legitimate errors
@@ -767,18 +758,6 @@ def _on_route_submitted(state: SessionState, event: SessionEvent,
     if state.scene.route_submitted:
         raise InvalidEvent("route already submitted")
     state.scene.route_submitted = True
-
-
-def _on_cooking_item_placed(state: SessionState, event: SessionEvent,
-                            effects: list[Effect], sid: int) -> None:
-    item = event.payload["item"]
-    if item not in COOKING_ITEMS:
-        raise InvalidEvent(f"unknown cooking item {item!r}")
-    if item in state.scene.taken:
-        raise InvalidEvent(f"{item} already placed on the worktop")
-    if event.payload["cook_time_s"] < 0:
-        raise InvalidEvent("cook_time_s must be non-negative")
-    state.scene.taken.add(item)
 
 
 def _on_session_end(state: SessionState, event: SessionEvent,
@@ -842,46 +821,6 @@ def _on_npc_item_chosen(state: SessionState, event: SessionEvent,
     _resolve(state, effects)
 
 
-def _on_poster_spotted(state: SessionState, event: SessionEvent,
-                       effects: list[Effect], sid: int) -> None:
-    if event.payload["stimulus_kind"] not in VISUAL_STIMULUS_KINDS:
-        raise InvalidEvent(
-            f"unknown poster kind {event.payload['stimulus_kind']!r}")
-    if event.payload["side"] not in SIDES:
-        raise InvalidEvent(f"unknown side {event.payload['side']!r}")
-    stim = event.payload["stimulus_id"]
-    if stim in state.scene.taken:
-        raise InvalidEvent(f"stimulus {stim!r} already spotted")
-    state.scene.taken.add(stim)
-
-
-def _on_sound_triggered(state: SessionState, event: SessionEvent,
-                        effects: list[Effect], sid: int) -> None:
-    if event.payload["stimulus_kind"] not in AUDITORY_STIMULUS_KINDS:
-        raise InvalidEvent(
-            f"unknown sound kind {event.payload['stimulus_kind']!r}")
-    if event.payload["stimulus_side"] not in SIDES:
-        raise InvalidEvent(f"unknown side {event.payload['stimulus_side']!r}")
-    if event.payload["response_side"] not in (None, *SIDES):
-        raise InvalidEvent(
-            f"unknown response side {event.payload['response_side']!r}")
-    stim = event.payload["stimulus_id"]
-    if stim in state.scene.taken:
-        raise InvalidEvent(f"stimulus {stim!r} already recorded")
-    state.scene.taken.add(stim)
-
-
-def _on_shopping_collected(state: SessionState, event: SessionEvent,
-                           effects: list[Effect], sid: int) -> None:
-    item = event.payload["item"]
-    if item in state.scene.taken:
-        raise InvalidEvent(f"item {item!r} already in the basket")
-    if len(state.scene.taken) >= SHOPPING_LIST_LENGTH:
-        raise InvalidEvent(
-            f"the basket holds {SHOPPING_LIST_LENGTH} items")
-    state.scene.taken.add(item)
-
-
 def _on_keys_given(state: SessionState, event: SessionEvent,
                    effects: list[Effect], sid: int) -> None:
     if state.scene.keys_given:
@@ -889,12 +828,35 @@ def _on_keys_given(state: SessionState, event: SessionEvent,
     state.scene.keys_given = True
 
 
-def _on_item_stowed(state: SessionState, event: SessionEvent,
-                    effects: list[Effect], sid: int) -> None:
-    item = event.payload["item"]
-    if item in state.scene.taken:
-        raise InvalidEvent(f"item {item!r} already put away")
-    state.scene.taken.add(item)
+@dataclass(frozen=True, slots=True)
+class _Take:
+    """What a scene takes once each: a list board item, a dish, a poster, a
+    sound, a basket item or a stowed item.  The payload's ``key`` field names
+    the thing; each ``known`` (field, allowed values, label) check runs
+    first, and a ``non_negative`` field is checked last.  The bound ``apply``
+    is the handler: a plain method call costs less than an instance's."""
+
+    key: str
+    again: str  # the message for a second take, formatted with the thing
+    room: Optional[str] = None  # what holds SHOPPING_LIST_LENGTH things, if full
+    known: tuple[tuple[str, tuple[Optional[str], ...], str], ...] = ()
+    non_negative: Optional[str] = None
+
+    def apply(self, state: SessionState, event: SessionEvent,
+              effects: list[Effect], sid: int) -> None:
+        payload = event.payload
+        for name, allowed, label in self.known:
+            if payload[name] not in allowed:
+                raise InvalidEvent(f"unknown {label} {payload[name]!r}")
+        thing = payload[self.key]
+        taken = state.scene.taken
+        if thing in taken:
+            raise InvalidEvent(self.again.format(thing))
+        if self.room is not None and len(taken) >= SHOPPING_LIST_LENGTH:
+            raise InvalidEvent(f"{self.room} holds {SHOPPING_LIST_LENGTH} items")
+        if self.non_negative is not None and payload[self.non_negative] < 0:
+            raise InvalidEvent(f"{self.non_negative} must be non-negative")
+        taken.add(thing)
 
 
 # Which event does what in which scene: each kind after entry maps the scenes
@@ -906,10 +868,14 @@ _HANDLERS: dict[EventKind, dict[int, _Handler]] = {
                                                 _on_resolving_event),
     EventKind.PRACTICE_ATTEMPT: dict.fromkeys(SCENES_BY_ID, _on_practice_attempt),
     EventKind.NOTES_INTENT_ANSWERED: {3: _on_notes_intent_answered},
-    EventKind.ITEM_SELECTED: {3: _on_list_board_item, 8: _on_item_grabbed},
+    EventKind.ITEM_SELECTED: {
+        3: _Take("item", "item {!r} already selected", room="the list board").apply,
+        8: _on_item_grabbed},
     EventKind.ROUTE_UNIT_TOGGLED: {3: _on_route_unit_toggled},
     EventKind.ROUTE_SUBMITTED: {3: _on_route_submitted},
-    EventKind.COOKING_ITEM_PLACED: {6: _on_cooking_item_placed},
+    EventKind.COOKING_ITEM_PLACED: {6: _Take(
+        "item", "{} already placed on the worktop",
+        known=(("item", COOKING_ITEMS, "cooking item"),), non_negative="cook_time_s").apply},
     EventKind.FINAL_BUTTON_PRESSED: {6: _cascade_press, 14: _on_resolving_event,
                                      22: _on_session_end},
     EventKind.EXIT_ATTEMPTED: {8: _cascade_press},
@@ -919,11 +885,19 @@ _HANDLERS: dict[EventKind, dict[int, _Handler]] = {
     EventKind.NOTE_CLOSED: dict.fromkeys(SCENES_BY_ID, _on_note_closed),
     EventKind.NPC_PROMPT_ANSWERED: dict.fromkeys(NPC_SCENES, _on_npc_prompt_answered),
     EventKind.NPC_ITEM_CHOSEN: dict.fromkeys(NPC_SCENES, _on_npc_item_chosen),
-    EventKind.POSTER_SPOTTED: {12: _on_poster_spotted},
-    EventKind.SOUND_TRIGGERED: {19: _on_sound_triggered},
-    EventKind.SHOPPING_COLLECTED: {14: _on_shopping_collected},
+    EventKind.POSTER_SPOTTED: {12: _Take(
+        "stimulus_id", "stimulus {!r} already spotted",
+        known=(("stimulus_kind", VISUAL_STIMULUS_KINDS, "poster kind"),
+               ("side", SIDES, "side"))).apply},
+    EventKind.SOUND_TRIGGERED: {19: _Take(
+        "stimulus_id", "stimulus {!r} already recorded",
+        known=(("stimulus_kind", AUDITORY_STIMULUS_KINDS, "sound kind"),
+               ("stimulus_side", SIDES, "side"),
+               ("response_side", (None, *SIDES), "response side"))).apply},
+    EventKind.SHOPPING_COLLECTED: {
+        14: _Take("item", "item {!r} already in the basket", room="the basket").apply},
     EventKind.KEYS_GIVEN: {21: _on_keys_given},
-    EventKind.ITEM_STOWED: {22: _on_item_stowed},
+    EventKind.ITEM_STOWED: {22: _Take("item", "item {!r} already put away").apply},
 }
 assert set(_HANDLERS) == set(EventKind) - {
     EventKind.SCENE_ENTERED, EventKind.SCENE_EXITED}

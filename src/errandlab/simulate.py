@@ -126,14 +126,18 @@ class ParticipantProfile:
             raise ValueError(f"prompt_yield_probs must be a list of {LADDER_DEPTH} probabilities")
         if len(self.prompt_yield_probs) != LADDER_DEPTH:
             raise ValueError(f"prompt_yield_probs must have {LADDER_DEPTH} entries")
-        probs = [*self.pm_hit_prob.values(), *self.prompt_yield_probs,
-                 self.recognition_target_prob, self.recognition_distractor_prob,
-                 self.attention_hit_prob, self.attention_false_alarm_prob,
-                 self.wrong_controller_prob, self.notes_use_prob]
+        probs = [*((f"pm_hit_prob[{key!r}]", p) for key, p in self.pm_hit_prob.items()),
+                 *((f"prompt_yield_probs[{i}]", p)
+                   for i, p in enumerate(self.prompt_yield_probs)),
+                 *((name, getattr(self, name)) for name in (
+                     "recognition_target_prob", "recognition_distractor_prob",
+                     "attention_hit_prob", "attention_false_alarm_prob",
+                     "wrong_controller_prob", "notes_use_prob"))]
         # bool is a subclass of int, and no field here takes one
-        for p in probs:
+        for name, p in probs:
             if not (_is_number(p) and 0.0 <= p <= 1.0):  # NaN fails too
-                raise ValueError(f"probability {_quoted(p)} is not a number in [0, 1]")
+                raise ValueError(
+                    f"probability {name} = {_quoted(p)} is not a number in [0, 1]")
         if not (type(self.planning_extra_units) is int
                 and self.planning_extra_units >= 0):
             raise ValueError("planning_extra_units must be a non-negative integer")

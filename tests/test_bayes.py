@@ -117,6 +117,22 @@ class TestPairedT:
         with pytest.raises(DegenerateSample):
             paired_t(PairedSample((1.0, 2.0, 3.0), (2.0, 3.0, 4.0)))
 
+    # (a, b, scale): pairs whose differences, or their squares, overflow or
+    # underflow, and a power of two that brings them into the ordinary range
+    @pytest.mark.parametrize("a, b, scale", [
+        ((1e308, -1e308, 3.0), (-1e308, 1e308, 3.0), 2.0 ** -700),
+        ((1e200, -1e200, 0.0), (-1e200, 1e200, 0.0), 2.0 ** -700),
+        ((1e308, -1e308, 3.0), (-1e308, 1e308, 1e307), 2.0 ** -700),
+        ((1e-200, 3e-201, 0.0), (-1e-200, 2e-200, 5e-201), 2.0 ** 700),
+    ])
+    def test_extreme_pairs_have_the_t_of_the_pairs_scaled(self, a, b, scale):
+        scaled = PairedSample(tuple(x * scale for x in a), tuple(x * scale for x in b))
+        expected = paired_t(scaled).t
+        ts = [paired_t(PairedSample(a, b)).t, compare_paired(a, b).t,
+              compare_paired_columns({"c": (a, b)})["c"].t]
+        assert math.isfinite(expected)
+        assert [t.hex() for t in ts] == [expected.hex()] * 3
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PairedSample((1.0,), (2.0,))

@@ -10,19 +10,24 @@ each one ends in, or ``accepted`` when it scores.  A change to the parser or
 the engine that keeps behaviour keeps the digest.
 
 The engine corruptions reach every ``InvalidEvent`` branch of
-``scenario._apply`` that a parsed log can reach.  ``OutOfOrderEvent`` cannot
-be reached: the parser rejects a time regression before the engine sees it.
+``scenario._apply`` that a parsed log can reach, and every message of each
+take row of its handler table, as a test below checks.  ``OutOfOrderEvent``
+cannot be reached: the parser rejects a time regression before the engine
+sees it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
+import re
 from typing import Any, Iterator, Optional
 
 import pytest
 
+from errandlab import scenario
 from errandlab.config import default_config
 from errandlab.scoring import aggregate_scorecard
 from errandlab.sessionlog import deserialize_log, serialize_log
@@ -235,13 +240,60 @@ _GOLDEN_REJECTIONS = {
 }
 
 
+@functools.cache
+def _session_outcomes(share: int, preset: str, seed: int) -> tuple[str, ...]:
+    """The outcome lines of one golden session, made once per run."""
+    logging.disable(logging.WARNING)  # dangling notes in accepted logs
+    try:
+        return tuple(_outcomes(preset, seed, share))
+    finally:
+        logging.disable(logging.NOTSET)
+
+
 @pytest.mark.parametrize("share, preset, seed",
                          [(share, *session) for share, session in enumerate(_SESSIONS)])
 def test_rejections_match_golden_digests(share, preset, seed):
-    logging.disable(logging.WARNING)  # dangling notes in accepted logs
-    try:
-        lines = list(_outcomes(preset, seed, share))
-    finally:
-        logging.disable(logging.NOTSET)
+    lines = _session_outcomes(share, preset, seed)
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode("utf-8"))
     assert digest.hexdigest() == _GOLDEN_REJECTIONS[(preset, seed)]
+
+
+@functools.cache
+def _engine_messages() -> frozenset[str]:
+    """The messages of every engine rejection among the nine sessions'
+    outcomes."""
+    prefix = "MalformedLog\tlog rejected by the scenario engine: "
+    messages = set()
+    for share, session in enumerate(_SESSIONS):
+        for line in _session_outcomes(share, *session):
+            _, outcome = line.split("\t", 1)
+            if outcome.startswith(prefix):
+                messages.add(outcome[len(prefix):])
+    return frozenset(messages)
+
+
+_TAKE_ROWS = [(kind, sid, handler.__self__) for kind, hosts in scenario._HANDLERS.items()
+              for sid, handler in hosts.items()
+              if isinstance(getattr(handler, "__self__", None), scenario._Take)]
+
+
+@pytest.mark.parametrize("kind, sid, rule", _TAKE_ROWS,
+                         ids=[f"{kind.value}-{sid}" for kind, sid, _ in _TAKE_ROWS])
+def test_every_take_row_message_occurs(kind, sid, rule):
+    # each take row's checks are data, so the digest pins them only if the
+    # corruptions reach each one
+    messages = _engine_messages()
+    again = re.compile(".+".join(map(re.escape, re.split(r"\{.*?\}", rule.again))))
+    expected = {"second take": again.fullmatch}
+    if rule.room is not None:
+        expected["room"] = f"{rule.room} holds {scenario.SHOPPING_LIST_LENGTH} items".__eq__
+    for _, _, label in rule.known:
+        expected[f"unknown {label}"] = re.compile(f"unknown {re.escape(label)} .+").fullmatch
+    if rule.non_negative is not None:
+        expected["non-negative"] = f"{rule.non_negative} must be non-negative".__eq__
+    missing = [what for what, match in expected.items() if not any(map(match, messages))]
+    assert not missing, f"{kind.value} in scene {sid}: no outcome for {missing}"
+
+
+def test_every_take_scene_has_a_row():
+    assert {sid for _, sid, _ in _TAKE_ROWS} == {3, 6, 12, 14, 19, 22}

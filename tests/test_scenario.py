@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -142,12 +143,13 @@ def _is_scene_literal(node):
 
 @pytest.mark.parametrize(
     "fn", sorted({scenario._apply, scenario._fire_due_timer_prompts,
-                  *(handler for hosts in scenario._HANDLERS.values()
-                    for handler in hosts.values())}, key=lambda fn: fn.__name__),
-    ids=lambda fn: fn.__name__)
+                  *(getattr(handler, "__func__", handler)
+                    for hosts in scenario._HANDLERS.values()
+                    for handler in hosts.values())}, key=lambda fn: fn.__qualname__),
+    ids=lambda fn: fn.__qualname__)
 def test_engine_names_no_scene_id(fn):
     # which scene does what is stated in the handler and scene tables only
-    tree = ast.parse(inspect.getsource(fn))
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     for node in ast.walk(tree):
         if not isinstance(node, ast.Compare):
             continue
@@ -868,7 +870,7 @@ class TestNoPerEventEnumReads:
         scenario._apply,
         scenario._fire_due_timer_prompts,
         scenario._on_npc_prompt_answered,
-        scenario._on_list_board_item,
+        scenario._HANDLERS[EventKind.ITEM_SELECTED][3],
         scenario._on_item_grabbed,
         scenario._on_resolving_event,
         scenario._on_session_end,

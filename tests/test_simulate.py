@@ -259,6 +259,21 @@ class TestCohort:
         assert simulate_cohort([], []) == []
 
 
+_DEFAULT_DIALS = profile_to_dict(default_profile())
+# (dial, profile document): one probability dial of the default profile made "x"
+_BAD_PROBABILITIES = [
+    *((f"pm_hit_prob[{key!r}]", {"pm_hit_prob": {**_DEFAULT_DIALS["pm_hit_prob"], key: "x"}})
+      for key in _DEFAULT_DIALS["pm_hit_prob"]),
+    *((f"prompt_yield_probs[{i}]",
+       {"prompt_yield_probs": [*_DEFAULT_DIALS["prompt_yield_probs"][:i], "x",
+                               *_DEFAULT_DIALS["prompt_yield_probs"][i + 1:]]})
+      for i in range(LADDER_DEPTH)),
+    *((name, {name: "x"}) for name in (
+        "recognition_target_prob", "recognition_distractor_prob", "attention_hit_prob",
+        "attention_false_alarm_prob", "wrong_controller_prob", "notes_use_prob")),
+]
+
+
 class TestProfiles:
     def test_round_trip_dict(self, typical):
         clone = profile_from_dict(profile_to_dict(typical))
@@ -287,6 +302,14 @@ class TestProfiles:
             dataclasses.replace(typical, recognition_target_prob=1.5)
         with pytest.raises(ValueError):
             dataclasses.replace(typical, attention_hit_prob=-0.1)
+
+    @pytest.mark.parametrize("dial, document", _BAD_PROBABILITIES,
+                             ids=[dial for dial, _ in _BAD_PROBABILITIES])
+    def test_a_bad_probability_names_its_dial(self, dial, document):
+        assert len(_BAD_PROBABILITIES) == 12
+        with pytest.raises(ValueError) as caught:
+            profile_from_dict(document)
+        assert str(caught.value) == f"probability {dial} = 'x' is not a number in [0, 1]"
 
     @pytest.mark.parametrize("dials", [(0.5, 0.5), (0.5,) * (LADDER_DEPTH + 1)])
     def test_one_yield_dial_per_prompt_of_the_deepest_ladder(self, typical, dials):
