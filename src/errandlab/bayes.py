@@ -72,9 +72,10 @@ building block; the Bayes factor does not use it.
   chi-square mixing variable is evaluated directly by adaptive quadrature of
   its positive integrand.
 
-The evidence-band labels and the star notation follow the conventional
-BF10 break points (3, 10, 30, 100); note the deliberate asymmetry that
-bands use closed lower edges while stars are strict inequalities.
+The evidence-band labels and the star notation read one table of the
+conventional BF10 break points (3, 10, 30, 100), each with one ``bisect``.
+Note the deliberate asymmetry: bands close their lower edge
+(``bisect_right``), while stars are strict (``bisect_left``).
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ import math
 import operator
 import sys
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -307,9 +309,11 @@ class TTestResult:
 
 
 def _t_statistic(d: Sequence[float]) -> Optional[float]:
-    """The t statistic of paired differences, or None when they have zero
-    variance."""
+    """The t statistic of paired differences, or None when they are all
+    equal."""
     n = len(d)
+    if d.count(d[0]) == n:  # fsum(d) / n need not give back c for n copies of c
+        return None
     try:
         mean = math.fsum(d) / n
         # the floats of (di - mean) ** 2 for each di, made and summed in C
@@ -318,8 +322,6 @@ def _t_statistic(d: Sequence[float]) -> Optional[float]:
             t = mean * math.sqrt(n) / math.sqrt(var)
             if math.isfinite(t):
                 return t
-        elif var == 0.0 and min(d) == max(d):
-            return None
     except OverflowError:  # a square, or a sum, past double range
         pass
     # Past double range, or squares below it: scaling the differences by a
@@ -716,32 +718,23 @@ class EvidenceBand(str, Enum):
     EXTREME = "Extreme"
 
 
+# bands close their lower edge; stars, from 10 up, are strict
+_BF10_EDGES = (3.0, 10.0, 30.0, 100.0)
+_BANDS_ABOVE_ONE = tuple(EvidenceBand)[1:]  # one per interval of the edges
+
+
 def classify_evidence(bf10: float) -> EvidenceBand:
     """Band a BF10 value: <=1 none, then (1,3), [3,10), [10,30), [30,100), >=100."""
     if not math.isfinite(bf10) or bf10 <= 0:
         raise ValueError("bf10 must be a positive finite number")
     if bf10 <= 1.0:
         return EvidenceBand.NONE
-    if bf10 < 3.0:
-        return EvidenceBand.ANECDOTAL
-    if bf10 < 10.0:
-        return EvidenceBand.MODERATE
-    if bf10 < 30.0:
-        return EvidenceBand.STRONG
-    if bf10 < 100.0:
-        return EvidenceBand.VERY_STRONG
-    return EvidenceBand.EXTREME
+    return _BANDS_ABOVE_ONE[bisect_right(_BF10_EDGES, bf10)]
 
 
 def evidence_stars(bf10: float) -> str:
     """Footnote stars, strict thresholds: * >10, ** >30, *** >100."""
-    if bf10 > 100.0:
-        return "***"
-    if bf10 > 30.0:
-        return "**"
-    if bf10 > 10.0:
-        return "*"
-    return ""
+    return "*" * bisect_left(_BF10_EDGES[1:], bf10)
 
 
 # ---------------------------------------------------------------------------

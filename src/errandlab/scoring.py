@@ -24,10 +24,12 @@ Scoring summary:
   selected, 1 point per related variant (qualitative or quantitative),
   0 per absent item; 10 intended items, so 20 is the ceiling.
 * Route planning: 15 minus the absolute deviation from the ideal 15 street
-  units, floored at 0, then a timing modifier in whole-point steps of the
-  normative z-score (fast is rewarded, slow penalised, two points max).
-* Cooking: each of the three items lands in one of seven timing bands;
-  band points default to 3/2/1/0 symmetric around OnTime.
+  units, floored at 0, then a timing modifier read off an edge table of
+  normative z-score steps, (1, 2): a point for each step of speed, minus
+  one for each step of slowness.
+* Cooking: each of the three items lands in one of seven timing bands, read
+  off its row of band floors in centiseconds; band points default to
+  3/2/1/0 symmetric around OnTime.
 * Reminder cascades: acting unprompted earns 6, after prompts 1..3 earns
   4/2/1, never acting earns 0.
 * Conversation (companion) tasks: points from a matrix over when the user
@@ -44,10 +46,11 @@ Scoring summary:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable, Mapping, Optional, Sequence
 
-from .config import ScoringConfig, _DEDUCTION_FLOOR, _PER_SIDE_FIELDS
+from .config import BAND_NAMES, ScoringConfig, _DEDUCTION_FLOOR, _PER_SIDE_FIELDS
 from .scenario import (
     COOKING_ITEMS,
     EngineError,
@@ -134,21 +137,17 @@ class PlanningScore:
     time_z: float
 
 
+_Z_STEPS = (1, 2)  # the modifier's steps, in SDs either side of the norm
+
+
 def _planning_time_modifier(z: float) -> int:
     """Whole-point timing modifier from the normative z-score.
 
-    Two or more SDs faster than the norm earns +2, between one and two +1;
-    the mirror-image slowness costs -1 and -2; the middle band is neutral.
+    The time earns a point for each step of :data:`_Z_STEPS` it is at or
+    beyond on the fast side (z <= -1, z <= -2) and loses one for each on
+    the slow side (z >= 1, z >= 2); the middle band is neutral.
     """
-    if z <= -2:
-        return 2
-    if z <= -1:
-        return 1
-    if z < 1:
-        return 0
-    if z < 2:
-        return -1
-    return -2
+    return bisect_right(_Z_STEPS, -z) - bisect_right(_Z_STEPS, z)
 
 
 def _score_planning(selected_units: Collection[int], completion_time_s: float,
@@ -167,13 +166,13 @@ def _score_planning(selected_units: Collection[int], completion_time_s: float,
 # Cooking
 
 
-# Centisecond band edges per item: (very_early_hi, on_time_lo, on_time_hi,
-# very_late_lo).  The printed table is closed at every endpoint; working on
-# an integer centisecond grid keeps the seven bands a gap-free partition.
-_COOKING_EDGES_CS: dict[str, tuple[int, int, int, int]] = {
-    "omelette": (1399, 1800, 2200, 2601),
-    "sausages": (1799, 2200, 2600, 3001),
-    "kettle": (1099, 1500, 1700, 2101),
+# Each item's first centisecond of every band after VeryEarly, in BAND_NAMES
+# order.  The printed table is closed at every endpoint; working on an
+# integer centisecond grid keeps the seven bands a gap-free partition.
+_COOKING_EDGES_CS: dict[str, tuple[int, ...]] = {
+    "omelette": (1400, 1600, 1800, 2201, 2400, 2601),
+    "sausages": (1800, 2000, 2200, 2601, 2800, 3001),
+    "kettle": (1100, 1300, 1500, 1701, 1900, 2101),
 }
 
 
@@ -191,28 +190,15 @@ def _to_centiseconds(seconds: float) -> int:
 def _classify_cooking_time(item: str, cook_time_s: float) -> str:
     """Name the timing band for one cooked item.
 
-    Times are rounded half-up to centiseconds first; the printed band edges
-    are closed on both sides, so the rounded grid partitions cleanly.  A
+    Times are rounded half-up to centiseconds first; on that grid a band
+    runs from its first centisecond to the next band's first, exclusive.  A
     time past the VeryLate edge is banded off the grid, so that a time of
     any size cannot overflow the conversion.
     """
-    very_early_hi, on_time_lo, on_time_hi, very_late_lo = _COOKING_EDGES_CS[item]
-    if cook_time_s * 100 >= very_late_lo:
+    row = _COOKING_EDGES_CS[item]
+    if cook_time_s * 100 >= row[-1]:
         return "VeryLate"
-    cs = _to_centiseconds(cook_time_s)
-    if cs <= very_early_hi:
-        return "VeryEarly"
-    if cs < on_time_lo - 200:
-        return "Early"
-    if cs < on_time_lo:
-        return "SlightlyEarly"
-    if cs <= on_time_hi:
-        return "OnTime"
-    if cs < on_time_hi + 200:
-        return "SlightlyLate"
-    if cs < very_late_lo:
-        return "Late"
-    return "VeryLate"
+    return BAND_NAMES[bisect_right(row, _to_centiseconds(cook_time_s))]
 
 
 def _score_cooking(cook_times_s: Mapping[str, float],

@@ -77,10 +77,10 @@ _NOMINAL_DURATION_S: dict[int, int] = {
 }
 assert sum(_NOMINAL_DURATION_S.values()) == ScoringConfig.session_target_s
 
-# Cooking removal targets: the midpoint of each item's on-time window.
-_COOKING_MIDPOINT_S = {item: (on_time_lo + on_time_hi) / 200.0
-                       for item, (_, on_time_lo, on_time_hi, _)
-                       in _COOKING_EDGES_CS.items()}
+# Cooking removal targets: the midpoint of each item's on-time window, from
+# OnTime's first centisecond, row[2], to its last, row[3] - 1.
+_COOKING_MIDPOINT_S = {item: (row[2] + row[3] - 1) / 200.0
+                       for item, row in _COOKING_EDGES_CS.items()}
 
 _PRACTICE_ATTEMPT_CAP = 5
 

@@ -117,6 +117,19 @@ class TestPairedT:
         with pytest.raises(DegenerateSample):
             paired_t(PairedSample((1.0, 2.0, 3.0), (2.0, 3.0, 4.0)))
 
+    # b - a is c in every pair, and a signed zero when c is one
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.lists(st.sampled_from((0.0, -0.0)), min_size=2, max_size=12))
+    @example(0.1, [0.0] * 3)
+    @example(0.7, [0.0] * 6)
+    def test_equal_float_differences_are_degenerate(self, c, a):
+        a, b = tuple(a), (c,) * len(a)
+        with pytest.raises(DegenerateSample):
+            paired_t(PairedSample(a, b))
+        with pytest.raises(DegenerateSample):
+            compare_paired(a, b)
+        assert compare_paired_columns({"c": (a, b)}) == {"c": None}
+
     # (a, b, scale): pairs whose differences, or their squares, overflow or
     # underflow, and a power of two that brings them into the ordinary range
     @pytest.mark.parametrize("a, b, scale", [

@@ -1154,10 +1154,24 @@ class TestBadInputFiles:
         good = _cohort_csv(tmp_path / "cohort.csv", {"p1": 100, "p2": 90})
         return ["vrnq", "score", "--responses", str(good), option, path]
 
-    @pytest.mark.parametrize("option, content, code", _BAD_INPUT_FILES)
-    def test_one_error_line_naming_the_file(self, tmp_path, option, content, code):
+    @staticmethod
+    def _bad_file(tmp_path, content):
         bad = tmp_path / "bad_input"
         bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+        return bad
+
+    # in-process, an exception that escapes main fails the test, as a
+    # traceback on stderr would
+    @pytest.mark.parametrize("option, content, code", _BAD_INPUT_FILES)
+    def test_one_error_line_naming_the_file(self, tmp_path, capsys, option, content, code):
+        bad = self._bad_file(tmp_path, content)
+        assert main(self._argv(option, str(bad), tmp_path)) == code
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {bad}: ")
+
+    def test_one_error_line_across_the_process_boundary(self, tmp_path):
+        option, content, code = _BAD_INPUT_FILES[0].values
+        bad = self._bad_file(tmp_path, content)
         result = subprocess.run(
             [sys.executable, "-m", "errandlab", *self._argv(option, str(bad), tmp_path)],
             capture_output=True, text=True, env=_subprocess_env())

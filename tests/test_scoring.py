@@ -10,11 +10,14 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from errandlab.bayes import EvidenceBand, classify_evidence, evidence_stars
 from errandlab.scoring import (
+    _COOKING_EDGES_CS,
     ScoringError,
     UnknownItem,
     _classify_cooking_time,
@@ -32,13 +35,14 @@ from errandlab.scoring import (
     scorecard_to_dict,
 )
 from errandlab.config import (
+    BAND_NAMES,
     DEFAULT_BAND_POINTS,
     DEFAULT_NPC_POSITIVE_MATRIX,
     ConfigError,
     ScoringConfig,
     default_config,
 )
-from errandlab.scenario import EventKind, SessionEvent
+from errandlab.scenario import COOKING_ITEMS, EventKind, SessionEvent
 from errandlab.sessionlog import (
     MalformedLog,
     deserialize_log,
@@ -47,6 +51,7 @@ from errandlab.sessionlog import (
     serialize_log,
 )
 from errandlab.simulate import (
+    _COOKING_MIDPOINT_S,
     default_profile,
     null_profile,
     perfect_profile,
@@ -317,6 +322,51 @@ class TestCooking:
             ranks = [order.index(_classify_cooking_time(item, t / 100.0))
                      for t in range(0, 6001)]
             assert ranks == sorted(ranks), item
+
+
+# (rule, edge, what it gives just below the edge, at it, and just above it):
+# bands close their lower edge, stars are strict, and the planning modifier
+# rewards z <= -1 and z <= -2 and penalises z >= 1 and z >= 2
+_EDGES = [
+    (classify_evidence, 1.0, EvidenceBand.NONE, EvidenceBand.NONE, EvidenceBand.ANECDOTAL),
+    (classify_evidence, 3.0, EvidenceBand.ANECDOTAL, EvidenceBand.MODERATE,
+     EvidenceBand.MODERATE),
+    (classify_evidence, 10.0, EvidenceBand.MODERATE, EvidenceBand.STRONG, EvidenceBand.STRONG),
+    (classify_evidence, 30.0, EvidenceBand.STRONG, EvidenceBand.VERY_STRONG,
+     EvidenceBand.VERY_STRONG),
+    (classify_evidence, 100.0, EvidenceBand.VERY_STRONG, EvidenceBand.EXTREME,
+     EvidenceBand.EXTREME),
+    (evidence_stars, 10.0, "", "", "*"),
+    (evidence_stars, 30.0, "*", "*", "**"),
+    (evidence_stars, 100.0, "**", "**", "***"),
+    (_planning_time_modifier, -2.0, 2, 2, 1),
+    (_planning_time_modifier, -1.0, 1, 1, 0),
+    (_planning_time_modifier, -0.0, 0, 0, 0),
+    (_planning_time_modifier, 0.0, 0, 0, 0),
+    (_planning_time_modifier, 1.0, 0, -1, -1),
+    (_planning_time_modifier, 2.0, -1, -2, -2),
+]
+
+
+class TestEdgeTables:
+    @pytest.mark.parametrize("rule, x, expected", [
+        pytest.param(rule, x, expected, id=f"{rule.__name__}({x!r})")
+        for rule, edge, *around in _EDGES
+        for x, expected in zip((math.nextafter(edge, -math.inf), edge,
+                                math.nextafter(edge, math.inf)), around)])
+    def test_each_edge_to_the_last_bit(self, rule, x, expected):
+        assert rule(x) == expected
+
+    @pytest.mark.parametrize("item", COOKING_ITEMS)
+    def test_each_cooking_row_floors_every_band_after_very_early(self, item):
+        row = _COOKING_EDGES_CS[item]
+        assert len(row) == len(BAND_NAMES) - 1
+        assert list(row) == sorted(set(row))
+        for band, first_cs in zip(BAND_NAMES[1:], row):
+            assert _classify_cooking_time(item, first_cs / 100) == band
+        on_time = BAND_NAMES.index("OnTime")
+        assert row[on_time - 1] <= _COOKING_MIDPOINT_S[item] * 100 < row[on_time]
+        assert _classify_cooking_time(item, _COOKING_MIDPOINT_S[item]) == "OnTime"
 
 
 class TestPromptCascade:
