@@ -3,9 +3,12 @@
 Each command's own subparser parses what follows its command words; argv
 that names no command, or that it leaves unparsed, goes to the root parser.
 
-Every run emits a deterministic manifest (command, parameters, input and
-output paths, seeds, config hash, tool version) so the run can be reproduced
-from the manifest alone.  Manifests carry no timestamps: identical
+Every command ends in one output contract.  Given ``--out`` (always, for
+``simulate``), a run writes ``<out>/manifest.json``: the command, its
+parameters, input and output paths, seeds, config hash and tool version, so
+the run can be reproduced from the manifest alone.  ``--format json`` prints
+the same manifest inside its output; text output carries none.  An empty
+``--out`` is the current directory.  Manifests carry no timestamps: identical
 invocations produce identical manifests.
 
 A failed run prints one ``error:`` line (a usage error also prints usage).
@@ -23,7 +26,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from .jsonio import ErrandlabError, _json_text, read_json
@@ -31,17 +34,6 @@ from .jsonio import ErrandlabError, _json_text, read_json
 if TYPE_CHECKING:  # pragma: no cover
     from .simulate import ParticipantProfile
     from .vrnq import DomainMapping
-
-
-def _make_out_dir(out: str) -> None:
-    # Once per command, before its first write: the directory that every
-    # output path is joined onto.
-    os.makedirs(os.path.dirname(os.path.join(out, "")) or ".", exist_ok=True)
-
-
-def _write_bytes(path: str, data: bytes) -> None:
-    with open(path, "wb") as handle:
-        handle.write(data)
 
 
 def _load_profile_arg(spec: Optional[str]) -> ParticipantProfile:
@@ -72,20 +64,40 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _manifest(command: str, *, parameters: dict[str, Any],
-              inputs: dict[str, str], outputs: dict[str, str],
-              cfg_hash: Optional[str] = None,
-              seeds: Optional[list[int]] = None) -> dict[str, Any]:
-    extra = {"config_hash": cfg_hash, "seeds": seeds}
-    return {"command": command, "tool": "errandlab", "version": __version__,
-            "parameters": parameters, "inputs": inputs, "outputs": outputs,
-            **{key: value for key, value in extra.items() if value is not None}}
-
-
-def _write_manifest(out: str, manifest: dict[str, Any]) -> str:
-    path = os.path.join(out, "manifest.json")
-    _write_bytes(path, (_json_text(manifest) + "\n").encode("utf-8"))
+def _write_output(out: str, outputs: dict[str, str], name: str, file: str,
+                  data: bytes) -> str:
+    """Write ``data`` to ``file`` under ``out`` and record its path as
+    ``outputs[name]``; the first file written makes the directory."""
+    if not outputs:
+        os.makedirs(out or ".", exist_ok=True)
+    path = outputs[name] = os.path.join(out, file)
+    with open(path, "wb") as handle:
+        handle.write(data)
     return path
+
+
+def _finish(args: argparse.Namespace, command: str, *, parameters: dict[str, Any],
+            inputs: dict[str, Optional[str]], outputs: dict[str, str],
+            payload: Callable[[], dict[str, Any]], text: Callable[[], Iterable[str]],
+            **stamps: Any) -> int:
+    """The last step of every command: build the manifest from the inputs
+    given and the stamps set, write it to ``<out>/manifest.json`` if given
+    (after copying ``outputs``, so it never lists itself), then print
+    ``payload()`` with the manifest as JSON, or the lines of ``text()``."""
+    manifest = {"command": command, "tool": "errandlab", "version": __version__,
+                "parameters": parameters,
+                "inputs": {key: path for key, path in inputs.items() if path},
+                "outputs": dict(outputs),
+                **{key: value for key, value in stamps.items() if value is not None}}
+    if args.out is not None:
+        _write_output(args.out, outputs, "manifest", "manifest.json",
+                      (_json_text(manifest) + "\n").encode("utf-8"))
+    if args.format == "json":
+        print(_json_text({**payload(), "manifest": manifest}))
+    else:
+        for line in text():
+            print(line)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -106,46 +118,34 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     outputs: dict[str, str] = {}
     summaries: list[dict[str, Any]] = []
+    cards: list[Any] = []
     for index, seed in enumerate(seeds):
         # score from the simulator's own final state: no second engine pass
         log, final_state = _simulate(profile, seed, cfg, cfg_hash)
         card = score_session(log, final_state, cfg)
-        report = export_report(card, cfg, seed, cfg_hash)
+        report = export_report(card, cfg, seed, cfg_hash).encode("utf-8")
         suffix = "" if count == 1 else f"_{index:03d}"
-        log_path = os.path.join(args.out, f"session{suffix}.ndjson")
-        report_path = os.path.join(args.out, f"report{suffix}.txt")
-        if index == 0:
-            _make_out_dir(args.out)
-        _write_bytes(log_path, serialize_log(log))
-        _write_bytes(report_path, report.encode("utf-8"))
-        outputs[f"log_{index:03d}"] = log_path
-        outputs[f"report_{index:03d}"] = report_path
-        summary = {"seed": seed, "events": len(log.events),
-                   "log": log_path, "report": report_path}
-        if args.format == "json":  # text mode never prints the scorecard
-            summary["scorecard"] = scorecard_to_dict(card)
-        summaries.append(summary)
+        summaries.append({
+            "seed": seed, "events": len(log.events),
+            "log": _write_output(args.out, outputs, f"log_{index:03d}",
+                                 f"session{suffix}.ndjson", serialize_log(log)),
+            "report": _write_output(args.out, outputs, f"report_{index:03d}",
+                                    f"report{suffix}.txt", report)})
+        cards.append(card)
 
-    manifest = _manifest(
-        "simulate",
-        parameters={
-            "seed": args.seed, "cohort": count,
-            "profile": args.profile or "default",
-            "config": args.config or "default",
-        },
-        inputs={k: v for k, v in {
-            "profile": args.profile if args.profile and args.profile not in PROFILE_PRESETS else None,
-            "config": args.config}.items() if v},
-        outputs=outputs, cfg_hash=cfg_hash, seeds=seeds)
-    manifest_path = _write_manifest(args.out, manifest)
-
-    if args.format == "json":
-        print(_json_text({"sessions": summaries, "manifest": manifest}))
-        return 0
-    for s in summaries:
-        print(f"wrote {s['log']} ({s['events']} events) and {s['report']}")
-    print(f"wrote {manifest_path}")
-    return 0
+    return _finish(
+        args, "simulate",
+        parameters={"seed": args.seed, "cohort": count,
+                    "profile": args.profile or "default",
+                    "config": args.config or "default"},
+        inputs={"profile": None if args.profile in PROFILE_PRESETS else args.profile,
+                "config": args.config},
+        outputs=outputs,
+        payload=lambda: {"sessions": [{**summary, "scorecard": scorecard_to_dict(card)}
+                                      for summary, card in zip(summaries, cards)]},
+        text=lambda: [f"wrote {s['log']} ({s['events']} events) and {s['report']}"
+                      for s in summaries] + [f"wrote {outputs['manifest']}"],
+        config_hash=cfg_hash, seeds=seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -165,29 +165,19 @@ def _cmd_score(args: argparse.Namespace) -> int:
     cfg_hash = config_hash(cfg)
     # JSON output prints no report: build it only to print or write it
     report = (export_report(card, cfg, log.seed, cfg_hash)
-              if args.format == "text" or args.out else "")
-
+              if args.format == "text" or args.out is not None else "")
     outputs: dict[str, str] = {}
-    if args.out:
-        _make_out_dir(args.out)
-        report_path = os.path.join(args.out, "report.txt")
-        _write_bytes(report_path, report.encode("utf-8"))
-        outputs["report"] = report_path
+    if args.out is not None:
+        _write_output(args.out, outputs, "report", "report.txt", report.encode("utf-8"))
 
-    manifest = _manifest(
-        "score",
+    return _finish(
+        args, "score",
         parameters={"config": args.config or "default"},
-        inputs={"log": args.log, **({"config": args.config} if args.config else {})},
-        outputs=outputs, cfg_hash=cfg_hash)
-    if args.out:
-        _write_manifest(args.out, manifest)
-
-    if args.format == "json":
-        print(_json_text({"scorecard": scorecard_to_dict(card), "manifest": manifest}))
-        return 0
-    for line in report.splitlines():
-        print(line)
-    return 0
+        inputs={"log": args.log, "config": args.config},
+        outputs=outputs,
+        payload=lambda: {"scorecard": scorecard_to_dict(card)},
+        text=report.splitlines,
+        config_hash=cfg_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +199,8 @@ def _cmd_vrnq_score(args: argparse.Namespace) -> int:
     scored, aggregate = _score_cohort(args.responses, mapping)
     verdict = check_cutoffs(aggregate, args.tier)
 
-    manifest = _manifest(
-        "vrnq score",
-        parameters={"tier": args.tier,
-                    "domains": args.domains or "default"},
-        inputs={"responses": args.responses,
-                **({"domains": args.domains} if args.domains else {})},
-        outputs={})
-    if args.out:
-        _make_out_dir(args.out)
-        _write_manifest(args.out, manifest)
-
-    if args.format == "json":
-        print(_json_text({
+    def payload() -> dict[str, Any]:
+        return {
             "participants": [{
                 "participant_id": participant_id,
                 "sub_scores": dict(zip(DOMAINS, subs)),
@@ -239,26 +218,31 @@ def _cmd_vrnq_score(args: argparse.Namespace) -> int:
                 "passes": dict(verdict.passes),
                 "overall": verdict.overall,
             },
-            "manifest": manifest,
-        }))
-        return 0
-    print(f"participants: {aggregate.total_stats.n}")
-    for participant_id, total, *subs in scored:
-        line = "  ".join(f"{d}={sub}" for d, sub in zip(DOMAINS, subs))
-        print(f"  {participant_id}: {line}  total={total}")
-    print("cohort medians (MAD):")
-    for domain in DOMAINS:
-        st = aggregate.sub_stats[domain]
-        print(f"  {domain}: {st.median:g} ({st.mad:g})")
-    print(f"  Total: {aggregate.total_stats.median:g} "
-          f"({aggregate.total_stats.mad:g})")
-    thresholds = CUTOFFS[args.tier]
-    print(f"cut-off tier {args.tier} "
-          f"(sub>={thresholds['sub']}, total>={thresholds['total']}):")
-    for name, passed in verdict.passes.items():
-        print(f"  {name}: {'pass' if passed else 'FAIL'}")
-    print(f"overall: {'pass' if verdict.overall else 'FAIL'}")
-    return 0
+        }
+
+    def text() -> Iterable[str]:
+        yield f"participants: {aggregate.total_stats.n}"
+        for participant_id, total, *subs in scored:
+            line = "  ".join(f"{d}={sub}" for d, sub in zip(DOMAINS, subs))
+            yield f"  {participant_id}: {line}  total={total}"
+        yield "cohort medians (MAD):"
+        for domain in DOMAINS:
+            st = aggregate.sub_stats[domain]
+            yield f"  {domain}: {st.median:g} ({st.mad:g})"
+        yield (f"  Total: {aggregate.total_stats.median:g} "
+               f"({aggregate.total_stats.mad:g})")
+        thresholds = CUTOFFS[args.tier]
+        yield (f"cut-off tier {args.tier} "
+               f"(sub>={thresholds['sub']}, total>={thresholds['total']}):")
+        for name, passed in verdict.passes.items():
+            yield f"  {name}: {'pass' if passed else 'FAIL'}"
+        yield f"overall: {'pass' if verdict.overall else 'FAIL'}"
+
+    return _finish(
+        args, "vrnq score",
+        parameters={"tier": args.tier, "domains": args.domains or "default"},
+        inputs={"responses": args.responses, "domains": args.domains},
+        outputs={}, payload=payload, text=text)
 
 
 def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
@@ -296,7 +280,7 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
                   "two-sided": "baseline != revised"}[args.direction]
 
     outputs: dict[str, str] = {}
-    if args.out:
+    if args.out is not None:
         csv_lines = ["score,n,t,df,p,bf10,band,stars,bf10_rel_err"]
         for row in rows:
             if row["degenerate"]:
@@ -306,39 +290,33 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
                     f"{row['score']},{row['n']},{row['t']!r},{row['df']},"
                     f"{row['p']!r},{row['bf10']!r},{row['band']},{row['stars']},"
                     f"{row['bf10_rel_err']!r}")
-        csv_path = os.path.join(args.out, "comparison.csv")
-        _make_out_dir(args.out)
-        _write_bytes(csv_path, ("\n".join(csv_lines) + "\n").encode("utf-8"))
-        outputs["comparison"] = csv_path
+        _write_output(args.out, outputs, "comparison", "comparison.csv",
+                      ("\n".join(csv_lines) + "\n").encode("utf-8"))
 
-    manifest = _manifest(
-        "vrnq compare",
-        parameters={"direction": args.direction,
-                    "prior_scale": args.prior_scale,
+    def text() -> Iterable[str]:
+        yield (f"paired comparison, alternative: {hypothesis} "
+               f"(direction {args.direction}, prior scale {args.prior_scale:g})")
+        yield (f"{'score':<18} {'n':>3}  {'t':>8}  {'p':>9}  {'BF10':>12}  "
+               f"{'bf10_rel_err':>12}  evidence")
+        for row in rows:
+            if row["degenerate"]:
+                yield (f"{row['score']:<18} {row['n']:>3}  "
+                       f"{'identical samples; t undefined':>46}")
+            else:
+                evidence = row["band"] + (f" {row['stars']}" if row["stars"] else "")
+                yield (f"{row['score']:<18} {row['n']:>3}  {row['t']:>8.3f}  "
+                       f"{row['p']:>9.4g}  {row['bf10']:>12.3f}  "
+                       f"{row['bf10_rel_err']:>12.1e}  {evidence}")
+
+    return _finish(
+        args, "vrnq compare",
+        parameters={"direction": args.direction, "prior_scale": args.prior_scale,
                     "domains": args.domains or "default"},
         inputs={"baseline": args.baseline, "revised": args.revised,
-                **({"domains": args.domains} if args.domains else {})},
-        outputs=outputs)
-    if args.out:
-        _write_manifest(args.out, manifest)
-
-    if args.format == "json":
-        print(_json_text({"hypothesis": hypothesis, "rows": rows, "manifest": manifest}))
-        return 0
-    print(f"paired comparison, alternative: {hypothesis} "
-          f"(direction {args.direction}, prior scale {args.prior_scale:g})")
-    print(f"{'score':<18} {'n':>3}  {'t':>8}  {'p':>9}  {'BF10':>12}  "
-          f"{'bf10_rel_err':>12}  evidence")
-    for row in rows:
-        if row["degenerate"]:
-            print(f"{row['score']:<18} {row['n']:>3}  "
-                  f"{'identical samples; t undefined':>46}")
-        else:
-            evidence = row["band"] + (f" {row['stars']}" if row["stars"] else "")
-            print(f"{row['score']:<18} {row['n']:>3}  {row['t']:>8.3f}  "
-                  f"{row['p']:>9.4g}  {row['bf10']:>12.3f}  "
-                  f"{row['bf10_rel_err']:>12.1e}  {evidence}")
-    return 0
+                "domains": args.domains},
+        outputs=outputs,
+        payload=lambda: {"hypothesis": hypothesis, "rows": rows},
+        text=text)
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--cohort", type=_positive_int, default=1,
                        help="number of sessions (seeds seed..seed+n-1)")
-    p_sim.add_argument("--format", choices=("text", "json"), default="text")
-    p_sim.set_defaults(func=_cmd_simulate)
 
     p_score = sub.add_parser("score", help="replay and score a session log")
     p_score.add_argument("--log", required=True, help="session NDJSON path")
     p_score.add_argument("--config", default=None)
     p_score.add_argument("--out", default=None, help="directory for report.txt")
-    p_score.add_argument("--format", choices=("text", "json"), default="text")
-    p_score.set_defaults(func=_cmd_score)
 
     p_vrnq = sub.add_parser("vrnq", help="questionnaire scoring and comparison")
     vrnq_sub = p_vrnq.add_subparsers(dest="vrnq_command", required=True)
@@ -381,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vscore.add_argument("--domains", default=None,
                           help="JSON file mapping domains to item numbers")
     p_vscore.add_argument("--out", default=None)
-    p_vscore.add_argument("--format", choices=("text", "json"), default="text")
-    p_vscore.set_defaults(func=_cmd_vrnq_score)
 
     p_vcmp = vrnq_sub.add_parser("compare", help="paired Bayesian comparison")
     p_vcmp.add_argument("--baseline", required=True, help="baseline cohort CSV")
@@ -394,8 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="prior_scale")
     p_vcmp.add_argument("--domains", default=None)
     p_vcmp.add_argument("--out", default=None)
-    p_vcmp.add_argument("--format", choices=("text", "json"), default="text")
-    p_vcmp.set_defaults(func=_cmd_vrnq_compare)
+
+    for command, func in ((p_sim, _cmd_simulate), (p_score, _cmd_score),
+                          (p_vscore, _cmd_vrnq_score), (p_vcmp, _cmd_vrnq_compare)):
+        command.add_argument("--format", choices=("text", "json"), default="text")
+        command.set_defaults(func=func)
 
     return parser
 

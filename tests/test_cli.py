@@ -821,6 +821,94 @@ class TestCallCounts:
                      "--out", str(tmp_path / "scored")]) == 0
         assert len(calls) == 1
         assert sorted(os.listdir(tmp_path / "scored")) == ["manifest.json", "report.txt"]
+        argvs = _command_argvs(tmp_path)
+        for command in ("vrnq score", "vrnq compare"):
+            calls.clear()
+            dest = tmp_path / command.replace(" ", "_")
+            assert main([*argvs[command], "--out", str(dest)]) == 0
+            assert len(calls) == 1
+            assert sorted(os.listdir(dest)) == sorted(["manifest.json", *_WRITTEN[command]])
+
+    @pytest.mark.parametrize("fmt, scorecards", [("text", 0), ("json", 1)])
+    def test_score_builds_the_scorecard_dict_only_for_json(self, tmp_path, monkeypatch,
+                                                           capsys, fmt, scorecards):
+        run = tmp_path / "run"
+        assert main(["simulate", "--seed", "2", "--out", str(run)]) == 0
+        dicts = _count_calls(monkeypatch, errandlab.scoring, "scorecard_to_dict")
+        assert main(["score", "--log", str(run / "session.ndjson"), "--format", fmt,
+                     "--out", str(tmp_path / "scored")]) == 0
+        assert len(dicts) == scorecards
+
+
+def _command_argvs(directory):
+    """Each command's argv, without --out, on inputs written to ``directory``."""
+    log = directory / "session.ndjson"
+    log.write_bytes(serialize_log(simulate_session(default_profile(), 1)))
+    ids = [f"p{i:02d}" for i in range(12)]
+    baseline = _cohort_csv(directory / "a.csv", {p: 60 + 3 * i for i, p in enumerate(ids)})
+    revised = _cohort_csv(directory / "b.csv",
+                          {p: 70 + 3 * i + i % 4 for i, p in enumerate(ids)})
+    return {
+        "simulate": ["simulate", "--seed", "1", "--cohort", "2"],
+        "score": ["score", "--log", str(log)],
+        "vrnq score": ["vrnq", "score", "--responses", str(baseline)],
+        "vrnq compare": ["vrnq", "compare", "--baseline", str(baseline),
+                         "--revised", str(revised)],
+    }
+
+
+# the files besides manifest.json that each command writes under --out
+_WRITTEN = {
+    "simulate": ["report_000.txt", "report_001.txt",
+                 "session_000.ndjson", "session_001.ndjson"],
+    "score": ["report.txt"],
+    "vrnq score": [],
+    "vrnq compare": ["comparison.csv"],
+}
+
+
+class TestOutContract:
+    @pytest.mark.parametrize("command", sorted(_WRITTEN))
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_the_manifest_lists_every_other_file_written(self, tmp_path, capsys,
+                                                         command, fmt):
+        (tmp_path / "in").mkdir()
+        argv = _command_argvs(tmp_path / "in")[command]
+        out = str(tmp_path / "out")
+        assert main([*argv, "--out", out, "--format", fmt]) == 0
+        written = sorted(os.listdir(out))
+        assert written == sorted(["manifest.json", *_WRITTEN[command]])
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert sorted(manifest["outputs"].values()) == [
+            os.path.join(out, name) for name in _WRITTEN[command]]
+        if fmt == "json":
+            assert json.loads(capsys.readouterr().out)["manifest"] == manifest
+
+    @pytest.mark.parametrize("command", sorted(_WRITTEN))
+    def test_an_empty_out_is_the_current_directory(self, tmp_path, monkeypatch,
+                                                   command):
+        (tmp_path / "in").mkdir()
+        argv = _command_argvs(tmp_path / "in")[command]
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        assert main([*argv, "--out", ""]) == 0
+        assert sorted(os.listdir()) == sorted(["manifest.json", *_WRITTEN[command]])
+        with open("manifest.json", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert sorted(manifest["outputs"].values()) == _WRITTEN[command]
+
+    @pytest.mark.parametrize("command", ["score", "vrnq score", "vrnq compare"])
+    def test_no_out_writes_nothing_and_prints_the_manifest_only_in_json(
+            self, tmp_path, monkeypatch, capsys, command):
+        (tmp_path / "in").mkdir()
+        argv = _command_argvs(tmp_path / "in")[command]
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        assert main(argv) == 0
+        assert "manifest" not in capsys.readouterr().out
+        assert main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["manifest"]["outputs"] == {}
+        assert os.listdir() == []
 
 
 class TestOutNamingAFile:

@@ -11,9 +11,10 @@ telemetry of every 20th prefix of those logs, the telemetry and warnings of
 every prefix, the scorecards of those logs with one note left open until
 its scene exits, the bytes that the ``simulate --cohort`` command prints
 and writes, the scores and t statistics that the ``vrnq score`` and
-``vrnq compare`` commands print for one fixed pair of cohorts, and the
+``vrnq compare`` commands print for one fixed pair of cohorts, the
 indented JSON that the CLI prints and writes as manifests, configs and
-profiles.
+profiles, the ``vrnq compare`` table and CSV with their last-bit fields
+masked, and each command's ``--help`` text.
 """
 
 from __future__ import annotations
@@ -410,3 +411,107 @@ def test_cli_text_matches_golden_digest(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0
         digest.update(capsys.readouterr().out.encode("utf-8"))
     assert digest.hexdigest() == _GOLDEN_CLI_TEXT
+
+
+# sha256 over the stdout of `simulate --seed 4 --cohort 2 --format json --out
+# simulate`, run from an empty directory: the sessions' summaries with their
+# scorecards, and the manifest.
+_GOLDEN_SIMULATE_JSON = "5ea1610f9ede98ca3854e81a1d60b5fd107a3f9a1b068f37af819f79346c2975"
+
+
+def test_simulate_json_stdout_matches_golden_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--seed", "4", "--cohort", "2", "--format", "json",
+                 "--out", "simulate"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == _GOLDEN_SIMULATE_JSON
+
+
+# sha256 over the manifest.json that `vrnq compare --out cmp` writes on the
+# cohorts of _vrnq_cohort_csvs, run from their directory: once with the
+# defaults, once two-sided with a --domains file and a --prior-scale.
+_GOLDEN_COMPARE_MANIFEST = "95aa487699afecc1db16dee03333ff8603702120c8d8c4dd08216b022350da08"
+
+
+def test_vrnq_compare_manifest_matches_golden_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _vrnq_cohort_csvs(tmp_path)
+    (tmp_path / "domains.json").write_text(json.dumps(DEFAULT_DOMAIN_MAPPING),
+                                           encoding="utf-8")
+    compare = ["vrnq", "compare", "--baseline", "baseline.csv",
+               "--revised", "revised.csv", "--out", "cmp"]
+    digest = hashlib.sha256()
+    for extra in ([], ["--direction", "two-sided", "--domains", "domains.json",
+                       "--prior-scale", "1.5"]):
+        assert main(compare + extra) == 0
+        digest.update((tmp_path / "cmp" / "manifest.json").read_bytes())
+    assert digest.hexdigest() == _GOLDEN_COMPARE_MANIFEST
+
+
+def _masked_table_line(line):
+    """A `vrnq compare` table line with its p, BF10 and bf10_rel_err columns,
+    and the padding that right-aligns them, each made one ``#``."""
+    fields = re.split(r"( +)", line)
+    if len(fields) >= 13:  # not the degenerate row's message
+        for index in (6, 8, 10):
+            fields[index - 1:index + 1] = [" ", "#"]
+    return "".join(fields)
+
+
+def _masked_csv_line(line):
+    """A comparison.csv line with its p, bf10 and bf10_rel_err fields, where
+    set, made ``#``."""
+    fields = line.split(",")
+    for index in (4, 5, 8):
+        fields[index] = "#" if fields[index] else ""
+    return ",".join(fields)
+
+
+# sha256, for each direction of `vrnq compare --out cmp` on the cohorts of
+# _vrnq_cohort_csvs, over the text table it prints and the comparison.csv it
+# writes, with the p, BF10 and bf10_rel_err fields masked for the reason
+# given above (the degenerate InGameAssistance row has none).
+_GOLDEN_COMPARE_TABLE = "abee3071f70142b976bbc0f115f25b58972c1ae14493324afc1ba6b40642532c"
+
+
+def test_vrnq_compare_table_and_csv_match_golden_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _vrnq_cohort_csvs(tmp_path)
+    digest = hashlib.sha256()
+    for direction in ("less", "greater", "two-sided"):
+        assert main(["vrnq", "compare", "--baseline", "baseline.csv",
+                     "--revised", "revised.csv", "--direction", direction,
+                     "--out", "cmp"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        rows = (tmp_path / "cmp" / "comparison.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split()[0] for line in table[2:]] == [
+            line.split(",")[0] for line in rows[1:]]
+        assert "identical samples; t undefined" in table[5]
+        assert rows[4] == "InGameAssistance,25,,,,,,,"
+        lines = [table[0], table[1], *map(_masked_table_line, table[2:]),
+                 rows[0], *map(_masked_csv_line, rows[1:])]
+        digest.update("\n".join(lines).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == _GOLDEN_COMPARE_TABLE
+
+
+# command words -> sha256 of the `--help` text that command prints at 80
+# columns: the argparse layout of CPython 3.10-3.12, whose help formatter
+# these digests were recorded under.
+_GOLDEN_HELP = {
+    (): "ca1dc6c70a2cc88ed4045e033c9334bdad7c53cc4d9d560d213ab179c5e9cbac",
+    ("simulate",): "fa373510a401497653be7f766ed25a658aea9c28775cf954cdf431b3d5bf5fff",
+    ("score",): "361820c7fe06a0c45b6372b617ce8c3c9758f797524a02c23573524a13768624",
+    ("vrnq",): "0c34a6bb53ade07ce22dfb14b0a18c5144bba9aae7ec314ff59d647a4362222f",
+    ("vrnq", "score"): "09d5ca9bda392c3aac78598cae92d7a875e370ca0efd168608dbb3482b55d19b",
+    ("vrnq", "compare"): "b4287b28934496c6b27e09f12d40d6e5e0b0905d5cdc22f7b633d4006a6e13f5",
+}
+
+
+@pytest.mark.parametrize("words", sorted(_GOLDEN_HELP), ids=" ".join)
+def test_help_matches_golden_digest(words, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*words, "--help"])
+    assert exit_info.value.code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == _GOLDEN_HELP[words]
