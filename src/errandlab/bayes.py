@@ -344,16 +344,10 @@ def _p_values(ts: Sequence[float], df: int, direction: Direction) -> list[float]
     or in closed form at one degree of freedom, where ``stdtr`` is off near
     zero."""
     ts = np.asarray(ts, dtype=float)
-    if direction is Direction.A_LESS:
-        x = -ts
-    elif direction is Direction.A_GREATER:
-        x = ts
-    else:
-        x = -np.abs(ts)
+    sign = _SKEW_SIGN[direction]
+    x = -sign * ts if sign else -np.abs(ts)
     p = list(map(_t_cdf_one_df, x.tolist())) if df == 1 else stdtr(df, x).tolist()
-    if direction is Direction.TWO_SIDED:
-        return [2.0 * value for value in p]
-    return p
+    return p if sign else [2.0 * value for value in p]
 
 
 def paired_t(sample: PairedSample, direction: Direction = Direction.A_LESS) -> TTestResult:

@@ -24,7 +24,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 from .jsonio import ConfigError, _json_text, _quoted, read_json
 from .scenario import (_MAX_CLOCK_MS, AUDITORY_STIMULUS_KINDS, LADDER_DEPTH,
@@ -182,8 +182,10 @@ class ScoringConfig:
             raise ConfigError(
                 f"normative_route_sd_s {self.normative_route_sd_s!r} lets time_z "
                 f"overflow for a planning time in [0, {_MAX_PLANNING_S:.3g}] s")
+        # the report prints awarded points as a score out of a maximum, so no
+        # award is below 0; a single deduction is in [_DEDUCTION_FLOOR, 0]
         _check_points("band_points", self.band_points, set(BAND_NAMES),
-                      f"band_points must cover exactly {BAND_NAMES}")
+                      f"band_points must cover exactly {BAND_NAMES}", 0)
         # keyed by the prompt affirmed at, or 0 for none
         depths = [str(depth) for depth in range(LADDER_DEPTH + 1)]
         matrix = self.npc_positive_matrix
@@ -191,14 +193,10 @@ class ScoringConfig:
             raise ConfigError("npc_positive_matrix needs rows " + ", ".join(map(repr, depths[1:])))
         for row in matrix.values():
             _check_points("npc_positive_matrix", row, {c.value for c in NpcChoice},
-                          "npc_positive_matrix rows need all four item categories")
+                          "npc_positive_matrix rows need all four item categories", 0)
         _check_points("npc_negative_deductions", self.npc_negative_deductions, set(depths),
-                      f"npc_negative_deductions needs keys '0'..'{LADDER_DEPTH}'")
-        for value in self.npc_negative_deductions.values():
-            if value > 0:
-                raise ConfigError("negative deductions cannot be positive")
-            if value < _DEDUCTION_FLOOR:
-                raise ConfigError(f"a single deduction cannot exceed {-_DEDUCTION_FLOOR} points")
+                      f"npc_negative_deductions needs keys '0'..'{LADDER_DEPTH}'",
+                      _DEDUCTION_FLOOR, 0)
         if self.session_target_s <= 0:
             raise ConfigError("session_target_s must be positive")
         if self.session_target_s * 1000 > _MAX_CLOCK_MS:
@@ -206,13 +204,18 @@ class ScoringConfig:
                 f"session_target_s must be at most {_MAX_CLOCK_MS / 1000:g} (2**53 ms)")
 
 
-def _check_points(name: str, table: Any, keys: set[str], message: str) -> None:
-    """Require a mapping from exactly ``keys`` to ints; ``message`` if the keys differ."""
+def _check_points(name: str, table: Any, keys: set[str], message: str,
+                  low: int, high: Optional[int] = None) -> None:
+    """Require a mapping from exactly ``keys`` to ints in ``[low, high]`` (no
+    upper bound if ``high`` is None); ``message`` if the keys differ."""
     if not isinstance(table, Mapping) or set(table) != keys:
         raise ConfigError(message)
     for value in table.values():
         if type(value) is not int:
             raise ConfigError(f"{name} values must be integers, not {_quoted(value)}")
+        if value < low or (high is not None and value > high):
+            bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise ConfigError(f"{name} values must be {bounds}, not {value}")
 
 
 def config_to_dict(config: ScoringConfig) -> dict[str, Any]:

@@ -15,8 +15,10 @@ another scene's draws.  A scene's generator is built on its first draw, so a
 scene that never draws costs no generator.
 
 The simulated clock targets ``config.session_target_s`` (default 3 732 s,
-about an hour); each scene gets a fixed share of that budget and is padded
-to it before exit, so the total session duration is stable across profiles.
+about an hour); each scene gets a fixed share of that budget.  The driver
+enters each scene, lets the scene's behaviour model play it, and exits it at
+its entry plus its share (or at its last event, if that is later), so the
+total session duration is stable across profiles.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .config import ScoringConfig, _PER_SIDE_FIELDS, config_hash, default_config
 from .jsonio import ConfigError, _json_text, _quoted, read_json
@@ -289,10 +291,6 @@ class _SessionBuilder:
             self.cursor_ms += self.latency_ms()
         return self._emit(kind, payload)
 
-    def exit_scene(self, duration_ms: int) -> None:
-        self.cursor_ms = max(self.cursor_ms, self.state.scene_entry_ms + duration_ms)
-        self._emit(EventKind.SCENE_EXITED)
-
 
 def _bernoulli(rng: np.random.Generator, p: float) -> bool:
     if p <= 0.0:
@@ -312,9 +310,7 @@ def _maybe_use_notes(b: _SessionBuilder) -> None:
 
 
 def _plain_tutorial(b: _SessionBuilder, duration_ms: int) -> None:
-    b.act(EventKind.TUTORIAL_COMPLETED,
-          at_offset_ms=max(duration_ms // 2, b.cursor_ms - b.state.scene_entry_ms))
-    b.exit_scene(duration_ms)
+    b.act(EventKind.TUTORIAL_COMPLETED, at_offset_ms=duration_ms // 2)
 
 
 def _notes_tutorial(b: _SessionBuilder, duration_ms: int) -> None:
@@ -335,7 +331,6 @@ def _gated_tutorial(b: _SessionBuilder, duration_ms: int) -> None:
               {"targets_hit": targets, "distractors_hit": distractors})
         if b.state.armed_to is not None:  # the gate passed
             break
-    b.exit_scene(duration_ms)
 
 
 def _recognition_pick(b: _SessionBuilder, kind: EventKind, payload_key: str) -> None:
@@ -376,7 +371,6 @@ def _scene_planning(b: _SessionBuilder, duration_ms: int) -> None:
     for unit in units:
         b.act(EventKind.ROUTE_UNIT_TOGGLED, {"unit": unit, "selected": True})
     b.act(EventKind.ROUTE_SUBMITTED)
-    b.exit_scene(duration_ms)
 
 
 def _event_cascade(b: _SessionBuilder, trigger: EventKind, action: EventKind) -> None:
@@ -403,7 +397,6 @@ def _scene_breakfast(b: _SessionBuilder, duration_ms: int) -> None:
         b.act(EventKind.COOKING_ITEM_PLACED,
               {"item": item, "cook_time_s": round(cook_time, 2)})
     _event_cascade(b, EventKind.FINAL_BUTTON_PRESSED, EventKind.MEDICATION_TAKEN)
-    b.exit_scene(duration_ms)
 
 
 def _scene_collect_and_pie(b: _SessionBuilder, duration_ms: int) -> None:
@@ -416,7 +409,6 @@ def _scene_collect_and_pie(b: _SessionBuilder, duration_ms: int) -> None:
         if _bernoulli(b.rng, p.attention_false_alarm_prob):
             b.act(EventKind.ITEM_SELECTED, {"item": item})
     _event_cascade(b, EventKind.EXIT_ATTEMPTED, EventKind.PIE_REMOVED)
-    b.exit_scene(duration_ms)
 
 
 _WRONG_CHOICES = tuple(c.value for c in NpcChoice if c is not NpcChoice.CORRECT)
@@ -450,59 +442,52 @@ def _scene_npc(b: _SessionBuilder, duration_ms: int) -> None:
     if (state.npc_affirmed_at[task.task_id]
             and scene_id in EVENT_SCENES[EventKind.KEYS_GIVEN]):
         b.act(EventKind.KEYS_GIVEN)
-    b.exit_scene(duration_ms)
 
 
-def _ride_stimuli(b: _SessionBuilder, ride: str) -> list[tuple[str, str]]:
-    # Fixed inventory (kind, side), shuffled per session so stimulus order
-    # varies with the seed but stays deterministic.
-    inventory: list[tuple[str, str]] = []
-    for kind, name in _PER_SIDE_FIELDS[ride].items():
-        for side in SIDES:
-            inventory.extend((kind, side) for _ in range(getattr(b.config, name)))
+def _ride(b: _SessionBuilder, ride: str,
+          duration_ms: int) -> Iterator[tuple[int, str, str, int, bool]]:
+    # The ride's fixed inventory of (kind, side) stimuli in a seeded order,
+    # spread over the first 80% of the ride: yields each one's index, kind,
+    # side, offset and whether it was responded to.  Each response is drawn
+    # as its stimulus is yielded, so the caller's own draws for it come
+    # before the next one's.
+    p = b.profile
+    inventory = [(kind, side) for kind, name in _PER_SIDE_FIELDS[ride].items()
+                 for side in SIDES for _ in range(getattr(b.config, name))]
     order = b.rng.permutation(len(inventory))
-    return [inventory[int(i)] for i in order]
+    step = max(1, (duration_ms * 8 // 10) // max(1, len(inventory)))
+    for index, i in enumerate(order):
+        kind, side = inventory[int(i)]
+        hit_p = p.attention_hit_prob if kind == "target" else p.attention_false_alarm_prob
+        yield index, kind, side, (index + 1) * step, _bernoulli(b.rng, hit_p)
 
 
 def _scene_visual_ride(b: _SessionBuilder, duration_ms: int) -> None:
-    p = b.profile
-    stimuli = _ride_stimuli(b, "visual")
-    step = max(1, (duration_ms * 8 // 10) // max(1, len(stimuli)))
-    for index, (kind, side) in enumerate(stimuli):
-        hit_p = (p.attention_hit_prob if kind == "target"
-                 else p.attention_false_alarm_prob)
-        if _bernoulli(b.rng, hit_p):
+    for index, kind, side, offset, hit in _ride(b, "visual", duration_ms):
+        if hit:
             b.act(EventKind.POSTER_SPOTTED,
                   {"stimulus_id": f"poster_{index:02d}", "stimulus_kind": kind,
                    "side": side},
-                  at_offset_ms=(index + 1) * step)
-    b.exit_scene(duration_ms)
+                  at_offset_ms=offset)
 
 
 def _scene_auditory_ride(b: _SessionBuilder, duration_ms: int) -> None:
-    p = b.profile
-    stimuli = _ride_stimuli(b, "auditory")
-    step = max(1, (duration_ms * 8 // 10) // max(1, len(stimuli)))
-    for index, (kind, side) in enumerate(stimuli):
-        hit_p = (p.attention_hit_prob if kind == "target"
-                 else p.attention_false_alarm_prob)
+    for index, kind, side, offset, hit in _ride(b, "auditory", duration_ms):
         response: Optional[str] = None
-        if _bernoulli(b.rng, hit_p):
+        if hit:
             response = side
-            if _bernoulli(b.rng, p.wrong_controller_prob):
+            if _bernoulli(b.rng, b.profile.wrong_controller_prob):
                 response = SIDES[1 - SIDES.index(side)]
         b.act(EventKind.SOUND_TRIGGERED,
               {"stimulus_id": f"sound_{index:02d}", "stimulus_kind": kind,
                "stimulus_side": side, "response_side": response},
-              at_offset_ms=(index + 1) * step)
-    b.exit_scene(duration_ms)
+              at_offset_ms=offset)
 
 
 def _scene_supermarket(b: _SessionBuilder, duration_ms: int) -> None:
     _maybe_use_notes(b)
     _recognition_pick(b, EventKind.SHOPPING_COLLECTED, "item")
     b.act(EventKind.FINAL_BUTTON_PRESSED)  # the till ends the shop
-    b.exit_scene(duration_ms)
 
 
 def _scene_finale(b: _SessionBuilder, duration_ms: int) -> None:
@@ -531,11 +516,10 @@ def _scene_finale(b: _SessionBuilder, duration_ms: int) -> None:
     # unless it was taken, the final button waits 5 s past the last reminder
     final_offset = (duration_ms if took else max(duration_ms, offsets[-1] + 5_000))
     b.act(EventKind.FINAL_BUTTON_PRESSED, at_offset_ms=final_offset)
-    b.exit_scene(duration_ms)
 
 
 # Scene id -> the behaviour model that plays the scene, given the builder and
-# the scene's duration in milliseconds.
+# the scene's duration in milliseconds; the driver enters and exits it.
 _SCENE_MODELS: dict[int, Callable[[_SessionBuilder, int], None]] = {
     **dict.fromkeys(TUTORIAL_SCENES - GATED_SCENES - {4}, _plain_tutorial),
     **dict.fromkeys(GATED_SCENES, _gated_tutorial),
@@ -582,6 +566,7 @@ def _simulate(profile: ParticipantProfile, seed: int, config: ScoringConfig,
         builder.enter()
         duration_ms = max(1_000, int(_NOMINAL_DURATION_S[sid] * scale * 1000))
         _SCENE_MODELS[sid](builder, duration_ms)
+        builder.act(EventKind.SCENE_EXITED, at_offset_ms=duration_ms)
 
     # The order needs no second check: seq is the event's index, and the
     # engine raised OutOfOrderEvent on any step back in time.

@@ -113,6 +113,13 @@ class TestPairedT:
         assert less.p + greater.p == pytest.approx(1.0)
         assert two.p == pytest.approx(2 * min(less.p, greater.p))
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_a_direction_given_by_its_value_picks_the_same_tail(self, direction):
+        # p reads its tail from the table the Bayes factor reads, which a
+        # Direction and its string value key alike
+        sample = PairedSample(self.A, self.B)
+        assert paired_t(sample, direction.value).p == paired_t(sample, direction).p
+
     def test_degenerate_sample(self):
         with pytest.raises(DegenerateSample):
             paired_t(PairedSample((1.0, 2.0, 3.0), (2.0, 3.0, 4.0)))

@@ -36,7 +36,7 @@ from errandlab.jsonio import _json_text
 from errandlab.config import config_hash, default_config
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
 from errandlab.sessionlog import deserialize_log, serialize_log
-from errandlab.simulate import default_profile, simulate_session
+from errandlab.simulate import PROFILE_PRESETS, default_profile, simulate_session
 from errandlab.vrnq import (CSV_COLUMNS, CUTOFFS, DOMAINS, DomainMapping, VrnqResponseSet,
                             aggregate_cohort, check_cutoffs, read_cohort_csv, score_vrnq,
                             write_cohort_csv)
@@ -131,6 +131,36 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("document, message", [
+        ({"band_points": {band: points - 4 for band, points
+                          in errandlab.config.DEFAULT_BAND_POINTS.items()}},
+         "band_points values must be at least 0, not -1"),
+        ({"npc_positive_matrix": {
+            depth: {**row, "correct": -5}
+            for depth, row in errandlab.config.DEFAULT_NPC_POSITIVE_MATRIX.items()}},
+         "npc_positive_matrix values must be at least 0, not -5"),
+    ])
+    def test_a_negative_award_table_exits_2(self, tmp_path, capsys, document, message):
+        # the report would print it as a negative "score/maximum"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        code = main(["simulate", "--seed", "1", "--config", str(config),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_profile_help_names_the_presets(self):
+        # the parser spells the preset names out so that ``import
+        # errandlab.cli`` loads no simulate; keep the copy equal to its source
+        parser = build_parser()
+        action = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        profile = next(a for a in action.choices["simulate"]._actions
+                       if a.dest == "profile")
+        names = re.fullmatch(r"preset name \((.*)\) or JSON path", profile.help)[1]
+        assert tuple(names.split("/")) == tuple(PROFILE_PRESETS)
 
     def test_a_config_domain_mapping_is_an_unknown_key(self, tmp_path, capsys):
         # the questionnaire partition comes only from vrnq --domains

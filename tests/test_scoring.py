@@ -37,9 +37,11 @@ from errandlab.scoring import (
 from errandlab.config import (
     BAND_NAMES,
     DEFAULT_BAND_POINTS,
+    DEFAULT_NPC_NEGATIVE_DEDUCTIONS,
     DEFAULT_NPC_POSITIVE_MATRIX,
     ConfigError,
     ScoringConfig,
+    config_from_dict,
     default_config,
 )
 from errandlab.scenario import COOKING_ITEMS, EventKind, SessionEvent
@@ -546,6 +548,37 @@ def test_a_catalog_of_another_length_is_rejected(config, name, count):
     short = dataclasses.replace(config, **{name: getattr(config, name)[1:]})
     with pytest.raises(ConfigError, match=f"^{name} must list {count} items$"):
         short.validate()
+
+
+# The report prints awarded points as "score/maximum": an award table with
+# OnTime -1 .. VeryLate -4 would print a perfect cook as -3/-3.
+_POINTS_OUT_OF_BOUNDS = [
+    ({"band_points": {band: points - 4 for band, points in DEFAULT_BAND_POINTS.items()}},
+     "band_points values must be at least 0, not -1"),
+    ({"npc_positive_matrix": {depth: {**row, "correct": -5}
+                              for depth, row in DEFAULT_NPC_POSITIVE_MATRIX.items()}},
+     "npc_positive_matrix values must be at least 0, not -5"),
+    ({"npc_negative_deductions": {**DEFAULT_NPC_NEGATIVE_DEDUCTIONS, "0": 1}},
+     "npc_negative_deductions values must be in [-3, 0], not 1"),
+    ({"npc_negative_deductions": {**DEFAULT_NPC_NEGATIVE_DEDUCTIONS, "1": -4}},
+     "npc_negative_deductions values must be in [-3, 0], not -4"),
+]
+
+
+@pytest.mark.parametrize("document, message", _POINTS_OUT_OF_BOUNDS)
+def test_a_points_table_out_of_its_bounds_is_rejected(document, message):
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict(document)
+    assert str(excinfo.value) == message
+
+
+def test_points_tables_at_their_bounds_validate():
+    config_from_dict({
+        "band_points": dict.fromkeys(BAND_NAMES, 0),
+        "npc_positive_matrix": {depth: dict.fromkeys(row, 0)
+                                for depth, row in DEFAULT_NPC_POSITIVE_MATRIX.items()},
+        "npc_negative_deductions": dict.fromkeys(DEFAULT_NPC_NEGATIVE_DEDUCTIONS, -3)})
+    config_from_dict({"npc_negative_deductions": dict.fromkeys(DEFAULT_NPC_NEGATIVE_DEDUCTIONS, 0)})
 
 
 def test_the_built_in_defaults_validate():

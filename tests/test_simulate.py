@@ -367,6 +367,29 @@ class TestSessionClock:
         final, _ = replay(log.events)
         assert final.completed
 
+    @pytest.mark.parametrize("target_s", [None, 93.3])
+    @pytest.mark.parametrize("preset", sorted(PROFILE_PRESETS))
+    def test_each_scene_exits_at_its_share_of_the_clock(self, config, preset, target_s):
+        # SceneExited comes at the later of the scene's last other event and
+        # its entry plus its share of session_target_s (at least 1 s); at
+        # 93.3 s some scenes' events outrun their share, so both occur
+        if target_s is not None:
+            config = dataclasses.replace(config, session_target_s=target_s)
+        scale = config.session_target_s / sum(simulate._NOMINAL_DURATION_S.values())
+        log = simulate_session(PROFILE_PRESETS[preset](), seed=11, config=config)
+        scenes: dict[int, list] = {}
+        for event in log.events:
+            scenes.setdefault(event.scene, []).append(event)
+        assert sorted(scenes) == sorted(SCENES_BY_ID)
+        for sid, events in scenes.items():
+            entry, *others, exit_ = events
+            assert entry.kind is EventKind.SCENE_ENTERED
+            assert exit_.kind is EventKind.SCENE_EXITED
+            assert EventKind.SCENE_EXITED not in {e.kind for e in others}
+            share_ms = max(1_000, int(simulate._NOMINAL_DURATION_S[sid] * scale * 1000))
+            last_ms = max(e.sim_time_ms for e in [entry, *others])
+            assert exit_.sim_time_ms == max(last_ms, entry.sim_time_ms + share_ms), sid
+
     def test_longest_target_fits_the_clock(self, config):
         longest = dataclasses.replace(config, session_target_s=2**53 / 1000)
         longest.validate()
