@@ -13,7 +13,7 @@ one submodule that defines it.  So ``import errandlab`` loads no submodule,
 and each CLI command loads only the modules it runs: every command loads
 ``cli`` and ``jsonio`` (the JSON reader and writer, and ``ConfigError``);
 ``score`` adds ``config``, ``scenario``, ``sessionlog`` and ``scoring``;
-``simulate`` adds those and ``simulate`` (numpy); ``vrnq score`` adds only
+``simulate`` adds those and ``simulate``; ``vrnq score`` adds only
 ``vrnq``; and ``vrnq compare`` adds ``vrnq`` and ``bayes`` (numpy, scipy).
 """
 

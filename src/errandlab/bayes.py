@@ -356,6 +356,7 @@ def paired_t(sample: PairedSample, direction: Direction = Direction.A_LESS) -> T
     Raises :class:`DegenerateSample` when the differences have zero
     variance.
     """
+    direction = Direction(direction)
     [d] = _checked_differences({"": (sample.a, sample.b)}).values()
     t = _t_statistic(d)
     if t is None:
@@ -695,7 +696,7 @@ def bf10_directional_with_error(
         t: float, n: int, prior_scale: float = DEFAULT_PRIOR_SCALE,
         direction: Direction = Direction.A_LESS) -> tuple[float, float]:
     """BF10 plus the integrator's relative error estimate."""
-    [result] = _bf10_columns((t,), n, prior_scale, direction)
+    [result] = _bf10_columns((t,), n, prior_scale, Direction(direction))
     return result
 
 
@@ -778,6 +779,7 @@ def compare_paired_columns(
     integrated together, and each keeps its own error estimate.  Raises the
     :class:`IntegrationFailure` of the first column whose Bayes factor fails.
     """
+    direction = Direction(direction)
     differences = _checked_differences(columns)
     ts: dict[str, float] = {}
     for label, d in differences.items():

@@ -7,12 +7,12 @@ is generated by walking the 22 scenes in order and feeding each event to the
 scenario engine (the in-place core of :func:`errandlab.scenario.advance`),
 so every generated log is engine-accepted by construction.
 
-Determinism contract: each scene draws from its own stream, the one
-``numpy.random.default_rng([seed, scene_id])`` gives (the seed taken modulo
-2**64), so identical ``(profile, seed, config)`` inputs always reproduce the
-same log byte for byte, and editing one scene's behavior model cannot perturb
-another scene's draws.  A scene's generator is built on its first draw, so a
-scene that never draws costs no generator.
+Determinism contract: each scene draws from its own stream,
+``random.Random((seed mod 2**64) * 32 + scene_id)``, built on its first draw,
+so identical ``(profile, seed, config)`` inputs always reproduce the same log
+byte for byte, and editing one scene's behavior model cannot perturb another
+scene's draws.  Every draw is built from ``Random.random()``, whose sequence
+Python keeps across versions, so the logs are the same under every interpreter.
 
 The simulated clock targets ``config.session_target_s`` (default 3 732 s,
 about an hour); each scene gets a fixed share of that budget.  The driver
@@ -27,7 +27,8 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional, Sequence
+from random import Random
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .config import ScoringConfig, _PER_SIDE_FIELDS, config_hash, default_config
 from .jsonio import ConfigError, _json_text, _quoted, read_json
@@ -62,9 +63,6 @@ from .scenario import (
 from .scoring import _COOKING_EDGES_CS, TaskScorecard, score_session
 from .sessionlog import SessionLog
 
-if TYPE_CHECKING:
-    import numpy as np
-
 
 class LengthMismatch(Exception):
     """Cohort profiles and seeds differ in length."""
@@ -86,12 +84,14 @@ _COOKING_MIDPOINT_S = {item: (row[2] + row[3] - 1) / 200.0
 
 _PRACTICE_ATTEMPT_CAP = 5
 
-# numpy's Generator.poisson refuses a mean above this double.
-_POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
-# Generator.standard_normal draws from a ziggurat whose tail starts at 3.654
-# and adds at most -log(2**-53) / 3.654, about 10.05, to it: |z| < 14.  An sd
-# up to the largest double / 14 keeps every midpoint + sd * z finite.
-_MAX_NORMAL_Z = 14
+# Scene sid's stream is seeded (seed mod 2**64) * _STREAMS_PER_SEED + sid:
+# one-to-one while every scene id is below the multiplier, and never
+# negative (Random seeds an int by its absolute value).
+_STREAMS_PER_SEED = 32
+assert max(SCENES_BY_ID) < _STREAMS_PER_SEED
+# A normal draw z is Irwin-Hall (_normal), so |z| <= 6.  An sd up to the
+# largest double / 6 keeps every midpoint + sd * z finite.
+_MAX_NORMAL_Z = 6
 _MAX_COOKING_SD_S = sys.float_info.max / _MAX_NORMAL_Z
 
 
@@ -143,11 +143,6 @@ class ParticipantProfile:
         if not (type(self.planning_extra_units) is int
                 and self.planning_extra_units >= 0):
             raise ValueError("planning_extra_units must be a non-negative integer")
-        # the mean of a Poisson draw, which numpy compares as a double
-        # (min keeps float() from overflowing)
-        if float(min(self.planning_extra_units, 2**64)) > _POISSON_LAM_MAX:
-            raise ValueError(f"planning_extra_units must be at most {_POISSON_LAM_MAX:.6g} "
-                             "(the largest Poisson mean numpy draws from)")
         for name in ("cooking_timing_sd_s", "latency_mean_ms", "latency_sd_ms"):
             value = getattr(self, name)
             if not (_is_number(value) and 0 <= value <= sys.float_info.max):
@@ -241,28 +236,26 @@ class _SessionBuilder:
                  seed: int) -> None:
         self.profile = profile
         self.config = config
-        self.seed = seed
         self.state: SessionState = initial_state()
         self.events: list[SessionEvent] = []
         self.cursor_ms = 0
-        self._rng: Optional[np.random.Generator] = None
+        self._streams = (seed % 2**64) * _STREAMS_PER_SEED
+        self._rng: Optional[Random] = None
 
     @property
-    def rng(self) -> np.random.Generator:
+    def rng(self) -> Random:
         # The current scene's stream, built on the scene's first draw: a
         # scene that never draws builds none.  (A class __getattr__ would
         # make the later reads free, but on Python 3.11 it stops the
         # interpreter from specializing every attribute read on the builder.)
         rng = self._rng
         if rng is None:
-            import numpy as np  # here, so that importing the package skips numpy
-            rng = self._rng = np.random.default_rng(
-                [self.seed % 2**64, self.state.current_scene])
+            rng = self._rng = Random(self._streams + self.state.current_scene)
         return rng
 
     def latency_ms(self) -> int:
         p = self.profile
-        raw = p.latency_mean_ms + p.latency_sd_ms * float(self.rng.standard_normal())
+        raw = p.latency_mean_ms + p.latency_sd_ms * _normal(self.rng)
         return max(0, int(round(raw)))
 
     def _emit(self, kind: EventKind,
@@ -292,16 +285,39 @@ class _SessionBuilder:
         return self._emit(kind, payload)
 
 
-def _bernoulli(rng: np.random.Generator, p: float) -> bool:
-    if p <= 0.0:
-        return False
-    if p >= 1.0:
-        return True
-    return bool(rng.random() < p)
+# --- draws, each built from Random.random() alone --------------------------
+
+
+def _normal(rng: Random) -> float:
+    # Irwin-Hall, -6 <= z < 6: twelve uniforms added left to right (sum()
+    # adds floats with compensation from Python 3.12 on), less 6
+    r = rng.random
+    return r() + r() + r() + r() + r() + r() + r() + r() + r() + r() + r() + r() - 6.0
+
+
+def _shuffled(rng: Random, items: Sequence[Any], count: Optional[int] = None) -> list[Any]:
+    """The first ``count`` (default all) of ``items`` in a seeded order (Fisher-Yates)."""
+    out = list(items)
+    for i in range(len(out) - 1 if count is None else count):
+        j = i + int(rng.random() * (len(out) - i))
+        out[i], out[j] = out[j], out[i]
+    return out[:count]
+
+
+def _poisson(rng: Random, mean: int, cap: int) -> int:
+    """A Poisson draw by inversion, capped at ``cap``."""
+    mean_f = float(min(mean, 2**64))  # exp(-2**64) is 0 already; a larger int overflows
+    u, k = rng.random(), 0
+    prob = cumulative = math.exp(-mean_f)
+    while cumulative <= u and k < cap:
+        k += 1
+        prob *= mean_f / k
+        cumulative += prob
+    return k
 
 
 def _maybe_use_notes(b: _SessionBuilder) -> None:
-    if _bernoulli(b.rng, b.profile.notes_use_prob):
+    if b.rng.random() < b.profile.notes_use_prob:
         b.act(EventKind.NOTE_OPENED)
         b.act(EventKind.NOTE_CLOSED)
 
@@ -325,8 +341,8 @@ def _gated_tutorial(b: _SessionBuilder, duration_ms: int) -> None:
         if attempt == _PRACTICE_ATTEMPT_CAP:
             targets, distractors = PRACTICE_TARGETS, 0  # the front end coaches until passed
         else:
-            targets = int(b.rng.binomial(PRACTICE_TARGETS, p.attention_hit_prob))
-            distractors = int(b.rng.binomial(3, p.attention_false_alarm_prob))
+            targets = sum(b.rng.random() < p.attention_hit_prob for _ in range(PRACTICE_TARGETS))
+            distractors = sum(b.rng.random() < p.attention_false_alarm_prob for _ in range(3))
         b.act(EventKind.PRACTICE_ATTEMPT,
               {"targets_hit": targets, "distractors_hit": distractors})
         if b.state.armed_to is not None:  # the gate passed
@@ -341,13 +357,11 @@ def _recognition_pick(b: _SessionBuilder, kind: EventKind, payload_key: str) -> 
     targets = c.recognition_targets
     catalog = (c.recognition_targets + c.recognition_qualitative
                + c.recognition_quantitative + c.recognition_false)
-    order = b.rng.permutation(len(catalog))
     picked = 0
-    for index in order:
-        item = catalog[int(index)]
+    for item in _shuffled(b.rng, catalog):
         prob = (p.recognition_target_prob if item in targets
                 else p.recognition_distractor_prob)
-        if _bernoulli(b.rng, prob):
+        if b.rng.random() < prob:
             b.act(kind, {payload_key: item})
             picked += 1
             if picked >= SHOPPING_LIST_LENGTH:
@@ -358,17 +372,16 @@ def _scene_planning(b: _SessionBuilder, duration_ms: int) -> None:
     p = b.profile
     for index in range(1, NOTES_INTENT_PROMPTS + 1):
         b.act(EventKind.NOTES_INTENT_ANSWERED,
-              {"prompt_index": index, "yes": _bernoulli(b.rng, p.notes_use_prob)})
+              {"prompt_index": index, "yes": b.rng.random() < p.notes_use_prob})
     _recognition_pick(b, EventKind.ITEM_SELECTED, "item")
     deviation = 0
     if p.planning_extra_units > 0:
-        deviation = int(b.rng.poisson(p.planning_extra_units))
-        if _bernoulli(b.rng, 0.5):
+        # a deviation of ROUTE_UNIT_COUNT already takes every unit, or one
+        deviation = _poisson(b.rng, p.planning_extra_units, ROUTE_UNIT_COUNT)
+        if b.rng.random() < 0.5:
             deviation = -deviation
     n_units = min(ROUTE_UNIT_COUNT, max(1, ROUTE_IDEAL_UNITS + deviation))
-    units = [int(u) for u in
-             b.rng.choice(ROUTE_UNIT_COUNT, size=n_units, replace=False) + 1]
-    for unit in units:
+    for unit in _shuffled(b.rng, range(1, ROUTE_UNIT_COUNT + 1), n_units):
         b.act(EventKind.ROUTE_UNIT_TOGGLED, {"unit": unit, "selected": True})
     b.act(EventKind.ROUTE_SUBMITTED)
 
@@ -379,12 +392,12 @@ def _event_cascade(b: _SessionBuilder, trigger: EventKind, action: EventKind) ->
     # triggering, maybe complying after each prompt it shows, until the
     # engine ends the scene (the task done, or its last prompt ignored).
     p = b.profile
-    if _bernoulli(b.rng, p.pm_hit_prob[PM_TASKS[b.state.current_scene].delay.value]):
+    if b.rng.random() < p.pm_hit_prob[PM_TASKS[b.state.current_scene].delay.value]:
         b.act(action)
     while b.state.armed_to is None:
         for effect in b.act(trigger):
             if (isinstance(effect, PromptShown)
-                    and _bernoulli(b.rng, p.prompt_yield_probs[effect.depth - 1])):
+                    and b.rng.random() < p.prompt_yield_probs[effect.depth - 1]):
                 b.act(action)
 
 
@@ -392,7 +405,7 @@ def _scene_breakfast(b: _SessionBuilder, duration_ms: int) -> None:
     p = b.profile
     _maybe_use_notes(b)
     for item in COOKING_ITEMS:
-        noise = p.cooking_timing_sd_s * float(b.rng.standard_normal())
+        noise = p.cooking_timing_sd_s * _normal(b.rng)
         cook_time = max(0.0, _COOKING_MIDPOINT_S[item] + noise)
         b.act(EventKind.COOKING_ITEM_PLACED,
               {"item": item, "cook_time_s": round(cook_time, 2)})
@@ -402,22 +415,15 @@ def _scene_breakfast(b: _SessionBuilder, duration_ms: int) -> None:
 def _scene_collect_and_pie(b: _SessionBuilder, duration_ms: int) -> None:
     p = b.profile
     _maybe_use_notes(b)
-    for item in b.config.collection_targets:
-        if _bernoulli(b.rng, p.attention_hit_prob):
-            b.act(EventKind.ITEM_SELECTED, {"item": item})
-    for item in b.config.collection_distractors:
-        if _bernoulli(b.rng, p.attention_false_alarm_prob):
-            b.act(EventKind.ITEM_SELECTED, {"item": item})
+    for items, prob in ((b.config.collection_targets, p.attention_hit_prob),
+                        (b.config.collection_distractors, p.attention_false_alarm_prob)):
+        for item in items:
+            if b.rng.random() < prob:
+                b.act(EventKind.ITEM_SELECTED, {"item": item})
     _event_cascade(b, EventKind.EXIT_ATTEMPTED, EventKind.PIE_REMOVED)
 
 
 _WRONG_CHOICES = tuple(c.value for c in NpcChoice if c is not NpcChoice.CORRECT)
-
-
-def _npc_choice(b: _SessionBuilder) -> str:
-    if _bernoulli(b.rng, b.profile.recognition_target_prob):
-        return NpcChoice.CORRECT.value
-    return _WRONG_CHOICES[int(b.rng.integers(len(_WRONG_CHOICES)))]
 
 
 def _scene_npc(b: _SessionBuilder, duration_ms: int) -> None:
@@ -436,9 +442,11 @@ def _scene_npc(b: _SessionBuilder, duration_ms: int) -> None:
     while state.armed_to is None and not state.scene.awaiting_choice:
         index = state.scene.prompt_depth
         b.act(EventKind.NPC_PROMPT_ANSWERED,
-              {"prompt_index": index, "yes": _bernoulli(b.rng, yes_probs[index - 1])})
+              {"prompt_index": index, "yes": b.rng.random() < yes_probs[index - 1]})
     if state.scene.awaiting_choice:
-        b.act(EventKind.NPC_ITEM_CHOSEN, {"choice": _npc_choice(b)})
+        choice = (NpcChoice.CORRECT.value if b.rng.random() < p.recognition_target_prob
+                  else _WRONG_CHOICES[int(b.rng.random() * len(_WRONG_CHOICES))])
+        b.act(EventKind.NPC_ITEM_CHOSEN, {"choice": choice})
     if (state.npc_affirmed_at[task.task_id]
             and scene_id in EVENT_SCENES[EventKind.KEYS_GIVEN]):
         b.act(EventKind.KEYS_GIVEN)
@@ -454,12 +462,10 @@ def _ride(b: _SessionBuilder, ride: str,
     p = b.profile
     inventory = [(kind, side) for kind, name in _PER_SIDE_FIELDS[ride].items()
                  for side in SIDES for _ in range(getattr(b.config, name))]
-    order = b.rng.permutation(len(inventory))
     step = max(1, (duration_ms * 8 // 10) // max(1, len(inventory)))
-    for index, i in enumerate(order):
-        kind, side = inventory[int(i)]
+    for index, (kind, side) in enumerate(_shuffled(b.rng, inventory)):
         hit_p = p.attention_hit_prob if kind == "target" else p.attention_false_alarm_prob
-        yield index, kind, side, (index + 1) * step, _bernoulli(b.rng, hit_p)
+        yield index, kind, side, (index + 1) * step, b.rng.random() < hit_p
 
 
 def _scene_visual_ride(b: _SessionBuilder, duration_ms: int) -> None:
@@ -476,7 +482,7 @@ def _scene_auditory_ride(b: _SessionBuilder, duration_ms: int) -> None:
         response: Optional[str] = None
         if hit:
             response = side
-            if _bernoulli(b.rng, b.profile.wrong_controller_prob):
+            if b.rng.random() < b.profile.wrong_controller_prob:
                 response = SIDES[1 - SIDES.index(side)]
         b.act(EventKind.SOUND_TRIGGERED,
               {"stimulus_id": f"sound_{index:02d}", "stimulus_kind": kind,
@@ -501,21 +507,19 @@ def _scene_finale(b: _SessionBuilder, duration_ms: int) -> None:
     for offset, item in enumerate(b.config.recognition_targets[:2]):
         b.act(EventKind.ITEM_STOWED, {"item": item},
               at_offset_ms=stow_at + offset * 5_000)
-    took = False
-    if _bernoulli(b.rng, p.pm_hit_prob[task.delay.value]):
+    if b.rng.random() < p.pm_hit_prob[task.delay.value]:
         b.act(EventKind.MEDICATION_TAKEN,
               at_offset_ms=min(offsets[0] - 10_000, max(duration_ms // 2, stow_at + 10_000)))
-        took = True
     else:
         for depth, offset_ms in enumerate(offsets, start=1):
-            if _bernoulli(b.rng, p.prompt_yield_probs[depth - 1]):
+            if b.rng.random() < p.prompt_yield_probs[depth - 1]:
                 b.act(EventKind.MEDICATION_TAKEN,
                       at_offset_ms=offset_ms + min(b.latency_ms(), reply_within))
-                took = True
                 break
     # unless it was taken, the final button waits 5 s past the last reminder
-    final_offset = (duration_ms if took else max(duration_ms, offsets[-1] + 5_000))
-    b.act(EventKind.FINAL_BUTTON_PRESSED, at_offset_ms=final_offset)
+    taken = task.task_id in b.state.pm_done_depth
+    b.act(EventKind.FINAL_BUTTON_PRESSED,
+          at_offset_ms=duration_ms if taken else max(duration_ms, offsets[-1] + 5_000))
 
 
 # Scene id -> the behaviour model that plays the scene, given the builder and

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import math
 import random
 import sys
@@ -160,6 +161,43 @@ class TestPairedT:
             PairedSample((1.0, 2.0), (1.0, 2.0, 3.0))
         with pytest.raises(ValueError):
             PairedSample((1.0, float("nan")), (2.0, 3.0))
+
+
+# every public bayes function that takes a direction, called with the given one
+_DIRECTED = {
+    "paired_t": lambda d: paired_t(PairedSample((1, 2, 3), (2, 4, 7)), d),
+    "bf10_directional": lambda d: bf10_directional(2.0, 10, direction=d),
+    "bf10_directional_with_error": lambda d: bf10_directional_with_error(2.0, 10, direction=d),
+    "compare_paired": lambda d: compare_paired((1, 2, 3), (2, 4, 7), direction=d),
+    # every column degenerate, so that nothing else reads the direction
+    "compare_paired_columns": lambda d: compare_paired_columns(
+        {"x": ((1, 2, 3), (2, 3, 4))}, direction=d),
+}
+
+
+class TestDirectionArgument:
+    def test_every_public_function_with_a_direction_is_covered(self):
+        public = {name for name, value in vars(errandlab.bayes).items()
+                  if not name.startswith("_") and inspect.isfunction(value)
+                  and value.__module__ == errandlab.bayes.__name__
+                  and "direction" in inspect.signature(value).parameters}
+        assert public == set(_DIRECTED)
+
+    @pytest.mark.parametrize("name", sorted(_DIRECTED))
+    def test_a_bad_direction_names_the_valid_ones(self, name):
+        with pytest.raises(ValueError, match="^'sideways' is not a valid Direction$"):
+            _DIRECTED[name]("sideways")
+
+    @pytest.mark.parametrize("name", sorted(_DIRECTED))
+    def test_a_direction_given_by_its_value_is_the_direction(self, name):
+        for direction in Direction:
+            assert _DIRECTED[name](direction.value) == _DIRECTED[name](direction)
+
+    def test_results_carry_the_direction_not_its_value(self):
+        sample = PairedSample((1, 2, 3), (2, 4, 7))
+        assert paired_t(sample, "greater").direction is Direction.A_GREATER
+        assert compare_paired((1, 2, 3), (2, 4, 7),
+                              direction="two-sided").direction is Direction.TWO_SIDED
 
 
 class TestNoncentralTDensity:

@@ -1,16 +1,20 @@
 """Golden sha256 digests of the simulator's and the scorer's outputs.
 
 A refactor of the engine, the scorers or the report that keeps behaviour
-keeps every digest, and an upgrade of numpy that shifts the ``Generator``
-streams the simulator draws from fails here instead of silently changing
-the logs.  A change to the default config's fields moves only the digests
-over bytes that carry its hash (log headers, reports, manifests, the saved
-config); those are re-recorded once it is shown that nothing else moved.  Covers the
-three profile presets at seeds 1-3 under the default config, the
-telemetry of every 20th prefix of those logs, the telemetry and warnings of
-every prefix, the scorecards of those logs with one note left open until
-its scene exits, the bytes that the ``simulate --cohort`` command prints
-and writes, the scores and t statistics that the ``vrnq score`` and
+keeps every digest.  The digests over the scorers, the report, telemetry
+and the CLI's ``score`` command read the nine golden sessions checked in
+under ``tests/fixtures`` (see ``golden_logs``), whose own digests are pinned
+here, so only the digests of the simulator's own output move when its
+draws do.  The simulator draws from ``random.Random.random()`` alone, whose
+sequence for a seed Python keeps across versions, so its digests hold on
+every interpreter.  A change to the default config's fields moves only the
+digests over bytes that carry its hash (log headers, reports, manifests,
+the saved config); those are re-recorded once it is shown that nothing else
+moved.  Covers the three profile presets at seeds 1-3 under the default
+config, the telemetry of every 20th prefix of those logs, the telemetry and
+warnings of every prefix, the scorecards of those logs with one note left
+open until its scene exits, the bytes that the ``simulate --cohort`` command
+prints and writes, the scores and t statistics that the ``vrnq score`` and
 ``vrnq compare`` commands print for one fixed pair of cohorts, the
 indented JSON that the CLI prints and writes as manifests, configs and
 profiles, the ``vrnq compare`` table and CSV with their last-bit fields
@@ -51,44 +55,70 @@ from errandlab.simulate import (
     simulate_session,
 )
 from errandlab.vrnq import CSV_COLUMNS, DEFAULT_DOMAIN_MAPPING
+from golden_logs import GOLDEN_SESSIONS, golden_bytes, golden_log
 
-# (preset, seed) -> sha256 of (serialize_log, export_report, the sorted-key
-# JSON of scorecard_to_dict).
+# (preset, seed) -> sha256 of the golden session's fixture file.
+_GOLDEN_FIXTURES = {
+    ("default", 1): "c810eb3948d190f3e4f8dc97fe1264af0c756aa10631f5d8fb7cc09c6f20a1da",
+    ("default", 2): "98245b61aa5e63a3a20db0b5485c4f907977457a9865151ad0d6d04d96454e17",
+    ("default", 3): "4186dd8adc3588343d249d5be7382c2aeba1417f8335a00b796a0573b01d910f",
+    ("perfect", 1): "998e956361d990cb3052cea34cc9d8126f457cf661c691d4871f92a866393887",
+    ("perfect", 2): "53b6aefb29e3a3dd98c8022844416c3d54f0309c37500cbb6ff383cebdfc33fc",
+    ("perfect", 3): "c0aadd47e3aa979e8dca1248137b12eb963cc0024f4473f744f06c7df46373ad",
+    ("null", 1): "c4f57c91299e524664ba65f3c4df920b22cdd9e3d6f43c72fe231d39a3523deb",
+    ("null", 2): "72352199b15d12d77072178943ee4efd6f7cd119b8b3f63829aedcd62f344874",
+    ("null", 3): "4f04d9bc924bf6b953162f46e50d2c2e96fb2bea7064a00fe0e9c8c293033ce3",
+}
+assert sorted(_GOLDEN_FIXTURES) == sorted(GOLDEN_SESSIONS)
+
+
+@pytest.mark.parametrize("preset, seed", sorted(_GOLDEN_FIXTURES))
+def test_fixtures_match_golden_digests(preset, seed):
+    data = golden_bytes(preset, seed)
+    assert _sha256(data) == _GOLDEN_FIXTURES[(preset, seed)]
+    log = golden_log(preset, seed)
+    assert serialize_log(log) == data
+    assert log.seed == seed and log.config_hash == config_hash(default_config())
+
+
+# (preset, seed) -> sha256 of (serialize_log of the simulated session, then
+# export_report and the sorted-key JSON of scorecard_to_dict of the golden
+# fixture log).
 _GOLDEN = {
     ("default", 1): (
-        "c810eb3948d190f3e4f8dc97fe1264af0c756aa10631f5d8fb7cc09c6f20a1da",
+        "fb44703c2a4a8c6bf115fd8bfb53810a7029dc5f99759c127597322674ed635d",
         "a2c33281c5c40de7cb87aaf489038d2b40349a3a1dccb39bfd3a9eed036e9171",
         "2aaeddfb060bfedb92a5b7ee9da4c89fd7cfa177d697ccca87fe1f742b1114e9"),
     ("default", 2): (
-        "98245b61aa5e63a3a20db0b5485c4f907977457a9865151ad0d6d04d96454e17",
+        "4293bdf2ccc6e1f2b0d0a3030cf9e89c54c97e10ea51defcd50cfd213528bd60",
         "fe4daba309c81831757f59d5aa4ac6ccccb3058fcd377c7b3df2dac7d6dcf2c3",
         "648274bbbd85869fe78b8356b75f920be260e8aed4d84d3f23d763c48dc7af4d"),
     ("default", 3): (
-        "4186dd8adc3588343d249d5be7382c2aeba1417f8335a00b796a0573b01d910f",
+        "08c632835461f07713547650a83075898bf7f25a9579cb306d3b4d8a31713136",
         "805e74d19bcdb88393594770fa192c3cb514e0e3c156f9076a6973a535ec123b",
         "7b53e86ebce33c632b8e03b693ac56ca8c6c87fbff0fca71c77fa3351226495c"),
     ("perfect", 1): (
-        "998e956361d990cb3052cea34cc9d8126f457cf661c691d4871f92a866393887",
+        "389627bacb166fca9daefd9f5f0e736f4726b3c30962a1d5c0a03091764a50fe",
         "d8c40089f270940e414239ccd8075f340a8e71a783494d23dd393505baacbedd",
         "abf39204dba9fd8332643a2d1991bcfce7553ae6f280842ce06241e5c29bffc1"),
     ("perfect", 2): (
-        "53b6aefb29e3a3dd98c8022844416c3d54f0309c37500cbb6ff383cebdfc33fc",
+        "9967acb0277c2a2e61d5ff05d0c15584f6004fa7e734286e8fa23fc1a2f27a35",
         "0d323df0213516a8044d873fed245dbba4b7956a8a6149dadbd205fae288dcbe",
         "abf39204dba9fd8332643a2d1991bcfce7553ae6f280842ce06241e5c29bffc1"),
     ("perfect", 3): (
-        "c0aadd47e3aa979e8dca1248137b12eb963cc0024f4473f744f06c7df46373ad",
+        "c148f10bc0c3f0101ed4027d5d14d7a1b600be17164ea3b61b55da67c6dcd900",
         "0a8a75634da15b739ef585021bf6723e6d432aca7febe316b7ef64e53438a3c9",
         "abf39204dba9fd8332643a2d1991bcfce7553ae6f280842ce06241e5c29bffc1"),
     ("null", 1): (
-        "c4f57c91299e524664ba65f3c4df920b22cdd9e3d6f43c72fe231d39a3523deb",
+        "97dbb67b0bfce92186564a21e02c5f04b65a066b719b2b34e86d6d981eba4c34",
         "e13649ba6c6c8b5a7dc14a16025ff7bfd5c203871a78aac92c8efdaa5357b185",
         "e91639c4f94ddbcb748cf5b974aa9b6ed16a7b4096cd695c56162f51130e065b"),
     ("null", 2): (
-        "72352199b15d12d77072178943ee4efd6f7cd119b8b3f63829aedcd62f344874",
+        "5a3d273df8b6298afdec403d1ab971034a957f05702e450c7aa2e50ecba10bfc",
         "496c375f009fa8ecd4d3c1937658e610a92d1df03bb7437792c2c051b4303dcf",
         "e91639c4f94ddbcb748cf5b974aa9b6ed16a7b4096cd695c56162f51130e065b"),
     ("null", 3): (
-        "4f04d9bc924bf6b953162f46e50d2c2e96fb2bea7064a00fe0e9c8c293033ce3",
+        "45bdb41899d0c6bf22b63185768add08676b79be7d7f324e0a20309fae1be767",
         "78b91b7074827b5c1091610a403a7855b7cf35243e6521c82f15bcb5f2da091c",
         "e91639c4f94ddbcb748cf5b974aa9b6ed16a7b4096cd695c56162f51130e065b"),
 }
@@ -101,21 +131,22 @@ def _sha256(data: bytes) -> str:
 @pytest.mark.parametrize("preset, seed", sorted(_GOLDEN))
 def test_outputs_match_golden_digests(preset, seed):
     config = default_config()
-    log = simulate_session(PROFILE_PRESETS[preset](), seed, config)
+    simulated = simulate_session(PROFILE_PRESETS[preset](), seed, config)
+    log = golden_log(preset, seed)
     card = aggregate_scorecard(log, config)
     report = export_report(card, config, seed, config_hash(config))
     scorecard_json = json.dumps(scorecard_to_dict(card), sort_keys=True)
-    assert (_sha256(serialize_log(log)),
+    assert (_sha256(serialize_log(simulated)),
             _sha256(report.encode("utf-8")),
             _sha256(scorecard_json.encode("utf-8"))) == _GOLDEN[(preset, seed)]
 
 
 # seed -> sha256 of serialize_log for the default preset, at seeds past one
 # 32-bit word and below zero: the simulator masks a seed to 64 bits and draws
-# each scene from default_rng([masked seed, scene id]).
+# each scene from random.Random(masked seed * 32 + scene id).
 _GOLDEN_WIDE_SEEDS = {
-    2**40 + 17: "4ce46ae417857ba9315bb4acfacd16f64fd2940402d59e5b199be3cd1ce4c583",
-    -1: "4d1f2c8c2f6992f9221e68a7e620f8dee8c67321232e9f8ffa1334d32044e877",
+    2**40 + 17: "79811bb3ab4daefb61f5462a6f4b9d102b9328006bd1f7719cfddafbbdc76fa0",
+    -1: "00856afecaa6c4e44276e7b80a39bcf9993f361cd44652c57b1d9286db6d1abb",
 }
 
 
@@ -144,7 +175,7 @@ def test_config_hash_is_the_hash_of_config_to_dict(overrides):
 
 
 # (preset, seed) -> sha256 over the prefixes events[:0], events[:20], ... of
-# the simulated log: one line per prefix holding the sorted-key JSON of
+# the golden fixture log: one line per prefix holding the sorted-key JSON of
 # derive_telemetry, with the int scene keys stringified first so that the
 # keys sort as strings.
 _GOLDEN_PREFIX_TELEMETRY = {
@@ -170,7 +201,7 @@ def _stringify_keys(value):
 
 @pytest.mark.parametrize("preset, seed", sorted(_GOLDEN_PREFIX_TELEMETRY))
 def test_prefix_telemetry_matches_golden_digests(preset, seed):
-    log = simulate_session(PROFILE_PRESETS[preset](), seed, default_config())
+    log = golden_log(preset, seed)
     digest = hashlib.sha256()
     for end in range(0, len(log.events) + 1, 20):
         telemetry = derive_telemetry(SessionLog(
@@ -185,9 +216,9 @@ def test_prefix_telemetry_matches_golden_digests(preset, seed):
 # json --out out` run from an empty directory, then over every file the run
 # wrote: its path relative to that directory, a NUL, its bytes, in path order.
 _GOLDEN_CLI = {
-    "default": "fb326b316221972699623bc83f0701368442c47f8b3d474cd288aed76ff13876",
-    "perfect": "0784bbd802c13aad14dd3b6ba35221919161859220654efb19c1c2e79ec2adf2",
-    "null": "0a042940e11e1d5980c33004c750801ad5f4227590161c052a751eed028737a5",
+    "default": "151602219f4ecc777c9ed355160188be59f3974558a37f6f2265493f9b05cf8f",
+    "perfect": "b610a1594f6698f39794aa402f6bc855b20acef33c7a6f2c1600c5a0f60cb59f",
+    "null": "edf1429b6d179e8228454724fb091f74e731ca94ca57912c81c1e9716ec8f7d3",
 }
 
 
@@ -225,7 +256,7 @@ def _every_prefix_digest(log, caplog):
     return digest.hexdigest(), warnings
 
 
-# (preset, seed) -> (sha256 over every prefix of the simulated log, the
+# (preset, seed) -> (sha256 over every prefix of the golden fixture log, the
 # number of dangling-note warnings those prefixes log).  A prefix that ends
 # while the notes are open closes them at its last event and warns so.
 _GOLDEN_EVERY_PREFIX_TELEMETRY = {
@@ -253,13 +284,13 @@ _GOLDEN_EVERY_PREFIX_TELEMETRY = {
 @pytest.mark.parametrize("preset, seed", sorted(_GOLDEN_EVERY_PREFIX_TELEMETRY))
 def test_every_prefix_telemetry_matches_golden_digests(preset, seed, caplog):
     caplog.set_level(logging.WARNING, logger="errandlab.sessionlog")
-    log = simulate_session(PROFILE_PRESETS[preset](), seed, default_config())
+    log = golden_log(preset, seed)
     assert (_every_prefix_digest(log, caplog)
             == _GOLDEN_EVERY_PREFIX_TELEMETRY[(preset, seed)])
 
 
 # (preset, seed) -> (sha256, warnings, variants).  Each variant is the
-# simulated log with one NoteClosed event dropped, so that the notes stay
+# golden fixture log with one NoteClosed event dropped, so that the notes stay
 # open until the scene exits; the digest runs over the sorted-key JSON of
 # each variant's scorecard_to_dict, then its warning lines.  The null
 # profile never opens the notes, so it has no variants.
@@ -285,7 +316,7 @@ _DANGLING_WARNING = re.compile(
 def test_dangling_note_scorecards_match_golden_digests(preset, seed, caplog):
     caplog.set_level(logging.WARNING, logger="errandlab.sessionlog")
     config = default_config()
-    log = simulate_session(PROFILE_PRESETS[preset](), seed, config)
+    log = golden_log(preset, seed)
     digest = hashlib.sha256()
     warnings = []
     closes = [i for i, event in enumerate(log.events)
@@ -354,7 +385,7 @@ def test_vrnq_commands_match_golden_digest(tmp_path, monkeypatch, capsys):
 
 
 # sha256 over the indented JSON the CLI writes, run from an empty directory:
-# the stdout of `score --format json` on the seed 1-3 default logs, then the
+# the stdout of `score --format json` on the seed 1-3 default fixture logs, then the
 # manifest.json of `simulate --out`, `score --out` (with a saved config) and
 # `vrnq score --out`, then the files save_config and save_profile write for
 # the defaults.  `vrnq compare` is left out: its bf10 may differ in the last
@@ -368,8 +399,7 @@ def test_cli_json_matches_golden_digest(tmp_path, monkeypatch, capsys):
     digest = hashlib.sha256()
     for seed in (1, 2, 3):
         name = f"default_{seed}.ndjson"
-        (tmp_path / name).write_bytes(
-            serialize_log(simulate_session(default_profile(), seed, config)))
+        (tmp_path / name).write_bytes(golden_bytes("default", seed))
         assert main(["score", "--log", name, "--format", "json"]) == 0
         digest.update(capsys.readouterr().out.encode("utf-8"))
     save_config(config, "config.json")
@@ -387,21 +417,19 @@ def test_cli_json_matches_golden_digest(tmp_path, monkeypatch, capsys):
 
 
 # sha256 over the text the CLI prints, run from an empty directory: `score`
-# on the seed 1-3 default logs, `simulate --cohort 2 --out simulate`, and
+# on the seed 1-3 default fixture logs, `simulate --cohort 2 --out simulate`, and
 # `vrnq score` on each cohort of _vrnq_cohort_csvs under both tiers.  The
 # `vrnq compare` table is left out for the reason given above.
-_GOLDEN_CLI_TEXT = "889f17569c5e82d4d16e7e3a982ee78f1398632529f28f2b032f84f525d1c363"
+_GOLDEN_CLI_TEXT = "0aaf62c680573fce5e5931d1eeb3c03b2eec9c3bad94f20cdecbdc05813bb9a0"
 
 
 def test_cli_text_matches_golden_digest(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    config = default_config()
     digest = hashlib.sha256()
     argvs = [["simulate", "--seed", "4", "--cohort", "2", "--out", "simulate"]]
     for seed in (1, 2, 3):
         name = f"default_{seed}.ndjson"
-        (tmp_path / name).write_bytes(
-            serialize_log(simulate_session(default_profile(), seed, config)))
+        (tmp_path / name).write_bytes(golden_bytes("default", seed))
         argvs.append(["score", "--log", name])
     _vrnq_cohort_csvs(tmp_path)
     argvs += [["vrnq", "score", "--responses", name, "--tier", tier]
@@ -416,7 +444,7 @@ def test_cli_text_matches_golden_digest(tmp_path, monkeypatch, capsys):
 # sha256 over the stdout of `simulate --seed 4 --cohort 2 --format json --out
 # simulate`, run from an empty directory: the sessions' summaries with their
 # scorecards, and the manifest.
-_GOLDEN_SIMULATE_JSON = "5ea1610f9ede98ca3854e81a1d60b5fd107a3f9a1b068f37af819f79346c2975"
+_GOLDEN_SIMULATE_JSON = "f8d59a124dc37b8bf4b4387a43166ca9831fb16c96d03400aa35338327bbfab8"
 
 
 def test_simulate_json_stdout_matches_golden_digest(tmp_path, monkeypatch, capsys):

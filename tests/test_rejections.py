@@ -1,7 +1,7 @@
 """Golden digest of how the parser and the engine reject corrupted logs.
 
 Each of the nine golden sessions (three profile presets at seeds 1-3 under
-the default config) is serialized and then corrupted in many fixed ways:
+the default config, read from ``tests/fixtures``) is corrupted in many fixed ways:
 broken JSON, wrong record shapes, retyped fields, bad payloads, ordering
 regressions, and dropped, repeated, swapped, relabelled or moved events.
 Every corrupted log goes through ``deserialize_log`` and
@@ -30,8 +30,8 @@ import pytest
 from errandlab import scenario
 from errandlab.config import default_config
 from errandlab.scoring import aggregate_scorecard
-from errandlab.sessionlog import deserialize_log, serialize_log
-from errandlab.simulate import PROFILE_PRESETS, simulate_session
+from errandlab.sessionlog import deserialize_log
+from golden_logs import golden_bytes
 
 _FIELDS = ("seq", "sim_time_ms", "scene", "kind", "payload")
 _INT_FIELDS = ("seq", "sim_time_ms", "scene")
@@ -210,7 +210,7 @@ def _outcome(data: bytes, config) -> str:
 def _outcomes(preset: str, seed: int, share: int) -> Iterator[str]:
     """One line per corruption of a golden session: name, class, message."""
     config = default_config()
-    data = serialize_log(simulate_session(PROFILE_PRESETS[preset](), seed, config))
+    data = golden_bytes(preset, seed)
     header, *lines = data.decode("utf-8").split("\n")[:-1]
     whole = {"empty": b"", "truncated": data[:-1], "not_utf8": data + b"\xff\n"}
     for name, corrupted in whole.items():

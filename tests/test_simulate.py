@@ -3,8 +3,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import random
+import statistics
 
-import numpy as np
 import pytest
 
 from errandlab import simulate
@@ -56,30 +57,62 @@ class TestDeterminism:
 
 
 class TestSceneStreams:
-    """Each scene draws from the stream ``default_rng([seed mod 2**64, scene id])``
-    gives, built on the scene's first draw."""
+    """Each scene draws from ``random.Random((seed mod 2**64) * 32 + scene id)``,
+    built on the scene's first draw."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 17, 2**64 - 1,
                                       2**64, -1, -2**40])
-    def test_each_drawing_scene_gets_its_default_rng_stream(self, monkeypatch, seed):
+    def test_each_drawing_scene_gets_its_random_stream(self, monkeypatch, seed):
         built = []
-        original = np.random.default_rng
 
-        def recording(entropy):
-            rng = original(entropy)
-            built.append((entropy[1], rng.bit_generator.state))
-            return rng
+        class Recording(random.Random):
+            def __init__(self, x):
+                built.append(x)
+                super().__init__(x)
 
-        monkeypatch.setattr(np.random, "default_rng", recording)
+        monkeypatch.setattr(simulate, "Random", Recording)
         simulate_session(default_profile(), seed)
         monkeypatch.undo()
         # a plain tutorial never draws, so it builds no stream
         plain = {scene_id for scene_id, model in simulate._SCENE_MODELS.items()
                  if model is simulate._plain_tutorial}
-        assert [scene_id for scene_id, _ in built] == sorted(SCENES_BY_ID.keys() - plain)
-        for scene_id, state in built:
-            expected = np.random.default_rng([seed & (2**64 - 1), scene_id])
-            assert state == expected.bit_generator.state
+        drawing = sorted(SCENES_BY_ID.keys() - plain)
+        assert built == [(seed & (2**64 - 1)) * 32 + scene_id for scene_id in drawing]
+
+
+class TestDraws:
+    """Every draw is built from ``Random.random()`` alone."""
+
+    def test_normal_has_mean_0_sd_1_and_stays_below_6(self):
+        rng = random.Random(7)
+        zs = [simulate._normal(rng) for _ in range(20_000)]
+        assert abs(statistics.fmean(zs)) < 0.03
+        assert abs(statistics.pstdev(zs) - 1.0) < 0.03
+
+        class Widest(random.Random):
+            def random(self):
+                return 1.0 - 2**-53  # the largest value random() returns
+
+        z = simulate._normal(Widest())
+        assert z < simulate._MAX_NORMAL_Z
+        assert math.isfinite(max(simulate._COOKING_MIDPOINT_S.values())
+                             + simulate._MAX_COOKING_SD_S * z)
+
+    def test_shuffled_is_a_seeded_permutation_and_its_prefix(self):
+        items = list(range(23))
+        full = simulate._shuffled(random.Random(3), items)
+        assert sorted(full) == items and full != items
+        assert simulate._shuffled(random.Random(3), items, 15) == full[:15]
+        assert simulate._shuffled(random.Random(3), []) == []
+
+    def test_poisson_has_its_mean_and_stops_at_the_cap(self):
+        rng = random.Random(11)
+        draws = [simulate._poisson(rng, 2, 23) for _ in range(20_000)]
+        assert abs(statistics.fmean(draws) - 2.0) < 0.05
+        assert abs(statistics.pvariance(draws) - 2.0) < 0.1
+        assert simulate._poisson(rng, 0, 23) == 0
+        for mean in (10**6, 10**400):
+            assert simulate._poisson(rng, mean, 23) == 23
 
 
 class TestProtocolValidity:
@@ -332,19 +365,17 @@ class TestProfiles:
             dataclasses.replace(typical, planning_extra_units=-1)
 
     def test_largest_spread_and_extra_units_simulate(self, typical, config):
-        # each bound is the largest value the simulator's draws can take
+        # the spread's bound keeps every cook time finite (|z| < 6); the
+        # extra units have none, as the route draw is capped
         sd = simulate._MAX_COOKING_SD_S
-        units = int(simulate._POISSON_LAM_MAX) + 512  # numpy rounds it down
-        widest = dataclasses.replace(typical, cooking_timing_sd_s=sd,
-                                     planning_extra_units=units)
-        for seed in range(1, 4):
-            log = simulate_session(widest, seed=seed, config=config)
-            assert replay(log.events)[0].completed
+        for units in (10**21, 10**400):
+            widest = dataclasses.replace(typical, cooking_timing_sd_s=sd,
+                                         planning_extra_units=units)
+            for seed in range(1, 4):
+                log = simulate_session(widest, seed=seed, config=config)
+                assert replay(log.events)[0].completed
         with pytest.raises(ValueError, match="^cooking_timing_sd_s must be at most"):
             dataclasses.replace(typical, cooking_timing_sd_s=math.nextafter(sd, math.inf))
-        for too_many in (units + 1, 10**21, 10**400):
-            with pytest.raises(ValueError, match="^planning_extra_units must be at most"):
-                dataclasses.replace(typical, planning_extra_units=too_many)
 
     def test_presets_are_valid_and_distinct(self):
         profiles = {name: factory() for name, factory in PROFILE_PRESETS.items()}
