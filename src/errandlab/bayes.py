@@ -718,18 +718,22 @@ _BF10_EDGES = (3.0, 10.0, 30.0, 100.0)
 _BANDS_ABOVE_ONE = tuple(EvidenceBand)[1:]  # one per interval of the edges
 
 
-def classify_evidence(bf10: float) -> EvidenceBand:
-    """Band a BF10 value: <=1 none, then (1,3), [3,10), [10,30), [30,100), >=100."""
+def _checked_bf10(bf10: float) -> float:
     if not math.isfinite(bf10) or bf10 <= 0:
         raise ValueError("bf10 must be a positive finite number")
-    if bf10 <= 1.0:
+    return bf10
+
+
+def classify_evidence(bf10: float) -> EvidenceBand:
+    """Band a BF10 value: <=1 none, then (1,3), [3,10), [10,30), [30,100), >=100."""
+    if _checked_bf10(bf10) <= 1.0:
         return EvidenceBand.NONE
     return _BANDS_ABOVE_ONE[bisect_right(_BF10_EDGES, bf10)]
 
 
 def evidence_stars(bf10: float) -> str:
     """Footnote stars, strict thresholds: * >10, ** >30, *** >100."""
-    return "*" * bisect_left(_BF10_EDGES[1:], bf10)
+    return "*" * bisect_left(_BF10_EDGES[1:], _checked_bf10(bf10))
 
 
 # ---------------------------------------------------------------------------

@@ -184,12 +184,10 @@ def _cmd_score(args: argparse.Namespace) -> int:
 # vrnq
 
 
-def _load_domains_arg(path: Optional[str]) -> Optional[DomainMapping]:
-    if not path:
-        return None
-    from .vrnq import DomainMapping
+def _load_domains_arg(path: Optional[str]) -> DomainMapping:
+    from .vrnq import _DEFAULT_MAPPING, DomainMapping
 
-    return read_json(path, DomainMapping)
+    return read_json(path, DomainMapping) if path else _DEFAULT_MAPPING
 
 
 def _cmd_vrnq_score(args: argparse.Namespace) -> int:
@@ -260,21 +258,15 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
         columns, direction=direction, prior_scale=args.prior_scale)
     rows: list[dict[str, Any]] = []
     for name, cmp_result in comparisons.items():
-        if cmp_result is not None:
-            rows.append({
-                "score": name, "n": cmp_result.n, "t": cmp_result.t,
-                "df": cmp_result.df, "p": cmp_result.p,
-                "bf10": cmp_result.bf10, "band": cmp_result.band.value,
-                "stars": cmp_result.stars, "degenerate": False,
-                "bf10_rel_err": cmp_result.bf10_rel_err,
-            })
-        else:
-            col_a = columns[name][0]
-            rows.append({
-                "score": name, "n": len(col_a), "t": None, "df": len(col_a) - 1,
-                "p": None, "bf10": None, "band": None, "stars": "",
-                "degenerate": True, "bf10_rel_err": None,
-            })
+        n = len(columns[name][0])
+        row = {"score": name, "n": n, "t": None, "df": n - 1, "p": None, "bf10": None,
+               "band": None, "stars": "", "degenerate": cmp_result is None,
+               "bf10_rel_err": None}
+        if cmp_result is not None:  # a column whose differences vary
+            row.update(t=cmp_result.t, p=cmp_result.p, bf10=cmp_result.bf10,
+                       band=cmp_result.band.value, stars=cmp_result.stars,
+                       bf10_rel_err=cmp_result.bf10_rel_err)
+        rows.append(row)
 
     hypothesis = {"less": "baseline < revised", "greater": "baseline > revised",
                   "two-sided": "baseline != revised"}[args.direction]

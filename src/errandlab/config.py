@@ -145,6 +145,10 @@ class ScoringConfig:
 
     def validate(self) -> None:
         # Types first, so that no comparison below meets a mistyped value.
+        for name in _TUPLE_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, tuple) or not all(isinstance(v, str) for v in value):
+                raise ConfigError(f"{name} must be a list of strings")
         for name in ("normative_route_mean_s", "normative_route_sd_s",
                      "session_target_s"):
             value = getattr(self, name)
@@ -169,6 +173,9 @@ class ScoringConfig:
                    + self.recognition_quantitative + self.recognition_false)
         if len(set(catalog)) != len(catalog):
             raise ConfigError("recognition catalog items must be unique")
+        # a repeated distractor only counts one more error grab
+        if len(set(self.collection_targets)) != len(self.collection_targets):
+            raise ConfigError("collection targets must be unique")
         if set(self.collection_targets) & set(self.collection_distractors):
             raise ConfigError("collection targets and distractors overlap")
         if self.normative_route_sd_s <= 0:
@@ -242,8 +249,8 @@ def default_config() -> ScoringConfig:
     return ScoringConfig()  # the built-in defaults, which the test suite validates
 
 
-_TUPLE_FIELDS = {f.name for f in dataclasses.fields(ScoringConfig)
-                 if isinstance(f.default, tuple)}
+_TUPLE_FIELDS = tuple(f.name for f in dataclasses.fields(ScoringConfig)
+                      if isinstance(f.default, tuple))
 
 
 def config_from_dict(data: Mapping[str, Any]) -> ScoringConfig:
@@ -254,16 +261,10 @@ def config_from_dict(data: Mapping[str, Any]) -> ScoringConfig:
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {_quoted(sorted(unknown))}")
-    kwargs: dict[str, Any] = {}
-    for key, value in data.items():
-        if key in _TUPLE_FIELDS:
-            if not isinstance(value, (list, tuple)) or not all(
-                    isinstance(v, str) for v in value):
-                raise ConfigError(f"{key} must be a list of strings")
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
-    config = ScoringConfig(**kwargs)  # every key is a field: no TypeError
+    # JSON has no tuples: a list field's array becomes one, which validate() checks
+    config = ScoringConfig(**{  # every key is a field: no TypeError
+        key: tuple(value) if key in _TUPLE_FIELDS and isinstance(value, list) else value
+        for key, value in data.items()})
     config.validate()
     return config
 

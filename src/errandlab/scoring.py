@@ -16,7 +16,8 @@ The scorers' inputs come from engine-accepted logs, so they read the payloads
 as the engine validated them, trust what it established (known names, no
 repeats, prompts in order) and check only what depends on the config, which
 the engine never sees: the recognition catalog, the collection targets and
-the stimuli per side.
+the stimuli per side.  A log that fails one of these raises
+:class:`~errandlab.sessionlog.MalformedLog`, as an engine rejection does.
 
 Scoring summary:
 
@@ -73,12 +74,8 @@ from .sessionlog import (
 )
 
 
-class ScoringError(Exception):
-    """Base class for scoring-input problems."""
-
-
-class UnknownItem(ScoringError):
-    """A selection names an item outside the configured catalog."""
+def _invalid(reason: str) -> MalformedLog:
+    return MalformedLog(f"log content failed scoring validation: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +97,7 @@ def _score_recognition(selected: Iterable[str], config: ScoringConfig) -> Recogn
     2 points per intended item, 1 per related (qualitative or quantitative)
     variant, 0 per absent item.  The engine admits at most ten distinct
     items, which keeps the result inside [0, 20]; an item outside the
-    configured catalog raises :class:`UnknownItem`.
+    configured catalog raises :class:`MalformedLog`.
     """
     targets = set(config.recognition_targets)
     qualitative = set(config.recognition_qualitative)
@@ -117,7 +114,7 @@ def _score_recognition(selected: Iterable[str], config: ScoringConfig) -> Recogn
         elif item in false_items:
             n_false += 1
         else:
-            raise UnknownItem(f"item {item!r} is not in the recognition catalog")
+            raise _invalid(f"item {item!r} is not in the recognition catalog")
     points = 2 * n_target + (n_qual + n_quant)
     return RecognitionScore(points=points, targets=n_target, qualitative=n_qual,
                             quantitative=n_quant, false_items=n_false)
@@ -276,7 +273,7 @@ def _score_collection(grabs: Sequence[str], config: ScoringConfig) -> Collection
     for item in grabs:
         if item in targets:
             if item in collected:
-                raise ScoringError(f"target {item!r} grabbed twice")
+                raise _invalid(f"target {item!r} grabbed twice")
             collected.add(item)
         else:
             errors += 1
@@ -311,7 +308,7 @@ def _count_responses(responses: Iterable[Mapping[str, Any]], config: ScoringConf
         side, kind = response[side_field], response["stimulus_kind"]
         counts[side][kind] += 1
         if counts[side][kind] > capacity[kind]:
-            raise ScoringError(f"more {kind} responses on the {side} than stimuli exist")
+            raise _invalid(f"more {kind} responses on the {side} than stimuli exist")
     return counts
 
 
@@ -375,9 +372,9 @@ class TaskScorecard:
 def aggregate_scorecard(log: SessionLog, config: ScoringConfig) -> TaskScorecard:
     """Run a complete session log through the engine and score every task.
 
-    Raises :class:`MalformedLog` if the engine rejects any event and
-    :class:`IncompleteSession` if the log never reaches the scenario's
-    final button.
+    Raises :class:`MalformedLog` if the engine or a check of the config
+    rejects the log, and :class:`IncompleteSession` if the log never
+    reaches the scenario's final button.
     """
     try:
         final_state = _final_state(log.events)
@@ -394,7 +391,8 @@ def score_session(log: SessionLog, final_state: SessionState,
     (what :func:`~errandlab.scenario.replay` returns); the simulator holds it
     already, so a simulated session is scored without a second engine pass.
     Raises :class:`IncompleteSession` if that state never reached the
-    scenario's final button.
+    scenario's final button, and :class:`MalformedLog` if a check of the
+    config rejects the log.
     """
     if not final_state.completed:
         raise IncompleteSession("log ends before the scenario's final button")
@@ -405,18 +403,12 @@ def score_session(log: SessionLog, final_state: SessionState,
         scene_id, kind, *_ = TASKS[task]
         return [event.payload for event in groups.get((scene_id, kind), ())]
 
-    try:
-        immediate = _score_recognition(
-            [p["item"] for p in payloads("immediate_recognition")], config)
-        delayed = _score_recognition(
-            [p["item"] for p in payloads("delayed_recognition")], config)
-        collection = _score_collection(
-            [p["item"] for p in payloads("collection")], config)
-        visual_score = _score_visual_attention(payloads("visual_attention"), config)
-        auditory_score = _score_auditory_attention(
-            payloads("auditory_attention"), config)
-    except ScoringError as exc:
-        raise MalformedLog(f"log content failed scoring validation: {exc}") from exc
+    immediate = _score_recognition(
+        [p["item"] for p in payloads("immediate_recognition")], config)
+    delayed = _score_recognition([p["item"] for p in payloads("delayed_recognition")], config)
+    collection = _score_collection([p["item"] for p in payloads("collection")], config)
+    visual_score = _score_visual_attention(payloads("visual_attention"), config)
+    auditory_score = _score_auditory_attention(payloads("auditory_attention"), config)
     planning = _score_planning(final_state.route_selected,
                                telemetry.task_time_s.get("planning", 0.0), config)
     cooking, cooking_total = _score_cooking(

@@ -142,13 +142,12 @@ class DomainMapping(Mapping[str, tuple[int, ...]]):
 _DEFAULT_MAPPING = DomainMapping(DEFAULT_DOMAIN_MAPPING)
 
 
-def _score_sums(rows: Sequence[int], mapping: Optional[DomainMapping]) -> dict[str, int]:
+def _score_sums(rows: Sequence[int], mapping: DomainMapping) -> dict[str, int]:
     """``Total`` and then each domain in ``DOMAINS`` order, mapped to the sum
     of its item rows: ``rows[i]`` is item i + 1's row, one participant's
     rating or the packed row of a cohort (:func:`_score_columns`)."""
-    domains = _DEFAULT_MAPPING if mapping is None else mapping
     sums = {domain: sum([rows[item - 1] for item in items])
-            for domain, items in domains._items.items()}
+            for domain, items in mapping._items.items()}
     return {"Total": sum(sums.values()), **sums}
 
 
@@ -156,8 +155,8 @@ def score_vrnq(responses: VrnqResponseSet,
                domain_mapping: Optional[Mapping[str, Sequence[int]]] = None) -> VrnqScores:
     """Sum items into the domain sub-scores and the total; checks a passed
     mapping unless it is a :class:`DomainMapping`."""
-    mapping = domain_mapping
-    if mapping is not None and not isinstance(mapping, DomainMapping):
+    mapping = _DEFAULT_MAPPING if domain_mapping is None else domain_mapping
+    if not isinstance(mapping, DomainMapping):
         mapping = DomainMapping(mapping)
     subs = _score_sums(responses.items, mapping)
     total = subs.pop("Total")
@@ -174,8 +173,7 @@ _Cohort = tuple[list[str], bytes, Optional[Sequence[str]]]
 assert SCALE_MAX * ITEM_COUNT < 256
 
 
-def _score_columns(ratings: bytes, n: int,
-                   mapping: Optional[DomainMapping]) -> dict[str, bytes]:
+def _score_columns(ratings: bytes, n: int, mapping: DomainMapping) -> dict[str, bytes]:
     """The columns of ``Total`` and of each domain, as :func:`score_vrnq`
     sums them, for the n participants of a cohort's item-major ``ratings``:
     one byte per participant, in the ratings' order.  Each item row is read
@@ -186,7 +184,7 @@ def _score_columns(ratings: bytes, n: int,
             for label, packed in _score_sums(rows, mapping).items()}
 
 
-def _score_cohort(source: str | Path | io.TextIOBase, mapping: Optional[DomainMapping],
+def _score_cohort(source: str | Path | io.TextIOBase, mapping: DomainMapping,
                   ) -> tuple[list[tuple[Any, ...]], CohortAggregate]:
     """``vrnq score`` of a cohort CSV, with no per-participant object: each
     participant's (id, total, sub-score of each domain in ``DOMAINS``
@@ -197,7 +195,7 @@ def _score_cohort(source: str | Path | io.TextIOBase, mapping: Optional[DomainMa
 
 
 def _paired_columns(baseline: _Cohort, revised: _Cohort,
-                    mapping: Optional[DomainMapping]) -> dict[str, tuple[Any, Any]]:
+                    mapping: DomainMapping) -> dict[str, tuple[Any, Any]]:
     """Pair two cohorts as the reader returns them: the (baseline, revised)
     columns of :func:`_score_columns`, in id order, each a numpy integer
     array."""

@@ -867,10 +867,12 @@ class TestEvidenceBands:
     def test_star_fixtures(self, bf10, stars):
         assert evidence_stars(bf10) == stars
 
-    def test_invalid_bf(self):
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                classify_evidence(bad)
+    @pytest.mark.parametrize("label", [classify_evidence, evidence_stars])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_bf(self, label, bad):
+        # both labels accept the same inputs
+        with pytest.raises(ValueError, match="^bf10 must be a positive finite number$"):
+            label(bad)
 
     @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
     def test_every_positive_bf_lands_in_one_band(self, bf10):

@@ -42,6 +42,7 @@ from errandlab.simulate import PROFILE_PRESETS, default_profile, simulate_sessio
 from errandlab.vrnq import (CSV_COLUMNS, CUTOFFS, DOMAINS, DomainMapping, VrnqResponseSet,
                             aggregate_cohort, check_cutoffs, read_cohort_csv, score_vrnq,
                             write_cohort_csv)
+from golden_logs import golden_bytes
 
 
 def _cohort_csv(path, totals_by_id, base=None):
@@ -322,6 +323,62 @@ class TestScoreCommand:
         missing = tmp_path / "absent.ndjson"
         assert main(["score", "--log", str(missing)]) == 3
         assert str(missing) in capsys.readouterr().err
+
+
+def _first(records, scene, kind):
+    return next(i for i, r in enumerate(records) if (r["scene"], r["kind"]) == (scene, kind))
+
+
+def _unstocked_item(records):
+    records[_first(records, 3, "ItemSelected")]["payload"]["item"] = "not_stocked"
+
+
+def _target_grabbed_twice(records):
+    at = _first(records, 8, "ItemSelected")
+    records.insert(at + 1, records[at])
+
+
+def _extra_target_poster(records):
+    at = _first(records, 12, "PosterSpotted")
+    records.insert(at + 1, dict(records[at], payload={
+        **records[at]["payload"], "stimulus_id": "poster_99"}))
+
+
+# (edit of the perfect golden session at seed 1, the scorers' message): the
+# engine accepts each edit, and only the config shows it is wrong
+_SCORING_FAULTS = [
+    pytest.param(_unstocked_item, "item 'not_stocked' is not in the recognition catalog",
+                 id="scene-3-item-outside-catalog"),
+    pytest.param(_target_grabbed_twice, "target 'red_book' grabbed twice",
+                 id="scene-8-target-grabbed-twice"),
+    pytest.param(_extra_target_poster, "more target responses on the right than stimuli exist",
+                 id="scene-12-more-targets-than-the-side-shows"),
+]
+
+
+@pytest.mark.parametrize("edit, message", _SCORING_FAULTS)
+def test_a_scoring_fault_exits_4_with_one_error_line(tmp_path, capsys, edit, message):
+    header, *lines = golden_bytes("perfect", 1).decode("utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    edit(records)
+    log = tmp_path / "fault.ndjson"
+    log.write_text("\n".join([header, *(
+        json.dumps(dict(record, seq=seq), sort_keys=True, separators=(",", ":"))
+        for seq, record in enumerate(records))]) + "\n")
+    assert main(["score", "--log", str(log)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"error: log content failed scoring validation: {message}\n"
+    assert captured.out == ""
+
+
+def test_readme_simulate_example_prints_what_readme_shows(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--seed", "42", "--out", "runs/s42"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2
+    for line in printed:
+        assert f"\n{line}\n" in readme, line
 
 
 class TestVrnqScoreCommand:
@@ -1293,6 +1350,8 @@ _BAD_INPUT_FILES = [
                  id="domains-items-not-a-list"),
     pytest.param("--config", '{"normative_route_sd_s": 1e-320}', 2,
                  id="config-sd-overflows-time-z"),
+    pytest.param("--config", json.dumps({"collection_targets": ["red_book"] * 6}), 2,
+                 id="config-repeated-collection-target"),
     pytest.param("--config", '{"session_target_s": 1e308}', 2,
                  id="config-session-target-overflows-clock"),
     pytest.param("--profile", '{"latency_sd_ms": true}', 2, id="profile-bool-number"),

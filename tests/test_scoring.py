@@ -18,8 +18,6 @@ from hypothesis import given, strategies as st
 from errandlab.bayes import EvidenceBand, classify_evidence, evidence_stars
 from errandlab.scoring import (
     _COOKING_EDGES_CS,
-    ScoringError,
-    UnknownItem,
     _classify_cooking_time,
     _planning_time_modifier,
     _score_auditory_attention,
@@ -145,7 +143,7 @@ class TestRecognition:
         assert _score_recognition(config.recognition_false, config).points == 0
 
     def test_unknown_item(self, config):
-        with pytest.raises(UnknownItem, match="not_stocked"):
+        with pytest.raises(MalformedLog, match="not_stocked"):
             _score_recognition(["not_stocked"], config)
 
     def test_duplicate_item(self, logs, config):
@@ -431,7 +429,7 @@ class TestCollection:
         assert score.errors == 0
 
     def test_target_regrab_rejected(self, config):
-        with pytest.raises(ScoringError, match="twice"):
+        with pytest.raises(MalformedLog, match="twice"):
             _score_collection(["red_book", "red_book"], config)
 
     def test_repeated_distractor_counts_each_time(self, config):
@@ -479,7 +477,7 @@ class TestVisualAttention:
     def test_capacity_enforced(self, config):
         over = [_poster(f"t{i}", "target", "left")
                 for i in range(config.visual_targets_per_side + 1)]
-        with pytest.raises(ScoringError, match="more target"):
+        with pytest.raises(MalformedLog, match="more target"):
             _score_visual_attention(over, config)
 
     def test_duplicate_stimulus(self, logs, config):
@@ -522,7 +520,7 @@ class TestAuditoryAttention:
     def test_capacity_enforced(self, config):
         over = [_sound(f"s{i}", "low_pitch_distractor", "left", "left")
                 for i in range(config.auditory_low_distractors_per_side + 1)]
-        with pytest.raises(ScoringError, match="more low_pitch_distractor"):
+        with pytest.raises(MalformedLog, match="more low_pitch_distractor"):
             _score_auditory_attention(over, config)
 
     def test_duplicate_stimulus(self, logs, config):
@@ -548,6 +546,28 @@ def test_a_catalog_of_another_length_is_rejected(config, name, count):
     short = dataclasses.replace(config, **{name: getattr(config, name)[1:]})
     with pytest.raises(ConfigError, match=f"^{name} must list {count} items$"):
         short.validate()
+
+
+def test_a_repeated_collection_target_is_rejected(config):
+    # simulate would grab the repeat twice, and scoring rejects its own log
+    repeated = dataclasses.replace(config, collection_targets=("red_book",) * 6)
+    with pytest.raises(ConfigError, match="^collection targets must be unique$"):
+        repeated.validate()
+    # a repeated distractor only counts one more error grab
+    dataclasses.replace(config, collection_distractors=("magazine",) * 7).validate()
+
+
+@pytest.mark.parametrize("name", [
+    "recognition_targets", "recognition_qualitative", "recognition_quantitative",
+    "recognition_false", "collection_targets", "collection_distractors"])
+@pytest.mark.parametrize("make", [list, lambda names: tuple(range(len(names))),
+                                  lambda names: ",".join(names)],
+                         ids=["list", "tuple-of-int", "str"])
+def test_a_list_field_that_is_no_tuple_of_strings_is_rejected(config, name, make):
+    # validate() checks the field's type before any count or comparison
+    mistyped = dataclasses.replace(config, **{name: make(getattr(config, name))})
+    with pytest.raises(ConfigError, match=f"^{name} must be a list of strings$"):
+        mistyped.validate()
 
 
 # The report prints awarded points as "score/maximum": an award table with

@@ -22,6 +22,7 @@ from errandlab.vrnq import (
     ScoreStats,
     VrnqError,
     VrnqResponseSet,
+    _DEFAULT_MAPPING,
     _median,
     _paired_columns,
     aggregate_cohort,
@@ -236,8 +237,9 @@ def _paired_columns_per_participant(baseline, revised, mapping):
 
 
 _ITEM_ROWS = st.lists(st.integers(min_value=1, max_value=7), min_size=20, max_size=20)
-_MAPPINGS = st.none() | st.permutations(range(1, 21)).map(lambda order: DomainMapping(
-    {domain: order[5 * i:5 * i + 5] for i, domain in enumerate(DOMAINS)}))
+_MAPPINGS = st.just(_DEFAULT_MAPPING) | st.permutations(range(1, 21)).map(
+    lambda order: DomainMapping({domain: order[5 * i:5 * i + 5]
+                                 for i, domain in enumerate(DOMAINS)}))
 # ids that the reader keeps as they are: no padding to strip, no NUL
 _IDS = st.text(st.characters(codec="utf-8", exclude_characters="\x00"),
                min_size=1, max_size=3).filter(lambda pid: pid == pid.strip())
@@ -314,7 +316,8 @@ class TestPairedColumns:
     def test_pairing_faults(self, ids_a, ids_b, message):
         with pytest.raises(VrnqError) as excinfo:
             _paired_columns((ids_a, bytes([4]) * (20 * len(ids_a)), None),
-                            (ids_b, bytes([4]) * (20 * len(ids_b)), None), None)
+                            (ids_b, bytes([4]) * (20 * len(ids_b)), None),
+                            _DEFAULT_MAPPING)
         assert str(excinfo.value) == message
 
 
