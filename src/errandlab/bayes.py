@@ -271,33 +271,17 @@ def nct_logpdf(x: float, df: float, nc: float) -> float:
 # Paired t
 
 
-def _check_pairs(a: Sequence[float], b: Sequence[float],
-                 finite: Optional[bool] = None) -> None:
-    """Raise the ``ValueError`` of the first fault of the pairs of ``a`` and
-    ``b``; ``finite``, when given, is whether all their values are."""
-    if len(a) != len(b):
-        raise ValueError("paired samples must have equal lengths")
-    if len(a) < 2:
-        raise ValueError("paired samples need at least two pairs")
-    if finite is None:
-        finite = all(map(math.isfinite, a)) and all(map(math.isfinite, b))
-    if not finite:
-        raise ValueError("paired samples must be finite")
-
-
 @dataclass(frozen=True)
 class PairedSample:
-    """Two paired measurement tuples; differences are taken as b - a."""
+    """Two paired measurement tuples; differences are taken as b - a.  The
+    pairs are checked when made, as every comparison checks its columns
+    (:func:`_checked_differences`): a fault is a ``ValueError``."""
 
     a: tuple[float, ...]
     b: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_pairs(self.a, self.b)
-
-    @property
-    def differences(self) -> tuple[float, ...]:
-        return tuple(map(operator.sub, self.b, self.a))
+        _checked_differences({"": (self.a, self.b)})
 
 
 @dataclass(frozen=True)
@@ -806,17 +790,21 @@ def compare_paired_columns(
 
 def _checked_differences(
         columns: Mapping[str, tuple[Sequence[float], Sequence[float]]]) -> dict[str, list[float]]:
-    """b - a of each column, checked column by column as PairedSample checks
-    its tuples, so that the first fault raises its own ``ValueError``."""
+    """b - a of each column, checked column by column, so that the first
+    fault raises its own ``ValueError``: the one check of paired values."""
     differences = {}
     # a b - a that is not finite is looked into here, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for label, (a, b) in columns.items():
             a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-            _check_pairs(a, b, True)  # the lengths: b - a is finite only if a and b are
+            if len(a) != len(b):
+                raise ValueError("paired samples must have equal lengths")
+            if len(a) < 2:
+                raise ValueError("paired samples need at least two pairs")
             d = b - a
-            if not np.isfinite(d).all():
-                _check_pairs(a, b, bool(np.isfinite(a).all() and np.isfinite(b).all()))
+            if not np.isfinite(d).all():  # b - a is finite only if a and b are
+                if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                    raise ValueError("paired samples must be finite")
                 # finite pairs past double range: halving is exact short of
                 # the subnormals, and leaves t unchanged
                 d = b / 2 - a / 2

@@ -14,10 +14,10 @@ invocations produce identical manifests.
 A failed run prints one ``error:`` line (a usage error also prints usage).
 Exit codes: 0 success, 2 usage error, 3 I/O error (``error: <path>:
 <reason>``), else the ``exit_code`` of the error's family: 1 IntegrationFailure
-(a Bayes factor short of the required accuracy), 2 ConfigError (a bad
-``--config``, ``--profile`` or ``--domains`` file is named), 4 EngineError or
-LogError (a rejected or incomplete session log), 5 VrnqError (a malformed
-response CSV).
+(a Bayes factor could not be computed to the required accuracy, e.g. one
+beyond double range), 2 ConfigError (a bad ``--config``, ``--profile`` or
+``--domains`` file is named), 4 EngineError or LogError (a rejected or
+incomplete session log), 5 VrnqError (a malformed response CSV).
 """
 
 from __future__ import annotations

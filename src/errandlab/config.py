@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-from .jsonio import ConfigError, _json_text, _quoted, read_json
+from .jsonio import (_CANONICAL, ConfigError, _is_number, _json_text, _quoted, _record,
+                     read_json)
 from .scenario import (_MAX_CLOCK_MS, AUDITORY_STIMULUS_KINDS, LADDER_DEPTH,
                        SHOPPING_LIST_LENGTH, VISUAL_STIMULUS_KINDS, NpcChoice)
 
@@ -145,15 +146,14 @@ class ScoringConfig:
 
     def validate(self) -> None:
         # Types first, so that no comparison below meets a mistyped value.
-        for name in _TUPLE_FIELDS:
+        for name in (f.name for f in dataclasses.fields(self) if isinstance(f.default, tuple)):
             value = getattr(self, name)
             if not isinstance(value, tuple) or not all(isinstance(v, str) for v in value):
                 raise ConfigError(f"{name} must be a list of strings")
         for name in ("normative_route_mean_s", "normative_route_sd_s",
                      "session_target_s"):
             value = getattr(self, name)
-            if not ((type(value) is int or isinstance(value, float))
-                    and abs(value) <= sys.float_info.max):  # NaN fails too
+            if not (_is_number(value) and abs(value) <= sys.float_info.max):  # NaN fails too
                 raise ConfigError(f"{name} must be a finite number")
         for name in (*_PER_SIDE_FIELDS["visual"].values(),
                      *_PER_SIDE_FIELDS["auditory"].values()):
@@ -231,40 +231,25 @@ def config_to_dict(config: ScoringConfig) -> dict[str, Any]:
     return json.loads(json.dumps(raw, sort_keys=True))
 
 
-def _canonical_json(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(config: ScoringConfig) -> str:
-    """sha256 over the canonical JSON of the full effective config.
+    """sha256 over the canonical JSON of the full effective config, the
+    encoding the session log writes its lines in.
 
     The JSON is written straight from the fields, which gives the bytes of
     :func:`config_to_dict`'s JSON for a config that passes ``validate()``.
     """
     fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
-    return hashlib.sha256(_canonical_json(fields).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_CANONICAL.encode(fields).encode("utf-8")).hexdigest()
 
 
 def default_config() -> ScoringConfig:
     return ScoringConfig()  # the built-in defaults, which the test suite validates
 
 
-_TUPLE_FIELDS = tuple(f.name for f in dataclasses.fields(ScoringConfig)
-                      if isinstance(f.default, tuple))
-
-
 def config_from_dict(data: Mapping[str, Any]) -> ScoringConfig:
     """Build a config from a (possibly partial) JSON mapping over defaults."""
-    if not isinstance(data, Mapping):
-        raise ConfigError("config document must be a JSON object")
-    known = {f.name for f in dataclasses.fields(ScoringConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {_quoted(sorted(unknown))}")
-    # JSON has no tuples: a list field's array becomes one, which validate() checks
-    config = ScoringConfig(**{  # every key is a field: no TypeError
-        key: tuple(value) if key in _TUPLE_FIELDS and isinstance(value, list) else value
-        for key, value in data.items()})
+    # the reader makes each list field's array a tuple, which validate() checks
+    config = _record(ScoringConfig, data, "config", "keys")
     config.validate()
     return config
 

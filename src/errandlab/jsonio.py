@@ -1,13 +1,15 @@
-"""The base of errandlab's errors, :func:`read_json` (the one reader of JSON
-input files, which names the file in each :class:`ConfigError` it raises)
-and the indented JSON writer: every command uses them, and they import no
-other errandlab module, so no command loads the session engine for them."""
+"""The base of errandlab's errors and the JSON rules the commands share:
+:func:`read_json` (the one reader of JSON input files, which names the file
+in each :class:`ConfigError` it raises), the record reader of config and
+profile documents, the number test, the canonical JSON of session logs and
+config hashes, and the indented JSON writer.  They import no other errandlab
+module, so no command loads the session engine for them."""
 
 import json
 import math
 import os
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Mapping, TypeVar
 
 _T = TypeVar("_T")
 
@@ -38,6 +40,31 @@ def read_json(path: str | os.PathLike[str], build: Callable[[Any], _T]) -> _T:
         return build(document)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+# Sorted keys and no spaces: the session log's lines and the text config_hash
+# digests.  Its encode builds a new C encoder on every call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _is_number(value: Any) -> bool:
+    """An int or a float, and not a bool."""
+    return type(value) is int or isinstance(value, float)
+
+
+def _record(cls: type[_T], document: Any, kind: str, keys: str) -> _T:
+    """The dataclass ``cls`` from a JSON object over its defaults, an array
+    made a tuple in a field whose default is one (JSON has no tuples); a
+    ConfigError if ``document`` is no object or has a key that is no field."""
+    if not isinstance(document, Mapping):
+        raise ConfigError(f"{kind} document must be a JSON object")
+    fields = cls.__dataclass_fields__  # type: ignore[attr-defined]
+    unknown = set(document) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {kind} {keys}: {_quoted(sorted(unknown))}")
+    tuples = {name for name, f in fields.items() if isinstance(f.default, tuple)}
+    return cls(**{key: tuple(value) if key in tuples and isinstance(value, list) else value
+                  for key, value in document.items()})  # every key is a field: no TypeError
 
 
 _QUOTE_MAX = 60  # the most characters of a refused value that a fault quotes

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Optional
 
-from .jsonio import ErrandlabError
+from .jsonio import _CANONICAL, ErrandlabError
 from .scenario import (
     AUDITORY_STIMULUS_KINDS,
     COOKING_ITEMS,
@@ -131,19 +131,18 @@ def log_from_events(events: Iterable[SessionEvent], seed: Optional[int] = None,
     return SessionLog(seed=seed, config_hash=config_hash, events=tuple(collected))
 
 
-# The header and the kind names go through _dumps, whose encode builds a new
-# C encoder on every call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_dumps = _ENCODER.encode
+# The header and the kind names go through _dumps, the canonical encoding
+# that config_hash digests too (jsonio._CANONICAL).
+_dumps = _CANONICAL.encode
 # The canonical JSON of each kind's name, for the event envelope.
 _KIND_JSON = {kind: _dumps(kind.value) for kind in EventKind}
 # The payloads go through one C encoder with _dumps's options, built once; it
 # returns the JSON in chunks.  A payload holds scalars only, so it keeps no
 # circular-reference markers (None, as check_circular=False would).
 _encode_payload = json.encoder.c_make_encoder(  # type: ignore[attr-defined]
-    None, _ENCODER.default, json.encoder.encode_basestring_ascii,
-    _ENCODER.indent, _ENCODER.key_separator, _ENCODER.item_separator,
-    _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan)
+    None, _CANONICAL.default, json.encoder.encode_basestring_ascii,
+    _CANONICAL.indent, _CANONICAL.key_separator, _CANONICAL.item_separator,
+    _CANONICAL.sort_keys, _CANONICAL.skipkeys, _CANONICAL.allow_nan)
 
 
 def serialize_log(log: SessionLog) -> bytes:

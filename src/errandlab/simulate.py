@@ -31,7 +31,7 @@ from random import Random
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .config import ScoringConfig, _PER_SIDE_FIELDS, config_hash, default_config
-from .jsonio import ConfigError, _json_text, _quoted, read_json
+from .jsonio import ConfigError, _is_number, _json_text, _quoted, _record, read_json
 from .scenario import (
     COOKING_ITEMS,
     EVENT_SCENES,
@@ -157,11 +157,6 @@ class ParticipantProfile:
                 raise ValueError(f"{name} must be at most 2**53 ms")
 
 
-def _is_number(value: Any) -> bool:
-    """An int or a float, and not a bool."""
-    return type(value) is int or isinstance(value, float)
-
-
 def default_profile() -> ParticipantProfile:
     return ParticipantProfile()
 
@@ -202,16 +197,8 @@ def profile_to_dict(profile: ParticipantProfile) -> dict[str, Any]:
 
 
 def profile_from_dict(data: Mapping[str, Any]) -> ParticipantProfile:
-    if not isinstance(data, Mapping):
-        raise ValueError("profile document must be a JSON object")
-    known = {f.name for f in dataclasses.fields(ParticipantProfile)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown profile fields: {_quoted(sorted(unknown))}")
-    kwargs = dict(data)
-    if isinstance(kwargs.get("prompt_yield_probs"), list):
-        kwargs["prompt_yield_probs"] = tuple(kwargs["prompt_yield_probs"])
-    return ParticipantProfile(**kwargs)
+    """Build a profile from a (possibly partial) JSON mapping over defaults."""
+    return _record(ParticipantProfile, data, "profile", "fields")
 
 
 def load_profile(path: str) -> ParticipantProfile:

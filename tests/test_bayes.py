@@ -919,3 +919,31 @@ class TestComparePaired:
         plain = paired_t(PairedSample(base, diffs))
         scaled = paired_t(PairedSample(base, diffs * factor))
         assert scaled.t == pytest.approx(plain.t, rel=1e-9, abs=1e-12)
+
+
+# the three entry points that take paired columns, each given one (a, b)
+_PAIRED_ENTRIES = {
+    "PairedSample": PairedSample,
+    "compare_paired": compare_paired,
+    "compare_paired_columns": lambda a, b: compare_paired_columns({"c": (a, b)}),
+}
+
+
+class TestOnePairCheck:
+    """Every entry point that takes paired columns checks them alike; all
+    three accept finite pairs whose differences overflow
+    (TestPairedT.test_extreme_pairs_have_the_t_of_the_pairs_scaled)."""
+
+    @pytest.mark.parametrize("entry", _PAIRED_ENTRIES)
+    @pytest.mark.parametrize("a, b, message", [
+        pytest.param((1.0, 2.0), (1.0, 2.0, 3.0), "paired samples must have equal lengths",
+                     id="unequal-lengths"),
+        pytest.param((1.0,), (2.0,), "paired samples need at least two pairs",
+                     id="one-pair"),
+        pytest.param((1.0, float("nan")), (2.0, 3.0), "paired samples must be finite",
+                     id="nan"),
+    ])
+    def test_each_fault_is_the_same_value_error(self, entry, a, b, message):
+        with pytest.raises(ValueError) as excinfo:
+            _PAIRED_ENTRIES[entry](a, b)
+        assert str(excinfo.value) == message

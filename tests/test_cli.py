@@ -177,6 +177,17 @@ class TestSimulateCommand:
             f"error: {config}: unknown config keys: ['domain_mapping']\n")
         assert not (tmp_path / "run").exists()
 
+    def test_a_distractor_that_is_a_target_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        distractors = errandlab.config.ScoringConfig.collection_distractors
+        config.write_text(json.dumps({"collection_distractors": ["red_book", *distractors[1:]]}))
+        code = main(["simulate", "--seed", "1", "--config", str(config),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: collection targets and distractors overlap\n")
+        assert not (tmp_path / "run").exists()
+
 
 class TestScoreCommand:
     @pytest.fixture
@@ -1285,7 +1296,8 @@ class TestParserReuse:
             ["vrnq", "compare", "--baseline", baseline],
             [*compare, "--direction", "sideways"],
             # values their own types reject
-            [*simulate, "--cohort", "0"], [*compare, "--prior-scale", "nan"],
+            [*simulate, "--cohort", "0"], [*simulate, "--cohort", "x"],
+            [*compare, "--prior-scale", "nan"],
             ["simulate", "--seed", "x", "--out", run],
             # stray positionals and separators
             ["score", "--log", log, "extra"], ["vrnq", "score", "stray"],

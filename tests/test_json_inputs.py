@@ -6,6 +6,8 @@ as Python's own text."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import re
 from typing import Any, Callable, Iterator
@@ -13,10 +15,13 @@ from typing import Any, Callable, Iterator
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from errandlab import sessionlog
 from errandlab.cli import main
-from errandlab.config import config_from_dict, config_to_dict, default_config
+from errandlab.config import (ScoringConfig, config_from_dict, config_hash, config_to_dict,
+                              default_config)
 from errandlab.jsonio import ConfigError, _quoted, read_json
-from errandlab.simulate import default_profile, profile_from_dict, profile_to_dict
+from errandlab.simulate import (ParticipantProfile, default_profile, profile_from_dict,
+                                profile_to_dict)
 from errandlab.vrnq import CSV_COLUMNS, DEFAULT_DOMAIN_MAPPING, ITEM_COUNT, DomainMapping
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
@@ -158,3 +163,51 @@ def test_an_oversized_value_is_one_short_error_line(tmp_path, capsys, option, do
     assert len(line) - len(str(path)) < 200
     assert re.search(r"\.\.\. \(\d+ characters\)", line)
     assert captured.out == ""
+
+
+# (builder, document, its fault): a ConfigError is a ValueError
+_RECORD_FAULTS = [
+    pytest.param(config_from_dict, [1], "config document must be a JSON object",
+                 id="config-array"),
+    pytest.param(config_from_dict, {"bogus": 1}, "unknown config keys: ['bogus']",
+                 id="config-unknown-key"),
+    pytest.param(profile_from_dict, "x", "profile document must be a JSON object",
+                 id="profile-string"),
+    pytest.param(profile_from_dict, {"bogus": 1}, "unknown profile fields: ['bogus']",
+                 id="profile-unknown-field"),
+]
+
+
+class TestRecordReader:
+    """The config and the profile are read by the same record rules."""
+
+    @pytest.mark.parametrize("build, document, message", _RECORD_FAULTS)
+    def test_each_fault_is_its_own_message(self, build, document, message):
+        with pytest.raises(ValueError) as excinfo:
+            build(document)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("build, cls, names", [
+        (config_from_dict, ScoringConfig,
+         ["recognition_targets", "recognition_qualitative", "recognition_quantitative",
+          "recognition_false", "collection_targets", "collection_distractors"]),
+        (profile_from_dict, ParticipantProfile, ["prompt_yield_probs"]),
+    ], ids=["config", "profile"])
+    def test_an_array_becomes_a_tuple_in_each_tuple_field(self, build, cls, names):
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        assert [name for name, value in defaults.items() if isinstance(value, tuple)] == names
+        for name in names:
+            value = getattr(build({name: list(defaults[name])}), name)
+            assert type(value) is tuple and value == defaults[name]
+
+
+class TestCanonicalJson:
+    @pytest.mark.parametrize("config", [
+        default_config(),
+        config_from_dict({"session_target_s": 1800.5, "visual_targets_per_side": 7,
+                          "recognition_false": [f"other_{i}" for i in range(10)]}),
+    ], ids=["default", "edited"])
+    def test_config_hash_is_the_sha256_of_the_log_encoding(self, config):
+        fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+        text = sessionlog._dumps(fields)
+        assert config_hash(config) == hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -557,6 +557,19 @@ def test_a_repeated_collection_target_is_rejected(config):
     dataclasses.replace(config, collection_distractors=("magazine",) * 7).validate()
 
 
+@pytest.mark.parametrize("name, message", [
+    ("recognition_false", "recognition catalog items must be unique"),
+    ("collection_distractors", "collection targets and distractors overlap"),
+])
+def test_an_item_shared_across_two_lists_is_rejected(config, name, message):
+    # the first item of the list is replaced by the first target of its task
+    target = (config.recognition_targets if name.startswith("recognition")
+              else config.collection_targets)[0]
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict({name: [target, *getattr(config, name)[1:]]})
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("name", [
     "recognition_targets", "recognition_qualitative", "recognition_quantitative",
     "recognition_false", "collection_targets", "collection_distractors"])

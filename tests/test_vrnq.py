@@ -114,6 +114,13 @@ class TestDomainMappingValidation:
         assert checked == [source]
         assert scores == score_vrnq(_responses(items=items))
 
+    def test_a_domain_mapping_reads_as_its_source_in_domains_order(self):
+        source = dict(reversed(DEFAULT_DOMAIN_MAPPING.items()))
+        mapping = DomainMapping(source)
+        assert list(mapping) == list(DOMAINS)
+        assert len(mapping) == len(DOMAINS)
+        assert dict(mapping) == {domain: tuple(items) for domain, items in source.items()}
+
     def test_domain_mapping_rejects_a_bad_mapping(self):
         with pytest.raises(ConfigError):
             DomainMapping({**DEFAULT_DOMAIN_MAPPING, "VRISE": [1, 2, 3, 4, 5]})
@@ -324,6 +331,11 @@ class TestPairedColumns:
 class TestRobustStats:
     def test_median_and_mad_small(self):
         assert median_absolute_deviation([1, 2, 3]) == 1.0
+
+    def test_mad_of_no_values_is_refused(self):
+        with pytest.raises(VrnqError) as excinfo:
+            median_absolute_deviation([])
+        assert str(excinfo.value) == "cannot aggregate an empty cohort"
 
     def test_reference_cohort_shape(self):
         values = [84, 88, 94, 94, 98, 100, 100, 102, 106, 106, 112, 116]
