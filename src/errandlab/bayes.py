@@ -797,6 +797,8 @@ def _checked_differences(
     with np.errstate(over="ignore", invalid="ignore"):
         for label, (a, b) in columns.items():
             a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            if a.ndim != 1 or b.ndim != 1:
+                raise ValueError("paired samples must be one-dimensional")
             if len(a) != len(b):
                 raise ValueError("paired samples must have equal lengths")
             if len(a) < 2:

@@ -40,7 +40,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .jsonio import ErrandlabError
 
@@ -332,6 +332,9 @@ _PAYLOAD_SCHEMA: dict[EventKind, tuple[frozenset[str],
     kind: (frozenset(schema),
            tuple((name, types, bool in types) for name, types in schema.items()))
     for kind, schema in _PAYLOAD_FIELDS.items()}
+# The kinds whose payload has no fields: a plain empty dict is the one payload
+# of theirs that the schema check could not refuse, so it is not walked.
+_FIELDLESS_KINDS = frozenset(kind for kind, schema in _PAYLOAD_FIELDS.items() if not schema)
 
 
 def validate_payload(kind: EventKind, payload: dict[str, Any]) -> None:
@@ -400,7 +403,10 @@ class SessionEvent:
             raise ValueError(f"unknown scene id {scene}")
         if payload is _NO_PAYLOAD:
             payload = {}
-        validate_payload(kind, payload)
+        elif type(payload) is not dict and not isinstance(payload, Mapping):
+            raise TypeError(f"payload must be a mapping, not {type(payload).__name__}")
+        if type(payload) is not dict or payload or kind not in _FIELDLESS_KINDS:
+            validate_payload(kind, payload)
         _set_seq(self, seq)
         _set_sim_time_ms(self, sim_time_ms)
         _set_scene(self, scene)

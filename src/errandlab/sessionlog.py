@@ -8,8 +8,9 @@ and scored it.  Serialization is canonical (sorted keys, fixed separators,
 LF line endings, UTF-8), which makes valid logs round-trip byte-for-byte —
 the determinism tests lean on that.
 
-Parsing reads an event line that :func:`serialize_log` writes with an
-empty payload by one pattern match, with no call of the JSON scanner.  The
+Parsing turns an event line that :func:`serialize_log` writes with an
+empty payload and a known kind into its event from one pattern match, with
+no call of the JSON scanner and no walk of the kind's empty schema.  The
 header, and every other event line, is scanned whole; a line parses to the
 same event, or fails with the same message, whichever way it is read.
 """
@@ -182,26 +183,10 @@ _match_empty_event = re.compile(
     r'"scene":%s,"seq":%s,"sim_time_ms":%s\}' % ((_ENVELOPE_INT,) * 3)).fullmatch
 
 
-def _empty_event_fields(line: str) -> Optional[tuple[int, int, int, EventKind,
-                                                       dict[str, Any]]]:
-    # seq, sim_time_ms, scene, kind and a fresh payload of a line that
-    # _match_empty_event takes, as JSON would read them; None, for
-    # _read_event to read or word, if the line is not one or its kind is
-    # unknown.
-    match = _match_empty_event(line)
-    if match is None:
-        return None
-    kind_name, scene, seq, time_ms = match.groups()
-    kind = _EVENT_KINDS.get(kind_name)
-    if kind is None:
-        return None
-    return int(seq), int(time_ms), int(scene), kind, {}
-
-
 def _read_line(number: int, line: str) -> dict[str, Any]:
-    # The header, and an event line that _empty_event_fields does not read,
-    # must be one JSON object from end to end; any other line goes to
-    # _parse_line, which rejects it.
+    # The header, and an event line that deserialize_log does not read from
+    # _match_empty_event's groups, must be one JSON object from end to end;
+    # any other line goes to _parse_line, which rejects it.
     try:
         record, end = _scan_once(line, 0)
     except (StopIteration, ValueError, RecursionError):
@@ -260,7 +245,7 @@ def deserialize_log(data: bytes) -> SessionLog:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"log is not valid UTF-8: {exc}") from exc
-    if not text.strip():
+    if not text or text.isspace():  # strip() would copy the whole text
         raise ParseError("log is empty")
     if not text.endswith("\n"):
         raise ParseError("log is truncated (no trailing newline)")
@@ -289,11 +274,17 @@ def deserialize_log(data: bytes) -> SessionLog:
     # event is never out of order.
     last_seq, last_ms = -1, 0
     for number, line in enumerate(lines[1:], start=2):
-        # the substring test spares a line with a payload the pattern match
-        fields = ('"payload":{},' in line and _empty_event_fields(line)
-                  or _read_event(number, line))
+        # the substring test spares a line with a payload the pattern match;
+        # a line of an unknown kind, or that the pattern refuses, is read whole
+        kind = None
+        if '"payload":{},' in line and (match := _match_empty_event(line)):
+            kind_name, scene, seq, time_ms = match.groups()
+            kind = _EVENT_KINDS.get(kind_name)
         try:
-            event = SessionEvent(*fields)
+            if kind is not None:
+                event = SessionEvent(int(seq), int(time_ms), int(scene), kind, {})
+            else:
+                event = SessionEvent(*_read_event(number, line))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"line {number}: {exc}") from exc
         seq, time_ms = event.seq, event.sim_time_ms

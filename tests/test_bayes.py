@@ -942,6 +942,11 @@ class TestOnePairCheck:
                      id="one-pair"),
         pytest.param((1.0, float("nan")), (2.0, 3.0), "paired samples must be finite",
                      id="nan"),
+        pytest.param(((1, 2), (3, 4), (5, 6)), ((1, 2), (3, 5), (5, 9)),
+                     "paired samples must be one-dimensional", id="nested"),
+        pytest.param((1.0, 2.0, 3.0), ((1, 2), (3, 5), (5, 9)),
+                     "paired samples must be one-dimensional", id="nested-b"),
+        pytest.param(1.0, 2.0, "paired samples must be one-dimensional", id="scalars"),
     ])
     def test_each_fault_is_the_same_value_error(self, entry, a, b, message):
         with pytest.raises(ValueError) as excinfo:

@@ -5,6 +5,7 @@ import ast
 import contextlib
 import csv
 import errno
+import functools
 import importlib
 import inspect
 import io
@@ -42,7 +43,7 @@ from errandlab.simulate import PROFILE_PRESETS, default_profile, simulate_sessio
 from errandlab.vrnq import (CSV_COLUMNS, CUTOFFS, DOMAINS, DomainMapping, VrnqResponseSet,
                             aggregate_cohort, check_cutoffs, read_cohort_csv, score_vrnq,
                             write_cohort_csv)
-from golden_logs import golden_bytes
+from golden_logs import GOLDEN_SESSIONS, golden_bytes, golden_path
 
 
 def _cohort_csv(path, totals_by_id, base=None):
@@ -1066,6 +1067,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 
+@functools.cache
 def _interpreters() -> dict[str, str]:
     """One working interpreter per version of python3.10 to 3.13, found on
     PATH or under pyenv's versions directory: version -> path."""
@@ -1102,6 +1104,69 @@ def test_simulate_writes_the_same_bytes_on_every_interpreter(tmp_path):
         outputs[version] = (result.stdout, {p.name: p.read_bytes()
                                             for p in sorted((run / "o").iterdir())})
     first, *rest = interpreters
+    for version in rest:
+        assert outputs[version] == outputs[first], f"{version} differs from {first}"
+    print("ran under", ", ".join(f"{v} ({p})" for v, p in interpreters.items()))
+
+
+# Scores each log named on the command line as `score --format json` does, in
+# one process: exit code, stdout and the error: lines of each, as JSON.
+_SCORE_EACH = """
+import contextlib, io, json, sys
+from errandlab.cli import main
+results = []
+for path in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["score", "--log", path, "--format", "json"])
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    results.append([code, out.getvalue(), errors])
+print(json.dumps(results))
+"""
+
+
+def _corrupt_logs() -> dict[str, bytes]:
+    """One log per rejection family, each made from the seed-1 default log."""
+    header, *events = golden_bytes("default", 1).decode("utf-8").split("\n")[:-1]
+    first = json.loads(events[0])
+
+    def log(*lines: str) -> bytes:
+        return "".join(line + "\n" for line in lines).encode("utf-8")
+
+    return {
+        "not_utf8": log(header, *events).replace(b"Scene", b"\xffcene", 1),
+        "invalid_json": log(header, events[0][:-1], *events[1:]),
+        "unknown_scene": log(header, events[0].replace(
+            f'"scene":{first["scene"]},', '"scene":23,'), *events[1:]),
+        "schema_version": log(header.replace('"version":1', '"version":2'), *events),
+        "out_of_order": log(header, events[1], events[0], *events[2:]),
+        "engine": log(header, *events[1:]),
+        "incomplete": log(header, *events[:len(events) // 2]),
+    }
+
+
+def test_score_reads_every_log_alike_on_every_interpreter(tmp_path):
+    # the reader, replay and scoring give the same bytes and the same
+    # error: lines under each interpreter, for accepted and refused logs
+    interpreters = _interpreters()
+    if len(interpreters) < 2:
+        pytest.skip(f"fewer than two of python3.10-3.13 found: {sorted(interpreters)}")
+    corrupt = _corrupt_logs()
+    for name, data in corrupt.items():
+        (tmp_path / f"{name}.ndjson").write_bytes(data)
+    paths = [*(str(golden_path(*session)) for session in GOLDEN_SESSIONS),
+             *(str(tmp_path / f"{name}.ndjson") for name in corrupt)]
+    env = {**_subprocess_env(), "PYTHONDONTWRITEBYTECODE": "1"}
+    outputs = {}
+    for version, path in interpreters.items():
+        result = subprocess.run([path, "-c", _SCORE_EACH, *paths],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, (version, result.stderr)
+        outputs[version] = json.loads(result.stdout)
+    first, *rest = interpreters
+    codes = [code for code, _, _ in outputs[first]]
+    assert codes == [0] * len(GOLDEN_SESSIONS) + [4] * len(corrupt)
+    assert all(len(errors) == (code != 0) for code, _, errors in outputs[first])
     for version in rest:
         assert outputs[version] == outputs[first], f"{version} differs from {first}"
     print("ran under", ", ".join(f"{v} ({p})" for v, p in interpreters.items()))

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import ast
+import collections
 import dataclasses
 import inspect
 import textwrap
+import types
 
 import numpy as np
 import pytest
@@ -527,6 +529,14 @@ _BAD_EVENTS = [
     ({"kind": "SceneEntered"}, TypeError, "kind must be an EventKind, not str"),
     ({"kind": "bogus"}, TypeError, "kind must be an EventKind, not str"),
     ({"seq": -1, "kind": "SceneEntered"}, TypeError, "kind must be an EventKind, not str"),
+    ({"payload": []}, TypeError, "payload must be a mapping, not list"),
+    ({"payload": None}, TypeError, "payload must be a mapping, not NoneType"),
+    ({"payload": "ab"}, TypeError, "payload must be a mapping, not str"),
+    ({"kind": EventKind.ITEM_SELECTED, "scene": 3, "payload": ["item"]}, TypeError,
+     "payload must be a mapping, not list"),
+    ({"scene": 0, "payload": []}, ValueError, "unknown scene id 0"),
+    ({"kind": EventKind.ITEM_SELECTED, "scene": 3, "payload": types.MappingProxyType({})},
+     ValueError, "ItemSelected payload has wrong fields (missing=['item'], unexpected=[])"),
 ]
 
 
@@ -577,6 +587,20 @@ class TestEventConstructor:
         with pytest.raises(error) as caught:
             SessionEvent(**arguments)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("kind", list(EventKind), ids=[kind.value for kind in EventKind])
+    def test_an_empty_payload_passes_only_a_kind_without_fields(self, kind):
+        # the schema walk is skipped for a plain {} alone, and only where it
+        # would find nothing; any other empty mapping is walked
+        fields = scenario._PAYLOAD_FIELDS[kind]
+        for empty in ({}, collections.OrderedDict(), types.MappingProxyType({})):
+            if fields:
+                with pytest.raises(ValueError, match="payload has wrong fields"):
+                    SessionEvent(0, 0, 1, kind, empty)
+            else:
+                assert SessionEvent(0, 0, 1, kind, empty).payload is empty
+        with pytest.raises(ValueError, match=r"unexpected=\['x'\]"):
+            SessionEvent(0, 0, 1, kind, {**dict.fromkeys(fields, "v"), "x": 1})
 
 
 class TestEventValidation:

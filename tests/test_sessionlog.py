@@ -115,6 +115,13 @@ class TestSerialization:
         with pytest.raises(ParseError, match="empty"):
             deserialize_log(b"")
 
+    @pytest.mark.parametrize("data", [
+        b"", b"\n", b" \t", " \t\r\x0b\x0c\x1c\x85\xa0 　\n".encode("utf-8")],
+        ids=["nothing", "newline", "no-newline", "unicode-whitespace"])
+    def test_a_log_of_whitespace_alone_is_empty(self, data):
+        with pytest.raises(ParseError, match="^log is empty$"):
+            deserialize_log(data)
+
     def test_header_only_is_valid(self):
         log = SessionLog(seed=None, config_hash=None)
         clone = deserialize_log(serialize_log(log))
