@@ -88,7 +88,6 @@ import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -300,8 +299,7 @@ def _t_statistic(d: Sequence[float]) -> Optional[float]:
         return None
     try:
         mean = math.fsum(d) / n
-        # the floats of (di - mean) ** 2 for each di, made and summed in C
-        var = math.fsum(map(pow, map(operator.sub, d, repeat(mean)), repeat(2))) / (n - 1)
+        var = math.fsum((x - mean) ** 2 for x in d) / (n - 1)
         if 0.0 < var < math.inf:
             t = mean * math.sqrt(n) / math.sqrt(var)
             if math.isfinite(t):
@@ -545,8 +543,10 @@ def _bf10_columns(ts: Sequence[float], n: int, prior_scale: float,
     """
     if not all(map(math.isfinite, ts)):
         raise ValueError("t must be finite")
+    # an int or a numpy integer, read as an int; a float or a str is refused
+    n = operator.index(n) if hasattr(type(n), "__index__") else 0
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise ValueError("n must be an integer of at least 2")
     if not (math.isfinite(prior_scale) and prior_scale > 0):
         raise ValueError("prior_scale must be positive")
     # the integral over g described in the module docstring

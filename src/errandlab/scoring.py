@@ -55,6 +55,7 @@ from .config import BAND_NAMES, ScoringConfig, _DEDUCTION_FLOOR, _PER_SIDE_FIELD
 from .scenario import (
     COOKING_ITEMS,
     EngineError,
+    LADDER_DEPTH,
     NEVER_DONE_DEPTH,
     PM_TASKS,
     PmPolarity,
@@ -219,6 +220,8 @@ def _score_cooking(cook_times_s: Mapping[str, float],
 
 
 _CASCADE_POINTS = {0: 6, 1: 4, 2: 2, 3: 1, NEVER_DONE_DEPTH: 0}
+# a point value for each depth the ladder can reach, and for never done
+assert sorted(_CASCADE_POINTS) == [*range(LADDER_DEPTH + 1), NEVER_DONE_DEPTH]
 
 
 def _score_prompt_cascade(depth_when_done: int) -> int:

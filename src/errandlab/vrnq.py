@@ -32,6 +32,7 @@ import io
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -195,30 +196,22 @@ def _score_cohort(source: str | Path | io.TextIOBase, mapping: DomainMapping,
 
 
 def _paired_columns(baseline: _Cohort, revised: _Cohort,
-                    mapping: DomainMapping) -> dict[str, tuple[Any, Any]]:
+                    mapping: DomainMapping) -> dict[str, tuple[tuple[int, ...], ...]]:
     """Pair two cohorts as the reader returns them: the (baseline, revised)
-    columns of :func:`_score_columns`, in id order, each a numpy integer
-    array."""
-    # here, so that reading and scoring a cohort never loads numpy
-    import numpy as np
-
+    columns of :func:`_score_columns`, each a tuple of ints with the
+    cohort's participants in id order."""
     ids, revised_ids = baseline[0], revised[0]
     if set(ids) != set(revised_ids):
         missing = sorted(set(ids) ^ set(revised_ids))
-        raise VrnqError(f"cohorts do not pair up; unmatched ids: {missing}")
+        raise VrnqError(f"cohorts do not pair up; unmatched ids: {_quoted(missing)}")
     n = len(ids)
-    if n < 2:
+    if n < 2:  # checked first: itemgetter of one index returns no tuple
         raise VrnqError(f"a paired comparison needs at least two participants, got {n}")
-    # per label, the baseline's column and then the revised one's, each
-    # cohort's participants in id order
-    baseline_sums, revised_sums = (_score_columns(ratings, n, mapping).values()
-                                   for _, ratings, _ in (baseline, revised))
-    sums = np.frombuffer(b"".join(map(bytes.__add__, baseline_sums, revised_sums)),
-                         dtype=np.uint8).reshape(-1, 2 * n)
-    order = [side * n + index for side, cohort in enumerate((baseline, revised))
-             for index in sorted(range(n), key=cohort[0].__getitem__)]
-    sums = sums[:, order].astype(np.int64)
-    return {label: (row[:n], row[n:]) for label, row in zip(["Total", *DOMAINS], sums)}
+    baseline_sums, revised_sums = (
+        map(itemgetter(*sorted(range(n), key=cohort_ids.__getitem__)),
+            _score_columns(ratings, n, mapping).values())
+        for cohort_ids, ratings, _ in (baseline, revised))
+    return dict(zip(["Total", *DOMAINS], zip(baseline_sums, revised_sums)))
 
 
 def _median(values: Sequence[float]) -> float:

@@ -324,6 +324,19 @@ class TestBayesFactor:
         with pytest.raises(ValueError):
             bf10_directional(1.0, 12, prior_scale=0.0)
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("function", [
+        bf10_directional, lambda *args: bf10_directional_with_error(*args)[0]],
+        ids=["bf10_directional", "bf10_directional_with_error"])
+    def test_n_is_a_whole_number_of_pairs(self, function, direction):
+        # a float, even a whole one, a string or a bool is refused before
+        # the quadrature; a numpy integer is read as the int it holds
+        for n in (10.0, 10.5, "10", None, True, 1, np.int64(1)):
+            with pytest.raises(ValueError, match="^n must be an integer of at least 2$"):
+                function(2.0, n, DEFAULT_PRIOR_SCALE, direction)
+        assert function(2.0, np.int64(10), DEFAULT_PRIOR_SCALE, direction) == function(
+            2.0, 10, DEFAULT_PRIOR_SCALE, direction)
+
     @settings(max_examples=25, deadline=None)
     @given(t=st.floats(min_value=-6, max_value=6, allow_nan=False),
            n=st.integers(min_value=3, max_value=40))

@@ -1195,6 +1195,21 @@ class TestEntryPoints:
     def test_package_import_leaves_scipy_and_numpy_unloaded(self):
         assert _heavy_modules_after("import errandlab") == []
 
+    def test_only_bayes_imports_numpy_or_scipy(self):
+        # read from the source, so that an import inside a function counts
+        importers = set()
+        for path in Path(errandlab.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.partition(".")[0] in ("numpy", "scipy") for name in names):
+                    importers.add(path.name)
+        assert importers == {"bayes.py"}
+
     def test_score_leaves_scipy_and_numpy_unloaded(self, tmp_path):
         log_path = tmp_path / "session.ndjson"
         log_path.write_bytes(serialize_log(simulate_session(default_profile(), 2)))
@@ -1248,7 +1263,7 @@ class TestEntryPoints:
         assert set(loaded) & {"errandlab.config", "errandlab.scenario",
                               "errandlab.scoring", "errandlab.sessionlog",
                               "errandlab.simulate", "logging"} == set()
-        # the cohort reader keeps numpy to the pairing of `vrnq compare`
+        # numpy and scipy are imported by bayes alone
         assert set(loaded) & {"numpy", "scipy", "errandlab.bayes"} == set()
 
     def test_vrnq_compare_loads_no_session_modules(self, tmp_path):

@@ -311,12 +311,15 @@ class TestPairedColumns:
         columns = _paired_columns(*cohorts, mapping)
         expected = _paired_columns_per_participant(baseline, revised, mapping)
         assert list(columns) == list(expected) == ["Total", *DOMAINS]
-        assert {label: tuple(side.tolist() for side in pair)
-                for label, pair in columns.items()} == expected
+        assert {label: tuple(map(list, pair)) for label, pair in columns.items()} == expected
 
     @pytest.mark.parametrize("ids_a, ids_b, message", [
         (["p1", "p2", "p3"], ["p1", "p2", "p4"],
          "cohorts do not pair up; unmatched ids: ['p3', 'p4']"),
+        # two disjoint cohorts: the unmatched ids are quoted, not listed whole
+        ([f"a{i:03}" for i in range(1000)], [f"b{i:03}" for i in range(1000)],
+         "cohorts do not pair up; unmatched ids: ['a000', 'a001', 'a002', 'a003', "
+         "'a004', 'a005', 'a006', 'a0... (16000 characters)"),
         (["p1"], ["p1"], "a paired comparison needs at least two participants, got 1"),
         ([], [], "a paired comparison needs at least two participants, got 0"),
     ])
