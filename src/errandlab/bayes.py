@@ -62,15 +62,10 @@ or its failure, is the one it has when integrated alone.  On ordinary inputs
 the first round converges and the estimate reads about 1e-14, the floor.
 
 :func:`nct_logpdf` is an authored noncentral t log-density, kept as a public
-building block; the Bayes factor does not use it.
-
-* For ``x * nc >= 0`` the exact series expansion of the mixture integral is
-  summed in log space (all terms positive, no cancellation).  The term count
-  is bounded through the series peak at ``j* ~ x^2 nc^2 / (nu + x^2)``.
-* For ``x * nc < 0`` (the "wrong tail", where the series alternates and
-  cancels catastrophically) the defining one-dimensional integral over the
-  chi-square mixing variable is evaluated directly by adaptive quadrature of
-  its positive integrand.
+building block; the Bayes factor does not use it.  It integrates the defining
+mixture over the chi-square denominator on the same adaptive GK21 rule, in
+the log of the mixing variable about its closed-form peak, where the log of
+the integrand over its peak forms no difference of large numbers at any input.
 
 The evidence-band labels and the star notation read one table of the
 conventional BF10 break points (3, 10, 30, 100), each with one ``bisect``.
@@ -84,22 +79,17 @@ import functools
 import math
 import operator
 import sys
-import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, stdtr
+from scipy.special import stdtr
 
 from .jsonio import ErrandlabError
 
 DEFAULT_PRIOR_SCALE = 0.707
-
-# exp() underflows to zero near -745; anything provably far below that is
-# reported as log-density -inf without summing the series
-_LOG_FLOOR = -760.0
 
 # largest natural log a Bayes factor may have and still be a finite double
 _LOG_MAX = math.log(sys.float_info.max)
@@ -173,84 +163,20 @@ class IntegrationFailure(ErrandlabError):
 # Authored noncentral t log-density
 
 
-def _nct_logpdf_series(x: float, df: float, nc: float) -> float:
-    # Exact expansion of the scale-mixture integral; valid (cancellation
-    # free) only when every term is non-negative, i.e. x * nc >= 0.
-    q = (x * x) * (nc * nc) / (df + x * x)
-    # log f <= -nc^2 * df / (2 (df + x^2)) + O(log); generous slack keeps
-    # the bound safe while skipping hopeless underflow cases early.
-    if -(nc * nc) * df / (2.0 * (df + x * x)) + 60.0 < _LOG_FLOOR:
-        return -math.inf
-    constant = (-0.5 * nc * nc
-                - 0.5 * math.log(2.0 * math.pi * df)
-                - 0.5 * df * math.log(2.0)
-                - gammaln(0.5 * df))
-    log_kernel = math.log(2.0 * df / (df + x * x))
-    # x * nc, not x and nc one at a time: a product that underflows to zero
-    # leaves only the leading term and would send log() a zero below
-    if x * nc == 0.0:
-        term0 = gammaln(0.5 * (df + 1.0)) + 0.5 * (df + 1.0) * log_kernel
-        return float(constant + term0)
-    # Term j+1 over term j is about sqrt(q (df + j)) / j, so the largest
-    # term sits where j^2 = q (df + j): near q when q >> df, near
-    # sqrt(q df) when df >> q.  The terms fall off like a normal of
-    # variance at least j around it; 14 sqrt(j) + 80 terms on each side
-    # leave out less than exp(-50) of the sum.
-    peak_j = 0.5 * (q + math.sqrt(q * q + 4.0 * q * df))
-    half_width = 14.0 * math.sqrt(peak_j + 1.0) + 80.0
-    # Once that spread covers many integers, the summand (continued to real
-    # j) is smooth on the scale of the step, and a trapezoid sum with step
-    # sqrt(peak_j) / 8 equals the integer sum to within
-    # exp(-2 pi^2 * 8^2) (Poisson summation).  Memory and time stay bounded
-    # (a few hundred terms) however large q grows.
-    step = max(1.0, math.floor(math.sqrt(peak_j) / 8.0))
-    first = max(0.0, math.floor((peak_j - half_width) / step) * step)
-    j = np.arange(first, peak_j + half_width + step, step)
-    log_terms = (j * math.log(abs(x * nc) / math.sqrt(df))
-                 - gammaln(j + 1.0)
-                 + gammaln(0.5 * (df + j + 1.0))
-                 + 0.5 * (df + j + 1.0) * log_kernel)
-    peak = float(np.max(log_terms))
-    total = step * float(np.sum(np.exp(log_terms - peak)))
-    return float(constant + peak + math.log(total))
+# 1/k!, k = 13 to 2: u - expm1(u) = -u^2 (1/2! + u/3! + ...) where |u| < 1/4
+_EXPM1_SERIES = tuple(1.0 / math.factorial(k) for k in range(13, 1, -1))
 
 
-def _nct_logpdf_tail(x: float, df: float, nc: float) -> float:
-    # Defining integral over the chi-square mixing variable v; the integrand
-    # is positive, so the wrong tail evaluates without cancellation.
-    constant = (-0.5 * math.log(2.0 * math.pi)
-                - 0.5 * math.log(df)
-                - 0.5 * df * math.log(2.0)
-                - gammaln(0.5 * df))
-
-    def log_h(v):
-        z = x * np.sqrt(v / df) - nc
-        return -0.5 * z * z + 0.5 * (df - 1.0) * np.log(v) - 0.5 * v + constant
-
-    v_hi = df + 40.0 * math.sqrt(2.0 * df) + 200.0
-    grid = np.logspace(-12, math.log10(v_hi), 500)
-    values = log_h(grid)
-    peak_index = int(np.argmax(values))
-    log_peak = float(values[peak_index])
-    if log_peak < _LOG_FLOOR:
-        return -math.inf
-    v_peak = float(grid[peak_index])
-
-    def integrand(v: float) -> float:
-        return math.exp(min(float(log_h(np.asarray(v))) - log_peak, 50.0))
-
-    from scipy import integrate  # here, so that importing bayes skips it
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        lo_val, _ = integrate.quad(integrand, 0.0, v_peak, limit=200)
-        hi_val, _ = integrate.quad(integrand, v_peak, math.inf, limit=200)
-    total = lo_val + hi_val
-    if total <= 0.0:
-        return -math.inf
-    return log_peak + math.log(total)
+def _u_minus_expm1(u):
+    """``u - expm1(u)`` of a float or an array, by its series where it cancels."""
+    series = 0.0
+    for coefficient in _EXPM1_SERIES:
+        series = series * u + coefficient
+    return np.where(np.abs(u) < 0.25, -u * u * series, u - np.expm1(u))
 
 
+# far from its peak the integrand's log overflows to -inf, and its exp to 0
+@np.errstate(over="ignore")
 def nct_logpdf(x: float, df: float, nc: float) -> float:
     """Log density of the noncentral t distribution at ``x``.
 
@@ -261,9 +187,52 @@ def nct_logpdf(x: float, df: float, nc: float) -> float:
         raise ValueError("x and nc must be finite")
     if not (math.isfinite(df) and df > 0):
         raise ValueError("df must be positive and finite")
-    if x * nc >= 0.0:
-        return _nct_logpdf_series(x, df, nc)
-    return _nct_logpdf_tail(x, df, nc)
+    # The density is C times the integral over u = log s of s^c exp(h(s)),
+    # h(s) = -(x s - nc)^2 / 2 - df s^2 / 2, c = df + 1, with C = 2 m^m /
+    # (Gamma(m) sqrt(2 pi)) and m = df / 2.  Its peak solves (x^2 + df) s^2
+    # - x nc s = c: in t = q s, q = hypot(x, sqrt(df)), the positive root of
+    # t^2 - beta t - c.  Each form of the root adds terms of one sign
+    c = df + 1.0
+    q = math.hypot(x, math.sqrt(df))
+    xi = x / q
+    beta = xi * nc
+    half = math.hypot(0.5 * beta, math.sqrt(c))
+    t = 0.5 * beta + half if beta >= 0.0 else c / (half - 0.5 * beta)
+    log_s = math.log(t / q) if 1e-300 < t / q < 1e300 else math.log(t) - math.log(q)
+    d = xi * t - nc  # x s - nc
+    # log C and the log integrand at the peak, with df (log s - s^2 / 2) as
+    # m (v - expm1(v)) - m, v = 2 log s, and m log m - m - lgamma(m) by
+    # Stirling's series from m = 30, so that no terms of size df cancel
+    m = 0.5 * df
+    log_m = math.log(df) - math.log(2.0)
+    if m < 30.0:  # lgamma(m) = lgamma(m + 1) - log m, as m may round to 0
+        gap = (m + 1.0) * log_m - m - math.lgamma(m + 1.0)
+    else:
+        y = 1.0 / (m * m)
+        gap = (0.5 * (log_m - math.log(2.0 * math.pi))
+               - (1 / 12 - y * (1 / 360 - y * (1 / 1260 - y / 1680))) / m)
+    log_peak = (0.5 * math.log(2.0 / math.pi) + gap + log_s - 0.5 * (d * d)
+                + 0.5 * (df * float(_u_minus_expm1(2.0 * log_s))))
+    if log_peak == -math.inf:  # below double range
+        return -math.inf
+    # The log integrand over its peak is c (u - expm1(u)) - (t expm1(u))^2 / 2,
+    # where u is log s less its peak's: in [-inf, 0], curvature c + t^2 at 0.  It
+    # is integrated in z = u sqrt(c + t^2), cut at -24, -21, ..., 9.  It is
+    # below -z^2 / 2 past z = 9, -z^2 / (2 e^2) from u = -1 to 0, and c (u + 1)
+    # below u = -1; so the first piece starts at z = -25, or at u = -1 - 46 / c
+    # if that is further and the curvature is below 25^2
+    root_a = math.hypot(math.sqrt(c), t)
+    lowest = 25.0 if root_a >= 25.0 else max(25.0, (1.0 + 46.0 / c) * root_a)
+    edges = np.concatenate(([-lowest], np.arange(-24.0, 10.0, 3.0)))
+
+    def integrand(z: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = z / root_a
+        te = t * np.expm1(u)
+        return np.exp(c * _u_minus_expm1(u) - 0.5 * (te * te)), np.ones(len(z), dtype=bool)
+
+    [value], _, _ = _adaptive_gk21(integrand, edges[:-1], edges[1:],
+                                   np.zeros(len(edges) - 1, dtype=int), "")
+    return log_peak - math.log(root_a) + math.log(value)
 
 
 # ---------------------------------------------------------------------------

@@ -296,8 +296,10 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
                        f"{'identical samples; t undefined':>46}")
             else:
                 evidence = row["band"] + (f" {row['stars']}" if row["stars"] else "")
+                # fixed point would print a 1e149 in 150 figures, past its column
+                bf10_format = ">12.3f" if row["bf10"] < 1e6 else ">12.4e"
                 yield (f"{row['score']:<18} {row['n']:>3}  {row['t']:>8.3f}  "
-                       f"{row['p']:>9.4g}  {row['bf10']:>12.3f}  "
+                       f"{row['p']:>9.4g}  {row['bf10']:{bf10_format}}  "
                        f"{row['bf10_rel_err']:>12.1e}  {evidence}")
 
     return _finish(

@@ -236,10 +236,12 @@ class TestNoncentralTDensity:
         assert value == -math.inf or value < -700
 
     @staticmethod
-    def _mp_logpdf(x, df, nc):
-        # Closed form through Kummer's function 1F1, at 40 digits; it shares
-        # nothing with the series over j.
-        with mpmath.workdps(40):
+    def _mp_logpdf(x, df, nc, digits=40):
+        # Closed form through Kummer's function 1F1, at 40 digits unless told
+        # otherwise; it shares nothing with the integral over the mixture.
+        # Where x nc < 0 its two terms cancel, so such points need many more
+        # digits
+        with mpmath.workdps(digits):
             x, df, nc = mpmath.mpf(x), mpmath.mpf(df), mpmath.mpf(nc)
             s = df + x * x
             z = nc * nc * x * x / (2 * s)
@@ -282,6 +284,41 @@ class TestNoncentralTDensity:
         for x, nc in [(1e-200, 1e-200), (-1e-200, -1e-200), (5e-324, 1e-10)]:
             assert nct_logpdf(x, 5.0, nc) == pytest.approx(
                 stats.t.logpdf(x, 5.0), rel=1e-12)
+
+    @pytest.mark.parametrize("x, df, nc", [
+        (-4.0, 0.3, 12.0), (-8.0, 1.0, 6.0), (3.0, 1.0, -15.0), (-2.5, 10.0, 20.0),
+        (1e3, 10.0, 1e4),     # x s - nc at the peak is about 1e5 times below nc
+        (30.0, 1e6, 30.0),    # the peak at s = 1 + 5e-7, with df = 1e6
+    ])
+    def test_opposite_signs_and_large_df_match_high_precision(self, x, df, nc):
+        assert nct_logpdf(x, df, nc) == pytest.approx(
+            self._mp_logpdf(x, df, nc, digits=120), rel=1e-12)
+
+    @pytest.mark.parametrize("x, df, nc, expected", [
+        # a 60-digit mpmath.quad of the defining integral over the mixture
+        (1e200, 10.0, 1.0, -5050.967783244871),
+        # x = nc -> inf at df = 10: nc / sqrt(V / df)'s density at nc,
+        # 2 m^m e^-m / (Gamma(m) x) with m = df / 2
+        (1e150, 10.0, 1e150,
+         math.log(2.0) + 5.0 * math.log(5.0) - 5.0 - math.lgamma(5.0) - 150.0 * math.log(10.0)),
+        # df -> inf: the unit normal about nc, at its mean
+        (5.0, 1e300, 5.0, -0.5 * math.log(2.0 * math.pi)),
+    ])
+    def test_edge_of_double_range(self, x, df, nc, expected):
+        assert nct_logpdf(x, df, nc) == pytest.approx(expected, rel=1e-12)
+
+    def test_every_finite_input_has_a_log_density(self):
+        # a log density, or -inf past double range: never an exception, a
+        # numpy warning, NaN or +inf
+        values = [0.0] + [sign * 10.0 ** k for k in (-300, -10, 0, 2, 10, 100, 300)
+                          for sign in (1.0, -1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for df in (1e-300, 1e-8, 1.0, 10.0, 1e6, 1e100, 1e300):
+                for x in values:
+                    for nc in values:
+                        value = nct_logpdf(x, df, nc)
+                        assert not math.isnan(value) and value < math.inf, (x, df, nc)
 
 
 class TestBayesFactor:

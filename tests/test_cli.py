@@ -33,7 +33,7 @@ import errandlab.scenario
 import errandlab.scoring
 import errandlab.sessionlog
 import errandlab.vrnq
-from errandlab.bayes import Direction, IntegrationFailure
+from errandlab.bayes import Direction, EvidenceBand, IntegrationFailure
 from errandlab.cli import build_parser, main
 from errandlab.jsonio import _json_text
 from errandlab.config import config_hash, default_config
@@ -720,6 +720,40 @@ class TestVrnqCompareCommand:
         assert row[0] == "Total"
         assert row[5] == f"{total['bf10_rel_err']:.1e}"
 
+    def test_a_large_bf10_fits_its_column(self, tmp_path, capsys):
+        # 300 pairs of ratings 2-5, each revised one point higher with
+        # probability 0.3: the Total row's BF10 is about 1e148, which fixed
+        # point prints in 152 characters
+        rng = random.Random(3)
+        cohorts = {"baseline": [], "revised": []}
+        for i in range(300):
+            items = [rng.randint(2, 5) for _ in range(20)]
+            revised = [v + int(rng.random() < 0.3) for v in items]
+            for name, ratings in (("baseline", items), ("revised", revised)):
+                cohorts[name].append(VrnqResponseSet(
+                    participant_id=f"p{i}", items=tuple(ratings), feedback=""))
+        argv = ["vrnq", "compare"]
+        for name, rows in cohorts.items():
+            write_cohort_csv(rows, tmp_path / f"{name}.csv")
+            argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        assert main(argv + ["--format", "json"]) == 0
+        bf10s = [row["bf10"] for row in json.loads(capsys.readouterr().out)["rows"]]
+        assert main(argv) == 0
+        header, *lines = capsys.readouterr().out.splitlines()[1:]
+        assert max(bf10s) > 1e100
+
+        def layout(line):
+            # where BF10 and bf10_rel_err end and the evidence starts, counted
+            # from the end of p (the Total row's p of 2.7e-151 takes ten
+            # characters): fixed when BF10 fits its 12 characters
+            fields = list(re.finditer(r"\S+", line))
+            return [end - fields[3].end() for end in (
+                fields[4].end(), fields[5].end(), fields[6].start())]
+
+        for line, bf10 in zip(lines, bf10s, strict=True):
+            assert layout(line) == layout(header) == [14, 28, 30]
+            assert float(line.split()[4]) == pytest.approx(bf10, rel=1e-4)
+
     @pytest.mark.parametrize("prior_scale, code", [
         ("0", 2), ("-1", 2), ("nan", 2), ("inf", 2), ("abc", 2),
         ("1e-300", 1), ("1.4e154", 1), ("1e154", 1)])
@@ -1188,7 +1222,10 @@ class TestEntryPoints:
         assert _heavy_modules_after("import errandlab.cli") == []
 
     def test_bayes_import_leaves_scipy_integrate_unloaded(self):
-        loaded = _heavy_modules_after("import errandlab.bayes")
+        # the noncentral t density too, on either side of its noncentrality
+        loaded = _heavy_modules_after(
+            "from errandlab.bayes import nct_logpdf\n"
+            "nct_logpdf(-4.0, 10.0, 12.0)\nnct_logpdf(4.0, 10.0, 12.0)")
         assert "errandlab.bayes" in loaded
         assert [m for m in loaded if m.startswith("scipy.integrate")] == []
 
@@ -1196,8 +1233,10 @@ class TestEntryPoints:
         assert _heavy_modules_after("import errandlab") == []
 
     def test_only_bayes_imports_numpy_or_scipy(self):
-        # read from the source, so that an import inside a function counts
+        # read from the source, so that an import inside a function counts;
+        # of scipy, bayes imports stdtr alone
         importers = set()
+        scipy_imports = []
         for path in Path(errandlab.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Import):
@@ -1208,7 +1247,10 @@ class TestEntryPoints:
                     continue
                 if any(name.partition(".")[0] in ("numpy", "scipy") for name in names):
                     importers.add(path.name)
+                if any(name.partition(".")[0] == "scipy" for name in names):
+                    scipy_imports.append(ast.unparse(node))
         assert importers == {"bayes.py"}
+        assert scipy_imports == ["from scipy.special import stdtr"]
 
     def test_score_leaves_scipy_and_numpy_unloaded(self, tmp_path):
         log_path = tmp_path / "session.ndjson"
