@@ -531,8 +531,10 @@ def _bf10_columns(ts: Sequence[float], n: int, prior_scale: float,
     split = np.maximum(np.maximum(t * t / n, r2), 1e-6)
     # the skew factor moves monotonically in g towards this limit, which is
     # its smallest value in the opposed direction; a limit below the normal
-    # double range would leave subnormal, imprecise tail values
-    tail_limit = 2.0 * stdtr(nu + 1.0, sign * t * math.sqrt((nu + 1.0) / nu))
+    # double range would leave subnormal, imprecise tail values.  Two-sided,
+    # there is no skew factor, and the limit is 2 stdtr(nu + 1, 0) = 1
+    tail_limit = (2.0 * stdtr(nu + 1.0, sign * t * math.sqrt((nu + 1.0) / nu)) if sign
+                  else np.ones_like(t))
     # a column that fails here is the last one integrated: the ones after it
     # cannot change which failure is raised
     count = 0

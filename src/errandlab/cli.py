@@ -244,6 +244,8 @@ def _cmd_vrnq_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
+    import csv
+    import io
     # scipy costs most of a cold start; only this command needs it
     from . import bayes
     from .vrnq import _paired_columns, _read_cohort_items
@@ -273,17 +275,14 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
 
     outputs: dict[str, str] = {}
     if args.out is not None:
-        csv_lines = ["score,n,t,df,p,bf10,band,stars,bf10_rel_err"]
-        for row in rows:
-            if row["degenerate"]:
-                csv_lines.append(f"{row['score']},{row['n']},,,,,,,")
-            else:
-                csv_lines.append(
-                    f"{row['score']},{row['n']},{row['t']!r},{row['df']},"
-                    f"{row['p']!r},{row['bf10']!r},{row['band']},{row['stars']},"
-                    f"{row['bf10_rel_err']!r}")
+        fields = ("score", "n", "t", "df", "p", "bf10", "band", "stars", "bf10_rel_err")
+        table = io.StringIO()
+        writer = csv.DictWriter(table, fields, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        # a degenerate column's statistics, df included, stay empty
+        writer.writerows({**row, "df": None} if row["degenerate"] else row for row in rows)
         _write_output(args.out, outputs, "comparison", "comparison.csv",
-                      ("\n".join(csv_lines) + "\n").encode("utf-8"))
+                      table.getvalue().encode("utf-8"))
 
     def text() -> Iterable[str]:
         yield (f"paired comparison, alternative: {hypothesis} "
@@ -296,10 +295,12 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
                        f"{'identical samples; t undefined':>46}")
             else:
                 evidence = row["band"] + (f" {row['stars']}" if row["stars"] else "")
-                # fixed point would print a 1e149 in 150 figures, past its column
+                # fixed point would print a 1e149 in 150 figures, past its
+                # column, and a p below 1e-99 takes ten characters in .4g
                 bf10_format = ">12.3f" if row["bf10"] < 1e6 else ">12.4e"
+                p_format = ">9.4g" if row["p"] >= 1e-99 else ">9.3g"
                 yield (f"{row['score']:<18} {row['n']:>3}  {row['t']:>8.3f}  "
-                       f"{row['p']:>9.4g}  {row['bf10']:{bf10_format}}  "
+                       f"{row['p']:{p_format}}  {row['bf10']:{bf10_format}}  "
                        f"{row['bf10_rel_err']:>12.1e}  {evidence}")
 
     return _finish(

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-from .jsonio import (_CANONICAL, ConfigError, _is_number, _json_text, _quoted, _record,
-                     read_json)
+from .jsonio import (_CANONICAL, ConfigError, _is_number, _json_native, _quoted, _record,
+                     read_json, write_json)
 from .scenario import (_MAX_CLOCK_MS, AUDITORY_STIMULUS_KINDS, LADDER_DEPTH,
                        SHOPPING_LIST_LENGTH, VISUAL_STIMULUS_KINDS, NpcChoice)
 
@@ -226,9 +225,8 @@ def _check_points(name: str, table: Any, keys: set[str], message: str,
 
 
 def config_to_dict(config: ScoringConfig) -> dict[str, Any]:
-    """JSON-native dict, tuples rendered as lists."""
-    raw = dataclasses.asdict(config)
-    return json.loads(json.dumps(raw, sort_keys=True))
+    """A JSON-native dict of the fields: it equals ``json.loads`` of its ``json.dumps``."""
+    return _json_native(config)
 
 
 def config_hash(config: ScoringConfig) -> str:
@@ -238,8 +236,7 @@ def config_hash(config: ScoringConfig) -> str:
     The JSON is written straight from the fields, which gives the bytes of
     :func:`config_to_dict`'s JSON for a config that passes ``validate()``.
     """
-    fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
-    return hashlib.sha256(_CANONICAL.encode(fields).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_CANONICAL.encode(vars(config)).encode("utf-8")).hexdigest()
 
 
 def default_config() -> ScoringConfig:
@@ -261,7 +258,7 @@ def load_config(path: str | Path) -> ScoringConfig:
 
 
 def save_config(config: ScoringConfig, path: str | Path) -> None:
-    Path(path).write_text(_json_text(config_to_dict(config)) + "\n", encoding="utf-8")
+    write_json(path, config_to_dict(config))
 
 
 def __getattr__(name: str) -> Any:

@@ -1,9 +1,9 @@
 """The base of errandlab's errors and the JSON rules the commands share:
-:func:`read_json` (the one reader of JSON input files, which names the file
-in each :class:`ConfigError` it raises), the record reader of config and
-profile documents, the number test, the canonical JSON of session logs and
-config hashes, and the indented JSON writer.  They import no other errandlab
-module, so no command loads the session engine for them."""
+:func:`read_json` and :func:`write_json`, the one reader and writer of JSON
+files (the reader names the file in each :class:`ConfigError` it raises), the
+record reader of config and profile documents and the walk every ``*_to_dict``
+returns, the number test, and the canonical and indented JSON.  They import
+no other errandlab module, so no command loads the session engine for them."""
 
 import json
 import math
@@ -65,6 +65,21 @@ def _record(cls: type[_T], document: Any, kind: str, keys: str) -> _T:
     tuples = {name for name, f in fields.items() if isinstance(f.default, tuple)}
     return cls(**{key: tuple(value) if key in tuples and isinstance(value, list) else value
                   for key, value in document.items()})  # every key is a field: no TypeError
+
+
+_JSON_LEAVES = (str, int, float, type(None))  # bool is an int
+
+
+def _json_native(value: Any) -> Any:
+    # A walk over the dataclass fields that shares the leaves instead of
+    # deep-copying them.
+    if isinstance(value, _JSON_LEAVES):
+        return value
+    if isinstance(value, dict):
+        return {str(key): _json_native(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json_native(item) for item in value]
+    return {name: _json_native(item) for name, item in vars(value).items()}
 
 
 _QUOTE_MAX = 60  # the most characters of a refused value that a fault quotes
@@ -141,3 +156,9 @@ def _json_text(value: Any) -> str:
     out: list[str] = []
     _write_json(value, "\n", out)
     return "".join(out)
+
+
+def write_json(path: str | os.PathLike[str], value: Any) -> None:
+    """Write ``value``'s indented JSON and a newline to ``path`` in UTF-8, LF on every OS."""
+    with open(path, "wb") as handle:
+        handle.write((_json_text(value) + "\n").encode("utf-8"))

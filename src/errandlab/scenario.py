@@ -381,7 +381,8 @@ class SessionEvent:
     def __init__(self, seq: int, sim_time_ms: int, scene: int, kind: EventKind,
                  payload: dict[str, Any] = _NO_PAYLOAD) -> None:
         # The checks run before any field is set, in the order of the fields.
-        # Three plain ints and a kind pass at once; the rest is checked by name.
+        # Three plain ints and a kind pass at once; the rest is checked by name,
+        # and an int subclass is held as a plain int.
         if not (type(seq) is type(sim_time_ms) is type(scene) is int
                 and type(kind) is EventKind):
             for name, value in (("seq", seq), ("sim_time_ms", sim_time_ms),
@@ -390,6 +391,7 @@ class SessionEvent:
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise TypeError(
                         f"{name} must be an integer, not {type(value).__name__}")
+            seq, sim_time_ms, scene = int(seq), int(sim_time_ms), int(scene)
             if type(kind) is not EventKind:  # a str would pass the schema lookup
                 raise TypeError(
                     f"kind must be an EventKind, not {type(kind).__name__}")

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable, Mapping, Optional, Sequence
 
 from .config import BAND_NAMES, ScoringConfig, _DEDUCTION_FLOOR, _PER_SIDE_FIELDS
+from .jsonio import _json_native
 from .scenario import (
     COOKING_ITEMS,
     EngineError,
@@ -465,21 +466,7 @@ def scorecard_to_dict(card: TaskScorecard) -> dict:
 
     Every dataclass becomes a dict of its fields, every tuple a list and
     every key a string (the telemetry's scene ids are ints), so the result
-    sorts and compares as its JSON text reads back.
+    equals what ``json.loads`` reads back from its ``json.dumps`` text.
     """
     return _json_native(card)
 
-
-_JSON_LEAVES = (str, int, float, type(None))  # bool is an int
-
-
-def _json_native(value: Any) -> Any:
-    # A walk over the dataclass fields that shares the leaves instead of
-    # deep-copying them the way dataclasses.asdict does.
-    if isinstance(value, _JSON_LEAVES):
-        return value
-    if isinstance(value, dict):
-        return {str(key): _json_native(item) for key, item in value.items()}
-    if isinstance(value, (tuple, list)):
-        return [_json_native(item) for item in value]
-    return {name: _json_native(item) for name, item in vars(value).items()}

@@ -162,8 +162,8 @@ def serialize_log(log: SessionLog) -> bytes:
         payload = join(encode(event.payload, 0)) if event.payload else "{}"
         lines.append(
             f'{{"kind":{_KIND_JSON[event.kind]},"payload":{payload},'
-            f'"scene":{event.scene:d},"seq":{event.seq:d},'
-            f'"sim_time_ms":{event.sim_time_ms:d}}}')
+            f'"scene":{event.scene},"seq":{event.seq},'
+            f'"sim_time_ms":{event.sim_time_ms}}}')
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

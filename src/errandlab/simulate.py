@@ -23,7 +23,6 @@ total session duration is stable across profiles.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from random import Random
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .config import ScoringConfig, _PER_SIDE_FIELDS, config_hash, default_config
-from .jsonio import ConfigError, _is_number, _json_text, _quoted, _record, read_json
+from .jsonio import ConfigError, _is_number, _json_native, _quoted, _record, read_json, write_json
 from .scenario import (
     COOKING_ITEMS,
     EVENT_SCENES,
@@ -193,7 +192,8 @@ PROFILE_PRESETS = {
 
 
 def profile_to_dict(profile: ParticipantProfile) -> dict[str, Any]:
-    return dataclasses.asdict(profile)
+    """A JSON-native dict of the dials: it equals ``json.loads`` of its ``json.dumps``."""
+    return _json_native(profile)
 
 
 def profile_from_dict(data: Mapping[str, Any]) -> ParticipantProfile:
@@ -208,8 +208,7 @@ def load_profile(path: str) -> ParticipantProfile:
 
 
 def save_profile(profile: ParticipantProfile, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_json_text(profile_to_dict(profile)) + "\n")
+    write_json(path, profile_to_dict(profile))
 
 
 # ---------------------------------------------------------------------------

@@ -570,7 +570,7 @@ class TestQuadratureShape:
         # argument is non-negative, which is every node of an aligned t > 0,
         # and where it is negative, every node of an opposed t > 0, the
         # binomial tail at even n and stdtr at odd n.  Two-sided evaluates
-        # no skew factor
+        # neither the tail limit nor the skew factor
         calls = {"stdtr": [], "_t_cdf_upper": [], "_t_cdf_lower": []}
         for name, counted in calls.items():
             def counting(*args, original=getattr(errandlab.bayes, name), counted=counted):
@@ -579,19 +579,19 @@ class TestQuadratureShape:
 
             monkeypatch.setattr(errandlab.bayes, name, counting)
         bf10_directional(t, n, direction=direction)
+        series_rounds, binomial_rounds = calls["_t_cdf_upper"], calls["_t_cdf_lower"]
+        if direction is Direction.TWO_SIDED:
+            assert calls["stdtr"] == series_rounds == binomial_rounds == []
+            return
         tail_limit, *stdtr_rounds = calls["stdtr"]
         assert np.shape(tail_limit[1]) == (1,)
-        series_rounds, binomial_rounds = calls["_t_cdf_upper"], calls["_t_cdf_lower"]
         if direction is Direction.A_LESS:
             assert stdtr_rounds == binomial_rounds == []
             rounds = series_rounds
-        elif direction is Direction.A_GREATER:
+        else:
             assert series_rounds == []
             assert [stdtr_rounds, binomial_rounds][n % 2] == []
             rounds = stdtr_rounds + binomial_rounds
-        else:
-            assert stdtr_rounds == series_rounds == binomial_rounds == []
-            return
         assert 1 <= len(rounds) <= 2
         for df, w in rounds:
             assert df == n and w.ndim == 2 and w.shape[1] == 21

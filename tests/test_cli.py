@@ -578,6 +578,18 @@ class TestVrnqCompareCommand:
         return (_cohort_csv(tmp_path / "baseline.csv", baseline_totals),
                 _cohort_csv(tmp_path / "revised.csv", revised_totals))
 
+    @staticmethod
+    def _compare_argv(tmp_path, pairs):
+        """`vrnq compare` of cohorts whose participant i rated the
+        (baseline, revised) item lists ``pairs[i]``."""
+        argv = ["vrnq", "compare"]
+        for side, name in enumerate(("baseline", "revised")):
+            write_cohort_csv([VrnqResponseSet(participant_id=f"p{i}", items=tuple(pair[side]),
+                                              feedback="") for i, pair in enumerate(pairs)],
+                             tmp_path / f"{name}.csv")
+            argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        return argv
+
     def test_improvement_detected(self, tmp_path, capsys):
         baseline, revised = self._paired_csvs(tmp_path, shift=20)
         code = main(["vrnq", "compare", "--baseline", str(baseline),
@@ -598,6 +610,34 @@ class TestVrnqCompareCommand:
         assert len(lines) == 6  # header + total + four domains
         rel_err = float(lines[1].split(",")[-1])
         assert 0.0 <= rel_err <= 1e-6
+
+    def test_csv_is_the_json_rows_joined_with_a_degenerate_row_empty(self, tmp_path, capsys):
+        # 12 pairs whose InGameAssistance ratings stay put: that column is
+        # degenerate.  The CSV is each row's fields joined by commas, every
+        # float as its repr, and on the degenerate row no statistic, df
+        # included
+        rng = random.Random(5)
+        steady = set(errandlab.vrnq.DEFAULT_DOMAIN_MAPPING["InGameAssistance"])
+        pairs = []
+        for _ in range(12):
+            items = [rng.randint(2, 6) for _ in range(20)]
+            pairs.append((items, [v if item in steady else v + rng.randint(-1, 1)
+                                  for item, v in enumerate(items, start=1)]))
+        argv = self._compare_argv(tmp_path, pairs)
+        assert main(argv + ["--out", str(tmp_path / "cmp"), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["score"] for row in rows if row["degenerate"]] == ["InGameAssistance"]
+        expected = ["score,n,t,df,p,bf10,band,stars,bf10_rel_err"]
+        for row in rows:
+            if row["degenerate"]:
+                expected.append(f"{row['score']},{row['n']},,,,,,,")
+            else:
+                expected.append(
+                    f"{row['score']},{row['n']},{row['t']!r},{row['df']},"
+                    f"{row['p']!r},{row['bf10']!r},{row['band']},{row['stars']},"
+                    f"{row['bf10_rel_err']!r}")
+        assert (tmp_path / "cmp" / "comparison.csv").read_bytes() == (
+            "\n".join(expected) + "\n").encode("utf-8")
 
     def test_json_rows(self, tmp_path, capsys):
         baseline, revised = self._paired_csvs(tmp_path, shift=20)
@@ -725,17 +765,11 @@ class TestVrnqCompareCommand:
         # probability 0.3: the Total row's BF10 is about 1e148, which fixed
         # point prints in 152 characters
         rng = random.Random(3)
-        cohorts = {"baseline": [], "revised": []}
-        for i in range(300):
+        pairs = []
+        for _ in range(300):
             items = [rng.randint(2, 5) for _ in range(20)]
-            revised = [v + int(rng.random() < 0.3) for v in items]
-            for name, ratings in (("baseline", items), ("revised", revised)):
-                cohorts[name].append(VrnqResponseSet(
-                    participant_id=f"p{i}", items=tuple(ratings), feedback=""))
-        argv = ["vrnq", "compare"]
-        for name, rows in cohorts.items():
-            write_cohort_csv(rows, tmp_path / f"{name}.csv")
-            argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+            pairs.append((items, [v + int(rng.random() < 0.3) for v in items]))
+        argv = self._compare_argv(tmp_path, pairs)
         assert main(argv + ["--format", "json"]) == 0
         bf10s = [row["bf10"] for row in json.loads(capsys.readouterr().out)["rows"]]
         assert main(argv) == 0
@@ -743,15 +777,14 @@ class TestVrnqCompareCommand:
         assert max(bf10s) > 1e100
 
         def layout(line):
-            # where BF10 and bf10_rel_err end and the evidence starts, counted
-            # from the end of p (the Total row's p of 2.7e-151 takes ten
-            # characters): fixed when BF10 fits its 12 characters
+            # where n, t, p, BF10 and bf10_rel_err end and the evidence
+            # starts, from the start of the line: the header's places while
+            # p and BF10 fit their columns (the Total row's p is 2.7e-151)
             fields = list(re.finditer(r"\S+", line))
-            return [end - fields[3].end() for end in (
-                fields[4].end(), fields[5].end(), fields[6].start())]
+            return [field.end() for field in fields[1:6]] + [fields[6].start()]
 
         for line, bf10 in zip(lines, bf10s, strict=True):
-            assert layout(line) == layout(header) == [14, 28, 30]
+            assert layout(line) == layout(header) == [22, 32, 43, 57, 71, 73]
             assert float(line.split()[4]) == pytest.approx(bf10, rel=1e-4)
 
     @pytest.mark.parametrize("prior_scale, code", [
@@ -1119,9 +1152,19 @@ def _interpreters() -> dict[str, str]:
     return found
 
 
+# Saves the default config and profile under o/, as test_golden pins them.
+_SAVE_DEFAULTS = """
+from errandlab.config import default_config, save_config
+from errandlab.simulate import default_profile, save_profile
+save_config(default_config(), "o/config.json")
+save_profile(default_profile(), "o/profile.json")
+"""
+
+
 def test_simulate_writes_the_same_bytes_on_every_interpreter(tmp_path):
     # the simulator draws from random.random() alone, whose stream Python
-    # keeps across versions; none of these interpreters needs numpy
+    # keeps across versions; none of these interpreters needs numpy.  The
+    # saved default config and profile are compared too
     interpreters = _interpreters()
     if len(interpreters) < 2:
         pytest.skip(f"fewer than two of python3.10-3.13 found: {sorted(interpreters)}")
@@ -1135,9 +1178,13 @@ def test_simulate_writes_the_same_bytes_on_every_interpreter(tmp_path):
              "--format", "json", "--out", "o"],
             capture_output=True, cwd=run, env=env)
         assert result.returncode == 0, (version, result.stderr.decode())
+        saved = subprocess.run([path, "-c", _SAVE_DEFAULTS], capture_output=True,
+                               cwd=run, env=env)
+        assert saved.returncode == 0, (version, saved.stderr.decode())
         outputs[version] = (result.stdout, {p.name: p.read_bytes()
                                             for p in sorted((run / "o").iterdir())})
     first, *rest = interpreters
+    assert {"config.json", "profile.json"} <= set(outputs[first][1])
     for version in rest:
         assert outputs[version] == outputs[first], f"{version} differs from {first}"
     print("ran under", ", ".join(f"{v} ({p})" for v, p in interpreters.items()))

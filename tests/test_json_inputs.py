@@ -20,8 +20,9 @@ from errandlab.cli import main
 from errandlab.config import (ScoringConfig, config_from_dict, config_hash, config_to_dict,
                               default_config)
 from errandlab.jsonio import ConfigError, _quoted, read_json
+from errandlab.scoring import scorecard_to_dict
 from errandlab.simulate import (ParticipantProfile, default_profile, profile_from_dict,
-                                profile_to_dict)
+                                profile_to_dict, simulate_cohort)
 from errandlab.vrnq import CSV_COLUMNS, DEFAULT_DOMAIN_MAPPING, ITEM_COUNT, DomainMapping
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
@@ -36,7 +37,7 @@ _REPLACEMENTS = st.lists(_JSON, min_size=1, max_size=3)
 _EXAMPLES = 40
 
 _CONFIG = config_to_dict(default_config())
-_PROFILE = json.loads(json.dumps(profile_to_dict(default_profile())))
+_PROFILE = profile_to_dict(default_profile())
 
 
 def _documents(default: dict, document: Any, values: list) -> Iterator[Any]:
@@ -56,6 +57,18 @@ def _builds_or_refuses(build: Callable[[Any], Any], documents: Iterator[Any]) ->
             build(document)
         except ValueError:  # ConfigError is one
             pass
+
+
+@pytest.mark.parametrize("to_dict, record", [
+    pytest.param(scorecard_to_dict, lambda: simulate_cohort([default_profile()], [7])[0][1],
+                 id="scorecard"),
+    pytest.param(config_to_dict, default_config, id="config"),
+    pytest.param(profile_to_dict, default_profile, id="profile"),
+])
+def test_each_to_dict_is_what_its_json_reads_back_as(to_dict, record):
+    # JSON-native: lists for tuples, a string for every key
+    data = to_dict(record())
+    assert data == json.loads(json.dumps(data))
 
 
 class TestBuilders:

@@ -105,6 +105,17 @@ class TestSerialization:
                 "scene": event.scene, "kind": event.kind.value,
                 "payload": event.payload})
 
+    def test_int_enum_seq_and_scene_are_written_as_plain_ints(self, walk_log):
+        # an event holds an int subclass as a plain int, so its line is the
+        # one plain ints give
+        seqs = enum.IntEnum("Seq", {f"S{e.seq}": e.seq for e in walk_log.events})
+        scenes = enum.IntEnum("Scene", {f"S{e.scene}": e.scene for e in walk_log.events})
+        events = tuple(dataclasses.replace(e, seq=seqs(e.seq), scene=scenes(e.scene))
+                       for e in walk_log.events)
+        assert all(type(e.seq) is type(e.scene) is int for e in events)
+        log = dataclasses.replace(walk_log, events=events)
+        assert serialize_log(log) == serialize_log(walk_log)
+
     def test_trailing_newline_required(self, walk_log):
         data = serialize_log(walk_log)
         assert data.endswith(b"\n")
