@@ -4,8 +4,10 @@ import argparse
 import ast
 import contextlib
 import csv
+import dataclasses
 import errno
 import functools
+import gc
 import importlib
 import inspect
 import io
@@ -20,6 +22,7 @@ import subprocess
 import sys
 import types
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -37,8 +40,9 @@ from errandlab.bayes import Direction, EvidenceBand, IntegrationFailure
 from errandlab.cli import build_parser, main
 from errandlab.jsonio import _json_text
 from errandlab.config import config_hash, default_config
+from errandlab.scenario import EventKind, SessionEvent
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
-from errandlab.sessionlog import deserialize_log, serialize_log
+from errandlab.sessionlog import deserialize_log, log_from_events, serialize_log
 from errandlab.simulate import PROFILE_PRESETS, default_profile, simulate_session
 from errandlab.vrnq import (CSV_COLUMNS, CUTOFFS, DOMAINS, DomainMapping, VrnqResponseSet,
                             aggregate_cohort, check_cutoffs, read_cohort_csv, score_vrnq,
@@ -1095,6 +1099,158 @@ class TestOutNamingAFile:
         assert captured.err == f"error: {blocker}: {os.strerror(errno.EEXIST)}\n"
         assert captured.out == ""
         assert blocker.read_text() == "not a directory\n"
+
+
+@contextlib.contextmanager
+def _collector(enabled):
+    """Run the block with the cyclic collector on or off, then put it back."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _long_log(path, target_events):
+    """A simulated session padded to ``target_events`` with NoteOpened/NoteClosed
+    pairs right after scene 3 is entered, at its entry timestamp, as the
+    benchmark's long logs are: it still replays and scores."""
+    log = simulate_session(default_profile(), 1)
+    events = list(log.events)
+    at = next(i for i, e in enumerate(events)
+              if e.scene == 3 and e.kind is EventKind.SCENE_ENTERED)
+    notes = [SessionEvent(seq=0, sim_time_ms=events[at].sim_time_ms, scene=3, kind=kind)
+             for _ in range((target_events - len(events)) // 2)
+             for kind in (EventKind.NOTE_OPENED, EventKind.NOTE_CLOSED)]
+    merged = events[:at + 1] + notes + events[at + 1:]
+    path.write_bytes(serialize_log(log_from_events(
+        (dataclasses.replace(event, seq=seq) for seq, event in enumerate(merged)),
+        seed=log.seed, config_hash=log.config_hash)))
+    return path
+
+
+class TestCollectorPause:
+    """``main`` runs a command with the cyclic garbage collector paused."""
+
+    @pytest.fixture
+    def log(self, tmp_path):
+        path = tmp_path / "session.ndjson"
+        path.write_bytes(serialize_log(simulate_session(default_profile(), 1)))
+        return path
+
+    def test_a_command_runs_with_the_collector_off(self, log, monkeypatch, capsys):
+        seen = []
+        original = errandlab.scoring.aggregate_scorecard
+
+        def recorded(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(errandlab.scoring, "aggregate_scorecard", recorded)
+        with _collector(True):
+            assert main(["score", "--log", str(log)]) == 0
+            assert gc.isenabled()
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", ["exit 0", "exit 4", "exit 3", "crash"])
+    def test_main_leaves_the_collector_as_the_caller_had_it(
+            self, log, tmp_path, monkeypatch, capsys, enabled, outcome):
+        if outcome == "exit 4":  # an ErrandlabError: a truncated log
+            log.write_bytes(log.read_bytes()[:-200])
+        elif outcome == "exit 3":  # an OSError: no such file
+            log = tmp_path / "absent.ndjson"
+        elif outcome == "crash":
+            def crash(*args, **kwargs):
+                raise RuntimeError("unexpected")
+            monkeypatch.setattr(errandlab.scoring, "aggregate_scorecard", crash)
+        with _collector(enabled):
+            if outcome == "crash":
+                with pytest.raises(RuntimeError, match="unexpected"):
+                    main(["score", "--log", str(log)])
+            else:
+                assert main(["score", "--log", str(log)]) == int(outcome[-1])
+            assert gc.isenabled() is enabled
+
+    @staticmethod
+    def _no_garbage_argvs(directory):
+        """(argv, exit code) of every command and of its error exits."""
+        argvs = _command_argvs(directory)
+        out = ["--out", str(directory / "out")]
+        rejected = directory / "rejected.ndjson"
+        rejected.write_bytes((directory / "session.ndjson").read_bytes()[:-200])
+        bad_config = directory / "config.json"
+        bad_config.write_text("[]\n")
+        malformed = directory / "malformed.csv"
+        malformed.write_text("participant_id\np1\n")
+        compare = [*argvs["vrnq compare"], *out, "--direction"]
+        return {
+            "simulate text": ([*argvs["simulate"][:-1], "3", *out], 0),
+            "simulate json": ([*argvs["simulate"][:-1], "3", *out, "--format", "json"], 0),
+            "score accepted": ([*argvs["score"], *out], 0),
+            "score rejected": (["score", "--log", str(rejected)], 4),
+            "vrnq score": ([*argvs["vrnq score"], *out], 0),
+            "vrnq compare less": ([*compare, "less"], 0),
+            "vrnq compare greater": ([*compare, "greater"], 0),
+            "vrnq compare two-sided": ([*compare, "two-sided"], 0),
+            "exit 2": ([*argvs["score"], "--config", str(bad_config)], 2),
+            "exit 3": (["score", "--log", str(directory / "absent.ndjson")], 3),
+            "exit 5": (["vrnq", "score", "--responses", str(malformed)], 5),
+        }
+
+    @pytest.mark.parametrize("case", [
+        "simulate text", "simulate json", "score accepted", "score rejected",
+        "vrnq score", "vrnq compare less", "vrnq compare greater",
+        "vrnq compare two-sided", "exit 2", "exit 3", "exit 5"])
+    def test_no_command_leaves_cyclic_garbage(self, tmp_path, capsys, case):
+        """A command builds no reference cycle: all it allocates is freed by
+        reference counting alone.  This is the premise of running commands
+        with the collector paused.  It is what keeps a 100,000-session cohort
+        from growing memory while the collector is paused; a change that makes
+        a command build cycles fails here."""
+        argv, code = self._no_garbage_argvs(tmp_path)[case]
+        assert main(argv) == code  # loads the command's imports
+        gc.collect()
+        with _collector(False):
+            assert main(argv) == code
+            assert gc.collect() == 0
+
+    def test_text_simulate_frees_each_scorecard_before_the_next_session(
+            self, tmp_path, monkeypatch, capsys):
+        # only --format json prints the scorecards; text output keeps none
+        cards, alive = [], []
+        original = errandlab.scoring.score_session
+
+        def recorded(*args, **kwargs):
+            alive.append([ref() is not None for ref in cards])
+            card = original(*args, **kwargs)
+            cards.append(weakref.ref(card))
+            return card
+
+        monkeypatch.setattr(errandlab.scoring, "score_session", recorded)
+        assert main(["simulate", "--seed", "1", "--cohort", "3",
+                     "--out", str(tmp_path / "run")]) == 0
+        # the last card is still bound while the next session is simulated
+        assert alive == [[], [True], [False, True]]
+
+    def test_scoring_a_long_log_starts_no_collection(self, tmp_path, capsys):
+        log = _long_log(tmp_path / "long.ndjson", 8_000)
+        generations = []
+
+        def counted(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.collect()  # every generation's count starts from zero
+        gc.callbacks.append(counted)
+        try:
+            with _collector(True):
+                assert main(["score", "--log", str(log), "--format", "json"]) == 0
+        finally:
+            gc.callbacks.remove(counted)
+        # the restored collector may run one young collection on the way out
+        assert generations in ([], [0]), generations
 
 
 def _subprocess_env():
