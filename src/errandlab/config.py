@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-from .jsonio import (_CANONICAL, ConfigError, _is_number, _json_native, _quoted, _record,
+from .jsonio import (ConfigError, _canonical, _is_number, _json_native, _quoted, _record,
                      read_json, write_json)
 from .scenario import (_MAX_CLOCK_MS, AUDITORY_STIMULUS_KINDS, LADDER_DEPTH,
                        SHOPPING_LIST_LENGTH, VISUAL_STIMULUS_KINDS, NpcChoice)
@@ -236,7 +236,7 @@ def config_hash(config: ScoringConfig) -> str:
     The JSON is written straight from the fields, which gives the bytes of
     :func:`config_to_dict`'s JSON for a config that passes ``validate()``.
     """
-    return hashlib.sha256(_CANONICAL.encode(vars(config)).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(vars(config)).encode("utf-8")).hexdigest()
 
 
 def default_config() -> ScoringConfig:

@@ -1,15 +1,17 @@
-"""The base of errandlab's errors and the JSON rules the commands share:
-:func:`read_json` and :func:`write_json`, the one reader and writer of JSON
-files (the reader names the file in each :class:`ConfigError` it raises), the
-record reader of config and profile documents and the walk every ``*_to_dict``
-returns, the number test, and the canonical and indented JSON.  They import
-no other errandlab module, so no command loads the session engine for them."""
+"""The base of errandlab's errors and every JSON rule of the package: the one
+reader and writer of JSON files (:func:`read_json`, which names the file in
+each :class:`ConfigError` it raises, and :func:`write_json`), the record
+reader of config and profile documents, the walk every ``*_to_dict`` returns,
+the number test, and the one canonical JSON encoder and the indented JSON,
+which name each key as json does.  They import no other errandlab module, so
+no command loads the session engine for them."""
 
 import json
 import math
 import os
-from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Mapping, TypeVar
+from collections.abc import Mapping
+from json.encoder import c_make_encoder, encode_basestring_ascii  # type: ignore[attr-defined]
+from typing import Any, Callable, TypeVar
 
 _T = TypeVar("_T")
 
@@ -25,14 +27,15 @@ class ConfigError(ErrandlabError, ValueError):
 
 
 def read_json(path: str | os.PathLike[str], build: Callable[[Any], _T]) -> _T:
-    """``build`` of the JSON document in the UTF-8 file at ``path``; a
-    ConfigError naming ``path`` if the bytes are not UTF-8 JSON, nest past
-    the recursion limit or hold an integer longer than Python converts from
-    a string, or if ``build`` raises a ValueError (a ConfigError is one)."""
+    """``build`` of the JSON document in the UTF-8 file at ``path``, a leading
+    byte-order mark skipped; a ConfigError naming ``path`` if the bytes are
+    not UTF-8 JSON, nest past the recursion limit or hold an integer longer
+    than Python converts from a string, or if ``build`` raises a ValueError
+    (a ConfigError is one)."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        document = json.loads(data.decode("utf-8"))
+        document = json.loads(data.decode("utf-8-sig"))
     # UnicodeDecodeError and JSONDecodeError are ValueErrors too
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
@@ -42,9 +45,24 @@ def read_json(path: str | os.PathLike[str], build: Callable[[Any], _T]) -> _T:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-# Sorted keys and no spaces: the session log's lines and the text config_hash
-# digests.  Its encode builds a new C encoder on every call.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+def _as_object(value: Any) -> dict:
+    # the encoder's hook for what json does not write itself (never a dict):
+    # any Mapping is written as an object
+    if isinstance(value, Mapping):
+        return dict(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# The canonical JSON (sorted keys, no spaces, ASCII) of the session log and
+# config_hash, in chunks.  The arguments: markers (None: nothing written holds
+# itself), default, encoder, indent, key and item separators, sort_keys,
+# skipkeys, allow_nan.
+_canonical_chunks = c_make_encoder(None, _as_object, encode_basestring_ascii,
+                                   None, ":", ",", True, False, True)
+
+
+def _canonical(value: Any) -> str:
+    return "".join(_canonical_chunks(value, 0))
 
 
 def _is_number(value: Any) -> bool:
@@ -72,13 +90,16 @@ _JSON_LEAVES = (str, int, float, type(None))  # bool is an int
 
 def _json_native(value: Any) -> Any:
     # A walk over the dataclass fields that shares the leaves instead of
-    # deep-copying them.
+    # deep-copying them, and names each key as json does.
     if isinstance(value, _JSON_LEAVES):
         return value
     if isinstance(value, dict):
-        return {str(key): _json_native(item) for key, item in value.items()}
+        return {key if type(key) is str else str(key) if type(key) is int else _json_key(key):
+                _json_native(item) for key, item in value.items()}
     if isinstance(value, (tuple, list)):
         return [_json_native(item) for item in value]
+    if isinstance(value, Mapping):  # after dict: a Mapping's isinstance is slow
+        return _json_native(dict(value))
     return {name: _json_native(item) for name, item in vars(value).items()}
 
 
@@ -106,12 +127,12 @@ _LEAF_TEXT: dict[type, Callable[[Any], str]] = {
 }
 
 
-def _key_text(key: Any) -> str:
-    # json sorts by the original key, then writes it as a quoted leaf
+def _json_key(key: Any) -> str:
+    """The name json gives the dict key ``key``: a str subclass's plain
+    value, an int, float, bool or None spelled as json spells it."""
     for base in (str, float, bool, type(None), int):
         if isinstance(key, base):
-            text = _LEAF_TEXT[base](key)
-            return text if base is str else encode_basestring_ascii(text)
+            return str.__str__(key) if base is str else _LEAF_TEXT[base](key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
@@ -131,8 +152,8 @@ def _write_json(value: Any, indent: str, out: list[str]) -> None:
     elif isinstance(value, dict):
         inner = indent + "  "
         sep = "{" + inner
-        for key, item in sorted(value.items()):
-            key = encode_basestring_ascii(key) if type(key) is str else _key_text(key)
+        for key, item in sorted(value.items()):  # json sorts by the original key
+            key = encode_basestring_ascii(key if type(key) is str else _json_key(key))
             out.append(f"{sep}{key}: ")
             _write_json(item, inner, out)
             sep = "," + inner

@@ -4,9 +4,9 @@ A session log is a header record plus an ordered list of
 :class:`~errandlab.scenario.SessionEvent` rows.  The header carries the
 schema name and version, the session seed, and the hash of the scoring
 config in force, so any log can be matched to the exact rules that produced
-and scored it.  Serialization is canonical (sorted keys, fixed separators,
-LF line endings, UTF-8), which makes valid logs round-trip byte-for-byte —
-the determinism tests lean on that.
+and scored it.  Each line is the canonical JSON of ``jsonio``'s one encoder,
+whose text ``config_hash`` digests too; lines end in LF, so valid logs
+round-trip byte-for-byte — the determinism tests lean on that.
 
 Parsing turns an event line that :func:`serialize_log` writes with an
 empty payload and a known kind into its event from one pattern match, with
@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Optional
 
-from .jsonio import _CANONICAL, ErrandlabError
+from .jsonio import ErrandlabError, _canonical, _canonical_chunks
 from .scenario import (
     AUDITORY_STIMULUS_KINDS,
     COOKING_ITEMS,
@@ -132,32 +132,22 @@ def log_from_events(events: Iterable[SessionEvent], seed: Optional[int] = None,
     return SessionLog(seed=seed, config_hash=config_hash, events=tuple(collected))
 
 
-# The header and the kind names go through _dumps, the canonical encoding
-# that config_hash digests too (jsonio._CANONICAL).
-_dumps = _CANONICAL.encode
 # The canonical JSON of each kind's name, for the event envelope.
-_KIND_JSON = {kind: _dumps(kind.value) for kind in EventKind}
-# The payloads go through one C encoder with _dumps's options, built once; it
-# returns the JSON in chunks.  A payload holds scalars only, so it keeps no
-# circular-reference markers (None, as check_circular=False would).
-_encode_payload = json.encoder.c_make_encoder(  # type: ignore[attr-defined]
-    None, _CANONICAL.default, json.encoder.encode_basestring_ascii,
-    _CANONICAL.indent, _CANONICAL.key_separator, _CANONICAL.item_separator,
-    _CANONICAL.sort_keys, _CANONICAL.skipkeys, _CANONICAL.allow_nan)
+_KIND_JSON = {kind: _canonical(kind.value) for kind in EventKind}
 
 
 def serialize_log(log: SessionLog) -> bytes:
     """Canonical NDJSON bytes: one header line, then one line per event."""
-    lines = [_dumps({
+    lines = [_canonical({
         "kind": "header",
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,
         "seed": log.seed,
         "config_hash": log.config_hash,
     })]
-    # The envelope is written here in sorted-key order, as _dumps would
+    # The envelope is written here in sorted-key order, as _canonical would
     # write it; only a non-empty payload goes through the encoder.
-    encode, join = _encode_payload, "".join
+    encode, join = _canonical_chunks, "".join
     for event in log.events:
         payload = join(encode(event.payload, 0)) if event.payload else "{}"
         lines.append(

@@ -1308,22 +1308,33 @@ def _interpreters() -> dict[str, str]:
     return found
 
 
-# Saves the default config and profile under o/, as test_golden pins them.
+# Saves the default config and profile under o/, as test_golden pins them,
+# and runs `vrnq score` of the CSV named on the command line through main:
+# its text and --format json output go to o/, its --out manifest to o/vrnq/.
 _SAVE_DEFAULTS = """
+import contextlib, io, sys
+from errandlab.cli import main
 from errandlab.config import default_config, save_config
 from errandlab.simulate import default_profile, save_profile
 save_config(default_config(), "o/config.json")
 save_profile(default_profile(), "o/profile.json")
+for name, options in (("text", []), ("json", ["--format", "json", "--out", "o/vrnq"])):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["vrnq", "score", "--responses", sys.argv[1], *options]) == 0
+    with open(f"o/vrnq_score.{name}", "wb") as handle:
+        handle.write(out.getvalue().encode("utf-8"))
 """
 
 
 def test_simulate_writes_the_same_bytes_on_every_interpreter(tmp_path):
     # the simulator draws from random.random() alone, whose stream Python
     # keeps across versions; none of these interpreters needs numpy.  The
-    # saved default config and profile are compared too
+    # saved default config and profile and `vrnq score`'s outputs are
+    # compared too
     interpreters = _interpreters()
     if len(interpreters) < 2:
         pytest.skip(f"fewer than two of python3.10-3.13 found: {sorted(interpreters)}")
+    responses = _cohort_csv(tmp_path / "cohort.csv", {"p1": 100, "p2": 90, "p3": 37})
     env = {**_subprocess_env(), "PYTHONDONTWRITEBYTECODE": "1"}
     outputs = {}
     for version, path in interpreters.items():
@@ -1334,13 +1345,15 @@ def test_simulate_writes_the_same_bytes_on_every_interpreter(tmp_path):
              "--format", "json", "--out", "o"],
             capture_output=True, cwd=run, env=env)
         assert result.returncode == 0, (version, result.stderr.decode())
-        saved = subprocess.run([path, "-c", _SAVE_DEFAULTS], capture_output=True,
-                               cwd=run, env=env)
+        saved = subprocess.run([path, "-c", _SAVE_DEFAULTS, str(responses)],
+                               capture_output=True, cwd=run, env=env)
         assert saved.returncode == 0, (version, saved.stderr.decode())
-        outputs[version] = (result.stdout, {p.name: p.read_bytes()
-                                            for p in sorted((run / "o").iterdir())})
+        outputs[version] = (result.stdout, {str(p.relative_to(run)): p.read_bytes()
+                                            for p in sorted((run / "o").rglob("*"))
+                                            if p.is_file()})
     first, *rest = interpreters
-    assert {"config.json", "profile.json"} <= set(outputs[first][1])
+    assert {"o/config.json", "o/profile.json", "o/vrnq_score.text", "o/vrnq_score.json",
+            "o/vrnq/manifest.json"} <= set(outputs[first][1])
     for version in rest:
         assert outputs[version] == outputs[first], f"{version} differs from {first}"
     print("ran under", ", ".join(f"{v} ({p})" for v, p in interpreters.items()))
@@ -1454,6 +1467,19 @@ class TestEntryPoints:
                     scipy_imports.append(ast.unparse(node))
         assert importers == {"bayes.py"}
         assert scipy_imports == ["from scipy.special import stdtr"]
+
+    def test_only_jsonio_builds_a_json_encoder(self):
+        # read from the source: one encoder writes the canonical JSON of the
+        # session log and config_hash, and a second could drift from it
+        namers = set()
+        for path in Path(errandlab.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name in ("JSONEncoder", "c_make_encoder"):
+                    namers.add(path.name)
+        assert namers == {"jsonio.py"}
 
     def test_score_leaves_scipy_and_numpy_unloaded(self, tmp_path):
         log_path = tmp_path / "session.ndjson"
@@ -1737,6 +1763,20 @@ class TestBadInputFiles:
         assert main(self._argv(option, str(bad), tmp_path)) == code
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {bad}: ")
+
+    # a UTF-8 byte-order mark before a good document is skipped, as the
+    # cohort reader skips one before a CSV
+    @pytest.mark.parametrize("option, content", [
+        ("--config", '{"session_target_s": 1800.5}'),
+        ("--profile", '{"notes_use_prob": 0.5}'),
+        ("--domains", json.dumps(errandlab.vrnq.DEFAULT_DOMAIN_MAPPING)),
+    ], ids=["config-bom", "profile-bom", "domains-bom"])
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, capsys, option, content):
+        runs = []
+        for data in (content.encode(), b"\xef\xbb\xbf" + content.encode()):
+            path = self._bad_file(tmp_path, data)
+            runs.append((main(self._argv(option, str(path), tmp_path)), capsys.readouterr()))
+        assert runs[1] == runs[0] and runs[0][0] == 0
 
     def test_one_error_line_across_the_process_boundary(self, tmp_path):
         option, content, code = _BAD_INPUT_FILES[0].values

@@ -10,19 +10,26 @@ import dataclasses
 import hashlib
 import json
 import re
+from collections import UserDict
+from types import MappingProxyType
 from typing import Any, Callable, Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from errandlab import sessionlog
+from errandlab import jsonio
 from errandlab.cli import main
-from errandlab.config import (ScoringConfig, config_from_dict, config_hash, config_to_dict,
-                              default_config)
+from errandlab.config import (DEFAULT_BAND_POINTS, DEFAULT_NPC_NEGATIVE_DEDUCTIONS,
+                              DEFAULT_NPC_POSITIVE_MATRIX, ScoringConfig, config_from_dict,
+                              config_hash, config_to_dict, default_config, load_config,
+                              save_config)
 from errandlab.jsonio import ConfigError, _quoted, read_json
 from errandlab.scoring import scorecard_to_dict
-from errandlab.simulate import (ParticipantProfile, default_profile, profile_from_dict,
-                                profile_to_dict, simulate_cohort)
+from errandlab.scenario import PmDelay
+from errandlab.sessionlog import serialize_log
+from errandlab.simulate import (ParticipantProfile, default_profile, load_profile,
+                                profile_from_dict, profile_to_dict, save_profile,
+                                simulate_cohort, simulate_session)
 from errandlab.vrnq import CSV_COLUMNS, DEFAULT_DOMAIN_MAPPING, ITEM_COUNT, DomainMapping
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
@@ -69,6 +76,43 @@ def test_each_to_dict_is_what_its_json_reads_back_as(to_dict, record):
     # JSON-native: lists for tuples, a string for every key
     data = to_dict(record())
     assert data == json.loads(json.dumps(data))
+
+
+def test_a_profile_keyed_by_pm_delay_saves_its_keys_as_json_names_them(tmp_path):
+    # a str enum key is written as its value, "short", not "PmDelay.SHORT"
+    profile = dataclasses.replace(default_profile(), pm_hit_prob={d: 0.5 for d in PmDelay})
+    save_profile(profile, tmp_path / "profile.json")
+    assert json.loads((tmp_path / "profile.json").read_text())["pm_hit_prob"] == {
+        "short": 0.5, "medium": 0.5, "long": 0.5}
+    assert load_profile(tmp_path / "profile.json") == profile
+
+
+@pytest.mark.parametrize("wrap", [MappingProxyType, UserDict], ids=["mappingproxy", "UserDict"])
+class TestMappingFields:
+    """A table field may be any Mapping that passes validation; every JSON
+    writer writes it as the dict it wraps."""
+
+    def test_config_writes_as_the_default(self, wrap, tmp_path):
+        config = ScoringConfig(
+            band_points=wrap(dict(DEFAULT_BAND_POINTS)),
+            npc_positive_matrix=wrap({key: wrap(dict(row)) for key, row
+                                      in DEFAULT_NPC_POSITIVE_MATRIX.items()}),
+            npc_negative_deductions=wrap(dict(DEFAULT_NPC_NEGATIVE_DEDUCTIONS)))
+        config.validate()
+        default = default_config()
+        assert config_hash(config) == config_hash(default)
+        assert config_to_dict(config) == config_to_dict(default)
+        save_config(config, tmp_path / "config.json")
+        assert load_config(tmp_path / "config.json") == default
+        assert (serialize_log(simulate_session(default_profile(), 1, config))
+                == serialize_log(simulate_session(default_profile(), 1, default)))
+
+    def test_profile_writes_as_the_default(self, wrap, tmp_path):
+        default = default_profile()
+        profile = dataclasses.replace(default, pm_hit_prob=wrap(dict(default.pm_hit_prob)))
+        assert profile_to_dict(profile) == profile_to_dict(default)
+        save_profile(profile, tmp_path / "profile.json")
+        assert load_profile(tmp_path / "profile.json") == default
 
 
 class TestBuilders:
@@ -222,5 +266,5 @@ class TestCanonicalJson:
     ], ids=["default", "edited"])
     def test_config_hash_is_the_sha256_of_the_log_encoding(self, config):
         fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
-        text = sessionlog._dumps(fields)
+        text = jsonio._canonical(fields)
         assert config_hash(config) == hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -5,14 +5,16 @@ import enum
 import json
 import math
 import time
+from collections import UserDict
+from types import MappingProxyType
 
 import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from errandlab import scenario, sessionlog
+from errandlab import jsonio, scenario, sessionlog
 from errandlab.config import DEFAULT_BAND_POINTS
-from errandlab.jsonio import _json_text
+from errandlab.jsonio import _json_native, _json_text
 from errandlab.scenario import EventKind, SessionEvent
 from errandlab.scoring import aggregate_scorecard
 from errandlab.sessionlog import (
@@ -32,7 +34,7 @@ from errandlab.sessionlog import (
     log_from_events,
     serialize_log,
 )
-from errandlab.simulate import simulate_session
+from errandlab.simulate import default_profile, simulate_session
 from walks import minimal_walk
 
 
@@ -258,7 +260,7 @@ class TestEncoderProperties:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(value=_JSON)
     def test_shared_encoder_equals_json_dumps(self, value):
-        assert sessionlog._dumps(value) == _canonical(value)
+        assert jsonio._canonical(value) == _canonical(value)
 
     # The payload encoder is built once and reused for every event.
     @settings(derandomize=True, max_examples=200, deadline=None)
@@ -266,7 +268,19 @@ class TestEncoderProperties:
                                    | st.sampled_from([0.1, 1e-7, 1e16, -0.0, 5e-324]),
                                    max_size=5))
     def test_payload_encoder_equals_json_dumps(self, payload):
-        assert "".join(sessionlog._encode_payload(payload, 0)) == _canonical(payload)
+        assert "".join(jsonio._canonical_chunks(payload, 0)) == _canonical(payload)
+
+    @pytest.mark.parametrize("wrap", [MappingProxyType, UserDict],
+                             ids=["mappingproxy", "UserDict"])
+    def test_a_mapping_payload_is_written_as_its_dict(self, wrap):
+        log = simulate_session(default_profile(), 1)
+        wrapped = log_from_events(
+            [dataclasses.replace(event, payload=wrap(dict(event.payload))) for event in log.events],
+            seed=log.seed, config_hash=log.config_hash)
+        assert any(event.payload for event in log.events)
+        data = serialize_log(wrapped)
+        assert data == serialize_log(log)
+        assert deserialize_log(data) == log == wrapped
 
 
 def _events_per_line(lines):
@@ -510,6 +524,26 @@ class TestIndentedWriter:
             _indented(value)
         with pytest.raises(TypeError) as raised:
             _json_text(value)
+        assert str(raised.value) == str(expected.value)
+
+
+class TestWalkKeys:
+    """The walk every ``*_to_dict`` returns names each key as json does."""
+
+    @pytest.mark.parametrize("key", [
+        True, False, None, 7, 1.5, -0.0, 1e16, math.nan, -math.inf, numpy.float64(0.1),
+        EventKind.NOTE_OPENED, _Level.LOW])
+    def test_keys_equal_json_round_trip(self, key):
+        value = {"outer": [{key: 1}], key: {key: None}}
+        walked = _json_native(value)
+        assert walked == json.loads(json.dumps(value))
+        assert {type(k) for k in [*walked, *walked["outer"][0]]} == {str}
+
+    def test_raises_type_error_where_json_does(self):
+        with pytest.raises(TypeError) as expected:
+            json.dumps({(1,): 0})
+        with pytest.raises(TypeError) as raised:
+            _json_native({(1,): 0})
         assert str(raised.value) == str(expected.value)
 
 
