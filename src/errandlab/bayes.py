@@ -509,6 +509,10 @@ def _bf10_columns(ts: Sequence[float], n: int, prior_scale: float,
 
     Each column's result, or failure, is the one it would have alone; the
     :class:`IntegrationFailure` raised is that of the first failing column.
+    A column fails before its integral if t^2 / n or its one-sided tail is
+    outside double range; it is then integrated at t = 0, so that the column
+    arrays stay whole, and each column's failure, early or from its
+    integral, is raised from one loop over the results.
     """
     if not all(map(math.isfinite, ts)):
         raise ValueError("t must be finite")
@@ -526,35 +530,26 @@ def _bf10_columns(ts: Sequence[float], n: int, prior_scale: float,
         raise IntegrationFailure(
             f"prior_scale = {prior_scale:g} squared is outside the normal double range")
     t = np.array(ts, dtype=float)
-    # the smooth factor peaks in [r^2/4, max(t^2/n, r^2/3)], so this split
-    # keeps the adaptive rule from stepping over the mass near the peak
-    split = np.maximum(np.maximum(t * t / n, r2), 1e-6)
     # the skew factor moves monotonically in g towards this limit, which is
     # its smallest value in the opposed direction; a limit below the normal
     # double range would leave subnormal, imprecise tail values.  Two-sided,
     # there is no skew factor, and the limit is 2 stdtr(nu + 1, 0) = 1
     tail_limit = (2.0 * stdtr(nu + 1.0, sign * t * math.sqrt((nu + 1.0) / nu)) if sign
                   else np.ones_like(t))
-    # a column that fails here is the last one integrated: the ones after it
-    # cannot change which failure is raised
-    count = 0
-    first_failure = None
-    for column_t, column_split, limit in zip(ts, split, tail_limit):
-        if not math.isfinite(column_split):
-            first_failure = f"t = {column_t:g} is beyond double range"
-            break
-        if limit < sys.float_info.min:
-            first_failure = f"the one-sided tail at t = {column_t:g} is below double range"
-            break
-        count += 1
-    if not count:
-        raise IntegrationFailure(first_failure)
+    # each column's failure before its integral, or None
+    early = [f"t = {column_t:g} is beyond double range" if not math.isfinite(square)
+             else f"the one-sided tail at t = {column_t:g} is below double range"
+             if limit < sys.float_info.min else None
+             for column_t, square, limit in zip(ts, t * t / n, tail_limit)]
+    t[[failure is not None for failure in early]] = 0.0
+    # the smooth factor peaks in [r^2/4, max(t^2/n, r^2/3)], so this split
+    # keeps the adaptive rule from stepping over the mass near the peak
+    split = np.maximum(np.maximum(t * t / n, r2), 1e-6)
 
     # t_nu(z) / t_nu(t) = ((nu + z^2) / (nu + t^2))^-(nu+1)/2, and that ratio
     # is b + a / omega^2 = 1 - a n g / omega^2 with a + b = 1.  Its log is
     # taken from the sum of positive terms when a is near 1, and through
     # log1p when a is small, where the ratio is near 1 and the power large
-    t, split = t[:count], split[:count]
     a = t * t / (nu + t * t)
     b = nu / (nu + t * t)
     log_norm = math.log(prior_scale) - 0.5 * math.log(2.0 * math.pi)
@@ -577,7 +572,7 @@ def _bf10_columns(ts: Sequence[float], n: int, prior_scale: float,
         steps = min(int(span / _GRID_STEP) + 1, _MAX_GRID_STEPS)
         grids.append(np.exp(-span / steps * np.arange(steps, -1, -1)))
     sizes = [len(grid) for grid in grids]
-    grid_col = np.repeat(np.arange(count), sizes)
+    grid_col = np.repeat(np.arange(len(t)), sizes)
     peak = np.maximum.reduceat(
         log_smooth(split[grid_col] * np.concatenate(grids), a[grid_col], b[grid_col]),
         np.cumsum([0] + sizes[:-1]))
@@ -611,13 +606,13 @@ def _bf10_columns(ts: Sequence[float], n: int, prior_scale: float,
     value, error, failures = _adaptive_gk21(
         integrand, np.concatenate([e[:-1] for e in edges]),
         np.concatenate([e[1:] for e in edges]),
-        np.repeat(np.arange(count), [size + 4 for size in sizes]),
+        np.repeat(np.arange(len(t)), [size + 4 for size in sizes]),
         f"prior_scale = {prior_scale:g} is too large for n = {n}: "
         f"n g overflows in the integral")
     results = []
     for j, failure in enumerate(failures):
-        if failure is not None:
-            raise IntegrationFailure(failure)
+        if early[j] or failure:
+            raise IntegrationFailure(early[j] or failure)
         if value[j] <= 0.0 or not math.isfinite(value[j]):
             raise IntegrationFailure("alternative marginal is not positive")
         log_bf = float(peak[j]) + math.log(split[j]) + math.log(value[j])
@@ -629,8 +624,6 @@ def _bf10_columns(ts: Sequence[float], n: int, prior_scale: float,
             raise IntegrationFailure(
                 f"relative error {rel_err:.3e} exceeds 1e-6")
         results.append((math.exp(log_bf), rel_err))
-    if first_failure is not None:
-        raise IntegrationFailure(first_failure)
     return results
 
 

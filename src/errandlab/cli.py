@@ -287,21 +287,23 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
                       table.getvalue().encode("utf-8"))
 
     def text() -> Iterable[str]:
+        # from 1,000 pairs n is wider than its three places, and so is its header
+        n_width = max(3, *(len(str(row["n"])) for row in rows))
         yield (f"paired comparison, alternative: {hypothesis} "
                f"(direction {args.direction}, prior scale {args.prior_scale:g})")
-        yield (f"{'score':<18} {'n':>3}  {'t':>8}  {'p':>9}  {'BF10':>12}  "
+        yield (f"{'score':<18} {'n':>{n_width}}  {'t':>8}  {'p':>9}  {'BF10':>12}  "
                f"{'bf10_rel_err':>12}  evidence")
         for row in rows:
             if row["degenerate"]:
-                yield (f"{row['score']:<18} {row['n']:>3}  "
-                       f"{'identical samples; t undefined':>46}")
+                yield (f"{row['score']:<18} {row['n']:>{n_width}}  "
+                       f"{'all differences equal; t undefined':>46}")
             else:
                 evidence = row["band"] + (f" {row['stars']}" if row["stars"] else "")
                 # fixed point would print a 1e149 in 150 figures, past its
                 # column, and a p below 1e-99 takes ten characters in .4g
                 bf10_format = ">12.3f" if row["bf10"] < 1e6 else ">12.4e"
                 p_format = ">9.4g" if row["p"] >= 1e-99 else ">9.3g"
-                yield (f"{row['score']:<18} {row['n']:>3}  {row['t']:>8.3f}  "
+                yield (f"{row['score']:<18} {row['n']:>{n_width}}  {row['t']:>8.3f}  "
                        f"{row['p']:{p_format}}  {row['bf10']:{bf10_format}}  "
                        f"{row['bf10_rel_err']:>12.1e}  {evidence}")
 

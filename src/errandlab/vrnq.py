@@ -31,7 +31,7 @@ import csv
 import io
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
@@ -321,7 +321,26 @@ def _read_cohort_items(source: str | Path | io.TextIOBase) -> _Cohort:
         # utf-8-sig drops the byte-order mark of a spreadsheet's "CSV UTF-8"
         with (open(source, "r", encoding="utf-8-sig", newline="") if where
               else nullcontext(source)) as handle:
-            return _read_cohort(handle)
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise VrnqError("CSV is empty")
+            if header != CSV_COLUMNS and header != CSV_COLUMNS + ["feedback"]:
+                raise VrnqError(
+                    "CSV header must be participant_id,q1,...,q20 "
+                    "(optionally plus feedback)")
+            width = len(header)
+            rows: list[list[str]] = []
+            try:
+                rows.extend(reader)  # on a fault, rows keeps the rows read before it
+            except (csv.Error, UnicodeDecodeError):
+                _checked_rows(rows, width)  # a faulty row before it is named first
+                raise
+            cohort = (_cohort_at_once(rows, width)
+                      or _cohort_at_once(_checked_rows(rows, width), width))
+            if cohort is None:  # every row was blank
+                raise VrnqError("CSV contains no responses")
+            return cohort
     except UnicodeDecodeError as exc:
         raise VrnqError(f"{where}invalid UTF-8 ({exc})") from exc
     except csv.Error as exc:
@@ -330,33 +349,10 @@ def _read_cohort_items(source: str | Path | io.TextIOBase) -> _Cohort:
         raise VrnqError(f"{where}{exc}") from exc
 
 
-def _read_cohort(handle) -> _Cohort:
-    reader = csv.reader(handle)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise VrnqError("CSV is empty") from None
-    if header != CSV_COLUMNS and header != CSV_COLUMNS + ["feedback"]:
-        raise VrnqError(
-            "CSV header must be participant_id,q1,...,q20 "
-            "(optionally plus feedback)")
-    width = len(header)
-    rows: list[list[str]] = []
-    try:
-        rows.extend(reader)  # on a fault, rows keeps the rows read before it
-    except (csv.Error, UnicodeDecodeError):
-        _cohort_row_by_row(rows, width)  # a faulty row before it is named first
-        raise
-    cohort = _cohort_at_once(rows, width) or _cohort_row_by_row(rows, width)
-    if not cohort[0]:
-        raise VrnqError("CSV contains no responses")
-    return cohort
-
-
 def _cohort_at_once(rows: list[list[str]], width: int) -> Optional[_Cohort]:
-    """Check and convert every row at once; None if any row is blank, has
-    the wrong width, an empty or repeated id, or a rating that is not one
-    of the strings ``"1"``..``"7"``."""
+    """The one builder of a cohort: every row checked and converted at
+    once; None if any row is blank, has the wrong width, an empty or
+    repeated id, or a rating that is not one of the strings ``"1"``..``"7"``."""
     if not rows or set(map(len, rows)) != {width}:
         return None
     columns = list(zip(*rows))
@@ -377,11 +373,12 @@ def _cohort_at_once(rows: list[list[str]], width: int) -> Optional[_Cohort]:
     return ids, digits.translate(_RATING_BYTES), feedback
 
 
-def _cohort_row_by_row(rows: list[list[str]], width: int) -> _Cohort:
-    """Read the rows one by one, raising a :class:`VrnqError` for the
-    first faulty row in file order."""
-    items_by_id: dict[str, tuple[int, ...]] = {}  # in file order
-    feedback: Optional[list[str]] = [] if width > len(CSV_COLUMNS) else None
+def _checked_rows(rows: list[list[str]], width: int) -> list[list[str]]:
+    """Raise a :class:`VrnqError` for the first faulty row in file order;
+    else the rows that are not blank, each with its id stripped and its
+    ratings spelled as ``str()`` writes them, which
+    :func:`_cohort_at_once` accepts."""
+    checked: dict[str, list[str]] = {}  # by id, in file order
     for line_no, row in enumerate(rows, start=2):
         if not row:
             continue
@@ -390,18 +387,15 @@ def _cohort_row_by_row(rows: list[list[str]], width: int) -> _Cohort:
         participant_id = row[0].strip()
         if not participant_id:
             raise VrnqError(f"line {line_no}: empty participant_id")
-        if participant_id in items_by_id:
+        if participant_id in checked:
             raise VrnqError(f"line {line_no}: duplicate participant {participant_id!r}")
         try:  # int() reads " 3", "+3" and "03" as 3
             items = tuple(map(int, row[1:ITEM_COUNT + 1]))
         except ValueError as exc:
             raise VrnqError(f"line {line_no}: non-integer item value") from exc
         _check_items(participant_id, items)
-        items_by_id[participant_id] = items
-        if feedback is not None:
-            feedback.append(row[ITEM_COUNT + 1])
-    ratings = bytes(chain.from_iterable(zip(*items_by_id.values())))
-    return list(items_by_id), ratings, feedback
+        checked[participant_id] = [participant_id, *map(str, items), *row[ITEM_COUNT + 1:]]
+    return list(checked.values())
 
 
 def write_cohort_csv(cohort: Sequence[VrnqResponseSet], path: str | Path) -> None:

@@ -235,6 +235,18 @@ class TestNoncentralTDensity:
         value = nct_logpdf(-30.0, 5.0, 40.0)
         assert value == -math.inf or value < -700
 
+    @pytest.mark.parametrize("x, nc", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+        (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+    def test_a_non_finite_x_or_nc_is_refused(self, x, nc):
+        with pytest.raises(ValueError, match="^x and nc must be finite$"):
+            nct_logpdf(x, 5.0, nc)
+
+    @pytest.mark.parametrize("df", [0.0, -1.0, math.nan, math.inf])
+    def test_df_must_be_positive_and_finite(self, df):
+        with pytest.raises(ValueError, match="^df must be positive and finite$"):
+            nct_logpdf(1.0, df, 1.0)
+
     @staticmethod
     def _mp_logpdf(x, df, nc, digits=40):
         # Closed form through Kummer's function 1F1, at 40 digits unless told

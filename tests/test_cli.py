@@ -667,7 +667,21 @@ class TestVrnqCompareCommand:
         code = main(["vrnq", "compare", "--baseline", str(baseline),
                      "--revised", str(baseline)])
         assert code == 0
-        assert "identical samples" in capsys.readouterr().out
+        assert "all differences equal; t undefined" in capsys.readouterr().out
+
+    def test_a_cohort_shifted_by_one_is_not_called_identical(self, tmp_path, capsys):
+        # every rating one point higher: every difference is equal, and none
+        # of the samples is identical to its pair
+        rng = random.Random(5)
+        pairs = []
+        for _ in range(12):
+            items = [rng.randint(1, 6) for _ in range(20)]
+            pairs.append((items, [v + 1 for v in items]))
+        assert main(self._compare_argv(tmp_path, pairs)) == 0
+        lines = capsys.readouterr().out.splitlines()[2:]
+        assert len(lines) == 5
+        for line in lines:
+            assert line.endswith(" 12  " + f"{'all differences equal; t undefined':>46}")
 
     def test_identical_cohorts_make_no_integration_call(self, tmp_path, monkeypatch,
                                                         capsys):
@@ -680,7 +694,7 @@ class TestVrnqCompareCommand:
         code = main(["vrnq", "compare", "--baseline", str(baseline),
                      "--revised", str(baseline), "--prior-scale", "1e-300"])
         assert code == 0
-        assert capsys.readouterr().out.count("identical samples") == 5
+        assert capsys.readouterr().out.count("all differences equal; t undefined") == 5
 
     def test_unmatched_ids_exit_5(self, tmp_path, capsys):
         baseline = _cohort_csv(tmp_path / "baseline.csv",
@@ -790,6 +804,32 @@ class TestVrnqCompareCommand:
         for line, bf10 in zip(lines, bf10s, strict=True):
             assert layout(line) == layout(header) == [22, 32, 43, 57, 71, 73]
             assert float(line.split()[4]) == pytest.approx(bf10, rel=1e-4)
+
+    def test_every_field_ends_under_its_header_at_a_thousand_pairs(self, tmp_path,
+                                                                   capsys):
+        # ratings 2-6, each revised one point down, kept or one point up,
+        # but the InGameAssistance items (11-15) kept, so that its row is
+        # degenerate
+        rng = random.Random(4)
+        pairs = []
+        for _ in range(1000):
+            items = [rng.randint(2, 6) for _ in range(20)]
+            pairs.append((items, [v if 11 <= item <= 15 else v + rng.choice((-1, 0, 1))
+                                  for item, v in enumerate(items, start=1)]))
+        assert main(self._compare_argv(tmp_path, pairs) + ["--direction", "two-sided"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()[1:]
+
+        def ends(line):
+            return [field.end() for field in re.finditer(r"\S+", line)]
+
+        assert len(lines) == 5
+        for line in lines:
+            if line.startswith("InGameAssistance"):
+                assert ends(line)[1] == ends(header)[1] == 23
+                assert line.endswith(" 1000  " + f"{'all differences equal; t undefined':>46}")
+            else:
+                # n, t, p, BF10 and bf10_rel_err
+                assert ends(line)[1:6] == ends(header)[1:6] == [23, 33, 44, 58, 72]
 
     @pytest.mark.parametrize("prior_scale, code", [
         ("0", 2), ("-1", 2), ("nan", 2), ("inf", 2), ("abc", 2),

@@ -268,3 +268,13 @@ class TestCanonicalJson:
         fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
         text = jsonio._canonical(fields)
         assert config_hash(config) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_a_value_json_cannot_write_raises_json_dumps_type_error(self):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(object())
+        with pytest.raises(TypeError) as canonical:
+            jsonio._canonical({"k": object()})
+        config = dataclasses.replace(default_config(), normative_route_mean_s=object())
+        with pytest.raises(TypeError) as hashed:
+            config_hash(config)
+        assert str(canonical.value) == str(hashed.value) == str(expected.value)

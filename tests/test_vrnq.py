@@ -655,7 +655,8 @@ def test_both_routes_read_a_canonical_file_alike(text):
     header, *rows = csv.reader(io.StringIO(text))
     at_once = errandlab.vrnq._cohort_at_once(rows, len(header))
     if at_once is not None:
-        ids, ratings, feedback = errandlab.vrnq._cohort_row_by_row(rows, len(header))
+        ids, ratings, feedback = errandlab.vrnq._cohort_at_once(
+            errandlab.vrnq._checked_rows(rows, len(header)), len(header))
         assert (at_once[0], at_once[1]) == (ids, ratings)
         assert (at_once[2] is None) == (feedback is None)
         assert list(at_once[2] or ()) == list(feedback or ())
