@@ -8,11 +8,11 @@ and scored it.  Each line is the canonical JSON of ``jsonio``'s one encoder,
 whose text ``config_hash`` digests too; lines end in LF, so valid logs
 round-trip byte-for-byte — the determinism tests lean on that.
 
-Parsing turns an event line that :func:`serialize_log` writes with an
-empty payload and a known kind into its event from one pattern match, with
-no call of the JSON scanner and no walk of the kind's empty schema.  The
-header, and every other event line, is scanned whole; a line parses to the
-same event, or fails with the same message, whichever way it is read.
+The body is read in blocks of whole lines through one multiline pattern in
+Python 3.10's syntax.  A line that :func:`serialize_log` writes for an event
+with an empty payload becomes its event from the pattern's fields and two
+lookup tables, with no JSON scan; every other line is scanned whole.  Either
+way a line gives the same event, or fails with the same message.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .scenario import (
     TASKS,
     TUTORIAL_SCENES,
     VISUAL_STIMULUS_KINDS,
+    _FIELDLESS_KINDS, _MAX_CLOCK_MS,
+    _set_kind, _set_payload, _set_scene, _set_seq, _set_sim_time_ms,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -163,14 +165,22 @@ _EVENT_FIELDS = frozenset({"seq", "sim_time_ms", "scene", "kind", "payload"})
 # there or a value nested in it is missing (as in '{"a":}'), ValueError for
 # other faults.
 _scan_once = json.JSONDecoder().scan_once
-# The line that serialize_log writes for an event with an empty payload: a
-# kind of ASCII letters and three integers that int() reads as the scanner
-# would (at most 18 digits, far below the 4,300-digit limit whose message a
-# longer one keeps).
+# One tuple per line of a block: a line that serialize_log writes for an
+# event with an empty payload gives its kind (ASCII letters, read as (?=(…))\1,
+# an atomic group Python 3.10 can compile) and three integers that int() reads
+# as the scanner would (at most 18 digits, far below the 4,300-digit limit whose
+# message a longer one keeps); any other line gives its text in the last group.
 _ENVELOPE_INT = r"(0|[1-9][0-9]{0,17})"
-_match_empty_event = re.compile(
-    r'\{"kind":"([A-Za-z]+)","payload":\{\},'
-    r'"scene":%s,"seq":%s,"sim_time_ms":%s\}' % ((_ENVELOPE_INT,) * 3)).fullmatch
+_read_block = re.compile(
+    r'^(?:\{"kind":"(?=([A-Za-z]+))\1","payload":\{\},'
+    r'"scene":%s,"seq":%s,"sim_time_ms":%s\}$|(.*))' % ((_ENVELOPE_INT,) * 3),
+    re.M).findall
+# Each block ends at the first newline past this many characters, so a log
+# refused early is scanned at most one block past its fault.
+_BLOCK_CHARS = 4096
+# The kinds with no payload fields, and the scene ids, by their text.
+_EMPTY_KINDS = {kind.value: kind for kind in _FIELDLESS_KINDS}
+_SCENE_IDS = {str(scene_id): scene_id for scene_id in SCENES_BY_ID}
 
 
 def _read_line(number: int, line: str) -> dict[str, Any]:
@@ -239,9 +249,9 @@ def deserialize_log(data: bytes) -> SessionLog:
         raise ParseError("log is empty")
     if not text.endswith("\n"):
         raise ParseError("log is truncated (no trailing newline)")
-    lines = text.split("\n")[:-1]
+    body = text.index("\n") + 1
 
-    header = _read_line(1, lines[0])
+    header = _read_line(1, text[:body - 1])
     if header.get("kind") != "header" or header.get("schema") != SCHEMA_NAME:
         raise ParseError("first line is not a session-log header")
     version = header.get("version")
@@ -263,25 +273,40 @@ def deserialize_log(data: bytes) -> SessionLog:
     # SessionEvent makes seq and sim_time_ms non-negative, so the first
     # event is never out of order.
     last_seq, last_ms = -1, 0
-    for number, line in enumerate(lines[1:], start=2):
-        # the substring test spares a line with a payload the pattern match;
-        # a line of an unknown kind, or that the pattern refuses, is read whole
-        kind = None
-        if '"payload":{},' in line and (match := _match_empty_event(line)):
-            kind_name, scene, seq, time_ms = match.groups()
-            kind = _EVENT_KINDS.get(kind_name)
-        try:
-            if kind is not None:
-                event = SessionEvent(int(seq), int(time_ms), int(scene), kind, {})
+    number, start, size = 1, body, len(text)
+    new, empty_kinds, scene_ids = object.__new__, _EMPTY_KINDS, _SCENE_IDS
+    while start < size:
+        # the text ends in a newline, so the last block ends at it
+        end = text.find("\n", min(start + _BLOCK_CHARS, size - 1))
+        first = number + 1
+        for kind_name, scene, seq, time_ms, line in _read_block(text, start, end):
+            number += 1
+            # Of SessionEvent.__init__'s checks, the pattern makes seq and
+            # sim_time_ms ints >= 0 and the payload an empty dict, and the
+            # tables make the kind fieldless and the scene known; a line
+            # failing these or the clock bound is read whole, and raises.
+            if (kind_name and (kind := empty_kinds.get(kind_name)) is not None
+                    and (scene := scene_ids.get(scene)) is not None
+                    and (time_ms := int(time_ms)) <= _MAX_CLOCK_MS):
+                event = new(SessionEvent)
+                _set_seq(event, seq := int(seq))
+                _set_sim_time_ms(event, time_ms)
+                _set_scene(event, scene)
+                _set_kind(event, kind)
+                _set_payload(event, {})
             else:
-                event = SessionEvent(*_read_event(number, line))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"line {number}: {exc}") from exc
-        seq, time_ms = event.seq, event.sim_time_ms
-        if seq <= last_seq or time_ms < last_ms:
-            _check_order(events[-1], event)
-        last_seq, last_ms = seq, time_ms
-        append(event)
+                if kind_name:
+                    line = text[start:end].split("\n")[number - first]
+                try:
+                    event = SessionEvent(*_read_event(number, line))
+                except (TypeError, ValueError) as exc:
+                    raise ParseError(f"line {number}: {exc}") from exc
+                seq, time_ms = event.seq, event.sim_time_ms
+            if seq <= last_seq or time_ms < last_ms:
+                _check_order(events[-1], event)
+            last_seq, last_ms = seq, time_ms
+            append(event)
+        start = end + 1
     return SessionLog(seed=seed, config_hash=config_hash, events=tuple(events))
 
 

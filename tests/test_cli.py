@@ -1419,6 +1419,8 @@ def _corrupt_logs() -> dict[str, bytes]:
     """One log per rejection family, each made from the seed-1 default log."""
     header, *events = golden_bytes("default", 1).decode("utf-8").split("\n")[:-1]
     first = json.loads(events[0])
+    late = max(i for i, line in enumerate(events) if '"payload":{},' in line)
+    assert sum(len(line) + 1 for line in events[:late]) > errandlab.sessionlog._BLOCK_CHARS
 
     def log(*lines: str) -> bytes:
         return "".join(line + "\n" for line in lines).encode("utf-8")
@@ -1428,6 +1430,9 @@ def _corrupt_logs() -> dict[str, bytes]:
         "invalid_json": log(header, events[0][:-1], *events[1:]),
         "unknown_scene": log(header, events[0].replace(
             f'"scene":{first["scene"]},', '"scene":23,'), *events[1:]),
+        # the last empty-payload line, in a later block than the first
+        "late_unknown_scene": log(header, *events[:late], re.sub(
+            r'"scene":[0-9]+,', '"scene":23,', events[late]), *events[late + 1:]),
         "schema_version": log(header.replace('"version":1', '"version":2'), *events),
         "out_of_order": log(header, events[1], events[0], *events[2:]),
         "engine": log(header, *events[1:]),
@@ -1459,6 +1464,12 @@ def test_score_reads_every_log_alike_on_every_interpreter(tmp_path):
     assert all(len(errors) == (code != 0) for code, _, errors in outputs[first])
     for version in rest:
         assert outputs[version] == outputs[first], f"{version} differs from {first}"
+    # the late fault is named by its own line, as the line loop counts it
+    late = corrupt["late_unknown_scene"].split(b"\n")
+    number = next(n for n, line in enumerate(late, start=1) if b'"scene":23,' in line)
+    _, _, errors = outputs[first][len(GOLDEN_SESSIONS) + list(corrupt).index(
+        "late_unknown_scene")]
+    assert errors == [f"error: line {number}: unknown scene id 23"], errors
     print("ran under", ", ".join(f"{v} ({p})" for v, p in interpreters.items()))
 
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import enum
+import itertools
 import json
 import math
+import re
 import time
 from collections import UserDict
 from types import MappingProxyType
@@ -35,6 +38,7 @@ from errandlab.sessionlog import (
     serialize_log,
 )
 from errandlab.simulate import default_profile, simulate_session
+from golden_logs import golden_bytes
 from walks import minimal_walk
 
 
@@ -358,13 +362,15 @@ _ENVELOPE_PAYLOADS = st.one_of(*(
     .map(lambda payload, kind=kind: (kind, payload))
     for kind, fields in scenario._PAYLOAD_FIELDS.items()))
 # Spellings of each envelope field that JSON reads (or rejects) and that the
-# empty-payload pattern does not take: leading zeros, signs, floats, integers
+# empty-payload route does not build: leading zeros, signs, floats, integers
 # past 18 digits and past the 4,300-digit limit, escaped and unknown kinds,
-# nested, deep, duplicate-key, brace-holding and cut-off payloads, and one
-# that holds the text the pattern's substring test looks for.
+# nested, deep, duplicate-key, brace-holding and cut-off payloads, and ones
+# that hold the pattern's empty-payload text.  Some the pattern takes and its
+# lookups refuse: an unknown kind, an empty payload of a kind with fields, a
+# scene or a clock past its range.
 _ODD_INTEGERS = [
     "00", "05", "-0", "-1", "3.0", "1e3", "1E0", "true", "null", '"3"', "[]",
-    "9" * 18, "1" + "0" * 17, "9" * 19, "1" + "0" * 18, "1" * 4301]
+    "9" * 18, "1" + "0" * 17, "9" * 19, "1" + "0" * 18, "1" * 4301, str(2**53 + 1)]
 _ODD_SPELLINGS = {
     "kind": [
         '"\\u0053ceneEntered"', '"Scene\\u0045ntered"', '"Teleported"',
@@ -378,11 +384,15 @@ _ODD_SPELLINGS = {
         '{"a":1' + "0" * 4300 + "}", '{"cook_time_s":-0}', '{"unit":07}',
         '{"cook_time_s":NaN,"item":"x"}', '{"cook_time_s":-Infinity}',
         '{"item":"x"', '{"item":"x\\"}', '{"a":}', '{"item":tru}', '{"a":-}',
-        '{"a":[1,}', '{"a":{"payload":{},"b":1}}', '{"payload":{},"a":1}'],
+        '{"a":[1,}', '{"a":{"payload":{},"b":1}}', '{"payload":{},"a":1}', "{}"],
     "scene": _ODD_INTEGERS,
     "seq": _ODD_INTEGERS,
     "sim_time_ms": _ODD_INTEGERS,
 }
+
+
+# An event line as serialize_log writes it, which the pattern reads.
+_NOTE_LINE = '{"kind":"NoteOpened","payload":{},"scene":3,"seq":4,"sim_time_ms":5}'
 
 
 @st.composite
@@ -463,6 +473,80 @@ class TestEnvelopeReading:
     def test_a_key_after_the_payload_equals_the_per_line_loop(self, value):
         for line in self._lines(rogue=value):
             _assert_parses_as_per_line([line])
+
+    @pytest.mark.parametrize("lines", [
+        [], [""], [_NOTE_LINE, "", _NOTE_LINE], [_NOTE_LINE, ""],
+        [_NOTE_LINE + "\r"], [_NOTE_LINE + "\r", _NOTE_LINE]],
+        ids=["header-only", "empty", "empty-middle", "empty-last", "cr", "cr-first"])
+    def test_odd_bodies_equal_the_per_line_loop(self, lines):
+        _assert_parses_as_per_line(lines)
+
+    @staticmethod
+    def _block_edges(lines):
+        # the indexes in ``lines`` of the first and last line of each block
+        # the body is read in, and of the lines at and beside each multiple
+        # of the block size in the text
+        header = serialize_log(SessionLog(seed=1, config_hash="c")).decode()
+        text = header + "".join(line + "\n" for line in lines)
+        starts = list(itertools.accumulate(
+            (len(line) + 1 for line in lines), initial=len(header)))
+        edges, start = set(), len(header)
+        while start < len(text):
+            end = text.find("\n", start + sessionlog._BLOCK_CHARS)
+            end = len(text) - 1 if end < 0 else end
+            edges |= {starts.index(start), starts.index(end + 1) - 1}
+            start = end + 1
+        for mark in range(sessionlog._BLOCK_CHARS, len(text), sessionlog._BLOCK_CHARS):
+            at = bisect.bisect_right(starts, mark) - 1
+            edges |= {at - 1, at, at + 1}
+        return sorted(edges & set(range(len(lines))))
+
+    @pytest.mark.parametrize("fault", ["kind", "scene", "cut"])
+    def test_faults_at_block_edges_equal_the_per_line_loop(self, fault):
+        # a real session's body, past three blocks, with one line spoiled at
+        # each edge of a block: the same message names the same line
+        lines = golden_bytes("default", 1).decode().split("\n")[1:-1]
+        edges = self._block_edges(lines)
+        assert len(edges) > 12 and len("\n".join(lines)) > 3 * sessionlog._BLOCK_CHARS
+        for at in edges:
+            line = lines[at]
+            if fault == "kind":
+                spoiled = re.sub(r'"kind":"[A-Za-z]+"', '"kind":"Teleported"', line)
+            elif fault == "scene":
+                spoiled = re.sub(r'"scene":[0-9]+,', '"scene":23,', line)
+            else:
+                spoiled = line[:len(line) // 2]
+            assert spoiled != line
+            _assert_parses_as_per_line([*lines[:at], spoiled, *lines[at + 1:]])
+
+    def test_the_route_without_init_sets_every_field(self, monkeypatch):
+        # the empty-payload lines are built without SessionEvent.__init__:
+        # each event has every slot set, as __init__ sets them from its fields
+        assert SessionEvent.__slots__ == ("seq", "sim_time_ms", "scene", "kind", "payload")
+        fields = [(scene, kind) for kind in sorted(scenario._FIELDLESS_KINDS)
+                  for scene in sorted(scenario.SCENES_BY_ID)]
+        times = [0] + [1] * (len(fields) - 2) + [2**53]
+        log = log_from_events(SessionEvent(seq, ms, scene, kind) for seq, (ms, (scene, kind))
+                              in enumerate(zip(times, fields)))
+        scanned = []
+        original = sessionlog._read_line
+        monkeypatch.setattr(sessionlog, "_read_line",
+                            lambda number, line: scanned.append(number)
+                            or original(number, line))
+        parsed = deserialize_log(serialize_log(log))
+        assert scanned == [1]
+        assert len(parsed.events) == len(fields)
+        for event in parsed.events:
+            built = SessionEvent(event.seq, event.sim_time_ms, event.scene, event.kind)
+            assert event == built
+            assert repr(event) == repr(built)
+            # the payload dict makes both unhashable, and alike: an unset
+            # slot would raise AttributeError instead
+            with pytest.raises(TypeError) as expected:
+                hash(built)
+            with pytest.raises(TypeError) as raised:
+                hash(event)
+            assert str(raised.value) == str(expected.value)
 
     def test_empty_payload_lines_skip_the_line_scan(self, walk_log, monkeypatch):
         # the header and each event line with a payload are scanned whole;
