@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-from .jsonio import (ConfigError, _canonical, _is_number, _json_native, _quoted, _record,
+from .jsonio import (ConfigError, _canonical, _is_int, _is_number, _json_native, _quoted, _record,
                      read_json, write_json)
 from .scenario import (_MAX_CLOCK_MS, AUDITORY_STIMULUS_KINDS, LADDER_DEPTH,
                        SHOPPING_LIST_LENGTH, VISUAL_STIMULUS_KINDS, NpcChoice)
@@ -156,7 +156,7 @@ class ScoringConfig:
                 raise ConfigError(f"{name} must be a finite number")
         for name in (*_PER_SIDE_FIELDS["visual"].values(),
                      *_PER_SIDE_FIELDS["auditory"].values()):
-            if type(getattr(self, name)) is not int:
+            if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
@@ -217,7 +217,7 @@ def _check_points(name: str, table: Any, keys: set[str], message: str,
     if not isinstance(table, Mapping) or set(table) != keys:
         raise ConfigError(message)
     for value in table.values():
-        if type(value) is not int:
+        if not _is_int(value):
             raise ConfigError(f"{name} values must be integers, not {_quoted(value)}")
         if value < low or (high is not None and value > high):
             bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"

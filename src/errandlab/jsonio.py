@@ -2,9 +2,9 @@
 reader and writer of JSON files (:func:`read_json`, which names the file in
 each :class:`ConfigError` it raises, and :func:`write_json`), the record
 reader of config and profile documents, the walk every ``*_to_dict`` returns,
-the number test, and the one canonical JSON encoder and the indented JSON,
-which name each key as json does.  They import no other errandlab module, so
-no command loads the session engine for them."""
+the package's integer and number tests, and the one canonical JSON encoder
+and the indented JSON, which name each key as json does.  They import no
+other errandlab module, so no command loads the session engine for them."""
 
 import json
 import math
@@ -65,9 +65,14 @@ def _canonical(value: Any) -> str:
     return "".join(_canonical_chunks(value, 0))
 
 
+def _is_int(value: Any) -> bool:
+    """An int or an int subclass such as an IntEnum, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_number(value: Any) -> bool:
-    """An int or a float, and not a bool."""
-    return type(value) is int or isinstance(value, float)
+    """An integer, as :func:`_is_int` reads one, or a float."""
+    return _is_int(value) or isinstance(value, float)
 
 
 def _record(cls: type[_T], document: Any, kind: str, keys: str) -> _T:

@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import copy
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
-from .jsonio import ErrandlabError
+from .jsonio import ErrandlabError, _is_int
 
 # Fixed storyline content.
 ROUTE_UNIT_COUNT = 23
@@ -387,8 +388,7 @@ class SessionEvent:
                 and type(kind) is EventKind):
             for name, value in (("seq", seq), ("sim_time_ms", sim_time_ms),
                                 ("scene", scene)):
-                # bool is an int subclass; keep the two apart.
-                if not isinstance(value, int) or isinstance(value, bool):
+                if not _is_int(value):
                     raise TypeError(
                         f"{name} must be an integer, not {type(value).__name__}")
             seq, sim_time_ms, scene = int(seq), int(sim_time_ms), int(scene)
@@ -585,11 +585,11 @@ def _fire_due_timer_prompts(state: SessionState, now_ms: int,
                             effects: list[Effect], sid: int) -> None:
     # Timer reminders are clock-driven: any event whose timestamp reaches an
     # offset fires the prompts due up to that instant, oldest first, before
-    # the event itself is applied.
+    # the event itself is applied.  The offsets are sorted at import.
     task = PM_TASKS[sid]
     if task.task_id in state.pm_done_depth:
         return
-    due = sum(1 for off in task.timer_offsets_ms if now_ms - state.scene_entry_ms >= off)
+    due = bisect_right(task.timer_offsets_ms, now_ms - state.scene_entry_ms)
     while state.scene.prompt_depth < due:
         _show_prompt(state, task, effects)
 

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Optional
 
-from .jsonio import ErrandlabError, _canonical, _canonical_chunks
+from .jsonio import ErrandlabError, _canonical, _canonical_chunks, _is_int
 from .scenario import (
     AUDITORY_STIMULUS_KINDS,
     COOKING_ITEMS,
@@ -184,8 +184,8 @@ _SCENE_IDS = {str(scene_id): scene_id for scene_id in SCENES_BY_ID}
 
 
 def _read_line(number: int, line: str) -> dict[str, Any]:
-    # The header, and an event line that deserialize_log does not read from
-    # _match_empty_event's groups, must be one JSON object from end to end;
+    # The header, and an event line that _read_block's fast route does not
+    # build from its pattern's groups, must be one JSON object from end to end;
     # any other line goes to _parse_line, which rejects it.
     try:
         record, end = _scan_once(line, 0)
@@ -256,13 +256,12 @@ def deserialize_log(data: bytes) -> SessionLog:
         raise ParseError("first line is not a session-log header")
     version = header.get("version")
     # 1.0 and true compare equal to 1 but would be written back as 1.
-    if (not isinstance(version, int) or isinstance(version, bool)
-            or version != SCHEMA_VERSION):
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"schema version {version!r} unsupported "
             f"(expected {SCHEMA_VERSION})")
     seed = header.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+    if seed is not None and not _is_int(seed):
         raise ParseError("header seed must be an integer or null")
     config_hash = header.get("config_hash")
     if config_hash is not None and not isinstance(config_hash, str):
@@ -333,18 +332,12 @@ class Telemetry:
     total_time_s: float = 0.0
 
 
-# Each scene's id with the (scene, kind) keys derive_telemetry reads for it,
-# in scene order: entered, exited, practice attempt, note opened, note closed.
-# Built once, since on Python 3.11 each EventKind member read goes through
-# EnumType.__getattr__.
-_SCENE_KEYS: tuple[tuple[int, _EventKey, _EventKey, _EventKey, _EventKey, _EventKey],
-                   ...] = tuple(
-    (scene_id, (scene_id, EventKind.SCENE_ENTERED), (scene_id, EventKind.SCENE_EXITED),
-     (scene_id, EventKind.PRACTICE_ATTEMPT), (scene_id, EventKind.NOTE_OPENED),
-     (scene_id, EventKind.NOTE_CLOSED))
-    for scene_id in sorted(SCENES_BY_ID))
-[_NOTES_SCENE] = EVENT_SCENES[EventKind.NOTES_INTENT_ANSWERED]
-_NOTES_INTENT_KEY: _EventKey = (_NOTES_SCENE, EventKind.NOTES_INTENT_ANSWERED)
+# The kinds derive_telemetry reads, bound once, since on Python 3.11 each
+# EventKind member read goes through EnumType.__getattr__.
+_ENTERED, _EXITED, _ATTEMPT, _OPENED, _CLOSED, _INTENT = (
+    EventKind.SCENE_ENTERED, EventKind.SCENE_EXITED, EventKind.PRACTICE_ATTEMPT,
+    EventKind.NOTE_OPENED, EventKind.NOTE_CLOSED, EventKind.NOTES_INTENT_ANSWERED)
+[_NOTES_SCENE] = EVENT_SCENES[_INTENT]
 
 
 def derive_telemetry(log: SessionLog) -> Telemetry:
@@ -367,21 +360,21 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
             return None
         return (groups[end][-1].sim_time_ms - groups[start][0].sim_time_ms) / 1000.0
 
-    scene_time = {
-        scene_id: seconds for scene_id, entered, exited, *_ in _SCENE_KEYS
-        if (seconds := window_s(entered, exited)) is not None}
     task_time = {
         name: seconds for name, (scene_id, _, start, end) in sorted(TASKS.items())
         if (seconds := window_s((scene_id, start), (scene_id, end))) is not None}
 
-    attempts = {
-        scene_id: len(groups[attempt]) for scene_id, _, _, attempt, _, _ in _SCENE_KEYS
-        if attempt in groups}
-
+    scene_time: dict[int, float] = {}
+    attempts: dict[int, int] = {}
     notes_views: dict[int, NotesUsage] = {}
-    for scene_id, _, exited, _, opened_key, closed_key in _SCENE_KEYS:
-        opened = groups.get(opened_key, ())
-        closed = groups.get(closed_key, ())
+    for scene_id in SCENES_BY_ID:  # in scene order
+        exited = (scene_id, _EXITED)
+        if (seconds := window_s((scene_id, _ENTERED), exited)) is not None:
+            scene_time[scene_id] = seconds
+        if attempted := groups.get((scene_id, _ATTEMPT)):
+            attempts[scene_id] = len(attempted)
+        opened = groups.get((scene_id, _OPENED), ())
+        closed = groups.get((scene_id, _CLOSED), ())
         if len(opened) - len(closed) not in (0, 1):
             raise MalformedLog(f"scene {scene_id} has {len(opened)} NoteOpened "
                                f"and {len(closed)} NoteClosed events")
@@ -401,7 +394,7 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
             opens=len(opened), total_open_s=open_ms / 1000.0)
 
     intent = [False] * NOTES_INTENT_PROMPTS
-    for event in groups.get(_NOTES_INTENT_KEY, []):
+    for event in groups.get((_NOTES_SCENE, _INTENT), ()):
         index = event.payload["prompt_index"]
         if 1 <= index <= NOTES_INTENT_PROMPTS:
             intent[index - 1] = bool(event.payload["yes"])

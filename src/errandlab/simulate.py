@@ -30,7 +30,8 @@ from random import Random
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .config import ScoringConfig, _PER_SIDE_FIELDS, config_hash, default_config
-from .jsonio import ConfigError, _is_number, _json_native, _quoted, _record, read_json, write_json
+from .jsonio import (ConfigError, _is_int, _is_number, _json_native, _quoted, _record, read_json,
+                     write_json)
 from .scenario import (
     COOKING_ITEMS,
     EVENT_SCENES,
@@ -139,8 +140,7 @@ class ParticipantProfile:
             if not (_is_number(p) and 0.0 <= p <= 1.0):  # NaN fails too
                 raise ValueError(
                     f"probability {name} = {_quoted(p)} is not a number in [0, 1]")
-        if not (type(self.planning_extra_units) is int
-                and self.planning_extra_units >= 0):
+        if not (_is_int(self.planning_extra_units) and self.planning_extra_units >= 0):
             raise ValueError("planning_extra_units must be a non-negative integer")
         for name in ("cooking_timing_sd_s", "latency_mean_ms", "latency_sd_ms"):
             value = getattr(self, name)

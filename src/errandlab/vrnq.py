@@ -36,7 +36,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .jsonio import ConfigError, ErrandlabError, _quoted
+from .jsonio import ConfigError, ErrandlabError, _is_int, _quoted
 
 # Default domain mapping: contiguous five-item blocks in domain order.
 # Studies with a different printed item order pass `vrnq --domains`.
@@ -85,12 +85,11 @@ def _check_items(participant_id: str, items: tuple) -> None:
         raise VrnqError(
             f"{participant_id}: expected {ITEM_COUNT} items, got {len(items)}")
     for index, value in enumerate(items, start=1):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise VrnqError(f"{participant_id}: item {index} must be an integer")
         if not SCALE_MIN <= value <= SCALE_MAX:
-            raise VrnqError(
-                f"{participant_id}: item {index} value {value} "
-                f"outside {SCALE_MIN}..{SCALE_MAX}")
+            raise VrnqError(f"{participant_id}: item {index} value {_quoted(int(value))} "
+                            f"outside {SCALE_MIN}..{SCALE_MAX}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,7 @@ def validate_domain_mapping(mapping: Mapping[str, Any]) -> None:
         if len(items) != DOMAIN_SIZE:
             raise ConfigError(f"domain {domain} must map exactly {DOMAIN_SIZE} items")
         for item in items:
-            if (not isinstance(item, int) or isinstance(item, bool)
-                    or not 1 <= item <= ITEM_COUNT):
+            if not (_is_int(item) and 1 <= item <= ITEM_COUNT):
                 raise ConfigError(f"domain {domain} has invalid item {_quoted(item)}")
         seen.extend(items)
     if sorted(seen) != list(range(1, ITEM_COUNT + 1)):

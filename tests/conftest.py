@@ -31,3 +31,26 @@ def null():
 @pytest.fixture(scope="session")
 def typical():
     return default_profile()
+
+
+@pytest.fixture(params=[
+    pytest.param((lambda value, error: (0.0 * value, error),
+                  "alternative marginal is not positive"), id="zero-value"),
+    pytest.param((lambda value, error: (value, 0.5 * value),
+                  "relative error 5.000e-01 exceeds 1e-6"), id="half-error"),
+])
+def integral_fault(request, monkeypatch):
+    """A fault of the Bayes factor's integral that no real column reaches,
+    put into the integrator's results: a zero value, or an error estimate of
+    half the value.  Returns the message of the IntegrationFailure it raises."""
+    from errandlab import bayes  # here: no other fixture loads numpy
+
+    integrate = bayes._adaptive_gk21
+    fault, message = request.param
+
+    def faulty(*args):
+        value, error, failures = integrate(*args)
+        return (*fault(value, error), failures)
+
+    monkeypatch.setattr(bayes, "_adaptive_gk21", faulty)
+    return message

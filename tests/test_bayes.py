@@ -1014,3 +1014,10 @@ class TestOnePairCheck:
         with pytest.raises(ValueError) as excinfo:
             _PAIRED_ENTRIES[entry](a, b)
         assert str(excinfo.value) == message
+
+
+def test_an_integral_fault_raises_its_own_failure(integral_fault):
+    # the integral's two checks that no real column fails
+    with pytest.raises(IntegrationFailure) as info:
+        compare_paired_columns({"total": ([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 5.0, 7.0])})
+    assert str(info.value) == integral_fault

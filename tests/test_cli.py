@@ -877,6 +877,16 @@ class TestVrnqCompareCommand:
         assert captured.out == ""
         assert not (tmp_path / "cmp").exists()
 
+    def test_an_integral_fault_exits_1(self, tmp_path, capsys, integral_fault):
+        baseline, revised = self._paired_csvs(tmp_path, shift=20)
+        code = main(["vrnq", "compare", "--baseline", str(baseline),
+                     "--revised", str(revised), "--out", str(tmp_path / "cmp")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {integral_fault}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "cmp").exists()
+
 
 def _count_calls(monkeypatch, module, name):
     """Record a call of ``module.name`` through every errandlab module holding it."""
@@ -1531,6 +1541,32 @@ class TestEntryPoints:
                 if name in ("JSONEncoder", "c_make_encoder"):
                     namers.add(path.name)
         assert namers == {"jsonio.py"}
+
+    def test_only_jsonio_tells_an_integer_from_a_bool(self):
+        # read from the source: jsonio._is_int is the one integer test, so
+        # no other module refuses a bool or compares a type with int itself
+        # (a chain of several type() operands and a bool's own type test are
+        # other rules)
+        def is_name(node, name):
+            return isinstance(node, ast.Name) and node.id == name
+
+        tests = []
+        for path in Path(errandlab.__file__).parent.glob("*.py"):
+            if path.name == "jsonio.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and is_name(node.func, "isinstance"):
+                    classes = node.args[1]
+                    found = any(is_name(c, "bool") for c in getattr(classes, "elts", [classes]))
+                elif isinstance(node, ast.Compare) and len(node.comparators) == 1:
+                    pair = (node.left, node.comparators[0])
+                    found = (any(isinstance(o, ast.Call) and is_name(o.func, "type") for o in pair)
+                             and any(is_name(o, "int") for o in pair))
+                else:
+                    continue
+                if found:
+                    tests.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+        assert tests == []
 
     def test_score_leaves_scipy_and_numpy_unloaded(self, tmp_path):
         log_path = tmp_path / "session.ndjson"

@@ -7,6 +7,7 @@ as Python's own text."""
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import json
 import re
@@ -24,13 +25,14 @@ from errandlab.config import (DEFAULT_BAND_POINTS, DEFAULT_NPC_NEGATIVE_DEDUCTIO
                               config_hash, config_to_dict, default_config, load_config,
                               save_config)
 from errandlab.jsonio import ConfigError, _quoted, read_json
-from errandlab.scoring import scorecard_to_dict
-from errandlab.scenario import PmDelay
-from errandlab.sessionlog import serialize_log
+from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
+from errandlab.scenario import EventKind, PmDelay, SessionEvent
+from errandlab.sessionlog import export_report, serialize_log
 from errandlab.simulate import (ParticipantProfile, default_profile, load_profile,
                                 profile_from_dict, profile_to_dict, save_profile,
                                 simulate_cohort, simulate_session)
-from errandlab.vrnq import CSV_COLUMNS, DEFAULT_DOMAIN_MAPPING, ITEM_COUNT, DomainMapping
+from errandlab.vrnq import (CSV_COLUMNS, DEFAULT_DOMAIN_MAPPING, ITEM_COUNT, DomainMapping,
+                            VrnqError, VrnqResponseSet)
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
 # any document json.loads can return, NaN and the infinities included; a
@@ -180,6 +182,81 @@ class TestQuotedValue:
     def test_a_longer_value_is_cut_and_its_length_noted(self):
         value = "x" * 1000
         assert _quoted(value) == f"{repr(value)[:60]}... (1002 characters)"
+
+
+
+def _int_enum(value: int) -> int:
+    """``value`` as the one member of a new IntEnum, an int subclass."""
+    return enum.IntEnum("Count", {"MEMBER": value}).MEMBER
+
+
+# An integer field of each input record: what sets it to a value, a value it
+# takes, and the message that refuses True there.
+_CONFIG_INTEGERS = [
+    pytest.param(lambda v: {"visual_targets_per_side": v}, 6,
+                 "visual_targets_per_side must be an integer", id="stimulus-count"),
+    pytest.param(lambda v: {"band_points": {**DEFAULT_BAND_POINTS, "OnTime": v}}, 4,
+                 "band_points values must be integers, not True", id="band-points"),
+    pytest.param(lambda v: {"normative_route_mean_s": v}, 45,
+                 "normative_route_mean_s must be a finite number", id="route-mean"),
+]
+_PROFILE_INTEGERS = [
+    pytest.param(lambda v: {"planning_extra_units": v}, 3,
+                 "planning_extra_units must be a non-negative integer", id="planning-units"),
+    pytest.param(lambda v: {"notes_use_prob": v}, 1,
+                 "probability notes_use_prob = True is not a number in [0, 1]",
+                 id="probability"),
+    pytest.param(lambda v: {"latency_mean_ms": v}, 700,
+                 "latency_mean_ms must be a non-negative finite number", id="latency"),
+]
+_OTHER_INTEGERS = [
+    pytest.param(lambda v: SessionEvent(v, 0, 1, EventKind.SCENE_ENTERED), 1,
+                 TypeError, "seq must be an integer, not bool", id="event-seq"),
+    pytest.param(lambda v: VrnqResponseSet("p1", (v,) + (3,) * 19), 5,
+                 VrnqError, "p1: item 1 must be an integer", id="vrnq-rating"),
+    pytest.param(lambda v: DomainMapping({**DEFAULT_DOMAIN_MAPPING, "VRISE": [16, 17, 18, 19, v]}),
+                 20, ConfigError, "domain VRISE has invalid item True", id="domain-item"),
+]
+
+
+class TestIntegerRule:
+    """An int subclass such as an IntEnum member is an integer wherever a
+    plain int is, and a bool is one nowhere: each record reads it as its
+    plain-int twin."""
+
+    @pytest.mark.parametrize("fields, value, refusal", _CONFIG_INTEGERS)
+    def test_config(self, fields, value, refusal, tmp_path):
+        config = dataclasses.replace(default_config(), **fields(_int_enum(value)))
+        twin = dataclasses.replace(default_config(), **fields(value))
+        config.validate()
+        assert config_hash(config) == config_hash(twin)
+        save_config(config, tmp_path / "enum.json")
+        save_config(twin, tmp_path / "int.json")
+        assert (tmp_path / "enum.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+        log, twin_log = (simulate_session(default_profile(), 1, c) for c in (config, twin))
+        assert serialize_log(log) == serialize_log(twin_log)
+        assert (export_report(aggregate_scorecard(log, config), config)
+                == export_report(aggregate_scorecard(twin_log, twin), twin))
+        with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}$"):
+            dataclasses.replace(default_config(), **fields(True)).validate()
+
+    @pytest.mark.parametrize("fields, value, refusal", _PROFILE_INTEGERS)
+    def test_profile(self, fields, value, refusal, tmp_path):
+        profile = dataclasses.replace(default_profile(), **fields(_int_enum(value)))
+        twin = dataclasses.replace(default_profile(), **fields(value))
+        save_profile(profile, tmp_path / "enum.json")
+        save_profile(twin, tmp_path / "int.json")
+        assert (tmp_path / "enum.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+        assert (serialize_log(simulate_session(profile, 1))
+                == serialize_log(simulate_session(twin, 1)))
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            dataclasses.replace(default_profile(), **fields(True))
+
+    @pytest.mark.parametrize("build, value, error, refusal", _OTHER_INTEGERS)
+    def test_event_rating_and_domain_item(self, build, value, error, refusal):
+        assert build(_int_enum(value)) == build(value)
+        with pytest.raises(error, match=f"^{re.escape(refusal)}$"):
+            build(True)
 
 
 def _oversized_domains() -> dict:

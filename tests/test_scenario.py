@@ -456,6 +456,17 @@ class TestFinaleTimers:
                                             {"item": "bread"}))
         assert [e.depth for e in effects if isinstance(e, PromptShown)] == [2, 3]
 
+    @pytest.mark.parametrize("depth, offset",
+                             enumerate(PM_TASKS[22].timer_offsets_ms, start=1))
+    def test_each_prompt_fires_on_its_offset_and_not_a_ms_before(self, depth, offset):
+        state = _entered(22)
+        state, effects = advance(state, _ev(1, offset - 1, 22, EventKind.ITEM_STOWED,
+                                            {"item": "milk"}))
+        assert [e.depth for e in effects if isinstance(e, PromptShown)] == list(range(1, depth))
+        _, effects = advance(state, _ev(2, offset, 22, EventKind.ITEM_STOWED,
+                                        {"item": "bread"}))
+        assert [e.depth for e in effects if isinstance(e, PromptShown)] == [depth]
+
     def test_action_just_before_first_prompt(self):
         state = _entered(22)
         state, effects = advance(state, _ev(1, 69_999, 22, EventKind.MEDICATION_TAKEN))

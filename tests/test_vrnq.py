@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import random
 import statistics
@@ -191,6 +192,11 @@ _RESPONSE_ROWS = [
                  id="range-fault-first"),
     pytest.param(_with(3, _Rating(9)), "p1: item 3 value 9 outside 1..7",
                  id="int-subclass-out-of-range"),
+    pytest.param(_with(1, 10**400),
+                 f"p1: item 1 value 1{'0' * 59}... (401 characters) outside 1..7",
+                 id="long-value-quoted-short"),
+    pytest.param(_with(3, enum.IntEnum("Level", {"TOO_HIGH": 9}).TOO_HIGH),
+                 "p1: item 3 value 9 outside 1..7", id="int-enum-out-of-range"),
     pytest.param(_with(3, _Rating(6)), None, id="int-subclass-accepted"),
     pytest.param([_Rating(7)] * 20, None, id="all-int-subclass-accepted"),
 ]
