@@ -221,7 +221,7 @@ def _check_points(name: str, table: Any, keys: set[str], message: str,
             raise ConfigError(f"{name} values must be integers, not {_quoted(value)}")
         if value < low or (high is not None and value > high):
             bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"
-            raise ConfigError(f"{name} values must be {bounds}, not {value}")
+            raise ConfigError(f"{name} values must be {bounds}, not {_quoted(int(value))}")
 
 
 def config_to_dict(config: ScoringConfig) -> dict[str, Any]:

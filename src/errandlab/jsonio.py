@@ -113,8 +113,14 @@ _QUOTE_MAX = 60  # the most characters of a refused value that a fault quotes
 
 def _quoted(value: Any) -> str:
     """``repr(value)``, or its first _QUOTE_MAX characters and its full
-    length when it is longer, so that a fault stays one short line."""
-    text = repr(value)
+    length when it is longer, so that a fault stays one short line; an int
+    too long for Python to write in digits is named by its bit length."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits(), or one inside
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} that holds an integer too long to write"
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
     return text if len(text) <= _QUOTE_MAX else f"{text[:_QUOTE_MAX]}... ({len(text)} characters)"
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
-from .jsonio import ErrandlabError, _is_int
+from .jsonio import ErrandlabError, _is_int, _quoted
 
 # Fixed storyline content.
 ROUTE_UNIT_COUNT = 23
@@ -260,24 +260,14 @@ class EventKind(str, Enum):
     ITEM_STOWED = "ItemStowed"
 
 
-# Required payload fields per kind: name -> allowed types.  ``None`` in the
-# tuple marks an optional null.
+# Required payload fields of each kind that has any: name -> allowed types.
+# ``None`` in the tuple marks an optional null.
 _PAYLOAD_FIELDS: dict[EventKind, dict[str, tuple[type, ...]]] = {
-    EventKind.SCENE_ENTERED: {},
-    EventKind.SCENE_EXITED: {},
-    EventKind.TUTORIAL_COMPLETED: {},
     EventKind.PRACTICE_ATTEMPT: {"targets_hit": (int,), "distractors_hit": (int,)},
     EventKind.NOTES_INTENT_ANSWERED: {"prompt_index": (int,), "yes": (bool,)},
     EventKind.ITEM_SELECTED: {"item": (str,)},
     EventKind.ROUTE_UNIT_TOGGLED: {"unit": (int,), "selected": (bool,)},
-    EventKind.ROUTE_SUBMITTED: {},
     EventKind.COOKING_ITEM_PLACED: {"item": (str,), "cook_time_s": (int, float)},
-    EventKind.FINAL_BUTTON_PRESSED: {},
-    EventKind.EXIT_ATTEMPTED: {},
-    EventKind.MEDICATION_TAKEN: {},
-    EventKind.PIE_REMOVED: {},
-    EventKind.NOTE_OPENED: {},
-    EventKind.NOTE_CLOSED: {},
     EventKind.NPC_PROMPT_ANSWERED: {"prompt_index": (int,), "yes": (bool,)},
     EventKind.NPC_ITEM_CHOSEN: {"choice": (str,)},
     EventKind.POSTER_SPOTTED: {
@@ -286,7 +276,6 @@ _PAYLOAD_FIELDS: dict[EventKind, dict[str, tuple[type, ...]]] = {
         "stimulus_id": (str,), "stimulus_kind": (str,),
         "stimulus_side": (str,), "response_side": (str, type(None))},
     EventKind.SHOPPING_COLLECTED: {"item": (str,)},
-    EventKind.KEYS_GIVEN: {},
     EventKind.ITEM_STOWED: {"item": (str,)},
 }
 
@@ -332,10 +321,10 @@ _PAYLOAD_SCHEMA: dict[EventKind, tuple[frozenset[str],
                                        tuple[tuple[str, tuple[type, ...], bool], ...]]] = {
     kind: (frozenset(schema),
            tuple((name, types, bool in types) for name, types in schema.items()))
-    for kind, schema in _PAYLOAD_FIELDS.items()}
+    for kind in EventKind for schema in (_PAYLOAD_FIELDS.get(kind, {}),)}
 # The kinds whose payload has no fields: a plain empty dict is the one payload
 # of theirs that the schema check could not refuse, so it is not walked.
-_FIELDLESS_KINDS = frozenset(kind for kind, schema in _PAYLOAD_FIELDS.items() if not schema)
+_FIELDLESS_KINDS = frozenset(EventKind).difference(_PAYLOAD_FIELDS)
 
 
 def validate_payload(kind: EventKind, payload: dict[str, Any]) -> None:
@@ -402,7 +391,7 @@ class SessionEvent:
         if sim_time_ms > _MAX_CLOCK_MS:
             raise ValueError("sim_time_ms must be at most 2**53")
         if scene not in SCENES_BY_ID:
-            raise ValueError(f"unknown scene id {scene}")
+            raise ValueError(f"unknown scene id {_quoted(scene)}")
         if payload is _NO_PAYLOAD:
             payload = {}
         elif type(payload) is not dict and not isinstance(payload, Mapping):
@@ -519,9 +508,12 @@ def practice_gate(scene_id: int, targets_hit: int, distractors_hit: int) -> Gate
 
 @dataclass
 class SceneState:
-    """What only the entered scene reads, its reminder ladder's position too;
-    each ``SceneEntered`` makes a new one."""
+    """What only the entered scene reads, its entry time, whether it is
+    resolved and its reminder ladder's position too; each ``SceneEntered``
+    makes a new one."""
 
+    entry_ms: int = 0
+    resolved: bool = False  # its SceneTransition emitted: the scene awaits its exit
     prompt_depth: int = 0  # the prompts of the scene's reminder task shown
     practice_attempts: int = 0
     notes_prompts_answered: int = 0
@@ -543,10 +535,8 @@ class SessionState:
 
     current_scene: int = 1
     entered: bool = False
-    scene_entry_ms: int = 0
     sim_clock_ms: int = 0
     completed: bool = False
-    armed_to: Optional[int] = None
     scene: SceneState = field(default_factory=SceneState)
     route_selected: set[int] = field(default_factory=set)  # kept for scoring
     # kept for scoring, per reminder task; a task is done iff pm_done_depth has it
@@ -570,6 +560,7 @@ def initial_state() -> SessionState:
 # the cost of a module global.
 _SCENE_ENTERED = EventKind.SCENE_ENTERED
 _SCENE_EXITED = EventKind.SCENE_EXITED
+_ROUTE_SUBMITTED = EventKind.ROUTE_SUBMITTED
 _KEYS_GIVEN = EventKind.KEYS_GIVEN
 _POSITIVE = PmPolarity.POSITIVE
 
@@ -589,15 +580,14 @@ def _fire_due_timer_prompts(state: SessionState, now_ms: int,
     task = PM_TASKS[sid]
     if task.task_id in state.pm_done_depth:
         return
-    due = bisect_right(task.timer_offsets_ms, now_ms - state.scene_entry_ms)
+    due = bisect_right(task.timer_offsets_ms, now_ms - state.scene.entry_ms)
     while state.scene.prompt_depth < due:
         _show_prompt(state, task, effects)
 
 
 def _resolve(state: SessionState, effects: list[Effect]) -> None:
-    nxt = state.current_scene + 1
-    state.armed_to = nxt
-    effects.append(SceneTransition(nxt))
+    state.scene.resolved = True
+    effects.append(SceneTransition(state.current_scene + 1))
 
 
 def _cascade_press(state: SessionState, event: SessionEvent,
@@ -648,6 +638,7 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
         raise WrongSceneEvent(
             f"event {event.seq} stamped scene {event.scene}, "
             f"current scene is {state.current_scene}")
+    state.sim_clock_ms = event.sim_time_ms
 
     kind = event.kind
     sid = state.current_scene
@@ -659,12 +650,9 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
         if state.entered:
             raise InvalidEvent(f"scene {sid} already entered")
         state.entered = True
-        state.armed_to = None
-        state.scene_entry_ms = event.sim_time_ms
-        state.scene = SceneState()
+        state.scene = SceneState(entry_ms=event.sim_time_ms)
         if sid in NPC_SCENES:
             _show_prompt(state, PM_TASKS[sid], effects)
-        state.sim_clock_ms = event.sim_time_ms
         return
 
     if not state.entered:
@@ -675,7 +663,7 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
 
     if kind is _SCENE_EXITED:
         if not state.completed:
-            if state.armed_to is None:
+            if not state.scene.resolved:
                 if sid not in FREE_RUNNING_SCENES:
                     raise InvalidEvent(f"scene {sid} is not finished")
                 # the planning scene's exit needs its prompts and its route
@@ -684,20 +672,17 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
                         or not state.scene.route_submitted):
                     raise InvalidEvent(f"scene {sid} tasks unfinished")
                 _resolve(state, effects)
-            state.current_scene = state.armed_to
-            state.armed_to = None
+            state.current_scene += 1
         state.entered = False
-        state.sim_clock_ms = event.sim_time_ms
         return
 
-    if state.armed_to is not None and kind is not _KEYS_GIVEN:
+    if state.scene.resolved and kind is not _KEYS_GIVEN:
         raise InvalidEvent(
             f"scene {sid} already resolved; only SceneExited is valid")
     handler = _HANDLERS[kind].get(sid)
     if handler is None:
         raise InvalidEvent(f"{kind.value} does not occur in scene {sid}")
     handler(state, event, effects, sid)
-    state.sim_clock_ms = event.sim_time_ms
 
 
 # The handlers _apply dispatches to through _HANDLERS: (state, event,
@@ -733,7 +718,7 @@ def _on_notes_intent_answered(state: SessionState, event: SessionEvent,
     expected = state.scene.notes_prompts_answered + 1
     if event.payload["prompt_index"] != expected or expected > NOTES_INTENT_PROMPTS:
         raise InvalidEvent(
-            f"notes-intent prompt {event.payload['prompt_index']} "
+            f"notes-intent prompt {_quoted(int(event.payload['prompt_index']))} "
             f"out of order (expected {expected})")
     state.scene.notes_prompts_answered = expected
 
@@ -744,13 +729,17 @@ def _on_item_grabbed(state: SessionState, event: SessionEvent,
     pass
 
 
-def _on_route_unit_toggled(state: SessionState, event: SessionEvent,
-                           effects: list[Effect], sid: int) -> None:
+def _on_route(state: SessionState, event: SessionEvent,
+              effects: list[Effect], sid: int) -> None:
+    # a street unit toggled, or the route submitted, after which neither is taken
     if state.scene.route_submitted:
         raise InvalidEvent("route already submitted")
+    if event.kind is _ROUTE_SUBMITTED:
+        state.scene.route_submitted = True
+        return
     unit = event.payload["unit"]
     if not 1 <= unit <= ROUTE_UNIT_COUNT:
-        raise InvalidEvent(f"street unit {unit} out of range")
+        raise InvalidEvent(f"street unit {_quoted(int(unit))} out of range")
     if event.payload["selected"]:
         if unit in state.route_selected:
             raise InvalidEvent(f"street unit {unit} already selected")
@@ -759,13 +748,6 @@ def _on_route_unit_toggled(state: SessionState, event: SessionEvent,
         if unit not in state.route_selected:
             raise InvalidEvent(f"street unit {unit} not selected")
         state.route_selected.discard(unit)
-
-
-def _on_route_submitted(state: SessionState, event: SessionEvent,
-                        effects: list[Effect], sid: int) -> None:
-    if state.scene.route_submitted:
-        raise InvalidEvent("route already submitted")
-    state.scene.route_submitted = True
 
 
 def _on_session_end(state: SessionState, event: SessionEvent,
@@ -798,7 +780,7 @@ def _on_npc_prompt_answered(state: SessionState, event: SessionEvent,
     expected = state.scene.prompt_depth
     if event.payload["prompt_index"] != expected:
         raise InvalidEvent(
-            f"conversation prompt {event.payload['prompt_index']} "
+            f"conversation prompt {_quoted(int(event.payload['prompt_index']))} "
             f"out of order (expected {expected})")
     if event.payload["yes"]:
         state.npc_affirmed_at[task.task_id] = expected
@@ -879,8 +861,8 @@ _HANDLERS: dict[EventKind, dict[int, _Handler]] = {
     EventKind.ITEM_SELECTED: {
         3: _Take("item", "item {!r} already selected", room="the list board").apply,
         8: _on_item_grabbed},
-    EventKind.ROUTE_UNIT_TOGGLED: {3: _on_route_unit_toggled},
-    EventKind.ROUTE_SUBMITTED: {3: _on_route_submitted},
+    EventKind.ROUTE_UNIT_TOGGLED: {3: _on_route},
+    EventKind.ROUTE_SUBMITTED: {3: _on_route},
     EventKind.COOKING_ITEM_PLACED: {6: _Take(
         "item", "{} already placed on the worktop",
         known=(("item", COOKING_ITEMS, "cooking item"),), non_negative="cook_time_s").apply},

@@ -35,7 +35,6 @@ from .jsonio import (ConfigError, _is_int, _is_number, _json_native, _quoted, _r
 from .scenario import (
     COOKING_ITEMS,
     EVENT_SCENES,
-    Effect,
     EventKind,
     GATED_SCENES,
     LADDER_DEPTH,
@@ -46,7 +45,6 @@ from .scenario import (
     PRACTICE_TARGETS,
     PmDelay,
     PmPolarity,
-    PromptShown,
     ROUTE_IDEAL_UNITS,
     ROUTE_UNIT_COUNT,
     SCENES_BY_ID,
@@ -216,7 +214,7 @@ def save_profile(profile: ParticipantProfile, path: str) -> None:
 
 
 class _SessionBuilder:
-    """Feeds events through the engine while tracking a millisecond cursor."""
+    """Feeds events through the engine, each timed from the engine's clock."""
 
     def __init__(self, profile: ParticipantProfile, config: ScoringConfig,
                  seed: int) -> None:
@@ -224,7 +222,7 @@ class _SessionBuilder:
         self.config = config
         self.state: SessionState = initial_state()
         self.events: list[SessionEvent] = []
-        self.cursor_ms = 0
+        self._effects: list[Any] = []  # the engine's effects: nothing reads them
         self._streams = (seed % 2**64) * _STREAMS_PER_SEED
         self._rng: Optional[Random] = None
 
@@ -244,31 +242,29 @@ class _SessionBuilder:
         raw = p.latency_mean_ms + p.latency_sd_ms * _normal(self.rng)
         return max(0, int(round(raw)))
 
-    def _emit(self, kind: EventKind,
-              payload: Optional[dict[str, Any]] = None) -> list[Effect]:
-        if self.cursor_ms > _MAX_CLOCK_MS:
+    def _emit(self, at_ms: int, kind: EventKind,
+              payload: Optional[dict[str, Any]] = None) -> None:
+        if at_ms > _MAX_CLOCK_MS:
             raise ConfigError(
                 "the simulated session runs past 2**53 ms; lower latency_mean_ms, "
                 "latency_sd_ms or session_target_s")
         # positional: a keyword call costs more, once per event
-        event = SessionEvent(len(self.events), self.cursor_ms, self.state.current_scene,
+        event = SessionEvent(len(self.events), at_ms, self.state.current_scene,
                              kind, payload or {})
-        effects: list[Effect] = []
-        _apply(self.state, event, effects)  # the builder owns its state
+        _apply(self.state, event, self._effects)  # the builder owns its state
         self.events.append(event)
-        return effects
 
     def enter(self) -> None:
         self._rng = None
-        self._emit(EventKind.SCENE_ENTERED)
+        self._emit(self.state.sim_clock_ms, EventKind.SCENE_ENTERED)
 
     def act(self, kind: EventKind, payload: Optional[dict[str, Any]] = None, *,
-            at_offset_ms: Optional[int] = None) -> list[Effect]:
-        if at_offset_ms is not None:
-            self.cursor_ms = max(self.cursor_ms, self.state.scene_entry_ms + at_offset_ms)
-        else:
-            self.cursor_ms += self.latency_ms()
-        return self._emit(kind, payload)
+            at_offset_ms: Optional[int] = None) -> None:
+        # a latency after the last event, or at the offset from the scene's entry
+        state = self.state
+        at_ms = (state.sim_clock_ms + self.latency_ms() if at_offset_ms is None
+                 else max(state.sim_clock_ms, state.scene.entry_ms + at_offset_ms))
+        self._emit(at_ms, kind, payload)
 
 
 # --- draws, each built from Random.random() alone --------------------------
@@ -331,7 +327,7 @@ def _gated_tutorial(b: _SessionBuilder, duration_ms: int) -> None:
             distractors = sum(b.rng.random() < p.attention_false_alarm_prob for _ in range(3))
         b.act(EventKind.PRACTICE_ATTEMPT,
               {"targets_hit": targets, "distractors_hit": distractors})
-        if b.state.armed_to is not None:  # the gate passed
+        if b.state.scene.resolved:  # the gate passed
             break
 
 
@@ -375,16 +371,17 @@ def _scene_planning(b: _SessionBuilder, duration_ms: int) -> None:
 def _event_cascade(b: _SessionBuilder, trigger: EventKind, action: EventKind) -> None:
     # The reminder dance shared by breakfast (final button) and leaving the
     # flat (exit attempt): maybe act before touching the trigger, then keep
-    # triggering, maybe complying after each prompt it shows, until the
-    # engine ends the scene (the task done, or its last prompt ignored).
+    # triggering, maybe complying after the one prompt each press may show,
+    # until the engine ends the scene (the task done, or its last prompt ignored).
     p = b.profile
+    scene = b.state.scene
     if b.rng.random() < p.pm_hit_prob[PM_TASKS[b.state.current_scene].delay.value]:
         b.act(action)
-    while b.state.armed_to is None:
-        for effect in b.act(trigger):
-            if (isinstance(effect, PromptShown)
-                    and b.rng.random() < p.prompt_yield_probs[effect.depth - 1]):
-                b.act(action)
+    while not scene.resolved:
+        shown = scene.prompt_depth
+        b.act(trigger)
+        if scene.prompt_depth > shown and b.rng.random() < p.prompt_yield_probs[shown]:
+            b.act(action)
 
 
 def _scene_breakfast(b: _SessionBuilder, duration_ms: int) -> None:
@@ -425,7 +422,7 @@ def _scene_npc(b: _SessionBuilder, duration_ms: int) -> None:
         yes_probs = (p.pm_hit_prob[task.delay.value], *p.prompt_yield_probs[1:])
     else:
         yes_probs = (p.attention_false_alarm_prob,) * len(p.prompt_yield_probs)
-    while state.armed_to is None and not state.scene.awaiting_choice:
+    while not state.scene.resolved and not state.scene.awaiting_choice:
         index = state.scene.prompt_depth
         b.act(EventKind.NPC_PROMPT_ANSWERED,
               {"prompt_index": index, "yes": b.rng.random() < yes_probs[index - 1]})

@@ -27,7 +27,7 @@ from errandlab.config import (DEFAULT_BAND_POINTS, DEFAULT_NPC_NEGATIVE_DEDUCTIO
 from errandlab.jsonio import ConfigError, _quoted, read_json
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
 from errandlab.scenario import EventKind, PmDelay, SessionEvent
-from errandlab.sessionlog import export_report, serialize_log
+from errandlab.sessionlog import MalformedLog, export_report, log_from_events, serialize_log
 from errandlab.simulate import (ParticipantProfile, default_profile, load_profile,
                                 profile_from_dict, profile_to_dict, save_profile,
                                 simulate_cohort, simulate_session)
@@ -218,6 +218,50 @@ _OTHER_INTEGERS = [
                  20, ConfigError, "domain VRISE has invalid item True", id="domain-item"),
 ]
 
+# An integer past the 4,300 digits Python writes one in by default, which a
+# fault quotes by its size.
+_HUGE = 10**5000
+_HUGE_TEXT = f"an integer of {_HUGE.bit_length()} bits"
+
+
+def _score_with_huge(kind: EventKind, name: str) -> None:
+    """Score a simulated log whose first ``kind`` event holds ``_HUGE`` as ``name``."""
+    events = list(simulate_session(default_profile(), 1).events)
+    at = next(i for i, event in enumerate(events) if event.kind is kind)
+    old = events[at]
+    events[at] = SessionEvent(old.seq, old.sim_time_ms, old.scene, kind,
+                              {**old.payload, name: _HUGE})
+    aggregate_scorecard(log_from_events(events), default_config())
+
+
+_ENGINE_REFUSAL = "log rejected by the scenario engine: "
+# Each message that quotes a refused integer: (the call, its error, its message).
+_HUGE_INTEGERS = [
+    pytest.param(lambda: VrnqResponseSet("p1", (_HUGE,) + (3,) * 19), VrnqError,
+                 f"p1: item 1 value {_HUGE_TEXT} outside 1..7", id="vrnq-rating"),
+    pytest.param(lambda: DomainMapping({**DEFAULT_DOMAIN_MAPPING,
+                                        "VRISE": [16, 17, 18, 19, _HUGE]}),
+                 ConfigError, f"domain VRISE has invalid item {_HUGE_TEXT}", id="domain-item"),
+    pytest.param(lambda: dataclasses.replace(
+                     default_config(), band_points={**DEFAULT_BAND_POINTS, "OnTime": -_HUGE}
+                 ).validate(), ConfigError,
+                 f"band_points values must be at least 0, not a negative integer of "
+                 f"{_HUGE.bit_length()} bits", id="band-points"),
+    pytest.param(lambda: SessionEvent(0, 0, _HUGE, EventKind.SCENE_ENTERED), ValueError,
+                 f"unknown scene id {_HUGE_TEXT}", id="event-scene"),
+    pytest.param(lambda: _score_with_huge(EventKind.ROUTE_UNIT_TOGGLED, "unit"), MalformedLog,
+                 f"{_ENGINE_REFUSAL}street unit {_HUGE_TEXT} out of range", id="route-unit"),
+    pytest.param(lambda: _score_with_huge(EventKind.NOTES_INTENT_ANSWERED, "prompt_index"),
+                 MalformedLog, f"{_ENGINE_REFUSAL}notes-intent prompt {_HUGE_TEXT} "
+                 "out of order (expected 1)", id="notes-intent-prompt"),
+    pytest.param(lambda: _score_with_huge(EventKind.NPC_PROMPT_ANSWERED, "prompt_index"),
+                 MalformedLog, f"{_ENGINE_REFUSAL}conversation prompt {_HUGE_TEXT} "
+                 "out of order (expected 1)", id="conversation-prompt"),
+    pytest.param(lambda: profile_from_dict({_HUGE: 1}), ConfigError,
+                 "unknown profile fields: a list that holds an integer too long to write",
+                 id="profile-key"),
+]
+
 
 class TestIntegerRule:
     """An int subclass such as an IntEnum member is an integer wherever a
@@ -257,6 +301,12 @@ class TestIntegerRule:
         assert build(_int_enum(value)) == build(value)
         with pytest.raises(error, match=f"^{re.escape(refusal)}$"):
             build(True)
+
+    @pytest.mark.parametrize("call, error, refusal", _HUGE_INTEGERS)
+    def test_a_huge_integer_is_quoted_by_its_size(self, call, error, refusal):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == refusal
 
 
 def _oversized_domains() -> dict:

@@ -370,7 +370,8 @@ class TestNpcScenes:
         assert depths == [1, 2, 3, 3]
         assert events[entry + 5].kind is EventKind.SCENE_ENTERED  # scene 11
         assert replay(events[:entry + 6])[0].scene.prompt_depth == 0
-        assert "prompt_depth" not in {f.name for f in dataclasses.fields(SessionState)}
+        assert not {"prompt_depth", "armed_to", "scene_entry_ms"} & {
+            f.name for f in dataclasses.fields(SessionState)}
 
     def test_false_prompt_affirm_resolves_without_board(self):
         state = _entered(16)
@@ -393,7 +394,7 @@ class TestNpcScenes:
                                       {"prompt_index": 1, "yes": True}))
         state, _ = advance(state, _ev(2, 2, 21, EventKind.NPC_ITEM_CHOSEN,
                                       {"choice": "correct"}))
-        assert state.armed_to == 22
+        assert state.scene.resolved
         state, _ = advance(state, _ev(3, 3, 21, EventKind.KEYS_GIVEN))
         assert state.scene.keys_given
         state, _ = advance(state, _ev(4, 4, 21, EventKind.SCENE_EXITED))
@@ -603,7 +604,7 @@ class TestEventConstructor:
     def test_an_empty_payload_passes_only_a_kind_without_fields(self, kind):
         # the schema walk is skipped for a plain {} alone, and only where it
         # would find nothing; any other empty mapping is walked
-        fields = scenario._PAYLOAD_FIELDS[kind]
+        fields = scenario._PAYLOAD_FIELDS.get(kind, {})
         for empty in ({}, collections.OrderedDict(), types.MappingProxyType({})):
             if fields:
                 with pytest.raises(ValueError, match="payload has wrong fields"):
@@ -875,15 +876,33 @@ class TestSceneEventOutcomes:
                     f"{kind.value} does not occur in scene {scene_id}")
 
 
+@pytest.mark.parametrize("preset", sorted(PROFILE_PRESETS))
+def test_entry_and_exit_change_only_their_own_fields(preset):
+    # what lasts a scene is in SceneState, which each entry makes anew: no
+    # other field of the session is set or cleared at a scene's edges
+    allowed = {EventKind.SCENE_ENTERED: {"entered", "scene", "sim_clock_ms"},
+               EventKind.SCENE_EXITED: {"entered", "scene", "sim_clock_ms", "current_scene"}}
+    state = initial_state()
+    for event in simulate_session(PROFILE_PRESETS[preset](), 1).events:
+        successor, _ = advance(state, event)
+        if event.kind in allowed:
+            changed = {f.name for f in dataclasses.fields(SessionState)
+                       if getattr(successor, f.name) != getattr(state, f.name)}
+            assert changed <= allowed[event.kind], (event, changed)
+        state = successor
+
+
 def test_state_copy_shares_no_container():
     walk = minimal_walk()
     state, _ = replay(walk[:len(walk) // 2])
     clone = state.copy()
     assert clone == state
-    for f in dataclasses.fields(SessionState):
-        value = getattr(state, f.name)
-        if isinstance(value, (set, dict)):
-            assert getattr(clone, f.name) is not value, f.name
+    assert clone.scene is not state.scene
+    for record, copied in ((state, clone), (state.scene, clone.scene)):
+        for f in dataclasses.fields(record):
+            value = getattr(record, f.name)
+            if isinstance(value, (set, dict)):
+                assert getattr(copied, f.name) is not value, f.name
 
 
 def _global_names(code):
@@ -905,6 +924,7 @@ class TestNoPerEventEnumReads:
         scenario._apply,
         scenario._fire_due_timer_prompts,
         scenario._on_npc_prompt_answered,
+        scenario._on_route,
         scenario._HANDLERS[EventKind.ITEM_SELECTED][3],
         scenario._on_item_grabbed,
         scenario._on_resolving_event,

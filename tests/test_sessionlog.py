@@ -223,9 +223,10 @@ _VALUES = {(str,): _TEXT, (int,): st.integers(), (bool,): st.booleans(),
 # Every event kind, with its payload drawn from its schema: the empty
 # payloads too, which serialize_log writes without the encoder.
 _PAYLOADS = st.one_of(*(
-    st.fixed_dictionaries({name: _VALUES[types] for name, types in fields.items()})
+    st.fixed_dictionaries({name: _VALUES[types]
+                           for name, types in scenario._PAYLOAD_FIELDS.get(kind, {}).items()})
     .map(lambda payload, kind=kind: (kind, payload))
-    for kind, fields in scenario._PAYLOAD_FIELDS.items()))
+    for kind in EventKind))
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
     lambda children: st.lists(children, max_size=4)
@@ -358,9 +359,9 @@ _ENVELOPE_VALUES = {**_VALUES, (str,): _ENVELOPE_TEXT,
                     (str, type(None)): st.none() | _ENVELOPE_TEXT}
 _ENVELOPE_PAYLOADS = st.one_of(*(
     st.fixed_dictionaries({name: _ENVELOPE_VALUES[types]
-                           for name, types in fields.items()})
+                           for name, types in scenario._PAYLOAD_FIELDS.get(kind, {}).items()})
     .map(lambda payload, kind=kind: (kind, payload))
-    for kind, fields in scenario._PAYLOAD_FIELDS.items()))
+    for kind in EventKind))
 # Spellings of each envelope field that JSON reads (or rejects) and that the
 # empty-payload route does not build: leading zeros, signs, floats, integers
 # past 18 digits and past the 4,300-digit limit, escaped and unknown kinds,
