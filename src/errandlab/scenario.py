@@ -5,9 +5,10 @@ one interaction each and thirteen storyline scenes that carry the assessed
 tasks (list learning, route planning, multitask cooking, reminder cascades,
 character conversations, item collection, attention rides, and a timed
 finale).  The engine is deliberately engine-agnostic: it consumes timestamped
-:class:`SessionEvent` records that a front end or simulator produces and it
-emits :class:`Effect` values (prompts, transitions, retry signals, session
-completion).  It never does I/O and never draws randomness.
+:class:`SessionEvent` records that a front end or simulator produces and
+changes a :class:`SessionState`; :func:`advance` and :func:`replay` read each
+event's :class:`Effect` values (prompts, transitions, retry signals, session
+completion) off that change.  It never does I/O and never draws randomness.
 
 Core invariants, enforced here and property-tested in the suite:
 
@@ -27,11 +28,11 @@ Core invariants, enforced here and property-tested in the suite:
   What a scene takes once, and the payload values it knows, are rows of
   that table too.
 
-Scene transitions are engine-emitted effects, never implicit: a scene's
-resolving event (final button, exit attempt, conversation outcome, tutorial
-completion, gate pass, or, for free-running scenes, the exit itself) produces
-a :class:`SceneTransition`, after which only ``SceneExited`` is accepted for
-the old scene.
+Scene transitions are explicit, never implicit: a scene's resolving event
+(final button, exit attempt, conversation outcome, tutorial completion, gate
+pass, or, for free-running scenes, the exit itself) resolves the scene, which
+:func:`advance` reports as a :class:`SceneTransition`; after it only
+``SceneExited`` is accepted for the old scene.
 """
 
 from __future__ import annotations
@@ -513,7 +514,7 @@ class SceneState:
     makes a new one."""
 
     entry_ms: int = 0
-    resolved: bool = False  # its SceneTransition emitted: the scene awaits its exit
+    resolved: bool = False  # the scene awaits its exit; advance reports a SceneTransition
     prompt_depth: int = 0  # the prompts of the scene's reminder task shown
     practice_attempts: int = 0
     notes_prompts_answered: int = 0
@@ -565,47 +566,31 @@ _KEYS_GIVEN = EventKind.KEYS_GIVEN
 _POSITIVE = PmPolarity.POSITIVE
 
 
-def _show_prompt(state: SessionState, task: PmTaskSpec, effects: list[Effect]) -> None:
-    # The one step of every reminder ladder: the task's next prompt.
-    depth = state.scene.prompt_depth + 1
-    state.scene.prompt_depth = depth
-    effects.append(PromptShown(task.task_id, depth, task.prompt_texts[depth - 1]))
-
-
-def _fire_due_timer_prompts(state: SessionState, now_ms: int,
-                            effects: list[Effect], sid: int) -> None:
+def _fire_due_timer_prompts(state: SessionState, now_ms: int, sid: int) -> None:
     # Timer reminders are clock-driven: any event whose timestamp reaches an
-    # offset fires the prompts due up to that instant, oldest first, before
-    # the event itself is applied.  The offsets are sorted at import.
+    # offset shows the prompts due up to that instant before the event itself
+    # is applied.  The offsets are sorted at import.
     task = PM_TASKS[sid]
     if task.task_id in state.pm_done_depth:
         return
     due = bisect_right(task.timer_offsets_ms, now_ms - state.scene.entry_ms)
-    while state.scene.prompt_depth < due:
-        _show_prompt(state, task, effects)
+    state.scene.prompt_depth = max(state.scene.prompt_depth, due)
 
 
-def _resolve(state: SessionState, effects: list[Effect]) -> None:
-    state.scene.resolved = True
-    effects.append(SceneTransition(state.current_scene + 1))
-
-
-def _cascade_press(state: SessionState, event: SessionEvent,
-                   effects: list[Effect], sid: int) -> None:
+def _cascade_press(state: SessionState, event: SessionEvent, sid: int) -> None:
     # Shared by the breakfast final button and the flat exit attempt: a press
     # with the task done ends the scene; otherwise each press escalates one
     # prompt, and the press after the last prompt ends the scene unscored.
     task = PM_TASKS[sid]
     if task.task_id not in state.pm_done_depth:
         if state.scene.prompt_depth < len(task.prompt_texts):
-            _show_prompt(state, task, effects)
+            state.scene.prompt_depth += 1
             return
         state.pm_done_depth[task.task_id] = NEVER_DONE_DEPTH
-    _resolve(state, effects)
+    state.scene.resolved = True
 
 
-def _pm_action(state: SessionState, event: SessionEvent,
-               effects: list[Effect], sid: int) -> None:
+def _pm_action(state: SessionState, event: SessionEvent, sid: int) -> None:
     task = PM_TASKS[sid]
     if task.task_id in state.pm_done_depth:
         raise InvalidEvent(f"{task.task_id} already done")
@@ -621,15 +606,37 @@ def advance(state: SessionState, event: SessionEvent) -> tuple[SessionState, lis
     state.  The input state is never mutated.
     """
     new = state.copy()
+    return new, _step(new, event)
+
+
+def _step(state: SessionState, event: SessionEvent) -> list[Effect]:
+    # _apply, then the event's effects read off what it changed, in the
+    # order the engine acts: the prompts shown, the practice verdict, the
+    # scene's resolution, the session's end.  The one place effects are built.
+    sid, completed, scene = state.current_scene, state.completed, state.scene
+    depth, attempts, resolved = scene.prompt_depth, scene.practice_attempts, scene.resolved
+    _apply(state, event)
+    if state.scene is not scene:  # an entry: the new scene's record counts from 0
+        scene, depth, attempts, resolved = state.scene, 0, 0, False
     effects: list[Effect] = []
-    _apply(new, event, effects)
-    return new, effects
+    if scene.prompt_depth > depth:
+        task = PM_TASKS[sid]
+        effects.extend(PromptShown(task.task_id, shown, task.prompt_texts[shown - 1])
+                       for shown in range(depth + 1, scene.prompt_depth + 1))
+    if scene.practice_attempts > attempts:
+        verdict = PracticePassed if scene.resolved else PracticeRetry
+        effects.append(verdict(sid, scene.practice_attempts))
+    if scene.resolved and not resolved:
+        effects.append(SceneTransition(sid + 1))
+    if state.completed and not completed:
+        effects.append(SessionComplete())
+    return effects
 
 
-def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> None:
-    # The body of advance, mutating ``state`` in place and appending to
-    # ``effects``.  A rejected event may leave ``state`` half-updated, so
-    # callers own the state they pass and drop it on error.
+def _apply(state: SessionState, event: SessionEvent) -> None:
+    # The engine itself: ``event`` changes ``state`` in place, and nothing
+    # else is returned.  A rejected event may leave ``state`` half-updated,
+    # so callers own the state they pass and drop it on error.
     if event.sim_time_ms < state.sim_clock_ms:
         raise OutOfOrderEvent(
             f"event {event.seq} at {event.sim_time_ms} ms behind clock "
@@ -651,15 +658,15 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
             raise InvalidEvent(f"scene {sid} already entered")
         state.entered = True
         state.scene = SceneState(entry_ms=event.sim_time_ms)
-        if sid in NPC_SCENES:
-            _show_prompt(state, PM_TASKS[sid], effects)
+        if sid in NPC_SCENES:  # a conversation opens on its first prompt
+            state.scene.prompt_depth = 1
         return
 
     if not state.entered:
         raise InvalidEvent(f"scene {sid} not entered yet")
 
     if sid in TIMER_SCENES and not state.completed:
-        _fire_due_timer_prompts(state, event.sim_time_ms, effects, sid)
+        _fire_due_timer_prompts(state, event.sim_time_ms, sid)
 
     if kind is _SCENE_EXITED:
         if not state.completed:
@@ -671,7 +678,7 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
                         state.scene.notes_prompts_answered < NOTES_INTENT_PROMPTS
                         or not state.scene.route_submitted):
                     raise InvalidEvent(f"scene {sid} tasks unfinished")
-                _resolve(state, effects)
+                state.scene.resolved = True
             state.current_scene += 1
         state.entered = False
         return
@@ -682,39 +689,31 @@ def _apply(state: SessionState, event: SessionEvent, effects: list[Effect]) -> N
     handler = _HANDLERS[kind].get(sid)
     if handler is None:
         raise InvalidEvent(f"{kind.value} does not occur in scene {sid}")
-    handler(state, event, effects, sid)
+    handler(state, event, sid)
 
 
 # The handlers _apply dispatches to through _HANDLERS: (state, event,
-# effects, scene id) -> None.  Each runs after _apply's common checks,
-# mutates the state in place and appends its effects; _cascade_press and
-# _pm_action above are handlers too, and so is each _Take's apply below.
+# scene id) -> None.  Each runs after _apply's common checks and changes
+# the state in place; _cascade_press and _pm_action above are handlers too,
+# and so is each _Take's apply below.
 
 
-def _on_resolving_event(state: SessionState, event: SessionEvent,
-                        effects: list[Effect], sid: int) -> None:
+def _on_resolving_event(state: SessionState, event: SessionEvent, sid: int) -> None:
     # a tutorial's completion or the supermarket till: the scene is done
-    _resolve(state, effects)
+    state.scene.resolved = True
 
 
-def _on_practice_attempt(state: SessionState, event: SessionEvent,
-                         effects: list[Effect], sid: int) -> None:
+def _on_practice_attempt(state: SessionState, event: SessionEvent, sid: int) -> None:
     try:
         result = practice_gate(sid, event.payload["targets_hit"],
                                event.payload["distractors_hit"])
     except ValueError as exc:
         raise InvalidEvent(str(exc)) from exc
     state.scene.practice_attempts += 1
-    attempts = state.scene.practice_attempts
-    if result is GateResult.PASS:
-        effects.append(PracticePassed(sid, attempts))
-        _resolve(state, effects)
-    else:
-        effects.append(PracticeRetry(sid, attempts))
+    state.scene.resolved = result is GateResult.PASS
 
 
-def _on_notes_intent_answered(state: SessionState, event: SessionEvent,
-                              effects: list[Effect], sid: int) -> None:
+def _on_notes_intent_answered(state: SessionState, event: SessionEvent, sid: int) -> None:
     expected = state.scene.notes_prompts_answered + 1
     if event.payload["prompt_index"] != expected or expected > NOTES_INTENT_PROMPTS:
         raise InvalidEvent(
@@ -723,14 +722,12 @@ def _on_notes_intent_answered(state: SessionState, event: SessionEvent,
     state.scene.notes_prompts_answered = expected
 
 
-def _on_item_grabbed(state: SessionState, event: SessionEvent,
-                     effects: list[Effect], sid: int) -> None:
+def _on_item_grabbed(state: SessionState, event: SessionEvent, sid: int) -> None:
     # grabs are free-form, and re-grab attempts are legitimate errors
     pass
 
 
-def _on_route(state: SessionState, event: SessionEvent,
-              effects: list[Effect], sid: int) -> None:
+def _on_route(state: SessionState, event: SessionEvent, sid: int) -> None:
     # a street unit toggled, or the route submitted, after which neither is taken
     if state.scene.route_submitted:
         raise InvalidEvent("route already submitted")
@@ -750,29 +747,24 @@ def _on_route(state: SessionState, event: SessionEvent,
         state.route_selected.discard(unit)
 
 
-def _on_session_end(state: SessionState, event: SessionEvent,
-                    effects: list[Effect], sid: int) -> None:
+def _on_session_end(state: SessionState, event: SessionEvent, sid: int) -> None:
     state.pm_done_depth.setdefault(PM_TASKS[sid].task_id, NEVER_DONE_DEPTH)
     state.completed = True
-    effects.append(SessionComplete())
 
 
-def _on_note_opened(state: SessionState, event: SessionEvent,
-                    effects: list[Effect], sid: int) -> None:
+def _on_note_opened(state: SessionState, event: SessionEvent, sid: int) -> None:
     if state.scene.note_open:
         raise InvalidEvent("notes already open")
     state.scene.note_open = True
 
 
-def _on_note_closed(state: SessionState, event: SessionEvent,
-                    effects: list[Effect], sid: int) -> None:
+def _on_note_closed(state: SessionState, event: SessionEvent, sid: int) -> None:
     if not state.scene.note_open:
         raise InvalidEvent("notes are not open")
     state.scene.note_open = False
 
 
-def _on_npc_prompt_answered(state: SessionState, event: SessionEvent,
-                            effects: list[Effect], sid: int) -> None:
+def _on_npc_prompt_answered(state: SessionState, event: SessionEvent, sid: int) -> None:
     if state.scene.awaiting_choice:
         raise InvalidEvent("answer already given; choose an item")
     # the answer is to the prompt showing, the deepest one shown
@@ -787,32 +779,30 @@ def _on_npc_prompt_answered(state: SessionState, event: SessionEvent,
         if task.polarity is _POSITIVE:
             state.scene.awaiting_choice = True
         else:
-            _resolve(state, effects)
+            state.scene.resolved = True
     elif expected < len(task.prompt_texts):
-        _show_prompt(state, task, effects)
+        state.scene.prompt_depth += 1
     else:
         state.npc_affirmed_at[task.task_id] = 0
-        _resolve(state, effects)
+        state.scene.resolved = True
 
 
 _NPC_CHOICES = frozenset(c.value for c in NpcChoice)
 
 
-def _on_npc_item_chosen(state: SessionState, event: SessionEvent,
-                        effects: list[Effect], sid: int) -> None:
+def _on_npc_item_chosen(state: SessionState, event: SessionEvent, sid: int) -> None:
     if not state.scene.awaiting_choice:
         raise InvalidEvent("no item board is showing")
     choice = event.payload["choice"]
     if choice not in _NPC_CHOICES:
-        raise InvalidEvent(f"unknown board choice {choice!r}")
+        raise InvalidEvent(f"unknown board choice {_quoted(choice)}")
     task = PM_TASKS[sid]
     state.npc_choice[task.task_id] = choice
     state.scene.awaiting_choice = False
-    _resolve(state, effects)
+    state.scene.resolved = True
 
 
-def _on_keys_given(state: SessionState, event: SessionEvent,
-                   effects: list[Effect], sid: int) -> None:
+def _on_keys_given(state: SessionState, event: SessionEvent, sid: int) -> None:
     if state.scene.keys_given:
         raise InvalidEvent("keys already handed over")
     state.scene.keys_given = True
@@ -827,21 +817,20 @@ class _Take:
     is the handler: a plain method call costs less than an instance's."""
 
     key: str
-    again: str  # the message for a second take, formatted with the thing
+    again: str  # the message for a second take: {thing}, or its {quoted} form
     room: Optional[str] = None  # what holds SHOPPING_LIST_LENGTH things, if full
     known: tuple[tuple[str, tuple[Optional[str], ...], str], ...] = ()
     non_negative: Optional[str] = None
 
-    def apply(self, state: SessionState, event: SessionEvent,
-              effects: list[Effect], sid: int) -> None:
+    def apply(self, state: SessionState, event: SessionEvent, sid: int) -> None:
         payload = event.payload
         for name, allowed, label in self.known:
             if payload[name] not in allowed:
-                raise InvalidEvent(f"unknown {label} {payload[name]!r}")
+                raise InvalidEvent(f"unknown {label} {_quoted(payload[name])}")
         thing = payload[self.key]
         taken = state.scene.taken
         if thing in taken:
-            raise InvalidEvent(self.again.format(thing))
+            raise InvalidEvent(self.again.format(thing=thing, quoted=_quoted(thing)))
         if self.room is not None and len(taken) >= SHOPPING_LIST_LENGTH:
             raise InvalidEvent(f"{self.room} holds {SHOPPING_LIST_LENGTH} items")
         if self.non_negative is not None and payload[self.non_negative] < 0:
@@ -852,19 +841,19 @@ class _Take:
 # Which event does what in which scene: each kind after entry maps the scenes
 # that host it to its handler there.  A practice attempt is handled in every
 # scene, since practice_gate raises NotAGatedScene outside GATED_SCENES.
-_Handler = Callable[[SessionState, SessionEvent, list[Effect], int], None]
+_Handler = Callable[[SessionState, SessionEvent, int], None]
 _HANDLERS: dict[EventKind, dict[int, _Handler]] = {
     EventKind.TUTORIAL_COMPLETED: dict.fromkeys(TUTORIAL_SCENES - GATED_SCENES,
                                                 _on_resolving_event),
     EventKind.PRACTICE_ATTEMPT: dict.fromkeys(SCENES_BY_ID, _on_practice_attempt),
     EventKind.NOTES_INTENT_ANSWERED: {3: _on_notes_intent_answered},
     EventKind.ITEM_SELECTED: {
-        3: _Take("item", "item {!r} already selected", room="the list board").apply,
+        3: _Take("item", "item {quoted} already selected", room="the list board").apply,
         8: _on_item_grabbed},
     EventKind.ROUTE_UNIT_TOGGLED: {3: _on_route},
     EventKind.ROUTE_SUBMITTED: {3: _on_route},
     EventKind.COOKING_ITEM_PLACED: {6: _Take(
-        "item", "{} already placed on the worktop",
+        "item", "{thing} already placed on the worktop",
         known=(("item", COOKING_ITEMS, "cooking item"),), non_negative="cook_time_s").apply},
     EventKind.FINAL_BUTTON_PRESSED: {6: _cascade_press, 14: _on_resolving_event,
                                      22: _on_session_end},
@@ -876,18 +865,18 @@ _HANDLERS: dict[EventKind, dict[int, _Handler]] = {
     EventKind.NPC_PROMPT_ANSWERED: dict.fromkeys(NPC_SCENES, _on_npc_prompt_answered),
     EventKind.NPC_ITEM_CHOSEN: dict.fromkeys(NPC_SCENES, _on_npc_item_chosen),
     EventKind.POSTER_SPOTTED: {12: _Take(
-        "stimulus_id", "stimulus {!r} already spotted",
+        "stimulus_id", "stimulus {quoted} already spotted",
         known=(("stimulus_kind", VISUAL_STIMULUS_KINDS, "poster kind"),
                ("side", SIDES, "side"))).apply},
     EventKind.SOUND_TRIGGERED: {19: _Take(
-        "stimulus_id", "stimulus {!r} already recorded",
+        "stimulus_id", "stimulus {quoted} already recorded",
         known=(("stimulus_kind", AUDITORY_STIMULUS_KINDS, "sound kind"),
                ("stimulus_side", SIDES, "side"),
                ("response_side", (None, *SIDES), "response side"))).apply},
     EventKind.SHOPPING_COLLECTED: {
-        14: _Take("item", "item {!r} already in the basket", room="the basket").apply},
+        14: _Take("item", "item {quoted} already in the basket", room="the basket").apply},
     EventKind.KEYS_GIVEN: {21: _on_keys_given},
-    EventKind.ITEM_STOWED: {22: _Take("item", "item {!r} already put away").apply},
+    EventKind.ITEM_STOWED: {22: _Take("item", "item {quoted} already put away").apply},
 }
 assert set(_HANDLERS) == set(EventKind) - {
     EventKind.SCENE_ENTERED, EventKind.SCENE_EXITED}
@@ -917,20 +906,14 @@ def replay(events: Iterable[SessionEvent],
     error encountered; a valid log replays with none.
     """
     current = state.copy() if state is not None else initial_state()
-    trace: list[tuple[SessionEvent, list[Effect]]] = []
-    for event in events:
-        effects: list[Effect] = []
-        _apply(current, event, effects)
-        trace.append((event, effects))
-    return current, trace
+    return current, [(event, _step(current, event)) for event in events]
 
 
 def _final_state(events: Iterable[SessionEvent]) -> SessionState:
     # replay(events)[0] without the trace, for a caller that reads only the
-    # final state: every event's effects go to one list that nothing reads,
-    # and the same engine error is raised at the same event.
+    # final state: no effect is built, and the same engine error is raised
+    # at the same event.
     state = initial_state()
-    effects: list[Effect] = []
     for event in events:
-        _apply(state, event, effects)
+        _apply(state, event)
     return state

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable, Mapping, Optional, Sequence
 
 from .config import BAND_NAMES, ScoringConfig, _DEDUCTION_FLOOR, _PER_SIDE_FIELDS
-from .jsonio import _json_native
+from .jsonio import _json_native, _quoted
 from .scenario import (
     COOKING_ITEMS,
     EngineError,
@@ -116,7 +116,7 @@ def _score_recognition(selected: Iterable[str], config: ScoringConfig) -> Recogn
         elif item in false_items:
             n_false += 1
         else:
-            raise _invalid(f"item {item!r} is not in the recognition catalog")
+            raise _invalid(f"item {_quoted(item)} is not in the recognition catalog")
     points = 2 * n_target + (n_qual + n_quant)
     return RecognitionScore(points=points, targets=n_target, qualitative=n_qual,
                             quantitative=n_quant, false_items=n_false)
@@ -277,7 +277,7 @@ def _score_collection(grabs: Sequence[str], config: ScoringConfig) -> Collection
     for item in grabs:
         if item in targets:
             if item in collected:
-                raise _invalid(f"target {item!r} grabbed twice")
+                raise _invalid(f"target {_quoted(item)} grabbed twice")
             collected.add(item)
         else:
             errors += 1

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Optional
 
-from .jsonio import ErrandlabError, _canonical, _canonical_chunks, _is_int
+from .jsonio import ErrandlabError, _canonical, _canonical_chunks, _is_int, _quoted
 from .scenario import (
     AUDITORY_STIMULUS_KINDS,
     COOKING_ITEMS,
@@ -226,7 +226,7 @@ def _read_event(number: int, line: str) -> tuple[Any, Any, Any, EventKind,
     # an array or object kind is unhashable, so test the type first
     kind = _EVENT_KINDS.get(kind_name) if type(kind_name) is str else None
     if kind is None:
-        raise ParseError(f"line {number}: unknown event kind {kind_name!r}")
+        raise ParseError(f"line {number}: unknown event kind {_quoted(kind_name)}")
     payload = record["payload"]
     if type(payload) is not dict:
         raise ParseError(f"line {number}: payload must be an object")
@@ -258,7 +258,7 @@ def deserialize_log(data: bytes) -> SessionLog:
     # 1.0 and true compare equal to 1 but would be written back as 1.
     if not _is_int(version) or version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
-            f"schema version {version!r} unsupported "
+            f"schema version {_quoted(version)} unsupported "
             f"(expected {SCHEMA_VERSION})")
     seed = header.get("seed")
     if seed is not None and not _is_int(seed):

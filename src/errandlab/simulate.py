@@ -222,7 +222,6 @@ class _SessionBuilder:
         self.config = config
         self.state: SessionState = initial_state()
         self.events: list[SessionEvent] = []
-        self._effects: list[Any] = []  # the engine's effects: nothing reads them
         self._streams = (seed % 2**64) * _STREAMS_PER_SEED
         self._rng: Optional[Random] = None
 
@@ -251,7 +250,7 @@ class _SessionBuilder:
         # positional: a keyword call costs more, once per event
         event = SessionEvent(len(self.events), at_ms, self.state.current_scene,
                              kind, payload or {})
-        _apply(self.state, event, self._effects)  # the builder owns its state
+        _apply(self.state, event)  # the builder owns its state
         self.events.append(event)
 
     def enter(self) -> None:

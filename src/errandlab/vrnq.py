@@ -386,7 +386,7 @@ def _checked_rows(rows: list[list[str]], width: int) -> list[list[str]]:
         if not participant_id:
             raise VrnqError(f"line {line_no}: empty participant_id")
         if participant_id in checked:
-            raise VrnqError(f"line {line_no}: duplicate participant {participant_id!r}")
+            raise VrnqError(f"line {line_no}: duplicate participant {_quoted(participant_id)}")
         try:  # int() reads " 3", "+3" and "03" as 3
             items = tuple(map(int, row[1:ITEM_COUNT + 1]))
         except ValueError as exc:

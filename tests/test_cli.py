@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -904,7 +905,31 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _counted(cls, built):
+    """A subclass of ``cls`` that counts each instance it builds in ``built``."""
+    class Counted(cls):
+        def __init__(self, *args):
+            built[cls.__name__] += 1
+            super().__init__(*args)
+    return Counted
+
+
 class TestCallCounts:
+    def test_no_command_builds_an_effect(self, tmp_path, monkeypatch):
+        # the engine only changes state; replay alone reads effects off it
+        built = collections.Counter()
+        for name in ("PromptShown", "SceneTransition", "PracticeRetry", "PracticePassed",
+                     "SessionComplete"):
+            monkeypatch.setattr(errandlab.scenario, name,
+                                _counted(getattr(errandlab.scenario, name), built))
+        assert main(["simulate", "--seed", "2", "--cohort", "2",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert main(["score", "--log", str(golden_path("default", 3))]) == 0
+        assert built == {}
+        errandlab.scenario.replay(deserialize_log(golden_bytes("default", 3)).events)
+        assert built == {"SceneTransition": 21, "PromptShown": 13, "PracticeRetry": 3,
+                         "PracticePassed": 2, "SessionComplete": 1}
+
     @pytest.mark.parametrize("fmt, scorecards", [("text", 0), ("json", 4)])
     def test_cohort_hashes_once_and_never_replays(self, tmp_path, monkeypatch,
                                                   fmt, scorecards):

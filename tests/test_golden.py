@@ -40,7 +40,7 @@ from errandlab.config import (
     default_config,
     save_config,
 )
-from errandlab.scenario import EventKind
+from errandlab.scenario import EventKind, replay
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
 from errandlab.sessionlog import (
     SessionLog,
@@ -172,6 +172,22 @@ def test_config_hash_is_the_hash_of_config_to_dict(overrides):
     config.validate()
     canonical = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
     assert config_hash(config) == _sha256(canonical.encode("utf-8"))
+
+
+# sha256 over the repr of replay's list of per-event effect lists for each
+# golden fixture log, in GOLDEN_SESSIONS order.  It was recorded from an
+# engine whose handlers appended each effect as they acted, so it pins that
+# reading the effects off each state change keeps every one in its order.
+# An effect holds no set, so the repr does not depend on the hash seed.
+_GOLDEN_EFFECT_TRACE = "ed5c9abbd64fae32a4f505b4a2fc9c1217e19eb8eba1050d1f4ceb81fe43fc51"
+
+
+def test_effect_trace_matches_golden_digest():
+    digest = hashlib.sha256()
+    for preset, seed in GOLDEN_SESSIONS:
+        _, trace = replay(golden_log(preset, seed).events)
+        digest.update(repr([effects for _, effects in trace]).encode("utf-8"))
+    assert digest.hexdigest() == _GOLDEN_EFFECT_TRACE
 
 
 # (preset, seed) -> sha256 over the prefixes events[:0], events[:20], ... of

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import io
 import json
 import re
 from collections import UserDict
@@ -18,7 +19,7 @@ from typing import Any, Callable, Iterator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from errandlab import jsonio
+from errandlab import jsonio, scoring
 from errandlab.cli import main
 from errandlab.config import (DEFAULT_BAND_POINTS, DEFAULT_NPC_NEGATIVE_DEDUCTIONS,
                               DEFAULT_NPC_POSITIVE_MATRIX, ScoringConfig, config_from_dict,
@@ -27,12 +28,14 @@ from errandlab.config import (DEFAULT_BAND_POINTS, DEFAULT_NPC_NEGATIVE_DEDUCTIO
 from errandlab.jsonio import ConfigError, _quoted, read_json
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
 from errandlab.scenario import EventKind, PmDelay, SessionEvent
-from errandlab.sessionlog import MalformedLog, export_report, log_from_events, serialize_log
+from errandlab.sessionlog import (MalformedLog, ParseError, SchemaVersionMismatch,
+                                  deserialize_log, export_report, log_from_events,
+                                  serialize_log)
 from errandlab.simulate import (ParticipantProfile, default_profile, load_profile,
                                 profile_from_dict, profile_to_dict, save_profile,
                                 simulate_cohort, simulate_session)
 from errandlab.vrnq import (CSV_COLUMNS, DEFAULT_DOMAIN_MAPPING, ITEM_COUNT, DomainMapping,
-                            VrnqError, VrnqResponseSet)
+                            VrnqError, VrnqResponseSet, read_cohort_csv)
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
 # any document json.loads can return, NaN and the infinities included; a
@@ -224,13 +227,14 @@ _HUGE = 10**5000
 _HUGE_TEXT = f"an integer of {_HUGE.bit_length()} bits"
 
 
-def _score_with_huge(kind: EventKind, name: str) -> None:
-    """Score a simulated log whose first ``kind`` event holds ``_HUGE`` as ``name``."""
+def _score_with(kind: EventKind, name: str, value: Any = _HUGE, times: int = 1) -> None:
+    """Score a simulated log whose first ``times`` ``kind`` events hold
+    ``value`` (by default ``_HUGE``) as ``name``."""
     events = list(simulate_session(default_profile(), 1).events)
-    at = next(i for i, event in enumerate(events) if event.kind is kind)
-    old = events[at]
-    events[at] = SessionEvent(old.seq, old.sim_time_ms, old.scene, kind,
-                              {**old.payload, name: _HUGE})
+    for at in [i for i, event in enumerate(events) if event.kind is kind][:times]:
+        old = events[at]
+        events[at] = SessionEvent(old.seq, old.sim_time_ms, old.scene, kind,
+                                  {**old.payload, name: value})
     aggregate_scorecard(log_from_events(events), default_config())
 
 
@@ -249,12 +253,12 @@ _HUGE_INTEGERS = [
                  f"{_HUGE.bit_length()} bits", id="band-points"),
     pytest.param(lambda: SessionEvent(0, 0, _HUGE, EventKind.SCENE_ENTERED), ValueError,
                  f"unknown scene id {_HUGE_TEXT}", id="event-scene"),
-    pytest.param(lambda: _score_with_huge(EventKind.ROUTE_UNIT_TOGGLED, "unit"), MalformedLog,
+    pytest.param(lambda: _score_with(EventKind.ROUTE_UNIT_TOGGLED, "unit"), MalformedLog,
                  f"{_ENGINE_REFUSAL}street unit {_HUGE_TEXT} out of range", id="route-unit"),
-    pytest.param(lambda: _score_with_huge(EventKind.NOTES_INTENT_ANSWERED, "prompt_index"),
+    pytest.param(lambda: _score_with(EventKind.NOTES_INTENT_ANSWERED, "prompt_index"),
                  MalformedLog, f"{_ENGINE_REFUSAL}notes-intent prompt {_HUGE_TEXT} "
                  "out of order (expected 1)", id="notes-intent-prompt"),
-    pytest.param(lambda: _score_with_huge(EventKind.NPC_PROMPT_ANSWERED, "prompt_index"),
+    pytest.param(lambda: _score_with(EventKind.NPC_PROMPT_ANSWERED, "prompt_index"),
                  MalformedLog, f"{_ENGINE_REFUSAL}conversation prompt {_HUGE_TEXT} "
                  "out of order (expected 1)", id="conversation-prompt"),
     pytest.param(lambda: profile_from_dict({_HUGE: 1}), ConfigError,
@@ -307,6 +311,71 @@ class TestIntegerRule:
         with pytest.raises(error) as caught:
             call()
         assert str(caught.value) == refusal
+
+
+# A value read from a log or a cohort CSV, far longer than any line a
+# terminal shows, and its quote in a fault.
+_LONG = "v" * 100_000
+_LONG_TEXT = _quoted(_LONG)
+
+
+def _read_with(line: int, name: str, value: Any) -> None:
+    """Read a simulated log whose line ``line`` holds ``value`` as ``name``."""
+    lines = serialize_log(simulate_session(default_profile(), 1)).split(b"\n")
+    lines[line - 1] = json.dumps({**json.loads(lines[line - 1]), name: value}).encode()
+    deserialize_log(b"\n".join(lines))
+
+
+def _read_cohort_with_id_twice(participant_id: str) -> None:
+    row = participant_id + ",4" * ITEM_COUNT + "\n"
+    read_cohort_csv(io.StringIO(",".join(CSV_COLUMNS) + "\n" + row + row))
+
+
+# Each fault that quotes a value read from a file: (the call, its error, its message).
+_LONG_VALUES = [
+    pytest.param(lambda: _read_with(3, "kind", _LONG), ParseError,
+                 f"line 3: unknown event kind {_LONG_TEXT}", id="event-kind"),
+    pytest.param(lambda: _read_with(1, "version", _LONG), SchemaVersionMismatch,
+                 f"schema version {_LONG_TEXT} unsupported (expected 1)", id="schema-version"),
+    pytest.param(lambda: _score_with(EventKind.NPC_ITEM_CHOSEN, "choice", _LONG), MalformedLog,
+                 f"{_ENGINE_REFUSAL}unknown board choice {_LONG_TEXT}", id="board-choice"),
+    pytest.param(lambda: _score_with(EventKind.COOKING_ITEM_PLACED, "item", _LONG), MalformedLog,
+                 f"{_ENGINE_REFUSAL}unknown cooking item {_LONG_TEXT}", id="cooking-item"),
+    pytest.param(lambda: _score_with(EventKind.ITEM_SELECTED, "item", _LONG, times=2),
+                 MalformedLog, f"{_ENGINE_REFUSAL}item {_LONG_TEXT} already selected",
+                 id="list-board-item"),
+    pytest.param(lambda: _score_with(EventKind.POSTER_SPOTTED, "stimulus_id", _LONG, times=2),
+                 MalformedLog, f"{_ENGINE_REFUSAL}stimulus {_LONG_TEXT} already spotted",
+                 id="poster"),
+    pytest.param(lambda: _score_with(EventKind.SOUND_TRIGGERED, "stimulus_id", _LONG, times=2),
+                 MalformedLog, f"{_ENGINE_REFUSAL}stimulus {_LONG_TEXT} already recorded",
+                 id="sound"),
+    pytest.param(lambda: _score_with(EventKind.SHOPPING_COLLECTED, "item", _LONG, times=2),
+                 MalformedLog, f"{_ENGINE_REFUSAL}item {_LONG_TEXT} already in the basket",
+                 id="basket-item"),
+    pytest.param(lambda: _score_with(EventKind.ITEM_STOWED, "item", _LONG, times=2),
+                 MalformedLog, f"{_ENGINE_REFUSAL}item {_LONG_TEXT} already put away",
+                 id="stowed-item"),
+    pytest.param(lambda: _score_with(EventKind.ITEM_SELECTED, "item", _LONG), MalformedLog,
+                 f"log content failed scoring validation: item {_LONG_TEXT} "
+                 "is not in the recognition catalog", id="recognition-item"),
+    pytest.param(lambda: scoring._score_collection(
+                     [_LONG, _LONG], dataclasses.replace(default_config(),
+                                                         collection_targets=(_LONG,))),
+                 MalformedLog,
+                 f"log content failed scoring validation: target {_LONG_TEXT} grabbed twice",
+                 id="collection-target"),
+    pytest.param(lambda: _read_cohort_with_id_twice(_LONG), VrnqError,
+                 f"line 3: duplicate participant {_LONG_TEXT}", id="vrnq-participant"),
+]
+
+
+@pytest.mark.parametrize("call, error, refusal", _LONG_VALUES)
+def test_a_long_value_read_from_a_file_is_quoted_short(call, error, refusal):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == refusal
+    assert len(refusal) < 200
 
 
 def _oversized_domains() -> dict:

@@ -4,8 +4,10 @@ import ast
 import collections
 import dataclasses
 import inspect
+import pathlib
 import textwrap
 import types
+import typing
 
 import numpy as np
 import pytest
@@ -922,6 +924,7 @@ class TestNoPerEventEnumReads:
     # globals bound at import.
     @pytest.mark.parametrize("fn", [
         scenario._apply,
+        scenario._step,
         scenario._fire_due_timer_prompts,
         scenario._on_npc_prompt_answered,
         scenario._on_route,
@@ -936,3 +939,32 @@ class TestNoPerEventEnumReads:
         names = _global_names(fn.__code__)
         assert "EventKind" not in names
         assert "PmPolarity" not in names
+
+
+_EFFECT_CLASSES = frozenset(cls.__name__ for cls in typing.get_args(scenario.Effect))
+# The engine's core: every function that changes a state for an event.
+_ENGINE_CORE = list(dict.fromkeys(
+    [scenario._apply, scenario._fire_due_timer_prompts,
+     *(getattr(handler, "__func__", handler)
+       for hosts in scenario._HANDLERS.values() for handler in hosts.values())]))
+
+
+class TestEffectsAreReadOffTheState:
+    # The engine's core only changes state; advance and replay read each
+    # event's effects off the change, in one function, so a caller that
+    # reads only the state builds no effect.
+    @pytest.mark.parametrize("fn", _ENGINE_CORE, ids=lambda fn: fn.__qualname__)
+    def test_core_takes_no_effects_and_names_no_effect_class(self, fn):
+        assert "effects" not in inspect.signature(fn).parameters
+        assert not _global_names(fn.__code__) & _EFFECT_CLASSES
+
+    def test_one_function_builds_effects(self):
+        naming = set()
+        for path in sorted(pathlib.Path(scenario.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = {getattr(inner, "id", getattr(inner, "attr", None))
+                             for inner in ast.walk(node)}
+                    if names & _EFFECT_CLASSES:
+                        naming.add(f"{path.stem}.{node.name}")
+        assert naming == {"scenario._step"}
