@@ -17,7 +17,9 @@ Exit codes: 0 success, 2 usage error, 3 I/O error (``error: <path>:
 (a Bayes factor could not be computed to the required accuracy, e.g. one
 beyond double range), 2 ConfigError (a bad ``--config``, ``--profile`` or
 ``--domains`` file is named), 4 EngineError or LogError (a rejected or
-incomplete session log), 5 VrnqError (a malformed response CSV).
+incomplete session log), 5 VrnqError (a malformed response CSV).  A run whose
+standard output its reader closes (``... | head -1``) prints nothing more and
+exits 141, as a shell reports a process that SIGPIPE ends.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from . import __version__
-from .jsonio import ErrandlabError, _json_text, read_json
+from .jsonio import ErrandlabError, _json_text, _quoted, read_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulate import ParticipantProfile
@@ -44,25 +46,38 @@ def _load_profile_arg(spec: Optional[str]) -> ParticipantProfile:
     return preset() if preset is not None else load_profile(spec)
 
 
-def _positive_int(text: str) -> int:
+def _number(kind: Callable[[str], Any], text: str) -> Any:
     try:
-        value = int(text)
+        return kind(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"invalid {kind.__name__} value: {_quoted(text)}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _number(int, text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {_quoted(value)}")
     return value
 
 
 def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    value = _number(float, text)
     if not 0 < value <= sys.float_info.max:  # NaN fails too
         raise argparse.ArgumentTypeError(
             f"must be positive and finite, not {value:g}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, which quotes a refused choice, a command word
+    included, in the short form of the package's other faults."""
+
+    def _check_value(self, action: argparse.Action, value: Any) -> None:
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_quoted(value)} (choose from {choices})")
 
 
 def _write_output(out: str, outputs: dict[str, str], name: str, file: str,
@@ -323,7 +338,7 @@ def _cmd_vrnq_compare(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="errandlab",
         description="Simulate, score, and evaluate errand-scenario sessions.")
     parser.add_argument("--version", action="version",
@@ -331,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate seeded session logs")
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--seed", type=functools.partial(_number, int), required=True)
     p_sim.add_argument("--profile", default=None,
                        help="preset name (default/perfect/null) or JSON path")
     p_sim.add_argument("--config", default=None, help="scoring config JSON path")
@@ -404,7 +419,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
+        return code
+    except BrokenPipeError:
+        # the reader of standard output is gone: point it at devnull, so that
+        # the flush at exit raises nothing either, and exit 128 + SIGPIPE, as
+        # a shell reports a process that the signal ends
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ErrandlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -38,6 +38,7 @@ pass, or, for free-running scenes, the exit itself) resolves the scene, which
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -326,10 +327,25 @@ _PAYLOAD_SCHEMA: dict[EventKind, tuple[frozenset[str],
 # The kinds whose payload has no fields: a plain empty dict is the one payload
 # of theirs that the schema check could not refuse, so it is not walked.
 _FIELDLESS_KINDS = frozenset(EventKind).difference(_PAYLOAD_FIELDS)
+# Each kind's payload by exact type, for one lookup per payload: for each
+# order of its field names and each choice of the types they allow, the names
+# then the types, mapped to the names whose value is a float, which must also
+# be finite.  A plain dict with such names and values needs no further check.
+_PAYLOAD_TYPES: dict[EventKind, dict[tuple[Any, ...], tuple[str, ...]]] = {
+    kind: {(*names, *types): tuple(name for name, t in zip(names, types) if t is float)
+           for names in itertools.permutations(schema)
+           for types in itertools.product(*map(schema.__getitem__, names))}
+    for kind in EventKind for schema in (_PAYLOAD_FIELDS.get(kind, {}),)}
 
 
 def validate_payload(kind: EventKind, payload: dict[str, Any]) -> None:
     """Check a payload against the fixed schema for its event kind."""
+    if type(payload) is dict:
+        floats = _PAYLOAD_TYPES[kind].get((*payload, *map(type, payload.values())))
+        if floats is not None and (
+                not floats or all(map(math.isfinite, map(payload.__getitem__, floats)))):
+            return
+    # a subclass value (an IntEnum, numpy's float64) or a fault: walk the schema
     keys, checks = _PAYLOAD_SCHEMA[kind]
     if payload.keys() != keys:
         extra = set(payload) - keys

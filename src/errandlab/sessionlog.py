@@ -9,16 +9,21 @@ whose text ``config_hash`` digests too; lines end in LF, so valid logs
 round-trip byte-for-byte — the determinism tests lean on that.
 
 The body is read in blocks of whole lines through one multiline pattern in
-Python 3.10's syntax.  A line that :func:`serialize_log` writes for an event
-with an empty payload becomes its event from the pattern's fields and two
-lookup tables, with no JSON scan; every other line is scanned whole.  Either
-way a line gives the same event, or fails with the same message.
+Python 3.10's syntax.  A line in the envelope that :func:`serialize_log`
+writes becomes its event from the pattern's fields and lookup tables, with
+no call of ``SessionEvent.__init__``: an empty payload with no JSON scan, any
+other with a scan of the payload's text alone, whose field names and value
+types one lookup in ``scenario._PAYLOAD_TYPES`` checks, the table that
+``validate_payload`` reads first.  Every other line, and one these checks
+refuse, is scanned whole and checked field by field.  Either way a line gives
+the same event, or fails with the same message.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Optional
@@ -37,7 +42,7 @@ from .scenario import (
     TASKS,
     TUTORIAL_SCENES,
     VISUAL_STIMULUS_KINDS,
-    _FIELDLESS_KINDS, _MAX_CLOCK_MS,
+    _FIELDLESS_KINDS, _MAX_CLOCK_MS, _PAYLOAD_FIELDS, _PAYLOAD_TYPES,
     _set_kind, _set_payload, _set_scene, _set_seq, _set_sim_time_ms,
 )
 
@@ -165,21 +170,26 @@ _EVENT_FIELDS = frozenset({"seq", "sim_time_ms", "scene", "kind", "payload"})
 # there or a value nested in it is missing (as in '{"a":}'), ValueError for
 # other faults.
 _scan_once = json.JSONDecoder().scan_once
-# One tuple per line of a block: a line that serialize_log writes for an
-# event with an empty payload gives its kind (ASCII letters, read as (?=(…))\1,
-# an atomic group Python 3.10 can compile) and three integers that int() reads
-# as the scanner would (at most 18 digits, far below the 4,300-digit limit whose
-# message a longer one keeps); any other line gives its text in the last group.
+# One tuple per line of a block.  A line in serialize_log's envelope gives its
+# kind (ASCII letters, read as (?=(…))\1, an atomic group Python 3.10 can
+# compile); its payload's text if that is an object with a key, or "" if it is
+# {}; and three integers that int() reads as the scanner would (at most 18
+# digits, far below the 4,300-digit limit whose message a longer one keeps).
+# The payload's text runs to the line's last "}" that the envelope's tail
+# follows, so it is the payload if the scanner stops at its end.  Any other
+# line gives its text in the last group.
 _ENVELOPE_INT = r"(0|[1-9][0-9]{0,17})"
 _read_block = re.compile(
-    r'^(?:\{"kind":"(?=([A-Za-z]+))\1","payload":\{\},'
-    r'"scene":%s,"seq":%s,"sim_time_ms":%s\}$|(.*))' % ((_ENVELOPE_INT,) * 3),
+    r'^(?:\{"kind":"(?=([A-Za-z]+))\1","payload":(?:\{\}|(\{".*\}))'
+    r',"scene":%s,"seq":%s,"sim_time_ms":%s\}$|(.*))' % ((_ENVELOPE_INT,) * 3),
     re.M).findall
 # Each block ends at the first newline past this many characters, so a log
 # refused early is scanned at most one block past its fault.
 _BLOCK_CHARS = 4096
-# The kinds with no payload fields, and the scene ids, by their text.
+# The kinds with no payload fields, the other kinds with their rows of the
+# exact-type table, and the scene ids, by their text.
 _EMPTY_KINDS = {kind.value: kind for kind in _FIELDLESS_KINDS}
+_PAYLOAD_KINDS = {kind.value: (kind, _PAYLOAD_TYPES[kind]) for kind in _PAYLOAD_FIELDS}
 _SCENE_IDS = {str(scene_id): scene_id for scene_id in SCENES_BY_ID}
 
 
@@ -273,18 +283,22 @@ def deserialize_log(data: bytes) -> SessionLog:
     # event is never out of order.
     last_seq, last_ms = -1, 0
     number, start, size = 1, body, len(text)
-    new, empty_kinds, scene_ids = object.__new__, _EMPTY_KINDS, _SCENE_IDS
+    new, scan, isfinite = object.__new__, _scan_once, math.isfinite
+    empty_kinds, payload_kinds, scene_ids = _EMPTY_KINDS, _PAYLOAD_KINDS, _SCENE_IDS
     while start < size:
         # the text ends in a newline, so the last block ends at it
         end = text.find("\n", min(start + _BLOCK_CHARS, size - 1))
         first = number + 1
-        for kind_name, scene, seq, time_ms, line in _read_block(text, start, end):
+        for kind_name, fields, scene, seq, time_ms, line in _read_block(text, start, end):
             number += 1
             # Of SessionEvent.__init__'s checks, the pattern makes seq and
-            # sim_time_ms ints >= 0 and the payload an empty dict, and the
-            # tables make the kind fieldless and the scene known; a line
-            # failing these or the clock bound is read whole, and raises.
-            if (kind_name and (kind := empty_kinds.get(kind_name)) is not None
+            # sim_time_ms ints >= 0 and the tables make the scene known and
+            # the kind one whose payload fields are the line's: none, or those
+            # of a payload whose exact types need no further check.  A line
+            # failing these or the clock bound is read whole, as any other
+            # line is: most raise, but one whose payload the scanner stops
+            # short in may be a whole event (a repeated "payload" key).
+            if (not fields and (kind := empty_kinds.get(kind_name)) is not None
                     and (scene := scene_ids.get(scene)) is not None
                     and (time_ms := int(time_ms)) <= _MAX_CLOCK_MS):
                 event = new(SessionEvent)
@@ -294,13 +308,35 @@ def deserialize_log(data: bytes) -> SessionLog:
                 _set_kind(event, kind)
                 _set_payload(event, {})
             else:
-                if kind_name:
-                    line = text[start:end].split("\n")[number - first]
-                try:
-                    event = SessionEvent(*_read_event(number, line))
-                except (TypeError, ValueError) as exc:
-                    raise ParseError(f"line {number}: {exc}") from exc
-                seq, time_ms = event.seq, event.sim_time_ms
+                event = None
+                if (fields and (typed := payload_kinds.get(kind_name)) is not None
+                        and (scene := scene_ids.get(scene)) is not None
+                        and (time_ms := int(time_ms)) <= _MAX_CLOCK_MS):
+                    kind, types = typed
+                    # the text opens with {", so the scanner reads a dict or raises
+                    try:
+                        payload, stop = scan(fields, 0)
+                    except (StopIteration, ValueError, RecursionError):
+                        stop = 0
+                    # validate_payload's first check, on _PAYLOAD_TYPES' row
+                    if (stop == len(fields) and (floats := types.get(
+                            (*payload, *map(type, payload.values())))) is not None
+                            and (not floats or all(map(isfinite, map(payload.__getitem__,
+                                                                     floats))))):
+                        event = new(SessionEvent)
+                        _set_seq(event, seq := int(seq))
+                        _set_sim_time_ms(event, time_ms)
+                        _set_scene(event, scene)
+                        _set_kind(event, kind)
+                        _set_payload(event, payload)
+                if event is None:
+                    if kind_name:
+                        line = text[start:end].split("\n")[number - first]
+                    try:
+                        event = SessionEvent(*_read_event(number, line))
+                    except (TypeError, ValueError) as exc:
+                        raise ParseError(f"line {number}: {exc}") from exc
+                    seq, time_ms = event.seq, event.sim_time_ms
             if seq <= last_seq or time_ms < last_ms:
                 _check_order(events[-1], event)
             last_seq, last_ms = seq, time_ms

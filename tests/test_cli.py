@@ -1508,6 +1508,53 @@ def test_score_reads_every_log_alike_on_every_interpreter(tmp_path):
     print("ran under", ", ".join(f"{v} ({p})" for v, p in interpreters.items()))
 
 
+_LONG = "x" * 100_000
+
+
+class TestUsageErrors:
+    """A usage error quotes the value it refuses as the package's other
+    faults do: whole if short, else cut to jsonio._QUOTE_MAX characters."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", _LONG, "--out", "o"],
+        ["simulate", "--seed", "1", "--out", "o", "--cohort", _LONG],
+        ["simulate", "--seed", "1", "--out", "o", "--cohort", "-" + "9" * 4000],
+        ["score", "--log", "f", "--format", _LONG],
+        ["vrnq", "score", "--responses", "f", "--tier", _LONG],
+        ["vrnq", "compare", "--baseline", "a", "--revised", "b", "--prior-scale", _LONG],
+        ["vrnq", "compare", "--baseline", "a", "--revised", "b", "--direction", _LONG],
+        ["vrnq", _LONG],
+        [_LONG],
+    ], ids=["seed", "cohort", "cohort-negative", "format", "tier", "prior-scale",
+            "direction", "vrnq-command", "command"])
+    def test_a_long_value_gives_a_short_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert " characters)" in last
+        assert len(last.encode("utf-8")) < 200
+
+    @pytest.mark.parametrize("argv, line", [
+        (["simulate", "--seed", "abc", "--out", "o"],
+         "errandlab simulate: error: argument --seed: invalid int value: 'abc'"),
+        (["simulate", "--seed", "1", "--out", "o", "--cohort", "-2"],
+         "errandlab simulate: error: argument --cohort: must be at least 1, not -2"),
+        (["score", "--log", "f", "--format", "yaml"],
+         "errandlab score: error: argument --format: invalid choice: 'yaml' "
+         "(choose from 'text', 'json')"),
+        (["vrnq", "compare", "--baseline", "a", "--revised", "b", "--prior-scale", "abc"],
+         "errandlab vrnq compare: error: argument --prior-scale: invalid float value: 'abc'"),
+        (["bogus"], "errandlab: error: argument command: invalid choice: 'bogus' "
+                    "(choose from 'simulate', 'score', 'vrnq')"),
+    ], ids=["seed", "cohort", "format", "prior-scale", "command"])
+    def test_a_short_value_is_quoted_whole(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == line
+
+
 class TestEntryPoints:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -1668,6 +1715,19 @@ class TestEntryPoints:
             capture_output=True, text=True, env=_subprocess_env())
         assert result.returncode == 0
         assert (tmp_path / "run" / "session.ndjson").exists()
+
+    def test_a_closed_output_pipe_exits_141_without_a_message(self):
+        # the reader closes its end before the run writes anything
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "errandlab", "score", "--log",
+                 str(golden_path("default", 1))],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=_subprocess_env())
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, "")
 
 
 

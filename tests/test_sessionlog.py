@@ -10,6 +10,7 @@ import re
 import time
 from collections import UserDict
 from types import MappingProxyType
+from unittest import mock
 
 import numpy
 import pytest
@@ -38,7 +39,7 @@ from errandlab.sessionlog import (
     serialize_log,
 )
 from errandlab.simulate import default_profile, simulate_session
-from golden_logs import golden_bytes
+from golden_logs import GOLDEN_SESSIONS, golden_bytes
 from walks import minimal_walk
 
 
@@ -217,7 +218,9 @@ class TestSerialization:
 _TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\u2028é漢😀'),
                           st.characters()), max_size=8)
 _NUMBER = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
-# One strategy per allowed-types tuple of the payload schema.
+# One value of each type the payload schema allows, and one strategy per
+# allowed-types tuple.
+_ONE = {str: "x", int: 1, bool: True, float: 1.5, type(None): None}
 _VALUES = {(str,): _TEXT, (int,): st.integers(), (bool,): st.booleans(),
            (int, float): _NUMBER, (str, type(None)): st.none() | _TEXT}
 # Every event kind, with its payload drawn from its schema: the empty
@@ -365,10 +368,12 @@ _ENVELOPE_PAYLOADS = st.one_of(*(
 # Spellings of each envelope field that JSON reads (or rejects) and that the
 # empty-payload route does not build: leading zeros, signs, floats, integers
 # past 18 digits and past the 4,300-digit limit, escaped and unknown kinds,
-# nested, deep, duplicate-key, brace-holding and cut-off payloads, and ones
-# that hold the pattern's empty-payload text.  Some the pattern takes and its
-# lookups refuse: an unknown kind, an empty payload of a kind with fields, a
-# scene or a clock past its range.
+# nested, deep, duplicate-key, brace-holding and cut-off payloads, ones that
+# hold the pattern's empty-payload text or the envelope's tail, and canonical
+# ones of the wrong fields or value types.  Some the pattern takes and its
+# lookups or the exact-type table refuse: an unknown kind, an empty payload of
+# a kind with fields, a scene or a clock past its range, a value of a type its
+# field does not take or a float past double range.
 _ODD_INTEGERS = [
     "00", "05", "-0", "-1", "3.0", "1e3", "1E0", "true", "null", '"3"', "[]",
     "9" * 18, "1" + "0" * 17, "9" * 19, "1" + "0" * 18, "1" * 4301, str(2**53 + 1)]
@@ -385,12 +390,21 @@ _ODD_SPELLINGS = {
         '{"a":1' + "0" * 4300 + "}", '{"cook_time_s":-0}', '{"unit":07}',
         '{"cook_time_s":NaN,"item":"x"}', '{"cook_time_s":-Infinity}',
         '{"item":"x"', '{"item":"x\\"}', '{"a":}', '{"item":tru}', '{"a":-}',
-        '{"a":[1,}', '{"a":{"payload":{},"b":1}}', '{"payload":{},"a":1}', "{}"],
+        '{"a":[1,}', '{"a":{"payload":{},"b":1}}', '{"payload":{},"a":1}', "{}",
+        # canonically spelled, each failing only a check after the scan
+        '{"item":1}', '{"item":null}', '{"selected":1,"unit":3}',
+        '{"prompt_index":true,"yes":true}', '{"cook_time_s":1e400,"item":"x"}',
+        '{"cook_time_s":true,"item":"x"}', '{"extra":1,"item":"x"}',
+        '{"item":"},\\"scene\\":3"}'],
     "scene": _ODD_INTEGERS,
     "seq": _ODD_INTEGERS,
     "sim_time_ms": _ODD_INTEGERS,
 }
 
+
+# A payload value of any JSON leaf type, which a field may not take: a float
+# past double range too, which json writes as Infinity.
+_OTHER_VALUES = _ENVELOPE_TEXT | st.integers() | st.booleans() | st.none() | st.floats()
 
 # An event line as serialize_log writes it, which the pattern reads.
 _NOTE_LINE = '{"kind":"NoteOpened","payload":{},"scene":3,"seq":4,"sim_time_ms":5}'
@@ -399,11 +413,14 @@ _NOTE_LINE = '{"kind":"NoteOpened","payload":{},"scene":3,"seq":4,"sim_time_ms":
 @st.composite
 def _event_lines(draw):
     """Event lines in serialize_log's envelope, each field now and then
-    spelled oddly, the keys now and then reordered, dropped, repeated or
-    joined by one more, the separators spaced and the line padded."""
+    spelled oddly, a payload value now and then of another JSON type, the
+    keys now and then reordered, dropped, repeated or joined by one more, the
+    separators spaced and the line padded."""
     lines = []
     for seq in range(draw(st.integers(1, 4))):
         kind, payload = draw(_ENVELOPE_PAYLOADS)
+        if payload and draw(st.integers(0, 3)) == 0:
+            payload[draw(st.sampled_from(sorted(payload)))] = draw(_OTHER_VALUES)
         fields = {
             "kind": json.dumps(kind.value),
             "payload": json.dumps(payload, sort_keys=True, separators=(",", ":"),
@@ -450,11 +467,13 @@ class TestEnvelopeReading:
 
     @staticmethod
     def _lines(**spelled):
-        # one line per payload kind, empty or not, with these fields spelled
-        # as given and the others as serialize_log spells them
+        # one line per kind, so that each payload spelling meets the fields
+        # it names, with these fields spelled as given and the others as
+        # serialize_log spells them
         lines = []
-        for kind, payload in ((EventKind.ITEM_SELECTED, {"item": "x"}),
-                              (EventKind.NOTE_OPENED, {})):
+        for kind in EventKind:
+            payload = {name: _ONE[types[0]]
+                       for name, types in scenario._PAYLOAD_FIELDS.get(kind, {}).items()}
             fields = {"kind": json.dumps(kind.value), "payload": _canonical(payload),
                       "scene": "3", "seq": "4", "sim_time_ms": "5", **spelled}
             lines.append("{" + ",".join(f'"{key}":{fields[key]}'
@@ -549,25 +568,55 @@ class TestEnvelopeReading:
                 hash(event)
             assert str(raised.value) == str(expected.value)
 
-    def test_empty_payload_lines_skip_the_line_scan(self, walk_log, monkeypatch):
-        # the header and each event line with a payload are scanned whole;
-        # no canonical line with an empty payload is
-        scanned = []
-        original = sessionlog._read_line
+    @staticmethod
+    def _every_exact_type_log():
+        # each kind with each choice of the exact types its fields take
+        events = []
+        for kind in EventKind:
+            schema = scenario._PAYLOAD_FIELDS.get(kind, {})
+            for types in itertools.product(*schema.values()):
+                payload = {name: _ONE[t] for name, t in zip(schema, types)}
+                events.append(SessionEvent(len(events), 0, 3, kind, payload))
+        return log_from_events(events)
 
-        def counted(number, line):
-            scanned.append(number)
-            return original(number, line)
-
-        monkeypatch.setattr(sessionlog, "_read_line", counted)
-        parsed = deserialize_log(serialize_log(walk_log))
-        assert parsed == walk_log
-        # each empty payload is a dict of its own, as JSON would give it
-        empty = [id(event.payload) for event in parsed.events if not event.payload]
-        assert len(set(empty)) == len(empty) > 1
-        assert scanned == [1] + [number for number, event in
-                                 enumerate(walk_log.events, start=2) if event.payload]
-        assert len(scanned) < len(walk_log.events) + 1
+    def test_canonical_lines_skip_the_line_scan(self, walk_log, monkeypatch):
+        # only the header is scanned whole, and no event of a canonical log
+        # goes through SessionEvent.__init__; a line outside the envelope
+        # takes the full route, to the same event
+        datas = [serialize_log(walk_log), serialize_log(self._every_exact_type_log()),
+                 *(golden_bytes(*session) for session in GOLDEN_SESSIONS)]
+        # the events, their payloads' value types included, as each line
+        # read whole gives them
+        expected = [_events_per_line(data.decode().split("\n")[1:-1]) for data in datas]
+        scanned, built = [], []
+        read_line, init = sessionlog._read_line, SessionEvent.__init__
+        monkeypatch.setattr(sessionlog, "_read_line", lambda number, line: (
+            scanned.append(number), read_line(number, line))[1])
+        monkeypatch.setattr(SessionEvent, "__init__", lambda self, *args: (
+            built.append(args[0]), init(self, *args))[1])
+        for data, events in zip(datas, expected):
+            scanned.clear()
+            parsed = deserialize_log(data)
+            assert list(map(repr, parsed.events)) == list(map(repr, events))
+            assert scanned == [1]
+            assert built == []
+            # each payload is a dict of its own, as JSON would give it
+            payloads = [id(event.payload) for event in parsed.events]
+            assert len(set(payloads)) == len(payloads) > 1
+        lines = serialize_log(walk_log).decode().split("\n")
+        at = next(number for number, event in enumerate(walk_log.events, start=2)
+                  if event.payload)
+        record = json.loads(lines[at - 1])
+        for respelled in (json.dumps(dict(reversed(record.items())), separators=(",", ":")),
+                          _canonical(record).replace(',"scene"', ', "scene"')):
+            assert respelled != lines[at - 1]
+            scanned.clear()
+            parsed = deserialize_log(
+                "\n".join([*lines[:at - 1], respelled, *lines[at:]]).encode())
+            assert parsed == walk_log
+            assert scanned == [1, at]
+            assert built == [walk_log.events[at - 2].seq]
+            built.clear()
 
 
 class _Level(enum.IntEnum):
@@ -589,6 +638,69 @@ _TREES = st.recursive(
                       | st.booleans() | st.just(_Level.LOW), children, max_size=4)
     | st.dictionaries(st.none(), children, max_size=1),
     max_leaves=6)
+
+
+class _Side(str, enum.Enum):
+    LEFT = "left"
+
+
+# A payload value of each JSON leaf type, or of a subclass of int, str or
+# float, which a field's exact type is not.
+_LEAVES = (_TEXT | st.integers() | st.booleans() | st.none() | _FLOATS
+           | st.sampled_from([_Level.LOW, _Side.LEFT, EventKind.NOTE_OPENED])
+           | _FLOATS.map(numpy.float64))
+
+
+def _fault(kind, payload):
+    # validate_payload's message, or None if it passes
+    try:
+        scenario.validate_payload(kind, payload)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestExactTypeTable:
+    """One table of each kind's exact payload types, read from the schema,
+    gives the schema walk's answer: in validate_payload, and on the route that
+    deserialize_log builds a canonical payload line by."""
+
+    def test_its_kinds_and_fields_are_the_schema_s(self):
+        table, schema = scenario._PAYLOAD_TYPES, scenario._PAYLOAD_FIELDS
+        assert set(table) == set(EventKind)
+        assert {kind for kind, row in table.items() if row != {(): ()}} == set(schema)
+        for kind, fields in schema.items():
+            width = len(fields)
+            assert len(table[kind]) == math.factorial(width) * math.prod(map(len, fields.values()))
+            for key, floats in table[kind].items():
+                names, types = key[:width], key[width:]
+                assert sorted(names) == sorted(fields)
+                assert all(t in fields[name] for name, t in zip(names, types))
+                assert floats == tuple(name for name, t in zip(names, types) if t is float)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_the_table_and_the_route_answer_as_the_walk(self, data):
+        kind = data.draw(st.sampled_from(sorted(scenario._PAYLOAD_FIELDS)))
+        payload = {name: data.draw(_LEAVES) for name in scenario._PAYLOAD_FIELDS[kind]}
+        # a mapping that is not a dict is walked field by field
+        walked = _fault(kind, MappingProxyType(payload))
+        assert _fault(kind, payload) == walked
+        if not all(type(value) in _ONE for value in payload.values()):
+            return  # JSON has no subclass, so no line holds this payload
+        header = serialize_log(SessionLog(seed=1, config_hash="c")).decode()
+        line = _canonical({"kind": kind.value, "payload": payload, "scene": 3, "seq": 0,
+                           "sim_time_ms": 0})
+        with mock.patch.object(sessionlog, "_read_line", wraps=sessionlog._read_line) as read:
+            try:
+                [event] = deserialize_log((header + line + "\n").encode()).events
+            except ParseError as exc:
+                assert walked is not None and str(exc) == f"line 2: {walked}"
+                event = None
+        # the route reads the line whole only to refuse it or to word its fault
+        assert (read.call_count == 1) == (walked is None)
+        if event is not None:
+            assert repr(event) == repr(SessionEvent(0, 0, 3, kind, json.loads(line)["payload"]))
 
 
 def _indented(value):
