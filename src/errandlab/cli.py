@@ -138,7 +138,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for index, seed in enumerate(seeds):
         # score from the simulator's own final state: no second engine pass
         log, final_state = _simulate(profile, seed, cfg, cfg_hash)
-        card = score_session(log, final_state, cfg)
+        card = score_session(final_state, cfg)
         report = export_report(card, cfg, seed, cfg_hash).encode("utf-8")
         suffix = "" if count == 1 else f"_{index:03d}"
         summaries.append({

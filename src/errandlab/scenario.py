@@ -525,29 +525,43 @@ def practice_gate(scene_id: int, targets_hit: int, distractors_hit: int) -> Gate
 
 @dataclass
 class SceneState:
-    """What only the entered scene reads, its entry time, whether it is
-    resolved and its reminder ladder's position too; each ``SceneEntered``
-    makes a new one."""
+    """One entered scene's record: each ``SceneEntered`` makes a new one,
+    which ``SessionState.scenes`` keeps, so scoring and telemetry read the
+    final state.
+
+    Besides what the engine checks while the scene lasts, a record holds its
+    entry and exit times, the time of the first start and the last end of
+    each of its :data:`TASKS` windows, its note opens and the time they were
+    open, the notes-intent answers, and the payloads it took or grabbed (its
+    task's input), in log order.
+    """
 
     entry_ms: int = 0
+    exit_ms: Optional[int] = None
     resolved: bool = False  # the scene awaits its exit; advance reports a SceneTransition
     prompt_depth: int = 0  # the prompts of the scene's reminder task shown
     practice_attempts: int = 0
-    notes_prompts_answered: int = 0
     route_submitted: bool = False
-    note_open: bool = False
     keys_given: bool = False
     awaiting_choice: bool = False
+    note_opens: int = 0
+    notes_open_ms: int = 0  # the closed notes' time open
+    note_opened_at: Optional[int] = None  # when the open note was opened
+    notes_intent: list[bool] = field(default_factory=list)  # the answers, in order
+    task_start_ms: dict[str, int] = field(default_factory=dict)  # each task's first start
+    task_end_ms: dict[str, int] = field(default_factory=dict)  # each task's last end
     taken: set[str] = field(default_factory=set)  # the scene's items or stimuli
+    payloads: list[dict[str, Any]] = field(default_factory=list)  # what it took or grabbed
 
 
 @dataclass
 class SessionState:
     """Everything the engine needs to validate the next event.
 
-    ``scene`` holds what only the entered scene reads; the rest lasts the
-    session.  Treat instances as values: :func:`advance` copies before
-    mutating, so a state can be shared across threads or kept for inspection.
+    ``scenes`` keeps each entered scene's record by id, and ``scene`` is the
+    current one; the rest lasts the session.  Treat instances as values:
+    :func:`advance` copies before mutating, so a state can be shared across
+    threads or kept for inspection.
     """
 
     current_scene: int = 1
@@ -555,6 +569,7 @@ class SessionState:
     sim_clock_ms: int = 0
     completed: bool = False
     scene: SceneState = field(default_factory=SceneState)
+    scenes: dict[int, SceneState] = field(default_factory=dict)
     route_selected: set[int] = field(default_factory=set)  # kept for scoring
     # kept for scoring, per reminder task; a task is done iff pm_done_depth has it
     pm_done_depth: dict[str, int] = field(default_factory=dict)
@@ -673,39 +688,42 @@ def _apply(state: SessionState, event: SessionEvent) -> None:
         if state.entered:
             raise InvalidEvent(f"scene {sid} already entered")
         state.entered = True
-        state.scene = SceneState(entry_ms=event.sim_time_ms)
+        state.scene = state.scenes[sid] = SceneState(entry_ms=event.sim_time_ms)
         if sid in NPC_SCENES:  # a conversation opens on its first prompt
             state.scene.prompt_depth = 1
-        return
-
-    if not state.entered:
+    elif not state.entered:
         raise InvalidEvent(f"scene {sid} not entered yet")
-
-    if sid in TIMER_SCENES and not state.completed:
-        _fire_due_timer_prompts(state, event.sim_time_ms, sid)
-
-    if kind is _SCENE_EXITED:
+    elif kind is _SCENE_EXITED:
         if not state.completed:
             if not state.scene.resolved:
                 if sid not in FREE_RUNNING_SCENES:
                     raise InvalidEvent(f"scene {sid} is not finished")
                 # the planning scene's exit needs its prompts and its route
                 if sid in _ROUTE_SCENES and (
-                        state.scene.notes_prompts_answered < NOTES_INTENT_PROMPTS
+                        len(state.scene.notes_intent) < NOTES_INTENT_PROMPTS
                         or not state.scene.route_submitted):
                     raise InvalidEvent(f"scene {sid} tasks unfinished")
                 state.scene.resolved = True
             state.current_scene += 1
         state.entered = False
-        return
+        state.scene.exit_ms = event.sim_time_ms
+    else:
+        # an exit before the finale's end is refused, so no prompt is due at it
+        if sid in TIMER_SCENES and not state.completed:
+            _fire_due_timer_prompts(state, event.sim_time_ms, sid)
+        if state.scene.resolved and kind is not _KEYS_GIVEN:
+            raise InvalidEvent(
+                f"scene {sid} already resolved; only SceneExited is valid")
+        handler = _HANDLERS[kind].get(sid)
+        if handler is None:
+            raise InvalidEvent(f"{kind.value} does not occur in scene {sid}")
+        handler(state, event, sid)
 
-    if state.scene.resolved and kind is not _KEYS_GIVEN:
-        raise InvalidEvent(
-            f"scene {sid} already resolved; only SceneExited is valid")
-    handler = _HANDLERS[kind].get(sid)
-    if handler is None:
-        raise InvalidEvent(f"{kind.value} does not occur in scene {sid}")
-    handler(state, event, sid)
+    for name, start, end in _TASK_WINDOWS[sid]:
+        if kind is start:
+            state.scene.task_start_ms.setdefault(name, event.sim_time_ms)
+        if kind is end:
+            state.scene.task_end_ms[name] = event.sim_time_ms
 
 
 # The handlers _apply dispatches to through _HANDLERS: (state, event,
@@ -730,17 +748,18 @@ def _on_practice_attempt(state: SessionState, event: SessionEvent, sid: int) -> 
 
 
 def _on_notes_intent_answered(state: SessionState, event: SessionEvent, sid: int) -> None:
-    expected = state.scene.notes_prompts_answered + 1
+    answers = state.scene.notes_intent
+    expected = len(answers) + 1
     if event.payload["prompt_index"] != expected or expected > NOTES_INTENT_PROMPTS:
         raise InvalidEvent(
             f"notes-intent prompt {_quoted(int(event.payload['prompt_index']))} "
             f"out of order (expected {expected})")
-    state.scene.notes_prompts_answered = expected
+    answers.append(event.payload["yes"])
 
 
 def _on_item_grabbed(state: SessionState, event: SessionEvent, sid: int) -> None:
     # grabs are free-form, and re-grab attempts are legitimate errors
-    pass
+    state.scene.payloads.append(event.payload)
 
 
 def _on_route(state: SessionState, event: SessionEvent, sid: int) -> None:
@@ -769,15 +788,19 @@ def _on_session_end(state: SessionState, event: SessionEvent, sid: int) -> None:
 
 
 def _on_note_opened(state: SessionState, event: SessionEvent, sid: int) -> None:
-    if state.scene.note_open:
+    scene = state.scene
+    if scene.note_opened_at is not None:
         raise InvalidEvent("notes already open")
-    state.scene.note_open = True
+    scene.note_opened_at = event.sim_time_ms
+    scene.note_opens += 1
 
 
 def _on_note_closed(state: SessionState, event: SessionEvent, sid: int) -> None:
-    if not state.scene.note_open:
+    scene = state.scene
+    if scene.note_opened_at is None:
         raise InvalidEvent("notes are not open")
-    state.scene.note_open = False
+    scene.notes_open_ms += event.sim_time_ms - scene.note_opened_at
+    scene.note_opened_at = None
 
 
 def _on_npc_prompt_answered(state: SessionState, event: SessionEvent, sid: int) -> None:
@@ -852,6 +875,7 @@ class _Take:
         if self.non_negative is not None and payload[self.non_negative] < 0:
             raise InvalidEvent(f"{self.non_negative} must be non-negative")
         taken.add(thing)
+        state.scene.payloads.append(payload)
 
 
 # Which event does what in which scene: each kind after entry maps the scenes
@@ -902,6 +926,12 @@ EVENT_SCENES: dict[EventKind, frozenset[int]] = {
     kind: frozenset(hosts) for kind, hosts in _HANDLERS.items()
     if hosts.keys() != SCENES_BY_ID.keys()}
 _ROUTE_SCENES = EVENT_SCENES[EventKind.ROUTE_SUBMITTED]
+
+# Each scene's task windows: (task name, start kind, end kind).
+_TASK_WINDOWS: dict[int, tuple[tuple[str, EventKind, EventKind], ...]] = {
+    sid: tuple((name, task.start_kind, task.end_kind)
+               for name, task in TASKS.items() if task.scene_id == sid)
+    for sid in SCENES_BY_ID}
 
 # Each kind a task reads must occur in its scene.
 _MISPLACED = [f"{name}: {kind.value} in scene {task.scene_id}"

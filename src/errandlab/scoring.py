@@ -3,14 +3,14 @@
 The scoring API is :func:`aggregate_scorecard`, :func:`score_session` and
 :func:`scorecard_to_dict`.  :func:`aggregate_scorecard` folds a full session
 log through the scenario engine, keeping only the final state and rejecting
-anything the engine rejects; then :func:`score_session` looks each task up in
-:data:`~errandlab.scenario.TASKS`, reads the payloads of its input events from
-the log's (scene, kind) groups
-(:attr:`~errandlab.sessionlog.SessionLog.events_by_key`), the route and the
-reminders from the engine's final state, and applies every private per-task
-scorer with the :class:`~errandlab.config.ScoringConfig` in force.  The
-simulator, which already holds the engine's final state, calls
-:func:`score_session` directly.
+anything the engine rejects; then :func:`score_session` reads every task from
+that state alone: each task's input payloads from the record of its scene in
+:data:`~errandlab.scenario.TASKS` (``SessionState.scenes``), the route and
+the reminders from the session's fields, and the telemetry from
+:func:`~errandlab.sessionlog.derive_telemetry` of the same state; it applies
+every private per-task scorer with the
+:class:`~errandlab.config.ScoringConfig` in force.  The simulator, which
+already holds the engine's final state, calls :func:`score_session` directly.
 
 The scorers' inputs come from engine-accepted logs, so they read the payloads
 as the engine validated them, trust what it established (known names, no
@@ -132,8 +132,8 @@ class PlanningScore:
     route_score: int
     time_modifier: int
     total: int
-    completion_time_s: float
-    time_z: float
+    completion_time_s: Optional[float]  # None: no planning window was measured
+    time_z: Optional[float]
 
 
 _Z_STEPS = (1, 2)  # the modifier's steps, in SDs either side of the norm
@@ -149,13 +149,19 @@ def _planning_time_modifier(z: float) -> int:
     return bisect_right(_Z_STEPS, -z) - bisect_right(_Z_STEPS, z)
 
 
-def _score_planning(selected_units: Collection[int], completion_time_s: float,
+def _score_planning(selected_units: Collection[int], completion_time_s: Optional[float],
                     config: ScoringConfig) -> PlanningScore:
-    """Score the street-unit route: deviation from the ideal plus timing."""
+    """Score the street-unit route: deviation from the ideal plus timing.
+
+    A route with no measured time (``None``: no unit was toggled, so the
+    planning window never opened) earns no timing modifier and has no z.
+    """
     units = len(selected_units)
     route_score = max(0, ROUTE_IDEAL_UNITS - abs(units - ROUTE_IDEAL_UNITS))
-    z = (completion_time_s - config.normative_route_mean_s) / config.normative_route_sd_s
-    modifier = _planning_time_modifier(z)
+    z, modifier = None, 0
+    if completion_time_s is not None:
+        z = (completion_time_s - config.normative_route_mean_s) / config.normative_route_sd_s
+        modifier = _planning_time_modifier(z)
     return PlanningScore(
         units_selected=units, route_score=route_score, time_modifier=modifier,
         total=route_score + modifier, completion_time_s=completion_time_s, time_z=z)
@@ -384,39 +390,36 @@ def aggregate_scorecard(log: SessionLog, config: ScoringConfig) -> TaskScorecard
         final_state = _final_state(log.events)
     except EngineError as exc:
         raise MalformedLog(f"log rejected by the scenario engine: {exc}") from exc
-    return score_session(log, final_state, config)
+    return score_session(final_state, config)
 
 
-def score_session(log: SessionLog, final_state: SessionState,
-                  config: ScoringConfig) -> TaskScorecard:
+def score_session(final_state: SessionState, config: ScoringConfig) -> TaskScorecard:
     """Score every task of an engine-accepted log from its final state.
 
-    ``final_state`` must be the state the engine ends in after ``log.events``
-    (what :func:`~errandlab.scenario.replay` returns); the simulator holds it
-    already, so a simulated session is scored without a second engine pass.
-    Raises :class:`IncompleteSession` if that state never reached the
-    scenario's final button, and :class:`MalformedLog` if a check of the
-    config rejects the log.
+    ``final_state`` must be the state the engine ends in after the log's
+    events (what :func:`~errandlab.scenario.replay` returns); the simulator
+    holds it already, so a simulated session is scored without a second
+    engine pass.  Raises :class:`IncompleteSession` if that state never
+    reached the scenario's final button, and :class:`MalformedLog` if a
+    check of the config rejects the log.
     """
     if not final_state.completed:
         raise IncompleteSession("log ends before the scenario's final button")
-    telemetry = derive_telemetry(log)
-    groups = log.events_by_key
-
-    def payloads(task: str) -> list[dict[str, Any]]:
-        scene_id, kind, *_ = TASKS[task]
-        return [event.payload for event in groups.get((scene_id, kind), ())]
+    telemetry = derive_telemetry(final_state)
+    # each task's scene record, whose payloads are the task's input in log order
+    scenes = {name: final_state.scenes[task.scene_id] for name, task in TASKS.items()}
 
     immediate = _score_recognition(
-        [p["item"] for p in payloads("immediate_recognition")], config)
-    delayed = _score_recognition([p["item"] for p in payloads("delayed_recognition")], config)
-    collection = _score_collection([p["item"] for p in payloads("collection")], config)
-    visual_score = _score_visual_attention(payloads("visual_attention"), config)
-    auditory_score = _score_auditory_attention(payloads("auditory_attention"), config)
+        [p["item"] for p in scenes["immediate_recognition"].payloads], config)
+    delayed = _score_recognition(
+        [p["item"] for p in scenes["delayed_recognition"].payloads], config)
+    collection = _score_collection([p["item"] for p in scenes["collection"].payloads], config)
+    visual_score = _score_visual_attention(scenes["visual_attention"].payloads, config)
+    auditory_score = _score_auditory_attention(scenes["auditory_attention"].payloads, config)
     planning = _score_planning(final_state.route_selected,
-                               telemetry.task_time_s.get("planning", 0.0), config)
+                               telemetry.task_time_s.get("planning"), config)
     cooking, cooking_total = _score_cooking(
-        {p["item"]: p["cook_time_s"] for p in payloads("cooking")}, config)
+        {p["item"]: p["cook_time_s"] for p in scenes["cooking"].payloads}, config)
 
     pm: dict[str, PmOutcome] = {}
     positive_total = 0

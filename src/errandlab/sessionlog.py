@@ -21,7 +21,6 @@ the same event, or fails with the same message.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -32,13 +31,13 @@ from .jsonio import ErrandlabError, _canonical, _canonical_chunks, _is_int, _quo
 from .scenario import (
     AUDITORY_STIMULUS_KINDS,
     COOKING_ITEMS,
-    EVENT_SCENES,
     EventKind,
     NOTES_INTENT_PROMPTS,
     ROUTE_IDEAL_UNITS,
     SCENES_BY_ID,
     SHOPPING_LIST_LENGTH,
     SessionEvent,
+    SessionState,
     TASKS,
     TUTORIAL_SCENES,
     VISUAL_STIMULUS_KINDS,
@@ -79,9 +78,6 @@ class IncompleteSession(LogError):
     """The log ends before the scenario's final button."""
 
 
-_EventKey = tuple[int, EventKind]
-
-
 @dataclass(frozen=True)
 class SessionLog:
     """Immutable log value: header fields plus the event tuple."""
@@ -89,17 +85,6 @@ class SessionLog:
     seed: Optional[int] = None
     config_hash: Optional[str] = None
     events: tuple[SessionEvent, ...] = ()
-
-    @functools.cached_property
-    def events_by_key(self) -> dict[_EventKey, list[SessionEvent]]:
-        """Each (scene, kind) that occurs, mapped to its events in log order.
-
-        Built by one walk over :attr:`events` on first read; read-only.
-        """
-        groups: dict[_EventKey, list[SessionEvent]] = {}
-        for event in self.events:
-            groups.setdefault((event.scene, event.kind), []).append(event)
-        return groups
 
 
 def _check_order(last: SessionEvent, event: SessionEvent) -> None:
@@ -357,7 +342,7 @@ class NotesUsage:
 
 @dataclass(frozen=True)
 class Telemetry:
-    """Per-session timing and usage measures derived from the raw log."""
+    """Per-session timing and usage measures read from the engine's final state."""
 
     scene_time_s: dict[int, float] = field(default_factory=dict)
     tutorial_time_s: dict[int, float] = field(default_factory=dict)
@@ -368,74 +353,50 @@ class Telemetry:
     total_time_s: float = 0.0
 
 
-# The kinds derive_telemetry reads, bound once, since on Python 3.11 each
-# EventKind member read goes through EnumType.__getattr__.
-_ENTERED, _EXITED, _ATTEMPT, _OPENED, _CLOSED, _INTENT = (
-    EventKind.SCENE_ENTERED, EventKind.SCENE_EXITED, EventKind.PRACTICE_ATTEMPT,
-    EventKind.NOTE_OPENED, EventKind.NOTE_CLOSED, EventKind.NOTES_INTENT_ANSWERED)
-[_NOTES_SCENE] = EVENT_SCENES[_INTENT]
+def derive_telemetry(state: SessionState) -> Telemetry:
+    """Read timing and usage measures from the engine's scene records.
 
-
-def derive_telemetry(log: SessionLog) -> Telemetry:
-    """Read timing and usage measures from the log's (scene, kind) groups.
-
-    Tolerates partial logs.  A note left open at scene exit is closed at the
+    ``state`` is the state the engine ends in after an engine-accepted log,
+    or after a prefix of one, as :func:`~errandlab.scenario.replay` returns
+    it; its clock is the log's last event.  A scene's time and each task
+    window of :data:`~errandlab.scenario.TASKS`, in name order, exist once
+    both ends have occurred.  A note left open at scene exit is closed at the
     exit timestamp, or at the last event of a log that ends inside the scene,
     and logged as a warning that names which; completeness enforcement lives
-    with the scorecard aggregation, not here.  Scene times, notes time and
-    the task windows of :data:`~errandlab.scenario.TASKS`, in name order, are
-    defined on engine-accepted logs and their prefixes, where each scene is
-    entered once, exited after its entry, and holds at most one open note.
-    A scene with more note closes than opens, or two or more opens over its
-    closes, is outside that domain and raises :class:`MalformedLog`.
+    with the scorecard aggregation, not here.
     """
-    groups = log.events_by_key
-
-    def window_s(start: _EventKey, end: _EventKey) -> Optional[float]:
-        if start not in groups or end not in groups:
-            return None
-        return (groups[end][-1].sim_time_ms - groups[start][0].sim_time_ms) / 1000.0
-
-    task_time = {
-        name: seconds for name, (scene_id, _, start, end) in sorted(TASKS.items())
-        if (seconds := window_s((scene_id, start), (scene_id, end))) is not None}
+    scenes = state.scenes
+    task_time: dict[str, float] = {}
+    for name, (scene_id, *_) in sorted(TASKS.items()):
+        scene = scenes.get(scene_id)
+        if scene is not None and name in scene.task_start_ms and name in scene.task_end_ms:
+            task_time[name] = (scene.task_end_ms[name] - scene.task_start_ms[name]) / 1000.0
 
     scene_time: dict[int, float] = {}
     attempts: dict[int, int] = {}
     notes_views: dict[int, NotesUsage] = {}
-    for scene_id in SCENES_BY_ID:  # in scene order
-        exited = (scene_id, _EXITED)
-        if (seconds := window_s((scene_id, _ENTERED), exited)) is not None:
-            scene_time[scene_id] = seconds
-        if attempted := groups.get((scene_id, _ATTEMPT)):
-            attempts[scene_id] = len(attempted)
-        opened = groups.get((scene_id, _OPENED), ())
-        closed = groups.get((scene_id, _CLOSED), ())
-        if len(opened) - len(closed) not in (0, 1):
-            raise MalformedLog(f"scene {scene_id} has {len(opened)} NoteOpened "
-                               f"and {len(closed)} NoteClosed events")
-        if not opened:
+    intent = [False] * NOTES_INTENT_PROMPTS
+    for scene_id, scene in scenes.items():  # in scene order
+        if scene.exit_ms is not None:
+            scene_time[scene_id] = (scene.exit_ms - scene.entry_ms) / 1000.0
+        if scene.practice_attempts:
+            attempts[scene_id] = scene.practice_attempts
+        intent[:len(scene.notes_intent)] = scene.notes_intent
+        if not scene.note_opens:
             continue
-        open_ms = (sum(event.sim_time_ms for event in closed)
-                   - sum(event.sim_time_ms for event in opened))
-        if len(closed) < len(opened):
+        open_ms = scene.notes_open_ms
+        if scene.note_opened_at is not None:
             # the last note opened is still open when the scene (or log) ends
-            open_ms += groups.get(exited, log.events)[-1].sim_time_ms
-            closed_at = "scene exit" if exited in groups else "the log's last event"
+            exited = scene.exit_ms is not None
+            open_ms += (scene.exit_ms if exited else state.sim_clock_ms) - scene.note_opened_at
             import logging  # here: the module's only log call, and a rare one
 
             logging.getLogger(__name__).warning(
-                "notes left open in scene %d; closed at %s", scene_id, closed_at)
+                "notes left open in scene %d; closed at %s", scene_id,
+                "scene exit" if exited else "the log's last event")
         notes_views[scene_id] = NotesUsage(
-            opens=len(opened), total_open_s=open_ms / 1000.0)
+            opens=scene.note_opens, total_open_s=open_ms / 1000.0)
 
-    intent = [False] * NOTES_INTENT_PROMPTS
-    for event in groups.get((_NOTES_SCENE, _INTENT), ()):
-        index = event.payload["prompt_index"]
-        if 1 <= index <= NOTES_INTENT_PROMPTS:
-            intent[index - 1] = bool(event.payload["yes"])
-
-    total_s = log.events[-1].sim_time_ms / 1000.0 if log.events else 0.0
     return Telemetry(
         scene_time_s=scene_time,
         tutorial_time_s={k: v for k, v in scene_time.items() if k in TUTORIAL_SCENES},
@@ -443,7 +404,7 @@ def derive_telemetry(log: SessionLog) -> Telemetry:
         notes_views=notes_views,
         task_time_s=task_time,
         notes_intent=tuple(intent),
-        total_time_s=total_s,
+        total_time_s=state.sim_clock_ms / 1000.0,
     )
 
 

@@ -577,5 +577,5 @@ def simulate_cohort(profiles: Sequence[ParticipantProfile], seeds: Sequence[int]
     out: list[tuple[SessionLog, TaskScorecard]] = []
     for profile, seed in zip(profiles, seeds):
         log, final_state = _simulate(profile, seed, cfg, cfg_hash)
-        out.append((log, score_session(log, final_state, cfg)))
+        out.append((log, score_session(final_state, cfg)))
     return out

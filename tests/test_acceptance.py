@@ -22,6 +22,7 @@ from errandlab.bayes import (
     evidence_stars,
 )
 from errandlab.config import config_hash, default_config
+from errandlab.scenario import _final_state
 from errandlab.scoring import (
     _classify_cooking_time,
     _score_auditory_attention,
@@ -304,7 +305,7 @@ def test_criterion_8_reproducibility(config):
 
         assert serialize_log(log_a) == serialize_log(log_b)
 
-        telemetry = derive_telemetry(log_a)
+        telemetry = derive_telemetry(_final_state(log_a.events))
         report_a = export_report(card_a, config, seed=2026,
                                  config_hash=config_hash(config))
         report_b = export_report(card_b, config, seed=2026,

@@ -398,6 +398,14 @@ def test_readme_simulate_example_prints_what_readme_shows(tmp_path, monkeypatch,
         assert f"\n{line}\n" in readme, line
 
 
+def test_readme_library_quick_tour_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1].split("\n## ", 1)[0]
+    [code] = re.findall(r"```python\n(.*?)```", tour, flags=re.DOTALL)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 1
+
+
 class TestVrnqScoreCommand:
     def test_text_output_shows_medians_and_verdict(self, tmp_path, capsys):
         csv_path = _cohort_csv(tmp_path / "cohort.csv",

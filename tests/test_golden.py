@@ -40,10 +40,9 @@ from errandlab.config import (
     default_config,
     save_config,
 )
-from errandlab.scenario import EventKind, replay
+from errandlab.scenario import EventKind, _final_state, replay
 from errandlab.scoring import aggregate_scorecard, scorecard_to_dict
 from errandlab.sessionlog import (
-    SessionLog,
     derive_telemetry,
     export_report,
     serialize_log,
@@ -192,7 +191,7 @@ def test_effect_trace_matches_golden_digest():
 
 # (preset, seed) -> sha256 over the prefixes events[:0], events[:20], ... of
 # the golden fixture log: one line per prefix holding the sorted-key JSON of
-# derive_telemetry, with the int scene keys stringified first so that the
+# derive_telemetry of the state the engine ends in after it, with the int scene keys stringified first so that the
 # keys sort as strings.
 _GOLDEN_PREFIX_TELEMETRY = {
     ("default", 1): "bc8dcff111a20b11bb1c07a678fde32a36f636bc0cc709c7c154c9adb1c15daf",
@@ -220,8 +219,7 @@ def test_prefix_telemetry_matches_golden_digests(preset, seed):
     log = golden_log(preset, seed)
     digest = hashlib.sha256()
     for end in range(0, len(log.events) + 1, 20):
-        telemetry = derive_telemetry(SessionLog(
-            seed=log.seed, config_hash=log.config_hash, events=log.events[:end]))
+        telemetry = derive_telemetry(_final_state(log.events[:end]))
         line = json.dumps(_stringify_keys(dataclasses.asdict(telemetry)),
                           sort_keys=True)
         digest.update(line.encode("utf-8") + b"\n")
@@ -257,14 +255,13 @@ def _warnings(caplog):
 
 def _every_prefix_digest(log, caplog):
     # One line per prefix events[:0], events[:1], ...: the sorted-key JSON of
-    # derive_telemetry (int keys stringified), then one line per warning the
+    # derive_telemetry of the prefix's final state (int keys stringified), then one line per warning the
     # call logged.
     digest = hashlib.sha256()
     warnings = 0
     for end in range(len(log.events) + 1):
         caplog.clear()
-        telemetry = derive_telemetry(SessionLog(
-            seed=log.seed, config_hash=log.config_hash, events=log.events[:end]))
+        telemetry = derive_telemetry(_final_state(log.events[:end]))
         lines = [json.dumps(_stringify_keys(dataclasses.asdict(telemetry)),
                             sort_keys=True), *_warnings(caplog)]
         warnings += len(lines) - 1

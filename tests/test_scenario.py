@@ -252,6 +252,22 @@ class TestAdvanceBasics:
         with pytest.raises(InvalidEvent):
             advance(state, _ev(1, 1, 1, EventKind.SCENE_EXITED))
 
+    # At most one note is open at a time, and only an open note closes:
+    # notes closed without an open, or two notes open at once.
+    @pytest.mark.parametrize("kinds, message", [
+        ([EventKind.NOTE_OPENED, EventKind.NOTE_CLOSED, EventKind.NOTE_CLOSED],
+         "notes are not open"),
+        ([EventKind.NOTE_CLOSED], "notes are not open"),
+        ([EventKind.NOTE_OPENED, EventKind.NOTE_OPENED], "notes already open")])
+    def test_note_rules(self, kinds, message):
+        state = _entered(4)
+        *accepted, refused = kinds
+        for seq, kind in enumerate(accepted, start=1):
+            state, _ = advance(state, _ev(seq, seq * 1_000, 4, kind))
+        with pytest.raises(InvalidEvent) as raised:
+            advance(state, _ev(len(kinds), len(kinds) * 1_000, 4, refused))
+        assert str(raised.value) == message
+
 
 class TestGatedScenes:
     def test_retry_then_pass(self):
@@ -882,8 +898,9 @@ class TestSceneEventOutcomes:
 def test_entry_and_exit_change_only_their_own_fields(preset):
     # what lasts a scene is in SceneState, which each entry makes anew: no
     # other field of the session is set or cleared at a scene's edges
-    allowed = {EventKind.SCENE_ENTERED: {"entered", "scene", "sim_clock_ms"},
-               EventKind.SCENE_EXITED: {"entered", "scene", "sim_clock_ms", "current_scene"}}
+    allowed = {EventKind.SCENE_ENTERED: {"entered", "scene", "scenes", "sim_clock_ms"},
+               EventKind.SCENE_EXITED: {"entered", "scene", "scenes", "sim_clock_ms",
+                                        "current_scene"}}
     state = initial_state()
     for event in simulate_session(PROFILE_PRESETS[preset](), 1).events:
         successor, _ = advance(state, event)
@@ -894,17 +911,36 @@ def test_entry_and_exit_change_only_their_own_fields(preset):
         state = successor
 
 
+def _containers(value):
+    # every record, set, dict and list reachable from value, by id
+    if dataclasses.is_dataclass(value):
+        items = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        items = list(value.values())
+    elif isinstance(value, (set, list)):
+        items = list(value)
+    else:
+        return {}
+    found = {id(value): value}
+    for item in items:
+        found.update(_containers(item))
+    return found
+
+
 def test_state_copy_shares_no_container():
     walk = minimal_walk()
     state, _ = replay(walk[:len(walk) // 2])
     clone = state.copy()
     assert clone == state
+    # the copy's current record is its own entry in scenes, not the original's
+    [sid] = [sid for sid, record in state.scenes.items() if record is state.scene]
+    assert clone.scene is clone.scenes[sid]
     assert clone.scene is not state.scene
-    for record, copied in ((state, clone), (state.scene, clone.scene)):
-        for f in dataclasses.fields(record):
-            value = getattr(record, f.name)
-            if isinstance(value, (set, dict)):
-                assert getattr(copied, f.name) is not value, f.name
+    originals, copies = _containers(state), _containers(clone)
+    kinds = {type(value) for value in originals.values()}
+    assert {SessionState, scenario.SceneState, set, dict, list} <= kinds
+    assert len(copies) == len(originals)
+    assert not originals.keys() & copies.keys()
 
 
 def _global_names(code):

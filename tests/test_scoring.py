@@ -29,6 +29,7 @@ from errandlab.scoring import (
     _score_prompt_cascade,
     _score_recognition,
     _score_visual_attention,
+    PlanningScore,
     aggregate_scorecard,
     scorecard_to_dict,
 )
@@ -57,6 +58,7 @@ from errandlab.simulate import (
     perfect_profile,
     simulate_session,
 )
+from golden_logs import golden_log
 from walks import minimal_walk
 
 
@@ -225,6 +227,26 @@ class TestPlanning:
         score = _score_planning([], 30.0, config)
         assert score.route_score == 0
         assert score.units_selected == 0
+
+    def test_no_measured_time_no_modifier(self, config):
+        assert _score_planning(range(1, 16), None, config) == PlanningScore(
+            units_selected=15, route_score=15, time_modifier=0, total=15,
+            completion_time_s=None, time_z=None)
+
+    def test_a_route_never_toggled_earns_no_time_bonus(self, config):
+        # The planning window opens at the first RouteUnitToggled, so a log
+        # without one measured no planning time: that is no bonus, not 0 s.
+        log = golden_log("default", 1)
+        events = tuple(event for event in log.events
+                       if event.kind is not EventKind.ROUTE_UNIT_TOGGLED)
+        assert len(log.events) - len(events) == 15
+        card = aggregate_scorecard(dataclasses.replace(log, events=events), config)
+        assert "planning" not in card.telemetry.task_time_s
+        assert card.planning == PlanningScore(
+            units_selected=0, route_score=0, time_modifier=0, total=0,
+            completion_time_s=None, time_z=None)
+        planning = scorecard_to_dict(card)["planning"]
+        assert planning["completion_time_s"] is planning["time_z"] is None
 
     def test_a_unit_counts_if_its_last_toggle_selected_it(self, config):
         # The simulator never deselects, so a hand-built walk selects 17

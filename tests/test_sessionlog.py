@@ -19,11 +19,10 @@ from hypothesis import given, settings, strategies as st
 from errandlab import jsonio, scenario, sessionlog
 from errandlab.config import DEFAULT_BAND_POINTS
 from errandlab.jsonio import _json_native, _json_text
-from errandlab.scenario import EventKind, SessionEvent
+from errandlab.scenario import EventKind, SessionEvent, _final_state
 from errandlab.scoring import aggregate_scorecard
 from errandlab.sessionlog import (
     IncompleteSession,
-    MalformedLog,
     MonotonicityViolation,
     ParseError,
     SCHEMA_NAME,
@@ -817,12 +816,12 @@ class TestLogBuilding:
 
 class TestTelemetry:
     def test_scene_times(self, walk_log):
-        telemetry = derive_telemetry(walk_log)
+        telemetry = derive_telemetry(_final_state(walk_log.events))
         assert sorted(telemetry.scene_time_s) == list(range(1, 23))
         assert all(t > 0 for t in telemetry.scene_time_s.values())
 
     def test_total_spans_the_whole_session(self, walk_log):
-        telemetry = derive_telemetry(walk_log)
+        telemetry = derive_telemetry(_final_state(walk_log.events))
         events = walk_log.events
         span_s = (events[-1].sim_time_ms - events[0].sim_time_ms) / 1000.0
         assert telemetry.total_time_s == pytest.approx(span_s)
@@ -830,22 +829,24 @@ class TestTelemetry:
         assert math.fsum(telemetry.scene_time_s.values()) <= span_s + 1e-9
 
     def test_tutorial_subset(self, walk_log):
-        telemetry = derive_telemetry(walk_log)
+        telemetry = derive_telemetry(_final_state(walk_log.events))
         assert sorted(telemetry.tutorial_time_s) == [1, 2, 4, 5, 7, 9, 11, 13, 18]
         for scene, seconds in telemetry.tutorial_time_s.items():
             assert seconds == telemetry.scene_time_s[scene]
 
     def test_practice_attempts(self, walk_log):
-        assert derive_telemetry(walk_log).practice_attempts == {11: 1, 18: 1}
+        telemetry = derive_telemetry(_final_state(walk_log.events))
+        assert telemetry.practice_attempts == {11: 1, 18: 1}
 
     def test_task_windows(self, walk_log):
-        telemetry = derive_telemetry(walk_log)
+        telemetry = derive_telemetry(_final_state(walk_log.events))
         assert sorted(telemetry.task_time_s) == [
             "auditory_attention", "delayed_recognition", "visual_attention"]
         assert all(v >= 0 for v in telemetry.task_time_s.values())
 
     def test_notes_intent_all_refusals(self, walk_log):
-        assert derive_telemetry(walk_log).notes_intent == (False, False, False)
+        telemetry = derive_telemetry(_final_state(walk_log.events))
+        assert telemetry.notes_intent == (False, False, False)
 
     def test_notes_views(self):
         log = SessionLog()
@@ -862,7 +863,7 @@ class TestTelemetry:
             log = append_event(log, SessionEvent(
                 seq=seq, sim_time_ms=seq * 2_000, scene=scene, kind=kind,
                 payload=payload))
-        telemetry = derive_telemetry(log)
+        telemetry = derive_telemetry(_final_state(log.events))
         assert telemetry.notes_views[1].opens == 2
         assert telemetry.notes_views[1].total_open_s == pytest.approx(4.0)
 
@@ -878,47 +879,16 @@ class TestTelemetry:
             [SessionEvent(seq=seq, sim_time_ms=seq * 2_000, scene=1, kind=kind)
              for seq, kind in enumerate(kinds[:length])], seed=None, config_hash=None)
         with caplog.at_level("WARNING", logger="errandlab.sessionlog"):
-            telemetry = derive_telemetry(log)
+            telemetry = derive_telemetry(_final_state(log.events))
         assert telemetry.notes_views[1].total_open_s == open_s
         assert [record.getMessage() for record in caplog.records] == [
             f"notes left open in scene 1; closed at {closed_at}"]
-
-    # Outside its domain telemetry raises rather than returning a number:
-    # notes closed without an open, or two notes open at once.
-    @pytest.mark.parametrize("kinds, times_s, counts", [
-        ([EventKind.NOTE_OPENED, EventKind.NOTE_CLOSED, EventKind.NOTE_CLOSED],
-         [1, 2, 10], (1, 2)),
-        ([EventKind.NOTE_CLOSED], [3], (0, 1)),
-        ([EventKind.NOTE_OPENED, EventKind.NOTE_OPENED], [1, 2], (2, 0))])
-    def test_unmatched_notes_are_malformed(self, kinds, times_s, counts):
-        events = [SessionEvent(0, 0, 4, EventKind.SCENE_ENTERED)] + [
-            SessionEvent(seq, time_s * 1_000, 4, kind)
-            for seq, (kind, time_s) in enumerate(zip(kinds, times_s), start=1)]
-        log = log_from_events(events, seed=None, config_hash=None)
-        opened, closed = counts
-        with pytest.raises(MalformedLog) as raised:
-            derive_telemetry(log)
-        assert str(raised.value) == (
-            f"scene 4 has {opened} NoteOpened and {closed} NoteClosed events")
-
-    def test_scoring_groups_the_events_once(self, walk_log, config):
-        log = dataclasses.replace(walk_log)  # a copy without cached groups
-        assert "events_by_key" not in vars(log)
-        aggregate_scorecard(log, config)
-        groups = vars(log)["events_by_key"]
-        assert log.events_by_key is groups
-        for (scene_id, kind), events in groups.items():
-            assert all((e.scene, e.kind) == (scene_id, kind) for e in events)
-        grouped = [event for events in groups.values() for event in events]
-        assert sorted(grouped, key=lambda event: event.seq) == list(log.events)
-        assert all(events == sorted(events, key=lambda event: event.seq)
-                   for events in groups.values())
 
     def test_partial_log_partial_scenes(self, walk_log):
         log = SessionLog()
         for event in walk_log.events[:10]:
             log = append_event(log, event)
-        telemetry = derive_telemetry(log)
+        telemetry = derive_telemetry(_final_state(log.events))
         assert len(telemetry.scene_time_s) < 22
 
     def test_incomplete_session_cannot_be_scored(self, walk_log, config):

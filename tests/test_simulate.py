@@ -387,13 +387,13 @@ class TestProfiles:
 class TestSessionClock:
     def test_default_target_duration(self, typical, config):
         log = simulate_session(typical, seed=6, config=config)
-        total = derive_telemetry(log).total_time_s
+        total = derive_telemetry(replay(log.events)[0]).total_time_s
         assert total == pytest.approx(config.session_target_s, rel=0.2)
 
     def test_scaled_target_duration(self, typical, config):
         short = dataclasses.replace(config, session_target_s=1866.0)
         log = simulate_session(typical, seed=6, config=short)
-        total = derive_telemetry(log).total_time_s
+        total = derive_telemetry(replay(log.events)[0]).total_time_s
         assert total == pytest.approx(1866.0, rel=0.2)
         final, _ = replay(log.events)
         assert final.completed
