@@ -551,7 +551,8 @@ class SceneState:
     task_start_ms: dict[str, int] = field(default_factory=dict)  # each task's first start
     task_end_ms: dict[str, int] = field(default_factory=dict)  # each task's last end
     taken: set[str] = field(default_factory=set)  # the scene's items or stimuli
-    payloads: list[dict[str, Any]] = field(default_factory=list)  # what it took or grabbed
+    # what it took or grabbed, each a plain dict of its own, which any copy can copy
+    payloads: list[dict[str, Any]] = field(default_factory=list)
 
 
 @dataclass
@@ -759,7 +760,7 @@ def _on_notes_intent_answered(state: SessionState, event: SessionEvent, sid: int
 
 def _on_item_grabbed(state: SessionState, event: SessionEvent, sid: int) -> None:
     # grabs are free-form, and re-grab attempts are legitimate errors
-    state.scene.payloads.append(event.payload)
+    state.scene.payloads.append(dict(event.payload))
 
 
 def _on_route(state: SessionState, event: SessionEvent, sid: int) -> None:
@@ -875,7 +876,7 @@ class _Take:
         if self.non_negative is not None and payload[self.non_negative] < 0:
             raise InvalidEvent(f"{self.non_negative} must be non-negative")
         taken.add(thing)
-        state.scene.payloads.append(payload)
+        state.scene.payloads.append(dict(payload))
 
 
 # Which event does what in which scene: each kind after entry maps the scenes

@@ -911,6 +911,18 @@ def test_entry_and_exit_change_only_their_own_fields(preset):
         state = successor
 
 
+# A record keeps a plain dict of each payload it takes, so a state holding a
+# payload of any Mapping type still copies.
+@pytest.mark.parametrize("scene_id", [3, 8])
+def test_a_state_that_took_a_mapping_payload_copies(scene_id):
+    state = _entered(scene_id)
+    for seq, item in enumerate(("milk", "eggs"), start=1):
+        payload = types.MappingProxyType({"item": item})
+        state, _ = advance(state, _ev(seq, seq, scene_id, EventKind.ITEM_SELECTED, payload))
+    assert state.scene.payloads == [{"item": "milk"}, {"item": "eggs"}]
+    assert all(type(payload) is dict for payload in state.scene.payloads)
+
+
 def _containers(value):
     # every record, set, dict and list reachable from value, by id
     if dataclasses.is_dataclass(value):
